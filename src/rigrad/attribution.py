@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     EigenSolverFailure,
-    InvalidCurve,
     InvalidTangent,
     QuadratureNotConverged,
     WrongManifold,
@@ -30,7 +29,7 @@ from .errors import (
 from .fields import ScalarField, require_same_space
 from .manifolds import Curve, Manifold, OrthonormalFrame, Point, TangentVector
 from .manifolds.diagnostics import geodesic_residual
-from .manifolds.transport import transport_along
+from .manifolds.transport import transport_rows
 from .quadrature import Quadrature
 
 DEFAULT_QUADRATURE = Quadrature()
@@ -114,49 +113,54 @@ def _check_frame(manifold: Manifold, p: Point, frame: OrthonormalFrame) -> None:
     manifold.validate_frame(frame)
 
 
-def _node_tables(
-    field: ScalarField,
-    manifold: Manifold,
-    curve: Curve,
-    vectors,
-    ts: np.ndarray,
-):
-    """Tables a[i, k] = dF(U_i(t_k)) and b[j, k] = g(U_j(t_k), velocity(t_k))."""
-    moved, mode, steps = transport_along(manifold, curve, list(vectors), list(ts))
-    n = len(vectors)
-    a = np.zeros((n, ts.size))
-    b = np.zeros((n, ts.size))
-    for k, t in enumerate(ts):
-        position = curve.position(float(t))
-        coord_grad = field.coord_gradient(position)
-        vel = curve.velocity_fn(float(t))
-        g_vel = manifold.metric_at(position) @ vel
-        for i, vector in enumerate(moved[k]):
-            a[i, k] = coord_grad @ vector.components
-            b[i, k] = vector.components @ g_vel
+def _level_tables(field, manifold, curve, rows, ts):
+    """Tables a[k, i] = dF(U_i(t_k)) and b[k, j] = g(U_j(t_k), velocity(t_k)).
+
+    ``rows`` (n, coord_dim) holds the frame components at curve(0); the K
+    nodes ``ts`` are evaluated together as arrays with a leading node axis.
+    """
+    positions = curve.positions(ts)
+    velocities = curve.velocities(ts)
+    moved, mode, steps = transport_rows(manifold, curve, rows, ts, positions, velocities)
+    a = np.einsum("kc,kic->ki", field.coord_gradients(positions), moved)
+    b = np.einsum("kic,kc->ki", moved, manifold.lower(positions, velocities))
     return a, b, mode, steps
 
 
-def _form_entries(field, manifold, curve, vectors, quadrature):
-    """Quadrature loop for the bilinear form; returns (entries, diagnostics)."""
+def _path_integral(field, manifold, curve, rows, quadrature, diagonal=False):
+    """Quadrature of the form, refined until two successive levels agree.
+
+    Returns the entries and the path's diagnostics, without a geodesic
+    defect; with ``diagonal`` only the entries i = j are formed, as a vector.
+    """
+    contraction = "k,ki,ki->i" if diagonal else "k,ki,kj->ij"
     schedule = quadrature.schedule()
     previous = None
     gap = None
     for count in schedule:
         ts, weights = quadrature.nodes_weights(count)
-        a, b, mode, steps = _node_tables(field, manifold, curve, vectors, ts)
-        entries = -np.einsum("k,ik,jk->ij", weights, a, b)
+        a, b, mode, steps = _level_tables(field, manifold, curve, rows, ts)
+        entries = -np.einsum(contraction, weights, a, b)
         if previous is not None:
             gap = float(np.max(np.abs(entries - previous)))
             if gap < quadrature.tol:
-                return entries, count, gap, mode, steps
+                break
         previous = entries
-    if quadrature.refine and len(schedule) > 1:
-        raise QuadratureNotConverged(
-            f"entries still moving by {gap:.3e} at {schedule[-1]} nodes "
-            f"(tol {quadrature.tol:.1e})"
-        )
-    return previous, schedule[-1], gap, mode, steps
+    else:
+        if quadrature.refine and len(schedule) > 1:
+            raise QuadratureNotConverged(
+                f"entries still moving by {gap:.3e} at {schedule[-1]} nodes "
+                f"(tol {quadrature.tol:.1e})"
+            )
+    diagnostics = PathDiagnostics(
+        curve_length=curve.length,
+        nodes_used=count,
+        refinement_gap=gap,
+        transport_mode=mode,
+        transport_steps=steps,
+        geodesic_defect=None,
+    )
+    return entries, diagnostics
 
 
 def _zero_diagnostics() -> PathDiagnostics:
@@ -199,17 +203,10 @@ def attribution_matrix(
         )
 
     curve = manifold.geodesic_between(p, o)
-    entries, nodes_used, gap, mode, steps = _form_entries(
-        field, manifold, curve, frame.vectors, quadrature
+    entries, diagnostics = _path_integral(
+        field, manifold, curve, frame.component_matrix(), quadrature
     )
-    diagnostics = PathDiagnostics(
-        curve_length=curve.length,
-        nodes_used=nodes_used,
-        refinement_gap=gap,
-        transport_mode=mode,
-        transport_steps=steps,
-        geodesic_defect=geodesic_residual(manifold, curve),
-    )
+    diagnostics = replace(diagnostics, geodesic_defect=geodesic_residual(manifold, curve))
     return AttributionMatrix(
         base=p, base_point=o, frame=frame, entries=entries, diagnostics=diagnostics
     )
@@ -228,7 +225,7 @@ def bam_along_curve(
         raise InvalidTangent("u must be based at the curve's start point")
     if np.array_equal(curve.start.coords, curve.end.coords) and curve.length == 0.0:
         return 0.0
-    entries, _, _, _, _ = _form_entries(field, manifold, curve, [u], quadrature)
+    entries, _ = _path_integral(field, manifold, curve, u.components[None, :], quadrature)
     return float(entries[0, 0])
 
 
@@ -242,7 +239,10 @@ def rig(
 ) -> AttributionReport:
     """Per-direction attributions along the minimising geodesic from p to o."""
     matrix = attribution_matrix(field, manifold, p, o, frame, quadrature)
-    return _report_from_matrix(METHOD_RIG, field, manifold, matrix, eigen=None)
+    return _report(
+        METHOD_RIG, field, manifold, matrix.base, matrix.base_point, frame,
+        np.diag(matrix.entries).copy(), matrix.diagnostics,
+    )
 
 
 def eigen_rig(
@@ -260,7 +260,11 @@ def eigen_rig(
     """
     matrix = attribution_matrix(field, manifold, p, o, frame, quadrature)
     eigen = eigen_attributions(matrix)
-    return _report_from_matrix(METHOD_EIGEN_RIG, field, manifold, matrix, eigen=eigen)
+    values = eigen.eigenvalues
+    return _report(
+        METHOD_EIGEN_RIG, field, manifold, matrix.base, matrix.base_point, eigen.frame,
+        np.array(values), matrix.diagnostics, eigenvalues=np.array(values),
+    )
 
 
 def generic_bam_report(
@@ -277,67 +281,43 @@ def generic_bam_report(
     manifold = curve.manifold
     require_same_space(field, manifold)
     _check_frame(manifold, curve.start, frame)
-    entries, nodes_used, gap, mode, steps = _form_entries(
-        field, manifold, curve, frame.vectors, quadrature
+    entries, diagnostics = _path_integral(
+        field, manifold, curve, frame.component_matrix(), quadrature
     )
-    diagnostics = PathDiagnostics(
-        curve_length=curve.length,
-        nodes_used=nodes_used,
-        refinement_gap=gap,
-        transport_mode=mode,
-        transport_steps=steps,
-        geodesic_defect=None,
-    )
-    matrix = AttributionMatrix(
-        base=curve.start,
-        base_point=curve.end,
-        frame=frame,
-        entries=entries,
-        diagnostics=diagnostics,
-    )
-    return _report_from_matrix(
-        METHOD_GENERIC_BAM,
-        field,
-        manifold,
-        matrix,
-        eigen=None,
-        path_is_geodesic=curve.is_geodesic,
+    return _report(
+        METHOD_GENERIC_BAM, field, manifold, curve.start, curve.end, frame,
+        np.diag(entries).copy(), diagnostics, path_is_geodesic=curve.is_geodesic,
     )
 
 
-def _report_from_matrix(
+def _report(
     method: str,
     field: ScalarField,
     manifold: Manifold,
-    matrix: AttributionMatrix,
-    eigen: EigenAttribution | None,
+    p: Point,
+    o: Point,
+    frame: OrthonormalFrame,
+    values: np.ndarray,
+    diagnostics: PathDiagnostics,
+    eigenvalues: np.ndarray | None = None,
     path_is_geodesic: bool = True,
 ) -> AttributionReport:
-    value_p = field.value(matrix.base)
-    value_o = field.value(matrix.base_point)
-    if eigen is None:
-        frame = matrix.frame
-        values = np.diag(matrix.entries).copy()
-        eigenvalues = None
-    else:
-        frame = eigen.frame
-        values = np.array(eigen.eigenvalues)
-        eigenvalues = np.array(eigen.eigenvalues)
-    residual = abs(float(np.sum(values)) - (value_p - value_o))
+    value_p = field.value(p)
+    value_o = field.value(o)
     return AttributionReport(
         method=method,
         manifold_kind=manifold.kind,
-        point=matrix.base,
-        base_point=matrix.base_point,
+        point=p,
+        base_point=o,
         frame=frame,
         attributions=values,
         value_at_point=value_p,
         value_at_base=value_o,
-        completeness_residual=residual,
+        completeness_residual=abs(float(np.sum(values)) - (value_p - value_o)),
         error_term=-value_o,
         path_is_geodesic=path_is_geodesic,
         eigenvalues=eigenvalues,
-        diagnostics=matrix.diagnostics,
+        diagnostics=diagnostics,
     )
 
 
@@ -350,68 +330,19 @@ def ig(
 ) -> AttributionReport:
     """Straight-line attributions in flat space, integrating base to input."""
     manifold = field.manifold
-    if manifold.kind != "euclidean":
+    if not manifold.flat:
         raise WrongManifold("the straight-line method is defined on flat space only")
     x = manifold.validate_point(x)
     x_prime = manifold.validate_point(x_prime)
     _check_frame(manifold, x, basis)
 
-    delta = x.coords - x_prime.coords
-    directions = basis.component_matrix()
-    gaps = directions @ delta
-
-    schedule = quadrature.schedule()
-    previous = None
-    gap = None
-    for count in schedule:
-        ts, weights = quadrature.nodes_weights(count)
-        grads = np.array(
-            [
-                field.coord_gradient(Point(x_prime.coords + t * delta))
-                for t in ts
-            ]
-        )
-        integrals = (directions @ grads.T) @ weights
-        values = gaps * integrals
-        if previous is not None:
-            gap = float(np.max(np.abs(values - previous)))
-            if gap < quadrature.tol:
-                previous = values
-                break
-        previous = values
-    else:
-        if quadrature.refine and len(schedule) > 1:
-            raise QuadratureNotConverged(
-                f"attributions still moving by {gap:.3e} at {schedule[-1]} nodes"
-            )
-        count = schedule[-1]
-
-    value_x = field.value(x)
-    value_base = field.value(x_prime)
-    residual = abs(float(np.sum(previous)) - (value_x - value_base))
-    diagnostics = PathDiagnostics(
-        curve_length=float(np.linalg.norm(delta)),
-        nodes_used=count,
-        refinement_gap=gap,
-        transport_mode="identity",
-        transport_steps=0,
-        geodesic_defect=None,
+    # The form is oriented from its curve's start, so along the line from
+    # base to input its diagonal is the negated straight-line attribution.
+    line = manifold.geodesic_between(x_prime, x)
+    entries, diagnostics = _path_integral(
+        field, manifold, line, basis.component_matrix(), quadrature, diagonal=True
     )
-    return AttributionReport(
-        method=METHOD_IG,
-        manifold_kind=manifold.kind,
-        point=x,
-        base_point=x_prime,
-        frame=basis,
-        attributions=previous,
-        value_at_point=value_x,
-        value_at_base=value_base,
-        completeness_residual=residual,
-        error_term=-value_base,
-        path_is_geodesic=True,
-        eigenvalues=None,
-        diagnostics=diagnostics,
-    )
+    return _report(METHOD_IG, field, manifold, x, x_prime, basis, -entries, diagnostics)
 
 
 def symmetrize(matrix: AttributionMatrix) -> AttributionMatrix:
@@ -426,7 +357,7 @@ def eigen_attributions(matrix: AttributionMatrix) -> EigenAttribution:
     sign is fixed so its first nonzero coefficient is positive, and the
     vectors are returned as tangent vectors through the source frame.
     """
-    sym = 0.5 * (matrix.entries + matrix.entries.T)
+    sym = symmetrize(matrix).entries
     try:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -463,7 +394,7 @@ def attribution_bound_check(
         raise ValueError("samples must be positive")
     eigen = eigen_attributions(matrix)
     bound = float(np.abs(eigen.eigenvalues[-1])) if eigen.eigenvalues.size else 0.0
-    sym = 0.5 * (matrix.entries + matrix.entries.T)
+    sym = symmetrize(matrix).entries
     rng = np.random.default_rng(seed)
     n = sym.shape[0]
     worst_value = 0.0

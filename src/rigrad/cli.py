@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -75,6 +76,21 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ParseError(message)
+
+
+NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_negative_points(argv: list[str]) -> list[str]:
+    """Rewrite ``--p -0.8,0.5`` as ``--p=-0.8,0.5``: argparse would read a
+    separate value starting with '-' as an option unless it is one number."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--p", "--o") and NEGATIVE_VALUE.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _parse_vector(text: str, label: str) -> np.ndarray:
@@ -346,8 +362,8 @@ def build_parser() -> _Parser:
         p.add_argument("--manifold", required=True, help="kind, kind:dim, or config file")
         p.add_argument("--field", required=True, help="builtin field id (see docs) or mlp")
         p.add_argument("--weights", help="MLP weights file (JSON), for --field mlp")
-        p.add_argument("--p", required=True, help="explained point, comma-separated")
-        p.add_argument("--o", required=True, help="base point, comma-separated")
+        p.add_argument("--p", required=True, help="explained point, comma-separated, e.g. --p -1,0")
+        p.add_argument("--o", required=True, help="base point, comma-separated, e.g. --o -1,0")
         p.add_argument("--quadrature-nodes", type=int, default=0)
         p.add_argument("--transport-steps", type=int, default=0)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -375,7 +391,8 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = parser.parse_args(_attach_negative_points(argv))
         if args.command == "attribute":
             return cmd_attribute(args, out)
         if args.command == "compare":

@@ -49,6 +49,14 @@ class ScalarField(ABC):
     def coord_gradient(self, p: Point) -> np.ndarray:
         """Partial derivatives in canonical coordinates, shape (coord_dim,)."""
 
+    def coord_gradients(self, X: np.ndarray) -> np.ndarray:
+        """``coord_gradient`` at each row of ``X`` (K, coord_dim); returns (K, coord_dim).
+
+        Loops over the points; subclasses override it only for speed.
+        """
+        grads = [self.coord_gradient(Point(x)) for x in X]
+        return np.array(grads).reshape(len(X), self.manifold.coord_dim)
+
     def gradient(self, p: Point) -> TangentVector:
         """Riemannian gradient at ``p``."""
         return self.manifold.raise_gradient(p, self.coord_gradient(p))
@@ -88,6 +96,11 @@ class CoordinateField(ScalarField):
         out[self.index] = 1.0
         return out
 
+    def coord_gradients(self, X: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(X), self.manifold.coord_dim))
+        out[:, self.index] = 1.0
+        return out
+
 
 class AffineField(ScalarField):
     """F(p) = weights . p + bias in canonical coordinates."""
@@ -107,6 +120,9 @@ class AffineField(ScalarField):
 
     def coord_gradient(self, p: Point) -> np.ndarray:
         return np.array(self.weights)
+
+    def coord_gradients(self, X: np.ndarray) -> np.ndarray:
+        return np.tile(self.weights, (len(X), 1))
 
 
 class LogHeightField(ScalarField):
@@ -250,6 +266,19 @@ class MLPField(ScalarField):
             grad = layer.weights.T @ (grad * _act_prime(layer.activation, z))
         return grad
 
+    def coord_gradients(self, X: np.ndarray) -> np.ndarray:
+        """One forward and backward pass over all rows of ``X`` at once."""
+        pre = []
+        a = np.asarray(X, dtype=float)
+        for layer in self.weights.layers:
+            z = a @ layer.weights.T + layer.bias
+            pre.append(z)
+            a = _act(layer.activation, z)
+        grad = np.ones((a.shape[0], 1))
+        for layer, z in zip(reversed(self.weights.layers), reversed(pre)):
+            grad = (grad * _act_prime(layer.activation, z)) @ layer.weights
+        return grad
+
 
 class CombinedField(ScalarField):
     """A fixed linear combination of fields on one manifold."""
@@ -300,29 +329,6 @@ class PushforwardField(GradientFirstField):
     def gradient(self, p: Point) -> TangentVector:
         q = self._inverse.apply(p)
         return self.isometry.differential(self.field.gradient(q))
-
-
-class ComposedWithIsometry(ScalarField):
-    """The field F composed with an isometry s, that is p -> F(s(p))."""
-
-    def __init__(self, field: ScalarField, isometry):
-        require_same_space(field, isometry.manifold)
-        super().__init__(isometry.manifold)
-        self.field = field
-        self.isometry = isometry
-
-    def value(self, p: Point) -> float:
-        return self.field.value(self.isometry.apply(p))
-
-    def coord_gradient(self, p: Point) -> np.ndarray:
-        # d(F o s)_p(u) = dF_{s(p)}(ds_p u); realised through the metric so
-        # it works uniformly for all three coordinate conventions.
-        grad = self.gradient(p)
-        return self.manifold.metric_at(p) @ grad.components
-
-    def gradient(self, p: Point) -> TangentVector:
-        upstream = self.field.gradient(self.isometry.apply(p))
-        return self.isometry.inverse().differential(upstream)
 
 
 # -- network construction and serialization --------------------------------

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import InvalidCurve, InvalidPoint, InvalidTangent
+from ..errors import InvalidTangent
 
 
 def _freeze(arr) -> np.ndarray:
@@ -95,6 +95,14 @@ class Curve:
     def velocity(self, t: float) -> TangentVector:
         t = float(t)
         return TangentVector(self.position(t), self.velocity_fn(t))
+
+    def positions(self, ts) -> np.ndarray:
+        """Positions at every parameter in ``ts``, shape (len(ts), coord_dim)."""
+        return np.array([self.position_fn(float(t)) for t in ts])
+
+    def velocities(self, ts) -> np.ndarray:
+        """Velocities at every parameter in ``ts``, shape (len(ts), coord_dim)."""
+        return np.array([self.velocity_fn(float(t)) for t in ts])
 
 
 @dataclass(frozen=True)
@@ -183,11 +191,18 @@ class Manifold(ABC):
     Numeric parameters: ``transport_steps`` is the initial step count for the
     parallel-transport ODE integrator, and ``bvp_tol`` the residual tolerance
     of the geodesic shooting cross-check.
+
+    Methods taking ``P`` and ``V`` work on arrays of points and vectors with a
+    leading axis over samples, shape (K, coord_dim), row k of ``V`` based at
+    row k of ``P``.
     """
 
     kind: str
     dim: int
     coord_dim: int
+    # zero curvature and zero Christoffel symbols in the canonical chart, so
+    # transport leaves components unchanged along any curve
+    flat: bool = False
 
     def __init__(self, transport_steps: int = 256, bvp_tol: float = 1e-10):
         if transport_steps < 1:
@@ -222,6 +237,10 @@ class Manifold(ABC):
     @abstractmethod
     def metric_at(self, p: Point) -> np.ndarray:
         """Metric matrix in canonical coordinates (Sphere2: 3x3 projector)."""
+
+    @abstractmethod
+    def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """The metric applied to each vector: row k is metric_at(P[k]) @ V[k]."""
 
     def inner(self, u: TangentVector, v: TangentVector) -> float:
         u._same_base(v)
@@ -269,6 +288,11 @@ class Manifold(ABC):
 
     def geodesic_between(self, p: Point, o: Point) -> Curve:
         """Constant-speed length-minimising geodesic with gamma(0)=p, gamma(1)=o."""
+        raise NotImplementedError
+
+    def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """Unit normals completing unit tangents ``T`` to oriented g-orthonormal
+        pairs; defined on 2-manifolds, where geodesic transport rotates with them."""
         raise NotImplementedError
 
     # -- frames -----------------------------------------------------------
@@ -340,10 +364,3 @@ def constant_curve(manifold: Manifold, p: Point) -> Curve:
         is_geodesic=True,
         length=0.0,
     )
-
-
-def check_nonvanishing_velocity(manifold: Manifold, curve: Curve, ts) -> None:
-    """Raise InvalidCurve if the curve velocity vanishes at any sample."""
-    for t in ts:
-        if manifold.norm(curve.velocity(t)) < 1e-13:
-            raise InvalidCurve(f"curve velocity vanishes at t={t}")

@@ -21,6 +21,7 @@ class Euclidean(Manifold):
     """R^n with the identity metric; geodesics are straight segments."""
 
     kind = "euclidean"
+    flat = True
 
     def __init__(self, dim: int, transport_steps: int = 256, bvp_tol: float = 1e-10):
         super().__init__(transport_steps, bvp_tol)
@@ -59,6 +60,9 @@ class Euclidean(Manifold):
 
     def metric_at(self, p: Point) -> np.ndarray:
         return np.eye(self.dim)
+
+    def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return V
 
     def raise_gradient(self, p: Point, coord_grad) -> TangentVector:
         return self.tangent(p, coord_grad)
@@ -99,7 +103,3 @@ class Euclidean(Manifold):
 
     def random_point(self, rng: np.random.Generator) -> Point:
         return Point(rng.standard_normal(self.dim))
-
-    def cut_locus_check(self, p: Point, q: Point) -> None:
-        """Flat space has no cut locus; present for interface symmetry."""
-        return None

@@ -84,6 +84,9 @@ class HalfPlane2(Manifold):
     def metric_at(self, p: Point) -> np.ndarray:
         return np.eye(2) / float(p.coords[1]) ** 2
 
+    def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return V / P[:, 1:] ** 2
+
     def raise_gradient(self, p: Point, coord_grad) -> TangentVector:
         scale = float(p.coords[1]) ** 2
         return self.tangent(p, scale * np.asarray(coord_grad, dtype=float))
@@ -195,6 +198,9 @@ class HalfPlane2(Manifold):
             is_geodesic=True,
             length=abs(float(ds)),
         )
+
+    def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
+        return np.stack([-T[:, 1], T[:, 0]], axis=1)
 
     def orthonormal_frame(self, p: Point) -> OrthonormalFrame:
         y = float(p.coords[1])

@@ -153,6 +153,9 @@ class Sphere2(Manifold):
     def metric_at(self, p: Point) -> np.ndarray:
         return np.eye(3) - np.outer(p.coords, p.coords)
 
+    def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return V - np.sum(P * V, axis=-1, keepdims=True) * P
+
     def raise_gradient(self, p: Point, coord_grad) -> TangentVector:
         return self.project_tangent(p, coord_grad)
 
@@ -226,6 +229,9 @@ class Sphere2(Manifold):
             is_geodesic=True,
             length=float(theta),
         )
+
+    def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
+        return np.cross(P, T)
 
     def orthonormal_frame(self, p: Point) -> OrthonormalFrame:
         drop = int(np.argmax(np.abs(p.coords)))

@@ -28,49 +28,31 @@ def _check_bases(curve: Curve, vectors: Sequence[TangentVector]) -> None:
             raise InvalidTangent("vectors must be based at the curve's start point")
 
 
-def _clamp_param(t: float) -> float:
-    if not -1e-9 <= t <= 1.0 + 1e-9:
-        raise InvalidCurve(f"transport parameter {t} outside [0, 1]")
-    return min(max(t, 0.0), 1.0)
+def _clamp_params(ts) -> np.ndarray:
+    ts = np.asarray(ts, dtype=float)
+    outside = (ts < -1e-9) | (ts > 1.0 + 1e-9)
+    if np.any(outside):
+        raise InvalidCurve(f"transport parameter {ts[outside][0]} outside [0, 1]")
+    return np.clip(ts, 0.0, 1.0)
 
 
-def _identity_transport(curve: Curve, vectors, ts):
-    out = []
-    for t in ts:
-        p = curve.position(t)
-        out.append([TangentVector(p, np.array(u.components)) for u in vectors])
-    return out
-
-
-def _geodesic_frame(manifold: Manifold, curve: Curve, t: float):
-    """g-orthonormal (tangent, normal) pair along a 2-manifold geodesic."""
-    vel = curve.velocity(t)
-    speed = manifold.norm(vel)
-    if speed < 1e-13:
+def _unit_tangents(manifold: Manifold, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+    speed = np.sqrt(np.maximum(np.sum(manifold.lower(P, V) * V, axis=-1), 0.0))
+    if np.any(speed < 1e-13):
         raise InvalidCurve("geodesic transport needs a nonvanishing velocity")
-    tangent = vel.components / speed
-    p = vel.base
-    if manifold.kind == "sphere2":
-        normal = np.cross(p.coords, tangent)
-    else:
-        normal = np.array([-tangent[1], tangent[0]])
-    return p, tangent, normal
+    return V / speed[:, None]
 
 
-def _closed_form_transport(manifold: Manifold, curve: Curve, vectors, ts):
-    _, t0, n0 = _geodesic_frame(manifold, curve, 0.0)
-    u0 = TangentVector(curve.start, t0)
-    w0 = TangentVector(curve.start, n0)
-    coeffs = [
-        (manifold.inner(u, u0), manifold.inner(u, w0)) for u in vectors
-    ]
-    out = []
-    for t in ts:
-        p, tan, nor = _geodesic_frame(manifold, curve, t)
-        out.append(
-            [TangentVector(p, a * tan + b * nor) for a, b in coeffs]
-        )
-    return out
+def _closed_form_transport(manifold, curve, rows, P, V):
+    """Rotate with the geodesic's velocity/normal frame, all nodes at once."""
+    start = curve.start.coords[None, :]
+    t0 = _unit_tangents(manifold, start, curve.velocity_fn(0.0)[None, :])
+    n0 = manifold.geodesic_normal(start, t0)
+    a = rows @ manifold.lower(start, t0)[0]
+    b = rows @ manifold.lower(start, n0)[0]
+    tangents = _unit_tangents(manifold, P, V)
+    normals = manifold.geodesic_normal(P, tangents)
+    return a[None, :, None] * tangents[:, None, :] + b[None, :, None] * normals[:, None, :]
 
 
 def ode_transport(
@@ -125,13 +107,13 @@ def _ode_pass(manifold, curve, chart, w0, ts_sorted, total_steps):
     return results
 
 
-def _ode_route(manifold, curve, vectors, ts, steps):
+def _ode_route(manifold, curve, rows, ts, P, steps):
     samples = [curve.position(t) for t in np.linspace(0.0, 1.0, CURVE_CHART_SAMPLES)]
     chart = manifold.chart_for_curve(samples)
-    w0 = np.array([chart.pull(curve.start, u.components) for u in vectors])
+    w0 = np.array([chart.pull(curve.start, u) for u in rows])
 
     order = np.argsort(ts, kind="stable")
-    ts_sorted = [ts[i] for i in order]
+    ts_sorted = [float(ts[i]) for i in order]
 
     n = steps
     coarse = _ode_pass(manifold, curve, chart, w0, ts_sorted, n)
@@ -146,17 +128,42 @@ def _ode_route(manifold, curve, vectors, ts, steps):
             break
         coarse = fine
 
-    out_sorted = []
-    for t, w in zip(ts_sorted, fine):
-        p = curve.position(t)
+    out = np.empty((len(ts), len(rows), manifold.coord_dim))
+    for k, w in zip(order, fine):
+        p = Point(P[k])
         x = chart.to_chart(p)
-        out_sorted.append(
-            [manifold.project_tangent(p, chart.push(x, row)) for row in w]
-        )
-    out = [None] * len(ts)
-    for pos, idx in enumerate(order):
-        out[idx] = out_sorted[pos]
+        out[k] = [manifold.project_tangent(p, chart.push(x, row)).components for row in w]
     return out, n
+
+
+def transport_rows(
+    manifold: Manifold,
+    curve: Curve,
+    rows: np.ndarray,
+    ts: np.ndarray,
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    steps: int | None = None,
+):
+    """Array core of parallel transport.
+
+    ``rows`` (n, coord_dim) holds the components of n vectors at curve(0);
+    ``positions`` and ``velocities`` (K, coord_dim) are the curve at the K
+    parameters ``ts`` in [0, 1].  Returns (moved, mode, steps_used) with
+    moved[k, i] vector i transported to curve(ts[k]), shape (K, n, coord_dim).
+    Identity transport returns a read-only broadcast view of ``rows``.
+    """
+    identity = np.broadcast_to(rows, (len(ts), *rows.shape))
+    if manifold.flat:
+        return identity, "identity", 0
+    if curve.is_geodesic:
+        if curve.length < 1e-13:
+            return identity, "closed-form", 0
+        return _closed_form_transport(manifold, curve, rows, positions, velocities), "closed-form", 0
+    moved, steps_used = _ode_route(
+        manifold, curve, rows, ts, positions, steps or manifold.transport_steps
+    )
+    return moved, "ode", steps_used
 
 
 def transport_along(
@@ -173,19 +180,15 @@ def transport_along(
     steps_used is the final RK4 step count (0 off the ODE route).
     """
     _check_bases(curve, vectors)
-    ts = [_clamp_param(float(t)) for t in ts]
-    if not vectors or not ts:
+    ts = _clamp_params(list(ts))
+    if not vectors or not ts.size:
         return [[] for _ in ts], "identity", 0
-
-    if manifold.kind == "euclidean":
-        return _identity_transport(curve, vectors, ts), "identity", 0
-
-    if curve.is_geodesic:
-        if curve.length < 1e-13:
-            return _identity_transport(curve, vectors, ts), "closed-form", 0
-        return _closed_form_transport(manifold, curve, vectors, ts), "closed-form", 0
-
-    results, steps_used = _ode_route(
-        manifold, curve, vectors, ts, steps or manifold.transport_steps
+    rows = np.array([u.components for u in vectors])
+    positions = curve.positions(ts)
+    moved, mode, steps_used = transport_rows(
+        manifold, curve, rows, ts, positions, curve.velocities(ts), steps
     )
-    return results, "ode", steps_used
+    results = [
+        [TangentVector(Point(p), w) for w in at_p] for p, at_p in zip(positions, moved)
+    ]
+    return results, mode, steps_used

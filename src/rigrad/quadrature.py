@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -11,13 +12,22 @@ from .errors import ParseError
 RULES = ("gauss_legendre", "trapezoid")
 
 
+def _frozen(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+# leggauss(n) is an n x n eigensolve (about 0.1 s at n = 1024); every caller
+# shares the cached arrays, hence read-only.
+@lru_cache(maxsize=64)
 def nodes_weights(rule: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the given rule with n nodes on [0, 1]."""
+    """Nodes and weights of the given rule with n nodes on [0, 1], read-only."""
     if rule == "gauss_legendre":
         if n < 1:
             raise ParseError("gauss_legendre needs at least 1 node")
         x, w = np.polynomial.legendre.leggauss(n)
-        return 0.5 * (x + 1.0), 0.5 * w
+        return _frozen(0.5 * (x + 1.0), 0.5 * w)
     if rule == "trapezoid":
         if n < 2:
             raise ParseError("trapezoid needs at least 2 nodes")
@@ -25,7 +35,7 @@ def nodes_weights(rule: str, n: int) -> tuple[np.ndarray, np.ndarray]:
         w = np.full(n, 1.0 / (n - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
-        return x, w
+        return _frozen(x, w)
     raise ParseError(f"unknown quadrature rule {rule!r}; expected one of {RULES}")
 
 

@@ -45,3 +45,43 @@ def random_unit_tangent(man, p, generator):
         if norm > 1e-9:
             return rg.TangentVector(p, u.components / norm)
     raise AssertionError("could not draw a unit tangent vector")
+
+
+def assert_close_rel(actual, expected, rel=1e-12):
+    """Entrywise agreement to ``rel`` times the largest magnitude in ``expected``."""
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    scale = float(np.max(np.abs(expected))) if expected.size else 0.0
+    gap = float(np.max(np.abs(actual - expected))) if expected.size else 0.0
+    assert gap <= rel * scale, f"gap {gap:.3e} exceeds {rel:g} x scale {scale:.3e}"
+
+
+def loop_transport(man, curve, vectors, ts):
+    """Per-node reference transport along a geodesic, shape (len(ts), n, coord_dim).
+
+    Rebuilds the g-orthonormal (velocity, normal) pair at each parameter from
+    the metric matrix and tangent-vector objects, one node at a time.
+    """
+    if man.kind == "euclidean" or curve.length < 1e-13:
+        return np.array([[u.components for u in vectors] for _ in ts])
+
+    def moving_frame(t):
+        vel = curve.velocity(t)
+        tangent = vel.components / man.norm(vel)
+        if man.kind == "sphere2":
+            normal = np.cross(vel.base.coords, tangent)
+        else:
+            normal = np.array([-tangent[1], tangent[0]])
+        return vel.base, tangent, normal
+
+    base, t0, n0 = moving_frame(0.0)
+    coeffs = [
+        (man.inner(u, rg.TangentVector(base, t0)), man.inner(u, rg.TangentVector(base, n0)))
+        for u in vectors
+    ]
+    out = []
+    for t in ts:
+        _, tangent, normal = moving_frame(float(t))
+        out.append([a * tangent + b * normal for a, b in coeffs])
+    return np.array(out)

@@ -8,7 +8,7 @@ import pytest
 import rigrad as rg
 from rigrad.attribution import PathDiagnostics
 
-from conftest import random_unit_tangent
+from conftest import assert_close_rel, loop_transport, random_unit_tangent
 
 
 def make_synthetic_matrix(entries):
@@ -354,3 +354,74 @@ def test_bound_check_is_seed_deterministic():
     b = rg.attribution_bound_check(mat, samples=500, seed=42)
     assert a.max_ratio == b.max_ratio
     assert a.max_abs_value == b.max_abs_value
+
+
+# -- the array kernel against per-node assembly -----------------------------
+
+FIXED = rg.Quadrature(nodes=24, refine=False)
+
+
+def node_loop_entries(field, man, curve, moved, ts, weights):
+    """The form assembled one node and one frame vector at a time."""
+    n = moved.shape[1]
+    a = np.zeros((n, ts.size))
+    b = np.zeros((n, ts.size))
+    for k, t in enumerate(ts):
+        position = curve.position(float(t))
+        grad = field.coord_gradient(position)
+        g_vel = man.metric_at(position) @ curve.velocity_fn(float(t))
+        for i in range(n):
+            a[i, k] = grad @ moved[k, i]
+            b[i, k] = moved[k, i] @ g_vel
+    return -np.einsum("k,ik,jk->ij", weights, a, b)
+
+
+def test_kernel_entries_match_node_loop(manifold, rng):
+    field = rg.MLPField(manifold, rg.random_mlp(manifold.coord_dim, (8, 8), rng))
+    ts, weights = FIXED.nodes_weights()
+    for _ in range(3):
+        p = manifold.random_point(rng)
+        o = manifold.random_point(rng)
+        if manifold.kind == "sphere2":
+            while manifold.dist(p, o) > 2.8:
+                o = manifold.random_point(rng)
+        frame = manifold.orthonormal_frame(p)
+        matrix = rg.attribution_matrix(field, manifold, p, o, frame, FIXED)
+        curve = manifold.geodesic_between(p, o)
+        moved = loop_transport(manifold, curve, frame.vectors, ts)
+        assert_close_rel(matrix.entries, node_loop_entries(field, manifold, curve, moved, ts, weights))
+
+
+def test_kernel_entries_match_node_loop_on_the_ode_route(rng):
+    man = rg.make_manifold("sphere2")
+    field = rg.MLPField(man, rg.random_mlp(3, (8, 8), rng))
+    loop = man.latitude_loop(0.9)
+    frame = man.orthonormal_frame(loop.start)
+    ts, weights = FIXED.nodes_weights()
+    report = rg.generic_bam_report(field, loop, frame, FIXED)
+    moved, mode, _ = rg.transport_along(man, loop, frame.vectors, ts)
+    assert mode == report.diagnostics.transport_mode == "ode"
+    moved = np.array([[w.components for w in row] for row in moved])
+    expected = node_loop_entries(field, man, loop, moved, ts, weights)
+    assert_close_rel(report.attributions, np.diag(expected))
+
+
+def test_ig_matches_straight_line_node_loop(rng):
+    man = rg.make_manifold("euclidean", dim=6)
+    field = rg.MLPField(man, rg.random_mlp(6, (9, 7), rng, "softplus"))
+    ts, weights = FIXED.nodes_weights()
+    for _ in range(3):
+        x = man.random_point(rng)
+        x_prime = man.random_point(rng)
+        frame = man.orthonormal_frame(x)
+        delta = x.coords - x_prime.coords
+        expected = np.zeros(len(frame))
+        for i, u in enumerate(frame.vectors):
+            integral = sum(
+                w * (field.coord_gradient(rg.Point(x_prime.coords + t * delta)) @ u.components)
+                for t, w in zip(ts, weights)
+            )
+            expected[i] = (u.components @ delta) * integral
+        report = rg.ig(field, x, x_prime, frame, FIXED)
+        assert report.diagnostics.nodes_used == FIXED.nodes
+        assert_close_rel(report.attributions, expected)

@@ -161,6 +161,23 @@ def test_unresolvable_integrand_exits_3(tmp_path, capsys):
     assert "QuadratureNotConverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spelling", ["separate", "joined"])
+def test_points_may_start_with_a_minus_sign(spelling):
+    points = {"--p": "-0.8,0.5", "--o": "-1,-2"}
+    if spelling == "separate":
+        flags = [token for flag, value in points.items() for token in (flag, value)]
+    else:
+        flags = [f"{flag}={value}" for flag, value in points.items()]
+    code, output = run_cli(
+        "attribute", "--manifold", "euclidean:2", "--field", "affine:1,2", *flags,
+    )
+    assert code == 0
+    payload = json.loads(output)
+    assert payload["point"] == [-0.8, 0.5]
+    assert payload["base_point"] == [-1.0, -2.0]
+    assert np.allclose(payload["attributions"], [0.2, 5.0], atol=1e-12)
+
+
 def test_unknown_field_and_bad_flags_exit_1(capsys):
     code, _ = run_cli(
         "attribute", "--manifold", "euclidean", "--field", "mystery",

@@ -8,7 +8,7 @@ import pytest
 
 import rigrad as rg
 
-from conftest import random_unit_tangent
+from conftest import assert_close_rel, random_unit_tangent
 
 
 def fd_directional(man, field, p, u, h=1e-5):
@@ -253,3 +253,36 @@ def test_field_requires_matching_manifold(rng):
     o = other.random_point(rng)
     with pytest.raises(rg.WrongManifold):
         rg.rig(field, other, p, o, other.orthonormal_frame(p))
+
+
+def _every_field_class(man, center, rng):
+    dim = man.coord_dim
+    tanh = rg.MLPField(man, rg.random_mlp(dim, (6, 5), rng))
+    softplus = rg.MLPField(
+        man, rg.insert_identity_layer(rg.random_mlp(dim, (7,), rng, "softplus", 3.0), 1)
+    )
+    fields = [
+        tanh,
+        softplus,
+        rg.AffineField(man, rng.standard_normal(dim), bias=0.3),
+        rg.CoordinateField(man, dim - 1),
+        rg.GaussianBumpField(man, center, width=1.3),
+        rg.CombinedField([2.0, -0.5], [tanh, softplus]),
+        rg.PushforwardField(tanh, rg.random_isometry(man, rng)),
+    ]
+    if man.kind == "half_plane2":
+        fields.append(rg.LogHeightField(man))
+    return fields
+
+
+def test_batched_gradients_match_the_point_loop(manifold, rng):
+    center = manifold.random_point(rng)
+    points = np.array([manifold.random_point(rng).coords for _ in range(17)])
+    if manifold.kind == "sphere2":
+        # the bump is smooth away from its center's antipode only
+        points = points[points @ center.coords > -0.9]
+    for field in _every_field_class(manifold, center, rng):
+        batched = field.coord_gradients(points)
+        loop = np.array([field.coord_gradient(rg.Point(x)) for x in points])
+        assert_close_rel(batched, loop)
+        assert field.coord_gradients(points[:0]).shape == (0, manifold.coord_dim)

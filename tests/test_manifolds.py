@@ -8,7 +8,7 @@ import pytest
 import rigrad as rg
 from rigrad.manifolds import ShootingResult, shoot_geodesic
 
-from conftest import random_unit_tangent
+from conftest import assert_close_rel, random_unit_tangent
 
 
 def halfplane_dist_oracle(p, q):
@@ -206,6 +206,32 @@ def test_geodesic_endpoints_and_residual(manifold, rng):
         # second-order coordinate acceleration check; finite differences
         # bottom out around 1e-7 at step 1e-4
         assert rg.geodesic_residual(manifold, curve) <= 1e-6
+
+
+def test_flat_geodesic_residual_keeps_its_value(rng):
+    """On euclidean:64 the residual skips the zero Christoffel contraction;
+    the value must be the full formula's, evaluated here sample by sample."""
+    man = rg.make_manifold("euclidean", dim=64)
+    curve = man.geodesic_between(man.random_point(rng), man.random_point(rng))
+    h = 1e-4
+    worst = 0.0
+    for t in np.linspace(0.0, 1.0, 17):
+        if t - h < 0.0 or t + h > 1.0:
+            continue
+        x0, xm, xp = (curve.position(s).coords for s in (t, t - h, t + h))
+        vel = (xp - xm) / (2.0 * h)
+        acc = (xp - 2.0 * x0 + xm) / h**2
+        gamma = np.zeros((64, 64, 64))
+        defect = acc + np.einsum("kij,i,j->k", gamma, vel, vel)
+        worst = max(worst, float(np.linalg.norm(defect)))
+    assert rg.geodesic_residual(man, curve) == worst
+
+
+def test_lower_matches_the_metric_matrix(manifold, rng):
+    P = np.array([manifold.random_point(rng).coords for _ in range(9)])
+    V = np.array([manifold.random_tangent(rg.Point(x), rng).components for x in P])
+    expected = np.array([manifold.metric_at(rg.Point(x)) @ v for x, v in zip(P, V)])
+    assert_close_rel(manifold.lower(P, V), expected)
 
 
 def test_geodesic_speed_is_constant(manifold, rng):

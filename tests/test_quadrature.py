@@ -57,3 +57,18 @@ def test_default_quadrature_settings():
     assert q.nodes >= 2
     assert q.refine
     assert q.tol > 0.0
+
+
+def test_rules_are_cached_read_only_and_exact():
+    for n in (3, 32, 256):
+        first = nodes_weights("gauss_legendre", n)
+        again = nodes_weights("gauss_legendre", n)
+        x, w = np.polynomial.legendre.leggauss(n)
+        for cached in (first, again):
+            assert np.array_equal(cached[0], 0.5 * (x + 1.0))
+            assert np.array_equal(cached[1], 0.5 * w)
+    for rule in ("gauss_legendre", "trapezoid"):
+        ts, ws = nodes_weights(rule, 9)
+        assert not ts.flags.writeable and not ws.flags.writeable
+        with pytest.raises(ValueError):
+            ws[0] = 1.0

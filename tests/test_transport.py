@@ -7,8 +7,9 @@ import pytest
 
 import rigrad as rg
 from rigrad.manifolds import ode_transport, transport_along
+from rigrad.manifolds.transport import transport_rows
 
-from conftest import random_unit_tangent
+from conftest import assert_close_rel, loop_transport, random_unit_tangent
 
 
 def ambient_gap(u_components, v_components):
@@ -164,3 +165,56 @@ def test_transport_rejects_vector_from_wrong_base(rng):
     stray = man.tangent(q, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(rg.InvalidTangent):
         man.parallel_transport(curve, stray, 1.0)
+
+
+def _batched(man, curve, vectors, ts):
+    rows = np.array([u.components for u in vectors])
+    return transport_rows(
+        man, curve, rows, ts, curve.positions(ts), curve.velocities(ts)
+    )
+
+
+def test_batched_transport_matches_the_node_loop(manifold, rng):
+    ts = np.linspace(0.0, 1.0, 11)
+    for _ in range(4):
+        p = manifold.random_point(rng)
+        o = manifold.random_point(rng)
+        for q in (o, p):  # p itself gives the zero-length geodesic
+            curve = manifold.geodesic_between(p, q)
+            frame = manifold.orthonormal_frame(p)
+            moved, mode, steps = _batched(manifold, curve, frame.vectors, ts)
+            assert moved.shape == (ts.size, manifold.dim, manifold.coord_dim)
+            assert_close_rel(moved, loop_transport(manifold, curve, frame.vectors, ts))
+            wrapped, wrapped_mode, wrapped_steps = transport_along(
+                manifold, curve, frame.vectors, ts
+            )
+            assert (mode, steps) == (wrapped_mode, wrapped_steps)
+            assert np.array_equal(
+                moved, [[w.components for w in row] for row in wrapped]
+            )
+
+
+def test_batched_transport_on_the_ode_route_matches_the_wrapper(rng):
+    man = rg.make_manifold("sphere2")
+    loop = man.latitude_loop(1.1)
+    frame = man.orthonormal_frame(loop.start)
+    ts = np.array([0.9, 0.1, 0.5, 1.0])
+    moved, mode, steps = _batched(man, loop, frame.vectors, ts)
+    wrapped, wrapped_mode, wrapped_steps = transport_along(man, loop, frame.vectors, ts)
+    assert mode == wrapped_mode == "ode"
+    assert steps == wrapped_steps
+    assert np.array_equal(moved, [[w.components for w in row] for row in wrapped])
+    for k, t in enumerate(ts):
+        p = loop.position(t)
+        assert np.array_equal(wrapped[k][0].base.coords, p.coords)
+
+
+def test_flat_transport_is_a_view_of_the_frame():
+    man = rg.make_manifold("euclidean", dim=64)
+    p = man.point(np.zeros(64))
+    curve = man.geodesic_between(p, man.point(np.ones(64)))
+    frame = man.orthonormal_frame(p)
+    moved, mode, _ = _batched(man, curve, frame.vectors, np.linspace(0.0, 1.0, 1024))
+    assert mode == "identity"
+    assert moved.strides[0] == 0 and not moved.flags.writeable
+    assert np.array_equal(moved[517], np.eye(64))
