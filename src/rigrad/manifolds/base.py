@@ -79,6 +79,11 @@ class Curve:
     ``start`` and ``end`` must be reproduced by the position evaluator at
     t = 0 and t = 1.  ``is_geodesic`` marks constant-speed length-minimising
     geodesics, which unlocks closed-form parallel transport.
+
+    The evaluators map a float t to a (coord_dim,) array.  ``vectorized``
+    declares that they also map an array of K parameters to a (K, coord_dim)
+    array; ``positions`` and ``velocities`` then make one call instead of K.
+    It only saves time: the values must be the same either way.
     """
 
     manifold: "Manifold"
@@ -88,6 +93,7 @@ class Curve:
     end: Point
     is_geodesic: bool
     length: float
+    vectorized: bool = False
 
     def position(self, t: float) -> Point:
         return Point(self.position_fn(float(t)))
@@ -98,10 +104,14 @@ class Curve:
 
     def positions(self, ts) -> np.ndarray:
         """Positions at every parameter in ``ts``, shape (len(ts), coord_dim)."""
+        if self.vectorized:
+            return self.position_fn(np.asarray(ts, dtype=float))
         return np.array([self.position_fn(float(t)) for t in ts])
 
     def velocities(self, ts) -> np.ndarray:
         """Velocities at every parameter in ``ts``, shape (len(ts), coord_dim)."""
+        if self.vectorized:
+            return self.velocity_fn(np.asarray(ts, dtype=float))
         return np.array([self.velocity_fn(float(t)) for t in ts])
 
 
@@ -125,8 +135,25 @@ class OrthonormalFrame:
         return np.array([v.components for v in self.vectors])
 
 
+def christoffel_contraction(gamma: np.ndarray, xdot: np.ndarray) -> np.ndarray:
+    """B[..., j, k] = -Gamma[..., k, i, j] xdot[..., i].
+
+    The transport equation for the chart components w of a vector moved along
+    a curve with chart velocity xdot is linear in w: w' = w @ B.
+    """
+    dim = xdot.shape[-1]
+    # Gamma as [..., i, (j, k)], so the sum over i is one batched matmul
+    flat = np.moveaxis(gamma, -3, -1).reshape(gamma.shape[:-3] + (dim, dim * dim))
+    return -(xdot[..., None, :] @ flat).reshape(xdot.shape + (dim,))
+
+
 class Chart(ABC):
-    """A coordinate chart used for Christoffel symbols and transport ODEs."""
+    """A coordinate chart used for Christoffel symbols and transport ODEs.
+
+    The batched methods take canonical positions ``P`` and vectors ``V`` of
+    shape (K, coord_dim).  Their defaults loop over the scalar methods; a
+    chart overrides them with array formulas only for speed.
+    """
 
     dim: int
     # indices of 2*pi-periodic chart coordinates, for stencil unwrapping
@@ -156,9 +183,29 @@ class Chart(ABC):
     def pull(self, p: Point, comps: np.ndarray) -> np.ndarray:
         """Pull canonical tangent components back to the chart basis."""
 
+    def transport_matrices(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Transport-equation matrices B (K, dim, dim) at points P moving with
+        canonical velocities V; see ``christoffel_contraction``."""
+        points = [Point(p) for p in P]
+        gamma = np.array([self.christoffel(self.to_chart(p)) for p in points])
+        xdot = np.array([self.pull(p, v) for p, v in zip(points, V)])
+        return christoffel_contraction(gamma, xdot)
+
+    def coordinate_basis(self, P: np.ndarray) -> np.ndarray:
+        """Canonical components of the chart's coordinate basis vectors at each
+        point, shape (K, dim, coord_dim): chart components W push to W @ basis."""
+        eye = np.eye(self.dim)
+        return np.array(
+            [[self.push(self.to_chart(Point(p)), e) for e in eye] for p in P]
+        )
+
 
 class IdentityChart(Chart):
-    """Canonical coordinates used directly as the chart (Euclidean, half-plane)."""
+    """Canonical coordinates used directly as the chart (Euclidean, half-plane).
+
+    ``christoffel_fn`` maps an array of points (K, dim) to their Christoffel
+    symbols (K, dim, dim, dim).
+    """
 
     def __init__(self, dim, metric_fn, christoffel_fn, validate_fn):
         self.dim = dim
@@ -176,13 +223,19 @@ class IdentityChart(Chart):
         return self._metric_fn(x)
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
-        return self._christoffel_fn(x)
+        return self._christoffel_fn(np.asarray(x, dtype=float)[None, :])[0]
 
     def push(self, x: np.ndarray, comps: np.ndarray) -> np.ndarray:
         return np.array(comps)
 
     def pull(self, p: Point, comps: np.ndarray) -> np.ndarray:
         return np.array(comps)
+
+    def transport_matrices(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return christoffel_contraction(self._christoffel_fn(P), V)
+
+    def coordinate_basis(self, P: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(np.eye(self.dim), (len(P), self.dim, self.dim))
 
 
 class Manifold(ABC):
@@ -338,15 +391,17 @@ def pin_endpoints(position_fn, p: Point, o: Point):
 
     Closed-form geodesic parametrizations recompute the endpoints through
     trigonometric identities and can be off in the last bits, which would
-    break the base-point identity checks downstream.
+    break the base-point identity checks downstream.  Works on a float t or
+    an array of parameters, like the vectorized evaluator it wraps.
     """
 
-    def wrapped(t: float) -> np.ndarray:
-        if t == 0.0:
-            return p.coords
-        if t == 1.0:
-            return o.coords
-        return position_fn(t)
+    def wrapped(t):
+        if np.ndim(t) == 0:
+            return p.coords if t == 0.0 else o.coords if t == 1.0 else position_fn(t)
+        out = position_fn(t)
+        out[t == 0.0] = p.coords
+        out[t == 1.0] = o.coords
+        return out
 
     return wrapped
 
@@ -354,13 +409,17 @@ def pin_endpoints(position_fn, p: Point, o: Point):
 def constant_curve(manifold: Manifold, p: Point) -> Curve:
     """Degenerate zero-length curve sitting at ``p``."""
     coords = np.array(p.coords)
-    zero = np.zeros_like(coords)
+
+    def position(t):
+        return np.tile(coords, np.shape(t) + (1,))
+
     return Curve(
         manifold=manifold,
-        position_fn=lambda t: coords,
-        velocity_fn=lambda t: zero,
+        position_fn=position,
+        velocity_fn=lambda t: np.zeros(np.shape(t) + coords.shape),
         start=p,
         end=p,
         is_geodesic=True,
         length=0.0,
+        vectorized=True,
     )

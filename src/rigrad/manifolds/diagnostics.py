@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Curve, Manifold
+from .base import Curve, Manifold, Point
 
 
 def _unwrap(reference: np.ndarray, x: np.ndarray, angular) -> np.ndarray:
@@ -30,14 +30,16 @@ def geodesic_residual(
     and acceleration is compared against the Christoffel correction term.
     Expect roughly 1e-7 noise from the second-difference stencil.
     """
+    ts = np.linspace(0.0, 1.0, samples)
+    ts = ts[(ts - h >= 0.0) & (ts + h <= 1.0)]
+    stencils = curve.positions(np.concatenate([ts, ts - h, ts + h]))
     worst = 0.0
-    for t in np.linspace(0.0, 1.0, samples):
-        if t - h < 0.0 or t + h > 1.0:
-            continue
-        chart = manifold.chart_at(curve.position(t))
-        x0 = chart.to_chart(curve.position(t))
-        xm = _unwrap(x0, chart.to_chart(curve.position(t - h)), chart.angular)
-        xp = _unwrap(x0, chart.to_chart(curve.position(t + h)), chart.angular)
+    for centre, before, after in zip(*np.split(stencils, 3)):
+        centre = Point(centre)
+        chart = manifold.chart_at(centre)
+        x0 = chart.to_chart(centre)
+        xm = _unwrap(x0, chart.to_chart(Point(before)), chart.angular)
+        xp = _unwrap(x0, chart.to_chart(Point(after)), chart.angular)
         acc = (xp - 2.0 * x0 + xm) / h**2
         defect = acc
         if not manifold.flat:  # flat charts have zero Christoffel symbols

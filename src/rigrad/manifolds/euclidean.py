@@ -32,7 +32,7 @@ class Euclidean(Manifold):
         self._chart = IdentityChart(
             self.dim,
             metric_fn=lambda x: np.eye(self.dim),
-            christoffel_fn=lambda x: np.zeros((self.dim, self.dim, self.dim)),
+            christoffel_fn=lambda X: np.zeros((len(X), self.dim, self.dim, self.dim)),
             validate_fn=lambda x: self.point(x),
         )
 
@@ -87,14 +87,19 @@ class Euclidean(Manifold):
         o = self.validate_point(o)
         delta = o.coords - p.coords
         start = np.array(p.coords)
+
+        def position(t):
+            return start + np.asarray(t)[..., None] * delta
+
         return Curve(
             manifold=self,
-            position_fn=pin_endpoints(lambda t: start + t * delta, p, o),
-            velocity_fn=lambda t: np.array(delta),
+            position_fn=pin_endpoints(position, p, o),
+            velocity_fn=lambda t: np.tile(delta, np.shape(t) + (1,)),
             start=p,
             end=o,
             is_geodesic=True,
             length=float(np.linalg.norm(delta)),
+            vectorized=True,
         )
 
     def orthonormal_frame(self, p: Point) -> OrthonormalFrame:

@@ -29,20 +29,20 @@ from .base import (
 VERTICAL_CUTOFF = 1e-13
 
 
-def _sech(s: float) -> float:
-    """Overflow-free 1/cosh."""
-    e = np.exp(-abs(s))
+def _sech(s):
+    """Overflow-free 1/cosh, elementwise."""
+    e = np.exp(-np.abs(s))
     return 2.0 * e / (1.0 + e * e)
 
 
-def _christoffel(x: np.ndarray) -> np.ndarray:
-    y = float(x[1])
-    gamma = np.zeros((2, 2, 2))
-    inv_y = 1.0 / y
-    gamma[0, 0, 1] = -inv_y
-    gamma[0, 1, 0] = -inv_y
-    gamma[1, 0, 0] = inv_y
-    gamma[1, 1, 1] = -inv_y
+def _christoffel(X: np.ndarray) -> np.ndarray:
+    """Christoffel symbols Gamma[k, i, j] at each point of X, shape (K, 2, 2, 2)."""
+    inv_y = 1.0 / X[:, 1]
+    gamma = np.zeros((len(X), 2, 2, 2))
+    gamma[:, 0, 0, 1] = -inv_y
+    gamma[:, 0, 1, 0] = -inv_y
+    gamma[:, 1, 0, 0] = inv_y
+    gamma[:, 1, 1, 1] = -inv_y
     return gamma
 
 
@@ -158,11 +158,13 @@ class HalfPlane2(Manifold):
         if abs(dx) <= VERTICAL_CUTOFF * self._scale(p, o):
             k = np.log(yo / yp)
 
-            def v_position(t: float) -> np.ndarray:
-                return np.array([xp, yp * np.exp(k * t)])
+            def v_position(t):
+                t = np.asarray(t, dtype=float)
+                return np.stack([np.full_like(t, xp), yp * np.exp(k * t)], axis=-1)
 
-            def v_velocity(t: float) -> np.ndarray:
-                return np.array([0.0, yp * k * np.exp(k * t)])
+            def v_velocity(t):
+                t = np.asarray(t, dtype=float)
+                return np.stack([np.zeros_like(t), yp * k * np.exp(k * t)], axis=-1)
 
             return Curve(
                 manifold=self,
@@ -172,6 +174,7 @@ class HalfPlane2(Manifold):
                 end=o,
                 is_geodesic=True,
                 length=abs(float(k)),
+                vectorized=True,
             )
 
         c = 0.5 * (xp + xo) + (yo - yp) * (yo + yp) / (2.0 * dx)
@@ -180,14 +183,14 @@ class HalfPlane2(Manifold):
         so = np.arcsinh((c - xo) / yo)
         ds = so - sp
 
-        def position(t: float) -> np.ndarray:
-            s = sp + t * ds
-            return np.array([c - r * np.tanh(s), r * _sech(s)])
+        def position(t):
+            s = sp + np.asarray(t, dtype=float) * ds
+            return np.stack([c - r * np.tanh(s), r * _sech(s)], axis=-1)
 
-        def velocity(t: float) -> np.ndarray:
-            s = sp + t * ds
+        def velocity(t):
+            s = sp + np.asarray(t, dtype=float) * ds
             sech = _sech(s)
-            return ds * np.array([-r * sech**2, -r * sech * np.tanh(s)])
+            return ds * np.stack([-r * sech**2, -r * sech * np.tanh(s)], axis=-1)
 
         return Curve(
             manifold=self,
@@ -197,6 +200,7 @@ class HalfPlane2(Manifold):
             end=o,
             is_geodesic=True,
             length=abs(float(ds)),
+            vectorized=True,
         )
 
     def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:

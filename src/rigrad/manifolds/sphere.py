@@ -23,6 +23,7 @@ from .base import (
     OrthonormalFrame,
     Point,
     TangentVector,
+    christoffel_contraction,
     constant_curve,
     pin_endpoints,
 )
@@ -33,6 +34,12 @@ POLE_MARGIN = 0.1
 # Inner products at or below -1 + this slack mean the base point pair is
 # treated as antipodal and the minimising geodesic as ambiguous.
 ANTIPODAL_SLACK = 1e-9
+
+
+def _cross(p: Point, q: Point) -> np.ndarray:
+    """p x q, computed as p x (q - p) so nearby points keep full relative
+    accuracy; log_map's direction (p x q) x p is then free of cancellation."""
+    return np.cross(p.coords, q.coords - p.coords)
 
 
 def _pole_frame(n: np.ndarray) -> np.ndarray:
@@ -50,7 +57,8 @@ class SphericalChart(Chart):
     """Colatitude/longitude coordinates after rotating ``pole`` to the z-axis.
 
     Chart coordinates are (theta, phi) with theta in (0, pi) measured from the
-    pole; the metric is diag(1, sin(theta)^2).
+    pole; the metric is diag(1, sin(theta)^2).  The helpers take one point or
+    an array of them, with the coordinates on the last axis.
     """
 
     dim = 2
@@ -64,11 +72,38 @@ class SphericalChart(Chart):
         self.pole = pole / norm
         self.rotation = _pole_frame(self.pole)
 
+    def _angles(self, P: np.ndarray):
+        q = P @ self.rotation.T
+        theta = np.arctan2(np.hypot(q[..., 0], q[..., 1]), q[..., 2])
+        return theta, np.arctan2(q[..., 1], q[..., 0])
+
+    @staticmethod
+    def _christoffel(theta) -> np.ndarray:
+        sin, cos = np.sin(theta), np.cos(theta)
+        gamma = np.zeros(np.shape(theta) + (2, 2, 2))
+        gamma[..., 0, 1, 1] = -sin * cos
+        gamma[..., 1, 0, 1] = gamma[..., 1, 1, 0] = cos / sin
+        return gamma
+
+    @staticmethod
+    def _basis(theta, phi) -> np.ndarray:
+        """Coordinate basis vectors (d/dtheta, d/dphi) as rotated ambient rows."""
+        sin_t, cos_t = np.sin(theta), np.cos(theta)
+        sin_p, cos_p = np.sin(phi), np.cos(phi)
+        d_theta = np.stack([cos_t * cos_p, cos_t * sin_p, -sin_t], axis=-1)
+        d_phi = np.stack([-sin_t * sin_p, sin_t * cos_p, np.zeros_like(sin_t)], axis=-1)
+        return np.stack([d_theta, d_phi], axis=-2)
+
+    def _pull(self, P: np.ndarray, V: np.ndarray):
+        """Colatitude of P and the chart components of V based there."""
+        theta, phi = self._angles(P)
+        basis = self._basis(theta, phi)
+        comps = np.einsum("...ac,...c->...a", basis, V @ self.rotation.T)
+        comps[..., 1] /= np.sin(theta) ** 2
+        return theta, comps
+
     def to_chart(self, p: Point) -> np.ndarray:
-        q = self.rotation @ p.coords
-        theta = np.arctan2(np.hypot(q[0], q[1]), q[2])
-        phi = np.arctan2(q[1], q[0])
-        return np.array([theta, phi])
+        return np.array(self._angles(p.coords))
 
     def from_chart(self, x: np.ndarray) -> Point:
         theta, phi = float(x[0]), float(x[1])
@@ -81,33 +116,20 @@ class SphericalChart(Chart):
         return np.diag([1.0, np.sin(float(x[0])) ** 2])
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
-        theta = float(x[0])
-        gamma = np.zeros((2, 2, 2))
-        gamma[0, 1, 1] = -np.sin(theta) * np.cos(theta)
-        cot = np.cos(theta) / np.sin(theta)
-        gamma[1, 0, 1] = cot
-        gamma[1, 1, 0] = cot
-        return gamma
-
-    def _basis(self, x: np.ndarray) -> np.ndarray:
-        """Coordinate basis vectors (d/dtheta, d/dphi) as rotated ambient rows."""
-        theta, phi = float(x[0]), float(x[1])
-        d_theta = np.array(
-            [np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)]
-        )
-        d_phi = np.array([-np.sin(theta) * np.sin(phi), np.sin(theta) * np.cos(phi), 0.0])
-        return np.array([d_theta, d_phi])
+        return self._christoffel(float(x[0]))
 
     def push(self, x: np.ndarray, comps: np.ndarray) -> np.ndarray:
-        basis = self._basis(x)
-        return self.rotation.T @ (comps[0] * basis[0] + comps[1] * basis[1])
+        return comps @ self._basis(float(x[0]), float(x[1])) @ self.rotation
 
     def pull(self, p: Point, comps: np.ndarray) -> np.ndarray:
-        x = self.to_chart(p)
-        basis = self._basis(x)
-        w = self.rotation @ np.asarray(comps, dtype=float)
-        sin_theta = np.sin(float(x[0]))
-        return np.array([w @ basis[0], (w @ basis[1]) / sin_theta**2])
+        return self._pull(p.coords, np.asarray(comps, dtype=float))[1]
+
+    def transport_matrices(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        theta, xdot = self._pull(P, V)
+        return christoffel_contraction(self._christoffel(theta), xdot)
+
+    def coordinate_basis(self, P: np.ndarray) -> np.ndarray:
+        return self._basis(*self._angles(P)) @ self.rotation
 
 
 class Sphere2(Manifold):
@@ -192,15 +214,16 @@ class Sphere2(Manifold):
             raise CutLocusAmbiguity(
                 "base point pair is antipodal; the minimising geodesic is not unique"
             )
-        theta = np.arccos(np.clip(cos, -1.0, 1.0))
-        w = q.coords - cos * p.coords
+        cross = _cross(p, q)
+        w = np.cross(cross, p.coords)
         w_norm = np.linalg.norm(w)
         if w_norm < 1e-300:
             return TangentVector(p, np.zeros(3))
+        theta = np.arctan2(np.linalg.norm(cross), cos)
         return TangentVector(p, (theta / w_norm) * w)
 
     def dist(self, p: Point, q: Point) -> float:
-        cross = np.linalg.norm(np.cross(p.coords, q.coords))
+        cross = np.linalg.norm(_cross(p, q))
         dot = float(np.dot(p.coords, q.coords))
         return float(np.arctan2(cross, dot))
 
@@ -214,11 +237,13 @@ class Sphere2(Manifold):
         axis_p = np.array(p.coords)
         axis_t = v.components / theta
 
-        def position(t: float) -> np.ndarray:
-            return np.cos(theta * t) * axis_p + np.sin(theta * t) * axis_t
+        def position(t):
+            angle = theta * np.asarray(t)[..., None]
+            return np.cos(angle) * axis_p + np.sin(angle) * axis_t
 
-        def velocity(t: float) -> np.ndarray:
-            return theta * (-np.sin(theta * t) * axis_p + np.cos(theta * t) * axis_t)
+        def velocity(t):
+            angle = theta * np.asarray(t)[..., None]
+            return theta * (-np.sin(angle) * axis_p + np.cos(angle) * axis_t)
 
         return Curve(
             manifold=self,
@@ -228,6 +253,7 @@ class Sphere2(Manifold):
             end=o,
             is_geodesic=True,
             length=float(theta),
+            vectorized=True,
         )
 
     def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -267,13 +293,17 @@ class Sphere2(Manifold):
             raise InvalidCurve("colatitude must lie strictly between 0 and pi")
         sin_t, cos_t = np.sin(theta), np.cos(theta)
 
-        def position(t: float) -> np.ndarray:
-            phi = 2.0 * np.pi * t
-            return np.array([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])
+        def position(t):
+            phi = 2.0 * np.pi * np.asarray(t, dtype=float)
+            return np.stack(
+                [sin_t * np.cos(phi), sin_t * np.sin(phi), np.full_like(phi, cos_t)], axis=-1
+            )
 
-        def velocity(t: float) -> np.ndarray:
-            phi = 2.0 * np.pi * t
-            return 2.0 * np.pi * sin_t * np.array([-np.sin(phi), np.cos(phi), 0.0])
+        def velocity(t):
+            phi = 2.0 * np.pi * np.asarray(t, dtype=float)
+            return 2.0 * np.pi * sin_t * np.stack(
+                [-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1
+            )
 
         start = Point(position(0.0))
         return Curve(
@@ -284,4 +314,5 @@ class Sphere2(Manifold):
             end=start,
             is_geodesic=False,
             length=2.0 * np.pi * sin_t,
+            vectorized=True,
         )

@@ -5,7 +5,10 @@ Three routes, picked automatically:
 * flat space: transport leaves components unchanged along any curve;
 * geodesics on the 2-manifolds: exact velocity/normal frame rotation;
 * everything else: Runge-Kutta integration of the transport equation in a
-  chart, with step doubling until successive refinements agree.
+  chart, with step doubling until successive refinements agree.  The
+  equation is linear in the vector moved, so each RK4 step is a matrix; a
+  sweep evaluates the chart at all its step times at once and multiplies
+  the step matrices together.
 """
 
 from __future__ import annotations
@@ -55,6 +58,56 @@ def _closed_form_transport(manifold, curve, rows, P, V):
     return a[None, :, None] * tangents[:, None, :] + b[None, :, None] * normals[:, None, :]
 
 
+def curve_chart(manifold: Manifold, curve: Curve):
+    """The manifold's chart for a whole curve, from evenly spaced samples on it."""
+    samples = curve.positions(np.linspace(0.0, 1.0, CURVE_CHART_SAMPLES))
+    return manifold.chart_for_curve([Point(x) for x in samples])
+
+
+def _step_propagators(chart, curve, grid: np.ndarray) -> np.ndarray:
+    """RK4 steps between consecutive grid parameters as matrices, (S, dim, dim).
+
+    The transport equation w' = w @ B(t) is linear in w, so one classical RK4
+    step from t to t + h is exactly w -> w @ M with
+    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = B(t), K2 = (I + h/2 K1) B(t + h/2),
+    K3 = (I + h/2 K2) B(t + h/2), K4 = (I + h K3) B(t + h).  B is evaluated once
+    at every grid point and midpoint.
+    """
+    steps = len(grid) - 1
+    h = np.diff(grid)[:, None, None]
+    times = np.concatenate([grid, grid[:-1] + 0.5 * h[:, 0, 0]])
+    B = chart.transport_matrices(curve.positions(times), curve.velocities(times))
+    b0, b1, bm = B[:steps], B[1 : steps + 1], B[steps + 1 :]
+    k2 = bm + 0.5 * h * (b0 @ bm)
+    k3 = bm + 0.5 * h * (k2 @ bm)
+    k4 = b1 + h * (k3 @ b1)
+    return np.eye(chart.dim) + (h / 6.0) * (b0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _propagate(chart, curve, w0: np.ndarray, grid: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """RK4 transport of the rows ``w0`` over ``grid``; entry k of the result
+    holds them after the first ends[k] steps, shape (len(ends), *w0.shape).
+
+    The step matrices are multiplied in order, as two batched reductions: the
+    steps of each run between consecutive ends pairwise, then the runs by
+    prefix doubling, so the Python loops take logarithmically many rounds.
+    """
+    M = _step_propagators(chart, curve, grid)
+    counts = np.diff(ends, prepend=0)
+    width = 1 << (max(int(counts.max()), 1) - 1).bit_length()
+    runs = np.tile(np.eye(chart.dim), (len(ends), width, 1, 1))
+    offsets = np.arange(len(M)) - np.repeat(ends - counts, counts)
+    runs[np.repeat(np.arange(len(ends)), counts), offsets] = M
+    while runs.shape[1] > 1:
+        runs = runs[:, 0::2] @ runs[:, 1::2]
+    totals = runs[:, 0]
+    shift = 1
+    while shift < len(totals):
+        totals[shift:] = totals[:-shift] @ totals[shift:]
+        shift *= 2
+    return w0 @ totals
+
+
 def ode_transport(
     manifold: Manifold,
     curve: Curve,
@@ -70,69 +123,56 @@ def ode_transport(
     array holds the transported chart components at t1.
     """
     if chart is None:
-        samples = [curve.position(t) for t in np.linspace(0.0, 1.0, CURVE_CHART_SAMPLES)]
-        chart = manifold.chart_for_curve(samples)
-
-    def rhs(t: float, w: np.ndarray) -> np.ndarray:
-        p = curve.position(t)
-        x = chart.to_chart(p)
-        xdot = chart.pull(p, curve.velocity_fn(t))
-        gamma = chart.christoffel(x)
-        return -np.einsum("kij,i,...j->...k", gamma, xdot, w)
-
-    w = np.array(components, dtype=float)
-    h = (t1 - t0) / steps
-    t = t0
-    for _ in range(steps):
-        k1 = rhs(t, w)
-        k2 = rhs(t + 0.5 * h, w + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, w + 0.5 * h * k2)
-        k4 = rhs(t + h, w + h * k3)
-        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return w
+        chart = curve_chart(manifold, curve)
+    grid = np.linspace(t0, t1, steps + 1)
+    w0 = np.array(components, dtype=float)
+    return _propagate(chart, curve, w0, grid, np.array([steps]))[0]
 
 
-def _ode_pass(manifold, curve, chart, w0, ts_sorted, total_steps):
+def _pass_grid(ts_sorted: np.ndarray, total_steps: int):
+    """Step grid of one sweep from 0 through the sorted targets ``ts_sorted``.
+
+    Each gap t_k - t_(k-1) > 0 gets max(1, ceil(gap * total_steps)) uniform
+    steps.  Returns the grid parameters and, per target, the number of steps
+    taken on reaching it.
+    """
+    prev = np.concatenate([[0.0], ts_sorted[:-1]])
+    gaps = ts_sorted - prev
+    counts = np.where(
+        gaps > 0.0, np.maximum(1, np.ceil(gaps * total_steps)), 0
+    ).astype(int)
+    ends = np.cumsum(counts)
+    runs = np.repeat(np.arange(len(ts_sorted)), counts)
+    index = np.arange(1, ends[-1] + 1) - np.repeat(ends - counts, counts)
+    grid = np.concatenate([[0.0], prev[runs] + gaps[runs] * (index / counts[runs])])
+    grid[ends] = ts_sorted
+    return grid, ends
+
+
+def _ode_pass(chart, curve, w0, ts_sorted, total_steps):
     """One integration sweep hitting every target parameter in order."""
-    results = []
-    w = np.array(w0)
-    prev = 0.0
-    for t in ts_sorted:
-        if t > prev:
-            seg_steps = max(1, int(np.ceil((t - prev) * total_steps)))
-            w = ode_transport(manifold, curve, w, prev, t, seg_steps, chart)
-            prev = t
-        results.append(np.array(w))
-    return results
+    grid, ends = _pass_grid(ts_sorted, total_steps)
+    return _propagate(chart, curve, w0, grid, ends)
 
 
 def _ode_route(manifold, curve, rows, ts, P, steps):
-    samples = [curve.position(t) for t in np.linspace(0.0, 1.0, CURVE_CHART_SAMPLES)]
-    chart = manifold.chart_for_curve(samples)
+    chart = curve_chart(manifold, curve)
     w0 = np.array([chart.pull(curve.start, u) for u in rows])
-
     order = np.argsort(ts, kind="stable")
-    ts_sorted = [float(ts[i]) for i in order]
+    ts_sorted = np.asarray(ts, dtype=float)[order]
 
     n = steps
-    coarse = _ode_pass(manifold, curve, chart, w0, ts_sorted, n)
+    coarse = _ode_pass(chart, curve, w0, ts_sorted, n)
     while True:
-        fine = _ode_pass(manifold, curve, chart, w0, ts_sorted, 2 * n)
-        gap = max(
-            float(np.max(np.abs(a - b))) if a.size else 0.0
-            for a, b in zip(coarse, fine)
-        )
+        fine = _ode_pass(chart, curve, w0, ts_sorted, 2 * n)
+        gap = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
         n *= 2
         if gap < ODE_TOL or n >= ODE_MAX_STEPS:
             break
         coarse = fine
 
     out = np.empty((len(ts), len(rows), manifold.coord_dim))
-    for k, w in zip(order, fine):
-        p = Point(P[k])
-        x = chart.to_chart(p)
-        out[k] = [manifold.project_tangent(p, chart.push(x, row)).components for row in w]
+    out[order] = fine @ chart.coordinate_basis(P[order])
     return out, n
 
 

@@ -85,3 +85,46 @@ def loop_transport(man, curve, vectors, ts):
         _, tangent, normal = moving_frame(float(t))
         out.append([a * tangent + b * normal for a, b in coeffs])
     return np.array(out)
+
+
+def loop_ode_transport(man, curve, components, t0, t1, steps, chart):
+    """Per-step RK4 reference for the transport equation in ``chart``.
+
+    Every stage builds a point, evaluates the scalar curve evaluators and
+    contracts the Christoffel symbols with the chart velocity, one step at a
+    time from t0 to t1.
+    """
+
+    def rhs(t, w):
+        p = curve.position(t)
+        x = chart.to_chart(p)
+        xdot = chart.pull(p, curve.velocity_fn(float(t)))
+        gamma = chart.christoffel(x)
+        return -np.einsum("kij,i,...j->...k", gamma, xdot, w)
+
+    w = np.array(components, dtype=float)
+    h = (t1 - t0) / steps
+    t = t0
+    for _ in range(steps):
+        k1 = rhs(t, w)
+        k2 = rhs(t + 0.5 * h, w + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, w + 0.5 * h * k2)
+        k4 = rhs(t + h, w + h * k3)
+        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return w
+
+
+def loop_ode_pass(man, curve, chart, w0, ts_sorted, total_steps):
+    """Reference sweep: ``loop_ode_transport`` from each sorted target to the
+    next with max(1, ceil(gap * total_steps)) steps; shape (K, *w0.shape)."""
+    results = []
+    w = np.array(w0)
+    prev = 0.0
+    for t in ts_sorted:
+        if t > prev:
+            seg_steps = max(1, int(np.ceil((t - prev) * total_steps)))
+            w = loop_ode_transport(man, curve, w, prev, t, seg_steps, chart)
+            prev = t
+        results.append(np.array(w))
+    return np.array(results)

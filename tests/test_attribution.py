@@ -121,6 +121,20 @@ def test_completeness_of_the_diagonal(manifold, rng):
         assert report.error_term == -report.value_at_base
 
 
+def test_sphere_completeness_at_a_tiny_separation(rng):
+    """Points 1e-8 apart still get the geodesic between them, so the
+    attributions account for F(p) - F(o) instead of leaving it as residual."""
+    man = rg.make_manifold("sphere2")
+    field = rg.MLPField(man, rg.random_mlp(3, (8, 8), rng))
+    for _ in range(5):
+        p = man.random_point(rng)
+        o = man.exp_map(random_unit_tangent(man, p, rng) * 1e-8)
+        report = rg.rig(field, man, p, o, man.orthonormal_frame(p))
+        gap = report.value_at_point - report.value_at_base
+        assert abs(report.diagnostics.curve_length - man.dist(p, o)) <= 1e-12 * 1e-8
+        assert report.completeness_residual <= 1e-6 * abs(gap)
+
+
 def test_identical_points_give_zero_matrix():
     man = rg.make_manifold("sphere2")
     field = rg.CoordinateField(man, 0)
@@ -354,6 +368,42 @@ def test_bound_check_is_seed_deterministic():
     b = rg.attribution_bound_check(mat, samples=500, seed=42)
     assert a.max_ratio == b.max_ratio
     assert a.max_abs_value == b.max_abs_value
+
+
+def loop_bound_check(matrix, samples, seed):
+    """(violations, max_ratio, max_abs_value) scoring one direction at a time."""
+    sym = 0.5 * (matrix.entries + matrix.entries.T)
+    bound = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+    rng = np.random.default_rng(seed)
+    worst, violations = 0.0, 0
+    for _ in range(samples):
+        direction = rng.standard_normal(sym.shape[0])
+        norm = np.linalg.norm(direction)
+        if norm < 1e-12:
+            continue
+        direction /= norm
+        value = abs(float(direction @ sym @ direction))
+        worst = max(worst, value)
+        violations += value > bound + 1e-10
+    return violations, worst / bound, worst
+
+
+def test_bound_check_matches_the_per_direction_loop(rng):
+    man = rg.make_manifold("euclidean", dim=6)
+    field = rg.MLPField(man, rg.random_mlp(6, (8,), rng))
+    p = man.random_point(rng)
+    matrices = [
+        make_synthetic_matrix([[0.3, 0.1], [-0.2, 1.7]]),
+        make_synthetic_matrix([[1.0, 0.0], [0.0, -3.0]]),
+        rg.attribution_matrix(field, man, p, man.random_point(rng), man.orthonormal_frame(p)),
+    ]
+    for matrix in matrices:
+        for samples, seed in ((1, 3), (500, 42), (20_000, 7)):
+            check = rg.attribution_bound_check(matrix, samples, seed)
+            violations, ratio, worst = loop_bound_check(matrix, samples, seed)
+            assert check.violations == violations
+            assert abs(check.max_ratio - ratio) <= 1e-12 * ratio
+            assert abs(check.max_abs_value - worst) <= 1e-12 * worst
 
 
 # -- the array kernel against per-node assembly -----------------------------

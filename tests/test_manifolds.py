@@ -1,12 +1,14 @@
 """Geometry kernel tests: points, tangents, charts, geodesics, isometries."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import rigrad as rg
-from rigrad.manifolds import ShootingResult, shoot_geodesic
+from rigrad.manifolds import Chart, ShootingResult, shoot_geodesic
+from rigrad.manifolds.sphere import ANTIPODAL_SLACK
 
 from conftest import assert_close_rel, random_unit_tangent
 
@@ -181,6 +183,45 @@ def test_sphere_antipodal_pair_is_refused():
         man.geodesic_between(p, o)
 
 
+def decimal_angle(p, q):
+    """Angle between two 3-vectors from an exact cross and dot product."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        a = [Decimal(float(x)) for x in p]
+        b = [Decimal(float(x)) for x in q]
+        cross = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+        sin = sum(c * c for c in cross).sqrt()
+        cos = sum(x * y for x, y in zip(a, b))
+        return math.atan2(float(sin), float(cos))
+
+
+SEPARATIONS = np.concatenate(
+    [np.geomspace(1e-12, 1.0, 13), np.linspace(1.2, math.pi - 1e-4, 5),
+     [math.pi - 1e-5, math.pi - 1e-6]]
+)
+
+
+@pytest.mark.parametrize("separation", SEPARATIONS, ids=lambda s: f"{s:.9g}")
+def test_sphere_log_map_is_accurate_at_every_separation(separation, rng):
+    """|log_map| equals dist and the exact angle to 1e-12 relative, and
+    exp(log) returns the point, from 1e-12 apart to near-antipodal pairs;
+    pairs inside the antipodal slack are refused."""
+    man = rg.make_manifold("sphere2")
+    for _ in range(6):
+        p = man.random_point(rng)
+        u = random_unit_tangent(man, p, rng)
+        q = man.exp_map(u * float(separation))
+        if p.coords @ q.coords <= -1.0 + ANTIPODAL_SLACK:
+            with pytest.raises(rg.CutLocusAmbiguity):
+                man.log_map(p, q)
+            continue
+        v = man.log_map(p, q)
+        dist = man.dist(p, q)
+        assert abs(np.linalg.norm(v.components) - dist) <= 1e-12 * dist
+        assert abs(dist - decimal_angle(p.coords, q.coords)) <= 1e-12 * dist
+        assert np.max(np.abs(man.exp_map(v).coords - q.coords)) <= 2e-15
+
+
 def test_halfplane_vertical_geodesic():
     man = rg.make_manifold("half_plane2")
     p = man.point(np.array([0.7, 0.5]))
@@ -206,6 +247,41 @@ def test_geodesic_endpoints_and_residual(manifold, rng):
         # second-order coordinate acceleration check; finite differences
         # bottom out around 1e-7 at step 1e-4
         assert rg.geodesic_residual(manifold, curve) <= 1e-6
+
+
+def builtin_curves(rng):
+    """Every kind of curve the package builds: latitude loops, geodesics (the
+    half-plane's vertical and semicircular ones), and constant curves."""
+    sphere = rg.make_manifold("sphere2")
+    plane = rg.make_manifold("half_plane2")
+    flat = rg.make_manifold("euclidean", dim=4)
+    curves = [sphere.latitude_loop(0.7), sphere.latitude_loop(2.9)]
+    for man in (flat, sphere, plane):
+        p = man.random_point(rng)
+        curves += [man.geodesic_between(p, man.random_point(rng)), man.geodesic_between(p, p)]
+    p = sphere.random_point(rng)
+    curves.append(sphere.geodesic_between(p, sphere.exp_map(random_unit_tangent(sphere, p, rng) * 1e-8)))
+    p = plane.point(np.array([0.3, 0.5]))
+    curves.append(plane.geodesic_between(p, plane.point(np.array([0.3, 4.0]))))
+    return curves
+
+
+def test_builtin_curves_evaluate_arrays_like_the_scalar_loop(rng):
+    ts = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 9), rng.uniform(0.0, 1.0, 20)])
+    for curve in builtin_curves(rng):
+        assert curve.vectorized
+        positions = curve.positions(ts)
+        velocities = curve.velocities(ts)
+        assert positions.shape == velocities.shape == (ts.size, curve.manifold.coord_dim)
+        assert_close_rel(positions, [curve.position_fn(float(t)) for t in ts])
+        assert_close_rel(velocities, [curve.velocity_fn(float(t)) for t in ts])
+        for k in (0, 2):  # t = 0, given alone and inside the grid
+            assert np.array_equal(positions[k], curve.start.coords)
+            assert np.array_equal(curve.position_fn(0.0), curve.start.coords)
+        if curve.is_geodesic:
+            for k in (1, 10):
+                assert np.array_equal(positions[k], curve.end.coords)
+            assert np.array_equal(curve.position_fn(1.0), curve.end.coords)
 
 
 def test_flat_geodesic_residual_keeps_its_value(rng):
@@ -288,6 +364,21 @@ def test_sphere_chart_push_pull_inverse(rng):
         w = chart.pull(p, u.components)
         back = chart.push(chart.to_chart(p), w)
         assert np.max(np.abs(back - u.components)) <= 1e-9 * (1.0 + np.max(np.abs(u.components)))
+
+
+def test_batched_chart_formulas_match_the_scalar_loop(rng):
+    """The charts' array formulas against Chart's defaults, which loop over
+    to_chart, pull, christoffel and push one point at a time."""
+    for kind in ("sphere2", "half_plane2", "sphere2"):
+        man = rg.make_manifold(kind)
+        chart = man.chart_at(man.random_point(rng))
+        points = [man.random_point(rng) for _ in range(16)]
+        if kind == "sphere2":  # stay clear of the chart's poles
+            points = [p for p in points if 0.1 <= chart.to_chart(p)[0] <= math.pi - 0.1]
+        P = np.array([p.coords for p in points])
+        V = np.array([man.random_tangent(p, rng).components for p in points])
+        assert_close_rel(chart.transport_matrices(P, V), Chart.transport_matrices(chart, P, V))
+        assert_close_rel(chart.coordinate_basis(P), Chart.coordinate_basis(chart, P))
 
 
 def test_sphere_curve_chart_keeps_margin_from_pole(rng):

@@ -7,9 +7,15 @@ import pytest
 
 import rigrad as rg
 from rigrad.manifolds import ode_transport, transport_along
-from rigrad.manifolds.transport import transport_rows
+from rigrad.manifolds.transport import _ode_pass, _pass_grid, curve_chart, transport_rows
 
-from conftest import assert_close_rel, loop_transport, random_unit_tangent
+from conftest import (
+    assert_close_rel,
+    loop_ode_pass,
+    loop_ode_transport,
+    loop_transport,
+    random_unit_tangent,
+)
 
 
 def ambient_gap(u_components, v_components):
@@ -218,3 +224,121 @@ def test_flat_transport_is_a_view_of_the_frame():
     assert mode == "identity"
     assert moved.strides[0] == 0 and not moved.flags.writeable
     assert np.array_equal(moved[517], np.eye(64))
+
+
+# -- the RK4 propagators of the ODE route --------------------------------------
+
+
+def halfplane_bow(man, vectorized):
+    """A non-geodesic half-plane curve whose evaluators use only + and *, so
+    array and scalar evaluation give the same bits."""
+
+    def position(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([-0.7 + 1.9 * t, 0.6 + t * (2.2 - 1.5 * t)], axis=-1)
+
+    def velocity(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.full_like(t, 1.9), 2.2 - 3.0 * t], axis=-1)
+
+    return rg.Curve(
+        manifold=man,
+        position_fn=position,
+        velocity_fn=velocity,
+        start=man.point(position(0.0)),
+        end=man.point(position(1.0)),
+        is_geodesic=False,
+        length=2.0,
+        vectorized=vectorized,
+    )
+
+
+def squared_sphere_curve(man):
+    """A sphere geodesic run on the clock t^2, so not a geodesic as a curve."""
+    geo = man.geodesic_between(
+        man.point(np.array([1.0, 0.0, 0.0])), man.point(np.array([0.0, 0.6, 0.8]))
+    )
+    return rg.Curve(
+        manifold=man,
+        position_fn=lambda t: geo.position(t * t).coords,
+        velocity_fn=lambda t: 2.0 * t * geo.velocity_fn(t * t),
+        start=geo.start,
+        end=geo.end,
+        is_geodesic=False,
+        length=geo.length,
+    )
+
+
+def ode_curve(name):
+    """(manifold, curve, chart) with nonzero Christoffel symbols along the curve."""
+    if name == "halfplane_bow":
+        man = rg.make_manifold("half_plane2")
+        curve = halfplane_bow(man, vectorized=True)
+        return man, curve, curve_chart(man, curve)
+    man = rg.make_manifold("sphere2")
+    if name == "squared_sphere":
+        # the curve-adapted chart has the great circle on its equator, where
+        # the connection vanishes; a tilted chart keeps it in play
+        curve = squared_sphere_curve(man)
+        return man, curve, man.chart_at(curve.position(0.5))
+    curve = man.latitude_loop(float(name.split("_")[1]))
+    return man, curve, curve_chart(man, curve)
+
+
+ODE_CURVES = ["loop_0.3", "loop_1.1", "loop_2.6", "squared_sphere", "halfplane_bow"]
+
+
+@pytest.mark.parametrize("name", ODE_CURVES)
+def test_propagators_match_the_per_step_rk4(name):
+    man, curve, chart = ode_curve(name)
+    rows = man.orthonormal_frame(curve.start).component_matrix()
+    w0 = np.array([chart.pull(curve.start, u) for u in rows])
+    for t0, t1, steps in ((0.0, 1.0, 64), (0.2, 0.45, 7), (0.9, 0.3, 5)):
+        assert_close_rel(
+            ode_transport(man, curve, w0, t0, t1, steps, chart),
+            loop_ode_transport(man, curve, w0, t0, t1, steps, chart),
+        )
+    nodes, _ = rg.Quadrature().nodes_weights(16)
+    ts = np.sort(np.concatenate([[0.0], nodes, nodes[3:5], [1.0]]))
+    assert_close_rel(
+        _ode_pass(chart, curve, w0, ts, 64), loop_ode_pass(man, curve, chart, w0, ts, 64)
+    )
+
+
+def test_pass_grid_takes_ceil_gap_steps_per_target():
+    rng = np.random.default_rng(3)
+    ts = np.sort(np.concatenate([[0.0, 0.0], rng.uniform(0.0, 1.0, 40), [0.5, 0.5, 1.0]]))
+    gaps = np.diff(ts, prepend=0.0)
+    for total in (256, 512, 4096):
+        grid, ends = _pass_grid(ts, total)
+        expected = sum(max(1, math.ceil(gap * total)) for gap in gaps if gap > 0.0)
+        assert len(grid) - 1 == ends[-1] == expected
+        assert np.array_equal(grid[ends], ts)
+        assert np.all(np.diff(grid) > 0.0)
+
+
+@pytest.mark.parametrize("colatitude, steps", [(0.8, 1024), (1.2, 512)])
+def test_ode_route_step_count_on_pinned_loops(colatitude, steps):
+    man = rg.make_manifold("sphere2")
+    loop = man.latitude_loop(colatitude)
+    frame = man.orthonormal_frame(loop.start)
+    ts, _ = rg.Quadrature().nodes_weights(64)
+    _, mode, used = _batched(man, loop, frame.vectors, ts)
+    assert (mode, used) == ("ode", steps)
+
+
+def test_scalar_only_curve_transports_like_its_vectorized_twin():
+    man = rg.make_manifold("half_plane2")
+    scalar, vectorized = halfplane_bow(man, False), halfplane_bow(man, True)
+    frame = man.orthonormal_frame(scalar.start)
+    ts, _ = rg.Quadrature().nodes_weights(32)
+    moved, mode, steps = _batched(man, scalar, frame.vectors, ts)
+    twin, twin_mode, twin_steps = _batched(man, vectorized, frame.vectors, ts)
+    assert mode == twin_mode == "ode"
+    assert steps == twin_steps
+    assert np.array_equal(moved, twin)
+    field = rg.LogHeightField(man)
+    a = rg.generic_bam_report(field, scalar, frame)
+    b = rg.generic_bam_report(field, vectorized, frame)
+    assert np.array_equal(a.attributions, b.attributions)
+    assert a.diagnostics == b.diagnostics
