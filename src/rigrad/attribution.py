@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     EigenSolverFailure,
     InvalidTangent,
+    NonFiniteValue,
     QuadratureNotConverged,
     WrongManifold,
 )
@@ -125,8 +126,12 @@ def _level_tables(field, manifold, curve, rows, ts):
     positions = curve.positions(ts)
     velocities = curve.velocities(ts)
     moved, mode, steps = transport_rows(manifold, curve, rows, ts, positions, velocities)
-    a = np.einsum("kc,kic->ki", field.coord_gradients(positions), moved)
-    b = np.einsum("kic,kc->ki", moved, manifold.lower(positions, velocities))
+    grads = field.coord_gradients(positions)
+    lowered = manifold.lower(positions, velocities)
+    if manifold.flat:  # the transported frame is the frame itself at every node
+        return grads @ rows.T, lowered @ rows.T, mode, steps
+    a = np.einsum("kc,kic->ki", grads, moved)
+    b = np.einsum("kic,kc->ki", moved, lowered)
     return a, b, mode, steps
 
 
@@ -135,15 +140,25 @@ def _path_integral(field, manifold, curve, rows, quadrature, diagonal=False):
 
     Returns the entries and the path's diagnostics, without a geodesic
     defect; with ``diagonal`` only the entries i = j are formed, as a vector.
+    Raises NonFiniteValue at the first level whose entries are not finite.
     """
-    contraction = "k,ki,ki->i" if diagonal else "k,ki,kj->ij"
     schedule = quadrature.schedule()
     previous = None
     gap = None
     for count in schedule:
         ts, weights = quadrature.nodes_weights(count)
-        a, b, mode, steps = _level_tables(field, manifold, curve, rows, ts)
-        entries = -np.einsum(contraction, weights, a, b)
+        # NaN and infinity raise NonFiniteValue below, so numpy need not warn
+        with np.errstate(invalid="ignore", over="ignore"):
+            a, b, mode, steps = _level_tables(field, manifold, curve, rows, ts)
+            if diagonal:
+                entries = -(weights @ (a * b))
+            else:
+                entries = -((weights[:, None] * a).T @ b)
+        if not np.all(np.isfinite(entries)):
+            raise NonFiniteValue(
+                f"attribution entries are not finite at {count} nodes; the field's "
+                "gradient or the path takes a NaN or infinite value"
+            )
         if previous is not None:
             gap = float(np.max(np.abs(entries - previous)))
             if gap < quadrature.tol:
@@ -187,8 +202,9 @@ def attribution_matrix(
 ) -> AttributionMatrix:
     """Evaluate the attribution form on ``frame`` along the minimising geodesic.
 
-    Raises CutLocusAmbiguity when the geodesic is not unique and
-    QuadratureNotConverged when refinement exhausts its node budget.
+    Raises CutLocusAmbiguity when the geodesic is not unique,
+    QuadratureNotConverged when refinement exhausts its node budget and
+    NonFiniteValue when a quadrature level gives non-finite entries.
     """
     require_same_space(field, manifold)
     p = manifold.validate_point(p)

@@ -9,6 +9,7 @@ counted as aborted, never as passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +84,10 @@ class AxiomCheckSpec:
     def __post_init__(self):
         if self.axiom not in AXIOMS:
             raise ParseError(f"unknown axiom {self.axiom!r}; expected one of {AXIOMS}")
-        if self.tolerance <= 0.0:
-            raise ParseError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ParseError(
+                f"tolerance must be a positive finite number, got {self.tolerance!r}"
+            )
         if self.trials < 1:
             raise ParseError("trials must be at least 1")
         if self.samples < 1:
@@ -491,6 +494,6 @@ def suite_from_dict(data: dict) -> list[AxiomCheckSpec]:
                     samples=int(entry.get("samples", 10_000)),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"check {i} is malformed: {exc}") from exc
     return specs

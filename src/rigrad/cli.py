@@ -14,10 +14,10 @@ Three subcommands:
     Side-by-side table: straight-line versus geodesic attributions on flat
     space, or default-frame versus eigenframe attributions elsewhere.
 
-Exit codes: 0 success, 1 configuration or validation errors (and failed
-verification), 2 geodesic ambiguity between cut points, 3 quadrature
-refinement exhausted.  Argument errors also exit 1 so code 2 stays
-unambiguous.
+Exit codes: 0 success, 1 configuration or validation errors, failed
+verification, or a field or path that yields non-finite values, 2 geodesic
+ambiguity between cut points, 3 quadrature refinement exhausted.  Argument
+errors also exit 1 so code 2 stays unambiguous.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .errors import (
     InvalidIsometry,
     InvalidPoint,
     InvalidTangent,
+    NonFiniteValue,
     ParseError,
     QuadratureNotConverged,
     WrongManifold,
@@ -68,6 +69,7 @@ CONFIG_ERRORS = (
     WrongManifold,
     DimensionMismatch,
     EigenSolverFailure,
+    NonFiniteValue,
 )
 
 

@@ -41,5 +41,9 @@ class QuadratureNotConverged(RigradError):
     """Node-doubling refinement exhausted max_nodes without meeting tol."""
 
 
+class NonFiniteValue(RigradError):
+    """A computation produced NaN or infinite values from finite inputs."""
+
+
 class EigenSolverFailure(RigradError):
     """Symmetric eigendecomposition did not converge."""

@@ -180,6 +180,8 @@ class LayerSpec:
             raise ParseError(
                 f"bias shape {b.shape} does not match weight rows {w.shape[0]}"
             )
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise ParseError("layer weights and bias must be finite")
         if self.activation not in ACTIVATIONS:
             raise ParseError(
                 f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}"
@@ -300,6 +302,12 @@ class CombinedField(ScalarField):
         out = np.zeros(self.manifold.coord_dim)
         for c, f in zip(self.coefficients, self.fields):
             out += c * f.coord_gradient(p)
+        return out
+
+    def coord_gradients(self, X: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(X), self.manifold.coord_dim))
+        for c, f in zip(self.coefficients, self.fields):
+            out += c * f.coord_gradients(X)
         return out
 
 

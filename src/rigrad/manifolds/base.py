@@ -7,6 +7,7 @@ across threads.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable
@@ -151,8 +152,9 @@ class Chart(ABC):
     """A coordinate chart used for Christoffel symbols and transport ODEs.
 
     The batched methods take canonical positions ``P`` and vectors ``V`` of
-    shape (K, coord_dim).  Their defaults loop over the scalar methods; a
-    chart overrides them with array formulas only for speed.
+    shape (K, coord_dim), or chart coordinates ``X`` of shape (K, dim).  Their
+    defaults loop over the scalar methods; a chart overrides them with array
+    formulas only for speed.
     """
 
     dim: int
@@ -182,6 +184,15 @@ class Chart(ABC):
     @abstractmethod
     def pull(self, p: Point, comps: np.ndarray) -> np.ndarray:
         """Pull canonical tangent components back to the chart basis."""
+
+    def to_charts(self, P: np.ndarray) -> np.ndarray:
+        """Chart coordinates of each point, shape (K, dim)."""
+        return np.array([self.to_chart(Point(p)) for p in P]).reshape(len(P), self.dim)
+
+    def christoffels(self, X: np.ndarray) -> np.ndarray:
+        """Christoffel symbols at each row of ``X``, shape (K, dim, dim, dim)."""
+        gammas = [self.christoffel(x) for x in X]
+        return np.array(gammas).reshape((len(X),) + (self.dim,) * 3)
 
     def transport_matrices(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Transport-equation matrices B (K, dim, dim) at points P moving with
@@ -231,6 +242,12 @@ class IdentityChart(Chart):
     def pull(self, p: Point, comps: np.ndarray) -> np.ndarray:
         return np.array(comps)
 
+    def to_charts(self, P: np.ndarray) -> np.ndarray:
+        return np.array(P, dtype=float)
+
+    def christoffels(self, X: np.ndarray) -> np.ndarray:
+        return self._christoffel_fn(X)
+
     def transport_matrices(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         return christoffel_contraction(self._christoffel_fn(P), V)
 
@@ -260,8 +277,8 @@ class Manifold(ABC):
     def __init__(self, transport_steps: int = 256, bvp_tol: float = 1e-10):
         if transport_steps < 1:
             raise ValueError("transport_steps must be positive")
-        if bvp_tol <= 0:
-            raise ValueError("bvp_tol must be positive")
+        if not 0 < bvp_tol < math.inf:
+            raise ValueError("bvp_tol must be a positive finite number")
         self.transport_steps = int(transport_steps)
         self.bvp_tol = float(bvp_tol)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from ..errors import ParseError
@@ -51,8 +52,8 @@ def manifold_from_dict(data: dict) -> Manifold:
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
         raise ParseError(f"transport_steps must be a positive integer, got {steps!r}")
     tol = data.get("bvp_tol", 1e-10)
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
-        raise ParseError(f"bvp_tol must be a positive number, got {tol!r}")
+    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol < math.inf:
+        raise ParseError(f"bvp_tol must be a positive finite number, got {tol!r}")
     try:
         return make_manifold(kind, dim, steps, float(tol))
     except ValueError as exc:

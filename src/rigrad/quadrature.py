@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,8 +58,8 @@ class Quadrature:
         if self.nodes < 2:
             raise ParseError("quadrature needs at least 2 nodes")
         nodes_weights(self.rule, self.nodes)  # validates the rule name
-        if self.tol <= 0.0:
-            raise ParseError("quadrature tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ParseError(f"quadrature tol must be a positive finite number, got {self.tol!r}")
         if self.max_nodes < self.nodes:
             raise ParseError("max_nodes must be at least the starting node count")
 

@@ -1,6 +1,7 @@
 """The attribution engine: path integrals, completeness, eigenframes, bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,41 @@ def test_quadrature_budget_exhaustion_raises(rng):
         rg.rig(field, man, p, o, man.orthonormal_frame(p), starving)
     with pytest.raises(rg.QuadratureNotConverged):
         rg.ig(field, p, o, man.orthonormal_frame(p), starving)
+
+
+class CountingAffineField(rg.AffineField):
+    """An affine field that records the size of every gradient batch."""
+
+    def __init__(self, manifold, weights):
+        super().__init__(manifold, weights)
+        self.batches = []
+
+    def coord_gradients(self, X):
+        self.batches.append(len(X))
+        return super().coord_gradients(X)
+
+
+def test_non_finite_field_stops_after_the_first_level():
+    man = rg.make_manifold("half_plane2")
+    p = man.point(np.array([0.3, 1.2]))
+    o = man.point(np.array([-0.5, 2.0]))
+    frame = man.orthonormal_frame(p)
+    for run in (
+        lambda field: rg.rig(field, man, p, o, frame),
+        lambda field: rg.eigen_rig(field, man, p, o, frame),
+        lambda field: rg.generic_bam_report(field, man.geodesic_between(p, o), frame),
+    ):
+        field = CountingAffineField(man, [math.nan, 1.0])
+        with pytest.raises(rg.NonFiniteValue, match="32 nodes"):
+            run(field)
+        assert field.batches == [rg.DEFAULT_QUADRATURE.nodes]
+    flat = rg.make_manifold("euclidean", dim=2)
+    field = CountingAffineField(flat, [1.0, math.inf])
+    x, x_prime = flat.point(np.array([1.0, 2.0])), flat.point(np.array([0.0, 0.5]))
+    with pytest.raises(rg.NonFiniteValue), warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf * 0 is reported by the error alone
+        rg.ig(field, x, x_prime, flat.orthonormal_frame(x))
+    assert field.batches == [rg.DEFAULT_QUADRATURE.nodes]
 
 
 def test_generic_curve_report_flags_non_geodesic(rng):

@@ -163,6 +163,19 @@ def test_suite_from_dict_rejects_bad_documents():
         rg.suite_from_dict({})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("tolerance", float("inf")),
+    ("tolerance", float("nan")),
+    ("trials", float("inf")),
+    ("samples", float("nan")),
+])
+def test_suite_from_dict_rejects_non_finite_numbers(key, value):
+    check = {"axiom": "EigenBound", "tolerance": 1e-9, "trials": 2}
+    check[key] = value
+    with pytest.raises(rg.ParseError):
+        rg.suite_from_dict({"checks": [check]})
+
+
 def test_report_records_trial_notes():
     spec = rg.AxiomCheckSpec(
         axiom="Implementation", tolerance=1e-10, trials=2, manifold_kind="euclidean"

@@ -283,6 +283,31 @@ def test_verify_impossible_tolerance_reports_failures(tmp_path):
     assert "failing checks" in output
 
 
+@pytest.mark.parametrize("tolerance", ["Infinity", "NaN"])
+def test_verify_rejects_a_non_finite_tolerance(tmp_path, capsys, tolerance):
+    """An infinite tolerance would pass every check and NaN fail every one."""
+    config = tmp_path / "loose.json"
+    config.write_text(
+        f'{{"checks": [{{"axiom": "Linearity", "tolerance": {tolerance}, "trials": 2}}]}}'
+    )
+    code, output = run_cli("verify", "--config", str(config))
+    assert code == 1
+    assert output == ""
+    assert "ParseError: tolerance must be a positive finite number" in capsys.readouterr().err
+
+
+def test_attribute_non_finite_field_exits_1(capsys):
+    code, output = run_cli(
+        "attribute", "--manifold", "half_plane2", "--field", "affine:nan,1",
+        "--p", "0.3,1.2", "--o", "-0.5,2.0",
+    )
+    assert code == 1
+    assert output == ""
+    assert "NonFiniteValue: attribution entries are not finite at 32 nodes" in (
+        capsys.readouterr().err
+    )
+
+
 def test_verify_reports_are_deterministic(tmp_path):
     config = tmp_path / "one.json"
     config.write_text(json.dumps({

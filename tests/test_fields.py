@@ -245,6 +245,16 @@ def test_mlp_from_dict_rejects_malformed_input():
         rg.mlp_from_dict({"input_dim": 2, "layers": [good_layer, out_layer], "extra": 1})
 
 
+@pytest.mark.parametrize(
+    "key, bad", [("weights", [[1.0, float("nan")]]), ("bias", [float("inf")])]
+)
+def test_mlp_from_dict_rejects_non_finite_numbers(key, bad):
+    layer = {"weights": [[1.0, 2.0]], "bias": [0.0], "activation": "tanh", key: bad}
+    out_layer = {"weights": [[1.0]], "bias": [0.0], "activation": "identity"}
+    with pytest.raises(rg.ParseError, match="must be finite"):
+        rg.mlp_from_dict({"input_dim": 2, "layers": [layer, out_layer]})
+
+
 def test_field_requires_matching_manifold(rng):
     man = rg.make_manifold("euclidean", dim=3)
     other = rg.make_manifold("euclidean", dim=4)

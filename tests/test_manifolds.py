@@ -1,5 +1,7 @@
 """Geometry kernel tests: points, tangents, charts, geodesics, isometries."""
 
+import dataclasses
+import json
 import math
 from decimal import Decimal, localcontext
 
@@ -10,7 +12,7 @@ import rigrad as rg
 from rigrad.manifolds import Chart, ShootingResult, shoot_geodesic
 from rigrad.manifolds.sphere import ANTIPODAL_SLACK
 
-from conftest import assert_close_rel, random_unit_tangent
+from conftest import assert_close_rel, loop_geodesic_residual, random_unit_tangent
 
 
 def halfplane_dist_oracle(p, q):
@@ -303,6 +305,19 @@ def test_flat_geodesic_residual_keeps_its_value(rng):
     assert rg.geodesic_residual(man, curve) == worst
 
 
+def test_geodesic_residual_matches_the_sample_loop(rng):
+    """Chart-batched residual against one sample at a time, on geodesics of
+    every geometry, both latitude loops (a nonzero defect), zero-length
+    geodesics and curves with scalar-only evaluators."""
+    curves = builtin_curves(rng)
+    curves += [dataclasses.replace(curve, vectorized=False) for curve in curves]
+    for curve in curves:
+        expected = loop_geodesic_residual(curve.manifold, curve)
+        assert_close_rel(rg.geodesic_residual(curve.manifold, curve), expected)
+        if not curve.is_geodesic:  # the latitude loops
+            assert expected > 1.0
+
+
 def test_lower_matches_the_metric_matrix(manifold, rng):
     P = np.array([manifold.random_point(rng).coords for _ in range(9)])
     V = np.array([manifold.random_tangent(rg.Point(x), rng).components for x in P])
@@ -379,6 +394,36 @@ def test_batched_chart_formulas_match_the_scalar_loop(rng):
         V = np.array([man.random_tangent(p, rng).components for p in points])
         assert_close_rel(chart.transport_matrices(P, V), Chart.transport_matrices(chart, P, V))
         assert_close_rel(chart.coordinate_basis(P), Chart.coordinate_basis(chart, P))
+
+
+def test_batched_chart_readings_match_the_looping_defaults(rng):
+    """to_charts and christoffels against Chart's defaults, which loop over
+    to_chart and christoffel one point at a time."""
+    for kind in ("sphere2", "half_plane2", "euclidean"):
+        man = rg.make_manifold(kind, dim=3 if kind == "euclidean" else None)
+        chart = man.chart_at(man.random_point(rng))
+        P = np.array([man.random_point(rng).coords for _ in range(16)])
+        X = chart.to_charts(P)
+        assert X.shape == (16, man.dim)
+        assert_close_rel(X, Chart.to_charts(chart, P))
+        assert_close_rel(chart.christoffels(X), Chart.christoffels(chart, X))
+        assert chart.to_charts(P[:0]).shape == (0, man.dim)
+
+
+def test_sphere_chart_at_shares_one_chart_per_axis(rng):
+    """Points whose least-aligned coordinate axis agrees get the same chart
+    object, poled on that axis."""
+    man = rg.make_manifold("sphere2")
+    seen = {}
+    for _ in range(30):
+        p = man.random_point(rng)
+        axis = int(np.argmin(np.abs(p.coords)))
+        chart = man.chart_at(p)
+        assert np.array_equal(chart.pole, np.eye(3)[axis])
+        assert seen.setdefault(axis, chart) is chart
+    assert len(seen) == 3
+    assert man.chart_at(man.random_point(rng)) in seen.values()
+    assert rg.make_manifold("sphere2").chart_at(p) is not chart
 
 
 def test_sphere_curve_chart_keeps_margin_from_pole(rng):
@@ -502,6 +547,18 @@ def test_manifold_dict_roundtrip():
     assert again.kind == "euclidean"
     assert again.dim == 5
     assert again.transport_steps == 128
+
+
+@pytest.mark.parametrize("bvp_tol", [math.nan, math.inf, -1e-9])
+def test_manifold_config_rejects_a_non_finite_bvp_tol(tmp_path, bvp_tol):
+    with pytest.raises(rg.ParseError, match="bvp_tol"):
+        rg.manifold_from_dict({"kind": "sphere2", "bvp_tol": bvp_tol})
+    path = tmp_path / "man.json"
+    path.write_text(f'{{"kind": "sphere2", "bvp_tol": {json.dumps(bvp_tol)}}}')
+    with pytest.raises(rg.ParseError, match="bvp_tol"):
+        rg.manifold_from_file(path)
+    with pytest.raises(ValueError, match="bvp_tol"):
+        rg.Sphere2(bvp_tol=bvp_tol)
 
 
 def test_manifold_from_dict_rejects_garbage():

@@ -33,6 +33,12 @@ def test_trapezoid_second_order():
     assert errors[2] / errors[1] == pytest.approx(0.25, rel=0.05)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
+def test_quadrature_rejects_a_non_finite_tol(tol):
+    with pytest.raises(rg.ParseError, match="positive finite"):
+        rg.Quadrature(tol=tol)
+
+
 def test_quadrature_validation():
     with pytest.raises(rg.ParseError):
         rg.Quadrature(nodes=1)

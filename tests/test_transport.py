@@ -163,6 +163,57 @@ def test_holonomy_angle_on_latitude_loop(rng):
     assert ambient_gap(moved.components, -u.components) <= 1e-4
 
 
+def wandering_loop(man, theta0, eps, waves=3):
+    """The closed sphere curve theta(phi) = theta0 + eps * sin(waves * phi),
+    phi = 2*pi*t: not planar, so no latitude circle and no geodesic."""
+
+    def angles(t):
+        phi = 2.0 * np.pi * np.asarray(t, dtype=float)
+        return theta0 + eps * np.sin(waves * phi), phi
+
+    def position(t):
+        theta, phi = angles(t)
+        return np.stack(
+            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
+        )
+
+    def velocity(t):
+        theta, phi = angles(t)
+        d_theta = 2.0 * np.pi * waves * eps * np.cos(waves * phi)
+        along_theta = np.stack(
+            [np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)], axis=-1
+        )
+        along_phi = np.stack(
+            [-np.sin(theta) * np.sin(phi), np.sin(theta) * np.cos(phi), np.zeros_like(phi)],
+            axis=-1,
+        )
+        return d_theta[..., None] * along_theta + 2.0 * np.pi * along_phi
+
+    start = man.point(position(0.0))
+    ts = np.arange(512) / 512
+    length = float(np.mean(np.linalg.norm(velocity(ts), axis=-1)))
+    curve = rg.Curve(man, position, velocity, start, start, False, length, vectorized=True)
+    return curve, 2.0 * np.pi * float(np.mean(1.0 - np.cos(angles(ts)[0])))
+
+
+@pytest.mark.parametrize("theta0, eps", [(0.9, 0.2), (2.0, 0.4)])
+def test_holonomy_angle_on_a_wandering_loop(theta0, eps):
+    """One loop turns every tangent vector by the enclosed area
+    integral of (1 - cos theta) dphi, modulo 2*pi.  The area comes from the
+    periodic trapezoid rule, exact to roundoff for this smooth integrand."""
+    man = rg.make_manifold("sphere2")
+    loop, area = wandering_loop(man, theta0, eps)
+    p = loop.start.coords
+    frame = man.orthonormal_frame(loop.start)
+    results, mode, _ = transport_along(man, loop, frame.vectors, [1.0])
+    assert mode == "ode"
+    for u, moved in zip(frame.vectors, results[0]):
+        u, w = u.components, moved.components
+        angle = math.atan2(float(np.dot(p, np.cross(u, w))), float(np.dot(u, w)))
+        assert abs(math.remainder(angle - area, 2.0 * math.pi)) <= 1e-8
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-8
+
+
 def test_transport_rejects_vector_from_wrong_base(rng):
     man = rg.make_manifold("sphere2")
     p = man.point(np.array([1.0, 0.0, 0.0]))
