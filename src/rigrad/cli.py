@@ -122,16 +122,26 @@ def _build_manifold(args, point_hint: np.ndarray | None) -> Manifold:
             dim = point_hint.size
         else:
             dim = None
-        return make_manifold(kind, dim=dim, transport_steps=steps or 256)
-    path = Path(spec)
-    if not path.exists():
-        raise ParseError(f"--manifold {spec!r} is neither a known kind nor a file")
-    manifold = manifold_from_file(path)
-    if steps:
-        manifold = make_manifold(
-            manifold.kind, dim=manifold.dim, transport_steps=steps, bvp_tol=manifold.bvp_tol
-        )
-    return manifold
+        options = {}
+    else:
+        path = Path(spec)
+        if not path.exists():
+            raise ParseError(f"--manifold {spec!r} is neither a known kind nor a file")
+        manifold = manifold_from_file(path)
+        if not steps:
+            return manifold
+        kind, dim, options = manifold.kind, manifold.dim, {"bvp_tol": manifold.bvp_tol}
+    try:  # a dimension below 1 or a negative step count
+        return make_manifold(kind, dim=dim, transport_steps=steps or 256, **options)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _parse_float(text: str, label: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"{label} must be a decimal, got {text!r}") from None
 
 
 def _parse_point(manifold: Manifold, text: str, label: str):
@@ -170,14 +180,16 @@ def _parse_field(manifold: Manifold, args) -> ScalarField:
         if not parts or not parts[0]:
             raise ParseError("--field affine needs weights, e.g. affine:1,0,-2 or affine:1,0:0.5")
         weights = _parse_vector(parts[0], "affine weights")
-        bias = float(parts[1]) if len(parts) > 1 else 0.0
+        bias = _parse_float(parts[1], "affine bias") if len(parts) > 1 else 0.0
         return AffineField(manifold, weights, bias)
     if name == "bump":
         parts = rest.split(":")
         if not parts or not parts[0]:
             raise ParseError("--field bump needs a center, e.g. bump:0,0,1 or bump:0,0,1:0.5")
         center = _parse_point(manifold, parts[0], "bump center")
-        width = float(parts[1]) if len(parts) > 1 else 1.0
+        width = _parse_float(parts[1], "bump width") if len(parts) > 1 else 1.0
+        if not width > 0.0:
+            raise ParseError(f"bump width must be positive, got {parts[1]!r}")
         return GaussianBumpField(manifold, center, width)
     raise ParseError(
         f"unknown field {spec!r}; expected one of height, coordinate:k, log_height, "
@@ -266,7 +278,7 @@ def cmd_attribute(args, out) -> int:
 def cmd_compare(args, out) -> int:
     p_raw = _parse_vector(args.p, "--p")
     manifold = _build_manifold(args, p_raw)
-    if args.method == "ig" and manifold.kind != "euclidean":
+    if args.method == "ig" and not manifold.flat:
         raise WrongManifold(
             "the straight-line method is defined on flat space only; "
             f"--manifold is {manifold.kind}"
@@ -277,7 +289,7 @@ def cmd_compare(args, out) -> int:
     quad = _quadrature(args)
     frame = manifold.orthonormal_frame(p)
 
-    if manifold.kind == "euclidean":
+    if manifold.flat:
         left = ig(field, p, o, frame, quad)
         right = rig(field, manifold, p, o, frame, quad)
         print("direction  straight-line        geodesic             gap", file=out)
@@ -368,7 +380,6 @@ def build_parser() -> _Parser:
         p.add_argument("--o", required=True, help="base point, comma-separated, e.g. --o -1,0")
         p.add_argument("--quadrature-nodes", type=int, default=0)
         p.add_argument("--transport-steps", type=int, default=0)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", help="output path (attribute writes .json and .csv)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -152,14 +152,11 @@ class Chart(ABC):
     """A coordinate chart used for Christoffel symbols and transport ODEs.
 
     The batched methods take canonical positions ``P`` and vectors ``V`` of
-    shape (K, coord_dim), or chart coordinates ``X`` of shape (K, dim).  Their
-    defaults loop over the scalar methods; a chart overrides them with array
-    formulas only for speed.
+    shape (K, coord_dim).  Their defaults loop over the scalar methods; a
+    chart overrides them with array formulas only for speed.
     """
 
     dim: int
-    # indices of 2*pi-periodic chart coordinates, for stencil unwrapping
-    angular: tuple[int, ...] = ()
 
     @abstractmethod
     def to_chart(self, p: Point) -> np.ndarray:
@@ -184,15 +181,6 @@ class Chart(ABC):
     @abstractmethod
     def pull(self, p: Point, comps: np.ndarray) -> np.ndarray:
         """Pull canonical tangent components back to the chart basis."""
-
-    def to_charts(self, P: np.ndarray) -> np.ndarray:
-        """Chart coordinates of each point, shape (K, dim)."""
-        return np.array([self.to_chart(Point(p)) for p in P]).reshape(len(P), self.dim)
-
-    def christoffels(self, X: np.ndarray) -> np.ndarray:
-        """Christoffel symbols at each row of ``X``, shape (K, dim, dim, dim)."""
-        gammas = [self.christoffel(x) for x in X]
-        return np.array(gammas).reshape((len(X),) + (self.dim,) * 3)
 
     def transport_matrices(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Transport-equation matrices B (K, dim, dim) at points P moving with
@@ -241,12 +229,6 @@ class IdentityChart(Chart):
 
     def pull(self, p: Point, comps: np.ndarray) -> np.ndarray:
         return np.array(comps)
-
-    def to_charts(self, P: np.ndarray) -> np.ndarray:
-        return np.array(P, dtype=float)
-
-    def christoffels(self, X: np.ndarray) -> np.ndarray:
-        return self._christoffel_fn(X)
 
     def transport_matrices(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         return christoffel_contraction(self._christoffel_fn(P), V)
@@ -363,6 +345,12 @@ class Manifold(ABC):
     def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
         """Unit normals completing unit tangents ``T`` to oriented g-orthonormal
         pairs; defined on 2-manifolds, where geodesic transport rotates with them."""
+        raise NotImplementedError
+
+    def geodesic_acceleration(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Right-hand side a(x, x') of the geodesic equation x'' = a(x, x') in
+        canonical coordinates: the acceleration of the geodesic through each
+        row of ``P`` with velocity the same row of ``V``."""
         raise NotImplementedError
 
     # -- frames -----------------------------------------------------------

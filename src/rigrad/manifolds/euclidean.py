@@ -102,6 +102,9 @@ class Euclidean(Manifold):
             vectorized=True,
         )
 
+    def geodesic_acceleration(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return np.zeros_like(V)
+
     def orthonormal_frame(self, p: Point) -> OrthonormalFrame:
         vectors = tuple(TangentVector(p, e) for e in np.eye(self.dim))
         return OrthonormalFrame(p, vectors)

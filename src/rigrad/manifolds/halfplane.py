@@ -97,16 +97,6 @@ class HalfPlane2(Manifold):
     def chart_for_curve(self, samples) -> Chart:
         return self._chart
 
-    def _scale(self, p: Point, q: Point) -> float:
-        return float(
-            max(
-                abs(p.coords[0]),
-                abs(q.coords[0]),
-                p.coords[1],
-                q.coords[1],
-            )
-        )
-
     def exp_map(self, v: TangentVector) -> Point:
         x0, y0 = float(v.base.coords[0]), float(v.base.coords[1])
         a, b = float(v.components[0]), float(v.components[1])
@@ -122,41 +112,19 @@ class HalfPlane2(Manifold):
         y1 = max(r * _sech(s1), np.finfo(float).tiny)
         return Point(np.array([c - r * np.tanh(s1), y1]))
 
-    def log_map(self, p: Point, q: Point) -> TangentVector:
+    def _geodesic(self, p: Point, q: Point):
+        """Position and velocity evaluators and the length of the geodesic
+        from p to q, the one construction behind log_map, dist and
+        geodesic_between.  The evaluators take a float t or an array of
+        parameters.  A horizontal offset below VERTICAL_CUTOFF of the
+        coordinate scale gives the vertical ray y = yp exp(k t); otherwise
+        the semicircle of centre c and radius r is traced as s runs from sp
+        to sp + ds."""
         xp, yp = float(p.coords[0]), float(p.coords[1])
         xq, yq = float(q.coords[0]), float(q.coords[1])
         dx = xq - xp
-        if abs(dx) <= VERTICAL_CUTOFF * self._scale(p, q):
-            return TangentVector(p, np.array([0.0, yp * np.log(yq / yp)]))
-        c = 0.5 * (xp + xq) + (yq - yp) * (yq + yp) / (2.0 * dx)
-        r = np.hypot(xp - c, yp)
-        sp = np.arcsinh((c - xp) / yp)
-        sq = np.arcsinh((c - xq) / yq)
-        ds = sq - sp
-        sech = _sech(sp)
-        return TangentVector(
-            p, ds * np.array([-r * sech**2, -r * sech * np.tanh(sp)])
-        )
-
-    def dist(self, p: Point, q: Point) -> float:
-        xp, yp = float(p.coords[0]), float(p.coords[1])
-        xq, yq = float(q.coords[0]), float(q.coords[1])
-        dx = xq - xp
-        if abs(dx) <= VERTICAL_CUTOFF * self._scale(p, q):
-            return abs(float(np.log(yq / yp)))
-        c = 0.5 * (xp + xq) + (yq - yp) * (yq + yp) / (2.0 * dx)
-        return abs(float(np.arcsinh((c - xq) / yq) - np.arcsinh((c - xp) / yp)))
-
-    def geodesic_between(self, p: Point, o: Point) -> Curve:
-        p = self.validate_point(p)
-        o = self.validate_point(o)
-        if np.array_equal(p.coords, o.coords):
-            return constant_curve(self, p)
-        xp, yp = float(p.coords[0]), float(p.coords[1])
-        xo, yo = float(o.coords[0]), float(o.coords[1])
-        dx = xo - xp
-        if abs(dx) <= VERTICAL_CUTOFF * self._scale(p, o):
-            k = np.log(yo / yp)
+        if abs(dx) <= VERTICAL_CUTOFF * max(abs(xp), abs(xq), yp, yq):
+            k = np.log(yq / yp)
 
             def v_position(t):
                 t = np.asarray(t, dtype=float)
@@ -166,22 +134,12 @@ class HalfPlane2(Manifold):
                 t = np.asarray(t, dtype=float)
                 return np.stack([np.zeros_like(t), yp * k * np.exp(k * t)], axis=-1)
 
-            return Curve(
-                manifold=self,
-                position_fn=pin_endpoints(v_position, p, o),
-                velocity_fn=v_velocity,
-                start=p,
-                end=o,
-                is_geodesic=True,
-                length=abs(float(k)),
-                vectorized=True,
-            )
+            return v_position, v_velocity, abs(float(k))
 
-        c = 0.5 * (xp + xo) + (yo - yp) * (yo + yp) / (2.0 * dx)
+        c = 0.5 * (xp + xq) + (yq - yp) * (yq + yp) / (2.0 * dx)
         r = np.hypot(xp - c, yp)
         sp = np.arcsinh((c - xp) / yp)
-        so = np.arcsinh((c - xo) / yo)
-        ds = so - sp
+        ds = np.arcsinh((c - xq) / yq) - sp
 
         def position(t):
             s = sp + np.asarray(t, dtype=float) * ds
@@ -192,6 +150,20 @@ class HalfPlane2(Manifold):
             sech = _sech(s)
             return ds * np.stack([-r * sech**2, -r * sech * np.tanh(s)], axis=-1)
 
+        return position, velocity, abs(float(ds))
+
+    def log_map(self, p: Point, q: Point) -> TangentVector:
+        return TangentVector(p, self._geodesic(p, q)[1](0.0))
+
+    def dist(self, p: Point, q: Point) -> float:
+        return self._geodesic(p, q)[2]
+
+    def geodesic_between(self, p: Point, o: Point) -> Curve:
+        p = self.validate_point(p)
+        o = self.validate_point(o)
+        if np.array_equal(p.coords, o.coords):
+            return constant_curve(self, p)
+        position, velocity, length = self._geodesic(p, o)
         return Curve(
             manifold=self,
             position_fn=pin_endpoints(position, p, o),
@@ -199,12 +171,15 @@ class HalfPlane2(Manifold):
             start=p,
             end=o,
             is_geodesic=True,
-            length=abs(float(ds)),
+            length=length,
             vectorized=True,
         )
 
     def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
         return np.stack([-T[:, 1], T[:, 0]], axis=1)
+
+    def geodesic_acceleration(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return -np.einsum("skij,si,sj->sk", _christoffel(P), V, V)
 
     def orthonormal_frame(self, p: Point) -> OrthonormalFrame:
         y = float(p.coords[1])

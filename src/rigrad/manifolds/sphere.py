@@ -62,7 +62,6 @@ class SphericalChart(Chart):
     """
 
     dim = 2
-    angular = (1,)
 
     def __init__(self, pole: np.ndarray):
         pole = np.asarray(pole, dtype=float)
@@ -124,12 +123,6 @@ class SphericalChart(Chart):
     def pull(self, p: Point, comps: np.ndarray) -> np.ndarray:
         return self._pull(p.coords, np.asarray(comps, dtype=float))[1]
 
-    def to_charts(self, P: np.ndarray) -> np.ndarray:
-        return np.stack(self._angles(P), axis=-1)
-
-    def christoffels(self, X: np.ndarray) -> np.ndarray:
-        return self._christoffel(X[:, 0])
-
     def transport_matrices(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         theta, xdot = self._pull(P, V)
         return christoffel_contraction(self._christoffel(theta), xdot)
@@ -147,9 +140,6 @@ class Sphere2(Manifold):
         super().__init__(transport_steps, bvp_tol)
         self.dim = 2
         self.coord_dim = 3
-        # chart_at poles the chart on a coordinate axis; charts hold no state
-        # beyond their pole, so each axis's chart is built once and shared
-        self._axis_charts = tuple(SphericalChart(axis) for axis in np.eye(3))
 
     def point(self, coords) -> Point:
         arr = np.asarray(coords, dtype=float)
@@ -192,7 +182,7 @@ class Sphere2(Manifold):
 
     def chart_at(self, p: Point) -> Chart:
         """The chart poled on the coordinate axis least aligned with ``p``."""
-        return self._axis_charts[int(np.argmin(np.abs(p.coords)))]
+        return SphericalChart(np.eye(3)[int(np.argmin(np.abs(p.coords)))])
 
     def chart_for_curve(self, samples) -> Chart:
         matrix = np.array([s.coords for s in samples])
@@ -265,6 +255,9 @@ class Sphere2(Manifold):
 
     def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
         return np.cross(P, T)
+
+    def geodesic_acceleration(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return -np.sum(V * V, axis=-1, keepdims=True) * P
 
     def orthonormal_frame(self, p: Point) -> OrthonormalFrame:
         drop = int(np.argmax(np.abs(p.coords)))

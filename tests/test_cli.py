@@ -191,6 +191,26 @@ def test_unknown_field_and_bad_flags_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--manifold", "euclidean:0", "--field", "height"],
+        ["--manifold", "euclidean:2", "--transport-steps", "-5", "--field", "height"],
+        ["--manifold", "euclidean:2", "--field", "bump:0,0:-1"],
+        ["--manifold", "euclidean:2", "--field", "bump:0,0:x"],
+        ["--manifold", "euclidean:2", "--field", "affine:1,2:x"],
+    ],
+)
+def test_out_of_range_and_malformed_values_are_parse_errors(flags, capsys):
+    """Values that the manifold or field constructors reject exit 1 with one
+    ParseError line, not a traceback."""
+    code, output = run_cli("attribute", *flags, "--p", "1,0", "--o", "0,1")
+    assert code == 1
+    assert output == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ParseError: ")
+
+
 def test_manifold_config_file(tmp_path):
     config = tmp_path / "manifold.json"
     config.write_text(json.dumps({"kind": "euclidean", "dim": 3}))

@@ -224,6 +224,22 @@ def test_sphere_log_map_is_accurate_at_every_separation(separation, rng):
         assert np.max(np.abs(man.exp_map(v).coords - q.coords)) <= 2e-15
 
 
+def test_halfplane_log_map_and_dist_read_the_geodesic(rng):
+    """log_map is the geodesic's initial velocity and dist its length, bit
+    for bit, on random, vertical (also within the cutoff) and coincident
+    pairs."""
+    man = rg.make_manifold("half_plane2")
+    pairs = []
+    for _ in range(20):
+        p, q = man.random_point(rng), man.random_point(rng)
+        vertical = man.point(np.array([p.coords[0] * (1.0 + 1e-15), q.coords[1]]))
+        pairs += [(p, q), (p, man.point(np.array([p.coords[0], q.coords[1]]))), (p, vertical), (p, p)]
+    for p, q in pairs:
+        curve = man.geodesic_between(p, q)
+        assert np.array_equal(man.log_map(p, q).components, curve.velocity_fn(0.0))
+        assert man.dist(p, q) == curve.length
+
+
 def test_halfplane_vertical_geodesic():
     man = rg.make_manifold("half_plane2")
     p = man.point(np.array([0.7, 0.5]))
@@ -306,9 +322,9 @@ def test_flat_geodesic_residual_keeps_its_value(rng):
 
 
 def test_geodesic_residual_matches_the_sample_loop(rng):
-    """Chart-batched residual against one sample at a time, on geodesics of
-    every geometry, both latitude loops (a nonzero defect), zero-length
-    geodesics and curves with scalar-only evaluators."""
+    """Batched residual against one sample at a time, on geodesics of every
+    geometry, both latitude loops (a nonzero defect), zero-length geodesics
+    and curves with scalar-only evaluators."""
     curves = builtin_curves(rng)
     curves += [dataclasses.replace(curve, vectorized=False) for curve in curves]
     for curve in curves:
@@ -316,6 +332,55 @@ def test_geodesic_residual_matches_the_sample_loop(rng):
         assert_close_rel(rg.geodesic_residual(curve.manifold, curve), expected)
         if not curve.is_geodesic:  # the latitude loops
             assert expected > 1.0
+
+
+def rotated(curve, matrix):
+    """The curve moved by the sphere rotation with the given matrix."""
+    return dataclasses.replace(
+        curve,
+        position_fn=lambda t: curve.position_fn(t) @ matrix.T,
+        velocity_fn=lambda t: curve.velocity_fn(t) @ matrix.T,
+        start=rg.Point(matrix @ curve.start.coords),
+        end=rg.Point(matrix @ curve.end.coords),
+    )
+
+
+@pytest.mark.parametrize("colatitude", [0.3, 0.7, 1.2, 2.6, 2.9])
+def test_latitude_loop_defect_is_its_curvature_times_speed_squared(colatitude, rng):
+    """The loop at colatitude theta has speed 2 pi sin(theta) and geodesic
+    curvature |cot(theta)|, so its defect is 4 pi^2 sin(theta) |cos(theta)|;
+    a rotation of the sphere leaves the defect unchanged."""
+    sphere = rg.make_manifold("sphere2")
+    loop = sphere.latitude_loop(colatitude)
+    expected = 4.0 * math.pi**2 * math.sin(colatitude) * abs(math.cos(colatitude))
+    assert_close_rel(rg.geodesic_residual(sphere, loop), expected, rel=1e-6)
+    turned = rotated(loop, rg.random_isometry(sphere, rng).matrix)
+    assert_close_rel(rg.geodesic_residual(sphere, turned), expected, rel=1e-6)
+
+
+def test_geodesic_acceleration_matches_the_built_in_geodesics(rng):
+    """On every geometry, a central difference of a built-in geodesic's
+    analytic velocity is the acceleration the geodesic equation gives.  The
+    step is 1e-5 in arc length, which keeps both the truncation and the
+    rounding error near 1e-11 relative, also on the 1e-8 long geodesic."""
+    ts = np.linspace(0.1, 0.9, 9)
+    for curve in builtin_curves(rng):
+        if not curve.is_geodesic:
+            continue
+        actual = curve.manifold.geodesic_acceleration(curve.positions(ts), curve.velocities(ts))
+        assert actual.shape == (ts.size, curve.manifold.coord_dim)
+        if curve.length == 0.0:
+            assert np.array_equal(actual, np.zeros_like(actual))
+            continue
+        h = 1e-5 / curve.length
+        expected = (curve.velocities(ts + h) - curve.velocities(ts - h)) / (2.0 * h)
+        assert_close_rel(actual, expected, rel=1e-6)
+
+
+def test_geodesic_residual_without_interior_samples_is_zero(rng):
+    for curve in builtin_curves(rng):
+        for twin in (curve, dataclasses.replace(curve, vectorized=False)):
+            assert rg.geodesic_residual(curve.manifold, twin, samples=2) == 0.0
 
 
 def test_lower_matches_the_metric_matrix(manifold, rng):
@@ -396,34 +461,17 @@ def test_batched_chart_formulas_match_the_scalar_loop(rng):
         assert_close_rel(chart.coordinate_basis(P), Chart.coordinate_basis(chart, P))
 
 
-def test_batched_chart_readings_match_the_looping_defaults(rng):
-    """to_charts and christoffels against Chart's defaults, which loop over
-    to_chart and christoffel one point at a time."""
-    for kind in ("sphere2", "half_plane2", "euclidean"):
-        man = rg.make_manifold(kind, dim=3 if kind == "euclidean" else None)
-        chart = man.chart_at(man.random_point(rng))
-        P = np.array([man.random_point(rng).coords for _ in range(16)])
-        X = chart.to_charts(P)
-        assert X.shape == (16, man.dim)
-        assert_close_rel(X, Chart.to_charts(chart, P))
-        assert_close_rel(chart.christoffels(X), Chart.christoffels(chart, X))
-        assert chart.to_charts(P[:0]).shape == (0, man.dim)
-
-
 def test_sphere_chart_at_shares_one_chart_per_axis(rng):
-    """Points whose least-aligned coordinate axis agrees get the same chart
-    object, poled on that axis."""
+    """Points whose least-aligned coordinate axis agrees get a chart poled on
+    that axis."""
     man = rg.make_manifold("sphere2")
-    seen = {}
+    seen = set()
     for _ in range(30):
         p = man.random_point(rng)
         axis = int(np.argmin(np.abs(p.coords)))
-        chart = man.chart_at(p)
-        assert np.array_equal(chart.pole, np.eye(3)[axis])
-        assert seen.setdefault(axis, chart) is chart
+        assert np.array_equal(man.chart_at(p).pole, np.eye(3)[axis])
+        seen.add(axis)
     assert len(seen) == 3
-    assert man.chart_at(man.random_point(rng)) in seen.values()
-    assert rg.make_manifold("sphere2").chart_at(p) is not chart
 
 
 def test_sphere_curve_chart_keeps_margin_from_pole(rng):
