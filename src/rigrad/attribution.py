@@ -16,6 +16,7 @@ sign makes the two agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -323,6 +324,11 @@ def _report(
 ) -> AttributionReport:
     value_p = field.value(p)
     value_o = field.value(o)
+    if not (math.isfinite(value_p) and math.isfinite(value_o)):
+        raise NonFiniteValue(
+            f"the field is not finite at the path's ends: F(p) = {value_p!r}, "
+            f"F(o) = {value_o!r}"
+        )
     return AttributionReport(
         method=method,
         manifold_kind=manifold.kind,

@@ -256,7 +256,7 @@ def _emit_report(report, args, out) -> None:
     elif args.format == "csv":
         out.write(report_io.attribution_report_csv(report))
     else:
-        print(json.dumps(report_io.attribution_report_to_dict(report), indent=2), file=out)
+        out.write(report_io.json_text(report_io.attribution_report_to_dict(report)))
 
 
 def cmd_attribute(args, out) -> int:
@@ -321,13 +321,17 @@ def cmd_compare(args, out) -> int:
             "first": report_io.attribution_report_to_dict(left),
             "second": report_io.attribution_report_to_dict(right),
         }
-        report_io._atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+        report_io._atomic_write(args.out, report_io.json_text(payload))
         print(f"wrote {args.out}", file=out)
     return 0
 
 
 def cmd_verify(args, out) -> int:
     if args.config:
+        if args.seed is not None:
+            raise ParseError(
+                "--seed draws the stock suite only; with --config, set 'seed' per check"
+            )
         try:
             data = json.loads(Path(args.config).read_text())
         except OSError as exc:
@@ -395,7 +399,9 @@ def build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="run the certification suite")
     verify.add_argument("--config", help="JSON file with a 'checks' list")
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    verify.add_argument(
+        "--seed", type=int, help=f"seed of the stock suite (default {DEFAULT_SEED})"
+    )
     verify.add_argument("--out", help="directory for the consolidated report")
     return parser
 

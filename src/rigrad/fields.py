@@ -321,7 +321,8 @@ class PushforwardField(GradientFirstField):
     """The field F composed with the inverse of an isometry.
 
     Gradients push forward through the map's differential, which is what
-    makes invariance checks cheap and exact.
+    makes invariance checks cheap and exact.  ``coord_gradients`` does so for
+    all rows at once, through the isometry's row methods.
     """
 
     def __init__(self, field: ScalarField, isometry):
@@ -337,6 +338,13 @@ class PushforwardField(GradientFirstField):
     def gradient(self, p: Point) -> TangentVector:
         q = self._inverse.apply(p)
         return self.isometry.differential(self.field.gradient(q))
+
+    def coord_gradients(self, X: np.ndarray) -> np.ndarray:
+        """Pull the rows back, raise the member's gradients there, push them
+        forward and lower them: ``gradient``'s steps, one call each."""
+        Q = self._inverse.apply_rows(X)
+        raised = self.manifold.raise_gradients(Q, self.field.coord_gradients(Q))
+        return self.manifold.lower(X, self.isometry.differential_rows(Q, raised))
 
 
 # -- network construction and serialization --------------------------------

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import InvalidTangent
+from ..errors import DimensionMismatch, InvalidPoint, InvalidTangent
 
 
 def _freeze(arr) -> np.ndarray:
@@ -269,9 +269,25 @@ class Manifold(ABC):
 
     # -- points and tangent vectors ------------------------------------
 
-    @abstractmethod
     def point(self, coords) -> Point:
         """Validated point from raw coordinates; raises InvalidPoint."""
+        arr = np.asarray(coords, dtype=float)
+        if arr.shape != (self.coord_dim,):
+            raise InvalidPoint(f"expected {self.coord_dim} coordinates, got shape {arr.shape}")
+        return Point(self.point_rows(arr[None, :])[0])
+
+    def point_rows(self, P) -> np.ndarray:
+        """Validated points from the rows of ``P`` (K, coord_dim), the one
+        check behind ``point``; raises InvalidPoint for the first bad row.
+        Manifolds with constraints beyond finiteness extend it."""
+        P = np.asarray(P, dtype=float)
+        if P.ndim != 2 or P.shape[1] != self.coord_dim:
+            raise InvalidPoint(
+                f"expected rows of {self.coord_dim} coordinates, got shape {P.shape}"
+            )
+        if not np.isfinite(P).all():
+            raise InvalidPoint("coordinates must be finite")
+        return P
 
     def validate_point(self, p: Point) -> Point:
         return self.point(p.coords)
@@ -302,9 +318,19 @@ class Manifold(ABC):
     def norm(self, u: TangentVector) -> float:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
-    @abstractmethod
     def raise_gradient(self, p: Point, coord_grad) -> TangentVector:
         """Tangent vector v with g(v, u) equal to coord_grad . u for all tangent u."""
+        grad = np.asarray(coord_grad, dtype=float)
+        if grad.shape != (self.coord_dim,):
+            raise DimensionMismatch(
+                f"expected {self.coord_dim} components, got shape {grad.shape}"
+            )
+        return TangentVector(p, self.raise_gradients(p.coords[None, :], grad[None, :])[0])
+
+    @abstractmethod
+    def raise_gradients(self, P: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """The metric raise of each row of ``G``, the inverse of ``lower``: row k
+        is the tangent vector at P[k] that G[k] pairs with as a covector."""
 
     # -- charts and Christoffel symbols ----------------------------------
 

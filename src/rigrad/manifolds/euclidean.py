@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatch, InvalidPoint
+from ..errors import DimensionMismatch
 from .base import (
     Chart,
     Curve,
@@ -39,14 +39,6 @@ class Euclidean(Manifold):
     def __repr__(self):
         return f"Euclidean(dim={self.dim})"
 
-    def point(self, coords) -> Point:
-        arr = np.asarray(coords, dtype=float)
-        if arr.shape != (self.dim,):
-            raise InvalidPoint(f"expected {self.dim} coordinates, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidPoint("coordinates must be finite")
-        return Point(arr)
-
     def tangent(self, p: Point, components) -> TangentVector:
         arr = np.asarray(components, dtype=float)
         if arr.shape != (self.dim,):
@@ -64,8 +56,8 @@ class Euclidean(Manifold):
     def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         return V
 
-    def raise_gradient(self, p: Point, coord_grad) -> TangentVector:
-        return self.tangent(p, coord_grad)
+    def raise_gradients(self, P: np.ndarray, G: np.ndarray) -> np.ndarray:
+        return G
 
     def chart_at(self, p: Point) -> Chart:
         return self._chart

@@ -62,15 +62,13 @@ class HalfPlane2(Manifold):
             validate_fn=lambda x: self.point(x),
         )
 
-    def point(self, coords) -> Point:
-        arr = np.asarray(coords, dtype=float)
-        if arr.shape != (2,):
-            raise InvalidPoint(f"expected 2 coordinates, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidPoint("coordinates must be finite")
-        if arr[1] <= 0.0:
-            raise InvalidPoint(f"second coordinate must be positive, got {arr[1]!r}")
-        return Point(arr)
+    def point_rows(self, P) -> np.ndarray:
+        """Rows with a positive second coordinate."""
+        P = super().point_rows(P)
+        lowest = P[:, 1].min(initial=np.inf)
+        if lowest <= 0.0:
+            raise InvalidPoint(f"second coordinate must be positive, got {float(lowest)!r}")
+        return P
 
     def tangent(self, p: Point, components) -> TangentVector:
         arr = np.asarray(components, dtype=float)
@@ -87,9 +85,8 @@ class HalfPlane2(Manifold):
     def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         return V / P[:, 1:] ** 2
 
-    def raise_gradient(self, p: Point, coord_grad) -> TangentVector:
-        scale = float(p.coords[1]) ** 2
-        return self.tangent(p, scale * np.asarray(coord_grad, dtype=float))
+    def raise_gradients(self, P: np.ndarray, G: np.ndarray) -> np.ndarray:
+        return P[:, 1:] ** 2 * G
 
     def chart_at(self, p: Point) -> Chart:
         return self._chart

@@ -23,25 +23,42 @@ DETERMINANT_TOL = 1e-12
 
 
 class Isometry(ABC):
-    """A distance-preserving self-map of a fixed manifold."""
+    """A distance-preserving self-map of a fixed manifold.
+
+    Each map has one formula, in its row methods, which take points and
+    tangent components as (K, coord_dim) arrays with row k of ``V`` based at
+    row k of ``P``.  ``apply``, ``differential`` and ``push_frame`` wrap them.
+    """
 
     manifold: Manifold
 
     @abstractmethod
-    def apply(self, p: Point) -> Point:
-        ...
+    def apply_rows(self, P: np.ndarray) -> np.ndarray:
+        """Images of the points in the rows of ``P``; raises InvalidPoint for an
+        image the manifold rejects, as ``manifold.point`` does."""
 
     @abstractmethod
-    def differential(self, u: TangentVector) -> TangentVector:
-        """Image of the tangent vector ``u`` under the map's derivative."""
+    def differential_rows(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Images of the tangent components ``V`` under the map's derivative,
+        based at ``apply_rows(P)``."""
 
     @abstractmethod
     def inverse(self) -> "Isometry":
         ...
 
+    def apply(self, p: Point) -> Point:
+        return Point(self.apply_rows(p.coords[None, :])[0])
+
+    def differential(self, u: TangentVector) -> TangentVector:
+        """Image of the tangent vector ``u`` under the map's derivative."""
+        moved = self.differential_rows(u.base.coords[None, :], u.components[None, :])
+        return TangentVector(self.apply(u.base), moved[0])
+
     def push_frame(self, frame: OrthonormalFrame) -> OrthonormalFrame:
         base = self.apply(frame.base)
-        return OrthonormalFrame(base, tuple(self.differential(v) for v in frame.vectors))
+        comps = frame.component_matrix()
+        moved = self.differential_rows(np.tile(frame.base.coords, (len(comps), 1)), comps)
+        return OrthonormalFrame(base, tuple(TangentVector(base, row) for row in moved))
 
 
 def _check_orthogonal(matrix: np.ndarray, dim: int) -> np.ndarray:
@@ -66,11 +83,11 @@ class EuclideanMotion(Isometry):
         if self.offset.shape != (manifold.dim,):
             raise InvalidIsometry(f"offset shape {self.offset.shape} does not match dim")
 
-    def apply(self, p: Point) -> Point:
-        return self.manifold.point(self.matrix @ p.coords + self.offset)
+    def apply_rows(self, P: np.ndarray) -> np.ndarray:
+        return self.manifold.point_rows(P @ self.matrix.T + self.offset)
 
-    def differential(self, u: TangentVector) -> TangentVector:
-        return TangentVector(self.apply(u.base), self.matrix @ u.components)
+    def differential_rows(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return V @ self.matrix.T
 
     def inverse(self) -> "EuclideanMotion":
         return EuclideanMotion(self.manifold, self.matrix.T, -self.matrix.T @ self.offset)
@@ -85,11 +102,12 @@ class SphereRotation(Isometry):
         self.manifold = manifold
         self.matrix = _check_orthogonal(matrix, 3)
 
-    def apply(self, p: Point) -> Point:
-        return self.manifold.point(self.matrix @ p.coords)
+    def apply_rows(self, P: np.ndarray) -> np.ndarray:
+        return self.manifold.point_rows(P @ self.matrix.T)
 
-    def differential(self, u: TangentVector) -> TangentVector:
-        return self.manifold.project_tangent(self.apply(u.base), self.matrix @ u.components)
+    def differential_rows(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        # RV is tangent at RP up to rounding, which the projection removes
+        return self.manifold.lower(self.apply_rows(P), V @ self.matrix.T)
 
     def inverse(self) -> "SphereRotation":
         return SphereRotation(self.manifold, self.matrix.T)
@@ -107,19 +125,18 @@ class MoebiusMap(Isometry):
             raise InvalidIsometry(f"coefficient determinant {det!r} must equal 1")
         self.a, self.b, self.c, self.d = float(a), float(b), float(c), float(d)
 
-    def _z(self, p: Point) -> complex:
-        return complex(p.coords[0], p.coords[1])
+    def apply_rows(self, P: np.ndarray) -> np.ndarray:
+        z = P[:, 0] + 1j * P[:, 1]
+        # a non-finite row raises InvalidPoint below, so numpy need not warn
+        with np.errstate(invalid="ignore", over="ignore"):
+            w = (self.a * z + self.b) / (self.c * z + self.d)
+        return self.manifold.point_rows(np.stack([w.real, w.imag], axis=1))
 
-    def apply(self, p: Point) -> Point:
-        z = self._z(p)
-        w = (self.a * z + self.b) / (self.c * z + self.d)
-        return self.manifold.point(np.array([w.real, w.imag]))
-
-    def differential(self, u: TangentVector) -> TangentVector:
-        z = self._z(u.base)
-        scale = 1.0 / (self.c * z + self.d) ** 2
-        w = scale * complex(u.components[0], u.components[1])
-        return TangentVector(self.apply(u.base), np.array([w.real, w.imag]))
+    def differential_rows(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        # the derivative of the map is 1 / (cz + d)^2, a complex scalar per row
+        z = P[:, 0] + 1j * P[:, 1]
+        w = (V[:, 0] + 1j * V[:, 1]) / (self.c * z + self.d) ** 2
+        return np.stack([w.real, w.imag], axis=1)
 
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.manifold, self.d, -self.b, -self.c, self.a)

@@ -141,18 +141,18 @@ class Sphere2(Manifold):
         self.dim = 2
         self.coord_dim = 3
 
-    def point(self, coords) -> Point:
-        arr = np.asarray(coords, dtype=float)
-        if arr.shape != (3,):
-            raise InvalidPoint(f"expected 3 ambient coordinates, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidPoint("coordinates must be finite")
-        norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > 1e-9:
+    def point_rows(self, P) -> np.ndarray:
+        """Rows of unit norm within 1e-9, renormalised when off by more than 1e-12."""
+        P = super().point_rows(P)
+        norms = np.sqrt((P * P).sum(axis=1))
+        off = np.abs(norms - 1.0)
+        worst = off.max(initial=0.0)
+        if worst > 1e-9:
+            norm = float(norms[np.argmax(off)])
             raise InvalidPoint(f"point norm {norm!r} is not 1 within 1e-9")
-        if abs(norm - 1.0) > 1e-12:
-            arr = arr / norm
-        return Point(arr)
+        if worst > 1e-12:
+            P = np.where((off > 1e-12)[:, None], P / norms[:, None], P)
+        return P
 
     def tangent(self, p: Point, components) -> TangentVector:
         arr = np.asarray(components, dtype=float)
@@ -177,8 +177,9 @@ class Sphere2(Manifold):
     def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         return V - np.sum(P * V, axis=-1, keepdims=True) * P
 
-    def raise_gradient(self, p: Point, coord_grad) -> TangentVector:
-        return self.project_tangent(p, coord_grad)
+    def raise_gradients(self, P: np.ndarray, G: np.ndarray) -> np.ndarray:
+        # the metric is the tangent projector, so raising projects as lowering does
+        return self.lower(P, G)
 
     def chart_at(self, p: Point) -> Chart:
         """The chart poled on the coordinate axis least aligned with ``p``."""

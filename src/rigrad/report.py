@@ -38,6 +38,12 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
+def json_text(data) -> str:
+    """Indented JSON with a final newline.  NaN and infinity raise ValueError
+    instead of printing as tokens that standard JSON parsers reject."""
+    return json.dumps(data, indent=2, allow_nan=False) + "\n"
+
+
 def attribution_report_to_dict(report: AttributionReport) -> dict:
     d = report.diagnostics
     return {
@@ -108,7 +114,7 @@ def attribution_report_from_dict(data: dict) -> AttributionReport:
 
 
 def write_attribution_json(report: AttributionReport, path: str | Path) -> None:
-    _atomic_write(path, json.dumps(attribution_report_to_dict(report), indent=2) + "\n")
+    _atomic_write(path, json_text(attribution_report_to_dict(report)))
 
 
 def read_attribution_json(path: str | Path) -> AttributionReport:
@@ -181,7 +187,8 @@ def axiom_report_to_dict(report: AxiomReport) -> dict:
         "residuals": list(report.residuals),
         "notes": list(report.notes),
         "aborted": report.aborted,
-        "max_residual": report.max_residual,
+        # infinite when every trial aborted, which JSON cannot carry
+        "max_residual": report.max_residual if report.residuals else None,
         "passed": report.passed,
     }
 
@@ -194,7 +201,7 @@ def suite_report_to_dict(reports) -> dict:
 
 
 def write_suite_json(reports, path: str | Path) -> None:
-    _atomic_write(path, json.dumps(suite_report_to_dict(reports), indent=2) + "\n")
+    _atomic_write(path, json_text(suite_report_to_dict(reports)))
 
 
 def residuals_csv(report: AxiomReport) -> str:

@@ -293,6 +293,22 @@ def test_non_finite_field_stops_after_the_first_level():
     assert field.batches == [rg.DEFAULT_QUADRATURE.nodes]
 
 
+def test_non_finite_endpoint_value_raises():
+    """The gradient is finite, so every level is; the value at the ends is not."""
+    flat = rg.make_manifold("euclidean", dim=2)
+    field = rg.AffineField(flat, [1.0, 2.0], bias=math.inf)
+    x, x_prime = flat.point(np.array([1.0, 0.0])), flat.point(np.array([0.0, 1.0]))
+    frame = flat.orthonormal_frame(x)
+    for run in (
+        lambda: rg.rig(field, flat, x, x_prime, frame),
+        lambda: rg.eigen_rig(field, flat, x, x_prime, frame),
+        lambda: rg.ig(field, x, x_prime, frame),
+        lambda: rg.generic_bam_report(field, flat.geodesic_between(x, x_prime), frame),
+    ):
+        with pytest.raises(rg.NonFiniteValue, match="not finite at the path's ends"):
+            run()
+
+
 def test_generic_curve_report_flags_non_geodesic(rng):
     man = rg.make_manifold("sphere2")
     field = rg.CoordinateField(man, 2)

@@ -328,6 +328,34 @@ def test_attribute_non_finite_field_exits_1(capsys):
     )
 
 
+def test_attribute_non_finite_endpoint_value_exits_1(capsys):
+    code, output = run_cli(
+        "attribute", "--manifold", "euclidean:2", "--field", "affine:1,2:inf",
+        "--p", "1,0", "--o", "0,1",
+    )
+    assert code == 1
+    assert output == ""
+    err = capsys.readouterr().err
+    assert err.startswith("NonFiniteValue: the field is not finite at the path's ends")
+    assert err.count("\n") == 1
+
+
+def test_verify_rejects_seed_with_config(tmp_path, capsys):
+    """The config fixes each check's seed, so --seed would be ignored."""
+    config = tmp_path / "one.json"
+    config.write_text(json.dumps({
+        "checks": [{"axiom": "Linearity", "tolerance": 1e-9, "trials": 2}]
+    }))
+    code, output = run_cli("verify", "--config", str(config), "--seed", "2")
+    assert code == 1
+    assert output == ""
+    err = capsys.readouterr().err
+    assert err.startswith("ParseError: --seed draws the stock suite only")
+    assert err.count("\n") == 1
+    assert cli.build_parser().parse_args(["verify"]).seed is None
+    assert rg.default_suite() == rg.default_suite(rg.DEFAULT_SEED)
+
+
 def test_verify_reports_are_deterministic(tmp_path):
     config = tmp_path / "one.json"
     config.write_text(json.dumps({

@@ -207,6 +207,25 @@ def test_pushforward_field_transforms_values(manifold, rng):
     assert g1 == pytest.approx(g0, rel=1e-9, abs=1e-12)
 
 
+def test_pushforward_gradients_match_the_point_loop(manifold, rng):
+    """Batched pull-back, raise, push and lower against the per-point loop,
+    for single and nested pushforwards and one of a combined field."""
+    dim = manifold.coord_dim
+    points = np.array([manifold.random_point(rng).coords for _ in range(64)])
+    for _ in range(5):
+        tanh = rg.MLPField(manifold, rg.random_mlp(dim, (6, 5), rng))
+        softplus = rg.MLPField(manifold, rg.random_mlp(dim, (7,), rng, "softplus"))
+        once = rg.PushforwardField(tanh, rg.random_isometry(manifold, rng))
+        combined = rg.CombinedField([2.0, -0.5], [tanh, softplus])
+        for field in (
+            once,
+            rg.PushforwardField(once, rg.random_isometry(manifold, rng)),
+            rg.PushforwardField(combined, rg.random_isometry(manifold, rng)),
+        ):
+            loop = rg.ScalarField.coord_gradients(field, points)
+            assert_close_rel(field.coord_gradients(points), loop)
+
+
 def test_mlp_serialization_roundtrip_is_bit_exact(rng):
     weights = rg.random_mlp(3, (4, 5), rng, activation="softplus")
     blob = json.loads(json.dumps(rg.mlp_to_dict(weights)))

@@ -576,6 +576,79 @@ def test_moebius_inverse_composes_to_identity(rng):
     assert np.max(np.abs(back.coords - p.coords)) <= 1e-10
 
 
+def _reference_image(iso, x):
+    """The map on one point, by each family's per-point formula."""
+    if isinstance(iso, rg.MoebiusMap):
+        z = complex(x[0], x[1])
+        w = (iso.a * z + iso.b) / (iso.c * z + iso.d)
+        return np.array([w.real, w.imag])
+    if isinstance(iso, rg.SphereRotation):
+        return iso.matrix @ x
+    return iso.matrix @ x + iso.offset
+
+
+def _reference_push(iso, x, v):
+    """The map's derivative on one tangent vector at x, per point."""
+    if isinstance(iso, rg.MoebiusMap):
+        z = complex(x[0], x[1])
+        w = complex(v[0], v[1]) / (iso.c * z + iso.d) ** 2
+        return np.array([w.real, w.imag])
+    w = iso.matrix @ v
+    if isinstance(iso, rg.SphereRotation):
+        y = iso.matrix @ x
+        return w - np.dot(y, w) * y
+    return w
+
+
+def test_isometry_row_methods_match_the_point_formulas(manifold, rng):
+    P = np.array([manifold.random_point(rng).coords for _ in range(64)])
+    V = np.array([manifold.random_tangent(rg.Point(x), rng).components for x in P])
+    for _ in range(5):
+        iso = rg.random_isometry(manifold, rng)
+        for m in (iso, iso.inverse()):
+            images = m.apply_rows(P)
+            pushed = m.differential_rows(P, V)
+            assert_close_rel(images, [_reference_image(m, x) for x in P])
+            assert_close_rel(pushed, [_reference_push(m, x, v) for x, v in zip(P, V)])
+            for x, v, y, w in zip(P, V, images, pushed):
+                moved = m.differential(rg.TangentVector(rg.Point(x), v))
+                assert_close_rel(m.apply(rg.Point(x)).coords, y)
+                assert_close_rel(moved.base.coords, y)
+                assert_close_rel(moved.components, w)
+
+
+def test_apply_rows_rejects_rows_as_point_does(manifold, rng):
+    iso = rg.random_isometry(manifold, rng)
+    good = manifold.random_point(rng).coords
+    bad = [np.full_like(good, np.nan), np.concatenate([[np.inf], good[1:]])]
+    if manifold.kind == "sphere2":
+        bad.append(1.1 * good)
+    if manifold.kind == "half_plane2":
+        bad.append(np.array([good[0], -good[1]]))  # maps to the lower half-plane
+    for row in bad:
+        with pytest.raises(rg.InvalidPoint):
+            manifold.point(_reference_image(iso, row))
+        with pytest.raises(rg.InvalidPoint):
+            iso.apply_rows(np.array([good, row]))
+    if manifold.kind == "sphere2":  # off by less than 1e-9: renormalised, as point does
+        near = (1.0 + 1e-11) * good
+        image = iso.apply_rows(near[None, :])[0]
+        assert_close_rel(image, manifold.point(_reference_image(iso, near)).coords)
+        assert abs(np.linalg.norm(image) - 1.0) <= 1e-15
+
+
+def test_raise_gradients_match_the_point_raise(manifold, rng):
+    P = np.array([manifold.random_point(rng).coords for _ in range(32)])
+    G = rng.standard_normal(P.shape)
+    U = np.array([manifold.random_tangent(rg.Point(x), rng).components for x in P])
+    raised = manifold.raise_gradients(P, G)
+    loop = [manifold.raise_gradient(rg.Point(x), g).components for x, g in zip(P, G)]
+    assert_close_rel(raised, loop)
+    # the defining property: g(raised, u) equals G . u for every tangent u
+    pairing = [r @ manifold.metric_at(rg.Point(x)) @ u for x, r, u in zip(P, raised, U)]
+    assert_close_rel(pairing, np.sum(G * U, axis=1))
+
+
 # -- configuration -----------------------------------------------------------
 
 

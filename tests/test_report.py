@@ -1,6 +1,8 @@
 """Report serialization: exact float round-trips, CSV layout, atomic writes."""
 
+import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -81,6 +83,26 @@ def test_atomic_write_leaves_no_temp_files(sphere_report, tmp_path):
     report_io.write_attribution_json(sphere_report, path)  # overwrite in place
     assert sorted(os.listdir(tmp_path)) == ["report.json"]
     json.loads(path.read_text())
+
+
+def test_json_writers_reject_non_finite_numbers(sphere_report, tmp_path):
+    """NaN and infinity are not JSON; nothing is written for them."""
+    bad = dataclasses.replace(sphere_report, completeness_residual=math.nan)
+    with pytest.raises(ValueError):
+        report_io.write_attribution_json(bad, tmp_path / "report.json")
+    with pytest.raises(ValueError):
+        report_io.json_text({"value": math.inf})
+    assert os.listdir(tmp_path) == []
+
+
+def test_suite_json_carries_null_when_no_trial_completed(tmp_path):
+    spec = rg.AxiomCheckSpec(axiom="Completeness", tolerance=1e-6, trials=2)
+    aborted = rg.AxiomReport(spec, (), (), 20, math.inf, False)
+    path = tmp_path / "suite.json"
+    report_io.write_suite_json([aborted], path)
+    data = json.loads(path.read_text())
+    assert data["checks"][0]["max_residual"] is None
+    assert data["passed"] is False
 
 
 def test_suite_serialization(tmp_path):
