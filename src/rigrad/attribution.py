@@ -36,6 +36,10 @@ from .quadrature import Quadrature
 
 DEFAULT_QUADRATURE = Quadrature()
 
+# Successive levels whose gap is below this multiple of the largest entry
+# differ by rounding noise alone, whatever the tolerance (1.4e-14 at unit scale).
+ROUNDING_FLOOR = 64 * float(np.finfo(float).eps)
+
 # directions scored per vectorized block by attribution_bound_check
 BOUND_CHECK_BLOCK = 8192
 
@@ -118,39 +122,68 @@ def _check_frame(manifold: Manifold, p: Point, frame: OrthonormalFrame) -> None:
     manifold.validate_frame(frame)
 
 
-def _level_tables(field, manifold, curve, rows, ts):
-    """Tables a[k, i] = dF(U_i(t_k)) and b[k, j] = g(U_j(t_k), velocity(t_k)).
+def _path_tables(manifold, curve, rows, ts):
+    """Field-free tables of the path at the K nodes ``ts``, from one transport pass.
 
-    ``rows`` (n, coord_dim) holds the frame components at curve(0); the K
-    nodes ``ts`` are evaluated together as arrays with a leading node axis.
+    ``rows`` (n, coord_dim) holds the frame components at curve(0).  Returns
+    the positions (K, coord_dim), the transported frame (K, n, coord_dim), the
+    lowered velocity (K, coord_dim), the transport mode and its step count.
     """
     positions = curve.positions(ts)
     velocities = curve.velocities(ts)
     moved, mode, steps = transport_rows(manifold, curve, rows, ts, positions, velocities)
+    return positions, moved, manifold.lower(positions, velocities), mode, steps
+
+
+def _levels(quadrature, schedule, manifold, curve, rows):
+    """Yield (count, weights, path tables) for each level of ``schedule`` in order.
+
+    The first two levels, which every refining call evaluates, share one
+    transport pass over their joined nodes, sliced per level; later levels
+    are built only when refinement reaches them.
+    """
+    head = [quadrature.nodes_weights(count) for count in schedule[:2]]
+    positions, moved, lowered, mode, steps = _path_tables(
+        manifold, curve, rows, np.concatenate([ts for ts, _ in head])
+    )
+    start = 0
+    for count, (_, weights) in zip(schedule, head):
+        level = slice(start, start + count)
+        yield count, weights, (positions[level], moved[level], lowered[level], mode, steps)
+        start += count
+    for count in schedule[2:]:
+        ts, weights = quadrature.nodes_weights(count)
+        yield count, weights, _path_tables(manifold, curve, rows, ts)
+
+
+def _level_tables(field, manifold, rows, positions, moved, lowered):
+    """Tables a[k, i] = dF(U_i(t_k)) and b[k, j] = g(U_j(t_k), velocity(t_k))."""
     grads = field.coord_gradients(positions)
-    lowered = manifold.lower(positions, velocities)
     if manifold.flat:  # the transported frame is the frame itself at every node
-        return grads @ rows.T, lowered @ rows.T, mode, steps
+        return grads @ rows.T, lowered @ rows.T
     a = np.einsum("kc,kic->ki", grads, moved)
     b = np.einsum("kic,kc->ki", moved, lowered)
-    return a, b, mode, steps
+    return a, b
 
 
 def _path_integral(field, manifold, curve, rows, quadrature, diagonal=False):
     """Quadrature of the form, refined until two successive levels agree.
 
+    Levels agree when their largest entrywise gap is below ``quadrature.tol``
+    plus a rounding-noise floor of ROUNDING_FLOOR * max|entries|.
     Returns the entries and the path's diagnostics, without a geodesic
     defect; with ``diagonal`` only the entries i = j are formed, as a vector.
-    Raises NonFiniteValue at the first level whose entries are not finite.
+    The field is evaluated once per level, in order, and NonFiniteValue is
+    raised at the first level whose entries are not finite.
     """
     schedule = quadrature.schedule()
     previous = None
     gap = None
-    for count in schedule:
-        ts, weights = quadrature.nodes_weights(count)
+    levels = _levels(quadrature, schedule, manifold, curve, rows)
+    for count, weights, (positions, moved, lowered, mode, steps) in levels:
         # NaN and infinity raise NonFiniteValue below, so numpy need not warn
         with np.errstate(invalid="ignore", over="ignore"):
-            a, b, mode, steps = _level_tables(field, manifold, curve, rows, ts)
+            a, b = _level_tables(field, manifold, rows, positions, moved, lowered)
             if diagonal:
                 entries = -(weights @ (a * b))
             else:
@@ -162,7 +195,8 @@ def _path_integral(field, manifold, curve, rows, quadrature, diagonal=False):
             )
         if previous is not None:
             gap = float(np.max(np.abs(entries - previous)))
-            if gap < quadrature.tol:
+            noise = ROUNDING_FLOOR * float(np.max(np.abs(entries), initial=0.0))
+            if gap < quadrature.tol + noise:
                 break
         previous = entries
     else:

@@ -36,10 +36,25 @@ POLE_MARGIN = 0.1
 ANTIPODAL_SLACK = 1e-9
 
 
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis of 3-vectors or rows of them.
+
+    The same arithmetic as np.cross, so bit-identical to it, at about a third
+    of its per-call cost.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def _cross(p: Point, q: Point) -> np.ndarray:
     """p x q, computed as p x (q - p) so nearby points keep full relative
     accuracy; log_map's direction (p x q) x p is then free of cancellation."""
-    return np.cross(p.coords, q.coords - p.coords)
+    return _cross3(p.coords, q.coords - p.coords)
 
 
 def _pole_frame(n: np.ndarray) -> np.ndarray:
@@ -49,7 +64,7 @@ def _pole_frame(n: np.ndarray) -> np.ndarray:
     e[j] = 1.0
     u = e - np.dot(e, n) * n
     u /= np.linalg.norm(u)
-    w = np.cross(n, u)
+    w = _cross3(n, u)
     return np.array([u, w, n])
 
 
@@ -213,7 +228,7 @@ class Sphere2(Manifold):
                 "base point pair is antipodal; the minimising geodesic is not unique"
             )
         cross = _cross(p, q)
-        w = np.cross(cross, p.coords)
+        w = _cross3(cross, p.coords)
         w_norm = np.linalg.norm(w)
         if w_norm < 1e-300:
             return TangentVector(p, np.zeros(3))
@@ -255,7 +270,7 @@ class Sphere2(Manifold):
         )
 
     def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
-        return np.cross(P, T)
+        return _cross3(P, T)
 
     def geodesic_acceleration(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         return -np.sum(V * V, axis=-1, keepdims=True) * P

@@ -46,6 +46,9 @@ class Quadrature:
 
     With ``refine`` on, results are recomputed with doubled node counts until
     two successive answers agree to ``tol`` entrywise or ``max_nodes`` is hit.
+    The path integrals widen ``tol`` by a rounding-noise floor of 64 machine
+    epsilons times the largest entry, so a ``tol`` below the resolution of
+    large entries still stops; at unit scale the floor is about 1.4e-14.
     """
 
     rule: str = "gauss_legendre"

@@ -1,5 +1,6 @@
 """The attribution engine: path integrals, completeness, eigenframes, bounds."""
 
+import dataclasses
 import math
 import warnings
 
@@ -256,6 +257,28 @@ def test_quadrature_budget_exhaustion_raises(rng):
         rg.rig(field, man, p, o, man.orthonormal_frame(p), starving)
     with pytest.raises(rg.QuadratureNotConverged):
         rg.ig(field, p, o, man.orthonormal_frame(p), starving)
+
+
+def test_scaled_field_converges_with_the_unscaled_one():
+    """Entries near 1e6 settle below the 1e-10 tolerance only to within their
+    rounding noise; the floor on the gap lets the scaled network stop where
+    the unscaled one does, instead of exhausting 1024 nodes."""
+    man = rg.make_manifold("half_plane2")
+    draw = np.random.default_rng(5)
+    weights = rg.random_mlp(2, (32, 32), draw)
+    p, o = (
+        man.point(np.array([draw.standard_normal(), np.exp(0.5 * draw.standard_normal())]))
+        for _ in range(2)
+    )
+    last = weights.layers[-1]
+    output = rg.LayerSpec(1e6 * last.weights, 1e6 * last.bias, last.activation)
+    scaled = dataclasses.replace(weights, layers=(*weights.layers[:-1], output))
+    frame = man.orthonormal_frame(p)
+    plain = rg.rig(rg.MLPField(man, weights), man, p, o, frame)
+    large = rg.rig(rg.MLPField(man, scaled), man, p, o, frame)
+    assert large.diagnostics.nodes_used == plain.diagnostics.nodes_used == 64
+    assert large.diagnostics.refinement_gap > rg.DEFAULT_QUADRATURE.tol
+    assert_close_rel(large.attributions, 1e6 * plain.attributions, 1e-9)
 
 
 class CountingAffineField(rg.AffineField):
@@ -527,3 +550,103 @@ def test_ig_matches_straight_line_node_loop(rng):
         report = rg.ig(field, x, x_prime, frame, FIXED)
         assert report.diagnostics.nodes_used == FIXED.nodes
         assert_close_rel(report.attributions, expected)
+
+
+# -- the first two levels share one pass over the path ------------------------
+
+
+def latitude_loop_transport(theta, u0, ts):
+    """Closed-form transport of the 3-vector u0 around the latitude loop at
+    colatitude theta: in the (e_theta, e_phi) frame the components turn by
+    -phi cos(theta), shape (len(ts), 3)."""
+    phi = 2.0 * np.pi * np.asarray(ts)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    e_theta = np.stack(
+        [cos_t * np.cos(phi), cos_t * np.sin(phi), np.full_like(phi, -sin_t)], axis=-1
+    )
+    e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
+    alpha, beta = u0 @ [cos_t, 0.0, -sin_t], u0[1]  # the frame at phi = 0
+    turn = phi * cos_t
+    a = alpha * np.cos(turn) + beta * np.sin(turn)
+    b = -alpha * np.sin(turn) + beta * np.cos(turn)
+    return a[:, None] * e_theta + b[:, None] * e_phi
+
+
+@pytest.mark.parametrize("colatitude, sweeps", [(math.pi / 3.0, 2), (2.4, 3)])
+def test_loop_refinement_runs_one_step_doubling(monkeypatch, colatitude, sweeps):
+    """Levels 32 and 64 share one RK4 step doubling: 2 sweeps (256 and 512
+    steps) where one per level took 4, 3 where one per level took 6.  The
+    reported step count is that of the last sweep."""
+    from rigrad.manifolds import transport
+
+    man = rg.make_manifold("sphere2")
+    loop = man.latitude_loop(colatitude)
+    field = rg.CoordinateField(man, 2)
+    frame = man.orthonormal_frame(loop.start)
+    sweeps_seen = []
+    propagate = transport._propagate
+
+    def counting_propagate(*args):
+        sweeps_seen.append(len(args[3]) - 1)
+        return propagate(*args)
+
+    monkeypatch.setattr(transport, "_propagate", counting_propagate)
+    report = rg.generic_bam_report(field, loop, frame)
+    assert report.diagnostics.nodes_used == 64
+    assert len(sweeps_seen) == sweeps
+    assert report.diagnostics.transport_steps == man.transport_steps * 2 ** (sweeps - 1)
+
+
+def test_gradient_batches_follow_the_levels():
+    """One path pass serves both levels, but the field sees each level alone."""
+    man = rg.make_manifold("half_plane2")
+    p = man.point(np.array([0.3, 1.2]))
+    o = man.point(np.array([-0.5, 2.0]))
+    field = CountingAffineField(man, [1.0, 0.5])
+    report = rg.rig(field, man, p, o, man.orthonormal_frame(p))
+    assert report.diagnostics.nodes_used == 64
+    assert field.batches == [32, 64]
+
+
+def test_shared_tables_match_a_single_level(manifold, rng):
+    """Entries accepted at 64 nodes equal a lone 64-node evaluation."""
+    field = rg.MLPField(manifold, rg.random_mlp(manifold.coord_dim, (8, 8), rng))
+    single = rg.Quadrature(nodes=64, refine=False)
+    checked = 0
+    for _ in range(20):
+        p = manifold.random_point(rng)
+        o = manifold.random_point(rng)
+        if manifold.kind == "sphere2" and manifold.dist(p, o) > 2.8:
+            continue
+        frame = manifold.orthonormal_frame(p)
+        refined = rg.attribution_matrix(field, manifold, p, o, frame)
+        if refined.diagnostics.nodes_used != 64:
+            continue
+        alone = rg.attribution_matrix(field, manifold, p, o, frame, single)
+        assert refined.diagnostics.transport_mode == alone.diagnostics.transport_mode
+        assert_close_rel(refined.entries, alone.entries, 1e-14)
+        checked += 1
+    assert checked >= 3
+
+
+@pytest.mark.parametrize("colatitude", [0.9, math.pi / 3.0, 2.4])
+def test_loop_attributions_match_closed_form_transport(rng, colatitude):
+    """The affine field stops at 64 nodes, on the shared pass; the network
+    at 128, on a pass of its own."""
+    man = rg.make_manifold("sphere2")
+    loop = man.latitude_loop(colatitude)
+    frame = man.orthonormal_frame(loop.start)
+    fields = {
+        64: rg.AffineField(man, [0.3, -0.7, 0.5]),
+        128: rg.MLPField(man, rg.random_mlp(3, (8, 8), rng)),
+    }
+    for nodes, field in fields.items():
+        report = rg.generic_bam_report(field, loop, frame)
+        assert report.diagnostics.nodes_used == nodes
+        ts, weights = rg.DEFAULT_QUADRATURE.nodes_weights(nodes)
+        moved = np.stack(
+            [latitude_loop_transport(colatitude, u.components, ts) for u in frame.vectors],
+            axis=1,
+        )
+        expected = node_loop_entries(field, man, loop, moved, ts, weights)
+        assert_close_rel(report.attributions, np.diag(expected), 1e-8)

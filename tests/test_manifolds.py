@@ -10,7 +10,7 @@ import pytest
 
 import rigrad as rg
 from rigrad.manifolds import Chart, ShootingResult, shoot_geodesic
-from rigrad.manifolds.sphere import ANTIPODAL_SLACK
+from rigrad.manifolds.sphere import ANTIPODAL_SLACK, _cross3
 
 from conftest import assert_close_rel, loop_geodesic_residual, random_unit_tangent
 
@@ -75,6 +75,13 @@ def test_sphere_point_construction_is_bitwise_stable():
     p = man.point(raw / np.linalg.norm(raw))
     again = man.point(p.coords)
     assert np.array_equal(p.coords, again.coords)
+
+
+def test_sphere_cross_product_is_bitwise_np_cross(rng):
+    a, b = rng.standard_normal((2, 1000, 3))
+    assert np.array_equal(_cross3(a, b), np.cross(a, b))
+    for x, y in zip(a[:50], b[:50]):
+        assert np.array_equal(_cross3(x, y), np.cross(x, y))
 
 
 def test_sphere_tangent_rejects_radial_component():
