@@ -122,16 +122,19 @@ def _check_frame(manifold: Manifold, p: Point, frame: OrthonormalFrame) -> None:
     manifold.validate_frame(frame)
 
 
-def _path_tables(manifold, curve, rows, ts):
+def _path_tables(manifold, curve, rows, ts, steps=None):
     """Field-free tables of the path at the K nodes ``ts``, from one transport pass.
 
-    ``rows`` (n, coord_dim) holds the frame components at curve(0).  Returns
-    the positions (K, coord_dim), the transported frame (K, n, coord_dim), the
-    lowered velocity (K, coord_dim), the transport mode and its step count.
+    ``rows`` (n, coord_dim) holds the frame components at curve(0); ``steps``
+    is the RK4 step count to start step doubling from.  Returns the positions
+    (K, coord_dim), the transported frame (K, n, coord_dim), the lowered
+    velocity (K, coord_dim), the transport mode and its step count.
     """
     positions = curve.positions(ts)
     velocities = curve.velocities(ts)
-    moved, mode, steps = transport_rows(manifold, curve, rows, ts, positions, velocities)
+    moved, mode, steps = transport_rows(
+        manifold, curve, rows, ts, positions, velocities, steps
+    )
     return positions, moved, manifold.lower(positions, velocities), mode, steps
 
 
@@ -140,7 +143,9 @@ def _levels(quadrature, schedule, manifold, curve, rows):
 
     The first two levels, which every refining call evaluates, share one
     transport pass over their joined nodes, sliced per level; later levels
-    are built only when refinement reaches them.
+    are built only when refinement reaches them.  A later level's step
+    doubling starts at half the step count the pass before converged at, so
+    it does not repeat the coarse sweeps that pass already outgrew.
     """
     head = [quadrature.nodes_weights(count) for count in schedule[:2]]
     positions, moved, lowered, mode, steps = _path_tables(
@@ -153,7 +158,10 @@ def _levels(quadrature, schedule, manifold, curve, rows):
         start += count
     for count in schedule[2:]:
         ts, weights = quadrature.nodes_weights(count)
-        yield count, weights, _path_tables(manifold, curve, rows, ts)
+        start_steps = max(manifold.transport_steps, steps // 2)
+        tables = _path_tables(manifold, curve, rows, ts, start_steps)
+        steps = tables[-1]
+        yield count, weights, tables
 
 
 def _level_tables(field, manifold, rows, positions, moved, lowered):

@@ -339,8 +339,9 @@ class Manifold(ABC):
         """Working chart valid in a neighbourhood of ``p``."""
 
     @abstractmethod
-    def chart_for_curve(self, samples: list[Point]) -> Chart:
-        """Chart valid along a whole curve, given sample points on it."""
+    def chart_for_curve(self, samples) -> Chart:
+        """Chart valid along a whole curve, given sample points on it: a list
+        of Points or an array of their canonical coordinates, one per row."""
 
     def christoffel_at(self, p: Point) -> np.ndarray:
         """Christoffel symbols Gamma[k, i, j] at ``p`` in the working chart."""

@@ -23,7 +23,6 @@ from .base import (
     OrthonormalFrame,
     Point,
     TangentVector,
-    christoffel_contraction,
     constant_curve,
     pin_endpoints,
 )
@@ -139,8 +138,27 @@ class SphericalChart(Chart):
         return self._pull(p.coords, np.asarray(comps, dtype=float))[1]
 
     def transport_matrices(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
-        theta, xdot = self._pull(P, V)
-        return christoffel_contraction(self._christoffel(theta), xdot)
+        """B of w' = w @ B without trigonometry, for unit rows P.
+
+        With q = P R^T, u = V R^T and rho^2 = q_x^2 + q_y^2, the chart
+        velocity is theta' = (q_z (q_x u_x + q_y u_y) - rho^2 u_z) / rho and
+        phi' = (q_x u_y - q_y u_x) / rho^2, and since cos/sin(theta) = q_z/rho
+        and sin cos(theta) = rho q_z:
+        B = [[0, -(q_z/rho) phi'], [rho q_z phi', -(q_z/rho) theta']].
+        """
+        q, u = P @ self.rotation.T, V @ self.rotation.T
+        qx, qy, qz = q[:, 0], q[:, 1], q[:, 2]
+        ux, uy, uz = u[:, 0], u[:, 1], u[:, 2]
+        rho2 = qx * qx + qy * qy
+        rho = np.sqrt(rho2)
+        cot = qz / rho
+        phi_dot = (qx * uy - qy * ux) / rho2
+        theta_dot = (qz * (qx * ux + qy * uy) - rho2 * uz) / rho
+        B = np.zeros((len(q), 2, 2))
+        B[:, 0, 1] = -cot * phi_dot
+        B[:, 1, 0] = rho * qz * phi_dot
+        B[:, 1, 1] = -cot * theta_dot
+        return B
 
     def coordinate_basis(self, P: np.ndarray) -> np.ndarray:
         return self._basis(*self._angles(P)) @ self.rotation
@@ -201,7 +219,10 @@ class Sphere2(Manifold):
         return SphericalChart(np.eye(3)[int(np.argmin(np.abs(p.coords)))])
 
     def chart_for_curve(self, samples) -> Chart:
-        matrix = np.array([s.coords for s in samples])
+        if isinstance(samples, np.ndarray):
+            matrix = samples
+        else:
+            matrix = np.array([s.coords for s in samples])
         _, _, vt = np.linalg.svd(matrix)
         pole = vt[-1]
         lead = np.flatnonzero(np.abs(pole) > 1e-12)

@@ -8,7 +8,9 @@ Three routes, picked automatically:
   chart, with step doubling until successive refinements agree.  The
   equation is linear in the vector moved, so each RK4 step is a matrix; a
   sweep evaluates the chart at all its step times at once and multiplies
-  the step matrices together.
+  the step matrices together.  Each later sweep halves every step of the
+  one before, so it reuses the transport matrices at the earlier grid
+  points and midpoints and evaluates the chart only at its new midpoints.
 """
 
 from __future__ import annotations
@@ -61,38 +63,71 @@ def _closed_form_transport(manifold, curve, rows, P, V):
 def curve_chart(manifold: Manifold, curve: Curve):
     """The manifold's chart for a whole curve, from evenly spaced samples on it."""
     samples = curve.positions(np.linspace(0.0, 1.0, CURVE_CHART_SAMPLES))
-    return manifold.chart_for_curve([Point(x) for x in samples])
+    return manifold.chart_for_curve(samples)
 
 
-def _step_propagators(chart, curve, grid: np.ndarray) -> np.ndarray:
+def _midpoints(grid: np.ndarray) -> np.ndarray:
+    return grid[:-1] + 0.5 * np.diff(grid)
+
+
+def _chart_matrices(chart, curve, times: np.ndarray) -> np.ndarray:
+    return chart.transport_matrices(curve.positions(times), curve.velocities(times))
+
+
+def _grid_matrices(chart, curve, grid: np.ndarray) -> np.ndarray:
+    """B at the grid points, then at the midpoints, in one chart call."""
+    return _chart_matrices(chart, curve, np.concatenate([grid, _midpoints(grid)]))
+
+
+def _halved(chart, curve, grid: np.ndarray, B: np.ndarray):
+    """The grid with every step halved, and B at its points and midpoints.
+
+    The halved grid's points are the old grid points with the old midpoints
+    interleaved, so their B rows are reused; only the new midpoints are
+    evaluated, in one chart call.
+    """
+    steps = len(grid) - 1
+    fine = np.empty(2 * steps + 1)
+    fine[0::2], fine[1::2] = grid, _midpoints(grid)
+    at_fine = np.empty((len(fine),) + B.shape[1:])
+    at_fine[0::2], at_fine[1::2] = B[: steps + 1], B[steps + 1 :]
+    new = _chart_matrices(chart, curve, _midpoints(fine))
+    return fine, np.concatenate([at_fine, new])
+
+
+def _step_propagators(grid: np.ndarray, B: np.ndarray) -> np.ndarray:
     """RK4 steps between consecutive grid parameters as matrices, (S, dim, dim).
 
     The transport equation w' = w @ B(t) is linear in w, so one classical RK4
     step from t to t + h is exactly w -> w @ M with
     M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = B(t), K2 = (I + h/2 K1) B(t + h/2),
-    K3 = (I + h/2 K2) B(t + h/2), K4 = (I + h K3) B(t + h).  B is evaluated once
-    at every grid point and midpoint.
+    K3 = (I + h/2 K2) B(t + h/2), K4 = (I + h K3) B(t + h).  ``B`` holds the
+    matrices at the S + 1 grid points followed by the S midpoints, as
+    ``_grid_matrices`` or ``_halved`` give them.
     """
     steps = len(grid) - 1
     h = np.diff(grid)[:, None, None]
-    times = np.concatenate([grid, grid[:-1] + 0.5 * h[:, 0, 0]])
-    B = chart.transport_matrices(curve.positions(times), curve.velocities(times))
     b0, b1, bm = B[:steps], B[1 : steps + 1], B[steps + 1 :]
     k2 = bm + 0.5 * h * (b0 @ bm)
     k3 = bm + 0.5 * h * (k2 @ bm)
     k4 = b1 + h * (k3 @ b1)
-    return np.eye(chart.dim) + (h / 6.0) * (b0 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.eye(B.shape[-1]) + (h / 6.0) * (b0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _propagate(chart, curve, w0: np.ndarray, grid: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _propagate(
+    chart, curve, w0: np.ndarray, grid: np.ndarray, ends: np.ndarray, B=None
+) -> np.ndarray:
     """RK4 transport of the rows ``w0`` over ``grid``; entry k of the result
     holds them after the first ends[k] steps, shape (len(ends), *w0.shape).
+    ``B`` is the grid's transport matrices, evaluated here when not given.
 
     The step matrices are multiplied in order, as two batched reductions: the
     steps of each run between consecutive ends pairwise, then the runs by
     prefix doubling, so the Python loops take logarithmically many rounds.
     """
-    M = _step_propagators(chart, curve, grid)
+    if B is None:
+        B = _grid_matrices(chart, curve, grid)
+    M = _step_propagators(grid, B)
     counts = np.diff(ends, prepend=0)
     width = 1 << (max(int(counts.max()), 1) - 1).bit_length()
     runs = np.tile(np.eye(chart.dim), (len(ends), width, 1, 1))
@@ -161,10 +196,15 @@ def _ode_route(manifold, curve, rows, ts, P, steps):
     order = np.argsort(ts, kind="stable")
     ts_sorted = np.asarray(ts, dtype=float)[order]
 
+    # the first sweep is _ode_pass's; each later one halves every step
     n = steps
-    coarse = _ode_pass(chart, curve, w0, ts_sorted, n)
+    grid, ends = _pass_grid(ts_sorted, n)
+    B = _grid_matrices(chart, curve, grid)
+    coarse = _propagate(chart, curve, w0, grid, ends, B)
     while True:
-        fine = _ode_pass(chart, curve, w0, ts_sorted, 2 * n)
+        grid, B = _halved(chart, curve, grid, B)
+        ends = 2 * ends
+        fine = _propagate(chart, curve, w0, grid, ends, B)
         gap = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
         n *= 2
         if gap < ODE_TOL or n >= ODE_MAX_STEPS:

@@ -597,6 +597,37 @@ def test_loop_refinement_runs_one_step_doubling(monkeypatch, colatitude, sweeps)
     assert report.diagnostics.transport_steps == man.transport_steps * 2 ** (sweeps - 1)
 
 
+def test_later_level_starts_step_doubling_at_half_the_converged_count(monkeypatch):
+    """The shared pass on this loop converges at 1024 steps, so the level-128
+    pass starts at 512 and takes 2 sweeps (512, 1024), not 3 from 256."""
+    from rigrad.manifolds import transport
+
+    man = rg.make_manifold("sphere2")
+    colatitude = 2.4
+    loop = man.latitude_loop(colatitude)
+    frame = man.orthonormal_frame(loop.start)
+    field = rg.MLPField(man, rg.random_mlp(3, (8, 8), np.random.default_rng(2)))
+    targets_per_sweep = []
+    propagate = transport._propagate
+
+    def counting_propagate(*args):
+        targets_per_sweep.append(len(args[4]))
+        return propagate(*args)
+
+    monkeypatch.setattr(transport, "_propagate", counting_propagate)
+    report = rg.generic_bam_report(field, loop, frame)
+    assert report.diagnostics.nodes_used == 128
+    assert report.diagnostics.transport_steps == 1024
+    assert targets_per_sweep.count(32 + 64) == 3
+    assert targets_per_sweep.count(128) == 2
+    ts, weights = rg.DEFAULT_QUADRATURE.nodes_weights(128)
+    moved = np.stack(
+        [latitude_loop_transport(colatitude, u.components, ts) for u in frame.vectors], axis=1
+    )
+    expected = node_loop_entries(field, man, loop, moved, ts, weights)
+    assert_close_rel(report.attributions, np.diag(expected), 1e-8)
+
+
 def test_gradient_batches_follow_the_levels():
     """One path pass serves both levels, but the field sees each level alone."""
     man = rg.make_manifold("half_plane2")

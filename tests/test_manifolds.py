@@ -453,13 +453,30 @@ def test_sphere_chart_push_pull_inverse(rng):
         assert np.max(np.abs(back - u.components)) <= 1e-9 * (1.0 + np.max(np.abs(u.components)))
 
 
+def tilted_curve_chart(rng):
+    """The curve chart of a random great circle, whose pole lies off every
+    coordinate axis, and points on the sphere from 0.1 rad to pi - 0.1 rad
+    away from that pole."""
+    man = rg.make_manifold("sphere2")
+    circle = man.geodesic_between(man.random_point(rng), man.random_point(rng))
+    chart = man.chart_for_curve([circle.position(t) for t in np.linspace(0.0, 1.0, 65)])
+    assert np.min(np.abs(chart.pole)) > 1e-3
+    colatitudes = np.concatenate([[0.1, math.pi - 0.1], rng.uniform(0.1, math.pi - 0.1, 14)])
+    phis = rng.uniform(-math.pi, math.pi, len(colatitudes))
+    return chart, [chart.from_chart(np.array(x)) for x in zip(colatitudes, phis)]
+
+
 def test_batched_chart_formulas_match_the_scalar_loop(rng):
     """The charts' array formulas against Chart's defaults, which loop over
     to_chart, pull, christoffel and push one point at a time."""
-    for kind in ("sphere2", "half_plane2", "sphere2"):
-        man = rg.make_manifold(kind)
-        chart = man.chart_at(man.random_point(rng))
-        points = [man.random_point(rng) for _ in range(16)]
+    for kind in ("sphere2", "half_plane2", "sphere2", "tilted"):
+        if kind == "tilted":
+            man = rg.make_manifold("sphere2")
+            chart, points = tilted_curve_chart(rng)
+        else:
+            man = rg.make_manifold(kind)
+            chart = man.chart_at(man.random_point(rng))
+            points = [man.random_point(rng) for _ in range(16)]
         if kind == "sphere2":  # stay clear of the chart's poles
             points = [p for p in points if 0.1 <= chart.to_chart(p)[0] <= math.pi - 0.1]
         P = np.array([p.coords for p in points])

@@ -7,6 +7,7 @@ import pytest
 
 import rigrad as rg
 from rigrad.manifolds import ode_transport, transport_along
+from rigrad.manifolds.sphere import SphericalChart
 from rigrad.manifolds.transport import _ode_pass, _pass_grid, curve_chart, transport_rows
 
 from conftest import (
@@ -393,3 +394,45 @@ def test_scalar_only_curve_transports_like_its_vectorized_twin():
     b = rg.generic_bam_report(field, vectorized, frame)
     assert np.array_equal(a.attributions, b.attributions)
     assert a.diagnostics == b.diagnostics
+
+
+@pytest.mark.parametrize("loop_name, sweeps", [("latitude", 3), ("wandering", 4)])
+def test_later_sweeps_halve_the_grid_and_evaluate_only_new_midpoints(
+    monkeypatch, loop_name, sweeps
+):
+    """The first sweep of S steps evaluates B at its S + 1 grid points and S
+    midpoints; each later sweep of S' steps is the previous grid with its
+    midpoints interleaved and evaluates B only at its S' new midpoints."""
+    from rigrad.manifolds import transport
+
+    man = rg.make_manifold("sphere2")
+    if loop_name == "latitude":
+        loop = man.latitude_loop(2.4)
+    else:
+        loop, _ = wandering_loop(man, 0.9, 0.2)
+    rows_per_call, grids = [], []
+    matrices = SphericalChart.transport_matrices
+    propagate = transport._propagate
+
+    def counting_matrices(chart, P, V):
+        rows_per_call.append(len(P))
+        return matrices(chart, P, V)
+
+    def recording_propagate(*args):
+        grids.append(args[3])
+        return propagate(*args)
+
+    monkeypatch.setattr(SphericalChart, "transport_matrices", counting_matrices)
+    monkeypatch.setattr(transport, "_propagate", recording_propagate)
+    frame = man.orthonormal_frame(loop.start)
+    ts, _ = rg.Quadrature().nodes_weights(64)
+    _, mode, steps = _batched(man, loop, frame.vectors, ts)
+    assert mode == "ode"
+    assert steps == man.transport_steps * 2 ** (sweeps - 1)
+    assert len(grids) == sweeps
+    assert np.array_equal(grids[0], _pass_grid(np.sort(ts), man.transport_steps)[0])
+    counts = [len(grid) - 1 for grid in grids]
+    assert rows_per_call == [2 * counts[0] + 1] + counts[1:]
+    for coarse, fine in zip(grids, grids[1:]):
+        assert np.array_equal(fine[0::2], coarse)
+        assert np.array_equal(fine[1::2], coarse[:-1] + 0.5 * np.diff(coarse))
