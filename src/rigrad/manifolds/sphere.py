@@ -138,15 +138,18 @@ class SphericalChart(Chart):
         return self._pull(p.coords, np.asarray(comps, dtype=float))[1]
 
     def transport_matrices(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """B of w' = w @ B without trigonometry, for unit rows P.
+        """B of w' = w @ B without trigonometry.
 
-        With q = P R^T, u = V R^T and rho^2 = q_x^2 + q_y^2, the chart
+        With q = P R^T / |P|, u = V R^T and rho^2 = q_x^2 + q_y^2, the chart
         velocity is theta' = (q_z (q_x u_x + q_y u_y) - rho^2 u_z) / rho and
         phi' = (q_x u_y - q_y u_x) / rho^2, and since cos/sin(theta) = q_z/rho
         and sin cos(theta) = rho q_z:
         B = [[0, -(q_z/rho) phi'], [rho q_z phi', -(q_z/rho) theta']].
+        Like the chart's angles, B depends only on the direction of each row
+        of P, so rows off the unit sphere by rounding read as their direction.
         """
         q, u = P @ self.rotation.T, V @ self.rotation.T
+        q = q / np.sqrt(np.sum(q * q, axis=1))[:, None]
         qx, qy, qz = q[:, 0], q[:, 1], q[:, 2]
         ux, uy, uz = u[:, 0], u[:, 1], u[:, 2]
         rho2 = qx * qx + qy * qy

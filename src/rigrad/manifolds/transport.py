@@ -8,9 +8,10 @@ Three routes, picked automatically:
   chart, with step doubling until successive refinements agree.  The
   equation is linear in the vector moved, so each RK4 step is a matrix; a
   sweep evaluates the chart at all its step times at once and multiplies
-  the step matrices together.  Each later sweep halves every step of the
-  one before, so it reuses the transport matrices at the earlier grid
-  points and midpoints and evaluates the chart only at its new midpoints.
+  the step matrices together.  A later sweep halves every step of the one
+  before when that is cheaper than a fresh grid, so it reuses the transport
+  matrices at the earlier grid points and midpoints and evaluates the chart
+  only at its new midpoints.
 """
 
 from __future__ import annotations
@@ -95,6 +96,24 @@ def _halved(chart, curve, grid: np.ndarray, B: np.ndarray):
     return fine, np.concatenate([at_fine, new])
 
 
+def _next_sweep(chart, curve, ts_sorted, total_steps, grid, ends, B):
+    """Grid, ends and B of the sweep at ``total_steps`` after the sweep on ``grid``.
+
+    Halving the previous S steps evaluates 2S new rows of B for 2S steps; the
+    fresh grid of ``_pass_grid`` evaluates 2F + 1 rows for its F steps.  Both
+    give every gap at least ceil(gap * total_steps) steps.  Counting one row
+    as one step, the halved grid is taken when it costs no more.  When the
+    nodes outnumber the steps, most gaps get one step in both grids, so F is
+    near S and a fresh grid is taken.
+    """
+    fresh_steps = int(_gap_counts(np.diff(ts_sorted, prepend=0.0), total_steps).sum())
+    if 4 * (len(grid) - 1) > 3 * fresh_steps + 1:
+        fresh, fresh_ends = _pass_grid(ts_sorted, total_steps)
+        return fresh, fresh_ends, _grid_matrices(chart, curve, fresh)
+    fine, B = _halved(chart, curve, grid, B)
+    return fine, 2 * ends, B
+
+
 def _step_propagators(grid: np.ndarray, B: np.ndarray) -> np.ndarray:
     """RK4 steps between consecutive grid parameters as matrices, (S, dim, dim).
 
@@ -164,6 +183,10 @@ def ode_transport(
     return _propagate(chart, curve, w0, grid, np.array([steps]))[0]
 
 
+def _gap_counts(gaps: np.ndarray, total_steps: int) -> np.ndarray:
+    return np.where(gaps > 0.0, np.maximum(1, np.ceil(gaps * total_steps)), 0).astype(int)
+
+
 def _pass_grid(ts_sorted: np.ndarray, total_steps: int):
     """Step grid of one sweep from 0 through the sorted targets ``ts_sorted``.
 
@@ -173,9 +196,7 @@ def _pass_grid(ts_sorted: np.ndarray, total_steps: int):
     """
     prev = np.concatenate([[0.0], ts_sorted[:-1]])
     gaps = ts_sorted - prev
-    counts = np.where(
-        gaps > 0.0, np.maximum(1, np.ceil(gaps * total_steps)), 0
-    ).astype(int)
+    counts = _gap_counts(gaps, total_steps)
     ends = np.cumsum(counts)
     runs = np.repeat(np.arange(len(ts_sorted)), counts)
     index = np.arange(1, ends[-1] + 1) - np.repeat(ends - counts, counts)
@@ -196,17 +217,15 @@ def _ode_route(manifold, curve, rows, ts, P, steps):
     order = np.argsort(ts, kind="stable")
     ts_sorted = np.asarray(ts, dtype=float)[order]
 
-    # the first sweep is _ode_pass's; each later one halves every step
     n = steps
     grid, ends = _pass_grid(ts_sorted, n)
     B = _grid_matrices(chart, curve, grid)
     coarse = _propagate(chart, curve, w0, grid, ends, B)
     while True:
-        grid, B = _halved(chart, curve, grid, B)
-        ends = 2 * ends
+        n *= 2
+        grid, ends, B = _next_sweep(chart, curve, ts_sorted, n, grid, ends, B)
         fine = _propagate(chart, curve, w0, grid, ends, B)
         gap = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
-        n *= 2
         if gap < ODE_TOL or n >= ODE_MAX_STEPS:
             break
         coarse = fine

@@ -468,9 +468,11 @@ def tilted_curve_chart(rng):
 
 def test_batched_chart_formulas_match_the_scalar_loop(rng):
     """The charts' array formulas against Chart's defaults, which loop over
-    to_chart, pull, christoffel and push one point at a time."""
-    for kind in ("sphere2", "half_plane2", "sphere2", "tilted"):
-        if kind == "tilted":
+    to_chart, pull, christoffel and push one point at a time.  The scaled
+    input moves the tilted points off the unit sphere by a factor 1 + 1e-7,
+    which the charts read as the points' directions."""
+    for kind in ("sphere2", "half_plane2", "sphere2", "tilted", "scaled"):
+        if kind in ("tilted", "scaled"):
             man = rg.make_manifold("sphere2")
             chart, points = tilted_curve_chart(rng)
         else:
@@ -481,6 +483,8 @@ def test_batched_chart_formulas_match_the_scalar_loop(rng):
             points = [p for p in points if 0.1 <= chart.to_chart(p)[0] <= math.pi - 0.1]
         P = np.array([p.coords for p in points])
         V = np.array([man.random_tangent(p, rng).components for p in points])
+        if kind == "scaled":
+            P = P * (1.0 + 1e-7)
         assert_close_rel(chart.transport_matrices(P, V), Chart.transport_matrices(chart, P, V))
         assert_close_rel(chart.coordinate_basis(P), Chart.coordinate_basis(chart, P))
 

@@ -396,20 +396,30 @@ def test_scalar_only_curve_transports_like_its_vectorized_twin():
     assert a.diagnostics == b.diagnostics
 
 
-@pytest.mark.parametrize("loop_name, sweeps", [("latitude", 3), ("wandering", 4)])
-def test_later_sweeps_halve_the_grid_and_evaluate_only_new_midpoints(
-    monkeypatch, loop_name, sweeps
+@pytest.mark.parametrize(
+    "loop_name, nodes, later",
+    [
+        (2.4, 64, ["halved", "halved"]),
+        ("wandering", 64, ["halved", "halved", "halved"]),
+        (0.8, 512, ["halved", "fresh"]),
+        (2.4, 1024, ["fresh"]),
+    ],
+)
+def test_later_sweeps_halve_the_grid_unless_a_fresh_grid_is_cheaper(
+    monkeypatch, loop_name, nodes, later
 ):
     """The first sweep of S steps evaluates B at its S + 1 grid points and S
-    midpoints; each later sweep of S' steps is the previous grid with its
-    midpoints interleaved and evaluates B only at its S' new midpoints."""
+    midpoints.  A halved later sweep of S' steps is the previous grid with its
+    midpoints interleaved and evaluates B only at its S' new midpoints.  With
+    512 or more nodes the halved grid would outgrow a fresh _pass_grid grid by
+    more than its saved rows are worth, and the fresh grid is taken."""
     from rigrad.manifolds import transport
 
     man = rg.make_manifold("sphere2")
-    if loop_name == "latitude":
-        loop = man.latitude_loop(2.4)
-    else:
+    if loop_name == "wandering":
         loop, _ = wandering_loop(man, 0.9, 0.2)
+    else:
+        loop = man.latitude_loop(loop_name)
     rows_per_call, grids = [], []
     matrices = SphericalChart.transport_matrices
     propagate = transport._propagate
@@ -425,14 +435,20 @@ def test_later_sweeps_halve_the_grid_and_evaluate_only_new_midpoints(
     monkeypatch.setattr(SphericalChart, "transport_matrices", counting_matrices)
     monkeypatch.setattr(transport, "_propagate", recording_propagate)
     frame = man.orthonormal_frame(loop.start)
-    ts, _ = rg.Quadrature().nodes_weights(64)
+    ts, _ = rg.Quadrature().nodes_weights(nodes)
     _, mode, steps = _batched(man, loop, frame.vectors, ts)
     assert mode == "ode"
-    assert steps == man.transport_steps * 2 ** (sweeps - 1)
-    assert len(grids) == sweeps
-    assert np.array_equal(grids[0], _pass_grid(np.sort(ts), man.transport_steps)[0])
-    counts = [len(grid) - 1 for grid in grids]
-    assert rows_per_call == [2 * counts[0] + 1] + counts[1:]
-    for coarse, fine in zip(grids, grids[1:]):
-        assert np.array_equal(fine[0::2], coarse)
-        assert np.array_equal(fine[1::2], coarse[:-1] + 0.5 * np.diff(coarse))
+    assert steps == man.transport_steps * 2 ** len(later)
+    assert len(grids) == len(later) + 1
+    ts_sorted = np.sort(ts)
+    assert np.array_equal(grids[0], _pass_grid(ts_sorted, man.transport_steps)[0])
+    assert rows_per_call[0] == 2 * (len(grids[0]) - 1) + 1
+    for k, (kind, coarse, fine) in enumerate(zip(later, grids, grids[1:]), start=1):
+        if kind == "halved":
+            assert np.array_equal(fine[0::2], coarse)
+            assert np.array_equal(fine[1::2], coarse[:-1] + 0.5 * np.diff(coarse))
+            assert rows_per_call[k] == len(fine) - 1
+        else:
+            fresh = _pass_grid(ts_sorted, man.transport_steps * 2**k)[0]
+            assert np.array_equal(fine, fresh)
+            assert rows_per_call[k] == 2 * (len(fine) - 1) + 1
