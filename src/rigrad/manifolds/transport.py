@@ -8,10 +8,9 @@ Three routes, picked automatically:
   chart, with step doubling until successive refinements agree.  The
   equation is linear in the vector moved, so each RK4 step is a matrix; a
   sweep evaluates the chart at all its step times at once and multiplies
-  the step matrices together.  A later sweep halves every step of the one
-  before when that is cheaper than a fresh grid, so it reuses the transport
-  matrices at the earlier grid points and midpoints and evaluates the chart
-  only at its new midpoints.
+  the step matrices together.  Each later sweep halves every step of the
+  one before, so it reuses the transport matrices at the earlier grid points
+  and midpoints and evaluates the chart only at its new midpoints.
 """
 
 from __future__ import annotations
@@ -96,24 +95,6 @@ def _halved(chart, curve, grid: np.ndarray, B: np.ndarray):
     return fine, np.concatenate([at_fine, new])
 
 
-def _next_sweep(chart, curve, ts_sorted, total_steps, grid, ends, B):
-    """Grid, ends and B of the sweep at ``total_steps`` after the sweep on ``grid``.
-
-    Halving the previous S steps evaluates 2S new rows of B for 2S steps; the
-    fresh grid of ``_pass_grid`` evaluates 2F + 1 rows for its F steps.  Both
-    give every gap at least ceil(gap * total_steps) steps.  Counting one row
-    as one step, the halved grid is taken when it costs no more.  When the
-    nodes outnumber the steps, most gaps get one step in both grids, so F is
-    near S and a fresh grid is taken.
-    """
-    fresh_steps = int(_gap_counts(np.diff(ts_sorted, prepend=0.0), total_steps).sum())
-    if 4 * (len(grid) - 1) > 3 * fresh_steps + 1:
-        fresh, fresh_ends = _pass_grid(ts_sorted, total_steps)
-        return fresh, fresh_ends, _grid_matrices(chart, curve, fresh)
-    fine, B = _halved(chart, curve, grid, B)
-    return fine, 2 * ends, B
-
-
 def _step_propagators(grid: np.ndarray, B: np.ndarray) -> np.ndarray:
     """RK4 steps between consecutive grid parameters as matrices, (S, dim, dim).
 
@@ -133,23 +114,19 @@ def _step_propagators(grid: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.eye(B.shape[-1]) + (h / 6.0) * (b0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _propagate(
-    chart, curve, w0: np.ndarray, grid: np.ndarray, ends: np.ndarray, B=None
-) -> np.ndarray:
+def _propagate(w0: np.ndarray, grid: np.ndarray, ends: np.ndarray, B: np.ndarray) -> np.ndarray:
     """RK4 transport of the rows ``w0`` over ``grid``; entry k of the result
     holds them after the first ends[k] steps, shape (len(ends), *w0.shape).
-    ``B`` is the grid's transport matrices, evaluated here when not given.
+    ``B`` is the grid's transport matrices, as ``_step_propagators`` takes them.
 
     The step matrices are multiplied in order, as two batched reductions: the
     steps of each run between consecutive ends pairwise, then the runs by
     prefix doubling, so the Python loops take logarithmically many rounds.
     """
-    if B is None:
-        B = _grid_matrices(chart, curve, grid)
     M = _step_propagators(grid, B)
     counts = np.diff(ends, prepend=0)
     width = 1 << (max(int(counts.max()), 1) - 1).bit_length()
-    runs = np.tile(np.eye(chart.dim), (len(ends), width, 1, 1))
+    runs = np.tile(np.eye(B.shape[-1]), (len(ends), width, 1, 1))
     offsets = np.arange(len(M)) - np.repeat(ends - counts, counts)
     runs[np.repeat(np.arange(len(ends)), counts), offsets] = M
     while runs.shape[1] > 1:
@@ -180,11 +157,8 @@ def ode_transport(
         chart = curve_chart(manifold, curve)
     grid = np.linspace(t0, t1, steps + 1)
     w0 = np.array(components, dtype=float)
-    return _propagate(chart, curve, w0, grid, np.array([steps]))[0]
-
-
-def _gap_counts(gaps: np.ndarray, total_steps: int) -> np.ndarray:
-    return np.where(gaps > 0.0, np.maximum(1, np.ceil(gaps * total_steps)), 0).astype(int)
+    B = _grid_matrices(chart, curve, grid)
+    return _propagate(w0, grid, np.array([steps]), B)[0]
 
 
 def _pass_grid(ts_sorted: np.ndarray, total_steps: int):
@@ -196,19 +170,13 @@ def _pass_grid(ts_sorted: np.ndarray, total_steps: int):
     """
     prev = np.concatenate([[0.0], ts_sorted[:-1]])
     gaps = ts_sorted - prev
-    counts = _gap_counts(gaps, total_steps)
+    counts = np.where(gaps > 0.0, np.maximum(1, np.ceil(gaps * total_steps)), 0).astype(int)
     ends = np.cumsum(counts)
     runs = np.repeat(np.arange(len(ts_sorted)), counts)
     index = np.arange(1, ends[-1] + 1) - np.repeat(ends - counts, counts)
     grid = np.concatenate([[0.0], prev[runs] + gaps[runs] * (index / counts[runs])])
     grid[ends] = ts_sorted
     return grid, ends
-
-
-def _ode_pass(chart, curve, w0, ts_sorted, total_steps):
-    """One integration sweep hitting every target parameter in order."""
-    grid, ends = _pass_grid(ts_sorted, total_steps)
-    return _propagate(chart, curve, w0, grid, ends)
 
 
 def _ode_route(manifold, curve, rows, ts, P, steps):
@@ -220,11 +188,12 @@ def _ode_route(manifold, curve, rows, ts, P, steps):
     n = steps
     grid, ends = _pass_grid(ts_sorted, n)
     B = _grid_matrices(chart, curve, grid)
-    coarse = _propagate(chart, curve, w0, grid, ends, B)
+    coarse = _propagate(w0, grid, ends, B)
     while True:
         n *= 2
-        grid, ends, B = _next_sweep(chart, curve, ts_sorted, n, grid, ends, B)
-        fine = _propagate(chart, curve, w0, grid, ends, B)
+        grid, B = _halved(chart, curve, grid, B)
+        ends = 2 * ends
+        fine = _propagate(w0, grid, ends, B)
         gap = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
         if gap < ODE_TOL or n >= ODE_MAX_STEPS:
             break

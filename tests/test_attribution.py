@@ -586,9 +586,9 @@ def test_loop_refinement_runs_one_step_doubling(monkeypatch, colatitude, sweeps)
     sweeps_seen = []
     propagate = transport._propagate
 
-    def counting_propagate(*args):
-        sweeps_seen.append(len(args[3]) - 1)
-        return propagate(*args)
+    def counting_propagate(w0, grid, ends, B):
+        sweeps_seen.append(len(grid) - 1)
+        return propagate(w0, grid, ends, B)
 
     monkeypatch.setattr(transport, "_propagate", counting_propagate)
     report = rg.generic_bam_report(field, loop, frame)
@@ -610,9 +610,9 @@ def test_later_level_starts_step_doubling_at_half_the_converged_count(monkeypatc
     targets_per_sweep = []
     propagate = transport._propagate
 
-    def counting_propagate(*args):
-        targets_per_sweep.append(len(args[4]))
-        return propagate(*args)
+    def counting_propagate(w0, grid, ends, B):
+        targets_per_sweep.append(len(ends))
+        return propagate(w0, grid, ends, B)
 
     monkeypatch.setattr(transport, "_propagate", counting_propagate)
     report = rg.generic_bam_report(field, loop, frame)

@@ -8,7 +8,13 @@ import pytest
 import rigrad as rg
 from rigrad.manifolds import ode_transport, transport_along
 from rigrad.manifolds.sphere import SphericalChart
-from rigrad.manifolds.transport import _ode_pass, _pass_grid, curve_chart, transport_rows
+from rigrad.manifolds.transport import (
+    _grid_matrices,
+    _pass_grid,
+    _propagate,
+    curve_chart,
+    transport_rows,
+)
 
 from conftest import (
     assert_close_rel,
@@ -352,9 +358,9 @@ def test_propagators_match_the_per_step_rk4(name):
         )
     nodes, _ = rg.Quadrature().nodes_weights(16)
     ts = np.sort(np.concatenate([[0.0], nodes, nodes[3:5], [1.0]]))
-    assert_close_rel(
-        _ode_pass(chart, curve, w0, ts, 64), loop_ode_pass(man, curve, chart, w0, ts, 64)
-    )
+    grid, ends = _pass_grid(ts, 64)
+    first_sweep = _propagate(w0, grid, ends, _grid_matrices(chart, curve, grid))
+    assert_close_rel(first_sweep, loop_ode_pass(man, curve, chart, w0, ts, 64))
 
 
 def test_pass_grid_takes_ceil_gap_steps_per_target():
@@ -396,31 +402,12 @@ def test_scalar_only_curve_transports_like_its_vectorized_twin():
     assert a.diagnostics == b.diagnostics
 
 
-@pytest.mark.parametrize(
-    "loop_name, nodes, later",
-    [
-        (2.4, 64, ["halved", "halved"]),
-        ("wandering", 64, ["halved", "halved", "halved"]),
-        (0.8, 512, ["halved", "fresh"]),
-        (2.4, 1024, ["fresh"]),
-    ],
-)
-def test_later_sweeps_halve_the_grid_unless_a_fresh_grid_is_cheaper(
-    monkeypatch, loop_name, nodes, later
-):
-    """The first sweep of S steps evaluates B at its S + 1 grid points and S
-    midpoints.  A halved later sweep of S' steps is the previous grid with its
-    midpoints interleaved and evaluates B only at its S' new midpoints.  With
-    512 or more nodes the halved grid would outgrow a fresh _pass_grid grid by
-    more than its saved rows are worth, and the fresh grid is taken."""
+def _recording_sweeps(monkeypatch):
+    """Grids of the ``_propagate`` calls and row counts of the sphere chart's
+    ``transport_matrices`` calls, in call order."""
     from rigrad.manifolds import transport
 
-    man = rg.make_manifold("sphere2")
-    if loop_name == "wandering":
-        loop, _ = wandering_loop(man, 0.9, 0.2)
-    else:
-        loop = man.latitude_loop(loop_name)
-    rows_per_call, grids = [], []
+    grids, rows_per_call = [], []
     matrices = SphericalChart.transport_matrices
     propagate = transport._propagate
 
@@ -428,27 +415,79 @@ def test_later_sweeps_halve_the_grid_unless_a_fresh_grid_is_cheaper(
         rows_per_call.append(len(P))
         return matrices(chart, P, V)
 
-    def recording_propagate(*args):
-        grids.append(args[3])
-        return propagate(*args)
+    def recording_propagate(w0, grid, ends, B):
+        grids.append(grid)
+        return propagate(w0, grid, ends, B)
 
     monkeypatch.setattr(SphericalChart, "transport_matrices", counting_matrices)
     monkeypatch.setattr(transport, "_propagate", recording_propagate)
+    return grids, rows_per_call
+
+
+@pytest.mark.parametrize(
+    "loop_name, nodes, steps",
+    [(2.4, 64, 1024), ("wandering", 64, 2048), (0.8, 512, 1024), (2.4, 1024, 512)],
+)
+def test_every_later_sweep_halves_the_grid(monkeypatch, loop_name, nodes, steps):
+    """The first sweep of S steps is _pass_grid's and evaluates B at its S + 1
+    grid points and S midpoints.  Every later sweep of S' steps is the previous
+    grid with its midpoints interleaved and evaluates B only at its S' new
+    midpoints, however many nodes there are."""
+    man = rg.make_manifold("sphere2")
+    if loop_name == "wandering":
+        loop, _ = wandering_loop(man, 0.9, 0.2)
+    else:
+        loop = man.latitude_loop(loop_name)
+    grids, rows_per_call = _recording_sweeps(monkeypatch)
     frame = man.orthonormal_frame(loop.start)
     ts, _ = rg.Quadrature().nodes_weights(nodes)
-    _, mode, steps = _batched(man, loop, frame.vectors, ts)
-    assert mode == "ode"
-    assert steps == man.transport_steps * 2 ** len(later)
-    assert len(grids) == len(later) + 1
-    ts_sorted = np.sort(ts)
-    assert np.array_equal(grids[0], _pass_grid(ts_sorted, man.transport_steps)[0])
+    _, mode, used = _batched(man, loop, frame.vectors, ts)
+    assert (mode, used) == ("ode", steps)
+    assert len(grids) == int(math.log2(steps // man.transport_steps)) + 1
+    assert np.array_equal(grids[0], _pass_grid(np.sort(ts), man.transport_steps)[0])
     assert rows_per_call[0] == 2 * (len(grids[0]) - 1) + 1
-    for k, (kind, coarse, fine) in enumerate(zip(later, grids, grids[1:]), start=1):
-        if kind == "halved":
-            assert np.array_equal(fine[0::2], coarse)
-            assert np.array_equal(fine[1::2], coarse[:-1] + 0.5 * np.diff(coarse))
-            assert rows_per_call[k] == len(fine) - 1
-        else:
-            fresh = _pass_grid(ts_sorted, man.transport_steps * 2**k)[0]
-            assert np.array_equal(fine, fresh)
-            assert rows_per_call[k] == 2 * (len(fine) - 1) + 1
+    for coarse, fine, rows in zip(grids, grids[1:], rows_per_call[1:]):
+        assert np.array_equal(fine[0::2], coarse)
+        assert np.array_equal(fine[1::2], coarse[:-1] + 0.5 * np.diff(coarse))
+        assert rows == len(fine) - 1
+
+
+def test_few_starting_steps_still_refine_every_sweep(monkeypatch):
+    """With 8 starting steps and 65 targets, every gap gets one step at both
+    N = 8 and N = 16, so a fresh grid at N = 16 would repeat the first sweep
+    and agree with it exactly.  Halved sweeps double the steps each time, and
+    the frame at t = 1 comes back turned by 2 pi (1 - cos 1.2)."""
+    man = rg.make_manifold("sphere2", transport_steps=8)
+    colatitude = 1.2
+    loop = man.latitude_loop(colatitude)
+    grids, _ = _recording_sweeps(monkeypatch)
+    frame = man.orthonormal_frame(loop.start)
+    nodes, _ = rg.Quadrature().nodes_weights(64)
+    moved, mode, _ = _batched(man, loop, frame.vectors, np.append(nodes, 1.0))
+    assert mode == "ode"
+    sweeps = [len(grid) - 1 for grid in grids]
+    assert len(sweeps) >= 2
+    assert all(fine == 2 * coarse for coarse, fine in zip(sweeps, sweeps[1:]))
+    p = loop.start.coords
+    expected = 2.0 * math.pi * (1.0 - math.cos(colatitude))
+    for u, w in zip(frame.vectors, moved[-1]):
+        u = u.components
+        angle = math.atan2(float(np.dot(p, np.cross(u, w))), float(np.dot(u, w)))
+        assert abs(math.remainder(angle - expected, 2.0 * math.pi)) <= 1e-9
+
+
+def test_many_nodes_refine_to_a_fine_reference_sweep():
+    """At 1024 nodes every gap has one step at N = 256 and N = 512 alike; the
+    route still refines until its frames agree with one 2^15-step sweep."""
+    man = rg.make_manifold("sphere2")
+    loop, _ = wandering_loop(man, 0.9, 0.2)
+    frame = man.orthonormal_frame(loop.start)
+    ts, _ = rg.Quadrature().nodes_weights(1024)
+    moved, mode, steps = _batched(man, loop, frame.vectors, ts)
+    assert (mode, steps) == ("ode", 1024)
+    chart = curve_chart(man, loop)
+    w0 = np.array([chart.pull(loop.start, u) for u in frame.component_matrix()])
+    grid, ends = _pass_grid(ts, 2**15)
+    reference = _propagate(w0, grid, ends, _grid_matrices(chart, loop, grid))
+    reference = reference @ chart.coordinate_basis(loop.positions(ts))
+    assert float(np.max(np.abs(moved - reference))) <= 1e-9
