@@ -190,6 +190,26 @@ class Chart(ABC):
         xdot = np.array([self.pull(p, v) for p, v in zip(points, V)])
         return christoffel_contraction(gamma, xdot)
 
+    def _metrics(self, P: np.ndarray) -> np.ndarray:
+        return np.array([self.metric(self.to_chart(Point(p))) for p in P])
+
+    def orthonormal_rows(self, P: np.ndarray) -> np.ndarray:
+        """Chart components F (K, dim, dim) of a g-orthonormal frame at each
+        point, F g F^T = I, with the first vector along the first coordinate
+        vector (Gram-Schmidt): the inverse Cholesky factor of the metric."""
+        return np.linalg.inv(np.linalg.cholesky(self._metrics(P)))
+
+    def connection_forms(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """The connection 1-form omega = g(nabla_V e1, e2) (K,) of the frame
+        ``orthonormal_rows`` on a 2-dimensional chart.  In that frame parallel
+        transport turns the coefficients a + i b of a vector by z' = -i omega z.
+        The frame's first vector moves along the first coordinate vector, so
+        only the connection term of its derivative is normal to it:
+        omega = -F[0] B g F[1]^T."""
+        F = self.orthonormal_rows(P)
+        B = self.transport_matrices(P, V)
+        return -np.einsum("ka,kab,kbc,kc->k", F[:, 0], B, self._metrics(P), F[:, 1])
+
     def coordinate_basis(self, P: np.ndarray) -> np.ndarray:
         """Canonical components of the chart's coordinate basis vectors at each
         point, shape (K, dim, coord_dim): chart components W push to W @ basis."""

@@ -46,6 +46,19 @@ def _christoffel(X: np.ndarray) -> np.ndarray:
     return gamma
 
 
+class HalfPlaneChart(IdentityChart):
+    """The half-plane's canonical coordinates, with the closed-form frame and
+    connection form of the metric I / y^2."""
+
+    def orthonormal_rows(self, P: np.ndarray) -> np.ndarray:
+        """y I: the coordinate vectors scaled to unit length."""
+        return P[:, 1, None, None] * np.eye(2)
+
+    def connection_forms(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """omega = x' / y."""
+        return V[:, 0] / P[:, 1]
+
+
 class HalfPlane2(Manifold):
     """Poincare upper half-plane; points are (x, y) with y > 0."""
 
@@ -55,7 +68,7 @@ class HalfPlane2(Manifold):
         super().__init__(transport_steps, bvp_tol)
         self.dim = 2
         self.coord_dim = 2
-        self._chart = IdentityChart(
+        self._chart = HalfPlaneChart(
             2,
             metric_fn=lambda x: np.eye(2) / float(x[1]) ** 2,
             christoffel_fn=_christoffel,

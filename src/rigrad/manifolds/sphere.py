@@ -148,8 +148,7 @@ class SphericalChart(Chart):
         Like the chart's angles, B depends only on the direction of each row
         of P, so rows off the unit sphere by rounding read as their direction.
         """
-        q, u = P @ self.rotation.T, V @ self.rotation.T
-        q = q / np.sqrt(np.sum(q * q, axis=1))[:, None]
+        q, u = self._unit_rotated(P), V @ self.rotation.T
         qx, qy, qz = q[:, 0], q[:, 1], q[:, 2]
         ux, uy, uz = u[:, 0], u[:, 1], u[:, 2]
         rho2 = qx * qx + qy * qy
@@ -162,6 +161,25 @@ class SphericalChart(Chart):
         B[:, 1, 0] = rho * qz * phi_dot
         B[:, 1, 1] = -cot * theta_dot
         return B
+
+    def _unit_rotated(self, P: np.ndarray) -> np.ndarray:
+        q = P @ self.rotation.T
+        return q / np.sqrt(np.sum(q * q, axis=1))[:, None]
+
+    def orthonormal_rows(self, P: np.ndarray) -> np.ndarray:
+        """diag(1, 1/rho): d/dtheta and d/dphi / sin(theta), with sin(theta) = rho."""
+        q = self._unit_rotated(P)
+        F = np.zeros((len(q), 2, 2))
+        F[:, 0, 0] = 1.0
+        F[:, 1, 1] = 1.0 / np.hypot(q[:, 0], q[:, 1])
+        return F
+
+    def connection_forms(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """omega = cos(theta) phi' = q_z (q_x u_y - q_y u_x) / rho^2, in the
+        notation of ``transport_matrices`` and as free of trigonometry."""
+        q, u = self._unit_rotated(P), V @ self.rotation.T
+        qx, qy = q[:, 0], q[:, 1]
+        return q[:, 2] * (qx * u[:, 1] - qy * u[:, 0]) / (qx * qx + qy * qy)
 
     def coordinate_basis(self, P: np.ndarray) -> np.ndarray:
         return self._basis(*self._angles(P)) @ self.rotation

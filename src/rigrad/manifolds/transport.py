@@ -5,16 +5,21 @@ Three routes, picked automatically:
 * flat space: transport leaves components unchanged along any curve;
 * geodesics on the 2-manifolds: exact velocity/normal frame rotation;
 * everything else: Runge-Kutta integration of the transport equation in a
-  chart, with step doubling until successive refinements agree.  The
-  equation is linear in the vector moved, so each RK4 step is a matrix; a
-  sweep evaluates the chart at all its step times at once and multiplies
-  the step matrices together.  Each later sweep halves every step of the
-  one before, so it reuses the transport matrices at the earlier grid points
-  and midpoints and evaluates the chart only at its new midpoints.
+  chart, with step doubling until successive refinements agree.  On a
+  2-dimensional chart, transport in an orthonormal frame is a rotation by
+  the integral of the connection 1-form omega, so each RK4 step is one
+  complex number and a sweep multiplies its steps by one cumulative product.
+  Charts of other dimensions integrate w' = w @ B, where each RK4 step is a
+  matrix; ``ode_transport`` keeps that kernel as the independent check of
+  the rotation.  A sweep evaluates the chart at all its step times at once,
+  and each later sweep halves every step of the one before, so it reuses the
+  values at the earlier grid points and midpoints and evaluates the chart
+  only at its new midpoints.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -79,20 +84,20 @@ def _grid_matrices(chart, curve, grid: np.ndarray) -> np.ndarray:
     return _chart_matrices(chart, curve, np.concatenate([grid, _midpoints(grid)]))
 
 
-def _halved(chart, curve, grid: np.ndarray, B: np.ndarray):
-    """The grid with every step halved, and B at its points and midpoints.
+def _halved(evaluate, grid: np.ndarray, values: np.ndarray):
+    """The grid with every step halved, and ``evaluate`` at its points and
+    midpoints.
 
     The halved grid's points are the old grid points with the old midpoints
-    interleaved, so their B rows are reused; only the new midpoints are
-    evaluated, in one chart call.
+    interleaved, so their ``values`` rows are reused; only the new midpoints
+    are evaluated, in one call.
     """
     steps = len(grid) - 1
     fine = np.empty(2 * steps + 1)
     fine[0::2], fine[1::2] = grid, _midpoints(grid)
-    at_fine = np.empty((len(fine),) + B.shape[1:])
-    at_fine[0::2], at_fine[1::2] = B[: steps + 1], B[steps + 1 :]
-    new = _chart_matrices(chart, curve, _midpoints(fine))
-    return fine, np.concatenate([at_fine, new])
+    at_fine = np.empty((len(fine),) + values.shape[1:], dtype=values.dtype)
+    at_fine[0::2], at_fine[1::2] = values[: steps + 1], values[steps + 1 :]
+    return fine, np.concatenate([at_fine, evaluate(_midpoints(fine))])
 
 
 def _step_propagators(grid: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -179,28 +184,72 @@ def _pass_grid(ts_sorted: np.ndarray, total_steps: int):
     return grid, ends
 
 
+def _rotate(z0: np.ndarray, grid: np.ndarray, ends: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """RK4 transport of the frame coefficients ``z0`` over ``grid`` on a
+    2-dimensional chart; entry k of the result holds them after the first
+    ends[k] steps, shape (len(ends), *z0.shape).
+
+    In an orthonormal frame the transport equation is z' = lam(t) z with
+    lam = -i omega, so each RK4 step is the number _step_propagators' formula
+    gives on scalars, and the steps are multiplied by one cumulative product.
+    ``lam`` holds lam at the S + 1 grid points followed by the S midpoints.
+    """
+    steps = len(grid) - 1
+    h = np.diff(grid)
+    l0, l1, lm = lam[:steps], lam[1 : steps + 1], lam[steps + 1 :]
+    k2 = lm + 0.5 * h * (l0 * lm)
+    k3 = lm + 0.5 * h * (k2 * lm)
+    k4 = l1 + h * (k3 * l1)
+    m = 1.0 + (h / 6.0) * (l0 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.concatenate([[1.0], np.cumprod(m)])[ends][:, None] * z0
+
+
+def _rotation_kernel(chart, curve, w0, P):
+    """Evaluator and sweep of the ODE route on a 2-dimensional chart: the rows
+    ``w0`` become complex coefficients in the ``orthonormal_rows`` frame at
+    curve(0), and each sweep maps them back to chart components at ``P``."""
+    F0 = chart.orthonormal_rows(curve.start.coords[None, :])[0]
+    c0 = w0 @ np.linalg.inv(F0)
+    z0 = c0[:, 0] + 1j * c0[:, 1]
+    F = chart.orthonormal_rows(P)
+
+    def evaluate(times):
+        return -1j * chart.connection_forms(curve.positions(times), curve.velocities(times))
+
+    def sweep(grid, ends, lam):
+        z = _rotate(z0, grid, ends, lam)
+        return z.real[:, :, None] * F[:, None, 0] + z.imag[:, :, None] * F[:, None, 1]
+
+    return evaluate, sweep
+
+
 def _ode_route(manifold, curve, rows, ts, P, steps):
     chart = curve_chart(manifold, curve)
     w0 = np.array([chart.pull(curve.start, u) for u in rows])
     order = np.argsort(ts, kind="stable")
     ts_sorted = np.asarray(ts, dtype=float)[order]
+    P_sorted = P[order]
+    if chart.dim == 2:
+        evaluate, sweep = _rotation_kernel(chart, curve, w0, P_sorted)
+    else:
+        evaluate, sweep = partial(_chart_matrices, chart, curve), partial(_propagate, w0)
 
     n = steps
     grid, ends = _pass_grid(ts_sorted, n)
-    B = _grid_matrices(chart, curve, grid)
-    coarse = _propagate(w0, grid, ends, B)
+    values = evaluate(np.concatenate([grid, _midpoints(grid)]))
+    coarse = sweep(grid, ends, values)
     while True:
         n *= 2
-        grid, B = _halved(chart, curve, grid, B)
+        grid, values = _halved(evaluate, grid, values)
         ends = 2 * ends
-        fine = _propagate(w0, grid, ends, B)
+        fine = sweep(grid, ends, values)
         gap = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
         if gap < ODE_TOL or n >= ODE_MAX_STEPS:
             break
         coarse = fine
 
     out = np.empty((len(ts), len(rows), manifold.coord_dim))
-    out[order] = fine @ chart.coordinate_basis(P[order])
+    out[order] = fine @ chart.coordinate_basis(P_sorted)
     return out, n
 
 

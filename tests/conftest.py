@@ -87,6 +87,23 @@ def loop_transport(man, curve, vectors, ts):
     return np.array(out)
 
 
+def latitude_loop_transport(theta, u0, ts):
+    """Closed-form transport of the 3-vector u0 around the latitude loop at
+    colatitude theta: in the (e_theta, e_phi) frame the components turn by
+    -phi cos(theta), shape (len(ts), 3)."""
+    phi = 2.0 * np.pi * np.asarray(ts)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    e_theta = np.stack(
+        [cos_t * np.cos(phi), cos_t * np.sin(phi), np.full_like(phi, -sin_t)], axis=-1
+    )
+    e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
+    alpha, beta = u0 @ [cos_t, 0.0, -sin_t], u0[1]  # the frame at phi = 0
+    turn = phi * cos_t
+    a = alpha * np.cos(turn) + beta * np.sin(turn)
+    b = -alpha * np.sin(turn) + beta * np.cos(turn)
+    return a[:, None] * e_theta + b[:, None] * e_phi
+
+
 def loop_ode_transport(man, curve, components, t0, t1, steps, chart):
     """Per-step RK4 reference for the transport equation in ``chart``.
 

@@ -10,7 +10,12 @@ import pytest
 import rigrad as rg
 from rigrad.attribution import PathDiagnostics
 
-from conftest import assert_close_rel, loop_transport, random_unit_tangent
+from conftest import (
+    assert_close_rel,
+    latitude_loop_transport,
+    loop_transport,
+    random_unit_tangent,
+)
 
 
 def make_synthetic_matrix(entries):
@@ -555,23 +560,6 @@ def test_ig_matches_straight_line_node_loop(rng):
 # -- the first two levels share one pass over the path ------------------------
 
 
-def latitude_loop_transport(theta, u0, ts):
-    """Closed-form transport of the 3-vector u0 around the latitude loop at
-    colatitude theta: in the (e_theta, e_phi) frame the components turn by
-    -phi cos(theta), shape (len(ts), 3)."""
-    phi = 2.0 * np.pi * np.asarray(ts)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    e_theta = np.stack(
-        [cos_t * np.cos(phi), cos_t * np.sin(phi), np.full_like(phi, -sin_t)], axis=-1
-    )
-    e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
-    alpha, beta = u0 @ [cos_t, 0.0, -sin_t], u0[1]  # the frame at phi = 0
-    turn = phi * cos_t
-    a = alpha * np.cos(turn) + beta * np.sin(turn)
-    b = -alpha * np.sin(turn) + beta * np.cos(turn)
-    return a[:, None] * e_theta + b[:, None] * e_phi
-
-
 @pytest.mark.parametrize("colatitude, sweeps", [(math.pi / 3.0, 2), (2.4, 3)])
 def test_loop_refinement_runs_one_step_doubling(monkeypatch, colatitude, sweeps):
     """Levels 32 and 64 share one RK4 step doubling: 2 sweeps (256 and 512
@@ -584,13 +572,13 @@ def test_loop_refinement_runs_one_step_doubling(monkeypatch, colatitude, sweeps)
     field = rg.CoordinateField(man, 2)
     frame = man.orthonormal_frame(loop.start)
     sweeps_seen = []
-    propagate = transport._propagate
+    rotate = transport._rotate
 
-    def counting_propagate(w0, grid, ends, B):
+    def counting_rotate(z0, grid, ends, lam):
         sweeps_seen.append(len(grid) - 1)
-        return propagate(w0, grid, ends, B)
+        return rotate(z0, grid, ends, lam)
 
-    monkeypatch.setattr(transport, "_propagate", counting_propagate)
+    monkeypatch.setattr(transport, "_rotate", counting_rotate)
     report = rg.generic_bam_report(field, loop, frame)
     assert report.diagnostics.nodes_used == 64
     assert len(sweeps_seen) == sweeps
@@ -608,13 +596,13 @@ def test_later_level_starts_step_doubling_at_half_the_converged_count(monkeypatc
     frame = man.orthonormal_frame(loop.start)
     field = rg.MLPField(man, rg.random_mlp(3, (8, 8), np.random.default_rng(2)))
     targets_per_sweep = []
-    propagate = transport._propagate
+    rotate = transport._rotate
 
-    def counting_propagate(w0, grid, ends, B):
+    def counting_rotate(z0, grid, ends, lam):
         targets_per_sweep.append(len(ends))
-        return propagate(w0, grid, ends, B)
+        return rotate(z0, grid, ends, lam)
 
-    monkeypatch.setattr(transport, "_propagate", counting_propagate)
+    monkeypatch.setattr(transport, "_rotate", counting_rotate)
     report = rg.generic_bam_report(field, loop, frame)
     assert report.diagnostics.nodes_used == 128
     assert report.diagnostics.transport_steps == 1024

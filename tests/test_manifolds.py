@@ -10,7 +10,7 @@ import pytest
 
 import rigrad as rg
 from rigrad.manifolds import Chart, ShootingResult, shoot_geodesic
-from rigrad.manifolds.sphere import ANTIPODAL_SLACK, _cross3
+from rigrad.manifolds.sphere import ANTIPODAL_SLACK, SphericalChart, _cross3
 
 from conftest import assert_close_rel, loop_geodesic_residual, random_unit_tangent
 
@@ -468,9 +468,10 @@ def tilted_curve_chart(rng):
 
 def test_batched_chart_formulas_match_the_scalar_loop(rng):
     """The charts' array formulas against Chart's defaults, which loop over
-    to_chart, pull, christoffel and push one point at a time.  The scaled
-    input moves the tilted points off the unit sphere by a factor 1 + 1e-7,
-    which the charts read as the points' directions."""
+    to_chart, pull, christoffel, metric and push one point at a time.  The
+    scaled input moves the tilted points off the unit sphere by a factor
+    1 + 1e-7, which the charts read as the points' directions.  The frames of
+    ``orthonormal_rows`` are g-orthonormal."""
     for kind in ("sphere2", "half_plane2", "sphere2", "tilted", "scaled"):
         if kind in ("tilted", "scaled"):
             man = rg.make_manifold("sphere2")
@@ -487,6 +488,23 @@ def test_batched_chart_formulas_match_the_scalar_loop(rng):
             P = P * (1.0 + 1e-7)
         assert_close_rel(chart.transport_matrices(P, V), Chart.transport_matrices(chart, P, V))
         assert_close_rel(chart.coordinate_basis(P), Chart.coordinate_basis(chart, P))
+        F = chart.orthonormal_rows(P)
+        assert_close_rel(F, Chart.orthonormal_rows(chart, P))
+        assert_close_rel(chart.connection_forms(P, V), Chart.connection_forms(chart, P, V))
+        G = np.array([chart.metric(chart.to_chart(p)) for p in points])
+        assert np.max(np.abs(F @ G @ F.transpose(0, 2, 1) - np.eye(2))) <= 1e-12
+
+
+@pytest.mark.parametrize("colatitude", [0.3, 0.8, 1.2, 2.6])
+def test_sphere_connection_form_on_latitude_loops(colatitude):
+    """In the chart poled on the loop's axis theta is constant and phi' = 2 pi,
+    so omega = cos(theta) phi' = 2 pi cos(theta) all the way round."""
+    man = rg.make_manifold("sphere2")
+    loop = man.latitude_loop(colatitude)
+    chart = SphericalChart(np.array([0.0, 0.0, 1.0]))
+    ts = np.linspace(0.0, 1.0, 33)
+    omega = chart.connection_forms(loop.positions(ts), loop.velocities(ts))
+    assert np.max(np.abs(omega - 2.0 * math.pi * math.cos(colatitude))) <= 1e-12
 
 
 def test_sphere_chart_at_shares_one_chart_per_axis(rng):

@@ -7,6 +7,7 @@ import pytest
 
 import rigrad as rg
 from rigrad.manifolds import ode_transport, transport_along
+from rigrad.manifolds.euclidean import Euclidean
 from rigrad.manifolds.sphere import SphericalChart
 from rigrad.manifolds.transport import (
     _grid_matrices,
@@ -18,6 +19,7 @@ from rigrad.manifolds.transport import (
 
 from conftest import (
     assert_close_rel,
+    latitude_loop_transport,
     loop_ode_pass,
     loop_ode_transport,
     loop_transport,
@@ -311,19 +313,27 @@ def halfplane_bow(man, vectorized):
     )
 
 
-def squared_sphere_curve(man):
+def squared_sphere_curve(man, vectorized=False):
     """A sphere geodesic run on the clock t^2, so not a geodesic as a curve."""
     geo = man.geodesic_between(
         man.point(np.array([1.0, 0.0, 0.0])), man.point(np.array([0.0, 0.6, 0.8]))
     )
+
+    def position(t):
+        return geo.position_fn(t * t) if vectorized else geo.position(t * t).coords
+
+    def velocity(t):
+        return 2.0 * np.asarray(t)[..., None] * geo.velocity_fn(t * t)
+
     return rg.Curve(
         manifold=man,
-        position_fn=lambda t: geo.position(t * t).coords,
-        velocity_fn=lambda t: 2.0 * t * geo.velocity_fn(t * t),
+        position_fn=position,
+        velocity_fn=velocity,
         start=geo.start,
         end=geo.end,
         is_geodesic=False,
         length=geo.length,
+        vectorized=vectorized,
     )
 
 
@@ -403,36 +413,37 @@ def test_scalar_only_curve_transports_like_its_vectorized_twin():
 
 
 def _recording_sweeps(monkeypatch):
-    """Grids of the ``_propagate`` calls and row counts of the sphere chart's
-    ``transport_matrices`` calls, in call order."""
+    """Grids of the ``_rotate`` calls and row counts of the sphere chart's
+    ``connection_forms`` calls, in call order."""
     from rigrad.manifolds import transport
 
     grids, rows_per_call = [], []
-    matrices = SphericalChart.transport_matrices
-    propagate = transport._propagate
+    forms = SphericalChart.connection_forms
+    rotate = transport._rotate
 
-    def counting_matrices(chart, P, V):
+    def counting_forms(chart, P, V):
         rows_per_call.append(len(P))
-        return matrices(chart, P, V)
+        return forms(chart, P, V)
 
-    def recording_propagate(w0, grid, ends, B):
+    def recording_rotate(z0, grid, ends, lam):
         grids.append(grid)
-        return propagate(w0, grid, ends, B)
+        return rotate(z0, grid, ends, lam)
 
-    monkeypatch.setattr(SphericalChart, "transport_matrices", counting_matrices)
-    monkeypatch.setattr(transport, "_propagate", recording_propagate)
+    monkeypatch.setattr(SphericalChart, "connection_forms", counting_forms)
+    monkeypatch.setattr(transport, "_rotate", recording_rotate)
     return grids, rows_per_call
 
 
 @pytest.mark.parametrize(
     "loop_name, nodes, steps",
-    [(2.4, 64, 1024), ("wandering", 64, 2048), (0.8, 512, 1024), (2.4, 1024, 512)],
+    [(2.4, 64, 1024), ("wandering", 64, 2048), (0.8, 512, 512), (2.4, 1024, 512)],
 )
 def test_every_later_sweep_halves_the_grid(monkeypatch, loop_name, nodes, steps):
-    """The first sweep of S steps is _pass_grid's and evaluates B at its S + 1
-    grid points and S midpoints.  Every later sweep of S' steps is the previous
-    grid with its midpoints interleaved and evaluates B only at its S' new
-    midpoints, however many nodes there are."""
+    """The first sweep of S steps is _pass_grid's and evaluates the connection
+    form at its S + 1 grid points and S midpoints.  Every later sweep of S'
+    steps is the previous grid with its midpoints interleaved and evaluates
+    the form only at its S' new midpoints, however many nodes there are.  On
+    the latitude loops the frames agree with the closed form."""
     man = rg.make_manifold("sphere2")
     if loop_name == "wandering":
         loop, _ = wandering_loop(man, 0.9, 0.2)
@@ -441,7 +452,7 @@ def test_every_later_sweep_halves_the_grid(monkeypatch, loop_name, nodes, steps)
     grids, rows_per_call = _recording_sweeps(monkeypatch)
     frame = man.orthonormal_frame(loop.start)
     ts, _ = rg.Quadrature().nodes_weights(nodes)
-    _, mode, used = _batched(man, loop, frame.vectors, ts)
+    moved, mode, used = _batched(man, loop, frame.vectors, ts)
     assert (mode, used) == ("ode", steps)
     assert len(grids) == int(math.log2(steps // man.transport_steps)) + 1
     assert np.array_equal(grids[0], _pass_grid(np.sort(ts), man.transport_steps)[0])
@@ -450,6 +461,11 @@ def test_every_later_sweep_halves_the_grid(monkeypatch, loop_name, nodes, steps)
         assert np.array_equal(fine[0::2], coarse)
         assert np.array_equal(fine[1::2], coarse[:-1] + 0.5 * np.diff(coarse))
         assert rows == len(fine) - 1
+    if loop_name != "wandering":
+        expected = np.stack(
+            [latitude_loop_transport(loop_name, u.components, ts) for u in frame.vectors], axis=1
+        )
+        assert float(np.max(np.abs(moved - expected))) <= 1e-9
 
 
 def test_few_starting_steps_still_refine_every_sweep(monkeypatch):
@@ -491,3 +507,64 @@ def test_many_nodes_refine_to_a_fine_reference_sweep():
     reference = _propagate(w0, grid, ends, _grid_matrices(chart, loop, grid))
     reference = reference @ chart.coordinate_basis(loop.positions(ts))
     assert float(np.max(np.abs(moved - reference))) <= 1e-9
+
+
+def _route_curve(name):
+    """(manifold, curve, chart) of ``ode_curve`` or of a wandering loop."""
+    if name.startswith("wandering"):
+        man = rg.make_manifold("sphere2")
+        theta0, eps = (float(x) for x in name.split("_")[1:])
+        curve, _ = wandering_loop(man, theta0, eps)
+        return man, curve, curve_chart(man, curve)
+    return ode_curve(name)
+
+
+@pytest.mark.parametrize("nodes", [64, 512, 1024])
+@pytest.mark.parametrize("name", ODE_CURVES + ["wandering_0.9_0.2", "wandering_2.0_0.4"])
+def test_route_matches_a_fine_matrix_sweep(name, nodes):
+    """The route's rotation kernel against one 2^15-step sweep of the matrix
+    kernel, to 1e-9 at every node.  The sweep evaluates the scalar-only
+    squared-sphere curve through its vectorized twin."""
+    man, curve, chart = _route_curve(name)
+    frame = man.orthonormal_frame(curve.start)
+    ts, _ = rg.Quadrature().nodes_weights(nodes)
+    moved, mode, _ = _batched(man, curve, frame.vectors, ts)
+    assert mode == "ode"
+    w0 = np.array([chart.pull(curve.start, u) for u in frame.component_matrix()])
+    if name == "squared_sphere":
+        curve = squared_sphere_curve(man, vectorized=True)
+    grid, ends = _pass_grid(ts, 2**15)
+    reference = _propagate(w0, grid, ends, _grid_matrices(chart, curve, grid))
+    reference = reference @ chart.coordinate_basis(curve.positions(ts))
+    assert float(np.max(np.abs(moved - reference))) <= 1e-9
+
+
+class UnflaggedEuclidean(Euclidean):
+    """Flat space that does not say so, so transport takes the ODE route."""
+
+    flat = False
+
+
+def test_three_dimensional_chart_takes_the_matrix_kernel():
+    """A 3-dimensional chart has no rotation kernel; with zero Christoffel
+    symbols the matrix kernel's steps are identities and the rows come back
+    unchanged."""
+    man = UnflaggedEuclidean(3)
+
+    def position(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([t, t * t, 1.0 - t * t * t], axis=-1)
+
+    def velocity(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.ones_like(t), 2.0 * t, -3.0 * t * t], axis=-1)
+
+    curve = rg.Curve(
+        man, position, velocity, man.point(position(0.0)), man.point(position(1.0)),
+        False, 2.0, vectorized=True,
+    )
+    rows = np.array([[0.3, -1.2, 0.5], [2.0, 0.1, -0.7]])
+    ts, _ = rg.Quadrature().nodes_weights(64)
+    moved, mode, _ = transport_rows(man, curve, rows, ts, curve.positions(ts), curve.velocities(ts))
+    assert mode == "ode"
+    assert np.array_equal(moved, np.broadcast_to(rows, (len(ts), *rows.shape)))
