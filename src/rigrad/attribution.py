@@ -12,10 +12,18 @@ accounts for the total change F(p) - F(o).  The sign convention follows from
 orienting the curve from the explained point p at t=0 to the base point o at
 t=1; the flat-space method integrates base to input instead, and the minus
 sign makes the two agree.
+
+The form is linear in the field, and half of it does not depend on the field
+at all.  At each quadrature level the path tables hold the node positions,
+the moved frame U_j(t_k) and the pairing b[k, j] = g(U_j(t_k), velocity(t_k));
+only the table a[k, i] = dF(U_i(t_k)) needs the field.  Fields attributed
+along one path (``_attribution_matrices``) share the path tables, the
+geodesic and its defect check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -127,15 +135,24 @@ def _path_tables(manifold, curve, rows, ts, steps=None):
 
     ``rows`` (n, coord_dim) holds the frame components at curve(0); ``steps``
     is the RK4 step count to start step doubling from.  Returns the positions
-    (K, coord_dim), the transported frame (K, n, coord_dim), the lowered
-    velocity (K, coord_dim), the transport mode and its step count.
+    (K, coord_dim), the transported frame (K, n, coord_dim), the table
+    b[k, j] = g(U_j(t_k), velocity(t_k)) (K, n), the transport mode and its
+    step count.
     """
     positions = curve.positions(ts)
     velocities = curve.velocities(ts)
     moved, mode, steps = transport_rows(
         manifold, curve, rows, ts, positions, velocities, steps
     )
-    return positions, moved, manifold.lower(positions, velocities), mode, steps
+    lowered = manifold.lower(positions, velocities)
+    # a path with NaN or infinity makes the entries non-finite, which raises
+    # NonFiniteValue in _path_integral
+    with np.errstate(invalid="ignore", over="ignore"):
+        if manifold.flat:  # the transported frame is the frame itself at every node
+            b = lowered @ rows.T
+        else:
+            b = np.einsum("kic,kc->ki", moved, lowered)
+    return positions, moved, b, mode, steps
 
 
 def _levels(quadrature, schedule, manifold, curve, rows):
@@ -148,13 +165,13 @@ def _levels(quadrature, schedule, manifold, curve, rows):
     it does not repeat the coarse sweeps that pass already outgrew.
     """
     head = [quadrature.nodes_weights(count) for count in schedule[:2]]
-    positions, moved, lowered, mode, steps = _path_tables(
+    positions, moved, b, mode, steps = _path_tables(
         manifold, curve, rows, np.concatenate([ts for ts, _ in head])
     )
     start = 0
     for count, (_, weights) in zip(schedule, head):
         level = slice(start, start + count)
-        yield count, weights, (positions[level], moved[level], lowered[level], mode, steps)
+        yield count, weights, (positions[level], moved[level], b[level], mode, steps)
         start += count
     for count in schedule[2:]:
         ts, weights = quadrature.nodes_weights(count)
@@ -164,34 +181,34 @@ def _levels(quadrature, schedule, manifold, curve, rows):
         yield count, weights, tables
 
 
-def _level_tables(field, manifold, rows, positions, moved, lowered):
-    """Tables a[k, i] = dF(U_i(t_k)) and b[k, j] = g(U_j(t_k), velocity(t_k))."""
+def _gradient_table(field, manifold, rows, positions, moved):
+    """Table a[k, i] = dF(U_i(t_k)), the only one of a level that needs the field."""
     grads = field.coord_gradients(positions)
     if manifold.flat:  # the transported frame is the frame itself at every node
-        return grads @ rows.T, lowered @ rows.T
-    a = np.einsum("kc,kic->ki", grads, moved)
-    b = np.einsum("kic,kc->ki", moved, lowered)
-    return a, b
+        return grads @ rows.T
+    return np.einsum("kc,kic->ki", grads, moved)
 
 
-def _path_integral(field, manifold, curve, rows, quadrature, diagonal=False):
+def _path_integral(field, manifold, curve, rows, quadrature, diagonal=False, levels=None):
     """Quadrature of the form, refined until two successive levels agree.
 
     Levels agree when their largest entrywise gap is below ``quadrature.tol``
     plus a rounding-noise floor of ROUNDING_FLOOR * max|entries|.
     Returns the entries and the path's diagnostics, without a geodesic
     defect; with ``diagonal`` only the entries i = j are formed, as a vector.
-    The field is evaluated once per level, in order, and NonFiniteValue is
-    raised at the first level whose entries are not finite.
+    ``levels`` iterates over ``_levels``' output for this path, built here
+    when None.  The field is evaluated once per level, in order, and
+    NonFiniteValue is raised at the first level whose entries are not finite.
     """
     schedule = quadrature.schedule()
     previous = None
     gap = None
-    levels = _levels(quadrature, schedule, manifold, curve, rows)
-    for count, weights, (positions, moved, lowered, mode, steps) in levels:
+    if levels is None:
+        levels = _levels(quadrature, schedule, manifold, curve, rows)
+    for count, weights, (positions, moved, b, mode, steps) in levels:
         # NaN and infinity raise NonFiniteValue below, so numpy need not warn
         with np.errstate(invalid="ignore", over="ignore"):
-            a, b = _level_tables(field, manifold, rows, positions, moved, lowered)
+            a = _gradient_table(field, manifold, rows, positions, moved)
             if diagonal:
                 entries = -(weights @ (a * b))
             else:
@@ -235,6 +252,49 @@ def _zero_diagnostics() -> PathDiagnostics:
     )
 
 
+def _attribution_matrices(
+    fields, manifold: Manifold, p: Point, o: Point, frame: OrthonormalFrame,
+    quadrature: Quadrature = DEFAULT_QUADRATURE,
+) -> list[AttributionMatrix]:
+    """The attribution form of each of ``fields`` along one minimising geodesic.
+
+    The form is linear in the field, and its path half is not a function of
+    the field at all: the points and the frame are validated, and the
+    geodesic, each level's path tables and the geodesic defect are built,
+    once for all the fields.  A level is built when the first field reaches
+    it and kept, so fields that stop refining at different node counts still
+    share every level.  Each matrix equals the one ``attribution_matrix``
+    gives for its field alone, bit for bit.
+    """
+    for field in fields:
+        require_same_space(field, manifold)
+    p = manifold.validate_point(p)
+    o = manifold.validate_point(o)
+    _check_frame(manifold, p, frame)
+
+    if np.array_equal(p.coords, o.coords):
+        n = len(frame)
+        zero = _zero_diagnostics()
+        return [AttributionMatrix(p, o, frame, np.zeros((n, n)), zero) for _ in fields]
+
+    curve = manifold.geodesic_between(p, o)
+    rows = frame.component_matrix()
+    # one independent run over the same levels per field; tee keeps each
+    # level until every run has passed it
+    runs = itertools.tee(
+        _levels(quadrature, quadrature.schedule(), manifold, curve, rows), len(fields)
+    )
+    integrals = [
+        _path_integral(field, manifold, curve, rows, quadrature, levels=run)
+        for field, run in zip(fields, runs)
+    ]
+    defect = geodesic_residual(manifold, curve)
+    return [
+        AttributionMatrix(p, o, frame, entries, replace(diagnostics, geodesic_defect=defect))
+        for entries, diagnostics in integrals
+    ]
+
+
 def attribution_matrix(
     field: ScalarField,
     manifold: Manifold,
@@ -249,29 +309,7 @@ def attribution_matrix(
     QuadratureNotConverged when refinement exhausts its node budget and
     NonFiniteValue when a quadrature level gives non-finite entries.
     """
-    require_same_space(field, manifold)
-    p = manifold.validate_point(p)
-    o = manifold.validate_point(o)
-    _check_frame(manifold, p, frame)
-
-    n = len(frame)
-    if np.array_equal(p.coords, o.coords):
-        return AttributionMatrix(
-            base=p,
-            base_point=o,
-            frame=frame,
-            entries=np.zeros((n, n)),
-            diagnostics=_zero_diagnostics(),
-        )
-
-    curve = manifold.geodesic_between(p, o)
-    entries, diagnostics = _path_integral(
-        field, manifold, curve, frame.component_matrix(), quadrature
-    )
-    diagnostics = replace(diagnostics, geodesic_defect=geodesic_residual(manifold, curve))
-    return AttributionMatrix(
-        base=p, base_point=o, frame=frame, entries=entries, diagnostics=diagnostics
-    )
+    return _attribution_matrices([field], manifold, p, o, frame, quadrature)[0]
 
 
 def bam_along_curve(
@@ -301,10 +339,7 @@ def rig(
 ) -> AttributionReport:
     """Per-direction attributions along the minimising geodesic from p to o."""
     matrix = attribution_matrix(field, manifold, p, o, frame, quadrature)
-    return _report(
-        METHOD_RIG, field, manifold, matrix.base, matrix.base_point, frame,
-        np.diag(matrix.entries).copy(), matrix.diagnostics,
-    )
+    return _rig_report(field, manifold, matrix)
 
 
 def eigen_rig(
@@ -321,6 +356,19 @@ def eigen_rig(
     the returned frame reproduces them through the quadratic form.
     """
     matrix = attribution_matrix(field, manifold, p, o, frame, quadrature)
+    return _eigen_report(field, manifold, matrix)
+
+
+def _rig_report(field, manifold, matrix: AttributionMatrix) -> AttributionReport:
+    """``rig``'s report of ``field`` from its attribution matrix."""
+    return _report(
+        METHOD_RIG, field, manifold, matrix.base, matrix.base_point, matrix.frame,
+        np.diag(matrix.entries).copy(), matrix.diagnostics,
+    )
+
+
+def _eigen_report(field, manifold, matrix: AttributionMatrix) -> AttributionReport:
+    """``eigen_rig``'s report of ``field`` from its attribution matrix."""
     eigen = eigen_attributions(matrix)
     values = eigen.eigenvalues
     return _report(

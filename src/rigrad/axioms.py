@@ -16,6 +16,8 @@ import numpy as np
 
 from .attribution import (
     DEFAULT_QUADRATURE,
+    _attribution_matrices,
+    _rig_report,
     attribution_bound_check,
     attribution_matrix,
     bam_along_curve,
@@ -184,15 +186,21 @@ def check_implementation_invariance(spec: AxiomCheckSpec) -> AxiomReport:
         weights = random_mlp(manifold.coord_dim, (6, 5), rng)
         p, o = _random_pair(manifold, rng)
         frame = manifold.orthonormal_frame(p)
-        base = rig(MLPField(manifold, weights), manifold, p, o, frame, FIXED_QUADRATURE)
         perm = rng.permutation(weights.layers[0].weights.shape[0])
-        variants = [
-            ("permuted-units", permute_hidden_units(weights, 0, perm)),
-            ("identity-layer", insert_identity_layer(weights, int(rng.integers(0, 3)))),
+        fields = [
+            MLPField(manifold, network)
+            for network in (
+                weights,
+                permute_hidden_units(weights, 0, perm),
+                insert_identity_layer(weights, int(rng.integers(0, 3))),
+            )
         ]
+        matrices = _attribution_matrices(fields, manifold, p, o, frame, FIXED_QUADRATURE)
+        base, *others = (
+            _rig_report(field, manifold, matrix) for field, matrix in zip(fields, matrices)
+        )
         worst = 0.0
-        for _, variant in variants:
-            other = rig(MLPField(manifold, variant), manifold, p, o, frame, FIXED_QUADRATURE)
+        for other in others:
             worst = max(
                 worst,
                 float(np.max(np.abs(base.attributions - other.attributions))),
@@ -218,11 +226,13 @@ def check_linearity(spec: AxiomCheckSpec) -> AxiomReport:
         p, o = _random_pair(manifold, rng)
         frame = manifold.orthonormal_frame(p)
         combined = CombinedField([a, b], [field_f, field_g])
-        lhs = rig(combined, manifold, p, o, frame, FIXED_QUADRATURE).attributions
-        rhs = (
-            a * rig(field_f, manifold, p, o, frame, FIXED_QUADRATURE).attributions
-            + b * rig(field_g, manifold, p, o, frame, FIXED_QUADRATURE).attributions
+        lhs, at_f, at_g = (
+            np.diag(matrix.entries)
+            for matrix in _attribution_matrices(
+                [combined, field_f, field_g], manifold, p, o, frame, FIXED_QUADRATURE
+            )
         )
+        rhs = a * at_f + b * at_g
         residual = float(np.max(np.abs(lhs - rhs)))
         return residual, f"a={a:.3f} b={b:.3f} " + _describe(manifold, p, o)
 

@@ -16,8 +16,9 @@ Three subcommands:
 
 Exit codes: 0 success, 1 configuration or validation errors, failed
 verification, or a field or path that yields non-finite values, 2 geodesic
-ambiguity between cut points, 3 quadrature refinement exhausted.  Argument
-errors also exit 1 so code 2 stays unambiguous.
+ambiguity between cut points, 3 quadrature refinement or RK4 transport
+exhausted its budget.  Argument errors also exit 1 so code 2 stays
+unambiguous.
 """
 
 from __future__ import annotations
@@ -31,7 +32,15 @@ from pathlib import Path
 import numpy as np
 
 from . import report as report_io
-from .attribution import DEFAULT_QUADRATURE, eigen_rig, ig, rig
+from .attribution import (
+    DEFAULT_QUADRATURE,
+    _eigen_report,
+    _rig_report,
+    attribution_matrix,
+    eigen_rig,
+    ig,
+    rig,
+)
 from .axioms import DEFAULT_SEED, default_suite, run_check, suite_from_dict
 from .errors import (
     CutLocusAmbiguity,
@@ -44,6 +53,7 @@ from .errors import (
     NonFiniteValue,
     ParseError,
     QuadratureNotConverged,
+    TransportNotConverged,
     WrongManifold,
 )
 from .fields import (
@@ -302,8 +312,9 @@ def cmd_compare(args, out) -> int:
             )
         print(f"max per-direction gap: {float(np.max(gaps)) if gaps.size else 0.0:.3e}", file=out)
     else:
-        left = rig(field, manifold, p, o, frame, quad)
-        right = eigen_rig(field, manifold, p, o, frame, quad)
+        matrix = attribution_matrix(field, manifold, p, o, frame, quad)
+        left = _rig_report(field, manifold, matrix)
+        right = _eigen_report(field, manifold, matrix)
         print("direction  default-frame        eigenframe", file=out)
         for i in range(len(frame)):
             print(
@@ -420,8 +431,8 @@ def main(argv=None, out=None) -> int:
     except CutLocusAmbiguity as exc:
         print(f"CutLocusAmbiguity: {exc}", file=sys.stderr)
         return 2
-    except QuadratureNotConverged as exc:
-        print(f"QuadratureNotConverged: {exc}", file=sys.stderr)
+    except (QuadratureNotConverged, TransportNotConverged) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except CONFIG_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -41,6 +41,10 @@ class QuadratureNotConverged(RigradError):
     """Node-doubling refinement exhausted max_nodes without meeting tol."""
 
 
+class TransportNotConverged(RigradError):
+    """RK4 step doubling reached its step cap without meeting its tolerance."""
+
+
 class NonFiniteValue(RigradError):
     """A computation produced NaN or infinite values from finite inputs."""
 

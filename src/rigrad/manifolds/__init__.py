@@ -10,7 +10,7 @@ from .base import (
     constant_curve,
 )
 from .config import KINDS, make_manifold, manifold_from_dict, manifold_from_file, manifold_to_dict
-from .diagnostics import constant_speed_defect, geodesic_residual
+from .diagnostics import geodesic_residual
 from .euclidean import Euclidean
 from .halfplane import HalfPlane2
 from .isometries import (
@@ -21,7 +21,6 @@ from .isometries import (
     coordinate_swap,
     random_isometry,
 )
-from .shooting import ShootingResult, shoot_geodesic
 from .sphere import Sphere2, SphericalChart
 from .transport import ode_transport, transport_along
 
@@ -37,13 +36,11 @@ __all__ = [
     "MoebiusMap",
     "OrthonormalFrame",
     "Point",
-    "ShootingResult",
     "Sphere2",
     "SphereRotation",
     "SphericalChart",
     "TangentVector",
     "constant_curve",
-    "constant_speed_defect",
     "coordinate_swap",
     "geodesic_residual",
     "make_manifold",
@@ -52,6 +49,5 @@ __all__ = [
     "manifold_to_dict",
     "ode_transport",
     "random_isometry",
-    "shoot_geodesic",
     "transport_along",
 ]

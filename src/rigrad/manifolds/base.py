@@ -180,7 +180,11 @@ class Chart(ABC):
 
     @abstractmethod
     def pull(self, p: Point, comps: np.ndarray) -> np.ndarray:
-        """Pull canonical tangent components back to the chart basis."""
+        """Pull canonical tangent components back to the chart basis.
+
+        ``comps`` is one vector (coord_dim,) or n vectors (n, coord_dim) at
+        ``p``; the result has one row of chart components per vector.
+        """
 
     def transport_matrices(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Transport-equation matrices B (K, dim, dim) at points P moving with
@@ -262,7 +266,8 @@ class Manifold(ABC):
 
     Numeric parameters: ``transport_steps`` is the initial step count for the
     parallel-transport ODE integrator, and ``bvp_tol`` the residual tolerance
-    of the geodesic shooting cross-check.
+    of a geodesic shooting solver; the test suite's solver cross-checks the
+    closed-form logarithm with it.
 
     Methods taking ``P`` and ``V`` work on arrays of points and vectors with a
     leading axis over samples, shape (K, coord_dim), row k of ``V`` based at

@@ -1,8 +1,8 @@
-"""Numerical checks on geometric constructions.
+"""The geodesic-defect check on geometric constructions.
 
-These helpers measure defects by finite differences.  ``geodesic_residual``
-runs on every attribution along a geodesic, so it evaluates all its samples
-as arrays in one pass.
+``geodesic_residual`` measures the defect by finite differences.  It runs on
+every attribution along a geodesic, so it evaluates all its samples as
+arrays in one pass.
 """
 
 from __future__ import annotations
@@ -37,12 +37,3 @@ def geodesic_residual(
     # norm() of one row, so the norms agree bit for bit
     squares = defect[:, None, :] @ defect[:, :, None]
     return float(np.sqrt(np.max(squares)))
-
-
-def constant_speed_defect(manifold: Manifold, curve: Curve, samples: int = 17) -> float:
-    """Largest deviation of the curve's speed from its t=0 value."""
-    speed0 = manifold.norm(curve.velocity(0.0))
-    worst = 0.0
-    for t in np.linspace(0.0, 1.0, samples):
-        worst = max(worst, abs(manifold.norm(curve.velocity(t)) - speed0))
-    return worst

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import InvalidCurve, InvalidTangent
+from ..errors import InvalidCurve, InvalidTangent, TransportNotConverged
 from .base import Curve, Manifold, Point, TangentVector
 
 ODE_TOL = 1e-9
@@ -225,7 +225,7 @@ def _rotation_kernel(chart, curve, w0, P):
 
 def _ode_route(manifold, curve, rows, ts, P, steps):
     chart = curve_chart(manifold, curve)
-    w0 = np.array([chart.pull(curve.start, u) for u in rows])
+    w0 = chart.pull(curve.start, rows)
     order = np.argsort(ts, kind="stable")
     ts_sorted = np.asarray(ts, dtype=float)[order]
     P_sorted = P[order]
@@ -244,8 +244,13 @@ def _ode_route(manifold, curve, rows, ts, P, steps):
         ends = 2 * ends
         fine = sweep(grid, ends, values)
         gap = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
-        if gap < ODE_TOL or n >= ODE_MAX_STEPS:
+        if gap < ODE_TOL:
             break
+        if n >= ODE_MAX_STEPS:
+            raise TransportNotConverged(
+                f"RK4 transport still moving by {gap:.3e} at {n} steps "
+                f"(tol {ODE_TOL:.0e}, at most {ODE_MAX_STEPS} steps)"
+            )
         coarse = fine
 
     out = np.empty((len(ts), len(rows), manifold.coord_dim))
@@ -268,7 +273,9 @@ def transport_rows(
     ``positions`` and ``velocities`` (K, coord_dim) are the curve at the K
     parameters ``ts`` in [0, 1].  Returns (moved, mode, steps_used) with
     moved[k, i] vector i transported to curve(ts[k]), shape (K, n, coord_dim).
-    Identity transport returns a read-only broadcast view of ``rows``.
+    Identity transport returns a read-only broadcast view of ``rows``.  On the
+    RK4 route, TransportNotConverged is raised when two sweeps still differ
+    by ODE_TOL or more at ODE_MAX_STEPS steps.
     """
     identity = np.broadcast_to(rows, (len(ts), *rows.shape))
     if manifold.flat:

@@ -1,8 +1,10 @@
-"""Geodesic boundary-value solver used as a cross-check oracle.
+"""Geodesic oracles for the tests, independent of the closed forms they check.
 
-Finds the initial velocity whose exponential hits a target point by damped
-Gauss-Newton iteration on the coordinate residual.  It deliberately avoids
-the closed-form logarithm so the two routes stay independent.
+``shoot_geodesic`` finds the initial velocity whose exponential hits a target
+point by damped Gauss-Newton iteration on the coordinate residual.  It
+deliberately avoids the closed-form logarithm so the two routes stay
+independent.  ``constant_speed_defect`` measures how far a curve's speed
+drifts from its value at t=0.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Manifold, Point, TangentVector
+from rigrad.manifolds import Curve, Manifold, Point, TangentVector
 
 MAX_ITERATIONS = 50
 MAX_BACKTRACKS = 25
@@ -86,3 +88,12 @@ def shoot_geodesic(manifold: Manifold, p: Point, o: Point) -> ShootingResult:
         iterations=iterations,
         converged=res_norm <= manifold.bvp_tol,
     )
+
+
+def constant_speed_defect(manifold: Manifold, curve: Curve, samples: int = 17) -> float:
+    """Largest deviation of the curve's speed from its t=0 value."""
+    speed0 = manifold.norm(curve.velocity(0.0))
+    worst = 0.0
+    for t in np.linspace(0.0, 1.0, samples):
+        worst = max(worst, abs(manifold.norm(curve.velocity(t)) - speed0))
+    return worst

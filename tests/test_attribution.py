@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import rigrad as rg
-from rigrad.attribution import PathDiagnostics
+from rigrad import attribution
+from rigrad.attribution import PathDiagnostics, _attribution_matrices
+from rigrad.axioms import FIXED_QUADRATURE
 
 from conftest import (
     assert_close_rel,
@@ -669,3 +671,40 @@ def test_loop_attributions_match_closed_form_transport(rng, colatitude):
         )
         expected = node_loop_entries(field, man, loop, moved, ts, weights)
         assert_close_rel(report.attributions, np.diag(expected), 1e-8)
+
+
+@pytest.mark.parametrize(
+    "quadrature", [FIXED_QUADRATURE, rg.DEFAULT_QUADRATURE], ids=["fixed", "refining"]
+)
+def test_fields_along_one_path_match_separate_calls(monkeypatch, manifold, rng, quadrature):
+    """Each field's matrix from the shared path equals its own call bit for
+    bit, diagnostics included.  The gentle and steep networks stop refining
+    at different node counts, and every level is still built only once."""
+    gentle = rg.MLPField(manifold, rg.random_mlp(manifold.coord_dim, (32, 32), rng))
+    steep = rg.MLPField(manifold, rg.random_mlp(manifold.coord_dim, (32, 32), rng, scale=4.0))
+    fields = [gentle, steep, rg.CombinedField([0.7, -1.3], [gentle, steep])]
+    p, o = manifold.random_point(rng), manifold.random_point(rng)
+    frame = manifold.orthonormal_frame(p)
+    passes = []
+    transport_rows = attribution.transport_rows
+
+    def counting_transport(manifold, curve, rows, ts, *args):
+        passes.append(len(ts))
+        return transport_rows(manifold, curve, rows, ts, *args)
+
+    monkeypatch.setattr(attribution, "transport_rows", counting_transport)
+    shared = _attribution_matrices(fields, manifold, p, o, frame, quadrature)
+    monkeypatch.undo()
+    for field, matrix in zip(fields, shared):
+        alone = rg.attribution_matrix(field, manifold, p, o, frame, quadrature)
+        assert matrix.entries.tobytes() == alone.entries.tobytes()
+        assert matrix.diagnostics == alone.diagnostics
+        assert np.array_equal(matrix.base_point.coords, alone.base_point.coords)
+    nodes = [matrix.diagnostics.nodes_used for matrix in shared]
+    if quadrature.refine:
+        assert nodes[0] < nodes[1]
+        # the joined 32 + 64 nodes, then one pass per deeper level
+        expected = [96] + [count for count in (128, 256, 512, 1024) if count <= max(nodes)]
+        assert passes == expected
+    else:
+        assert nodes == [32, 32, 32] and passes == [32]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rigrad as rg
+from rigrad import attribution
 
 
 def test_default_seed_constant():
@@ -183,3 +184,30 @@ def test_report_records_trial_notes():
     report = rg.run_check(spec)
     assert len(report.notes) == len(report.residuals)
     assert all(isinstance(n, str) and n for n in report.notes)
+
+
+@pytest.mark.parametrize("axiom", ["Linearity", "Implementation"])
+def test_one_trial_builds_its_path_once(monkeypatch, manifold, axiom):
+    """The fields of one trial share the geodesic, its transport and its
+    defect check."""
+    calls = {"geodesic": 0, "transport": 0, "defect": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    cls = type(manifold)
+    monkeypatch.setattr(cls, "geodesic_between", counting("geodesic", cls.geodesic_between))
+    monkeypatch.setattr(
+        attribution, "transport_rows", counting("transport", attribution.transport_rows)
+    )
+    monkeypatch.setattr(
+        attribution, "geodesic_residual", counting("defect", attribution.geodesic_residual)
+    )
+    spec = rg.AxiomCheckSpec(axiom, 1e-9, 1, manifold_kind=manifold.kind)
+    report = rg.run_check(spec)
+    assert report.passed and report.aborted == 0
+    assert calls == {"geodesic": 1, "transport": 1, "defect": 1}

@@ -9,6 +9,7 @@ import pytest
 import rigrad as rg
 from rigrad import cli
 from rigrad import report as report_io
+from rigrad.errors import TransportNotConverged
 
 
 def run_cli(*argv):
@@ -161,6 +162,22 @@ def test_unresolvable_integrand_exits_3(tmp_path, capsys):
     assert "QuadratureNotConverged" in capsys.readouterr().err
 
 
+def test_transport_that_runs_out_of_steps_exits_3(monkeypatch, capsys):
+    """The commands attribute along geodesics, whose transport is closed
+    form, so the RK4 route's error is raised here by a stand-in."""
+
+    def out_of_steps(*args):
+        raise TransportNotConverged("RK4 transport still moving")
+
+    monkeypatch.setattr(cli, "rig", out_of_steps)
+    code, _ = run_cli(
+        "attribute", "--manifold", "sphere2", "--field", "height",
+        "--p", "0,0,1", "--o", "1,0,0",
+    )
+    assert code == 3
+    assert "TransportNotConverged: RK4 transport still moving" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spelling", ["separate", "joined"])
 def test_points_may_start_with_a_minus_sign(spelling):
     points = {"--p": "-0.8,0.5", "--o": "-1,-2"}
@@ -244,6 +261,29 @@ def test_compare_curved_shows_both_frames():
     lines = output.strip().splitlines()
     trace_gap = float(lines[-1].split(":")[1])
     assert trace_gap <= 1e-9
+
+
+def test_compare_curved_writes_what_separate_calls_would(tmp_path):
+    """One matrix serves both reports; the file is byte for byte the one two
+    separate rig and eigen_rig calls would give."""
+    man = rg.make_manifold("sphere2")
+    weights = rg.random_mlp(3, (8, 8), np.random.default_rng(11))
+    path = tmp_path / "net.json"
+    rg.mlp_to_file(weights, path)
+    out = tmp_path / "cmp.json"
+    code, _ = run_cli(
+        "compare", "--manifold", "sphere2", "--field", "mlp", "--weights", str(path),
+        "--p", "0.6,0,0.8", "--o", "0,0.6,-0.8", "--out", str(out),
+    )
+    assert code == 0
+    field = rg.MLPField(man, rg.mlp_from_file(path))
+    p, o = man.point(np.array([0.6, 0.0, 0.8])), man.point(np.array([0.0, 0.6, -0.8]))
+    frame = man.orthonormal_frame(p)
+    separate = {
+        "first": report_io.attribution_report_to_dict(rg.rig(field, man, p, o, frame)),
+        "second": report_io.attribution_report_to_dict(rg.eigen_rig(field, man, p, o, frame)),
+    }
+    assert out.read_text() == report_io.json_text(separate)
 
 
 def test_compare_rejects_flat_method_on_curved_manifold(capsys):

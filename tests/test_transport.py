@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rigrad as rg
+from rigrad.errors import TransportNotConverged
 from rigrad.manifolds import ode_transport, transport_along
 from rigrad.manifolds.euclidean import Euclidean
 from rigrad.manifolds.sphere import SphericalChart
@@ -221,6 +222,35 @@ def test_holonomy_angle_on_a_wandering_loop(theta0, eps):
         angle = math.atan2(float(np.dot(p, np.cross(u, w))), float(np.dot(u, w)))
         assert abs(math.remainder(angle - area, 2.0 * math.pi)) <= 1e-8
         assert abs(np.linalg.norm(w) - 1.0) <= 1e-8
+
+
+def test_transport_that_outruns_the_step_cap_raises():
+    """160 waves at the 64 Gauss nodes need more than ODE_MAX_STEPS steps:
+    the last two sweeps still differ by more than ODE_TOL, so the route
+    refuses instead of returning the unconverged frames."""
+    man = rg.make_manifold("sphere2")
+    loop, _ = wandering_loop(man, 1.5, 0.3, waves=160)
+    frame = man.orthonormal_frame(loop.start)
+    ts, _ = rg.Quadrature().nodes_weights(64)
+    with pytest.raises(TransportNotConverged, match=r"moving by \d\.\d+e-0\d at 4096 steps"):
+        _batched(man, loop, frame.vectors, ts)
+    with pytest.raises(TransportNotConverged):
+        rg.generic_bam_report(rg.CoordinateField(man, 2), loop, frame)
+
+
+def test_pull_of_several_rows_matches_one_row_at_a_time(manifold, rng):
+    """Chart.pull takes (n, coord_dim) rows, as the RK4 route passes them."""
+    p = manifold.random_point(rng)
+    curve = manifold.geodesic_between(p, manifold.random_point(rng))
+    charts = [curve_chart(manifold, curve)]
+    if manifold.kind == "sphere2":
+        charts += [SphericalChart(pole) for pole in rng.standard_normal((3, 3))]
+    rows = np.array([manifold.random_tangent(p, rng).components for _ in range(4)])
+    for chart in charts:
+        batched = chart.pull(p, rows)
+        assert batched.shape == (4, chart.dim)
+        one_by_one = np.array([chart.pull(p, u) for u in rows])
+        assert np.max(np.abs(batched - one_by_one)) <= 1e-15
 
 
 def test_transport_rejects_vector_from_wrong_base(rng):
