@@ -53,17 +53,6 @@ from .quadrature import Quadrature
 # Default RNG seed; the bytes spell the initials of the method (0x52 0x49 0x47).
 DEFAULT_SEED = 0x524947
 
-AXIOMS = (
-    "Implementation",
-    "Linearity",
-    "Sensitivity",
-    "SymmetryInvariance",
-    "Completeness",
-    "IsometryInvariance",
-    "EuclideanRestriction",
-    "EigenBound",
-)
-
 # With redraws allowed after cut-locus aborts, give up once attempts reach
 # this multiple of the requested trial count.
 ABORT_ATTEMPT_FACTOR = 10
@@ -439,6 +428,7 @@ CHECKS = {
     "EuclideanRestriction": check_euclidean_restriction,
     "EigenBound": check_eigen_bound,
 }
+AXIOMS = tuple(CHECKS)
 
 
 def run_check(spec: AxiomCheckSpec) -> AxiomReport:

@@ -396,13 +396,13 @@ def build_parser() -> _Parser:
         p.add_argument("--quadrature-nodes", type=int, default=0)
         p.add_argument("--transport-steps", type=int, default=0)
         p.add_argument("--out", help="output path (attribute writes .json and .csv)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     attribute = sub.add_parser("attribute", help="compute attributions between two points")
     common(attribute)
     attribute.add_argument(
         "--frame", default="default", help="default | eigen | 'v1;v2;...' components"
     )
+    attribute.add_argument("--format", choices=("json", "csv"), default="json")
 
     compare = sub.add_parser("compare", help="compare attribution methods or frames")
     common(compare)

@@ -311,12 +311,6 @@ class CombinedField(ScalarField):
         return out
 
 
-def linear_combination(
-    coefficients: Sequence[float], fields: Sequence[ScalarField]
-) -> ScalarField:
-    return CombinedField(coefficients, fields)
-
-
 class PushforwardField(GradientFirstField):
     """The field F composed with the inverse of an isometry.
 

@@ -56,21 +56,10 @@ class TangentVector:
         if not np.array_equal(self.base.coords, other.base.coords):
             raise InvalidTangent("tangent vectors live at different base points")
 
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        self._same_base(other)
-        return TangentVector(self.base, self.components + other.components)
-
-    def __sub__(self, other: "TangentVector") -> "TangentVector":
-        self._same_base(other)
-        return TangentVector(self.base, self.components - other.components)
-
     def __mul__(self, scalar: float) -> "TangentVector":
         return TangentVector(self.base, self.components * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "TangentVector":
-        return TangentVector(self.base, -self.components)
 
 
 @dataclass(frozen=True)
@@ -163,10 +152,6 @@ class Chart(ABC):
         """Chart coordinates of a point."""
 
     @abstractmethod
-    def from_chart(self, x: np.ndarray) -> Point:
-        """Point with the given chart coordinates."""
-
-    @abstractmethod
     def metric(self, x: np.ndarray) -> np.ndarray:
         """Metric matrix in chart coordinates, shape (dim, dim)."""
 
@@ -230,17 +215,13 @@ class IdentityChart(Chart):
     symbols (K, dim, dim, dim).
     """
 
-    def __init__(self, dim, metric_fn, christoffel_fn, validate_fn):
+    def __init__(self, dim, metric_fn, christoffel_fn):
         self.dim = dim
         self._metric_fn = metric_fn
         self._christoffel_fn = christoffel_fn
-        self._validate_fn = validate_fn
 
     def to_chart(self, p: Point) -> np.ndarray:
         return np.array(p.coords)
-
-    def from_chart(self, x: np.ndarray) -> Point:
-        return self._validate_fn(x)
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         return self._metric_fn(x)
@@ -368,11 +349,6 @@ class Manifold(ABC):
         """Chart valid along a whole curve, given sample points on it: a list
         of Points or an array of their canonical coordinates, one per row."""
 
-    def christoffel_at(self, p: Point) -> np.ndarray:
-        """Christoffel symbols Gamma[k, i, j] at ``p`` in the working chart."""
-        chart = self.chart_at(p)
-        return chart.christoffel(chart.to_chart(p))
-
     # -- geodesics --------------------------------------------------------
 
     @abstractmethod
@@ -430,17 +406,6 @@ class Manifold(ABC):
 
     def random_tangent(self, p: Point, rng: np.random.Generator) -> TangentVector:
         return self.project_tangent(p, rng.standard_normal(self.coord_dim))
-
-    # -- transport ----------------------------------------------------------
-
-    def parallel_transport(self, curve: Curve, u: TangentVector, t: float) -> TangentVector:
-        """Parallel transport of ``u`` (based at curve start) to curve(t)."""
-        from .transport import transport_along
-
-        if not np.array_equal(u.base.coords, curve.start.coords):
-            raise InvalidTangent("vector must be based at the curve's start point")
-        vectors, _, _ = transport_along(self, curve, [u], [float(t)])
-        return vectors[0][0]
 
 
 def pin_endpoints(position_fn, p: Point, o: Point):

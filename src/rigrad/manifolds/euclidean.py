@@ -33,7 +33,6 @@ class Euclidean(Manifold):
             self.dim,
             metric_fn=lambda x: np.eye(self.dim),
             christoffel_fn=lambda X: np.zeros((len(X), self.dim, self.dim, self.dim)),
-            validate_fn=lambda x: self.point(x),
         )
 
     def __repr__(self):

@@ -72,7 +72,6 @@ class HalfPlane2(Manifold):
             2,
             metric_fn=lambda x: np.eye(2) / float(x[1]) ** 2,
             christoffel_fn=_christoffel,
-            validate_fn=lambda x: self.point(x),
         )
 
     def point_rows(self, P) -> np.ndarray:

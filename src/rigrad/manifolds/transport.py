@@ -151,15 +151,13 @@ def ode_transport(
     t0: float,
     t1: float,
     steps: int,
-    chart=None,
+    chart,
 ) -> np.ndarray:
-    """Integrate the transport equation with ``steps`` uniform RK4 steps.
+    """Integrate the transport equation in ``chart`` with ``steps`` uniform RK4 steps.
 
     ``components`` has one row of chart components per vector; the returned
     array holds the transported chart components at t1.
     """
-    if chart is None:
-        chart = curve_chart(manifold, curve)
     grid = np.linspace(t0, t1, steps + 1)
     w0 = np.array(components, dtype=float)
     B = _grid_matrices(chart, curve, grid)

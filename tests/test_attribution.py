@@ -164,6 +164,14 @@ def test_bam_on_constant_curve_is_zero(rng):
     assert rg.bam_along_curve(field, curve, u) == 0.0
 
 
+def test_bam_rejects_a_direction_away_from_the_curve_start(rng):
+    man = rg.make_manifold("sphere2")
+    p, o = man.random_point(rng), man.random_point(rng)
+    curve = man.geodesic_between(p, o)
+    with pytest.raises(rg.InvalidTangent):
+        rg.bam_along_curve(rg.CoordinateField(man, 2), curve, man.random_tangent(o, rng))
+
+
 def test_curve_attribution_is_reparametrization_invariant(manifold, rng):
     """The integral only sees the path's image, not its clock."""
     field = rg.MLPField(manifold, rg.random_mlp(manifold.coord_dim, (6, 4), rng))
@@ -442,6 +450,12 @@ def test_bound_check_on_prescribed_spectrum():
     top = np.array([0.0, 1.0])
     value = abs(top @ mat.entries @ top)
     assert value == check.largest_abs_eigenvalue
+
+
+def test_bound_check_needs_a_sample():
+    mat = make_synthetic_matrix([[1.0, 0.0], [0.0, -3.0]])
+    with pytest.raises(ValueError, match="samples must be positive"):
+        rg.attribution_bound_check(mat, samples=0, seed=9)
 
 
 def test_bound_check_is_seed_deterministic():

@@ -21,6 +21,11 @@ def test_spec_validation():
         rg.AxiomCheckSpec(axiom="Linearity", tolerance=1e-8, trials=0)
 
 
+def test_spec_needs_a_sample():
+    with pytest.raises(rg.ParseError, match="samples"):
+        rg.AxiomCheckSpec(axiom="EigenBound", tolerance=1e-8, trials=5, samples=0)
+
+
 def test_axiom_names_are_stable():
     assert rg.AXIOMS == (
         "Implementation",

@@ -76,6 +76,49 @@ def test_attribute_csv_format_to_stdout():
     assert [r["attribution"] for r in rows] == pytest.approx([1.0, -2.0], abs=1e-12)
 
 
+def test_attribute_out_with_a_suffix_writes_both_files(tmp_path):
+    code, output = run_cli(
+        "attribute", "--manifold", "euclidean", "--field", "affine:1,-2:0.5",
+        "--p", "1,1", "--o", "0,0", "--out", str(tmp_path / "name.json"),
+    )
+    assert code == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["name.csv", "name.json"]
+    report = report_io.read_attribution_json(tmp_path / "name.json")
+    rows = report_io.parse_attribution_csv((tmp_path / "name.csv").read_text())
+    assert [r["attribution"] for r in rows] == [float(a) for a in report.attributions]
+    assert output.startswith(f"wrote {tmp_path / 'name.json'} and {tmp_path / 'name.csv'}\n")
+
+
+def test_quadrature_nodes_flag_sets_the_starting_rule():
+    """From 8 nodes the rule doubles to 16 or 32; from the default 32 it
+    cannot stop before 64."""
+    flags = ("attribute", "--manifold", "half_plane2", "--field", "log_height",
+             "--p", "0,2", "--o", "0,0.5")
+    code, output = run_cli(*flags, "--quadrature-nodes", "8")
+    assert code == 0
+    payload = json.loads(output)
+    assert payload["diagnostics"]["nodes_used"] in (16, 32)
+    _, default = run_cli(*flags)
+    assert payload["attributions"] == pytest.approx(
+        json.loads(default)["attributions"], abs=1e-10
+    )
+
+
+def test_bump_field_takes_its_width():
+    man = rg.make_manifold("sphere2")
+    code, output = run_cli(
+        "attribute", "--manifold", "sphere2", "--field", "bump:0,0,1:0.5",
+        "--p", "0.6,0,0.8", "--o", "0,0.6,-0.8",
+    )
+    assert code == 0
+    payload = json.loads(output)
+    bump = rg.GaussianBumpField(man, man.point(np.array([0.0, 0.0, 1.0])), 0.5)
+    assert payload["value_at_point"] == bump.value(man.point(np.array([0.6, 0.0, 0.8])))
+    assert payload["value_at_base"] == bump.value(man.point(np.array([0.0, 0.6, -0.8])))
+    gap = payload["value_at_point"] - payload["value_at_base"]
+    assert abs(sum(payload["attributions"]) - gap) <= 1e-9
+
+
 def test_attribute_explicit_frame():
     s = 1.0 / np.sqrt(2.0)
     code, output = run_cli(
@@ -239,6 +282,19 @@ def test_manifold_config_file(tmp_path):
     assert abs(sum(json.loads(output)["attributions"]) - 2.0) <= 1e-9
 
 
+def test_transport_steps_flag_overrides_a_manifold_file(tmp_path):
+    """--transport-steps replaces the file's step count and keeps its bvp_tol."""
+    config = tmp_path / "manifold.json"
+    config.write_text(json.dumps({"kind": "sphere2", "transport_steps": 128, "bvp_tol": 1e-8}))
+    flags = ["attribute", "--manifold", str(config), "--field", "height",
+             "--p", "0,0,1", "--o", "1,0,0"]
+    parser = cli.build_parser()
+    from_file = cli._build_manifold(parser.parse_args(flags), None)
+    assert (from_file.transport_steps, from_file.bvp_tol) == (128, 1e-8)
+    overridden = cli._build_manifold(parser.parse_args(flags + ["--transport-steps", "64"]), None)
+    assert (overridden.kind, overridden.transport_steps, overridden.bvp_tol) == ("sphere2", 64, 1e-8)
+
+
 def test_compare_euclidean_prints_gap():
     code, output = run_cli(
         "compare", "--manifold", "euclidean:3", "--field", "affine:1,2,-1",
@@ -284,6 +340,18 @@ def test_compare_curved_writes_what_separate_calls_would(tmp_path):
         "second": report_io.attribution_report_to_dict(rg.eigen_rig(field, man, p, o, frame)),
     }
     assert out.read_text() == report_io.json_text(separate)
+
+
+def test_compare_refuses_the_format_flag(capsys):
+    """compare prints a table whatever --format says, so it refuses the flag."""
+    code, output = run_cli(
+        "compare", "--manifold", "euclidean:3", "--field", "affine:1,2,-1",
+        "--p", "1,0,2", "--o", "0,1,0", "--format", "csv",
+    )
+    assert code == 1
+    assert output == ""
+    err = capsys.readouterr().err
+    assert err.startswith("ParseError: unrecognized arguments: --format csv")
 
 
 def test_compare_rejects_flat_method_on_curved_manifold(capsys):

@@ -173,7 +173,7 @@ def test_swapped_input_columns_compose_with_the_swap(rng):
 def test_combined_field_is_pointwise_linear(manifold, rng):
     f = rg.MLPField(manifold, rg.random_mlp(manifold.coord_dim, (5,), rng))
     g = rg.MLPField(manifold, rg.random_mlp(manifold.coord_dim, (4,), rng))
-    combo = rg.linear_combination([2.0, -0.5], [f, g])
+    combo = rg.CombinedField([2.0, -0.5], [f, g])
     for _ in range(10):
         p = manifold.random_point(rng)
         expected = 2.0 * f.value(p) - 0.5 * g.value(p)
@@ -185,12 +185,12 @@ def test_combined_field_is_pointwise_linear(manifold, rng):
 def test_linear_combination_validation(manifold, rng):
     f = rg.MLPField(manifold, rg.random_mlp(manifold.coord_dim, (3,), rng))
     with pytest.raises(rg.ParseError):
-        rg.linear_combination([1.0, 2.0], [f])
+        rg.CombinedField([1.0, 2.0], [f])
     other = rg.MLPField(
         rg.make_manifold("euclidean", dim=7), rg.random_mlp(7, (3,), rng)
     )
     with pytest.raises(rg.WrongManifold):
-        rg.linear_combination([1.0, 1.0], [f, other])
+        rg.CombinedField([1.0, 1.0], [f, other])
 
 
 def test_pushforward_field_transforms_values(manifold, rng):

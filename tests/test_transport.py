@@ -260,7 +260,37 @@ def test_transport_rejects_vector_from_wrong_base(rng):
     curve = man.geodesic_between(p, q)
     stray = man.tangent(q, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(rg.InvalidTangent):
-        man.parallel_transport(curve, stray, 1.0)
+        transport_along(man, curve, [stray], [1.0])
+
+
+def test_curve_too_close_to_every_chart_pole_is_refused():
+    """theta = pi/2 + 1.45 sin(2 phi) comes within 0.1 rad of the pole of
+    the plane its samples fit best, so Sphere2 has no chart for it."""
+    man = rg.make_manifold("sphere2")
+    loop, _ = wandering_loop(man, math.pi / 2.0, 1.45, waves=2)
+    with pytest.raises(rg.InvalidCurve, match="within 0.1 rad"):
+        rg.generic_bam_report(rg.CoordinateField(man, 2), loop, man.orthonormal_frame(loop.start))
+
+
+def test_transport_parameters_outside_the_unit_interval(rng):
+    """A parameter beyond [0, 1] by more than 1e-9 is refused; one within it
+    is clamped to the end."""
+    man = rg.make_manifold("sphere2")
+    p, o = man.random_point(rng), man.random_point(rng)
+    curve = man.geodesic_between(p, o)
+    u = man.random_tangent(p, rng)
+    with pytest.raises(rg.InvalidCurve, match="outside"):
+        transport_along(man, curve, [u], [1.5])
+    clamped, _, _ = transport_along(man, curve, [u], [1.0 + 5e-10])
+    at_end, _, _ = transport_along(man, curve, [u], [1.0])
+    assert np.array_equal(clamped[0][0].base.coords, o.coords)
+    assert np.array_equal(clamped[0][0].components, at_end[0][0].components)
+
+
+@pytest.mark.parametrize("colatitude", [0.0, math.pi])
+def test_latitude_loop_at_a_pole_is_refused(colatitude):
+    with pytest.raises(rg.InvalidCurve):
+        rg.make_manifold("sphere2").latitude_loop(colatitude)
 
 
 def _batched(man, curve, vectors, ts):
