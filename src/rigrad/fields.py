@@ -222,11 +222,12 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z)  # softplus
 
 
-def _act_prime(name: str, z: np.ndarray) -> np.ndarray:
+def _act_prime(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Derivative at ``z``, where ``a`` is ``_act(name, z)``; tanh's reuses ``a``."""
     if name == "identity":
         return np.ones_like(z)
     if name == "tanh":
-        return 1.0 - np.tanh(z) ** 2
+        return 1.0 - a**2
     # logistic sigmoid, stable on both tails
     out = np.empty_like(z)
     pos = z >= 0
@@ -248,37 +249,38 @@ class MLPField(ScalarField):
             )
         self.weights = weights
 
-    def _forward(self, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
-        pre = []
+    def _forward(self, x: np.ndarray) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+        """The output and each layer's (pre-activation, activation) pair."""
+        seen = []
         a = np.array(x, dtype=float)
         for layer in self.weights.layers:
             z = layer.weights @ a + layer.bias
-            pre.append(z)
             a = _act(layer.activation, z)
-        return float(a[0]), pre
+            seen.append((z, a))
+        return float(a[0]), seen
 
     def value(self, p: Point) -> float:
         out, _ = self._forward(p.coords)
         return out
 
     def coord_gradient(self, p: Point) -> np.ndarray:
-        _, pre = self._forward(p.coords)
+        _, seen = self._forward(p.coords)
         grad = np.ones(1)
-        for layer, z in zip(reversed(self.weights.layers), reversed(pre)):
-            grad = layer.weights.T @ (grad * _act_prime(layer.activation, z))
+        for layer, (z, a) in zip(reversed(self.weights.layers), reversed(seen)):
+            grad = layer.weights.T @ (grad * _act_prime(layer.activation, z, a))
         return grad
 
     def coord_gradients(self, X: np.ndarray) -> np.ndarray:
         """One forward and backward pass over all rows of ``X`` at once."""
-        pre = []
+        seen = []
         a = np.asarray(X, dtype=float)
         for layer in self.weights.layers:
             z = a @ layer.weights.T + layer.bias
-            pre.append(z)
             a = _act(layer.activation, z)
+            seen.append((z, a))
         grad = np.ones((a.shape[0], 1))
-        for layer, z in zip(reversed(self.weights.layers), reversed(pre)):
-            grad = (grad * _act_prime(layer.activation, z)) @ layer.weights
+        for layer, (z, a) in zip(reversed(self.weights.layers), reversed(seen)):
+            grad = (grad * _act_prime(layer.activation, z, a)) @ layer.weights
         return grad
 
 

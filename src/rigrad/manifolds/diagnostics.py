@@ -7,6 +7,8 @@ arrays in one pass.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .base import Curve, Manifold
@@ -26,14 +28,25 @@ def geodesic_residual(
     does not depend on where a sample lies.  Expect roughly 1e-7 noise from
     the second-difference stencil; with no interior sample it is 0.0.
     """
-    ts = np.linspace(0.0, 1.0, samples)
-    ts = ts[(ts - h >= 0.0) & (ts + h <= 1.0)]
-    if not ts.size:
+    times = _stencil_times(samples, h)
+    n = times.size // 3
+    if not n:
         return 0.0
-    x0, xm, xp = np.split(curve.positions(np.concatenate([ts, ts - h, ts + h])), 3)
+    x = curve.positions(times)
+    x0, xm, xp = x[:n], x[n : 2 * n], x[2 * n :]
     defect = (xp - 2.0 * x0 + xm) / h**2
     defect = defect - manifold.geodesic_acceleration(x0, (xp - xm) / (2.0 * h))
     # a (1, dim) @ (dim, 1) product per row takes the same dot product as
     # norm() of one row, so the norms agree bit for bit
     squares = defect[:, None, :] @ defect[:, :, None]
     return float(np.sqrt(np.max(squares)))
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil_times(samples: int, h: float) -> np.ndarray:
+    """The interior samples ``t``, then ``t - h``, then ``t + h``, read-only."""
+    ts = np.linspace(0.0, 1.0, samples)
+    ts = ts[(ts - h >= 0.0) & (ts + h <= 1.0)]
+    times = np.concatenate([ts, ts - h, ts + h])
+    times.flags.writeable = False
+    return times

@@ -2,8 +2,10 @@
 
 JSON carries the full structure; CSV gives one flat row per direction for
 spreadsheet use.  All numbers are written as shortest round-trip decimals, so
-re-parsing a report reproduces every float bit for bit.  Files are written
-atomically (temp file plus rename) so readers never observe partial output.
+re-parsing a report reproduces every float bit for bit.  The JSON text equals
+``json.dumps(data, indent=2, allow_nan=False)`` plus a newline, byte for byte.
+Files are written atomically (temp file plus rename) so readers never observe
+partial output.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +44,50 @@ def _atomic_write(path: str | Path, text: str) -> None:
 
 def json_text(data) -> str:
     """Indented JSON with a final newline.  NaN and infinity raise ValueError
-    instead of printing as tokens that standard JSON parsers reject."""
-    return json.dumps(data, indent=2, allow_nan=False) + "\n"
+    instead of printing as tokens that standard JSON parsers reject.
+
+    The text is that of ``json.dumps(data, indent=2, allow_nan=False)``, whose
+    indented form runs the stdlib's pure-Python encoder; this writer joins a
+    list of plain floats in one C-level call instead.  Dict keys must be str;
+    other keys raise TypeError.
+    """
+    return _json(data, "") + "\n"
+
+
+def _json(value, pad: str) -> str:
+    """``value`` as indented JSON whose closing bracket sits at ``pad``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = pad + "  "
+    separator = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if {*map(type, value)} == {float} and all(map(math.isfinite, value)):
+            body = separator.join(map(float.__repr__, value))
+        else:
+            body = separator.join([_json(item, inner) for item in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = separator.join(
+            [encode_basestring_ascii(key) + ": " + _json(item, inner) for key, item in value.items()]
+        )
+        return "{\n" + inner + body + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def attribution_report_to_dict(report: AttributionReport) -> dict:

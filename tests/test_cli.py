@@ -472,3 +472,44 @@ def test_verify_reports_are_deterministic(tmp_path):
     _, first = run_cli("verify", "--config", str(config))
     _, second = run_cli("verify", "--config", str(config))
     assert first == second
+
+
+def test_json_outputs_are_the_stdlib_indented_text(tmp_path):
+    """Every JSON file and JSON stdout is, byte for byte, what the stdlib's
+    indent=2 encoder writes for the parsed document: attribute --out and
+    --format json, compare --out on flat and curved space, verify's suite."""
+    rng = np.random.default_rng(13)
+    texts = {}
+    for name, kind, dim in (("flat64", "euclidean:64", 64), ("sphere", "sphere2", 3)):
+        weights = tmp_path / f"{name}.json"
+        rg.mlp_to_file(rg.random_mlp(dim, (8, 8), rng), weights)
+        man = rg.make_manifold(kind.split(":")[0], dim if name == "flat64" else None)
+        p, o = man.random_point(rng), man.random_point(rng)
+        while name == "sphere" and man.dist(p, o) > 2.8:
+            o = man.random_point(rng)
+        flags = ["--manifold", kind, "--field", "mlp", "--weights", str(weights),
+                 "--p=" + ",".join(map(repr, p.coords.tolist())),
+                 "--o=" + ",".join(map(repr, o.coords.tolist()))]
+        code, _ = run_cli("compare", *flags, "--out", str(tmp_path / f"cmp_{name}.json"))
+        assert code == 0
+        texts[f"compare {name}"] = (tmp_path / f"cmp_{name}.json").read_text()
+        if name == "sphere":
+            code, _ = run_cli("attribute", *flags, "--frame", "eigen", "--out", str(tmp_path / "attr"))
+            assert code == 0
+            texts["attribute --out"] = (tmp_path / "attr.json").read_text()
+            code, texts["attribute stdout"] = run_cli("attribute", *flags, "--format", "json")
+            assert code == 0
+    config = tmp_path / "checks.json"
+    config.write_text(json.dumps({"checks": [
+        {"axiom": "Completeness", "tolerance": 1e-6, "trials": 2, "manifold": "sphere2"},
+        {"axiom": "Sensitivity", "tolerance": 1e-12, "trials": 2},
+    ]}))
+    code, _ = run_cli("verify", "--config", str(config), "--out", str(tmp_path / "suite"))
+    assert code == 0
+    texts["suite.json"] = (tmp_path / "suite" / "suite.json").read_text()
+    assert len(json.loads(texts["compare flat64"])["first"]["frame"]) == 64
+    differ = [
+        label for label, text in texts.items()
+        if text != json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
+    ]
+    assert differ == []

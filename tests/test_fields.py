@@ -158,6 +158,62 @@ def test_identity_layer_insertion_preserves_function(rng):
         assert abs(f.value(p) - g.value(p)) <= 1e-12 * (1.0 + abs(f.value(p)))
 
 
+def _sigmoid(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+# activation and derivative per name, tanh' taken from z as 1 - tanh(z)**2
+_ACTIVATIONS = {
+    "identity": (lambda z: z, np.ones_like),
+    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "softplus": (lambda z: np.logaddexp(0.0, z), _sigmoid),
+}
+
+
+def _gradient_recomputing_tanh(weights, x):
+    """MLPField's backward pass for one point (1-D ``x``) or for rows
+    (2-D), with every derivative computed from the pre-activation."""
+    batched = x.ndim == 2
+    pre, a = [], x
+    for layer in weights.layers:
+        z = a @ layer.weights.T + layer.bias if batched else layer.weights @ a + layer.bias
+        pre.append(z)
+        a = _ACTIVATIONS[layer.activation][0](z)
+    grad = np.ones((len(x), 1)) if batched else np.ones(1)
+    for layer, z in zip(reversed(weights.layers), reversed(pre)):
+        prime = _ACTIVATIONS[layer.activation][1](z)
+        grad = (grad * prime) @ layer.weights if batched else layer.weights.T @ (grad * prime)
+    return grad
+
+
+def test_mlp_gradients_reuse_the_forward_activations_bit_for_bit(rng):
+    """tanh' comes from the forward pass's activation; the bits are those of
+    recomputing tanh(z), on tanh, softplus, identity and mixed stacks."""
+    tanh = rg.random_mlp(3, (32, 32), rng)
+    mixed = rg.MLPWeights(3, (
+        rg.LayerSpec(rng.standard_normal((6, 3)), rng.standard_normal(6), "softplus"),
+        rg.LayerSpec(rng.standard_normal((5, 6)), rng.standard_normal(5), "tanh"),
+        rg.LayerSpec(rng.standard_normal((1, 5)), rng.standard_normal(1), "identity"),
+    ))
+    stacks = [
+        tanh,
+        rg.random_mlp(3, (8, 4), rng, activation="softplus"),
+        rg.random_mlp(3, (8, 4), rng, activation="identity"),
+        rg.insert_identity_layer(tanh, 1),
+        mixed,
+    ]
+    man = rg.make_manifold("euclidean", dim=3)
+    X = 3.0 * rng.standard_normal((64, 3))
+    for weights in stacks:
+        field = rg.MLPField(man, weights)
+        assert np.array_equal(field.coord_gradients(X), _gradient_recomputing_tanh(weights, X))
+        for x in X[:8]:
+            assert np.array_equal(
+                field.coord_gradient(man.point(x)), _gradient_recomputing_tanh(weights, x)
+            )
+
+
 def test_swapped_input_columns_compose_with_the_swap(rng):
     man = rg.make_manifold("euclidean", dim=3)
     weights = rg.random_mlp(3, (6,), rng)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rigrad as rg
-from rigrad.manifolds import Chart
+from rigrad.manifolds import Chart, diagnostics
 from rigrad.manifolds.sphere import ANTIPODAL_SLACK, SphericalChart, _cross3
 
 from conftest import assert_close_rel, loop_geodesic_residual, random_unit_tangent
@@ -390,6 +390,31 @@ def test_geodesic_residual_without_interior_samples_is_zero(rng):
     for curve in builtin_curves(rng):
         for twin in (curve, dataclasses.replace(curve, vectorized=False)):
             assert rg.geodesic_residual(curve.manifold, twin, samples=2) == 0.0
+
+
+def test_geodesic_residual_stencil_keeps_its_bits(rng):
+    """The cached stencil gives the residual of building the sample times on
+    every call (linspace, mask, concatenate, split), bit for bit; the cached
+    times are read-only."""
+
+    def per_call(manifold, curve, samples, h):
+        ts = np.linspace(0.0, 1.0, samples)
+        ts = ts[(ts - h >= 0.0) & (ts + h <= 1.0)]
+        if not ts.size:
+            return 0.0
+        x0, xm, xp = np.split(curve.positions(np.concatenate([ts, ts - h, ts + h])), 3)
+        defect = (xp - 2.0 * x0 + xm) / h**2
+        defect = defect - manifold.geodesic_acceleration(x0, (xp - xm) / (2.0 * h))
+        squares = defect[:, None, :] @ defect[:, :, None]
+        return float(np.sqrt(np.max(squares)))
+
+    for curve in builtin_curves(rng):
+        for samples, h in ((17, 1e-4), (5, 0.3), (2, 1e-4), (33, 0.5)):
+            expected = per_call(curve.manifold, curve, samples, h)
+            assert rg.geodesic_residual(curve.manifold, curve, samples, h) == expected
+    times = diagnostics._stencil_times(17, 1e-4)
+    assert not times.flags.writeable
+    assert times is diagnostics._stencil_times(17, 1e-4)
 
 
 def test_lower_matches_the_metric_matrix(manifold, rng):

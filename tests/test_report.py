@@ -128,3 +128,73 @@ def test_suite_serialization(tmp_path):
     assert len(lines) == 3
     # residuals round-trip through their decimal form
     assert float(lines[1].split(",")[1]) == reports[1].residuals[0]
+
+
+# -- the JSON writer against the stdlib's indented encoder ---------------------
+
+_TEXTS = ["", "plain", "café", "∂f/∂x", "\U0001f600", 'say "hi"', "back\\slash",
+          "tab\there\nnewline", "\x00\x01\x1f\x7f", "/"]
+_FLOATS = [0.0, -0.0, 1.0, -2.5, 1e-300, 1e300, 5e-324, 1.7976931348623157e308, 0.1, 1e16]
+
+
+def _random_document(rng, depth):
+    """A random JSON-able value of the kinds reports hold, ``depth`` levels deep."""
+    kind = int(rng.integers(12 if depth else 6))
+    if kind == 0:
+        return _TEXTS[rng.integers(len(_TEXTS))]
+    if kind == 1:
+        return [None, True, False][rng.integers(3)]
+    if kind == 2:
+        return int(rng.integers(-(2**62), 2**62)) * int(rng.choice([1, 2**40]))
+    if kind == 3:
+        return _FLOATS[rng.integers(len(_FLOATS))]
+    if kind == 4:
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-20, 20))
+    if kind == 5:
+        return np.float64(rng.standard_normal())
+    if kind == 6:  # plain floats only
+        return [float(x) for x in rng.standard_normal(rng.integers(0, 6))]
+    if kind == 7:  # numpy floats among plain ones
+        return [np.float64(x) if rng.random() < 0.3 else float(x)
+                for x in rng.standard_normal(rng.integers(1, 6))]
+    size = int(rng.integers(0, 4))
+    items = [_random_document(rng, depth - 1) for _ in range(size)]
+    if kind == 8:
+        return tuple(items)
+    if kind == 9:
+        return items
+    return {_TEXTS[rng.integers(len(_TEXTS))] + str(i): item for i, item in enumerate(items)}
+
+
+def _stdlib(value):
+    return json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+
+def test_json_text_is_the_stdlib_indented_text():
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        document = _random_document(rng, 4)
+        assert report_io.json_text(document) == _stdlib(document)
+    for edge in ([], {}, (), [[]], {"": {}}, [[1.0, 2.0], [3.0]], [1.0, 2, True, None]):
+        assert report_io.json_text(edge) == _stdlib(edge)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_text_refuses_non_finite_floats_like_the_stdlib(bad):
+    for document in (bad, np.float64(bad), [1.0, bad, 2.0], [bad], {"a": [[0.5, bad]]},
+                     [np.float64(1.0), bad], {"x": np.float64(bad)}):
+        with pytest.raises(ValueError) as ours:
+            report_io.json_text(document)
+        with pytest.raises(ValueError) as theirs:
+            _stdlib(document)
+        assert str(ours.value) == str(theirs.value)
+
+
+def test_json_text_refuses_what_json_cannot_hold():
+    for document in (object(), np.int64(3), [1.0, np.bool_(True)], {"a": {1, 2}}, b"bytes"):
+        with pytest.raises(TypeError):
+            report_io.json_text(document)
+        with pytest.raises(TypeError):
+            _stdlib(document)
+    with pytest.raises(TypeError):
+        report_io.json_text({1: "keys must be str"})
