@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribution import (
-    DEFAULT_QUADRATURE,
     _attribution_matrices,
     _rig_report,
     attribution_bound_check,
@@ -40,6 +39,7 @@ from .fields import (
     swap_input_columns,
 )
 from .manifolds import (
+    KINDS,
     Manifold,
     OrthonormalFrame,
     Point,
@@ -58,6 +58,12 @@ DEFAULT_SEED = 0x524947
 ABORT_ATTEMPT_FACTOR = 10
 
 FIXED_QUADRATURE = Quadrature(nodes=32, refine=False)
+
+# Checks that hold on flat space only, with the refusal given elsewhere.
+FLAT_ONLY = {
+    "SymmetryInvariance": "the symmetry-invariance check runs on flat space only",
+    "EuclideanRestriction": "the restriction check compares flat-space methods",
+}
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,14 @@ class AxiomCheckSpec:
             raise ParseError("trials must be at least 1")
         if self.samples < 1:
             raise ParseError("samples must be at least 1")
+        if self.manifold_kind not in KINDS:
+            raise ParseError(
+                f"unknown manifold kind {self.manifold_kind!r}; expected one of {KINDS}"
+            )
+        if self.manifold_kind == "euclidean" and self.dim < 1:
+            raise ParseError(f"dimension must be at least 1, got {self.dim}")
+        if self.axiom in FLAT_ONLY and self.manifold_kind != "euclidean":
+            raise ParseError(FLAT_ONLY[self.axiom])
 
     def make_manifold(self) -> Manifold:
         dim = self.dim if self.manifold_kind == "euclidean" else None
@@ -295,8 +309,6 @@ def check_symmetry_invariance(spec: AxiomCheckSpec) -> AxiomReport:
     swapped point, which needs the coordinate swap to be an isometry fixing
     the base point.
     """
-    if spec.manifold_kind != "euclidean":
-        raise ParseError("the symmetry-invariance check runs on flat space only")
     manifold = spec.make_manifold()
 
     def one_trial(rng):
@@ -377,8 +389,6 @@ def check_isometry_invariance(spec: AxiomCheckSpec) -> AxiomReport:
 
 def check_euclidean_restriction(spec: AxiomCheckSpec) -> AxiomReport:
     """On flat space the geodesic method must equal the straight-line method."""
-    if spec.manifold_kind != "euclidean":
-        raise ParseError("the restriction check compares flat-space methods")
 
     def one_trial(rng):
         dim = int(rng.integers(2, 9))

@@ -24,7 +24,6 @@ unambiguous.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -55,6 +54,7 @@ from .errors import (
     QuadratureNotConverged,
     TransportNotConverged,
     WrongManifold,
+    _read_json,
 )
 from .fields import (
     AffineField,
@@ -110,8 +110,6 @@ def _parse_vector(text: str, label: str) -> np.ndarray:
         values = [float(part) for part in text.split(",")]
     except ValueError:
         raise ParseError(f"{label} must be comma-separated decimals, got {text!r}") from None
-    if not values:
-        raise ParseError(f"{label} is empty")
     return np.array(values, dtype=float)
 
 
@@ -328,11 +326,7 @@ def cmd_compare(args, out) -> int:
         print(f"trace gap: {abs(trace_left - trace_right):.3e}", file=out)
 
     if args.out:
-        payload = {
-            "first": report_io.attribution_report_to_dict(left),
-            "second": report_io.attribution_report_to_dict(right),
-        }
-        report_io._atomic_write(args.out, report_io.json_text(payload))
+        report_io.write_compare_json(left, right, args.out)
         print(f"wrote {args.out}", file=out)
     return 0
 
@@ -343,13 +337,7 @@ def cmd_verify(args, out) -> int:
             raise ParseError(
                 "--seed draws the stock suite only; with --config, set 'seed' per check"
             )
-        try:
-            data = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.config} is not valid JSON: {exc}") from exc
-        specs = suite_from_dict(data)
+        specs = suite_from_dict(_read_json(args.config, args.config))
     else:
         specs = default_suite(args.seed)
 

@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the package."""
 
+import json
+from pathlib import Path
+
 
 class RigradError(Exception):
     """Base class for all rigrad-specific errors."""
@@ -31,6 +34,17 @@ class DimensionMismatch(RigradError):
 
 class ParseError(RigradError):
     """A configuration or weights document is malformed."""
+
+
+def _read_json(path, label: str):
+    """The JSON document in the file at ``path``, named ``label`` in the
+    ParseError raised when it cannot be read or parsed."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ParseError(f"cannot read {label}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{label} is not valid JSON: {exc}") from exc
 
 
 class WrongManifold(RigradError):

@@ -3,8 +3,10 @@
 Every field reports both a coordinate derivative (the row of partials in the
 manifold's canonical coordinates; for the sphere, of a smooth ambient
 extension) and the Riemannian gradient obtained by raising it through the
-metric.  Multilayer perceptrons are the main test subjects; a few analytic
-fields support the geometry checks.
+metric.  The built-in fields write it once, over rows of points
+(``coord_gradients``); ``coord_gradient`` is the one-row case.  Multilayer
+perceptrons are the main test subjects; a few analytic fields support the
+geometry checks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, WrongManifold
+from .errors import DimensionMismatch, ParseError, WrongManifold, _read_json
 from .manifolds import Manifold, Point, TangentVector
 
 ACTIVATIONS = ("identity", "tanh", "softplus")
@@ -66,18 +68,18 @@ class ScalarField(ABC):
         return float(self.coord_gradient(u.base) @ u.components)
 
 
-class GradientFirstField(ScalarField):
-    """Base for fields defined through their Riemannian gradient."""
+class _RowField(ScalarField):
+    """Base for fields whose one gradient formula works on rows of points."""
 
     @abstractmethod
-    def gradient(self, p: Point) -> TangentVector:
+    def coord_gradients(self, X: np.ndarray) -> np.ndarray:
         ...
 
     def coord_gradient(self, p: Point) -> np.ndarray:
-        return self.manifold.metric_at(p) @ self.gradient(p).components
+        return self.coord_gradients(p.coords[None, :])[0]
 
 
-class CoordinateField(ScalarField):
+class CoordinateField(_RowField):
     """F(p) = p[index]; on the sphere this is an ambient height function."""
 
     def __init__(self, manifold: Manifold, index: int):
@@ -91,18 +93,13 @@ class CoordinateField(ScalarField):
     def value(self, p: Point) -> float:
         return float(p.coords[self.index])
 
-    def coord_gradient(self, p: Point) -> np.ndarray:
-        out = np.zeros(self.manifold.coord_dim)
-        out[self.index] = 1.0
-        return out
-
     def coord_gradients(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros((len(X), self.manifold.coord_dim))
         out[:, self.index] = 1.0
         return out
 
 
-class AffineField(ScalarField):
+class AffineField(_RowField):
     """F(p) = weights . p + bias in canonical coordinates."""
 
     def __init__(self, manifold: Manifold, weights, bias: float = 0.0):
@@ -118,14 +115,11 @@ class AffineField(ScalarField):
     def value(self, p: Point) -> float:
         return float(self.weights @ p.coords + self.bias)
 
-    def coord_gradient(self, p: Point) -> np.ndarray:
-        return np.array(self.weights)
-
     def coord_gradients(self, X: np.ndarray) -> np.ndarray:
         return np.tile(self.weights, (len(X), 1))
 
 
-class LogHeightField(ScalarField):
+class LogHeightField(_RowField):
     """F(x, y) = log y on the half-plane; its gradient has constant norm 1."""
 
     def __init__(self, manifold: Manifold):
@@ -136,11 +130,11 @@ class LogHeightField(ScalarField):
     def value(self, p: Point) -> float:
         return float(np.log(p.coords[1]))
 
-    def coord_gradient(self, p: Point) -> np.ndarray:
-        return np.array([0.0, 1.0 / float(p.coords[1])])
+    def coord_gradients(self, X: np.ndarray) -> np.ndarray:
+        return np.stack([np.zeros(len(X)), 1.0 / X[:, 1]], axis=1)
 
 
-class GaussianBumpField(GradientFirstField):
+class GaussianBumpField(_RowField):
     """F(p) = exp(-d(p, center)^2 / (2 width^2)).
 
     Smooth wherever the squared distance to the center is (everywhere except
@@ -158,9 +152,14 @@ class GaussianBumpField(GradientFirstField):
         d = self.manifold.dist(p, self.center)
         return float(np.exp(-0.5 * (d / self.width) ** 2))
 
-    def gradient(self, p: Point) -> TangentVector:
-        toward = self.manifold.log_map(p, self.center)
-        return (self.value(p) / self.width**2) * toward
+    def coord_gradients(self, X: np.ndarray) -> np.ndarray:
+        """The raised gradient (F / width^2) log_p(center) at each row, lowered
+        in one call."""
+        raised = [
+            self.manifold.log_map(p, self.center).components * (self.value(p) / self.width**2)
+            for p in map(Point, X)
+        ]
+        return self.manifold.lower(X, np.array(raised).reshape(X.shape))
 
 
 @dataclass(frozen=True)
@@ -237,7 +236,7 @@ def _act_prime(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-class MLPField(ScalarField):
+class MLPField(_RowField):
     """Scalar field computed by a small dense network on canonical coordinates."""
 
     def __init__(self, manifold: Manifold, weights: MLPWeights):
@@ -249,26 +248,11 @@ class MLPField(ScalarField):
             )
         self.weights = weights
 
-    def _forward(self, x: np.ndarray) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-        """The output and each layer's (pre-activation, activation) pair."""
-        seen = []
-        a = np.array(x, dtype=float)
-        for layer in self.weights.layers:
-            z = layer.weights @ a + layer.bias
-            a = _act(layer.activation, z)
-            seen.append((z, a))
-        return float(a[0]), seen
-
     def value(self, p: Point) -> float:
-        out, _ = self._forward(p.coords)
-        return out
-
-    def coord_gradient(self, p: Point) -> np.ndarray:
-        _, seen = self._forward(p.coords)
-        grad = np.ones(1)
-        for layer, (z, a) in zip(reversed(self.weights.layers), reversed(seen)):
-            grad = layer.weights.T @ (grad * _act_prime(layer.activation, z, a))
-        return grad
+        a = p.coords
+        for layer in self.weights.layers:
+            a = _act(layer.activation, layer.weights @ a + layer.bias)
+        return float(a[0])
 
     def coord_gradients(self, X: np.ndarray) -> np.ndarray:
         """One forward and backward pass over all rows of ``X`` at once."""
@@ -284,7 +268,7 @@ class MLPField(ScalarField):
         return grad
 
 
-class CombinedField(ScalarField):
+class CombinedField(_RowField):
     """A fixed linear combination of fields on one manifold."""
 
     def __init__(self, coefficients: Sequence[float], fields: Sequence[ScalarField]):
@@ -300,12 +284,6 @@ class CombinedField(ScalarField):
     def value(self, p: Point) -> float:
         return sum(c * f.value(p) for c, f in zip(self.coefficients, self.fields))
 
-    def coord_gradient(self, p: Point) -> np.ndarray:
-        out = np.zeros(self.manifold.coord_dim)
-        for c, f in zip(self.coefficients, self.fields):
-            out += c * f.coord_gradient(p)
-        return out
-
     def coord_gradients(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros((len(X), self.manifold.coord_dim))
         for c, f in zip(self.coefficients, self.fields):
@@ -313,7 +291,7 @@ class CombinedField(ScalarField):
         return out
 
 
-class PushforwardField(GradientFirstField):
+class PushforwardField(_RowField):
     """The field F composed with the inverse of an isometry.
 
     Gradients push forward through the map's differential, which is what
@@ -331,13 +309,9 @@ class PushforwardField(GradientFirstField):
     def value(self, p: Point) -> float:
         return self.field.value(self._inverse.apply(p))
 
-    def gradient(self, p: Point) -> TangentVector:
-        q = self._inverse.apply(p)
-        return self.isometry.differential(self.field.gradient(q))
-
     def coord_gradients(self, X: np.ndarray) -> np.ndarray:
         """Pull the rows back, raise the member's gradients there, push them
-        forward and lower them: ``gradient``'s steps, one call each."""
+        forward through the differential and lower them, one call each."""
         Q = self._inverse.apply_rows(X)
         raised = self.manifold.raise_gradients(Q, self.field.coord_gradients(Q))
         return self.manifold.lower(X, self.isometry.differential_rows(Q, raised))
@@ -452,15 +426,7 @@ def mlp_from_dict(data: dict) -> MLPWeights:
 
 
 def mlp_from_file(path: str | Path) -> MLPWeights:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read network file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"network file {path} is not valid JSON: {exc}") from exc
-    return mlp_from_dict(data)
+    return mlp_from_dict(_read_json(path, f"network file {path}"))
 
 
 def mlp_to_file(weights: MLPWeights, path: str | Path) -> None:

@@ -211,20 +211,20 @@ class Chart(ABC):
 class IdentityChart(Chart):
     """Canonical coordinates used directly as the chart (Euclidean, half-plane).
 
-    ``christoffel_fn`` maps an array of points (K, dim) to their Christoffel
-    symbols (K, dim, dim, dim).
+    The metric is the manifold's ``metric_at``; ``christoffel_fn`` maps an
+    array of points (K, dim) to their Christoffel symbols (K, dim, dim, dim).
     """
 
-    def __init__(self, dim, metric_fn, christoffel_fn):
-        self.dim = dim
-        self._metric_fn = metric_fn
+    def __init__(self, manifold: "Manifold", christoffel_fn):
+        self.dim = manifold.dim
+        self._manifold = manifold
         self._christoffel_fn = christoffel_fn
 
     def to_chart(self, p: Point) -> np.ndarray:
         return np.array(p.coords)
 
     def metric(self, x: np.ndarray) -> np.ndarray:
-        return self._metric_fn(x)
+        return self._manifold.metric_at(Point(x))
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
         return self._christoffel_fn(np.asarray(x, dtype=float)[None, :])[0]
@@ -308,9 +308,11 @@ class Manifold(ABC):
 
     # -- metric ---------------------------------------------------------
 
-    @abstractmethod
     def metric_at(self, p: Point) -> np.ndarray:
-        """Metric matrix in canonical coordinates (Sphere2: 3x3 projector)."""
+        """Metric matrix in canonical coordinates (Sphere2: 3x3 projector):
+        ``lower`` applied to the coordinate vectors at ``p``."""
+        n = self.coord_dim
+        return self.lower(np.repeat(p.coords[None, :], n, axis=0), np.eye(n))
 
     @abstractmethod
     def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:

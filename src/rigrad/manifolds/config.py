@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
-from ..errors import ParseError
+from ..errors import ParseError, _read_json
 from .base import Manifold
 from .euclidean import Euclidean
 from .halfplane import HalfPlane2
@@ -61,15 +60,7 @@ def manifold_from_dict(data: dict) -> Manifold:
 
 
 def manifold_from_file(path: str | Path) -> Manifold:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read manifold config {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"manifold config {path} is not valid JSON: {exc}") from exc
-    return manifold_from_dict(data)
+    return manifold_from_dict(_read_json(path, f"manifold config {path}"))
 
 
 def manifold_to_dict(manifold: Manifold) -> dict:

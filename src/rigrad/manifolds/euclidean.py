@@ -30,9 +30,7 @@ class Euclidean(Manifold):
         self.dim = int(dim)
         self.coord_dim = self.dim
         self._chart = IdentityChart(
-            self.dim,
-            metric_fn=lambda x: np.eye(self.dim),
-            christoffel_fn=lambda X: np.zeros((len(X), self.dim, self.dim, self.dim)),
+            self, lambda X: np.zeros((len(X), self.dim, self.dim, self.dim))
         )
 
     def __repr__(self):
@@ -48,9 +46,6 @@ class Euclidean(Manifold):
 
     def project_tangent(self, p: Point, components) -> TangentVector:
         return self.tangent(p, components)
-
-    def metric_at(self, p: Point) -> np.ndarray:
-        return np.eye(self.dim)
 
     def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         return V

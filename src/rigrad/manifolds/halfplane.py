@@ -68,11 +68,7 @@ class HalfPlane2(Manifold):
         super().__init__(transport_steps, bvp_tol)
         self.dim = 2
         self.coord_dim = 2
-        self._chart = HalfPlaneChart(
-            2,
-            metric_fn=lambda x: np.eye(2) / float(x[1]) ** 2,
-            christoffel_fn=_christoffel,
-        )
+        self._chart = HalfPlaneChart(self, _christoffel)
 
     def point_rows(self, P) -> np.ndarray:
         """Rows with a positive second coordinate."""
@@ -90,9 +86,6 @@ class HalfPlane2(Manifold):
 
     def project_tangent(self, p: Point, components) -> TangentVector:
         return self.tangent(p, components)
-
-    def metric_at(self, p: Point) -> np.ndarray:
-        return np.eye(2) / float(p.coords[1]) ** 2
 
     def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         return V / P[:, 1:] ** 2

@@ -217,16 +217,13 @@ class Sphere2(Manifold):
             raise InvalidTangent(
                 f"components have radial part {radial!r}; not tangent to the sphere"
             )
-        return TangentVector(p, arr - np.dot(p.coords, arr) * p.coords)
+        return self.project_tangent(p, arr)
 
     def project_tangent(self, p: Point, components) -> TangentVector:
         arr = np.asarray(components, dtype=float)
         if arr.shape != (3,):
             raise DimensionMismatch(f"expected 3 components, got shape {arr.shape}")
         return TangentVector(p, arr - np.dot(p.coords, arr) * p.coords)
-
-    def metric_at(self, p: Point) -> np.ndarray:
-        return np.eye(3) - np.outer(p.coords, p.coords)
 
     def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         return V - np.sum(P * V, axis=-1, keepdims=True) * P

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 import tempfile
@@ -22,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .attribution import AttributionReport, PathDiagnostics
-from .axioms import AxiomCheckSpec, AxiomReport
-from .errors import ParseError
+from .axioms import AxiomReport
+from .errors import ParseError, _read_json
 from .manifolds import OrthonormalFrame, Point, TangentVector
 
 
@@ -163,14 +162,19 @@ def write_attribution_json(report: AttributionReport, path: str | Path) -> None:
     _atomic_write(path, json_text(attribution_report_to_dict(report)))
 
 
+def write_compare_json(
+    first: AttributionReport, second: AttributionReport, path: str | Path
+) -> None:
+    """The two reports of ``compare``, under ``first`` and ``second``."""
+    payload = {
+        "first": attribution_report_to_dict(first),
+        "second": attribution_report_to_dict(second),
+    }
+    _atomic_write(path, json_text(payload))
+
+
 def read_attribution_json(path: str | Path) -> AttributionReport:
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"report {path} is not valid JSON: {exc}") from exc
-    return attribution_report_from_dict(data)
+    return attribution_report_from_dict(_read_json(path, f"report {path}"))
 
 
 def attribution_report_csv(report: AttributionReport) -> str:

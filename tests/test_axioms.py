@@ -26,6 +26,20 @@ def test_spec_needs_a_sample():
         rg.AxiomCheckSpec(axiom="EigenBound", tolerance=1e-8, trials=5, samples=0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"manifold_kind": "torus"}, "unknown manifold kind 'torus'"),
+    ({"dim": 0}, "dimension must be at least 1, got 0"),
+    ({"axiom": "SymmetryInvariance", "manifold_kind": "sphere2"}, "flat space only"),
+    ({"axiom": "EuclideanRestriction", "manifold_kind": "half_plane2"}, "flat-space methods"),
+])
+def test_spec_refuses_what_no_check_can_run(fields, message):
+    """Each refusal comes at construction, before any check of a suite runs."""
+    with pytest.raises(rg.ParseError, match=message):
+        rg.AxiomCheckSpec(**{"axiom": "Linearity", "tolerance": 1e-9, "trials": 2, **fields})
+    # dim is read on flat space only
+    rg.AxiomCheckSpec("Linearity", 1e-9, 2, manifold_kind="sphere2", dim=0)
+
+
 def test_axiom_names_are_stable():
     assert rg.AXIOMS == (
         "Implementation",
@@ -73,11 +87,10 @@ def test_isometry_invariance_check(kind, tolerance):
 
 
 def test_symmetry_invariance_is_flat_space_only():
-    spec = rg.AxiomCheckSpec(
-        axiom="SymmetryInvariance", tolerance=1e-8, trials=3, manifold_kind="sphere2"
-    )
-    with pytest.raises(rg.ParseError):
-        rg.run_check(spec)
+    with pytest.raises(rg.ParseError, match="flat space only"):
+        rg.AxiomCheckSpec(
+            axiom="SymmetryInvariance", tolerance=1e-8, trials=3, manifold_kind="sphere2"
+        )
     flat = rg.AxiomCheckSpec(axiom="SymmetryInvariance", tolerance=1e-8, trials=4)
     assert rg.run_check(flat).passed
 

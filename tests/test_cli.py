@@ -424,6 +424,51 @@ def test_verify_rejects_a_non_finite_tolerance(tmp_path, capsys, tolerance):
     assert "ParseError: tolerance must be a positive finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"axiom": "Linearity", "dim": 0}, "dimension must be at least 1, got 0"),
+    ({"axiom": "Linearity", "manifold": "torus"}, "unknown manifold kind 'torus'"),
+    ({"axiom": "Monotonicity"}, "unknown axiom 'Monotonicity'"),
+    ({"axiom": "SymmetryInvariance", "manifold": "sphere2"}, "flat space only"),
+])
+def test_verify_refuses_a_bad_check_before_running_any(tmp_path, capsys, bad, message):
+    """A passing check ahead of the bad one neither runs nor prints, and no
+    report directory is made."""
+    config = tmp_path / "mixed.json"
+    config.write_text(json.dumps({"checks": [
+        {"axiom": "Sensitivity", "tolerance": 1e-12, "trials": 2},
+        {"tolerance": 1e-9, "trials": 2, **bad},
+    ]}))
+    outdir = tmp_path / "reports"
+    code, output = run_cli("verify", "--config", str(config), "--out", str(outdir))
+    assert code == 1
+    assert output == ""
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("ParseError: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("reader, label", [
+    (rg.mlp_from_file, "network file {}"),
+    (rg.manifold_from_file, "manifold config {}"),
+    (report_io.read_attribution_json, "report {}"),
+    (None, "{}"),
+])
+def test_json_readers_name_the_file_they_cannot_use(tmp_path, capsys, reader, label):
+    """A missing file and a file that is not JSON are ParseErrors naming the
+    file, from each reader and from verify --config (exit 1)."""
+    missing, broken = tmp_path / "missing.json", tmp_path / "broken.json"
+    broken.write_text("{not json")
+    for path, text in ((missing, f"cannot read {label.format(missing)}: "),
+                       (broken, f"{label.format(broken)} is not valid JSON: ")):
+        if reader is None:
+            assert run_cli("verify", "--config", str(path)) == (1, "")
+            assert capsys.readouterr().err.startswith(f"ParseError: {text}")
+        else:
+            with pytest.raises(rg.ParseError) as caught:
+                reader(path)
+            assert str(caught.value).startswith(text)
+
+
 def test_attribute_non_finite_field_exits_1(capsys):
     code, output = run_cli(
         "attribute", "--manifold", "half_plane2", "--field", "affine:nan,1",

@@ -371,3 +371,68 @@ def test_batched_gradients_match_the_point_loop(manifold, rng):
         loop = np.array([field.coord_gradient(rg.Point(x)) for x in points])
         assert_close_rel(batched, loop)
         assert field.coord_gradients(points[:0]).shape == (0, manifold.coord_dim)
+
+
+def test_row_gradients_match_central_differences(manifold, rng):
+    """The independent oracle of every built-in field's one gradient formula:
+    each row of ``coord_gradients`` paired with the frame vectors there
+    against central differences along exponential rays."""
+    center = manifold.random_point(rng)
+    points = [manifold.random_point(rng) for _ in range(8)]
+    if manifold.kind == "sphere2":
+        # the bump is smooth away from its center's antipode only
+        points = [p for p in points if p.coords @ center.coords > -0.9]
+    X = np.array([p.coords for p in points])
+    for field in _every_field_class(manifold, center, rng):
+        rows = field.coord_gradients(X)
+        assert rows.shape == X.shape
+        for p, row in zip(points, rows):
+            for u in manifold.orthonormal_frame(p).vectors:
+                analytic = float(row @ u.components)
+                fd = fd_directional(manifold, field, p, u)
+                assert abs(fd - analytic) <= 1e-6 * (1.0 + abs(analytic)), type(field).__name__
+
+
+class _ScalarOnlyAffine(rg.ScalarField):
+    """A custom field that writes only the two scalar methods."""
+
+    def __init__(self, manifold, weights):
+        super().__init__(manifold)
+        self.weights = np.asarray(weights, dtype=float)
+
+    def value(self, p):
+        return float(self.weights @ p.coords)
+
+    def coord_gradient(self, p):
+        return np.array(self.weights)
+
+
+def test_scalar_only_custom_field_still_attributes(manifold, rng):
+    """The looping ``coord_gradients`` default serves a field that writes no
+    row formula; its attributions are the built-in affine field's, bit for bit."""
+    weights = rng.standard_normal(manifold.coord_dim)
+    custom = _ScalarOnlyAffine(manifold, weights)
+    builtin = rg.AffineField(manifold, weights)
+    p, o = manifold.random_point(rng), manifold.random_point(rng)
+    frame = manifold.orthonormal_frame(p)
+    mine = rg.rig(custom, manifold, p, o, frame)
+    theirs = rg.rig(builtin, manifold, p, o, frame)
+    assert np.array_equal(mine.attributions, theirs.attributions)
+    assert mine.completeness_residual <= 1e-10
+    assert np.array_equal(custom.gradient(p).components, builtin.gradient(p).components)
+
+
+def test_builtin_fields_write_one_gradient_formula():
+    """Every built-in field defines ``coord_gradients`` and no scalar twin."""
+    builtins = [
+        cls for cls in vars(rg.fields).values()
+        if isinstance(cls, type) and issubclass(cls, rg.ScalarField)
+        and cls.__module__ == "rigrad.fields" and not cls.__name__.startswith("_")
+        and cls is not rg.ScalarField
+    ]
+    assert len(builtins) == 7
+    for cls in builtins:
+        assert "coord_gradients" in cls.__dict__, cls.__name__
+        assert "coord_gradient" not in cls.__dict__, cls.__name__
+        assert "gradient" not in cls.__dict__, cls.__name__
+    assert not hasattr(rg.fields, "GradientFirstField")

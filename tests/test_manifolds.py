@@ -424,6 +424,30 @@ def test_lower_matches_the_metric_matrix(manifold, rng):
     assert_close_rel(manifold.lower(P, V), expected)
 
 
+def _closed_form_metric(manifold, p):
+    """Each manifold's metric matrix written out on its own."""
+    if manifold.kind == "euclidean":
+        return np.eye(manifold.dim)
+    if manifold.kind == "sphere2":
+        return np.eye(3) - np.outer(p.coords, p.coords)
+    return np.eye(2) / float(p.coords[1]) ** 2
+
+
+def test_metric_at_is_lower_of_the_coordinate_vectors_bit_for_bit(manifold, rng):
+    """The one metric formula, ``lower``, gives the closed forms' bits, and
+    the identity charts read the same matrix."""
+    points = [manifold.random_point(rng) for _ in range(50)]
+    if manifold.kind == "half_plane2":
+        points.append(manifold.point(np.array([0.3, 1e-7])))
+    for p in points:
+        g = manifold.metric_at(p)
+        assert np.array_equal(g, _closed_form_metric(manifold, p))
+        if manifold.kind != "sphere2":
+            assert np.array_equal(manifold.chart_at(p).metric(p.coords), g)
+    for cls in (rg.Euclidean, rg.Sphere2, rg.HalfPlane2):
+        assert "metric_at" not in cls.__dict__, cls.__name__
+
+
 def test_geodesic_speed_is_constant(manifold, rng):
     p = manifold.random_point(rng)
     o = manifold.random_point(rng)
