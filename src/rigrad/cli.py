@@ -116,31 +116,25 @@ def _parse_vector(text: str, label: str) -> np.ndarray:
 def _build_manifold(args, point_hint: np.ndarray | None) -> Manifold:
     """Resolve --manifold: a kind name, kind:dim, or a config file path."""
     spec = args.manifold
-    steps = args.transport_steps
     kind, _, suffix = spec.partition(":")
-    if kind in KINDS:
-        if suffix:
-            try:
-                dim = int(suffix)
-            except ValueError:
-                raise ParseError(f"bad dimension suffix in --manifold {spec!r}") from None
-        elif kind == "euclidean":
-            if point_hint is None:
-                raise ParseError("euclidean manifold needs a dimension (use euclidean:n)")
-            dim = point_hint.size
-        else:
-            dim = None
-        options = {}
-    else:
+    if kind not in KINDS:
         path = Path(spec)
         if not path.exists():
             raise ParseError(f"--manifold {spec!r} is neither a known kind nor a file")
-        manifold = manifold_from_file(path)
-        if not steps:
-            return manifold
-        kind, dim, options = manifold.kind, manifold.dim, {"bvp_tol": manifold.bvp_tol}
-    try:  # a dimension below 1 or a negative step count
-        return make_manifold(kind, dim=dim, transport_steps=steps or 256, **options)
+        return manifold_from_file(path)
+    if suffix:
+        try:
+            dim = int(suffix)
+        except ValueError:
+            raise ParseError(f"bad dimension suffix in --manifold {spec!r}") from None
+    elif kind == "euclidean":
+        if point_hint is None:
+            raise ParseError("euclidean manifold needs a dimension (use euclidean:n)")
+        dim = point_hint.size
+    else:
+        dim = None
+    try:  # a dimension below 1
+        return make_manifold(kind, dim=dim)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -286,11 +280,6 @@ def cmd_attribute(args, out) -> int:
 def cmd_compare(args, out) -> int:
     p_raw = _parse_vector(args.p, "--p")
     manifold = _build_manifold(args, p_raw)
-    if args.method == "ig" and not manifold.flat:
-        raise WrongManifold(
-            "the straight-line method is defined on flat space only; "
-            f"--manifold is {manifold.kind}"
-        )
     p = _parse_point(manifold, args.p, "--p")
     o = _parse_point(manifold, args.o, "--o")
     field = _parse_field(manifold, args)
@@ -382,7 +371,6 @@ def build_parser() -> _Parser:
         p.add_argument("--p", required=True, help="explained point, comma-separated, e.g. --p -1,0")
         p.add_argument("--o", required=True, help="base point, comma-separated, e.g. --o -1,0")
         p.add_argument("--quadrature-nodes", type=int, default=0)
-        p.add_argument("--transport-steps", type=int, default=0)
         p.add_argument("--out", help="output path (attribute writes .json and .csv)")
 
     attribute = sub.add_parser("attribute", help="compute attributions between two points")
@@ -394,7 +382,6 @@ def build_parser() -> _Parser:
 
     compare = sub.add_parser("compare", help="compare attribution methods or frames")
     common(compare)
-    compare.add_argument("--method", choices=("ig", "rig"), default=None)
 
     verify = sub.add_parser("verify", help="run the certification suite")
     verify.add_argument("--config", help="JSON file with a 'checks' list")

@@ -298,13 +298,24 @@ class Manifold(ABC):
     def validate_point(self, p: Point) -> Point:
         return self.point(p.coords)
 
-    @abstractmethod
-    def tangent(self, p: Point, components) -> TangentVector:
-        """Validated tangent vector at ``p``; raises InvalidTangent."""
+    def _components(self, components) -> np.ndarray:
+        """One vector's canonical components as floats; raises
+        DimensionMismatch unless there are ``coord_dim`` of them."""
+        arr = np.asarray(components, dtype=float)
+        if arr.shape != (self.coord_dim,):
+            raise DimensionMismatch(
+                f"expected {self.coord_dim} components, got shape {arr.shape}"
+            )
+        return arr
 
-    @abstractmethod
+    def tangent(self, p: Point, components) -> TangentVector:
+        """Validated tangent vector at ``p``; raises InvalidTangent.  By
+        default every vector of ``coord_dim`` components is tangent."""
+        return TangentVector(p, self._components(components))
+
     def project_tangent(self, p: Point, components) -> TangentVector:
         """Closest tangent vector to arbitrary coordinate components."""
+        return self.tangent(p, components)
 
     # -- metric ---------------------------------------------------------
 
@@ -328,11 +339,7 @@ class Manifold(ABC):
 
     def raise_gradient(self, p: Point, coord_grad) -> TangentVector:
         """Tangent vector v with g(v, u) equal to coord_grad . u for all tangent u."""
-        grad = np.asarray(coord_grad, dtype=float)
-        if grad.shape != (self.coord_dim,):
-            raise DimensionMismatch(
-                f"expected {self.coord_dim} components, got shape {grad.shape}"
-            )
+        grad = self._components(coord_grad)
         return TangentVector(p, self.raise_gradients(p.coords[None, :], grad[None, :])[0])
 
     @abstractmethod
@@ -341,10 +348,6 @@ class Manifold(ABC):
         is the tangent vector at P[k] that G[k] pairs with as a covector."""
 
     # -- charts and Christoffel symbols ----------------------------------
-
-    @abstractmethod
-    def chart_at(self, p: Point) -> Chart:
-        """Working chart valid in a neighbourhood of ``p``."""
 
     @abstractmethod
     def chart_for_curve(self, samples) -> Chart:
@@ -368,20 +371,20 @@ class Manifold(ABC):
     def dist(self, p: Point, q: Point) -> float:
         """Geodesic distance."""
 
+    @abstractmethod
     def geodesic_between(self, p: Point, o: Point) -> Curve:
         """Constant-speed length-minimising geodesic with gamma(0)=p, gamma(1)=o."""
-        raise NotImplementedError
 
     def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
         """Unit normals completing unit tangents ``T`` to oriented g-orthonormal
         pairs; defined on 2-manifolds, where geodesic transport rotates with them."""
         raise NotImplementedError
 
+    @abstractmethod
     def geodesic_acceleration(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Right-hand side a(x, x') of the geodesic equation x'' = a(x, x') in
         canonical coordinates: the acceleration of the geodesic through each
         row of ``P`` with velocity the same row of ``V``."""
-        raise NotImplementedError
 
     # -- frames -----------------------------------------------------------
 

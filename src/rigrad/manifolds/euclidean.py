@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatch
 from .base import (
     Chart,
     Curve,
@@ -36,25 +35,11 @@ class Euclidean(Manifold):
     def __repr__(self):
         return f"Euclidean(dim={self.dim})"
 
-    def tangent(self, p: Point, components) -> TangentVector:
-        arr = np.asarray(components, dtype=float)
-        if arr.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"expected {self.dim} components, got shape {arr.shape}"
-            )
-        return TangentVector(p, arr)
-
-    def project_tangent(self, p: Point, components) -> TangentVector:
-        return self.tangent(p, components)
-
     def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         return V
 
     def raise_gradients(self, P: np.ndarray, G: np.ndarray) -> np.ndarray:
         return G
-
-    def chart_at(self, p: Point) -> Chart:
-        return self._chart
 
     def chart_for_curve(self, samples) -> Chart:
         return self._chart

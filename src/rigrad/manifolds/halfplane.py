@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatch, InvalidPoint
+from ..errors import InvalidPoint
 from .base import (
     Chart,
     Curve,
@@ -78,23 +78,11 @@ class HalfPlane2(Manifold):
             raise InvalidPoint(f"second coordinate must be positive, got {float(lowest)!r}")
         return P
 
-    def tangent(self, p: Point, components) -> TangentVector:
-        arr = np.asarray(components, dtype=float)
-        if arr.shape != (2,):
-            raise DimensionMismatch(f"expected 2 components, got shape {arr.shape}")
-        return TangentVector(p, arr)
-
-    def project_tangent(self, p: Point, components) -> TangentVector:
-        return self.tangent(p, components)
-
     def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         return V / P[:, 1:] ** 2
 
     def raise_gradients(self, P: np.ndarray, G: np.ndarray) -> np.ndarray:
         return P[:, 1:] ** 2 * G
-
-    def chart_at(self, p: Point) -> Chart:
-        return self._chart
 
     def chart_for_curve(self, samples) -> Chart:
         return self._chart

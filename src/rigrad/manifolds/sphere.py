@@ -9,13 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import (
-    CutLocusAmbiguity,
-    DimensionMismatch,
-    InvalidCurve,
-    InvalidPoint,
-    InvalidTangent,
-)
+from ..errors import CutLocusAmbiguity, InvalidCurve, InvalidPoint, InvalidTangent
 from .base import (
     Chart,
     Curve,
@@ -23,6 +17,7 @@ from .base import (
     OrthonormalFrame,
     Point,
     TangentVector,
+    christoffel_contraction,
     constant_curve,
     pin_endpoints,
 )
@@ -138,29 +133,8 @@ class SphericalChart(Chart):
         return self._pull(p.coords, np.asarray(comps, dtype=float))[1]
 
     def transport_matrices(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """B of w' = w @ B without trigonometry.
-
-        With q = P R^T / |P|, u = V R^T and rho^2 = q_x^2 + q_y^2, the chart
-        velocity is theta' = (q_z (q_x u_x + q_y u_y) - rho^2 u_z) / rho and
-        phi' = (q_x u_y - q_y u_x) / rho^2, and since cos/sin(theta) = q_z/rho
-        and sin cos(theta) = rho q_z:
-        B = [[0, -(q_z/rho) phi'], [rho q_z phi', -(q_z/rho) theta']].
-        Like the chart's angles, B depends only on the direction of each row
-        of P, so rows off the unit sphere by rounding read as their direction.
-        """
-        q, u = self._unit_rotated(P), V @ self.rotation.T
-        qx, qy, qz = q[:, 0], q[:, 1], q[:, 2]
-        ux, uy, uz = u[:, 0], u[:, 1], u[:, 2]
-        rho2 = qx * qx + qy * qy
-        rho = np.sqrt(rho2)
-        cot = qz / rho
-        phi_dot = (qx * uy - qy * ux) / rho2
-        theta_dot = (qz * (qx * ux + qy * uy) - rho2 * uz) / rho
-        B = np.zeros((len(q), 2, 2))
-        B[:, 0, 1] = -cot * phi_dot
-        B[:, 1, 0] = rho * qz * phi_dot
-        B[:, 1, 1] = -cot * theta_dot
-        return B
+        theta, xdot = self._pull(P, V)
+        return christoffel_contraction(self._christoffel(theta), xdot)
 
     def _unit_rotated(self, P: np.ndarray) -> np.ndarray:
         q = P @ self.rotation.T
@@ -175,8 +149,8 @@ class SphericalChart(Chart):
         return F
 
     def connection_forms(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """omega = cos(theta) phi' = q_z (q_x u_y - q_y u_x) / rho^2, in the
-        notation of ``transport_matrices`` and as free of trigonometry."""
+        """omega = cos(theta) phi' = q_z (q_x u_y - q_y u_x) / rho^2, free of
+        trigonometry, with q = P R^T / |P|, u = V R^T and rho^2 = q_x^2 + q_y^2."""
         q, u = self._unit_rotated(P), V @ self.rotation.T
         qx, qy = q[:, 0], q[:, 1]
         return q[:, 2] * (qx * u[:, 1] - qy * u[:, 0]) / (qx * qx + qy * qy)
@@ -209,9 +183,7 @@ class Sphere2(Manifold):
         return P
 
     def tangent(self, p: Point, components) -> TangentVector:
-        arr = np.asarray(components, dtype=float)
-        if arr.shape != (3,):
-            raise DimensionMismatch(f"expected 3 components, got shape {arr.shape}")
+        arr = self._components(components)
         radial = abs(float(np.dot(p.coords, arr)))
         if radial > 1e-9 * (1.0 + np.linalg.norm(arr)):
             raise InvalidTangent(
@@ -220,9 +192,7 @@ class Sphere2(Manifold):
         return self.project_tangent(p, arr)
 
     def project_tangent(self, p: Point, components) -> TangentVector:
-        arr = np.asarray(components, dtype=float)
-        if arr.shape != (3,):
-            raise DimensionMismatch(f"expected 3 components, got shape {arr.shape}")
+        arr = self._components(components)
         return TangentVector(p, arr - np.dot(p.coords, arr) * p.coords)
 
     def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -231,10 +201,6 @@ class Sphere2(Manifold):
     def raise_gradients(self, P: np.ndarray, G: np.ndarray) -> np.ndarray:
         # the metric is the tangent projector, so raising projects as lowering does
         return self.lower(P, G)
-
-    def chart_at(self, p: Point) -> Chart:
-        """The chart poled on the coordinate axis least aligned with ``p``."""
-        return SphericalChart(np.eye(3)[int(np.argmin(np.abs(p.coords)))])
 
     def chart_for_curve(self, samples) -> Chart:
         if isinstance(samples, np.ndarray):

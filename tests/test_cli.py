@@ -1,7 +1,10 @@
 """Command-line behaviour: exit codes, output files, report content."""
 
+import argparse
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,7 +258,7 @@ def test_unknown_field_and_bad_flags_exit_1(capsys):
     "flags",
     [
         ["--manifold", "euclidean:0", "--field", "height"],
-        ["--manifold", "euclidean:2", "--transport-steps", "-5", "--field", "height"],
+        ["--manifold", "euclidean:x", "--field", "height"],
         ["--manifold", "euclidean:2", "--field", "bump:0,0:-1"],
         ["--manifold", "euclidean:2", "--field", "bump:0,0:x"],
         ["--manifold", "euclidean:2", "--field", "affine:1,2:x"],
@@ -282,17 +285,26 @@ def test_manifold_config_file(tmp_path):
     assert abs(sum(json.loads(output)["attributions"]) - 2.0) <= 1e-9
 
 
-def test_transport_steps_flag_overrides_a_manifold_file(tmp_path):
-    """--transport-steps replaces the file's step count and keeps its bvp_tol."""
+def test_manifold_file_keeps_its_transport_steps_and_bvp_tol(tmp_path):
     config = tmp_path / "manifold.json"
     config.write_text(json.dumps({"kind": "sphere2", "transport_steps": 128, "bvp_tol": 1e-8}))
     flags = ["attribute", "--manifold", str(config), "--field", "height",
              "--p", "0,0,1", "--o", "1,0,0"]
-    parser = cli.build_parser()
-    from_file = cli._build_manifold(parser.parse_args(flags), None)
-    assert (from_file.transport_steps, from_file.bvp_tol) == (128, 1e-8)
-    overridden = cli._build_manifold(parser.parse_args(flags + ["--transport-steps", "64"]), None)
-    assert (overridden.kind, overridden.transport_steps, overridden.bvp_tol) == ("sphere2", 64, 1e-8)
+    man = cli._build_manifold(cli.build_parser().parse_args(flags), None)
+    assert (man.kind, man.transport_steps, man.bvp_tol) == ("sphere2", 128, 1e-8)
+
+
+def test_manifold_file_with_a_step_count_below_one_is_a_parse_error(tmp_path, capsys):
+    config = tmp_path / "manifold.json"
+    config.write_text(json.dumps({"kind": "sphere2", "transport_steps": 0}))
+    code, output = run_cli(
+        "attribute", "--manifold", str(config), "--field", "height",
+        "--p", "0,0,1", "--o", "1,0,0",
+    )
+    assert code == 1
+    assert output == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ParseError: transport_steps")
 
 
 def test_compare_euclidean_prints_gap():
@@ -354,13 +366,47 @@ def test_compare_refuses_the_format_flag(capsys):
     assert err.startswith("ParseError: unrecognized arguments: --format csv")
 
 
-def test_compare_rejects_flat_method_on_curved_manifold(capsys):
-    code, _ = run_cli(
-        "compare", "--manifold", "sphere2", "--field", "height",
-        "--p", "0,0,1", "--o", "1,0,0", "--method", "ig",
+@pytest.mark.parametrize(
+    "command, flag",
+    [("attribute", ["--transport-steps", "64"]), ("compare", ["--method", "ig"])],
+    ids=["attribute-transport-steps", "compare-method"],
+)
+def test_flags_that_changed_no_output_are_refused(command, flag, capsys):
+    """attribute and compare integrate along minimising geodesics, whose
+    transport is closed form, so no RK4 step count reaches their output, and
+    compare's methods follow from the manifold."""
+    code, output = run_cli(
+        command, "--manifold", "sphere2", "--field", "height",
+        "--p", "0,0,1", "--o", "1,0,0", *flag,
     )
     assert code == 1
-    assert "WrongManifold" in capsys.readouterr().err
+    assert output == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"ParseError: unrecognized arguments: {' '.join(flag)}"]
+
+
+def _subcommand_flags(name):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[name]._actions
+    return {flag for a in actions for flag in a.option_strings if flag not in ("-h", "--help")}
+
+
+def test_readme_flag_table_names_the_parser_flags():
+    """README's table of the flags shared by attribute and compare names each
+    flag both subcommands take; a row marked "attribute only" names one that
+    attribute alone takes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Flags shared by attribute and compare", 1)[1]
+    rows = re.findall(r"^\| (`--.*?) \| (.*?) \|$", section.split("\n### ", 1)[0], re.M)
+    shared, attribute_only = set(), set()
+    for flags, meaning in rows:
+        names = set(re.findall(r"`(--[a-z-]+)`", flags))
+        (attribute_only if meaning.startswith("attribute only") else shared).update(names)
+    attribute, compare = _subcommand_flags("attribute"), _subcommand_flags("compare")
+    assert shared == attribute & compare
+    assert attribute_only == attribute - compare
+    assert compare <= attribute
 
 
 def test_verify_with_config_and_output_dir(tmp_path):

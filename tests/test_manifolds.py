@@ -53,11 +53,32 @@ def fd_christoffel(chart, x, h=1e-5):
 # -- points and tangents -----------------------------------------------------
 
 
+def test_manifold_contract_is_what_the_package_calls():
+    """A custom manifold implements exactly these: no per-point chart, and
+    tangent and project_tangent have defaults; every attribution builds a
+    geodesic and checks it against the geodesic equation."""
+    assert rg.Manifold.__abstractmethods__ == {
+        "lower",
+        "raise_gradients",
+        "chart_for_curve",
+        "exp_map",
+        "log_map",
+        "dist",
+        "geodesic_between",
+        "geodesic_acceleration",
+        "orthonormal_frame",
+        "random_point",
+    }
+    assert not hasattr(rg.Manifold, "chart_at")
+    for cls in (rg.Euclidean, rg.HalfPlane2):
+        assert "tangent" not in cls.__dict__ and "project_tangent" not in cls.__dict__
+
+
 def test_euclidean_metric_and_christoffel_are_trivial():
     man = rg.make_manifold("euclidean", dim=3)
     p = man.point(np.array([1.0, -2.0, 0.5]))
     assert np.array_equal(man.metric_at(p), np.eye(3))
-    chart = man.chart_at(p)
+    chart = man.chart_for_curve([p])
     assert np.array_equal(chart.christoffel(chart.to_chart(p)), np.zeros((3, 3, 3)))
 
 
@@ -93,6 +114,16 @@ def test_sphere_tangent_rejects_radial_component():
         man.tangent(p, np.array([0.0, 0.1, 0.5]))
     u = man.project_tangent(p, np.array([0.0, 0.1, 0.5]))
     assert abs(u.components @ p.coords) <= 1e-12
+
+
+def test_vectors_of_the_wrong_shape_are_refused(manifold, rng):
+    """tangent, project_tangent and raise_gradient share one shape check."""
+    p = manifold.random_point(rng)
+    n = manifold.coord_dim
+    for bad in (np.zeros(n + 1), np.zeros((1, n)), np.zeros(n - 1)):
+        for method in (manifold.tangent, manifold.project_tangent, manifold.raise_gradient):
+            with pytest.raises(rg.DimensionMismatch, match=f"expected {n} components"):
+                method(p, bad)
 
 
 def test_halfplane_requires_positive_height():
@@ -443,7 +474,7 @@ def test_metric_at_is_lower_of_the_coordinate_vectors_bit_for_bit(manifold, rng)
         g = manifold.metric_at(p)
         assert np.array_equal(g, _closed_form_metric(manifold, p))
         if manifold.kind != "sphere2":
-            assert np.array_equal(manifold.chart_at(p).metric(p.coords), g)
+            assert np.array_equal(manifold.chart_for_curve([p]).metric(p.coords), g)
     for cls in (rg.Euclidean, rg.Sphere2, rg.HalfPlane2):
         assert "metric_at" not in cls.__dict__, cls.__name__
 
@@ -478,7 +509,7 @@ def test_shooting_solver_cross_checks_log_map(manifold, rng):
 def test_sphere_chart_roundtrip_and_fd_christoffel():
     man = rg.make_manifold("sphere2")
     p = man.point(np.array([0.6, 0.64, np.sqrt(1 - 0.6**2 - 0.64**2)]))
-    chart = man.chart_at(p)
+    chart = man.chart_for_curve([p])
     x = chart.to_chart(p)
     back = chart.from_chart(x)
     assert np.max(np.abs(back.coords - p.coords)) <= 1e-12
@@ -488,7 +519,7 @@ def test_sphere_chart_roundtrip_and_fd_christoffel():
 def test_halfplane_fd_christoffel():
     man = rg.make_manifold("half_plane2")
     p = man.point(np.array([0.4, 1.3]))
-    chart = man.chart_at(p)
+    chart = man.chart_for_curve([p])
     x = chart.to_chart(p)
     assert np.max(np.abs(fd_christoffel(chart, x) - chart.christoffel(x))) <= 1e-6
 
@@ -497,7 +528,7 @@ def test_sphere_chart_push_pull_inverse(rng):
     man = rg.make_manifold("sphere2")
     for _ in range(5):
         p = man.random_point(rng)
-        chart = man.chart_at(p)
+        chart = man.chart_for_curve([p])
         u = man.random_tangent(p, rng)
         w = chart.pull(p, u.components)
         back = chart.push(chart.to_chart(p), w)
@@ -529,7 +560,7 @@ def test_batched_chart_formulas_match_the_scalar_loop(rng):
             chart, points = tilted_curve_chart(rng)
         else:
             man = rg.make_manifold(kind)
-            chart = man.chart_at(man.random_point(rng))
+            chart = man.chart_for_curve([man.random_point(rng)])
             points = [man.random_point(rng) for _ in range(16)]
         if kind == "sphere2":  # stay clear of the chart's poles
             points = [p for p in points if 0.1 <= chart.to_chart(p)[0] <= math.pi - 0.1]
@@ -556,19 +587,6 @@ def test_sphere_connection_form_on_latitude_loops(colatitude):
     ts = np.linspace(0.0, 1.0, 33)
     omega = chart.connection_forms(loop.positions(ts), loop.velocities(ts))
     assert np.max(np.abs(omega - 2.0 * math.pi * math.cos(colatitude))) <= 1e-12
-
-
-def test_sphere_chart_at_shares_one_chart_per_axis(rng):
-    """Points whose least-aligned coordinate axis agrees get a chart poled on
-    that axis."""
-    man = rg.make_manifold("sphere2")
-    seen = set()
-    for _ in range(30):
-        p = man.random_point(rng)
-        axis = int(np.argmin(np.abs(p.coords)))
-        assert np.array_equal(man.chart_at(p).pole, np.eye(3)[axis])
-        seen.add(axis)
-    assert len(seen) == 3
 
 
 def test_sphere_curve_chart_keeps_margin_from_pole(rng):
@@ -777,6 +795,17 @@ def test_manifold_config_rejects_a_non_finite_bvp_tol(tmp_path, bvp_tol):
         rg.manifold_from_file(path)
     with pytest.raises(ValueError, match="bvp_tol"):
         rg.Sphere2(bvp_tol=bvp_tol)
+
+
+@pytest.mark.parametrize("steps", [0, -5, True, 2.5])
+def test_manifold_config_rejects_a_bad_transport_steps(steps):
+    with pytest.raises(rg.ParseError, match="transport_steps must be a positive integer"):
+        rg.manifold_from_dict({"kind": "sphere2", "transport_steps": steps})
+
+
+def test_manifold_constructor_rejects_a_step_count_below_one():
+    with pytest.raises(ValueError, match="transport_steps must be positive"):
+        rg.Sphere2(transport_steps=0)
 
 
 def test_manifold_from_dict_rejects_garbage():

@@ -81,7 +81,7 @@ def test_ode_matches_closed_form_on_tilted_sphere_geodesic():
     p = man.point(np.array([1.0, 0.0, 0.0]))
     q = man.point(np.array([0.0, 0.6, 0.8]))
     curve = man.geodesic_between(p, q)
-    chart = man.chart_at(curve.position(0.5))
+    chart = man.chart_for_curve([curve.position(0.5)])
     u = man.tangent(p, np.array([0.0, -0.5, 1.2]))
 
     closed, mode, _ = transport_along(man, curve, [u], [1.0])
@@ -99,7 +99,7 @@ def test_ode_matches_closed_form_on_halfplane_geodesic():
     p = man.point(np.array([-1.2, 0.8]))
     q = man.point(np.array([2.0, 2.5]))
     curve = man.geodesic_between(p, q)
-    chart = man.chart_at(p)
+    chart = man.chart_for_curve([p])
     u = man.tangent(p, np.array([0.7, 0.4]))
 
     closed, mode, _ = transport_along(man, curve, [u], [1.0])
@@ -236,6 +236,26 @@ def test_transport_that_outruns_the_step_cap_raises():
         _batched(man, loop, frame.vectors, ts)
     with pytest.raises(TransportNotConverged):
         rg.generic_bam_report(rg.CoordinateField(man, 2), loop, frame)
+
+
+@pytest.mark.parametrize("call", ["generic_bam_report", "bam_along_curve", "transport_along"])
+def test_public_calls_raise_the_exported_transport_error(call):
+    """The public calls that take the RK4 route raise ``rg.TransportNotConverged``
+    at its step cap, the class the package exports next to QuadratureNotConverged."""
+    man = rg.make_manifold("sphere2")
+    loop, _ = wandering_loop(man, 1.5, 0.3, waves=160)
+    frame = man.orthonormal_frame(loop.start)
+    field = rg.CoordinateField(man, 2)
+    calls = {
+        "generic_bam_report": lambda: rg.generic_bam_report(field, loop, frame),
+        "bam_along_curve": lambda: rg.bam_along_curve(field, loop, frame.vectors[0]),
+        "transport_along": lambda: rg.transport_along(
+            man, loop, frame.vectors, rg.Quadrature().nodes_weights(64)[0]
+        ),
+    }
+    assert rg.TransportNotConverged is TransportNotConverged
+    with pytest.raises(rg.TransportNotConverged, match="at 4096 steps"):
+        calls[call]()
 
 
 def test_pull_of_several_rows_matches_one_row_at_a_time(manifold, rng):
@@ -406,9 +426,10 @@ def ode_curve(name):
     man = rg.make_manifold("sphere2")
     if name == "squared_sphere":
         # the curve-adapted chart has the great circle on its equator, where
-        # the connection vanishes; a tilted chart keeps it in play
+        # the connection vanishes; the chart fitted to the midpoint alone is
+        # tilted against the circle and keeps it in play
         curve = squared_sphere_curve(man)
-        return man, curve, man.chart_at(curve.position(0.5))
+        return man, curve, man.chart_for_curve([curve.position(0.5)])
     curve = man.latitude_loop(float(name.split("_")[1]))
     return man, curve, curve_chart(man, curve)
 
