@@ -39,7 +39,7 @@ from .errors import (
 from .fields import ScalarField, require_same_space
 from .manifolds import Curve, Manifold, OrthonormalFrame, Point, TangentVector
 from .manifolds.diagnostics import geodesic_residual
-from .manifolds.transport import transport_rows
+from .manifolds.transport import ODE_START_STEPS, transport_rows
 from .quadrature import Quadrature
 
 DEFAULT_QUADRATURE = Quadrature()
@@ -130,7 +130,7 @@ def _check_frame(manifold: Manifold, p: Point, frame: OrthonormalFrame) -> None:
     manifold.validate_frame(frame)
 
 
-def _path_tables(manifold, curve, rows, ts, steps=None):
+def _path_tables(manifold, curve, rows, ts, steps=ODE_START_STEPS):
     """Field-free tables of the path at the K nodes ``ts``, from one transport pass.
 
     ``rows`` (n, coord_dim) holds the frame components at curve(0); ``steps``
@@ -175,8 +175,7 @@ def _levels(quadrature, schedule, manifold, curve, rows):
         start += count
     for count in schedule[2:]:
         ts, weights = quadrature.nodes_weights(count)
-        start_steps = max(manifold.transport_steps, steps // 2)
-        tables = _path_tables(manifold, curve, rows, ts, start_steps)
+        tables = _path_tables(manifold, curve, rows, ts, max(ODE_START_STEPS, steps // 2))
         steps = tables[-1]
         yield count, weights, tables
 

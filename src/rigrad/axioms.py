@@ -23,7 +23,7 @@ from .attribution import (
     ig,
     rig,
 )
-from .errors import CutLocusAmbiguity, ParseError
+from .errors import CutLocusAmbiguity, ParseError, _integer
 from .fields import (
     CoordinateField,
     GaussianBumpField,
@@ -87,6 +87,8 @@ class AxiomCheckSpec:
             )
         if self.trials < 1:
             raise ParseError("trials must be at least 1")
+        if self.seed < 0:
+            raise ParseError(f"seed must be non-negative, got {self.seed}")
         if self.samples < 1:
             raise ParseError("samples must be at least 1")
         if self.manifold_kind not in KINDS:
@@ -494,18 +496,24 @@ def suite_from_dict(data: dict) -> list[AxiomCheckSpec]:
         missing = {"axiom", "tolerance", "trials"} - set(entry)
         if missing:
             raise ParseError(f"check {i} is missing {sorted(missing)}")
+        tolerance = entry["tolerance"]
+        if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
+            raise ParseError(f"check {i} tolerance must be a number, got {tolerance!r}")
+        for key in ("trials", "seed", "dim", "samples"):
+            if key in entry:
+                _integer(entry[key], f"check {i} {key}")
         try:
             specs.append(
                 AxiomCheckSpec(
                     axiom=entry["axiom"],
-                    tolerance=float(entry["tolerance"]),
-                    trials=int(entry["trials"]),
-                    seed=int(entry.get("seed", DEFAULT_SEED)),
+                    tolerance=float(tolerance),
+                    trials=entry["trials"],
+                    seed=entry.get("seed", DEFAULT_SEED),
                     manifold_kind=entry.get("manifold", "euclidean"),
-                    dim=int(entry.get("dim", 4)),
-                    samples=int(entry.get("samples", 10_000)),
+                    dim=entry.get("dim", 4),
+                    samples=entry.get("samples", 10_000),
                 )
             )
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:  # an integer tolerance beyond float range
             raise ParseError(f"check {i} is malformed: {exc}") from exc
     return specs

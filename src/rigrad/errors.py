@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package."""
 
 import json
+import numbers
 from pathlib import Path
 
 
@@ -45,6 +46,14 @@ def _read_json(path, label: str):
         raise ParseError(f"cannot read {label}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{label} is not valid JSON: {exc}") from exc
+
+
+def _integer(value, name: str, error: type[Exception] = ParseError):
+    """``value`` when it is an integer and not a bool; otherwise raises
+    ``error`` naming ``name``, so 2.5, True and "5" never pass as sizes."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class WrongManifold(RigradError):

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, WrongManifold, _read_json
+from .errors import DimensionMismatch, ParseError, WrongManifold, _integer, _read_json
 from .manifolds import Manifold, Point, TangentVector
 
 ACTIVATIONS = ("identity", "tanh", "softplus")
@@ -397,8 +397,8 @@ def mlp_from_dict(data: dict) -> MLPWeights:
         raise ParseError(f"unknown network keys: {sorted(unknown)}")
     if "input_dim" not in data or "layers" not in data:
         raise ParseError("network document needs 'input_dim' and 'layers'")
-    input_dim = data["input_dim"]
-    if not isinstance(input_dim, int) or isinstance(input_dim, bool) or input_dim < 1:
+    input_dim = _integer(data["input_dim"], "input_dim")
+    if input_dim < 1:
         raise ParseError(f"input_dim must be a positive integer, got {input_dim!r}")
     if not isinstance(data["layers"], list) or not data["layers"]:
         raise ParseError("'layers' must be a non-empty list")

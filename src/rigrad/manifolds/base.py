@@ -7,7 +7,6 @@ across threads.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable
@@ -245,11 +244,6 @@ class IdentityChart(Chart):
 class Manifold(ABC):
     """A complete Riemannian manifold with closed-form geodesics.
 
-    Numeric parameters: ``transport_steps`` is the initial step count for the
-    parallel-transport ODE integrator, and ``bvp_tol`` the residual tolerance
-    of a geodesic shooting solver; the test suite's solver cross-checks the
-    closed-form logarithm with it.
-
     Methods taking ``P`` and ``V`` work on arrays of points and vectors with a
     leading axis over samples, shape (K, coord_dim), row k of ``V`` based at
     row k of ``P``.
@@ -261,14 +255,6 @@ class Manifold(ABC):
     # zero curvature and zero Christoffel symbols in the canonical chart, so
     # transport leaves components unchanged along any curve
     flat: bool = False
-
-    def __init__(self, transport_steps: int = 256, bvp_tol: float = 1e-10):
-        if transport_steps < 1:
-            raise ValueError("transport_steps must be positive")
-        if not 0 < bvp_tol < math.inf:
-            raise ValueError("bvp_tol must be a positive finite number")
-        self.transport_steps = int(transport_steps)
-        self.bvp_tol = float(bvp_tol)
 
     def __repr__(self):
         return f"{type(self).__name__}()"

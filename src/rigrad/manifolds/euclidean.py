@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import _integer
 from .base import (
     Chart,
     Curve,
@@ -22,8 +23,8 @@ class Euclidean(Manifold):
     kind = "euclidean"
     flat = True
 
-    def __init__(self, dim: int, transport_steps: int = 256, bvp_tol: float = 1e-10):
-        super().__init__(transport_steps, bvp_tol)
+    def __init__(self, dim: int):
+        _integer(dim, "dimension", ValueError)
         if dim < 1:
             raise ValueError(f"dimension must be at least 1, got {dim}")
         self.dim = int(dim)

@@ -63,11 +63,10 @@ class HalfPlane2(Manifold):
     """Poincare upper half-plane; points are (x, y) with y > 0."""
 
     kind = "half_plane2"
+    dim = 2
+    coord_dim = 2
 
-    def __init__(self, transport_steps: int = 256, bvp_tol: float = 1e-10):
-        super().__init__(transport_steps, bvp_tol)
-        self.dim = 2
-        self.coord_dim = 2
+    def __init__(self):
         self._chart = HalfPlaneChart(self, _christoffel)
 
     def point_rows(self, P) -> np.ndarray:

@@ -163,11 +163,8 @@ class Sphere2(Manifold):
     """S^2 with the round metric induced from R^3."""
 
     kind = "sphere2"
-
-    def __init__(self, transport_steps: int = 256, bvp_tol: float = 1e-10):
-        super().__init__(transport_steps, bvp_tol)
-        self.dim = 2
-        self.coord_dim = 3
+    dim = 2
+    coord_dim = 3
 
     def point_rows(self, P) -> np.ndarray:
         """Rows of unit norm within 1e-9, renormalised when off by more than 1e-12."""

@@ -27,6 +27,7 @@ import numpy as np
 from ..errors import InvalidCurve, InvalidTangent, TransportNotConverged
 from .base import Curve, Manifold, Point, TangentVector
 
+ODE_START_STEPS = 256
 ODE_TOL = 1e-9
 ODE_MAX_STEPS = 4096
 CURVE_CHART_SAMPLES = 65
@@ -263,7 +264,7 @@ def transport_rows(
     ts: np.ndarray,
     positions: np.ndarray,
     velocities: np.ndarray,
-    steps: int | None = None,
+    steps: int = ODE_START_STEPS,
 ):
     """Array core of parallel transport.
 
@@ -272,8 +273,9 @@ def transport_rows(
     parameters ``ts`` in [0, 1].  Returns (moved, mode, steps_used) with
     moved[k, i] vector i transported to curve(ts[k]), shape (K, n, coord_dim).
     Identity transport returns a read-only broadcast view of ``rows``.  On the
-    RK4 route, TransportNotConverged is raised when two sweeps still differ
-    by ODE_TOL or more at ODE_MAX_STEPS steps.
+    RK4 route, step doubling starts from ``steps``, and TransportNotConverged
+    is raised when two sweeps still differ by ODE_TOL or more at ODE_MAX_STEPS
+    steps.
     """
     identity = np.broadcast_to(rows, (len(ts), *rows.shape))
     if manifold.flat:
@@ -282,9 +284,7 @@ def transport_rows(
         if curve.length < 1e-13:
             return identity, "closed-form", 0
         return _closed_form_transport(manifold, curve, rows, positions, velocities), "closed-form", 0
-    moved, steps_used = _ode_route(
-        manifold, curve, rows, ts, positions, steps or manifold.transport_steps
-    )
+    moved, steps_used = _ode_route(manifold, curve, rows, ts, positions, steps)
     return moved, "ode", steps_used
 
 
@@ -293,7 +293,7 @@ def transport_along(
     curve: Curve,
     vectors: Sequence[TangentVector],
     ts: Sequence[float],
-    steps: int | None = None,
+    steps: int = ODE_START_STEPS,
 ):
     """Parallel transport of ``vectors`` from curve(0) to each parameter in ``ts``.
 

@@ -1,4 +1,4 @@
-"""Quadrature rules on [0, 1] for the path integrals."""
+"""The Gauss-Legendre rule on [0, 1] for the path integrals, with refinement."""
 
 from __future__ import annotations
 
@@ -8,41 +8,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParseError
-
-RULES = ("gauss_legendre", "trapezoid")
-
-
-def _frozen(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+from .errors import ParseError, _integer
 
 
 # leggauss(n) is an n x n eigensolve (about 0.1 s at n = 1024); every caller
 # shares the cached arrays, hence read-only.
 @lru_cache(maxsize=64)
-def nodes_weights(rule: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the given rule with n nodes on [0, 1], read-only."""
-    if rule == "gauss_legendre":
-        if n < 1:
-            raise ParseError("gauss_legendre needs at least 1 node")
-        x, w = np.polynomial.legendre.leggauss(n)
-        return _frozen(0.5 * (x + 1.0), 0.5 * w)
-    if rule == "trapezoid":
-        if n < 2:
-            raise ParseError("trapezoid needs at least 2 nodes")
-        x = np.linspace(0.0, 1.0, n)
-        w = np.full(n, 1.0 / (n - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return _frozen(x, w)
-    raise ParseError(f"unknown quadrature rule {rule!r}; expected one of {RULES}")
+def nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights with n nodes on [0, 1], read-only."""
+    if n < 1:
+        raise ParseError("gauss_legendre needs at least 1 node")
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Integration policy: a rule, a node count, and an optional refinement loop.
+    """Integration policy: a Gauss-Legendre node count and optional refinement.
 
     With ``refine`` on, results are recomputed with doubled node counts until
     two successive answers agree to ``tol`` entrywise or ``max_nodes`` is hit.
@@ -51,23 +36,21 @@ class Quadrature:
     large entries still stops; at unit scale the floor is about 1.4e-14.
     """
 
-    rule: str = "gauss_legendre"
     nodes: int = 32
     refine: bool = True
     tol: float = 1e-10
     max_nodes: int = 1024
 
     def __post_init__(self):
-        if self.nodes < 2:
+        if _integer(self.nodes, "quadrature nodes") < 2:
             raise ParseError("quadrature needs at least 2 nodes")
-        nodes_weights(self.rule, self.nodes)  # validates the rule name
         if not 0.0 < self.tol < math.inf:
             raise ParseError(f"quadrature tol must be a positive finite number, got {self.tol!r}")
-        if self.max_nodes < self.nodes:
+        if _integer(self.max_nodes, "max_nodes") < self.nodes:
             raise ParseError("max_nodes must be at least the starting node count")
 
     def nodes_weights(self, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        return nodes_weights(self.rule, self.nodes if n is None else n)
+        return nodes_weights(self.nodes if n is None else n)
 
     def schedule(self) -> list[int]:
         """Node counts to try in order; a single entry when refine is off."""

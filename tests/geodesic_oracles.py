@@ -27,8 +27,8 @@ class ShootingResult:
     converged: bool
 
 
-def shoot_geodesic(manifold: Manifold, p: Point, o: Point) -> ShootingResult:
-    """Solve exp_p(v) = o for v by shooting; tolerance is manifold.bvp_tol."""
+def shoot_geodesic(manifold: Manifold, p: Point, o: Point, tol: float = 1e-10) -> ShootingResult:
+    """Solve exp_p(v) = o for v by shooting, to a residual norm of ``tol``."""
     frame = manifold.orthonormal_frame(p)
     basis = frame.component_matrix()
     g = manifold.metric_at(p)
@@ -56,7 +56,7 @@ def shoot_geodesic(manifold: Manifold, p: Point, o: Point) -> ShootingResult:
     res_norm = safe_norm(res)
     iterations = 0
     for _ in range(MAX_ITERATIONS):
-        if res_norm <= manifold.bvp_tol:
+        if res_norm <= tol:
             break
         iterations += 1
         jac = np.zeros((o.coords.size, manifold.dim))
@@ -86,7 +86,7 @@ def shoot_geodesic(manifold: Manifold, p: Point, o: Point) -> ShootingResult:
         velocity=assemble(coeffs),
         residual=res_norm,
         iterations=iterations,
-        converged=res_norm <= manifold.bvp_tol,
+        converged=res_norm <= tol,
     )
 
 

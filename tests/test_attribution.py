@@ -11,6 +11,7 @@ import rigrad as rg
 from rigrad import attribution
 from rigrad.attribution import PathDiagnostics, _attribution_matrices
 from rigrad.axioms import FIXED_QUADRATURE
+from rigrad.manifolds.transport import ODE_START_STEPS
 
 from conftest import (
     assert_close_rel,
@@ -598,7 +599,7 @@ def test_loop_refinement_runs_one_step_doubling(monkeypatch, colatitude, sweeps)
     report = rg.generic_bam_report(field, loop, frame)
     assert report.diagnostics.nodes_used == 64
     assert len(sweeps_seen) == sweeps
-    assert report.diagnostics.transport_steps == man.transport_steps * 2 ** (sweeps - 1)
+    assert report.diagnostics.transport_steps == ODE_START_STEPS * 2 ** (sweeps - 1)
 
 
 def test_later_level_starts_step_doubling_at_half_the_converged_count(monkeypatch):

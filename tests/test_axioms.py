@@ -195,6 +195,35 @@ def test_suite_from_dict_rejects_non_finite_numbers(key, value):
         rg.suite_from_dict({"checks": [check]})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("trials", 2.9),
+    ("trials", True),
+    ("trials", "5"),
+    ("seed", 1.5),
+    ("samples", 10.7),
+    ("dim", 4.9),
+    ("tolerance", "1e-6"),
+    ("tolerance", True),
+])
+def test_suite_from_dict_refuses_values_of_the_wrong_type(key, value):
+    """A config value that is not of its key's type is refused, naming the
+    key, rather than truncated or converted."""
+    check = {"axiom": "EigenBound", "tolerance": 1e-9, "trials": 2}
+    check[key] = value
+    with pytest.raises(rg.ParseError, match=f"check 0 {key} must be"):
+        rg.suite_from_dict({"checks": [check]})
+
+
+def test_a_negative_seed_is_refused():
+    with pytest.raises(rg.ParseError, match="seed must be non-negative, got -1"):
+        rg.AxiomCheckSpec("Linearity", 1e-9, 2, seed=-1)
+    with pytest.raises(rg.ParseError, match="seed must be non-negative"):
+        rg.suite_from_dict({"checks": [{"axiom": "Linearity", "tolerance": 1e-9, "trials": 2, "seed": -1}]})
+    with pytest.raises(rg.ParseError, match="seed must be non-negative"):
+        rg.default_suite(-1)
+    assert rg.AxiomCheckSpec("Linearity", 1e-9, 2, seed=0).seed == 0
+
+
 def test_report_records_trial_notes():
     spec = rg.AxiomCheckSpec(
         axiom="Implementation", tolerance=1e-10, trials=2, manifold_kind="euclidean"

@@ -285,13 +285,19 @@ def test_manifold_config_file(tmp_path):
     assert abs(sum(json.loads(output)["attributions"]) - 2.0) <= 1e-9
 
 
-def test_manifold_file_keeps_its_transport_steps_and_bvp_tol(tmp_path):
+def test_manifold_file_refuses_transport_steps_and_bvp_tol(tmp_path, capsys):
+    """A manifold file holds kind and dim only."""
     config = tmp_path / "manifold.json"
-    config.write_text(json.dumps({"kind": "sphere2", "transport_steps": 128, "bvp_tol": 1e-8}))
-    flags = ["attribute", "--manifold", str(config), "--field", "height",
-             "--p", "0,0,1", "--o", "1,0,0"]
-    man = cli._build_manifold(cli.build_parser().parse_args(flags), None)
-    assert (man.kind, man.transport_steps, man.bvp_tol) == ("sphere2", 128, 1e-8)
+    for extra in ({"bvp_tol": 1e-10}, {"transport_steps": 256, "bvp_tol": 1e-10}):
+        config.write_text(json.dumps({"kind": "sphere2", **extra}))
+        code, output = run_cli(
+            "attribute", "--manifold", str(config), "--field", "height",
+            "--p", "0,0,1", "--o", "1,0,0",
+        )
+        assert code == 1
+        assert output == ""
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"ParseError: unknown manifold config keys: {sorted(extra)}"]
 
 
 def test_manifold_file_with_a_step_count_below_one_is_a_parse_error(tmp_path, capsys):
@@ -304,7 +310,7 @@ def test_manifold_file_with_a_step_count_below_one_is_a_parse_error(tmp_path, ca
     assert code == 1
     assert output == ""
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("ParseError: transport_steps")
+    assert lines == ["ParseError: unknown manifold config keys: ['transport_steps']"]
 
 
 def test_compare_euclidean_prints_gap():
@@ -407,6 +413,18 @@ def test_readme_flag_table_names_the_parser_flags():
     assert shared == attribute & compare
     assert attribute_only == attribute - compare
     assert compare <= attribute
+
+
+def test_readme_config_documents_parse():
+    """Each JSON example under README's "Config documents" parses with its
+    library parser, so the docs drop a key when the parsers do."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config documents", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```json\n(.*?)```", section, re.S)
+    parsers = (rg.manifold_from_dict, rg.mlp_from_dict, rg.suite_from_dict)
+    assert len(blocks) == len(parsers)
+    for parse, block in zip(parsers, blocks):
+        parse(json.loads(block))
 
 
 def test_verify_with_config_and_output_dir(tmp_path):
@@ -552,6 +570,19 @@ def test_verify_rejects_seed_with_config(tmp_path, capsys):
     assert err.startswith("ParseError: --seed draws the stock suite only")
     assert err.count("\n") == 1
     assert cli.build_parser().parse_args(["verify"]).seed is None
+
+
+def test_verify_refuses_a_negative_seed(tmp_path, capsys):
+    """A negative seed ends in one ParseError line, from --seed or a config."""
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({"checks": [
+        {"axiom": "Sensitivity", "tolerance": 1e-12, "trials": 2, "seed": -1},
+    ]}))
+    for argv in (("verify", "--seed", "-1"), ("verify", "--config", str(config))):
+        code, output = run_cli(*argv)
+        assert code == 1
+        assert output == ""
+        assert capsys.readouterr().err == "ParseError: seed must be non-negative, got -1\n"
     assert rg.default_suite() == rg.default_suite(rg.DEFAULT_SEED)
 
 

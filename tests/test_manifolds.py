@@ -777,35 +777,51 @@ def test_make_manifold_validation():
 
 
 def test_manifold_dict_roundtrip():
-    man = rg.make_manifold("euclidean", dim=5, transport_steps=128)
-    blob = rg.manifold_to_dict(man)
-    again = rg.manifold_from_dict(blob)
-    assert again.kind == "euclidean"
-    assert again.dim == 5
-    assert again.transport_steps == 128
+    for kind, dim in (("euclidean", 5), ("sphere2", 2), ("half_plane2", 2)):
+        blob = rg.manifold_to_dict(rg.make_manifold(kind, dim))
+        assert blob == {"kind": kind, "dim": dim}
+        again = rg.manifold_from_dict(blob)
+        assert (again.kind, again.dim) == (kind, dim)
 
 
-@pytest.mark.parametrize("bvp_tol", [math.nan, math.inf, -1e-9])
+@pytest.mark.parametrize("bvp_tol", [math.nan, math.inf, -1e-9, 1e-10])
 def test_manifold_config_rejects_a_non_finite_bvp_tol(tmp_path, bvp_tol):
-    with pytest.raises(rg.ParseError, match="bvp_tol"):
+    """Manifold files hold kind and dim only: a bvp_tol key is refused."""
+    with pytest.raises(rg.ParseError, match=r"unknown manifold config keys: \['bvp_tol'\]"):
         rg.manifold_from_dict({"kind": "sphere2", "bvp_tol": bvp_tol})
     path = tmp_path / "man.json"
     path.write_text(f'{{"kind": "sphere2", "bvp_tol": {json.dumps(bvp_tol)}}}')
     with pytest.raises(rg.ParseError, match="bvp_tol"):
         rg.manifold_from_file(path)
-    with pytest.raises(ValueError, match="bvp_tol"):
+    with pytest.raises(TypeError):
         rg.Sphere2(bvp_tol=bvp_tol)
 
 
-@pytest.mark.parametrize("steps", [0, -5, True, 2.5])
+@pytest.mark.parametrize("steps", [0, -5, True, 2.5, 256])
 def test_manifold_config_rejects_a_bad_transport_steps(steps):
-    with pytest.raises(rg.ParseError, match="transport_steps must be a positive integer"):
+    """The RK4 starting step count is not a manifold setting: the key is refused."""
+    with pytest.raises(
+        rg.ParseError, match=r"unknown manifold config keys: \['transport_steps'\]"
+    ):
         rg.manifold_from_dict({"kind": "sphere2", "transport_steps": steps})
 
 
 def test_manifold_constructor_rejects_a_step_count_below_one():
-    with pytest.raises(ValueError, match="transport_steps must be positive"):
-        rg.Sphere2(transport_steps=0)
+    for make in (rg.Sphere2, rg.HalfPlane2, lambda **kw: rg.Euclidean(3, **kw)):
+        with pytest.raises(TypeError):
+            make(transport_steps=0)
+    with pytest.raises(TypeError):
+        rg.make_manifold("sphere2", None, 256)
+
+
+@pytest.mark.parametrize("dim", [2.5, 3.7, True, "3", None])
+def test_euclidean_dimension_must_be_an_integer(dim):
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        rg.Euclidean(dim)
+    if dim is not None:
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            rg.make_manifold("euclidean", dim)
+    assert rg.Euclidean(np.int64(3)).dim == 3
 
 
 def test_manifold_from_dict_rejects_garbage():

@@ -11,6 +11,7 @@ from rigrad.manifolds import ode_transport, transport_along
 from rigrad.manifolds.euclidean import Euclidean
 from rigrad.manifolds.sphere import SphericalChart
 from rigrad.manifolds.transport import (
+    ODE_START_STEPS,
     _grid_matrices,
     _pass_grid,
     _propagate,
@@ -313,10 +314,10 @@ def test_latitude_loop_at_a_pole_is_refused(colatitude):
         rg.make_manifold("sphere2").latitude_loop(colatitude)
 
 
-def _batched(man, curve, vectors, ts):
+def _batched(man, curve, vectors, ts, steps=ODE_START_STEPS):
     rows = np.array([u.components for u in vectors])
     return transport_rows(
-        man, curve, rows, ts, curve.positions(ts), curve.velocities(ts)
+        man, curve, rows, ts, curve.positions(ts), curve.velocities(ts), steps
     )
 
 
@@ -535,8 +536,8 @@ def test_every_later_sweep_halves_the_grid(monkeypatch, loop_name, nodes, steps)
     ts, _ = rg.Quadrature().nodes_weights(nodes)
     moved, mode, used = _batched(man, loop, frame.vectors, ts)
     assert (mode, used) == ("ode", steps)
-    assert len(grids) == int(math.log2(steps // man.transport_steps)) + 1
-    assert np.array_equal(grids[0], _pass_grid(np.sort(ts), man.transport_steps)[0])
+    assert len(grids) == int(math.log2(steps // ODE_START_STEPS)) + 1
+    assert np.array_equal(grids[0], _pass_grid(np.sort(ts), ODE_START_STEPS)[0])
     assert rows_per_call[0] == 2 * (len(grids[0]) - 1) + 1
     for coarse, fine, rows in zip(grids, grids[1:], rows_per_call[1:]):
         assert np.array_equal(fine[0::2], coarse)
@@ -554,13 +555,13 @@ def test_few_starting_steps_still_refine_every_sweep(monkeypatch):
     N = 8 and N = 16, so a fresh grid at N = 16 would repeat the first sweep
     and agree with it exactly.  Halved sweeps double the steps each time, and
     the frame at t = 1 comes back turned by 2 pi (1 - cos 1.2)."""
-    man = rg.make_manifold("sphere2", transport_steps=8)
+    man = rg.make_manifold("sphere2")
     colatitude = 1.2
     loop = man.latitude_loop(colatitude)
     grids, _ = _recording_sweeps(monkeypatch)
     frame = man.orthonormal_frame(loop.start)
     nodes, _ = rg.Quadrature().nodes_weights(64)
-    moved, mode, _ = _batched(man, loop, frame.vectors, np.append(nodes, 1.0))
+    moved, mode, _ = _batched(man, loop, frame.vectors, np.append(nodes, 1.0), steps=8)
     assert mode == "ode"
     sweeps = [len(grid) - 1 for grid in grids]
     assert len(sweeps) >= 2
