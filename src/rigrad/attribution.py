@@ -240,17 +240,6 @@ def _path_integral(field, manifold, curve, rows, quadrature, diagonal=False, lev
     return entries, diagnostics
 
 
-def _zero_diagnostics() -> PathDiagnostics:
-    return PathDiagnostics(
-        curve_length=0.0,
-        nodes_used=0,
-        refinement_gap=None,
-        transport_mode="identity",
-        transport_steps=0,
-        geodesic_defect=0.0,
-    )
-
-
 def _attribution_matrices(
     fields, manifold: Manifold, p: Point, o: Point, frame: OrthonormalFrame,
     quadrature: Quadrature = DEFAULT_QUADRATURE,
@@ -273,10 +262,11 @@ def _attribution_matrices(
 
     if np.array_equal(p.coords, o.coords):
         n = len(frame)
-        zero = _zero_diagnostics()
+        zero = PathDiagnostics(curve_length=0.0, nodes_used=0, refinement_gap=None,
+                               transport_mode="identity", transport_steps=0, geodesic_defect=0.0)
         return [AttributionMatrix(p, o, frame, np.zeros((n, n)), zero) for _ in fields]
 
-    curve = manifold.geodesic_between(p, o)
+    curve = manifold.make_geodesic(p, o)
     rows = frame.component_matrix()
     # one independent run over the same levels per field; tee keeps each
     # level until every run has passed it
@@ -452,7 +442,7 @@ def ig(
 
     # The form is oriented from its curve's start, so along the line from
     # base to input its diagonal is the negated straight-line attribution.
-    line = manifold.geodesic_between(x_prime, x)
+    line = manifold.make_geodesic(x_prime, x)
     entries, diagnostics = _path_integral(
         field, manifold, line, basis.component_matrix(), quadrature, diagonal=True
     )
@@ -462,6 +452,16 @@ def ig(
 def symmetrize(matrix: AttributionMatrix) -> AttributionMatrix:
     """Half-sum with the transpose; the diagonal is untouched."""
     return replace(matrix, entries=0.5 * (matrix.entries + matrix.entries.T))
+
+
+def _fix_signs(vectors: np.ndarray) -> None:
+    """Negate, in place, each column whose leading entry (its first above 1e-12
+    of its largest magnitude) is negative; an all-zero column has none."""
+    size = np.abs(vectors)
+    above = size > 1e-12 * np.max(size, axis=0)
+    lead = vectors[np.argmax(above, axis=0), np.arange(vectors.shape[1])]
+    flip = np.any(above, axis=0) & (lead < 0.0)
+    vectors[:, flip] = -vectors[:, flip]
 
 
 def eigen_attributions(matrix: AttributionMatrix) -> EigenAttribution:
@@ -480,11 +480,7 @@ def eigen_attributions(matrix: AttributionMatrix) -> EigenAttribution:
     order = np.argsort(np.abs(values), kind="stable")
     values = values[order]
     vectors = vectors[:, order]
-    for k in range(vectors.shape[1]):
-        column = vectors[:, k]
-        nonzero = np.flatnonzero(np.abs(column) > 1e-12 * np.max(np.abs(column)))
-        if nonzero.size and column[nonzero[0]] < 0.0:
-            vectors[:, k] = -column
+    _fix_signs(vectors)
 
     residual = float(np.max(np.abs(sym @ vectors - vectors * values))) if values.size else 0.0
     basis = matrix.frame.component_matrix()

@@ -23,7 +23,7 @@ from .attribution import (
     ig,
     rig,
 )
-from .errors import CutLocusAmbiguity, ParseError, _integer
+from .errors import CutLocusAmbiguity, ParseError, _integer, _real
 from .fields import (
     CoordinateField,
     GaussianBumpField,
@@ -81,21 +81,21 @@ class AxiomCheckSpec:
     def __post_init__(self):
         if self.axiom not in AXIOMS:
             raise ParseError(f"unknown axiom {self.axiom!r}; expected one of {AXIOMS}")
-        if not 0.0 < self.tolerance < math.inf:
+        if not 0.0 < _real(self.tolerance, "tolerance") < math.inf:
             raise ParseError(
                 f"tolerance must be a positive finite number, got {self.tolerance!r}"
             )
-        if self.trials < 1:
+        if _integer(self.trials, "trials") < 1:
             raise ParseError("trials must be at least 1")
-        if self.seed < 0:
+        if _integer(self.seed, "seed") < 0:
             raise ParseError(f"seed must be non-negative, got {self.seed}")
-        if self.samples < 1:
+        if _integer(self.samples, "samples") < 1:
             raise ParseError("samples must be at least 1")
         if self.manifold_kind not in KINDS:
             raise ParseError(
                 f"unknown manifold kind {self.manifold_kind!r}; expected one of {KINDS}"
             )
-        if self.manifold_kind == "euclidean" and self.dim < 1:
+        if _integer(self.dim, "dim") < 1 and self.manifold_kind == "euclidean":
             raise ParseError(f"dimension must be at least 1, got {self.dim}")
         if self.axiom in FLAT_ONLY and self.manifold_kind != "euclidean":
             raise ParseError(FLAT_ONLY[self.axiom])
@@ -496,9 +496,7 @@ def suite_from_dict(data: dict) -> list[AxiomCheckSpec]:
         missing = {"axiom", "tolerance", "trials"} - set(entry)
         if missing:
             raise ParseError(f"check {i} is missing {sorted(missing)}")
-        tolerance = entry["tolerance"]
-        if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
-            raise ParseError(f"check {i} tolerance must be a number, got {tolerance!r}")
+        tolerance = _real(entry["tolerance"], f"check {i} tolerance")
         for key in ("trials", "seed", "dim", "samples"):
             if key in entry:
                 _integer(entry[key], f"check {i} {key}")

@@ -56,6 +56,13 @@ def _integer(value, name: str, error: type[Exception] = ParseError):
     return value
 
 
+def _real(value, name: str):
+    """``value`` when it is a real number and not a bool, else ParseError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParseError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 class WrongManifold(RigradError):
     """Operation is only defined on a different manifold kind."""
 

@@ -262,8 +262,11 @@ class MLPField(_RowField):
             z = a @ layer.weights.T + layer.bias
             a = _act(layer.activation, z)
             seen.append((z, a))
-        grad = np.ones((a.shape[0], 1))
-        for layer, (z, a) in zip(reversed(self.weights.layers), reversed(seen)):
+        # the output layer's act'(z) (K, 1) times its weights (1, h) starts the pass
+        *hidden, last = self.weights.layers
+        z, a = seen.pop()
+        grad = _act_prime(last.activation, z, a) * last.weights
+        for layer, (z, a) in zip(reversed(hidden), reversed(seen)):
             grad = (grad * _act_prime(layer.activation, z, a)) @ layer.weights
         return grad
 

@@ -67,7 +67,8 @@ class Curve:
 
     ``start`` and ``end`` must be reproduced by the position evaluator at
     t = 0 and t = 1.  ``is_geodesic`` marks constant-speed length-minimising
-    geodesics, which unlocks closed-form parallel transport.
+    geodesics, which unlocks closed-form parallel transport: that divides the
+    velocity by ``length``, so their g-speed must equal it at every t.
 
     The evaluators map a float t to a (coord_dim,) array.  ``vectorized``
     declares that they also map an array of K parameters to a (K, coord_dim)
@@ -113,7 +114,7 @@ class OrthonormalFrame:
 
     def __post_init__(self):
         for v in self.vectors:
-            if not np.array_equal(v.base.coords, self.base.coords):
+            if v.base is not self.base and not np.array_equal(v.base.coords, self.base.coords):
                 raise InvalidTangent("frame vector not based at the frame's point")
 
     def __len__(self) -> int:
@@ -358,8 +359,13 @@ class Manifold(ABC):
         """Geodesic distance."""
 
     @abstractmethod
+    def make_geodesic(self, p: Point, o: Point) -> Curve:
+        """``geodesic_between`` of points already validated, as the kernel's are."""
+
     def geodesic_between(self, p: Point, o: Point) -> Curve:
-        """Constant-speed length-minimising geodesic with gamma(0)=p, gamma(1)=o."""
+        """Constant-speed length-minimising geodesic with gamma(0)=p, gamma(1)=o,
+        from the validated points."""
+        return self.make_geodesic(self.validate_point(p), self.validate_point(o))
 
     def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
         """Unit normals completing unit tangents ``T`` to oriented g-orthonormal
@@ -379,13 +385,12 @@ class Manifold(ABC):
         """Deterministic g-orthonormal basis of the tangent space at ``p``."""
 
     def validate_frame(self, frame: OrthonormalFrame, tol: float = 1e-10) -> None:
-        comps = frame.component_matrix()
-        g = self.metric_at(frame.base)
-        gram = comps @ g @ comps.T
-        if gram.shape != (self.dim, self.dim):
+        if len(frame) != self.dim:
             raise InvalidTangent(
                 f"frame has {len(frame)} vectors; manifold dimension is {self.dim}"
             )
+        comps = frame.component_matrix()
+        gram = comps @ self.lower(np.broadcast_to(frame.base.coords, comps.shape), comps).T
         if np.max(np.abs(gram - np.eye(self.dim))) > tol:
             raise InvalidTangent("frame is not g-orthonormal")
 

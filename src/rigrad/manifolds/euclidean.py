@@ -54,9 +54,9 @@ class Euclidean(Manifold):
     def dist(self, p: Point, q: Point) -> float:
         return float(np.linalg.norm(q.coords - p.coords))
 
-    def geodesic_between(self, p: Point, o: Point) -> Curve:
-        p = self.validate_point(p)
-        o = self.validate_point(o)
+    geodesic_between = Manifold.geodesic_between  # own entry: bench/tracing.py wraps it
+
+    def make_geodesic(self, p: Point, o: Point) -> Curve:
         delta = o.coords - p.coords
         start = np.array(p.coords)
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import InvalidCurve, InvalidTangent, TransportNotConverged
+from ..errors import InvalidCurve, InvalidTangent, NonFiniteValue, TransportNotConverged
 from .base import Curve, Manifold, Point, TangentVector
 
 ODE_START_STEPS = 256
@@ -47,21 +47,21 @@ def _clamp_params(ts) -> np.ndarray:
     return np.clip(ts, 0.0, 1.0)
 
 
-def _unit_tangents(manifold: Manifold, P: np.ndarray, V: np.ndarray) -> np.ndarray:
-    speed = np.sqrt(np.maximum(np.sum(manifold.lower(P, V) * V, axis=-1), 0.0))
-    if np.any(speed < 1e-13):
-        raise InvalidCurve("geodesic transport needs a nonvanishing velocity")
-    return V / speed[:, None]
-
-
 def _closed_form_transport(manifold, curve, rows, P, V):
-    """Rotate with the geodesic's velocity/normal frame, all nodes at once."""
-    start = curve.start.coords[None, :]
-    t0 = _unit_tangents(manifold, start, curve.velocity_fn(0.0)[None, :])
-    n0 = manifold.geodesic_normal(start, t0)
-    a = rows @ manifold.lower(start, t0)[0]
-    b = rows @ manifold.lower(start, n0)[0]
-    tangents = _unit_tangents(manifold, P, V)
+    """Rotate with the geodesic's velocity/normal frame, all nodes at once.
+    The unit tangents are V / length: a geodesic's g-speed is its length,
+    which its speeds at both ends must confirm to 1e-9 relative."""
+    length = curve.length
+    ends = np.array([curve.start.coords, curve.end.coords])
+    V_ends = curve.velocities(np.array([0.0, 1.0]))
+    speeds = np.sqrt(np.sum(manifold.lower(ends, V_ends) * V_ends, axis=-1))
+    if not np.all(np.abs(speeds - length) <= 1e-9 * length):
+        error = InvalidCurve if np.isfinite([length, *speeds]).all() else NonFiniteValue
+        raise error(f"geodesic end speeds {speeds} do not match its length {length!r}")
+    t0 = V_ends[:1] / length
+    start_frame = np.concatenate([t0, manifold.geodesic_normal(ends[:1], t0)])
+    a, b = (rows @ g for g in manifold.lower(ends[[0, 0]], start_frame))
+    tangents = V / length
     normals = manifold.geodesic_normal(P, tangents)
     return a[None, :, None] * tangents[:, None, :] + b[None, :, None] * normals[:, None, :]
 

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParseError, _integer
+from .errors import ParseError, _integer, _real
 
 
 # leggauss(n) is an n x n eigensolve (about 0.1 s at n = 1024); every caller
@@ -44,7 +44,9 @@ class Quadrature:
     def __post_init__(self):
         if _integer(self.nodes, "quadrature nodes") < 2:
             raise ParseError("quadrature needs at least 2 nodes")
-        if not 0.0 < self.tol < math.inf:
+        if not isinstance(self.refine, bool):
+            raise ParseError(f"quadrature refine must be a bool, got {self.refine!r}")
+        if not 0.0 < _real(self.tol, "quadrature tol") < math.inf:
             raise ParseError(f"quadrature tol must be a positive finite number, got {self.tol!r}")
         if _integer(self.max_nodes, "max_nodes") < self.nodes:
             raise ParseError("max_nodes must be at least the starting node count")

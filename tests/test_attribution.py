@@ -22,10 +22,11 @@ from conftest import (
 
 
 def make_synthetic_matrix(entries):
-    """An attribution matrix with prescribed entries on flat 2-space."""
-    man = rg.make_manifold("euclidean", dim=2)
-    p = man.point(np.array([0.0, 0.0]))
-    o = man.point(np.array([1.0, 0.0]))
+    """An attribution matrix with prescribed (n, n) entries on flat n-space."""
+    n = len(entries)
+    man = rg.make_manifold("euclidean", dim=n)
+    p = man.point(np.zeros(n))
+    o = man.point(np.eye(n)[0])
     diagnostics = PathDiagnostics(
         curve_length=1.0,
         nodes_used=2,
@@ -397,6 +398,105 @@ def test_eigen_attributions_order_and_signs():
         lead = column[np.flatnonzero(np.abs(column) > 1e-12)[0]]
         assert lead > 0.0
     assert eigen.residual <= 1e-10
+
+
+def loop_signs(vectors):
+    """The sign rule column by column, as eigen_attributions applied it before
+    it was vectorised: the reference the vectorised rule must equal."""
+    out = np.array(vectors, dtype=float)
+    for k in range(out.shape[1]):
+        column = out[:, k]
+        nonzero = np.flatnonzero(np.abs(column) > 1e-12 * np.max(np.abs(column)))
+        if nonzero.size and column[nonzero[0]] < 0.0:
+            out[:, k] = -column
+    return out
+
+
+def test_sign_rule_matches_the_column_loop():
+    """All-zero columns, leading entries on both sides of 1e-12 of the column
+    maximum, and negative leading entries."""
+    columns = [
+        [0.0, 0.0, 0.0],
+        [-0.99e-12, 1.0, 0.0],
+        [0.99e-12, -1.0, 0.5],
+        [-1.01e-12, 1.0, 0.0],
+        [1.01e-12, -1.0, 0.0],
+        [-0.5, 0.3, 0.2],
+        [0.0, -0.0, -2.0],
+        [-0.0, 0.0, 3.0],
+        [0.99e-12, -0.99e-12, -1.0],
+    ]
+    vectors = np.array(columns).T
+    fixed = vectors.copy()
+    attribution._fix_signs(fixed)
+    expected = loop_signs(vectors)
+    assert np.array_equal(fixed, expected)
+    assert np.array_equal(np.signbit(fixed), np.signbit(expected))
+    assert np.array_equal(fixed[:, 2], [-0.99e-12, 1.0, -0.5])
+    assert np.array_equal(fixed[:, 1], vectors[:, 1])
+
+
+@pytest.mark.parametrize("entries", [
+    np.zeros((2, 2)),
+    np.zeros((4, 4)),
+    np.diag([1.0, -3.0, 0.5]),
+    3.0 * np.eye(3),
+    np.diag([2.0, 2.0, -2.0, 1.0]),
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[1e-13, -1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, 2.0, -1e-13]],
+    -np.ones((3, 3)),
+])
+def test_eigenframe_signs_match_the_column_loop(entries):
+    """Zero matrices, negative leading entries and repeated eigenvalues."""
+    mat = make_synthetic_matrix(entries)
+    values, vectors = np.linalg.eigh(rg.symmetrize(mat).entries)
+    vectors = vectors[:, np.argsort(np.abs(values), kind="stable")]
+    assert np.array_equal(rg.eigen_attributions(mat).coefficients, loop_signs(vectors))
+
+
+def test_sign_rule_matches_the_loop_on_the_stock_suite(monkeypatch):
+    """Every eigenframe the stock verify suite takes is the loop's."""
+    checked = []
+    fix_signs = attribution._fix_signs
+
+    def compared(vectors):
+        expected = loop_signs(vectors)
+        fix_signs(vectors)
+        assert np.array_equal(vectors, expected)
+        checked.append(vectors.shape)
+
+    monkeypatch.setattr(attribution, "_fix_signs", compared)
+    for spec in rg.default_suite():
+        assert rg.run_check(spec).passed
+    assert checked
+
+
+def test_one_call_validates_each_point_once(monkeypatch, manifold, rng):
+    """p and o are validated once each, by the kernel; the geodesic is built
+    from the validated points."""
+    field = rg.MLPField(manifold, rg.random_mlp(manifold.coord_dim, (8,), rng))
+    p = manifold.random_point(rng)
+    o = manifold.random_point(rng)
+    frame = manifold.orthonormal_frame(p)
+    calls = []
+    cls = type(manifold)
+    point_rows = cls.point_rows
+
+    def counted(self, P):
+        calls.append(len(P))
+        return point_rows(self, P)
+
+    monkeypatch.setattr(cls, "point_rows", counted)
+    runs = {
+        "rig": lambda: rg.rig(field, manifold, p, o, frame),
+        "eigen_rig": lambda: rg.eigen_rig(field, manifold, p, o, frame),
+    }
+    if manifold.flat:
+        runs["ig"] = lambda: rg.ig(field, p, o, frame)
+    for method, run in runs.items():
+        calls.clear()
+        run()
+        assert calls == [1, 1], method
 
 
 def test_eigen_sum_matches_trace(manifold, rng):

@@ -40,6 +40,26 @@ def test_spec_refuses_what_no_check_can_run(fields, message):
     rg.AxiomCheckSpec("Linearity", 1e-9, 2, manifold_kind="sphere2", dim=0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"trials": True}, "trials must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"samples": 10.0}, "samples must be an integer"),
+    ({"dim": 4.0}, "dim must be an integer"),
+    ({"dim": "4", "manifold_kind": "sphere2"}, "dim must be an integer"),
+    ({"tolerance": "1e-6"}, "tolerance must be a real number, got '1e-6'"),
+    ({"tolerance": True}, "tolerance must be a real number"),
+])
+def test_spec_refuses_values_of_the_wrong_type(fields, message):
+    """Built directly, a spec refuses what suite_from_dict refuses in a
+    config, naming the field, rather than truncating it or failing inside a
+    check."""
+    with pytest.raises(rg.ParseError, match=message):
+        rg.AxiomCheckSpec(**{"axiom": "Sensitivity", "tolerance": 1e-12, "trials": 2, **fields})
+    spec = rg.AxiomCheckSpec("Sensitivity", np.float64(1e-12), np.int64(2), seed=np.int64(5))
+    assert spec.trials == 2 and spec.seed == 5
+
+
 def test_axiom_names_are_stable():
     assert rg.AXIOMS == (
         "Implementation",
@@ -247,7 +267,7 @@ def test_one_trial_builds_its_path_once(monkeypatch, manifold, axiom):
         return wrapper
 
     cls = type(manifold)
-    monkeypatch.setattr(cls, "geodesic_between", counting("geodesic", cls.geodesic_between))
+    monkeypatch.setattr(cls, "make_geodesic", counting("geodesic", cls.make_geodesic))
     monkeypatch.setattr(
         attribution, "transport_rows", counting("transport", attribution.transport_rows)
     )

@@ -35,6 +35,25 @@ def test_attribute_eigen_on_sphere_height_field():
     assert abs(payload["value_at_base"]) <= 1e-12
 
 
+def test_attribute_validates_each_point_twice(monkeypatch):
+    """Once when the command parses it, once in the attribution kernel; the
+    geodesic is built from the kernel's validated points."""
+    calls = []
+    point_rows = rg.Sphere2.point_rows
+
+    def counted(self, P):
+        calls.append(len(P))
+        return point_rows(self, P)
+
+    monkeypatch.setattr(rg.Sphere2, "point_rows", counted)
+    code, _ = run_cli(
+        "attribute", "--manifold", "sphere2", "--field", "height",
+        "--p", "0,0,1", "--o", "1,0,0",
+    )
+    assert code == 0
+    assert calls == [1, 1, 1, 1]
+
+
 def test_attribute_equal_points_gives_zeros():
     code, output = run_cli(
         "attribute", "--manifold", "sphere2", "--field", "height",

@@ -10,6 +10,7 @@ import pytest
 
 import rigrad as rg
 from rigrad.manifolds import Chart, diagnostics
+from rigrad.manifolds.halfplane import VERTICAL_CUTOFF
 from rigrad.manifolds.sphere import ANTIPODAL_SLACK, SphericalChart, _cross3
 
 from conftest import assert_close_rel, loop_geodesic_residual, random_unit_tangent
@@ -56,7 +57,8 @@ def fd_christoffel(chart, x, h=1e-5):
 def test_manifold_contract_is_what_the_package_calls():
     """A custom manifold implements exactly these: no per-point chart, and
     tangent and project_tangent have defaults; every attribution builds a
-    geodesic and checks it against the geodesic equation."""
+    geodesic and checks it against the geodesic equation.  It builds
+    geodesics from validated points; geodesic_between validates them first."""
     assert rg.Manifold.__abstractmethods__ == {
         "lower",
         "raise_gradients",
@@ -64,7 +66,7 @@ def test_manifold_contract_is_what_the_package_calls():
         "exp_map",
         "log_map",
         "dist",
-        "geodesic_between",
+        "make_geodesic",
         "geodesic_acceleration",
         "orthonormal_frame",
         "random_point",
@@ -305,6 +307,39 @@ def test_geodesic_endpoints_and_residual(manifold, rng):
         # second-order coordinate acceleration check; finite differences
         # bottom out around 1e-7 at step 1e-4
         assert rg.geodesic_residual(manifold, curve) <= 1e-6
+
+
+def test_geodesic_speed_is_its_length(rng):
+    """The contract closed-form transport divides by: a stock geodesic's
+    g-speed at the 32 + 64 Gauss-Legendre nodes is its length, also for
+    nearly coincident and nearly antipodal sphere pairs, on the half-plane's
+    vertical ray and just either side of its vertical cutoff."""
+    sphere = rg.make_manifold("sphere2")
+    plane = rg.make_manifold("half_plane2")
+    pairs = []
+    for man in (rg.make_manifold("euclidean", dim=4), sphere, plane):
+        pairs += [(man, man.random_point(rng), man.random_point(rng)) for _ in range(4)]
+    for _ in range(3):
+        p = sphere.random_point(rng)
+        u = random_unit_tangent(sphere, p, rng)
+        near = sphere.exp_map(u * 1e-8)
+        # sqrt(2e-8) rad short of the antipode, 1 + cos(p, o) = 1e-8
+        far = sphere.exp_map(u * (math.pi - math.sqrt(2e-8)))
+        assert abs(1.0 + float(p.coords @ far.coords) - 1e-8) <= 1e-11
+        pairs += [(sphere, p, near), (sphere, p, far)]
+    p = plane.point(np.array([0.3, 0.5]))
+    # the cutoff is relative to the largest coordinate, here 4
+    for scale in (0.0, 0.9, 1.1):
+        o = plane.point(np.array([0.3 + scale * VERTICAL_CUTOFF * 4.0, 4.0]))
+        vertical = plane.geodesic_between(p, o).position(0.5).coords[0] == 0.3
+        assert vertical == (scale < 1.0)
+        pairs.append((plane, p, o))
+    ts = np.concatenate([rg.DEFAULT_QUADRATURE.nodes_weights(n)[0] for n in (32, 64)])
+    for man, p, o in pairs:
+        curve = man.geodesic_between(p, o)
+        P, V = curve.positions(ts), curve.velocities(ts)
+        speed = np.sqrt(np.sum(man.lower(P, V) * V, axis=1))
+        assert_close_rel(speed, np.full(len(ts), curve.length), 1e-12)
 
 
 def builtin_curves(rng):

@@ -47,6 +47,20 @@ def test_quadrature_sizes_must_be_integers(field, value):
     assert rg.Quadrature(nodes=np.int64(8), max_nodes=np.int64(64)).schedule() == [8, 16, 32, 64]
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("refine", "no", "refine must be a bool"),
+    ("refine", 1, "refine must be a bool"),
+    ("refine", None, "refine must be a bool"),
+    ("tol", "1e-6", "tol must be a real number"),
+    ("tol", True, "tol must be a real number"),
+    ("tol", None, "tol must be a real number"),
+])
+def test_quadrature_refuses_a_flag_or_tol_of_the_wrong_type(field, value, message):
+    with pytest.raises(rg.ParseError, match=message):
+        rg.Quadrature(**{field: value})
+    assert rg.Quadrature(tol=np.float64(1e-8), refine=False).schedule() == [32]
+
+
 def test_quadrature_has_one_rule():
     """Gauss-Legendre is the only rule: there is no rule to choose."""
     for rule in ("gauss_legendre", "trapezoid", "simpson"):

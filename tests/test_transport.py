@@ -1,5 +1,6 @@
 """Parallel transport: closed forms, the ODE fallback, and their agreement."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -63,6 +64,34 @@ def test_closed_form_transport_preserves_inner_products(rng):
             for row in results:
                 after = man.inner(row[0], row[1])
                 assert abs(after - before) <= 1e-8 * (1.0 + abs(before))
+
+
+@pytest.mark.parametrize("kind", ["sphere2", "half_plane2"])
+def test_closed_form_transport_refuses_a_length_that_is_not_the_speed(kind, rng):
+    """Closed-form transport divides the velocity by the geodesic's length, so
+    a curve marked geodesic whose speed at its ends is not its length is
+    refused; one within the 1e-9 tolerance is moved."""
+    man = rg.make_manifold(kind)
+    p = man.random_point(rng)
+    curve = man.geodesic_between(p, man.exp_map(random_unit_tangent(man, p, rng) * 0.8))
+    u = man.random_tangent(p, rng)
+    for factor in (1.0 + 1e-6, 0.5, 2.0):
+        wrong = dataclasses.replace(curve, length=curve.length * factor)
+        with pytest.raises(rg.InvalidCurve, match="do not match its length"):
+            transport_along(man, wrong, [u], [0.5])
+    close = dataclasses.replace(curve, length=curve.length * (1.0 + 1e-12))
+    assert transport_along(man, close, [u], [0.5])[1] == "closed-form"
+
+
+def test_a_geodesic_that_overflows_raises_non_finite_value():
+    """A half-plane pair whose semicircle overflows has an infinite length;
+    that is a non-finite value, not a speed that disagrees with the length."""
+    man = rg.make_manifold("half_plane2")
+    p = man.point(np.array([0.0, 1e-200]))
+    o = man.point(np.array([1e200, 1e-200]))
+    field = rg.AffineField(man, [0.3, -0.7])
+    with np.errstate(all="ignore"), pytest.raises(rg.NonFiniteValue):
+        rg.rig(field, man, p, o, man.orthonormal_frame(p))
 
 
 def test_transport_on_zero_length_curve_is_identity():
