@@ -212,14 +212,14 @@ def _path_integral(field, manifold, curve, rows, quadrature, diagonal=False, lev
                 entries = -(weights @ (a * b))
             else:
                 entries = -((weights[:, None] * a).T @ b)
-        if not np.all(np.isfinite(entries)):
+        if not np.isfinite(entries).all():
             raise NonFiniteValue(
                 f"attribution entries are not finite at {count} nodes; the field's "
                 "gradient or the path takes a NaN or infinite value"
             )
         if previous is not None:
-            gap = float(np.max(np.abs(entries - previous)))
-            noise = ROUNDING_FLOOR * float(np.max(np.abs(entries), initial=0.0))
+            gap = float(np.abs(entries - previous).max())
+            noise = ROUNDING_FLOOR * float(np.abs(entries).max(initial=0.0))
             if gap < quadrature.tol + noise:
                 break
         previous = entries
@@ -417,7 +417,7 @@ def _report(
         attributions=values,
         value_at_point=value_p,
         value_at_base=value_o,
-        completeness_residual=abs(float(np.sum(values)) - (value_p - value_o)),
+        completeness_residual=abs(float(values.sum()) - (value_p - value_o)),
         error_term=-value_o,
         path_is_geodesic=path_is_geodesic,
         eigenvalues=eigenvalues,
@@ -458,9 +458,9 @@ def _fix_signs(vectors: np.ndarray) -> None:
     """Negate, in place, each column whose leading entry (its first above 1e-12
     of its largest magnitude) is negative; an all-zero column has none."""
     size = np.abs(vectors)
-    above = size > 1e-12 * np.max(size, axis=0)
+    above = size > 1e-12 * size.max(axis=0)
     lead = vectors[np.argmax(above, axis=0), np.arange(vectors.shape[1])]
-    flip = np.any(above, axis=0) & (lead < 0.0)
+    flip = above.any(axis=0) & (lead < 0.0)
     vectors[:, flip] = -vectors[:, flip]
 
 
@@ -482,7 +482,7 @@ def eigen_attributions(matrix: AttributionMatrix) -> EigenAttribution:
     vectors = vectors[:, order]
     _fix_signs(vectors)
 
-    residual = float(np.max(np.abs(sym @ vectors - vectors * values))) if values.size else 0.0
+    residual = float(np.abs(sym @ vectors - vectors * values).max()) if values.size else 0.0
     basis = matrix.frame.component_matrix()
     tangents = tuple(
         TangentVector(matrix.base, vectors[:, k] @ basis)

@@ -391,7 +391,7 @@ class Manifold(ABC):
             )
         comps = frame.component_matrix()
         gram = comps @ self.lower(np.broadcast_to(frame.base.coords, comps.shape), comps).T
-        if np.max(np.abs(gram - np.eye(self.dim))) > tol:
+        if np.abs(gram - np.eye(self.dim)).max() > tol:
             raise InvalidTangent("frame is not g-orthonormal")
 
     # -- sampling (seeded; used by tests and the axiom harness) ------------

@@ -39,7 +39,7 @@ def geodesic_residual(
     # a (1, dim) @ (dim, 1) product per row takes the same dot product as
     # norm() of one row, so the norms agree bit for bit
     squares = defect[:, None, :] @ defect[:, :, None]
-    return float(np.sqrt(np.max(squares)))
+    return float(np.sqrt(squares.max()))
 
 
 @functools.lru_cache(maxsize=8)

@@ -54,8 +54,8 @@ def _closed_form_transport(manifold, curve, rows, P, V):
     length = curve.length
     ends = np.array([curve.start.coords, curve.end.coords])
     V_ends = curve.velocities(np.array([0.0, 1.0]))
-    speeds = np.sqrt(np.sum(manifold.lower(ends, V_ends) * V_ends, axis=-1))
-    if not np.all(np.abs(speeds - length) <= 1e-9 * length):
+    speeds = np.sqrt((manifold.lower(ends, V_ends) * V_ends).sum(axis=-1))
+    if not (np.abs(speeds - length) <= 1e-9 * length).all():
         error = InvalidCurve if np.isfinite([length, *speeds]).all() else NonFiniteValue
         raise error(f"geodesic end speeds {speeds} do not match its length {length!r}")
     t0 = V_ends[:1] / length
@@ -277,12 +277,10 @@ def transport_rows(
     is raised when two sweeps still differ by ODE_TOL or more at ODE_MAX_STEPS
     steps.
     """
-    identity = np.broadcast_to(rows, (len(ts), *rows.shape))
-    if manifold.flat:
-        return identity, "identity", 0
+    if manifold.flat or (curve.is_geodesic and curve.length < 1e-13):
+        mode = "identity" if manifold.flat else "closed-form"
+        return np.broadcast_to(rows, (len(ts), *rows.shape)), mode, 0
     if curve.is_geodesic:
-        if curve.length < 1e-13:
-            return identity, "closed-form", 0
         return _closed_form_transport(manifold, curve, rows, positions, velocities), "closed-form", 0
     moved, steps_used = _ode_route(manifold, curve, rows, ts, positions, steps)
     return moved, "ode", steps_used
