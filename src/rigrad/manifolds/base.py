@@ -363,8 +363,8 @@ class Manifold(ABC):
         """``geodesic_between`` of points already validated, as the kernel's are."""
 
     def geodesic_between(self, p: Point, o: Point) -> Curve:
-        """Constant-speed length-minimising geodesic with gamma(0)=p, gamma(1)=o,
-        from the validated points."""
+        """Constant-speed length-minimising geodesic with gamma(0)=p, gamma(1)=o;
+        validates both points, then calls ``make_geodesic``."""
         return self.make_geodesic(self.validate_point(p), self.validate_point(o))
 
     def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -54,7 +54,7 @@ class Euclidean(Manifold):
     def dist(self, p: Point, q: Point) -> float:
         return float(np.linalg.norm(q.coords - p.coords))
 
-    geodesic_between = Manifold.geodesic_between  # own entry: bench/tracing.py wraps it
+    geodesic_between = Manifold.geodesic_between  # bench/tracing.py wraps it per class
 
     def make_geodesic(self, p: Point, o: Point) -> Curve:
         delta = o.coords - p.coords

@@ -147,7 +147,7 @@ class HalfPlane2(Manifold):
     def dist(self, p: Point, q: Point) -> float:
         return self._geodesic(p, q)[2]
 
-    geodesic_between = Manifold.geodesic_between  # own entry: bench/tracing.py wraps it
+    geodesic_between = Manifold.geodesic_between  # bench/tracing.py wraps it per class
 
     def make_geodesic(self, p: Point, o: Point) -> Curve:
         if np.array_equal(p.coords, o.coords):

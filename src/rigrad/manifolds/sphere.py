@@ -231,7 +231,7 @@ class Sphere2(Manifold):
             )
         cross = _cross(p, q)
         w = _cross3(cross, p.coords)
-        w_norm = np.sqrt(w.dot(w))  # np.linalg.norm's arithmetic, without its checks
+        w_norm = np.sqrt(w.dot(w))  # np.linalg.norm's arithmetic, minus its wrapper
         if w_norm < 1e-300:
             return TangentVector(p, np.zeros(3))
         theta = np.arctan2(np.sqrt(cross.dot(cross)), cos)
@@ -242,7 +242,7 @@ class Sphere2(Manifold):
         dot = float(np.dot(p.coords, q.coords))
         return float(np.arctan2(cross, dot))
 
-    geodesic_between = Manifold.geodesic_between  # own entry: bench/tracing.py wraps it
+    geodesic_between = Manifold.geodesic_between  # bench/tracing.py wraps it per class
 
     def make_geodesic(self, p: Point, o: Point) -> Curve:
         v = self.log_map(p, o)
