@@ -157,11 +157,42 @@ def _mlp_field(manifold: Manifold, rng, hidden=(6, 5)) -> MLPField:
     return MLPField(manifold, random_mlp(manifold.coord_dim, hidden, rng))
 
 
+# numpy's default print options, the ones _coords_text reproduces
+_PRINT_DEFAULTS = {"floatmode": "maxprec", "suppress": False, "sign": "-", "linewidth": 75,
+                   "threshold": 1000, "formatter": None, "legacy": False}
+
+
+def _coords_text(v: np.ndarray) -> str:
+    """``np.array2string(v, precision=4)`` of a 1-D float vector, built
+    directly when numpy prints it positionally on one line under default
+    options: unique digits to 4 decimals, padded to the widest integer part
+    and fraction as array2string's ``maxprec`` mode pads them.  Otherwise
+    (scientific notation for a non-finite entry, a nonzero magnitude below
+    1e-4, a largest of 1e8 or more or a spread over 1e3) array2string runs."""
+    xs = v.tolist()
+    sizes = [abs(x) for x in xs if x != 0.0]
+    options = np.get_printoptions()
+    if (
+        not xs
+        or not all(map(math.isfinite, xs))
+        or (sizes and (min(sizes) < 1e-4 or max(sizes) >= 1e8 or max(sizes) / min(sizes) > 1e3))
+        or {key: options[key] for key in _PRINT_DEFAULTS} != _PRINT_DEFAULTS
+    ):
+        return np.array2string(v, precision=4)
+    parts = [
+        np.format_float_positional(x, precision=4, fractional=True, trim=".").partition(".")
+        for x in xs
+    ]
+    left = max(len(whole) for whole, _, _ in parts)
+    right = max(len(fraction) for _, _, fraction in parts)
+    text = "[" + " ".join(w.rjust(left) + "." + f.ljust(right) for w, _, f in parts) + "]"
+    return text if len(text) <= _PRINT_DEFAULTS["linewidth"] else np.array2string(v, precision=4)
+
+
 def _describe(manifold: Manifold, p: Point, o: Point) -> str:
     return (
         f"{manifold.kind}(dim={manifold.dim}) "
-        f"p={np.array2string(p.coords, precision=4)} "
-        f"o={np.array2string(o.coords, precision=4)}"
+        f"p={_coords_text(p.coords)} o={_coords_text(o.coords)}"
     )
 
 

@@ -179,7 +179,21 @@ class LayerSpec:
             raise ParseError(
                 f"bias shape {b.shape} does not match weight rows {w.shape[0]}"
             )
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        self._store(w, b, np.isfinite(b).all())
+
+    @classmethod
+    def _fresh(cls, weights: np.ndarray, bias: np.ndarray, activation: str) -> "LayerSpec":
+        """A layer that keeps the float arrays of matching shapes its caller
+        has just made, instead of copying and re-checking them; the bias, a
+        scaled normal draw, is finite."""
+        layer = object.__new__(cls)
+        object.__setattr__(layer, "activation", activation)
+        layer._store(weights, bias, True)
+        return layer
+
+    def _store(self, w: np.ndarray, b: np.ndarray, bias_finite: bool) -> None:
+        """Freeze and keep the arrays once the values and activation pass."""
+        if not (np.isfinite(w).all() and bias_finite):
             raise ParseError("layer weights and bias must be finite")
         if self.activation not in ACTIVATIONS:
             raise ParseError(
@@ -333,12 +347,13 @@ def random_mlp(
     """Randomly initialised network with the given hidden widths."""
     widths = [input_dim, *hidden, 1]
     layers = []
-    for i in range(len(widths) - 1):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        w = rng.standard_normal((fan_out, fan_in)) * scale / np.sqrt(fan_in)
-        b = rng.standard_normal(fan_out) * 0.1
-        act = activation if i < len(widths) - 2 else "identity"
-        layers.append(LayerSpec(w, b, act))
+    with np.errstate(over="ignore"):  # weights that overflow raise ParseError
+        for i in range(len(widths) - 1):
+            fan_in, fan_out = widths[i], widths[i + 1]
+            w = rng.standard_normal((fan_out, fan_in)) * scale / np.sqrt(fan_in)
+            b = rng.standard_normal(fan_out) * 0.1
+            act = activation if i < len(widths) - 2 else "identity"
+            layers.append(LayerSpec._fresh(w, b, act))
     return MLPWeights(input_dim, tuple(layers))
 
 

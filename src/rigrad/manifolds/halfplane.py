@@ -8,9 +8,12 @@ distance formula loses digits.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
-from ..errors import InvalidPoint
+from ..errors import InvalidPoint, NonFiniteValue
 from .base import (
     Chart,
     Curve,
@@ -27,6 +30,9 @@ from .base import (
 # as zero and the geodesic as a vertical ray; the semicircle construction
 # divides by the offset and would otherwise blow up.
 VERTICAL_CUTOFF = 1e-13
+
+# sinh overflows past this argument, so no longer geodesic is traced
+_LONGEST = math.asinh(sys.float_info.max)
 
 
 def _sech(s):
@@ -102,13 +108,15 @@ class HalfPlane2(Manifold):
         return Point(np.array([c - r * np.tanh(s1), y1]))
 
     def _geodesic(self, p: Point, q: Point):
-        """Position and velocity evaluators and the length of the geodesic
-        from p to q, the one construction behind log_map, dist and
-        make_geodesic.  The evaluators take a float t or an array of
+        """Position and velocity evaluators, the length and the highest y of
+        the geodesic from p to q, the one construction behind log_map, dist
+        and make_geodesic.  The evaluators take a float t or an array of
         parameters.  A horizontal offset below VERTICAL_CUTOFF of the
         coordinate scale gives the vertical ray y = yp exp(k t); otherwise
         the semicircle of centre c and radius r is traced as s runs from sp
-        to sp + ds."""
+        to sp + ds, with x = xp - yp sinh(t ds) sech(s), the difference of
+        tanh taken without the cancellation of c - r tanh(s) when c and r
+        are large."""
         xp, yp = float(p.coords[0]), float(p.coords[1])
         xq, yq = float(q.coords[0]), float(q.coords[1])
         dx = xq - xp
@@ -123,23 +131,26 @@ class HalfPlane2(Manifold):
                 t = np.asarray(t, dtype=float)
                 return np.stack([np.zeros_like(t), yp * k * np.exp(k * t)], axis=-1)
 
-            return v_position, v_velocity, abs(float(k))
+            return v_position, v_velocity, abs(float(k)), max(yp, yq)
 
         c = 0.5 * (xp + xq) + (yq - yp) * (yq + yp) / (2.0 * dx)
         r = np.hypot(xp - c, yp)
         sp = np.arcsinh((c - xp) / yp)
-        ds = np.arcsinh((c - xq) / yq) - sp
+        sq = np.arcsinh((c - xq) / yq)
+        ds = sq - sp
 
         def position(t):
-            s = sp + np.asarray(t, dtype=float) * ds
-            return np.stack([c - r * np.tanh(s), r * _sech(s)], axis=-1)
+            a = np.asarray(t, dtype=float) * ds
+            sech = _sech(sp + a)
+            return np.stack([xp - yp * np.sinh(a) * sech, r * sech], axis=-1)
 
         def velocity(t):
             s = sp + np.asarray(t, dtype=float) * ds
             sech = _sech(s)
             return ds * np.stack([-r * sech**2, -r * sech * np.tanh(s)], axis=-1)
 
-        return position, velocity, abs(float(ds))
+        top = float(r) if min(sp, sq) <= 0.0 <= max(sp, sq) else max(yp, yq)
+        return position, velocity, abs(float(ds)), top
 
     def log_map(self, p: Point, q: Point) -> TangentVector:
         return TangentVector(p, self._geodesic(p, q)[1](0.0))
@@ -152,7 +163,12 @@ class HalfPlane2(Manifold):
     def make_geodesic(self, p: Point, o: Point) -> Curve:
         if np.array_equal(p.coords, o.coords):
             return constant_curve(self, p)
-        position, velocity, length = self._geodesic(p, o)
+        position, velocity, length, top = self._geodesic(p, o)
+        # lowering squares y, and the coordinate speed reaches top * length
+        if not (math.isfinite(top * top) and math.isfinite(top * length) and length < _LONGEST):
+            raise NonFiniteValue(
+                f"the half-plane geodesic overflows: highest y {top:.3e}, length {length:.3e}"
+            )
         return Curve(
             manifold=self,
             position_fn=pin_endpoints(position, p, o),

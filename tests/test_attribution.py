@@ -333,6 +333,33 @@ def test_non_finite_field_stops_after_the_first_level():
     assert field.batches == [rg.DEFAULT_QUADRATURE.nodes]
 
 
+class CountingMLPField(rg.MLPField):
+    """A network field that records the size of every gradient batch."""
+
+    def __init__(self, manifold, weights):
+        super().__init__(manifold, weights)
+        self.batches = []
+
+    def coord_gradients(self, X):
+        self.batches.append(len(X))
+        return super().coord_gradients(X)
+
+
+def test_an_overflowing_half_plane_path_is_refused_before_any_gradient():
+    """The semicircle from (-1e308, 1) to (1e308, 1) peaks at y ~ 1e308,
+    whose square the metric needs: refused, not attributed."""
+    man = rg.make_manifold("half_plane2")
+    p, o = man.point(np.array([-1e308, 1.0])), man.point(np.array([1e308, 1.0]))
+    field = CountingMLPField(man, rg.random_mlp(2, (6, 5), np.random.default_rng(3)))
+    frame = man.orthonormal_frame(p)
+    for run in (rg.rig, rg.eigen_rig, rg.attribution_matrix):
+        with pytest.raises(rg.NonFiniteValue, match="overflows"):
+            run(field, man, p, o, frame)
+    assert field.batches == []
+    # the distance needs neither y squared nor the path
+    assert math.isfinite(man.dist(p, o))
+
+
 def test_non_finite_endpoint_value_raises():
     """The gradient is finite, so every level is; the value at the ends is not."""
     flat = rg.make_manifold("euclidean", dim=2)

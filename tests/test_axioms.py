@@ -1,10 +1,12 @@
 """Certification harness: check specs, individual checks, suites."""
 
+import math
+
 import numpy as np
 import pytest
 
 import rigrad as rg
-from rigrad import attribution
+from rigrad import attribution, axioms
 
 
 def test_default_seed_constant():
@@ -278,3 +280,38 @@ def test_one_trial_builds_its_path_once(monkeypatch, manifold, axiom):
     report = rg.run_check(spec)
     assert report.passed and report.aborted == 0
     assert calls == {"geodesic": 1, "transport": 1, "defect": 1}
+
+
+EDGE_VECTORS = [
+    [-0.0], [-0.0, 0.0], [1.0, -1.0], [-1.0, 0.5, 1.0], [1.2e-4], [1.2e-4, 0.1],
+    [1.2e-4, 1.0], [9.9999e-5, 1.0], [0.5, 500.0], [0.5, 500.1], [1e8], [99999999.0, 1.0],
+    [1e8, -1.0], [math.nan, 1.0], [math.inf, -1.0], [-math.inf], [0.0, math.nan],
+    [9.99995, -0.99995, 0.12345], [123.45675, -0.001], [1e-300, 1.0], [5e-324],
+    list(np.linspace(-7.0, 7.0, 12)), list(np.linspace(-0.3, 0.3, 20)), [],
+]
+
+
+@pytest.mark.parametrize("coords", EDGE_VECTORS)
+def test_trial_note_coordinates_are_array2string_text(coords):
+    v = np.array(coords, dtype=float)
+    with np.errstate(all="ignore"):
+        assert axioms._coords_text(v) == np.array2string(v, precision=4)
+    with np.printoptions(sign="+", floatmode="fixed", linewidth=30), np.errstate(all="ignore"):
+        assert axioms._coords_text(v) == np.array2string(v, precision=4)
+
+
+@pytest.mark.parametrize("seed", [rg.DEFAULT_SEED, 7])
+def test_stock_suite_notes_are_array2string_text(monkeypatch, seed):
+    """Every coordinate vector the stock suite writes into a note reads as
+    numpy's own array2string text."""
+    seen = []
+    direct = axioms._coords_text
+
+    def checked(v):
+        text = direct(v)
+        seen.append(text == np.array2string(v, precision=4))
+        return text
+
+    monkeypatch.setattr(axioms, "_coords_text", checked)
+    rg.run_suite(rg.default_suite(seed))
+    assert len(seen) >= 700 and all(seen)

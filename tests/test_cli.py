@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, output files, report content."""
 
 import argparse
+import hashlib
 import io
 import json
 import re
@@ -613,6 +614,57 @@ def test_verify_reports_are_deterministic(tmp_path):
     _, first = run_cli("verify", "--config", str(config))
     _, second = run_cli("verify", "--config", str(config))
     assert first == second
+
+
+# sha256 of what ``rigrad verify --out DIR`` writes for the stock suite at
+# DEFAULT_SEED.  The four half-plane files whose residuals depend on the
+# geodesic's interior x, and suite.json, took these values when x became
+# xp - yp sinh(t ds) sech(s): residuals moved by at most 4.4e-16, notes not.
+STOCK_SUITE_SHA256 = {
+    "check_00_Implementation_euclidean.csv": "a7c2e684cc816486942c68be848aa0487c7a92b90da1356a18d327c7d9a128f1",
+    "check_01_Implementation_sphere2.csv": "0c3b5e982c786d63c19e8c03e969b40ec44a94a7bda7da0a2bfa60cf26f4025e",
+    "check_02_Implementation_half_plane2.csv": "cafdcd473d4d42b29a0f1e89db69aea215dcb3b07f89e13000792ffb6b2c086b",
+    "check_03_Linearity_euclidean.csv": "ba6d15d1179dcffc59b5779caa1da3b293d19c2b55f58d3c8d004fb9f0206c88",
+    "check_04_Linearity_sphere2.csv": "437a212d223e5e13dbe7256d4faf83236b7095fcebab0d6926dd219f926646bb",
+    "check_05_Linearity_half_plane2.csv": "a9f1868b149d4fa56109e6d0a8d7a8316722569a4b70046bd70a53b3319b0b6e",
+    "check_06_Sensitivity_euclidean.csv": "7744c49ba3fcaaac60361dc01f834131827979b2af4b194d762158023a9cffc3",
+    "check_07_Sensitivity_sphere2.csv": "b2b74247e67f7067bda1e55f11abce33d95a47792a15c8738263d131171c68e4",
+    "check_08_Sensitivity_half_plane2.csv": "938fd0ef621d819061b70b3de112775c186f872e11f38928c1c20de89f2150c6",
+    "check_09_SymmetryInvariance_euclidean.csv": "ef8a6b9208d78a958292de7aa7d2bd765c6ef853c22935be58dcc89c00715a04",
+    "check_10_Completeness_euclidean.csv": "ea78d9803a05013e7d2fdec97d20f90f9b1fe82315b0c5a87645983b2185da96",
+    "check_11_Completeness_sphere2.csv": "57f0f035b60724feebde9b754549b971c64cb8e99c2411b5a23b8219889e0d17",
+    "check_12_Completeness_half_plane2.csv": "90afc5b2d8abc47b999de601d67ae11e6d0ffb313e454538f122295735999b93",
+    "check_13_IsometryInvariance_euclidean.csv": "c788e7f14a2f9c6e2d142e06df2afefc875e1720bbf0423dac7aee1ff5086210",
+    "check_14_IsometryInvariance_sphere2.csv": "fd8d9b82fcabfff68f6c53516e58123f0be8d20256580dd9193bce91021ea79e",
+    "check_15_IsometryInvariance_half_plane2.csv": "7bebc9ecb1c456c166800672467f606a962d910928b30b452dafa7bd7ea0f899",
+    "check_16_EuclideanRestriction_euclidean.csv": "d26483f2582e80f7e580dd37f623e0937e47390d990fee1fff22d8fc06e8b791",
+    "check_17_EigenBound_euclidean.csv": "b6dbd4372ee3200194782c5e5ecacaf3965950e73f681389bee7e9aae89432d1",
+    "check_18_EigenBound_sphere2.csv": "05c6b4a057bc755dde89121aaa5f790a52fec2da4f1eb3f4279a321645e49167",
+    "check_19_EigenBound_half_plane2.csv": "102beabef6a8c5dc87c3cb3d1aa705fd88c471715542dae4b2f16c23b764731e",
+    "suite.json": "3d64dbe7624fde73fb1c5e35a36867b27bed055359cf729e078649ce8de3e9d9",
+}
+
+
+def test_stock_verify_output_is_pinned(tmp_path):
+    """The stock suite's report files and PASS lines, byte for byte."""
+    code, output = run_cli("verify", "--out", str(tmp_path))
+    assert code == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert written == STOCK_SUITE_SHA256
+    lines = "".join(line + "\n" for line in output.splitlines() if line.startswith("["))
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "ca6b36cd65819110ff95ad03f328bafd037c0ce6e78c1008cfc05c717499d342"
+    )
+
+
+def test_an_overflowing_half_plane_pair_exits_1(capsys):
+    code, output = run_cli(
+        "attribute", "--manifold", "half_plane2", "--field", "log_height",
+        "--p", "-1e308,1", "--o", "1e308,1",
+    )
+    assert code == 1
+    assert output == ""
+    assert capsys.readouterr().err.startswith("NonFiniteValue: the half-plane geodesic overflows")
 
 
 def test_json_outputs_are_the_stdlib_indented_text(tmp_path):

@@ -436,3 +436,43 @@ def test_builtin_fields_write_one_gradient_formula():
         assert "coord_gradient" not in cls.__dict__, cls.__name__
         assert "gradient" not in cls.__dict__, cls.__name__
     assert not hasattr(rg.fields, "GradientFirstField")
+
+
+def validated_random_mlp(input_dim, hidden, rng, activation="tanh", scale=1.0):
+    """random_mlp's draws, each layer built through the public constructor."""
+    widths = [input_dim, *hidden, 1]
+    layers = []
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        w = rng.standard_normal((fan_out, fan_in)) * scale / np.sqrt(fan_in)
+        b = rng.standard_normal(fan_out) * 0.1
+        layers.append(rg.LayerSpec(w, b, activation if i < len(widths) - 2 else "identity"))
+    return rg.MLPWeights(input_dim, tuple(layers))
+
+
+@pytest.mark.parametrize("hidden", [(), (1,), (6, 5), (16, 2, 9)])
+@pytest.mark.parametrize("activation", rg.fields.ACTIVATIONS)
+def test_random_mlp_draws_what_the_validated_layers_hold(hidden, activation):
+    for dim, scale in ((1, 1.0), (3, 2.5), (8, 0.3)):
+        fast = rg.random_mlp(dim, hidden, np.random.default_rng(dim), activation, scale)
+        slow = validated_random_mlp(dim, hidden, np.random.default_rng(dim), activation, scale)
+        assert fast.input_dim == slow.input_dim and len(fast.layers) == len(slow.layers)
+        for a, b in zip(fast.layers, slow.layers):
+            assert a.activation == b.activation
+            for x, y in ((a.weights, b.weights), (a.bias, b.bias)):
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
+                assert not x.flags.writeable
+                with pytest.raises(ValueError):
+                    x[0] = 0.0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"scale": math.inf}, "must be finite"),
+    ({"scale": 1e308}, "must be finite"),
+    ({"activation": "relu"}, "unknown activation 'relu'"),
+])
+def test_random_mlp_refuses_what_the_layer_constructor_refuses(kwargs, message):
+    with pytest.raises(rg.ParseError, match=message):
+        rg.random_mlp(3, (6, 5), np.random.default_rng(0), **kwargs)
+    with pytest.raises(rg.ParseError, match=message), np.errstate(over="ignore"):
+        validated_random_mlp(3, (6, 5), np.random.default_rng(0), **kwargs)

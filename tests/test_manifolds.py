@@ -342,6 +342,47 @@ def test_geodesic_speed_is_its_length(rng):
         assert_close_rel(speed, np.full(len(ts), curve.length), 1e-12)
 
 
+def halfplane_x_oracle(p, q, ts):
+    """x along the half-plane geodesic from p to q at the parameters ts, in
+    60-digit decimals: the semicircle's centre c and radius r, s running
+    linearly from asinh((c - xp) / yp) to asinh((c - xq) / yq), and
+    x = c - r tanh(s), whose cancellation costs nothing at this precision."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        (xp, yp), (xq, yq) = ([Decimal(float(v)) for v in point] for point in (p, q))
+        c = (xp + xq) / 2 + (yq - yp) * (yq + yp) / (2 * (xq - xp))
+        r = ((xp - c) ** 2 + yp**2).sqrt()
+
+        def asinh(z):
+            return (z.copy_abs() + (z * z + 1).sqrt()).ln().copy_sign(z)
+
+        sp, sq = asinh((c - xp) / yp), asinh((c - xq) / yq)
+        xs = []
+        for t in ts:
+            e = (2 * (sp + Decimal(float(t)) * (sq - sp))).exp()
+            xs.append(float(c - r * (e - 1) / (e + 1)))
+    return np.array(xs)
+
+
+def test_near_vertical_halfplane_geodesic_stays_on_its_path(rng):
+    """Just above the vertical cutoff the semicircle's centre and radius grow
+    like 1 / offset; x must still follow the path, not their cancellation.
+    Random pairs, far from the cutoff, follow it to rounding."""
+    plane = rg.make_manifold("half_plane2")
+    p = plane.point(np.array([0.3, 0.5]))
+    ts = rg.DEFAULT_QUADRATURE.nodes_weights(32)[0]
+    pairs = [(p, plane.random_point(rng), 1e-14) for _ in range(5)]
+    for scale in (1.1, 10.0, 1e3, 1e5):
+        o = plane.point(np.array([0.3 + scale * VERTICAL_CUTOFF * 4.0, 4.0]))
+        pairs.append((p, o, 1e-12))
+        if scale == 1.1:
+            x = plane.geodesic_between(p, o).positions(ts)[:, 0]
+            assert np.max(np.abs(x - 0.3)) <= 1e-12
+    for p, o, tol in pairs:
+        x = plane.geodesic_between(p, o).positions(ts)[:, 0]
+        assert np.max(np.abs(x - halfplane_x_oracle(p.coords, o.coords, ts))) <= tol
+
+
 def builtin_curves(rng):
     """Every kind of curve the package builds: latitude loops, geodesics (the
     half-plane's vertical and semicircular ones), and constant curves."""
