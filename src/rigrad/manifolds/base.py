@@ -7,13 +7,17 @@ across threads.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..errors import DimensionMismatch, InvalidPoint, InvalidTangent
+from ..errors import DimensionMismatch, InvalidPoint, InvalidTangent, NonFiniteValue
+
+# The most a g-orthonormal frame's Gram matrix may differ from the identity.
+FRAME_TOL = 1e-10
 
 
 def _freeze(arr) -> np.ndarray:
@@ -123,6 +127,12 @@ class OrthonormalFrame:
     def component_matrix(self) -> np.ndarray:
         """Stack the frame vectors' components as rows, shape (n, coord_dim)."""
         return np.array([v.components for v in self.vectors])
+
+
+def float_squares(a: np.ndarray) -> np.ndarray:
+    """x ** 2 of each entry by the C library's pow, as one float takes it;
+    numpy's array ** 2 multiplies, which rounds differently once in ~1200."""
+    return np.array([x**2 for x in a.tolist()])
 
 
 def christoffel_contraction(gamma: np.ndarray, xdot: np.ndarray) -> np.ndarray:
@@ -348,15 +358,18 @@ class Manifold(ABC):
         """Point reached by the geodesic with initial velocity ``v`` at t = 1."""
 
     @abstractmethod
+    def log_rows(self, P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Initial velocities (K, coord_dim) and lengths (K,) of the minimising
+        geodesics from each validated row of ``P`` to the validated point ``q``;
+        raises CutLocusAmbiguity when any of them is not unique."""
+
     def log_map(self, p: Point, q: Point) -> TangentVector:
-        """Initial velocity of the minimising geodesic from p to q.
+        """The one-row case of ``log_rows``: the initial velocity from p to q."""
+        return TangentVector(p, self.log_rows(p.coords[None, :], q.coords)[0][0])
 
-        Raises CutLocusAmbiguity when the minimiser is not unique.
-        """
-
-    @abstractmethod
     def dist(self, p: Point, q: Point) -> float:
-        """Geodesic distance."""
+        """The one-row case of ``log_rows``: the geodesic distance."""
+        return float(self.log_rows(p.coords[None, :], q.coords)[1][0])
 
     @abstractmethod
     def make_geodesic(self, p: Point, o: Point) -> Curve:
@@ -384,14 +397,18 @@ class Manifold(ABC):
     def orthonormal_frame(self, p: Point) -> OrthonormalFrame:
         """Deterministic g-orthonormal basis of the tangent space at ``p``."""
 
-    def validate_frame(self, frame: OrthonormalFrame, tol: float = 1e-10) -> None:
+    def validate_frame(self, frame: OrthonormalFrame) -> None:
         if len(frame) != self.dim:
             raise InvalidTangent(
                 f"frame has {len(frame)} vectors; manifold dimension is {self.dim}"
             )
         comps = frame.component_matrix()
-        gram = comps @ self.lower(np.broadcast_to(frame.base.coords, comps.shape), comps).T
-        if np.abs(gram - np.eye(self.dim)).max() > tol:
+        with np.errstate(all="ignore"):
+            gram = comps @ self.lower(np.broadcast_to(frame.base.coords, comps.shape), comps).T
+        gap = np.abs(gram - np.eye(self.dim)).max()
+        if not math.isfinite(gap):
+            raise NonFiniteValue("the frame's Gram matrix is not finite")
+        if gap > FRAME_TOL:
             raise InvalidTangent("frame is not g-orthonormal")
 
     # -- sampling (seeded; used by tests and the axiom harness) ------------

@@ -36,10 +36,8 @@ def geodesic_residual(
     x0, xm, xp = x[:n], x[n : 2 * n], x[2 * n :]
     defect = (xp - 2.0 * x0 + xm) / h**2
     defect = defect - manifold.geodesic_acceleration(x0, (xp - xm) / (2.0 * h))
-    # a (1, dim) @ (dim, 1) product per row takes the same dot product as
-    # norm() of one row, so the norms agree bit for bit
-    squares = defect[:, None, :] @ defect[:, :, None]
-    return float(np.sqrt(squares.max()))
+    # np.vecdot takes norm()'s dot product per row, so the norms agree bit for bit
+    return float(np.sqrt(np.vecdot(defect, defect).max()))
 
 
 @functools.lru_cache(maxsize=8)

@@ -48,11 +48,9 @@ class Euclidean(Manifold):
     def exp_map(self, v: TangentVector) -> Point:
         return Point(v.base.coords + v.components)
 
-    def log_map(self, p: Point, q: Point) -> TangentVector:
-        return TangentVector(p, q.coords - p.coords)
-
-    def dist(self, p: Point, q: Point) -> float:
-        return float(np.linalg.norm(q.coords - p.coords))
+    def log_rows(self, P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        V = q - P
+        return V, np.sqrt(np.vecdot(V, V))  # norm()'s bits per row
 
     geodesic_between = Manifold.geodesic_between  # bench/tracing.py wraps it per class
 

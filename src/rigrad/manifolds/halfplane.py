@@ -23,6 +23,7 @@ from .base import (
     Point,
     TangentVector,
     constant_curve,
+    float_squares,
     pin_endpoints,
 )
 
@@ -39,6 +40,23 @@ def _sech(s):
     """Overflow-free 1/cosh, elementwise."""
     e = np.exp(-np.abs(s))
     return 2.0 * e / (1.0 + e * e)
+
+
+def _constants(xp, yp, xq: float, yq: float):
+    """Whether the geodesic from (xp, yp), arrays or one pair of floats, to
+    (xq, yq) is a vertical ray (offset below VERTICAL_CUTOFF of the coordinate
+    scale), its rate k, and the semicircle's radius r, ends sp, sq and span
+    ds, which vertical rows lack.  dx is a numpy value even for floats, so a
+    zero offset divides to inf rather than raising ZeroDivisionError."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dx = np.subtract(xq, xp)
+        scale = np.maximum(np.maximum(abs(xp), yp), max(abs(xq), yq))
+        k = np.log(yq / yp)
+        c = 0.5 * (xp + xq) + (yq - yp) * (yq + yp) / (2.0 * dx)
+        r = np.hypot(xp - c, yp)
+        sp = np.arcsinh((c - xp) / yp)
+        sq = np.arcsinh((c - xq) / yq)
+        return abs(dx) <= VERTICAL_CUTOFF * scale, k, r, sp, sq, sq - sp
 
 
 def _christoffel(X: np.ndarray) -> np.ndarray:
@@ -93,35 +111,28 @@ class HalfPlane2(Manifold):
         return self._chart
 
     def exp_map(self, v: TangentVector) -> Point:
-        x0, y0 = float(v.base.coords[0]), float(v.base.coords[1])
-        a, b = float(v.components[0]), float(v.components[1])
+        (x0, y0), (a, b) = v.base.coords.tolist(), v.components.tolist()
         speed = np.hypot(a, b) / y0
         if speed < 1e-300:
             return Point(np.array(v.base.coords))
         if abs(a) <= VERTICAL_CUTOFF * np.hypot(a, b):
             return Point(np.array([x0, y0 * np.exp(b / y0)]))
-        c = x0 + (b / a) * y0
         r = (y0 / abs(a)) * np.hypot(a, b)
         s0 = np.arcsinh(b / a)
         s1 = s0 - np.sign(a) * speed
         y1 = max(r * _sech(s1), np.finfo(float).tiny)
-        return Point(np.array([c - r * np.tanh(s1), y1]))
+        # x0 + r (tanh s0 - tanh s1), without the cancellation of c - r tanh(s1)
+        return Point(np.array([x0 + y0 * np.sinh(s0 - s1) * _sech(s1), y1]))
 
     def _geodesic(self, p: Point, q: Point):
-        """Position and velocity evaluators, the length and the highest y of
-        the geodesic from p to q, the one construction behind log_map, dist
-        and make_geodesic.  The evaluators take a float t or an array of
-        parameters.  A horizontal offset below VERTICAL_CUTOFF of the
-        coordinate scale gives the vertical ray y = yp exp(k t); otherwise
-        the semicircle of centre c and radius r is traced as s runs from sp
-        to sp + ds, with x = xp - yp sinh(t ds) sech(s), the difference of
-        tanh taken without the cancellation of c - r tanh(s) when c and r
-        are large."""
-        xp, yp = float(p.coords[0]), float(p.coords[1])
-        xq, yq = float(q.coords[0]), float(q.coords[1])
-        dx = xq - xp
-        if abs(dx) <= VERTICAL_CUTOFF * max(abs(xp), abs(xq), yp, yq):
-            k = np.log(yq / yp)
+        """Position and velocity evaluators (of a float t or an array), the
+        length and the highest y of the geodesic from p to q, from the pair's
+        ``_constants``: the ray y = yp exp(k t), or the semicircle as s runs
+        from sp to sp + ds, with x = xp - yp sinh(t ds) sech(s), the tanh
+        difference without the cancellation of c - r tanh(s) at large c, r."""
+        (xp, yp), (xq, yq) = p.coords.tolist(), q.coords.tolist()
+        vertical, k, r, sp, sq, ds = _constants(xp, yp, xq, yq)
+        if vertical:
 
             def v_position(t):
                 t = np.asarray(t, dtype=float)
@@ -132,12 +143,6 @@ class HalfPlane2(Manifold):
                 return np.stack([np.zeros_like(t), yp * k * np.exp(k * t)], axis=-1)
 
             return v_position, v_velocity, abs(float(k)), max(yp, yq)
-
-        c = 0.5 * (xp + xq) + (yq - yp) * (yq + yp) / (2.0 * dx)
-        r = np.hypot(xp - c, yp)
-        sp = np.arcsinh((c - xp) / yp)
-        sq = np.arcsinh((c - xq) / yq)
-        ds = sq - sp
 
         def position(t):
             a = np.asarray(t, dtype=float) * ds
@@ -152,11 +157,15 @@ class HalfPlane2(Manifold):
         top = float(r) if min(sp, sq) <= 0.0 <= max(sp, sq) else max(yp, yq)
         return position, velocity, abs(float(ds)), top
 
-    def log_map(self, p: Point, q: Point) -> TangentVector:
-        return TangentVector(p, self._geodesic(p, q)[1](0.0))
-
-    def dist(self, p: Point, q: Point) -> float:
-        return self._geodesic(p, q)[2]
+    def log_rows(self, P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's ``velocity(0.0)`` in its one-pair arithmetic, and length."""
+        vertical, k, r, sp, _, ds = _constants(P[:, 0], P[:, 1], *q.tolist())
+        with np.errstate(invalid="ignore", over="ignore"):
+            s = sp + 0.0 * ds
+            sech = _sech(s)
+            arc = ds[:, None] * np.stack([-r * float_squares(sech), -r * sech * np.tanh(s)], axis=1)
+            ray = np.stack([np.zeros(len(P)), P[:, 1] * k * np.exp(k * 0.0)], axis=1)
+        return np.where(vertical[:, None], ray, arc), np.abs(np.where(vertical, k, ds))
 
     geodesic_between = Manifold.geodesic_between  # bench/tracing.py wraps it per class
 

@@ -45,12 +45,6 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cross(p: Point, q: Point) -> np.ndarray:
-    """p x q, computed as p x (q - p) so nearby points keep full relative
-    accuracy; log_map's direction (p x q) x p is then free of cancellation."""
-    return _cross3(p.coords, q.coords - p.coords)
-
-
 def _pole_frame(n: np.ndarray) -> np.ndarray:
     """Right-handed orthonormal rows (u, w, n) completing the pole axis n."""
     j = int(np.argmin(np.abs(n)))
@@ -223,34 +217,31 @@ class Sphere2(Manifold):
         out = np.cos(theta) * v.base.coords + np.sin(theta) / theta * v.components
         return Point(out / np.linalg.norm(out))
 
-    def log_map(self, p: Point, q: Point) -> TangentVector:
-        cos = float(np.dot(p.coords, q.coords))
-        if cos <= -1.0 + ANTIPODAL_SLACK:
+    def log_rows(self, P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # np.vecdot takes np.dot's bits per row; sum, einsum and P @ q do not
+        cos = np.vecdot(P, q)
+        if (cos <= -1.0 + ANTIPODAL_SLACK).any():
             raise CutLocusAmbiguity(
                 "base point pair is antipodal; the minimising geodesic is not unique"
             )
-        cross = _cross(p, q)
-        w = _cross3(cross, p.coords)
-        w_norm = np.sqrt(w.dot(w))  # np.linalg.norm's arithmetic, minus its wrapper
-        if w_norm < 1e-300:
-            return TangentVector(p, np.zeros(3))
-        theta = np.arctan2(np.sqrt(cross.dot(cross)), cos)
-        return TangentVector(p, (theta / w_norm) * w)
-
-    def dist(self, p: Point, q: Point) -> float:
-        cross = np.linalg.norm(_cross(p, q))
-        dot = float(np.dot(p.coords, q.coords))
-        return float(np.arctan2(cross, dot))
+        cross = _cross3(P, q - P)  # p x q, free of cancellation for nearby points
+        w = _cross3(cross, P)
+        w_norm = np.sqrt(np.vecdot(w, w))
+        theta = np.arctan2(np.sqrt(np.vecdot(cross, cross)), cos)
+        zero = w_norm < 1e-300
+        V = (theta / np.where(zero, 1.0, w_norm))[:, None] * w
+        V[zero] = 0.0
+        return V, theta
 
     geodesic_between = Manifold.geodesic_between  # bench/tracing.py wraps it per class
 
     def make_geodesic(self, p: Point, o: Point) -> Curve:
-        v = self.log_map(p, o)
-        theta = np.sqrt(v.components.dot(v.components))
+        v = self.log_rows(p.coords[None, :], o.coords)[0][0]
+        theta = np.sqrt(v.dot(v))
         if theta < 1e-14:
             return constant_curve(self, p)
         axis_p = np.array(p.coords)
-        axis_t = v.components / theta
+        axis_t = v / theta
 
         def position(t):
             angle = theta * np.asarray(t)[..., None]

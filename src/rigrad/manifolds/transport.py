@@ -291,7 +291,6 @@ def transport_along(
     curve: Curve,
     vectors: Sequence[TangentVector],
     ts: Sequence[float],
-    steps: int = ODE_START_STEPS,
 ):
     """Parallel transport of ``vectors`` from curve(0) to each parameter in ``ts``.
 
@@ -304,10 +303,8 @@ def transport_along(
     if not vectors or not ts.size:
         return [[] for _ in ts], "identity", 0
     rows = np.array([u.components for u in vectors])
-    positions = curve.positions(ts)
-    moved, mode, steps_used = transport_rows(
-        manifold, curve, rows, ts, positions, curve.velocities(ts), steps
-    )
+    positions, velocities = curve.positions(ts), curve.velocities(ts)
+    moved, mode, steps_used = transport_rows(manifold, curve, rows, ts, positions, velocities)
     results = [
         [TangentVector(Point(p), w) for w in at_p] for p, at_p in zip(positions, moved)
     ]

@@ -345,6 +345,29 @@ class CountingMLPField(rg.MLPField):
         return super().coord_gradients(X)
 
 
+def test_a_nan_frame_is_refused_before_any_gradient(manifold, rng):
+    p, o = manifold.random_point(rng), manifold.random_point(rng)
+    field = CountingMLPField(manifold, rg.random_mlp(manifold.coord_dim, (6, 5), rng))
+    frame = manifold.orthonormal_frame(p)
+    nan = rg.TangentVector(p, np.full(manifold.coord_dim, np.nan))
+    bad = rg.OrthonormalFrame(p, frame.vectors[:-1] + (nan,))
+    for run in (rg.rig, rg.eigen_rig, rg.attribution_matrix):
+        with pytest.raises(rg.NonFiniteValue, match="Gram"):
+            run(field, manifold, p, o, bad)
+    assert field.batches == []
+
+
+def test_a_frame_whose_metric_underflows_is_refused_without_warnings():
+    """At y = 1e-170 the metric's y squared underflows to 0, so lowering the
+    frame divides by zero: refused as non-finite, with no RuntimeWarning."""
+    man = rg.make_manifold("half_plane2")
+    p, o = man.point(np.array([0.0, 1e-170])), man.point(np.array([1e-150, 1e-170]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rg.NonFiniteValue, match="Gram"):
+            rg.rig(rg.LogHeightField(man), man, p, o, man.orthonormal_frame(p))
+
+
 def test_an_overflowing_half_plane_path_is_refused_before_any_gradient():
     """The semicircle from (-1e308, 1) to (1e308, 1) peaks at y ~ 1e308,
     whose square the metric needs: refused, not attributed."""

@@ -87,6 +87,68 @@ def test_gaussian_bump_peak_and_symmetry(rng):
     assert np.max(np.abs(field.gradient(center).components)) <= 1e-12
 
 
+def per_row_bump_gradients(field, X):
+    """The bump's gradient as one log_map and one value per row."""
+    raised = [
+        field.manifold.log_map(p, field.center).components * (field.value(p) / field.width**2)
+        for p in map(rg.Point, X)
+    ]
+    return field.manifold.lower(X, np.array(raised).reshape(X.shape))
+
+
+def bump_rows(manifold, rng, n=3000):
+    """A bump and n rows away from its center's cut locus."""
+    center = manifold.random_point(rng)
+    X = np.array([manifold.random_point(rng).coords for _ in range(n)])
+    if manifold.kind == "sphere2":
+        X = X[X @ center.coords > -0.99]
+    return rg.GaussianBumpField(manifold, center, width=0.7), X
+
+
+def test_bump_row_gradients_are_the_per_row_formula(manifold, rng):
+    """Bit for bit, over enough rows to meet the squares that numpy's
+    ``** 2`` rounds differently from ``value``'s."""
+    field, X = bump_rows(manifold, rng)
+    X = np.concatenate([X, [field.center.coords]])
+    assert field.coord_gradients(X).tobytes() == per_row_bump_gradients(field, X).tobytes()
+
+
+def test_bump_gradients_take_one_log_rows_call(manifold, rng, monkeypatch):
+    """One log_rows call per batch of rows, one batch per level of a whole
+    rig, and no log_map call."""
+    field, X = bump_rows(manifold, rng, n=40)
+    calls = {"log_rows": 0, "log_map": 0, "dist": 0}
+
+    def counted(name):
+        method = getattr(manifold, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(manifold, name, counted(name))
+    field.coord_gradients(X)
+    assert calls == {"log_rows": 1, "log_map": 0, "dist": 0}
+    per_batch = []
+    gradients = field.coord_gradients
+
+    def batch(X):
+        before = calls["log_rows"]
+        out = gradients(X)
+        per_batch.append(calls["log_rows"] - before)
+        return out
+
+    monkeypatch.setattr(field, "coord_gradients", batch)
+    p, o = rg.Point(X[0]), rg.Point(X[1])
+    report = rg.rig(field, manifold, p, o, manifold.orthonormal_frame(p))
+    assert per_batch == [1] * len(per_batch) and calls["log_map"] == 0
+    levels = rg.DEFAULT_QUADRATURE.schedule()
+    assert len(per_batch) == levels.index(report.diagnostics.nodes_used) + 1
+
+
 def test_mlp_forward_frozen_value():
     """Tiny hand-checkable network: one tanh unit into an identity output."""
     man = rg.make_manifold("euclidean", dim=2)

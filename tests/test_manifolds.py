@@ -64,8 +64,7 @@ def test_manifold_contract_is_what_the_package_calls():
         "raise_gradients",
         "chart_for_curve",
         "exp_map",
-        "log_map",
-        "dist",
+        "log_rows",
         "make_geodesic",
         "geodesic_acceleration",
         "orthonormal_frame",
@@ -280,6 +279,87 @@ def test_halfplane_log_map_and_dist_read_the_geodesic(rng):
         curve = man.geodesic_between(p, q)
         assert np.array_equal(man.log_map(p, q).components, curve.velocity_fn(0.0))
         assert man.dist(p, q) == curve.length
+
+
+def log_rows_cases(man, rng):
+    """Rows of points and the point q they all lead to: random rows, q itself,
+    and per manifold the rows where the construction branches.  On the
+    half-plane: vertical rows, rows within and just above the cutoff.  On the
+    sphere: rows 1e-12 from q."""
+    q = man.random_point(rng).coords
+    rows = [man.random_point(rng).coords for _ in range(2000)] + [q, q]
+    if man.kind == "half_plane2":
+        cutoff = VERTICAL_CUTOFF * max(abs(q[0]), q[1])
+        offsets = (0.0, 1e-15 * q[0], 0.5 * cutoff, 1.1 * cutoff, 10.0 * cutoff)
+        for y in np.exp(rng.standard_normal(40)):
+            rows += [np.array([q[0] + sign * dx, y]) for dx in offsets for sign in (1, -1)]
+    if man.kind == "sphere2":
+        rows = [r for r in rows if r @ q > -0.99]
+        for _ in range(40):
+            near = q + 1e-12 * man.random_tangent(man.point(q), rng).components
+            rows.append(near / np.linalg.norm(near))
+    return man.point_rows(np.array(rows)), q
+
+
+def one_pair_dist(man, p, q):
+    """The distance in one pair's np.dot arithmetic: the length of q - p on
+    flat space, the angle from |p x (q - p)| and p . q on the sphere."""
+    if man.kind == "sphere2":
+        return np.arctan2(np.linalg.norm(_cross3(p, q - p)), np.dot(p, q))
+    return np.linalg.norm(q - p)
+
+
+def test_log_rows_are_the_one_row_log_map_and_dist(manifold, rng):
+    """One call over many rows gives each row's log_map and dist bit for bit,
+    whatever rows it shares the call with, and the lengths are those of the
+    one-pair formulas."""
+    P, q = log_rows_cases(manifold, rng)
+    V, lengths = manifold.log_rows(P, q)
+    assert V.shape == P.shape and lengths.shape == (len(P),)
+    target = rg.Point(q)
+    for row, v, length in zip(P, V, lengths):
+        p = rg.Point(row)
+        assert manifold.log_map(p, target).components.tobytes() == v.tobytes()
+        assert manifold.dist(p, target) == length
+        if manifold.kind != "half_plane2":
+            assert length == one_pair_dist(manifold, row, q)
+
+
+def test_halfplane_log_rows_read_each_geodesic(rng):
+    """Each row's velocity is its geodesic's velocity_fn(0.0), a scalar
+    evaluation whose sech ** 2 is the C library's pow, over enough rows to
+    meet those that an array square rounds differently."""
+    man = rg.make_manifold("half_plane2")
+    P, q = log_rows_cases(man, rng)
+    V, lengths = man.log_rows(P, q)
+    o = rg.Point(q)
+    for row, v, length in zip(P, V, lengths):
+        curve = man.geodesic_between(rg.Point(row), o)
+        assert v.tobytes() == curve.velocity_fn(0.0).tobytes()
+        assert length == curve.length
+
+
+def test_one_antipodal_row_among_many_is_refused(rng):
+    sphere = rg.make_manifold("sphere2")
+    q = sphere.random_point(rng).coords
+    P = np.array([sphere.random_point(rng).coords for _ in range(50)])
+    P = P[P @ q > -0.99]
+    assert len(sphere.log_rows(P, q)[0]) == len(P)
+    for k in (0, len(P) // 2, len(P)):
+        with pytest.raises(rg.CutLocusAmbiguity):
+            sphere.log_rows(np.insert(P, k, -q, axis=0), q)
+
+
+def test_halfplane_exp_map_keeps_x_near_vertical():
+    """exp_map takes x from the tanh difference, as the geodesic does, so
+    half the log map lands on the geodesic's midpoint even when the pair is
+    nearly vertical and the semicircle's centre is far away."""
+    man = rg.make_manifold("half_plane2")
+    p = man.point(np.array([0.3, 0.5]))
+    for offset in (4e-12, 4e-10, 1e-3, 1.0):
+        o = man.point(np.array([0.3 + offset, 4.0]))
+        mid = man.exp_map(man.log_map(p, o) * 0.5).coords
+        assert abs(mid[0] - man.geodesic_between(p, o).position(0.5).coords[0]) <= 4e-16
 
 
 def test_halfplane_vertical_geodesic():

@@ -85,13 +85,16 @@ def test_closed_form_transport_refuses_a_length_that_is_not_the_speed(kind, rng)
 
 def test_a_geodesic_that_overflows_raises_non_finite_value():
     """A half-plane pair whose semicircle overflows has an infinite length;
-    that is a non-finite value, not a speed that disagrees with the length."""
+    that is a non-finite value, not a speed that disagrees with the length.
+    ``rig`` refuses the frame first, whose metric underflows at y = 1e-200."""
     man = rg.make_manifold("half_plane2")
     p = man.point(np.array([0.0, 1e-200]))
     o = man.point(np.array([1e200, 1e-200]))
     field = rg.AffineField(man, [0.3, -0.7])
     with np.errstate(all="ignore"), pytest.raises(rg.NonFiniteValue):
         rg.rig(field, man, p, o, man.orthonormal_frame(p))
+    with pytest.raises(rg.NonFiniteValue, match="overflows"):
+        man.geodesic_between(p, o)
 
 
 def test_transport_on_zero_length_curve_is_identity():
