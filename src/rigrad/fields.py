@@ -155,8 +155,8 @@ class GaussianBumpField(_RowField):
 
     def coord_gradients(self, X: np.ndarray) -> np.ndarray:
         """The raised gradient (F / width^2) log_p(center) at each row, from one
-        ``log_rows`` call, lowered in one call; F is ``value``'s, bit for bit."""
-        L, d = self.manifold.log_rows(X, self.center.coords)
+        ``unique_log_rows`` call, lowered in one call; F is ``value``'s, bit for bit."""
+        L, d = self.manifold.unique_log_rows(X, self.center.coords)
         F = np.exp(-0.5 * float_squares(d / self.width))
         return self.manifold.lower(X, L * (F / self.width**2)[:, None])
 

@@ -14,7 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import DimensionMismatch, InvalidPoint, InvalidTangent, NonFiniteValue
+from ..errors import (
+    CutLocusAmbiguity,
+    DimensionMismatch,
+    InvalidPoint,
+    InvalidTangent,
+    NonFiniteValue,
+)
 
 # The most a g-orthonormal frame's Gram matrix may differ from the identity.
 FRAME_TOL = 1e-10
@@ -133,6 +139,12 @@ def float_squares(a: np.ndarray) -> np.ndarray:
     """x ** 2 of each entry by the C library's pow, as one float takes it;
     numpy's array ** 2 multiplies, which rounds differently once in ~1200."""
     return np.array([x**2 for x in a.tolist()])
+
+
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Each row of A dotted with the row of B, or the vector B, as a (1, n) @ (n, 1)
+    product per row: np.dot's bits, which sum, einsum and A @ b do not give."""
+    return (A[:, None, :] @ B[..., :, None])[:, 0, 0]
 
 
 def christoffel_contraction(gamma: np.ndarray, xdot: np.ndarray) -> np.ndarray:
@@ -360,12 +372,23 @@ class Manifold(ABC):
     @abstractmethod
     def log_rows(self, P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Initial velocities (K, coord_dim) and lengths (K,) of the minimising
-        geodesics from each validated row of ``P`` to the validated point ``q``;
-        raises CutLocusAmbiguity when any of them is not unique."""
+        geodesics from each validated row of ``P`` to the validated point ``q``.
+        A row whose minimising geodesic is not unique has a NaN velocity and
+        its finite length."""
+
+    def unique_log_rows(self, P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``log_rows``, raising CutLocusAmbiguity for a row it marks as not unique."""
+        V, lengths = self.log_rows(P, q)
+        # a NaN anywhere makes the sum NaN: one reduction when no row is marked
+        if math.isnan(V.sum()) and (np.isnan(V).any(axis=1) & np.isfinite(lengths)).any():
+            raise CutLocusAmbiguity(
+                "base point pair is antipodal; the minimising geodesic is not unique"
+            )
+        return V, lengths
 
     def log_map(self, p: Point, q: Point) -> TangentVector:
-        """The one-row case of ``log_rows``: the initial velocity from p to q."""
-        return TangentVector(p, self.log_rows(p.coords[None, :], q.coords)[0][0])
+        """The one-row case of ``unique_log_rows``: the initial velocity from p to q."""
+        return TangentVector(p, self.unique_log_rows(p.coords[None, :], q.coords)[0][0])
 
     def dist(self, p: Point, q: Point) -> float:
         """The one-row case of ``log_rows``: the geodesic distance."""

@@ -11,7 +11,7 @@ import functools
 
 import numpy as np
 
-from .base import Curve, Manifold
+from .base import Curve, Manifold, row_dots
 
 
 def geodesic_residual(
@@ -36,8 +36,7 @@ def geodesic_residual(
     x0, xm, xp = x[:n], x[n : 2 * n], x[2 * n :]
     defect = (xp - 2.0 * x0 + xm) / h**2
     defect = defect - manifold.geodesic_acceleration(x0, (xp - xm) / (2.0 * h))
-    # np.vecdot takes norm()'s dot product per row, so the norms agree bit for bit
-    return float(np.sqrt(np.vecdot(defect, defect).max()))
+    return float(np.sqrt(row_dots(defect, defect).max()))  # norm()'s bits per row
 
 
 @functools.lru_cache(maxsize=8)

@@ -14,6 +14,7 @@ from .base import (
     Point,
     TangentVector,
     pin_endpoints,
+    row_dots,
 )
 
 
@@ -50,7 +51,7 @@ class Euclidean(Manifold):
 
     def log_rows(self, P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         V = q - P
-        return V, np.sqrt(np.vecdot(V, V))  # norm()'s bits per row
+        return V, np.sqrt(row_dots(V, V))  # norm()'s bits per row
 
     geodesic_between = Manifold.geodesic_between  # bench/tracing.py wraps it per class
 

@@ -42,6 +42,19 @@ def _sech(s):
     return 2.0 * e / (1.0 + e * e)
 
 
+def _arc_velocity(r, sp, ds, t, square):
+    """Velocity at t of the arc of radius r as s runs from sp by ds; sech^2 by ``square``."""
+    s = sp + t * ds
+    sech = _sech(s)
+    return np.expand_dims(ds, -1) * np.stack([-r * square(sech), -r * sech * np.tanh(s)], axis=-1)
+
+
+def _ray_velocity(y, k, t):
+    """Velocity at t of the vertical ray y exp(k t)."""
+    vy = y * k * np.exp(k * t)
+    return np.stack([np.zeros_like(vy), vy], axis=-1)
+
+
 def _constants(xp, yp, xq: float, yq: float):
     """Whether the geodesic from (xp, yp), arrays or one pair of floats, to
     (xq, yq) is a vertical ray (offset below VERTICAL_CUTOFF of the coordinate
@@ -121,8 +134,13 @@ class HalfPlane2(Manifold):
         s0 = np.arcsinh(b / a)
         s1 = s0 - np.sign(a) * speed
         y1 = max(r * _sech(s1), np.finfo(float).tiny)
-        # x0 + r (tanh s0 - tanh s1), without the cancellation of c - r tanh(s1)
-        return Point(np.array([x0 + y0 * np.sinh(s0 - s1) * _sech(s1), y1]))
+        # x0 + r (tanh s0 - tanh s1), without the cancellation of c - r tanh(s1);
+        # past the speed where sinh overflows, c - r tanh(s1) gives the limit
+        with np.errstate(over="ignore", invalid="ignore"):
+            x1 = x0 + y0 * np.sinh(s0 - s1) * _sech(s1)
+        if not math.isfinite(x1):
+            x1 = x0 + (b / a) * y0 - r * np.tanh(s1)
+        return Point(np.array([x1, y1]))
 
     def _geodesic(self, p: Point, q: Point):
         """Position and velocity evaluators (of a float t or an array), the
@@ -139,8 +157,7 @@ class HalfPlane2(Manifold):
                 return np.stack([np.full_like(t, xp), yp * np.exp(k * t)], axis=-1)
 
             def v_velocity(t):
-                t = np.asarray(t, dtype=float)
-                return np.stack([np.zeros_like(t), yp * k * np.exp(k * t)], axis=-1)
+                return _ray_velocity(yp, k, np.asarray(t, dtype=float))
 
             return v_position, v_velocity, abs(float(k)), max(yp, yq)
 
@@ -150,21 +167,17 @@ class HalfPlane2(Manifold):
             return np.stack([xp - yp * np.sinh(a) * sech, r * sech], axis=-1)
 
         def velocity(t):
-            s = sp + np.asarray(t, dtype=float) * ds
-            sech = _sech(s)
-            return ds * np.stack([-r * sech**2, -r * sech * np.tanh(s)], axis=-1)
+            return _arc_velocity(r, sp, ds, np.asarray(t, dtype=float), lambda a: a**2)
 
         top = float(r) if min(sp, sq) <= 0.0 <= max(sp, sq) else max(yp, yq)
         return position, velocity, abs(float(ds)), top
 
     def log_rows(self, P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's ``velocity(0.0)`` in its one-pair arithmetic, and length."""
+        """Each row's ``velocity(0.0)``, whose square is one float's, and length."""
         vertical, k, r, sp, _, ds = _constants(P[:, 0], P[:, 1], *q.tolist())
         with np.errstate(invalid="ignore", over="ignore"):
-            s = sp + 0.0 * ds
-            sech = _sech(s)
-            arc = ds[:, None] * np.stack([-r * float_squares(sech), -r * sech * np.tanh(s)], axis=1)
-            ray = np.stack([np.zeros(len(P)), P[:, 1] * k * np.exp(k * 0.0)], axis=1)
+            arc = _arc_velocity(r, sp, ds, 0.0, float_squares)
+            ray = _ray_velocity(P[:, 1], k, 0.0)
         return np.where(vertical[:, None], ray, arc), np.abs(np.where(vertical, k, ds))
 
     geodesic_between = Manifold.geodesic_between  # bench/tracing.py wraps it per class

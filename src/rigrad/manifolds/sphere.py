@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CutLocusAmbiguity, InvalidCurve, InvalidPoint, InvalidTangent
+from ..errors import InvalidCurve, InvalidPoint, InvalidTangent
 from .base import (
     Chart,
     Curve,
@@ -20,6 +20,7 @@ from .base import (
     christoffel_contraction,
     constant_curve,
     pin_endpoints,
+    row_dots,
 )
 
 # Points of interest must stay at least this far (radians) from a chart pole.
@@ -218,25 +219,21 @@ class Sphere2(Manifold):
         return Point(out / np.linalg.norm(out))
 
     def log_rows(self, P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # np.vecdot takes np.dot's bits per row; sum, einsum and P @ q do not
-        cos = np.vecdot(P, q)
-        if (cos <= -1.0 + ANTIPODAL_SLACK).any():
-            raise CutLocusAmbiguity(
-                "base point pair is antipodal; the minimising geodesic is not unique"
-            )
+        cos = row_dots(P, q)
         cross = _cross3(P, q - P)  # p x q, free of cancellation for nearby points
         w = _cross3(cross, P)
-        w_norm = np.sqrt(np.vecdot(w, w))
-        theta = np.arctan2(np.sqrt(np.vecdot(cross, cross)), cos)
+        w_norm = np.sqrt(row_dots(w, w))
+        theta = np.arctan2(np.sqrt(row_dots(cross, cross)), cos)
         zero = w_norm < 1e-300
         V = (theta / np.where(zero, 1.0, w_norm))[:, None] * w
         V[zero] = 0.0
+        V[cos <= -1.0 + ANTIPODAL_SLACK] = np.nan  # antipodal: no unique minimiser
         return V, theta
 
     geodesic_between = Manifold.geodesic_between  # bench/tracing.py wraps it per class
 
     def make_geodesic(self, p: Point, o: Point) -> Curve:
-        v = self.log_rows(p.coords[None, :], o.coords)[0][0]
+        v = self.unique_log_rows(p.coords[None, :], o.coords)[0][0]
         theta = np.sqrt(v.dot(v))
         if theta < 1e-14:
             return constant_curve(self, p)

@@ -254,6 +254,21 @@ def test_antipodal_attribution_is_refused():
         rg.rig(field, man, p, o, man.orthonormal_frame(p))
 
 
+def test_a_path_ending_antipodal_to_a_bump_centre_is_attributed():
+    """The bump's value needs only the distance, which an antipodal pair has:
+    the report reads it at the end.  Only the gradient needs the geodesic, and
+    the quadrature nodes stay off the antipode."""
+    man = rg.make_manifold("sphere2")
+    center = man.point(np.array([0.0, 0.0, 1.0]))
+    p, o = man.point(np.array([1.0, 0.0, 0.0])), man.point(np.array([0.0, 0.0, -1.0]))
+    field = rg.GaussianBumpField(man, center, width=0.8)
+    with pytest.raises(rg.CutLocusAmbiguity):
+        field.coord_gradients(o.coords[None, :])
+    report = rg.rig(field, man, p, o, man.orthonormal_frame(p))
+    assert report.value_at_base == math.exp(-0.5 * (math.pi / 0.8) ** 2)
+    assert report.completeness_residual <= 1e-9
+
+
 def test_frame_at_wrong_point_is_rejected(rng):
     man = rg.make_manifold("sphere2")
     field = rg.CoordinateField(man, 2)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -340,14 +341,41 @@ def test_halfplane_log_rows_read_each_geodesic(rng):
 
 
 def test_one_antipodal_row_among_many_is_refused(rng):
+    """log_rows marks the antipodal row with a NaN velocity and keeps its
+    length; unique_log_rows refuses it, wherever it sits among the rows."""
     sphere = rg.make_manifold("sphere2")
     q = sphere.random_point(rng).coords
     P = np.array([sphere.random_point(rng).coords for _ in range(50)])
     P = P[P @ q > -0.99]
-    assert len(sphere.log_rows(P, q)[0]) == len(P)
+    assert len(sphere.unique_log_rows(P, q)[0]) == len(P)
     for k in (0, len(P) // 2, len(P)):
+        rows = np.insert(P, k, -q, axis=0)
+        V, lengths = sphere.log_rows(rows, q)
+        assert np.isnan(V).any(axis=1).tolist() == [i == k for i in range(len(rows))]
+        assert lengths[k] == one_pair_dist(sphere, -q, q)
         with pytest.raises(rg.CutLocusAmbiguity):
-            sphere.log_rows(np.insert(P, k, -q, axis=0), q)
+            sphere.unique_log_rows(rows, q)
+
+
+def test_an_overflowing_half_plane_row_is_not_a_cut_locus_row():
+    """At y = 1e-310 the semicircle's ends overflow to an infinite length and a
+    NaN velocity; only a NaN velocity at a finite length marks a row whose
+    geodesic is not unique, so log_map returns the NaN rather than refusing."""
+    man = rg.make_manifold("half_plane2")
+    p, q = man.point(np.array([0.0, 1e-310])), man.point(np.array([1.0, 1e-310]))
+    assert np.isnan(man.log_map(p, q).components).all()
+    assert man.dist(p, q) == math.inf
+
+
+def test_sphere_dist_of_an_antipodal_pair_is_pi():
+    """The distance needs no unique geodesic: an antipodal pair, and one inside
+    the slack, read the one-pair angle."""
+    man = rg.make_manifold("sphere2")
+    p = np.array([0.0, 0.6, 0.8])
+    near = -p + np.array([1e-10, 0.0, 0.0])
+    for q in (-p, near / np.linalg.norm(near)):
+        assert man.dist(man.point(p), man.point(q)) == one_pair_dist(man, p, q)
+    assert man.dist(man.point(p), man.point(-p)) == math.pi
 
 
 def test_halfplane_exp_map_keeps_x_near_vertical():
@@ -360,6 +388,19 @@ def test_halfplane_exp_map_keeps_x_near_vertical():
         o = man.point(np.array([0.3 + offset, 4.0]))
         mid = man.exp_map(man.log_map(p, o) * 0.5).coords
         assert abs(mid[0] - man.geodesic_between(p, o).position(0.5).coords[0]) <= 4e-16
+
+
+def test_halfplane_exp_map_of_a_tangent_past_sinh_overflow():
+    """A speed past 710 overflows sinh: x takes its limit from c - r tanh(s1)."""
+    man = rg.make_manifold("half_plane2")
+    p = man.point(np.array([0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((800.0, 0.0), (-800.0, 0.0), (800.0, 30.0)):
+            x, y = man.exp_map(man.tangent(p, [a, b])).coords
+            c, r = b / a, np.hypot(a, b) / abs(a)
+            assert x == c - r * np.tanh(np.arcsinh(b / a) - np.sign(a) * np.hypot(a, b))
+            assert y == np.finfo(float).tiny
 
 
 def test_halfplane_vertical_geodesic():
