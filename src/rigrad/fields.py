@@ -3,10 +3,10 @@
 Every field reports both a coordinate derivative (the row of partials in the
 manifold's canonical coordinates; for the sphere, of a smooth ambient
 extension) and the Riemannian gradient obtained by raising it through the
-metric.  The built-in fields write it once, over rows of points
-(``coord_gradients``); ``coord_gradient`` is the one-row case.  Multilayer
-perceptrons are the main test subjects; a few analytic fields support the
-geometry checks.
+metric.  A field writes ``value`` at one point and the coordinate derivative
+once, over rows of points (``coord_gradients``); ``coord_gradient`` is its
+one-row case.  Multilayer perceptrons are the main test subjects; a few
+analytic fields support the geometry checks.
 """
 
 from __future__ import annotations
@@ -49,16 +49,13 @@ class ScalarField(ABC):
         ...
 
     @abstractmethod
-    def coord_gradient(self, p: Point) -> np.ndarray:
-        """Partial derivatives in canonical coordinates, shape (coord_dim,)."""
-
     def coord_gradients(self, X: np.ndarray) -> np.ndarray:
-        """``coord_gradient`` at each row of ``X`` (K, coord_dim); returns (K, coord_dim).
+        """Partial derivatives in canonical coordinates at each row of ``X``
+        (K, coord_dim); returns (K, coord_dim)."""
 
-        Loops over the points; subclasses override it only for speed.
-        """
-        grads = [self.coord_gradient(Point(x)) for x in X]
-        return np.array(grads).reshape(len(X), self.manifold.coord_dim)
+    def coord_gradient(self, p: Point) -> np.ndarray:
+        """The one-row case of ``coord_gradients``, shape (coord_dim,)."""
+        return self.coord_gradients(p.coords[None, :])[0]
 
     def gradient(self, p: Point) -> TangentVector:
         """Riemannian gradient at ``p``."""
@@ -69,22 +66,12 @@ class ScalarField(ABC):
         return float(self.coord_gradient(u.base) @ u.components)
 
 
-class _RowField(ScalarField):
-    """Base for fields whose one gradient formula works on rows of points."""
-
-    @abstractmethod
-    def coord_gradients(self, X: np.ndarray) -> np.ndarray:
-        ...
-
-    def coord_gradient(self, p: Point) -> np.ndarray:
-        return self.coord_gradients(p.coords[None, :])[0]
-
-
-class CoordinateField(_RowField):
+class CoordinateField(ScalarField):
     """F(p) = p[index]; on the sphere this is an ambient height function."""
 
     def __init__(self, manifold: Manifold, index: int):
         super().__init__(manifold)
+        _integer(index, "coordinate index", DimensionMismatch)
         if not 0 <= index < manifold.coord_dim:
             raise DimensionMismatch(
                 f"coordinate index {index} out of range for coord_dim {manifold.coord_dim}"
@@ -100,7 +87,7 @@ class CoordinateField(_RowField):
         return out
 
 
-class AffineField(_RowField):
+class AffineField(ScalarField):
     """F(p) = weights . p + bias in canonical coordinates."""
 
     def __init__(self, manifold: Manifold, weights, bias: float = 0.0):
@@ -120,7 +107,7 @@ class AffineField(_RowField):
         return np.tile(self.weights, (len(X), 1))
 
 
-class LogHeightField(_RowField):
+class LogHeightField(ScalarField):
     """F(x, y) = log y on the half-plane; its gradient has constant norm 1."""
 
     def __init__(self, manifold: Manifold):
@@ -135,7 +122,7 @@ class LogHeightField(_RowField):
         return np.stack([np.zeros(len(X)), 1.0 / X[:, 1]], axis=1)
 
 
-class GaussianBumpField(_RowField):
+class GaussianBumpField(ScalarField):
     """F(p) = exp(-d(p, center)^2 / (2 width^2)).
 
     Smooth wherever the squared distance to the center is (everywhere except
@@ -145,7 +132,7 @@ class GaussianBumpField(_RowField):
     def __init__(self, manifold: Manifold, center: Point, width: float = 1.0):
         super().__init__(manifold)
         self.center = manifold.validate_point(center)
-        if width <= 0:
+        if not width > 0:  # refuses NaN too
             raise ValueError("width must be positive")
         self.width = float(width)
 
@@ -249,7 +236,7 @@ def _act_prime(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-class MLPField(_RowField):
+class MLPField(ScalarField):
     """Scalar field computed by a small dense network on canonical coordinates."""
 
     def __init__(self, manifold: Manifold, weights: MLPWeights):
@@ -284,7 +271,7 @@ class MLPField(_RowField):
         return grad
 
 
-class CombinedField(_RowField):
+class CombinedField(ScalarField):
     """A fixed linear combination of fields on one manifold."""
 
     def __init__(self, coefficients: Sequence[float], fields: Sequence[ScalarField]):
@@ -307,7 +294,7 @@ class CombinedField(_RowField):
         return out
 
 
-class PushforwardField(_RowField):
+class PushforwardField(ScalarField):
     """The field F composed with the inverse of an isometry.
 
     Gradients push forward through the map's differential, which is what

@@ -17,6 +17,7 @@ import numpy as np
 from ..errors import (
     CutLocusAmbiguity,
     DimensionMismatch,
+    InvalidCurve,
     InvalidPoint,
     InvalidTangent,
     NonFiniteValue,
@@ -80,39 +81,42 @@ class Curve:
     geodesics, which unlocks closed-form parallel transport: that divides the
     velocity by ``length``, so their g-speed must equal it at every t.
 
-    The evaluators map a float t to a (coord_dim,) array.  ``vectorized``
-    declares that they also map an array of K parameters to a (K, coord_dim)
-    array; ``positions`` and ``velocities`` then make one call instead of K.
-    It only saves time: the values must be the same either way.
+    The evaluators map a float array of K parameters to a (K, coord_dim)
+    array; ``position`` and ``velocity`` are their one-parameter cases.
     """
 
     manifold: "Manifold"
-    position_fn: Callable[[float], np.ndarray]
-    velocity_fn: Callable[[float], np.ndarray]
+    position_fn: Callable[[np.ndarray], np.ndarray]
+    velocity_fn: Callable[[np.ndarray], np.ndarray]
     start: Point
     end: Point
     is_geodesic: bool
     length: float
-    vectorized: bool = False
 
     def position(self, t: float) -> Point:
-        return Point(self.position_fn(float(t)))
+        return Point(self.positions([float(t)])[0])
 
     def velocity(self, t: float) -> TangentVector:
-        t = float(t)
-        return TangentVector(self.position(t), self.velocity_fn(t))
+        return TangentVector(self.position(t), self.velocities([float(t)])[0])
 
     def positions(self, ts) -> np.ndarray:
         """Positions at every parameter in ``ts``, shape (len(ts), coord_dim)."""
-        if self.vectorized:
-            return self.position_fn(np.asarray(ts, dtype=float))
-        return np.array([self.position_fn(float(t)) for t in ts])
+        return self._rows(self.position_fn, "position", ts)
 
     def velocities(self, ts) -> np.ndarray:
         """Velocities at every parameter in ``ts``, shape (len(ts), coord_dim)."""
-        if self.vectorized:
-            return self.velocity_fn(np.asarray(ts, dtype=float))
-        return np.array([self.velocity_fn(float(t)) for t in ts])
+        return self._rows(self.velocity_fn, "velocity", ts)
+
+    def _rows(self, evaluator, name: str, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        out = np.asarray(evaluator(ts), dtype=float)
+        expected = (len(ts), self.manifold.coord_dim)
+        if out.shape != expected:
+            raise InvalidCurve(
+                f"{name} evaluator returned shape {out.shape} for {len(ts)} "
+                f"parameters; expected {expected}"
+            )
+        return out
 
 
 @dataclass(frozen=True)
@@ -449,13 +453,10 @@ def pin_endpoints(position_fn, p: Point, o: Point):
 
     Closed-form geodesic parametrizations recompute the endpoints through
     trigonometric identities and can be off in the last bits, which would
-    break the base-point identity checks downstream.  Works on a float t or
-    an array of parameters, like the vectorized evaluator it wraps.
+    break the base-point identity checks downstream.
     """
 
     def wrapped(t):
-        if np.ndim(t) == 0:
-            return p.coords if t == 0.0 else o.coords if t == 1.0 else position_fn(t)
         out = position_fn(t)
         out[t == 0.0] = p.coords
         out[t == 1.0] = o.coords
@@ -479,5 +480,4 @@ def constant_curve(manifold: Manifold, p: Point) -> Curve:
         end=p,
         is_geodesic=True,
         length=0.0,
-        vectorized=True,
     )

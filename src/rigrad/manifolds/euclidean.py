@@ -70,7 +70,6 @@ class Euclidean(Manifold):
             end=o,
             is_geodesic=True,
             length=float(np.linalg.norm(delta)),
-            vectorized=True,
         )
 
     def geodesic_acceleration(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -199,7 +199,6 @@ class HalfPlane2(Manifold):
             end=o,
             is_geodesic=True,
             length=length,
-            vectorized=True,
         )
 
     def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -256,7 +256,6 @@ class Sphere2(Manifold):
             end=o,
             is_geodesic=True,
             length=float(theta),
-            vectorized=True,
         )
 
     def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -320,5 +319,4 @@ class Sphere2(Manifold):
             end=start,
             is_geodesic=False,
             length=2.0 * np.pi * sin_t,
-            vectorized=True,
         )

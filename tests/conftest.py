@@ -107,7 +107,7 @@ def latitude_loop_transport(theta, u0, ts):
 def loop_ode_transport(man, curve, components, t0, t1, steps, chart):
     """Per-step RK4 reference for the transport equation in ``chart``.
 
-    Every stage builds a point, evaluates the scalar curve evaluators and
+    Every stage builds a point, evaluates the curve at one parameter and
     contracts the Christoffel symbols with the chart velocity, one step at a
     time from t0 to t1.
     """
@@ -115,7 +115,7 @@ def loop_ode_transport(man, curve, components, t0, t1, steps, chart):
     def rhs(t, w):
         p = curve.position(t)
         x = chart.to_chart(p)
-        xdot = chart.pull(p, curve.velocity_fn(float(t)))
+        xdot = chart.pull(p, curve.velocity(t).components)
         gamma = chart.christoffel(x)
         return -np.einsum("kij,i,...j->...k", gamma, xdot, w)
 
@@ -155,7 +155,7 @@ def loop_geodesic_residual(manifold, curve, samples=17, h=1e-4):
     for t in np.linspace(0.0, 1.0, samples):
         if t - h < 0.0 or t + h > 1.0:
             continue
-        x0, xm, xp = (curve.position_fn(float(s)) for s in (t, t - h, t + h))
+        x0, xm, xp = (curve.position(s).coords for s in (t, t - h, t + h))
         vel = (xp - xm) / (2.0 * h)
         acc = manifold.geodesic_acceleration(x0[None, :], vel[None, :])[0]
         worst = max(worst, float(np.linalg.norm((xp - 2.0 * x0 + xm) / h**2 - acc)))

@@ -185,10 +185,10 @@ def test_curve_attribution_is_reparametrization_invariant(manifold, rng):
     geo = manifold.geodesic_between(p, o)
 
     def squared_pos(t):
-        return geo.position(t * t).coords
+        return geo.positions(t * t)
 
     def squared_vel(t):
-        return 2.0 * t * geo.velocity(t * t).components
+        return 2.0 * t[:, None] * geo.velocities(t * t)
 
     squared = rg.Curve(
         manifold=manifold,
@@ -681,7 +681,7 @@ def node_loop_entries(field, man, curve, moved, ts, weights):
     for k, t in enumerate(ts):
         position = curve.position(float(t))
         grad = field.coord_gradient(position)
-        g_vel = man.metric_at(position) @ curve.velocity_fn(float(t))
+        g_vel = man.metric_at(position) @ curve.velocity(t).components
         for i in range(n):
             a[i, k] = grad @ moved[k, i]
             b[i, k] = moved[k, i] @ g_vel

@@ -62,6 +62,24 @@ def test_coordinate_field_reads_off_components():
     assert np.max(np.abs(g.components - np.array([0.0, 0.0, 1.0]))) <= 1e-12
 
 
+@pytest.mark.parametrize("index", [1.5, True, "1"])
+def test_coordinate_field_refuses_an_index_that_is_not_an_integer(index):
+    with pytest.raises(rg.DimensionMismatch, match="coordinate index must be an integer"):
+        rg.CoordinateField(rg.make_manifold("sphere2"), index)
+
+
+def test_bump_width_must_be_positive_and_may_be_infinite():
+    man = rg.make_manifold("sphere2")
+    center = man.point(np.array([0.0, 1.0, 0.0]))
+    for width in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="width must be positive"):
+            rg.GaussianBumpField(man, center, width=width)
+    flat = rg.GaussianBumpField(man, center, width=math.inf)
+    p = man.point(np.array([1.0, 0.0, 0.0]))
+    assert flat.value(p) == 1.0
+    assert np.array_equal(flat.coord_gradient(p), np.zeros(3))
+
+
 def test_log_height_field_closed_form():
     man = rg.make_manifold("half_plane2")
     field = rg.LogHeightField(man)
@@ -340,7 +358,7 @@ def test_pushforward_gradients_match_the_point_loop(manifold, rng):
             rg.PushforwardField(once, rg.random_isometry(manifold, rng)),
             rg.PushforwardField(combined, rg.random_isometry(manifold, rng)),
         ):
-            loop = rg.ScalarField.coord_gradients(field, points)
+            loop = np.array([field.coord_gradient(rg.Point(x)) for x in points])
             assert_close_rel(field.coord_gradients(points), loop)
 
 
@@ -455,8 +473,8 @@ def test_row_gradients_match_central_differences(manifold, rng):
                 assert abs(fd - analytic) <= 1e-6 * (1.0 + abs(analytic)), type(field).__name__
 
 
-class _ScalarOnlyAffine(rg.ScalarField):
-    """A custom field that writes only the two scalar methods."""
+class _RowAffine(rg.ScalarField):
+    """A custom field that writes only ``value`` and ``coord_gradients``."""
 
     def __init__(self, manifold, weights):
         super().__init__(manifold)
@@ -465,15 +483,14 @@ class _ScalarOnlyAffine(rg.ScalarField):
     def value(self, p):
         return float(self.weights @ p.coords)
 
-    def coord_gradient(self, p):
-        return np.array(self.weights)
+    def coord_gradients(self, X):
+        return np.tile(self.weights, (len(X), 1))
 
 
-def test_scalar_only_custom_field_still_attributes(manifold, rng):
-    """The looping ``coord_gradients`` default serves a field that writes no
-    row formula; its attributions are the built-in affine field's, bit for bit."""
+def test_custom_row_field_attributes_like_the_affine_field(manifold, rng):
+    """A custom field's attributions are the built-in affine field's, bit for bit."""
     weights = rng.standard_normal(manifold.coord_dim)
-    custom = _ScalarOnlyAffine(manifold, weights)
+    custom = _RowAffine(manifold, weights)
     builtin = rg.AffineField(manifold, weights)
     p, o = manifold.random_point(rng), manifold.random_point(rng)
     frame = manifold.orthonormal_frame(p)
@@ -482,6 +499,21 @@ def test_scalar_only_custom_field_still_attributes(manifold, rng):
     assert np.array_equal(mine.attributions, theirs.attributions)
     assert mine.completeness_residual <= 1e-10
     assert np.array_equal(custom.gradient(p).components, builtin.gradient(p).components)
+
+
+def test_a_field_writing_only_the_one_point_gradient_is_abstract():
+    """``coord_gradient`` is the one-row case of ``coord_gradients``, which
+    every field must write."""
+
+    class OnePoint(rg.ScalarField):
+        def value(self, p):
+            return 0.0
+
+        def coord_gradient(self, p):
+            return np.zeros(self.manifold.coord_dim)
+
+    with pytest.raises(TypeError):
+        OnePoint(rg.make_manifold("euclidean", dim=2))
 
 
 def test_builtin_fields_write_one_gradient_formula():

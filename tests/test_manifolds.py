@@ -76,6 +76,14 @@ def test_manifold_contract_is_what_the_package_calls():
         assert "tangent" not in cls.__dict__ and "project_tangent" not in cls.__dict__
 
 
+def test_curves_and_fields_have_one_evaluation_contract():
+    """Curve evaluators take arrays of parameters and fields write row
+    gradients; neither keeps a scalar-only mode."""
+    assert rg.ScalarField.__abstractmethods__ == {"value", "coord_gradients"}
+    assert "vectorized" not in {f.name for f in dataclasses.fields(rg.Curve)}
+    assert not hasattr(rg.fields, "_RowField")
+
+
 def test_euclidean_metric_and_christoffel_are_trivial():
     man = rg.make_manifold("euclidean", dim=3)
     p = man.point(np.array([1.0, -2.0, 0.5]))
@@ -524,19 +532,18 @@ def builtin_curves(rng):
 def test_builtin_curves_evaluate_arrays_like_the_scalar_loop(rng):
     ts = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 9), rng.uniform(0.0, 1.0, 20)])
     for curve in builtin_curves(rng):
-        assert curve.vectorized
         positions = curve.positions(ts)
         velocities = curve.velocities(ts)
         assert positions.shape == velocities.shape == (ts.size, curve.manifold.coord_dim)
-        assert_close_rel(positions, [curve.position_fn(float(t)) for t in ts])
-        assert_close_rel(velocities, [curve.velocity_fn(float(t)) for t in ts])
+        assert_close_rel(positions, [curve.position(t).coords for t in ts])
+        assert_close_rel(velocities, [curve.velocity(t).components for t in ts])
         for k in (0, 2):  # t = 0, given alone and inside the grid
             assert np.array_equal(positions[k], curve.start.coords)
-            assert np.array_equal(curve.position_fn(0.0), curve.start.coords)
+            assert np.array_equal(curve.position(0.0).coords, curve.start.coords)
         if curve.is_geodesic:
             for k in (1, 10):
                 assert np.array_equal(positions[k], curve.end.coords)
-            assert np.array_equal(curve.position_fn(1.0), curve.end.coords)
+            assert np.array_equal(curve.position(1.0).coords, curve.end.coords)
 
 
 def test_flat_geodesic_residual_keeps_its_value(rng):
@@ -560,11 +567,9 @@ def test_flat_geodesic_residual_keeps_its_value(rng):
 
 def test_geodesic_residual_matches_the_sample_loop(rng):
     """Batched residual against one sample at a time, on geodesics of every
-    geometry, both latitude loops (a nonzero defect), zero-length geodesics
-    and curves with scalar-only evaluators."""
-    curves = builtin_curves(rng)
-    curves += [dataclasses.replace(curve, vectorized=False) for curve in curves]
-    for curve in curves:
+    geometry, both latitude loops (a nonzero defect) and zero-length
+    geodesics."""
+    for curve in builtin_curves(rng):
         expected = loop_geodesic_residual(curve.manifold, curve)
         assert_close_rel(rg.geodesic_residual(curve.manifold, curve), expected)
         if not curve.is_geodesic:  # the latitude loops
@@ -616,8 +621,7 @@ def test_geodesic_acceleration_matches_the_built_in_geodesics(rng):
 
 def test_geodesic_residual_without_interior_samples_is_zero(rng):
     for curve in builtin_curves(rng):
-        for twin in (curve, dataclasses.replace(curve, vectorized=False)):
-            assert rg.geodesic_residual(curve.manifold, twin, samples=2) == 0.0
+        assert rg.geodesic_residual(curve.manifold, curve, samples=2) == 0.0
 
 
 def test_geodesic_residual_stencil_keeps_its_bits(rng):

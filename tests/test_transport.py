@@ -235,7 +235,7 @@ def wandering_loop(man, theta0, eps, waves=3):
     start = man.point(position(0.0))
     ts = np.arange(512) / 512
     length = float(np.mean(np.linalg.norm(velocity(ts), axis=-1)))
-    curve = rg.Curve(man, position, velocity, start, start, False, length, vectorized=True)
+    curve = rg.Curve(man, position, velocity, start, start, False, length)
     return curve, 2.0 * np.pi * float(np.mean(1.0 - np.cos(angles(ts)[0])))
 
 
@@ -325,6 +325,30 @@ def test_curve_too_close_to_every_chart_pole_is_refused():
         rg.generic_bam_report(rg.CoordinateField(man, 2), loop, man.orthonormal_frame(loop.start))
 
 
+def test_a_curve_evaluating_columns_is_refused():
+    """Evaluators map K parameters to K rows.  A curve whose evaluators
+    return the (coord_dim, K) transpose is refused, naming both shapes,
+    before anything is computed from it."""
+    man = rg.make_manifold("sphere2")
+    loop = man.latitude_loop(1.1)
+    transposed = dataclasses.replace(
+        loop,
+        position_fn=lambda t: loop.position_fn(t).T,
+        velocity_fn=lambda t: loop.velocity_fn(t).T,
+    )
+    frame = man.orthonormal_frame(loop.start)
+    calls = [
+        lambda: rg.generic_bam_report(rg.CoordinateField(man, 2), transposed, frame),
+        lambda: rg.transport_along(man, transposed, frame.vectors, [0.2, 0.5, 0.7, 0.9]),
+        lambda: rg.geodesic_residual(man, transposed),
+    ]
+    for call in calls:
+        with pytest.raises(
+            rg.InvalidCurve, match=r"returned shape \(3, (\d+)\) for \1 parameters; expected \(\1, 3\)"
+        ):
+            call()
+
+
 def test_transport_parameters_outside_the_unit_interval(rng):
     """A parameter beyond [0, 1] by more than 1e-9 is refused; one within it
     is clamped to the end."""
@@ -402,9 +426,8 @@ def test_flat_transport_is_a_view_of_the_frame():
 # -- the RK4 propagators of the ODE route --------------------------------------
 
 
-def halfplane_bow(man, vectorized):
-    """A non-geodesic half-plane curve whose evaluators use only + and *, so
-    array and scalar evaluation give the same bits."""
+def halfplane_bow(man):
+    """A non-geodesic half-plane curve: a parabola arc."""
 
     def position(t):
         t = np.asarray(t, dtype=float)
@@ -422,21 +445,20 @@ def halfplane_bow(man, vectorized):
         end=man.point(position(1.0)),
         is_geodesic=False,
         length=2.0,
-        vectorized=vectorized,
     )
 
 
-def squared_sphere_curve(man, vectorized=False):
+def squared_sphere_curve(man):
     """A sphere geodesic run on the clock t^2, so not a geodesic as a curve."""
     geo = man.geodesic_between(
         man.point(np.array([1.0, 0.0, 0.0])), man.point(np.array([0.0, 0.6, 0.8]))
     )
 
     def position(t):
-        return geo.position_fn(t * t) if vectorized else geo.position(t * t).coords
+        return geo.positions(t * t)
 
     def velocity(t):
-        return 2.0 * np.asarray(t)[..., None] * geo.velocity_fn(t * t)
+        return 2.0 * t[:, None] * geo.velocities(t * t)
 
     return rg.Curve(
         manifold=man,
@@ -446,7 +468,6 @@ def squared_sphere_curve(man, vectorized=False):
         end=geo.end,
         is_geodesic=False,
         length=geo.length,
-        vectorized=vectorized,
     )
 
 
@@ -454,7 +475,7 @@ def ode_curve(name):
     """(manifold, curve, chart) with nonzero Christoffel symbols along the curve."""
     if name == "halfplane_bow":
         man = rg.make_manifold("half_plane2")
-        curve = halfplane_bow(man, vectorized=True)
+        curve = halfplane_bow(man)
         return man, curve, curve_chart(man, curve)
     man = rg.make_manifold("sphere2")
     if name == "squared_sphere":
@@ -507,23 +528,6 @@ def test_ode_route_step_count_on_pinned_loops(colatitude, steps):
     ts, _ = rg.Quadrature().nodes_weights(64)
     _, mode, used = _batched(man, loop, frame.vectors, ts)
     assert (mode, used) == ("ode", steps)
-
-
-def test_scalar_only_curve_transports_like_its_vectorized_twin():
-    man = rg.make_manifold("half_plane2")
-    scalar, vectorized = halfplane_bow(man, False), halfplane_bow(man, True)
-    frame = man.orthonormal_frame(scalar.start)
-    ts, _ = rg.Quadrature().nodes_weights(32)
-    moved, mode, steps = _batched(man, scalar, frame.vectors, ts)
-    twin, twin_mode, twin_steps = _batched(man, vectorized, frame.vectors, ts)
-    assert mode == twin_mode == "ode"
-    assert steps == twin_steps
-    assert np.array_equal(moved, twin)
-    field = rg.LogHeightField(man)
-    a = rg.generic_bam_report(field, scalar, frame)
-    b = rg.generic_bam_report(field, vectorized, frame)
-    assert np.array_equal(a.attributions, b.attributions)
-    assert a.diagnostics == b.diagnostics
 
 
 def _recording_sweeps(monkeypatch):
@@ -637,16 +641,13 @@ def _route_curve(name):
 @pytest.mark.parametrize("name", ODE_CURVES + ["wandering_0.9_0.2", "wandering_2.0_0.4"])
 def test_route_matches_a_fine_matrix_sweep(name, nodes):
     """The route's rotation kernel against one 2^15-step sweep of the matrix
-    kernel, to 1e-9 at every node.  The sweep evaluates the scalar-only
-    squared-sphere curve through its vectorized twin."""
+    kernel, to 1e-9 at every node."""
     man, curve, chart = _route_curve(name)
     frame = man.orthonormal_frame(curve.start)
     ts, _ = rg.Quadrature().nodes_weights(nodes)
     moved, mode, _ = _batched(man, curve, frame.vectors, ts)
     assert mode == "ode"
     w0 = np.array([chart.pull(curve.start, u) for u in frame.component_matrix()])
-    if name == "squared_sphere":
-        curve = squared_sphere_curve(man, vectorized=True)
     grid, ends = _pass_grid(ts, 2**15)
     reference = _propagate(w0, grid, ends, _grid_matrices(chart, curve, grid))
     reference = reference @ chart.coordinate_basis(curve.positions(ts))
@@ -674,8 +675,7 @@ def test_three_dimensional_chart_takes_the_matrix_kernel():
         return np.stack([np.ones_like(t), 2.0 * t, -3.0 * t * t], axis=-1)
 
     curve = rg.Curve(
-        man, position, velocity, man.point(position(0.0)), man.point(position(1.0)),
-        False, 2.0, vectorized=True,
+        man, position, velocity, man.point(position(0.0)), man.point(position(1.0)), False, 2.0
     )
     rows = np.array([[0.3, -1.2, 0.5], [2.0, 0.1, -0.7]])
     ts, _ = rg.Quadrature().nodes_weights(64)
