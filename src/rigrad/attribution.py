@@ -13,12 +13,18 @@ orienting the curve from the explained point p at t=0 to the base point o at
 t=1; the flat-space method integrates base to input instead, and the minus
 sign makes the two agree.
 
-The form is linear in the field, and half of it does not depend on the field
-at all.  At each quadrature level the path tables hold the node positions,
-the moved frame U_j(t_k) and the pairing b[k, j] = g(U_j(t_k), velocity(t_k));
-only the table a[k, i] = dF(U_i(t_k)) needs the field.  Fields attributed
-along one path (``_attribution_matrices``) share the path tables, the
-geodesic and its defect check.
+Along a geodesic the velocity is parallel, so g(V_j(t), velocity(t)) is the
+constant c[j] = g(e_j, velocity(0)), and the form is the outer product
+-A c^T of the n-vector A[i] = integral of dF(U_i(t)) dt.  A quadrature
+level integrates only A, through ``geodesic_frame``: A = rows @ (w @ grads)
+in flat space; on the 2-manifolds U_i keeps its coefficients on the unit
+tangent and normal, so A needs two integrals.  Along any other curve a
+level integrates the full table a[k, i] b[k, j], with a[k, i] =
+dF(U_i(t_k)) and b[k, j] = g(U_j(t_k), velocity(t_k)).
+
+The form is linear in the field, and its path side does not depend on the
+field at all.  Fields attributed along one path (``_attribution_matrices``)
+share the path tables, the geodesic and its defect check.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .errors import (
 from .fields import ScalarField, require_same_space
 from .manifolds import Curve, Manifold, OrthonormalFrame, Point, TangentVector
 from .manifolds.diagnostics import geodesic_residual
-from .manifolds.transport import ODE_START_STEPS, transport_rows
+from .manifolds.transport import ODE_START_STEPS, geodesic_frame, transport_rows
 from .quadrature import Quadrature
 
 DEFAULT_QUADRATURE = Quadrature()
@@ -124,10 +130,11 @@ class AttributionReport:
     diagnostics: PathDiagnostics
 
 
-def _check_frame(manifold: Manifold, p: Point, frame: OrthonormalFrame) -> None:
+def _check_frame(manifold: Manifold, p: Point, frame: OrthonormalFrame) -> np.ndarray:
+    """``validate_frame`` for a frame that must sit at ``p``; returns its rows."""
     if not np.array_equal(frame.base.coords, p.coords):
         raise InvalidTangent("frame must be based at the point being explained")
-    manifold.validate_frame(frame)
+    return manifold.validate_frame(frame)
 
 
 def _path_tables(manifold, curve, rows, ts, steps=ODE_START_STEPS):
@@ -135,24 +142,35 @@ def _path_tables(manifold, curve, rows, ts, steps=ODE_START_STEPS):
 
     ``rows`` (n, coord_dim) holds the frame components at curve(0); ``steps``
     is the RK4 step count to start step doubling from.  Returns the positions
-    (K, coord_dim), the transported frame (K, n, coord_dim), the table
-    b[k, j] = g(U_j(t_k), velocity(t_k)) (K, n), the transport mode and its
-    step count.
+    (K, coord_dim), the frame, the pairing, the transport mode and its step
+    count: along a geodesic ``geodesic_frame``'s (C, E) and the constant
+    c[j] = g(e_j, velocity(0)) (n,), lowered at curve(0); along any other
+    curve U_j(t_k) (K, n, coord_dim) and b[k, j] = g(U_j(t_k), velocity(t_k)).
     """
     positions = curve.positions(ts)
-    velocities = curve.velocities(ts)
-    moved, mode, steps = transport_rows(
-        manifold, curve, rows, ts, positions, velocities, steps
-    )
-    lowered = manifold.lower(positions, velocities)
+    if curve.is_geodesic:  # the velocity at 0 for the pairing, then at the nodes
+        velocities = curve.velocities(np.append(0.0, ts))
+        C, E, mode = geodesic_frame(manifold, curve, rows, positions, velocities[1:])
+        at, velocities, steps = curve.start.coords[None, :], velocities[:1], 0
+    else:
+        at, velocities = positions, curve.velocities(ts)
+        moved, mode, steps = transport_rows(manifold, curve, rows, ts, at, velocities, steps)
     # a path with NaN or infinity makes the entries non-finite, which raises
     # NonFiniteValue in _path_integral
     with np.errstate(invalid="ignore", over="ignore"):
-        if manifold.flat:  # the transported frame is the frame itself at every node
-            b = lowered @ rows.T
-        else:
-            b = np.einsum("kic,kc->ki", moved, lowered)
-    return positions, moved, b, mode, steps
+        lowered = manifold.lower(at, velocities)
+        if curve.is_geodesic:
+            return positions, (C, E), rows @ lowered[0], mode, steps
+        return positions, moved, np.einsum("kic,kc->ki", moved, lowered), mode, steps
+
+
+def _level_tables(tables, level: slice):
+    """The rows of joined ``_path_tables`` that belong to the nodes ``level``."""
+    positions, frame, pairing, mode, steps = tables
+    if isinstance(frame, tuple):  # a geodesic's: of (C, E) and c, only E is per node
+        C, E = frame
+        return positions[level], (C, E if E is None else E[level]), pairing, mode, steps
+    return positions[level], frame[level], pairing[level], mode, steps
 
 
 def _levels(quadrature, schedule, manifold, curve, rows):
@@ -165,13 +183,11 @@ def _levels(quadrature, schedule, manifold, curve, rows):
     it does not repeat the coarse sweeps that pass already outgrew.
     """
     head = [quadrature.nodes_weights(count) for count in schedule[:2]]
-    positions, moved, b, mode, steps = _path_tables(
-        manifold, curve, rows, np.concatenate([ts for ts, _ in head])
-    )
+    tables = _path_tables(manifold, curve, rows, np.concatenate([ts for ts, _ in head]))
+    steps = tables[-1]
     start = 0
     for count, (_, weights) in zip(schedule, head):
-        level = slice(start, start + count)
-        yield count, weights, (positions[level], moved[level], b[level], mode, steps)
+        yield count, weights, _level_tables(tables, slice(start, start + count))
         start += count
     for count in schedule[2:]:
         ts, weights = quadrature.nodes_weights(count)
@@ -180,38 +196,38 @@ def _levels(quadrature, schedule, manifold, curve, rows):
         yield count, weights, tables
 
 
-def _gradient_table(field, manifold, rows, positions, moved):
-    """Table a[k, i] = dF(U_i(t_k)), the only one of a level that needs the field."""
-    grads = field.coord_gradients(positions)
-    if manifold.flat:  # the transported frame is the frame itself at every node
-        return grads @ rows.T
-    return np.einsum("kc,kic->ki", grads, moved)
-
-
 def _path_integral(field, manifold, curve, rows, quadrature, diagonal=False, levels=None):
     """Quadrature of the form, refined until two successive levels agree.
 
-    Levels agree when their largest entrywise gap is below ``quadrature.tol``
-    plus a rounding-noise floor of ROUNDING_FLOOR * max|entries|.
-    Returns the entries and the path's diagnostics, without a geodesic
-    defect; with ``diagonal`` only the entries i = j are formed, as a vector.
-    ``levels`` iterates over ``_levels``' output for this path, built here
-    when None.  The field is evaluated once per level, in order, and
-    NonFiniteValue is raised at the first level whose entries are not finite.
+    Along a geodesic a level integrates only the n-vector A and forms -A c^T;
+    along any other curve it integrates the full table.  Levels agree when
+    their largest entrywise gap is below ``quadrature.tol`` plus a
+    rounding-noise floor of ROUNDING_FLOOR * max|entries|.  Returns the
+    entries and the path's diagnostics, without a geodesic defect; with
+    ``diagonal``, along a geodesic, only the entries -A[i] c[i] are formed,
+    as a vector, and the gap is read on them.  ``levels`` iterates over
+    ``_levels``' output for this path, built here when None.  The field is
+    evaluated once per level, in order, and NonFiniteValue is raised at the
+    first level whose entries are not finite.
     """
     schedule = quadrature.schedule()
     previous = None
     gap = None
     if levels is None:
         levels = _levels(quadrature, schedule, manifold, curve, rows)
-    for count, weights, (positions, moved, b, mode, steps) in levels:
+    for count, weights, (positions, frame, pairing, mode, steps) in levels:
         # NaN and infinity raise NonFiniteValue below, so numpy need not warn
         with np.errstate(invalid="ignore", over="ignore"):
-            a = _gradient_table(field, manifold, rows, positions, moved)
-            if diagonal:
-                entries = -(weights @ (a * b))
+            grads = field.coord_gradients(positions)
+            if curve.is_geodesic:
+                C, E = frame
+                if E is not None:
+                    grads = np.einsum("kc,kmc->km", grads, E)
+                A = C @ (weights @ grads)
+                entries = -(A * pairing) if diagonal else -np.outer(A, pairing)
             else:
-                entries = -((weights[:, None] * a).T @ b)
+                a = np.einsum("kc,kic->ki", grads, frame)
+                entries = -((weights[:, None] * a).T @ pairing)
         if not np.isfinite(entries).all():
             raise NonFiniteValue(
                 f"attribution entries are not finite at {count} nodes; the field's "
@@ -258,7 +274,7 @@ def _attribution_matrices(
         require_same_space(field, manifold)
     p = manifold.validate_point(p)
     o = manifold.validate_point(o)
-    _check_frame(manifold, p, frame)
+    rows = _check_frame(manifold, p, frame)
 
     if np.array_equal(p.coords, o.coords):
         n = len(frame)
@@ -267,7 +283,6 @@ def _attribution_matrices(
         return [AttributionMatrix(p, o, frame, np.zeros((n, n)), zero) for _ in fields]
 
     curve = manifold.make_geodesic(p, o)
-    rows = frame.component_matrix()
     # one independent run over the same levels per field; tee keeps each
     # level until every run has passed it
     runs = itertools.tee(
@@ -379,10 +394,8 @@ def generic_bam_report(
     """
     manifold = curve.manifold
     require_same_space(field, manifold)
-    _check_frame(manifold, curve.start, frame)
-    entries, diagnostics = _path_integral(
-        field, manifold, curve, frame.component_matrix(), quadrature
-    )
+    rows = _check_frame(manifold, curve.start, frame)
+    entries, diagnostics = _path_integral(field, manifold, curve, rows, quadrature)
     return _report(
         METHOD_GENERIC_BAM, field, manifold, curve.start, curve.end, frame,
         np.diag(entries).copy(), diagnostics, path_is_geodesic=curve.is_geodesic,
@@ -438,13 +451,13 @@ def ig(
         raise WrongManifold("the straight-line method is defined on flat space only")
     x = manifold.validate_point(x)
     x_prime = manifold.validate_point(x_prime)
-    _check_frame(manifold, x, basis)
+    rows = _check_frame(manifold, x, basis)
 
     # The form is oriented from its curve's start, so along the line from
     # base to input its diagonal is the negated straight-line attribution.
     line = manifold.make_geodesic(x_prime, x)
     entries, diagnostics = _path_integral(
-        field, manifold, line, basis.component_matrix(), quadrature, diagonal=True
+        field, manifold, line, rows, quadrature, diagonal=True
     )
     return _report(METHOD_IG, field, manifold, x, x_prime, basis, -entries, diagnostics)
 

@@ -210,10 +210,8 @@ def _parse_frame(manifold: Manifold, p, spec: str) -> OrthonormalFrame | None:
     ]
     if not rows:
         raise ParseError("--frame expects 'default', 'eigen', or semicolon-separated vectors")
-    vectors = tuple(manifold.tangent(p, row) for row in rows)
-    frame = OrthonormalFrame(p, vectors)
-    manifold.validate_frame(frame)
-    return frame
+    # rig validates the frame against the metric at p
+    return OrthonormalFrame(p, tuple(manifold.tangent(p, row) for row in rows))
 
 
 def _quadrature(args) -> Quadrature:

@@ -109,14 +109,17 @@ class Curve:
 
     def _rows(self, evaluator, name: str, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
+        count, dim = len(ts), self.manifold.coord_dim
+        if count == dim:  # where a (coord_dim, K) transpose has the right shape
+            ts = np.append(ts, ts[-1])
         out = np.asarray(evaluator(ts), dtype=float)
-        expected = (len(ts), self.manifold.coord_dim)
+        expected = (len(ts), dim)
         if out.shape != expected:
             raise InvalidCurve(
                 f"{name} evaluator returned shape {out.shape} for {len(ts)} "
                 f"parameters; expected {expected}"
             )
-        return out
+        return out[:count]
 
 
 @dataclass(frozen=True)
@@ -424,7 +427,8 @@ class Manifold(ABC):
     def orthonormal_frame(self, p: Point) -> OrthonormalFrame:
         """Deterministic g-orthonormal basis of the tangent space at ``p``."""
 
-    def validate_frame(self, frame: OrthonormalFrame) -> None:
+    def validate_frame(self, frame: OrthonormalFrame) -> np.ndarray:
+        """The ``component_matrix`` of a g-orthonormal basis; raises otherwise."""
         if len(frame) != self.dim:
             raise InvalidTangent(
                 f"frame has {len(frame)} vectors; manifold dimension is {self.dim}"
@@ -437,6 +441,7 @@ class Manifold(ABC):
             raise NonFiniteValue("the frame's Gram matrix is not finite")
         if gap > FRAME_TOL:
             raise InvalidTangent("frame is not g-orthonormal")
+        return comps
 
     # -- sampling (seeded; used by tests and the axiom harness) ------------
 

@@ -3,7 +3,9 @@
 Three routes, picked automatically:
 
 * flat space: transport leaves components unchanged along any curve;
-* geodesics on the 2-manifolds: exact velocity/normal frame rotation;
+* geodesics on the 2-manifolds: exact velocity/normal frame rotation.  A
+  curve marked ``is_geodesic`` gets it, and the attribution kernel's
+  rank-one integrand, whether or not it is one;
 * everything else: Runge-Kutta integration of the transport equation in a
   chart, with step doubling until successive refinements agree.  On a
   2-dimensional chart, transport in an orthonormal frame is a rotation by
@@ -47,10 +49,19 @@ def _clamp_params(ts) -> np.ndarray:
     return np.clip(ts, 0.0, 1.0)
 
 
-def _closed_form_transport(manifold, curve, rows, P, V):
-    """Rotate with the geodesic's velocity/normal frame, all nodes at once.
-    The unit tangents are V / length: a geodesic's g-speed is its length,
-    which its speeds at both ends must confirm to 1e-9 relative."""
+def geodesic_frame(manifold: Manifold, curve: Curve, rows: np.ndarray, P, V):
+    """Parallel transport along the geodesic ``curve`` as (C, E, mode): vector
+    i of ``rows`` (n, coord_dim) at curve(0) moves to C[i] @ E[k] at node k,
+    where the curve has position ``P[k]`` and velocity ``V[k]``.  Where
+    transport is the identity (flat space, or a geodesic shorter than
+    1e-13) C is ``rows`` and E is None.  On the 2-manifolds a vector keeps
+    its coefficients C (n, 2) on the unit tangent and normal, and E
+    (K, 2, coord_dim) is that pair at the nodes.  The unit tangents are
+    V / length: a geodesic's g-speed is its length, which its speeds at both
+    ends must confirm to 1e-9 relative.
+    """
+    if manifold.flat or curve.length < 1e-13:
+        return rows, None, "identity" if manifold.flat else "closed-form"
     length = curve.length
     ends = np.array([curve.start.coords, curve.end.coords])
     V_ends = curve.velocities(np.array([0.0, 1.0]))
@@ -60,10 +71,10 @@ def _closed_form_transport(manifold, curve, rows, P, V):
         raise error(f"geodesic end speeds {speeds} do not match its length {length!r}")
     t0 = V_ends[:1] / length
     start_frame = np.concatenate([t0, manifold.geodesic_normal(ends[:1], t0)])
-    a, b = (rows @ g for g in manifold.lower(ends[[0, 0]], start_frame))
+    C = np.array([rows @ g for g in manifold.lower(ends[[0, 0]], start_frame)]).T
     tangents = V / length
-    normals = manifold.geodesic_normal(P, tangents)
-    return a[None, :, None] * tangents[:, None, :] + b[None, :, None] * normals[:, None, :]
+    E = np.array([tangents, manifold.geodesic_normal(P, tangents)]).swapaxes(0, 1)
+    return C, E, "closed-form"
 
 
 def curve_chart(manifold: Manifold, curve: Curve):
@@ -277,11 +288,11 @@ def transport_rows(
     is raised when two sweeps still differ by ODE_TOL or more at ODE_MAX_STEPS
     steps.
     """
-    if manifold.flat or (curve.is_geodesic and curve.length < 1e-13):
-        mode = "identity" if manifold.flat else "closed-form"
-        return np.broadcast_to(rows, (len(ts), *rows.shape)), mode, 0
-    if curve.is_geodesic:
-        return _closed_form_transport(manifold, curve, rows, positions, velocities), "closed-form", 0
+    if manifold.flat or curve.is_geodesic:
+        C, E, mode = geodesic_frame(manifold, curve, rows, positions, velocities)
+        if E is None:
+            return np.broadcast_to(rows, (len(ts), *rows.shape)), mode, 0
+        return C[None, :, 0, None] * E[:, None, 0] + C[None, :, 1, None] * E[:, None, 1], mode, 0
     moved, steps_used = _ode_route(manifold, curve, rows, ts, positions, steps)
     return moved, "ode", steps_used
 

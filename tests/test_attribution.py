@@ -11,6 +11,7 @@ import rigrad as rg
 from rigrad import attribution
 from rigrad.attribution import PathDiagnostics, _attribution_matrices
 from rigrad.axioms import FIXED_QUADRATURE
+from rigrad.manifolds.sphere import ANTIPODAL_SLACK
 from rigrad.manifolds.transport import ODE_START_STEPS
 
 from conftest import (
@@ -866,13 +867,13 @@ def test_fields_along_one_path_match_separate_calls(monkeypatch, manifold, rng, 
     p, o = manifold.random_point(rng), manifold.random_point(rng)
     frame = manifold.orthonormal_frame(p)
     passes = []
-    transport_rows = attribution.transport_rows
+    geodesic_frame = attribution.geodesic_frame
 
-    def counting_transport(manifold, curve, rows, ts, *args):
-        passes.append(len(ts))
-        return transport_rows(manifold, curve, rows, ts, *args)
+    def counting_frame(manifold, curve, rows, positions, velocities):
+        passes.append(len(positions))
+        return geodesic_frame(manifold, curve, rows, positions, velocities)
 
-    monkeypatch.setattr(attribution, "transport_rows", counting_transport)
+    monkeypatch.setattr(attribution, "geodesic_frame", counting_frame)
     shared = _attribution_matrices(fields, manifold, p, o, frame, quadrature)
     monkeypatch.undo()
     for field, matrix in zip(fields, shared):
@@ -888,3 +889,115 @@ def test_fields_along_one_path_match_separate_calls(monkeypatch, manifold, rng, 
         assert passes == expected
     else:
         assert nodes == [32, 32, 32] and passes == [32]
+
+
+# -- the rank-one form along geodesics -------------------------------------------------
+
+
+def singular_ratio(entries):
+    """Second singular value over the first."""
+    s = np.linalg.svd(entries, compute_uv=False)
+    return s[1] / s[0]
+
+
+@pytest.mark.parametrize("kind, ends", [
+    ("euclidean", None),
+    ("sphere2", None),
+    ("half_plane2", None),
+    ("half_plane2", ([0.3, 0.5], [0.3, 2.0])),  # the vertical ray, x_p == x_q
+], ids=["euclidean", "sphere2", "half_plane2", "half_plane2-ray"])
+def test_geodesic_form_is_rank_one(kind, ends, rng):
+    """Along a geodesic the velocity is parallel, so g(U_j, velocity) is the
+    constant c_j and the form is -A c^T: its second singular value is
+    rounding noise, and its trace is still F(p) - F(o)."""
+    man = rg.make_manifold(kind, dim=5 if kind == "euclidean" else None)
+    field = rg.MLPField(man, rg.random_mlp(man.coord_dim, (8, 8), rng))
+    for _ in range(5):
+        if ends is None:
+            p, o = man.random_point(rng), man.random_point(rng)
+        else:
+            p, o = man.point(ends[0]), man.point(ends[1])
+        matrix = rg.attribution_matrix(field, man, p, o, man.orthonormal_frame(p))
+        assert singular_ratio(matrix.entries) <= 1e-14
+        assert abs(matrix.trace() - (field.value(p) - field.value(o))) <= 1e-9
+
+
+def test_loop_form_is_not_rank_one(rng):
+    """The control: around a latitude loop, which is no geodesic, the pairing
+    with the velocity changes along the path, and the form whose diagonal
+    ``generic_bam_report`` reports has full rank."""
+    man = rg.make_manifold("sphere2")
+    loop = man.latitude_loop(1.1)
+    frame = man.orthonormal_frame(loop.start)
+    field = rg.MLPField(man, rg.random_mlp(3, (8, 8), rng))
+    rows = frame.component_matrix()
+    entries, diagnostics = attribution._path_integral(
+        field, man, loop, rows, rg.DEFAULT_QUADRATURE
+    )
+    assert diagnostics.transport_mode == "ode"
+    assert singular_ratio(entries) > 1e-2
+    report = rg.generic_bam_report(field, loop, frame)
+    assert np.array_equal(report.attributions, np.diag(entries))
+
+
+# (manifold, method, seed, weight scale, nodes the refinement stops at)
+REFINED_CASES = [
+    ("euclidean", "ig", 0, 1.0, 64), ("euclidean", "ig", 1, 2.5, 128),
+    ("euclidean", "ig", 7, 2.5, 256), ("euclidean", "rig", 0, 1.0, 64),
+    ("euclidean", "rig", 1, 2.5, 128), ("euclidean", "rig", 7, 2.5, 256),
+    ("sphere2", "rig", 0, 1.0, 64), ("sphere2", "rig", 1, 2.5, 128),
+    ("sphere2", "rig", 11, 4.0, 256), ("half_plane2", "rig", 0, 1.0, 64),
+    ("half_plane2", "rig", 4, 2.5, 128), ("half_plane2", "rig", 7, 2.5, 256),
+]
+
+
+@pytest.mark.parametrize("kind, method, seed, scale, nodes", REFINED_CASES)
+def test_refined_attributions_are_within_tol_of_1024_nodes(kind, method, seed, scale, nodes):
+    """The integrated vector A gives answers as accurate as the full table
+    did: where refinement stops, the attributions are within ``tol`` of a
+    fixed 1024-node rule."""
+    man = rg.make_manifold(kind, dim=5 if kind == "euclidean" else None)
+    rng = np.random.default_rng(seed)
+    field = rg.MLPField(man, rg.random_mlp(man.coord_dim, (16, 16), rng, scale=scale))
+    p, o = man.random_point(rng), man.random_point(rng)
+    frame = man.orthonormal_frame(p)
+    fine = rg.Quadrature(nodes=1024, refine=False)
+    if method == "ig":
+        report, reference = rg.ig(field, p, o, frame), rg.ig(field, p, o, frame, fine)
+    else:
+        report = rg.rig(field, man, p, o, frame)
+        reference = rg.rig(field, man, p, o, frame, fine)
+    assert report.diagnostics.nodes_used == nodes
+    gap = np.max(np.abs(report.attributions - reference.attributions))
+    assert gap <= rg.DEFAULT_QUADRATURE.tol
+
+
+@pytest.mark.parametrize("factor", [1.01, 1.1, 2.0, 0.99, 0.9, 0.5])
+def test_sphere_pairs_on_either_side_of_the_antipodal_slack(factor):
+    """With 1 + p.o just above ANTIPODAL_SLACK the form is finite, rank one
+    and has trace F(p) - F(o); just below it rig, eigen_rig and log_map
+    raise CutLocusAmbiguity and return no direction."""
+    man = rg.make_manifold("sphere2")
+    rng = np.random.default_rng(5)
+    field = rg.MLPField(man, rg.random_mlp(3, (8, 8), rng))
+    angle = math.acos(1.0 - factor * ANTIPODAL_SLACK)
+    for _ in range(5):
+        p = man.random_point(rng)
+        u = random_unit_tangent(man, p, rng).components
+        o = man.point(-math.cos(angle) * p.coords + math.sin(angle) * u)
+        frame = man.orthonormal_frame(p)
+        above = 1.0 + float(p.coords @ o.coords) > ANTIPODAL_SLACK
+        assert above == (factor > 1.0)
+        if above:
+            matrix = rg.attribution_matrix(field, man, p, o, frame)
+            assert np.isfinite(matrix.entries).all()
+            assert singular_ratio(matrix.entries) <= 1e-14
+            assert abs(matrix.trace() - (field.value(p) - field.value(o))) <= 1e-9
+            continue
+        for call in (
+            lambda: rg.rig(field, man, p, o, frame),
+            lambda: rg.eigen_rig(field, man, p, o, frame),
+            lambda: man.log_map(p, o),
+        ):
+            with pytest.raises(rg.CutLocusAmbiguity):
+                call()

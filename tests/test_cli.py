@@ -617,31 +617,33 @@ def test_verify_reports_are_deterministic(tmp_path):
 
 
 # sha256 of what ``rigrad verify --out DIR`` writes for the stock suite at
-# DEFAULT_SEED.  The four half-plane files whose residuals depend on the
-# geodesic's interior x, and suite.json, took these values when x became
-# xp - yp sinh(t ds) sech(s): residuals moved by at most 4.4e-16, notes not.
+# DEFAULT_SEED.  Every Implementation, Linearity, Completeness and
+# IsometryInvariance file, the euclidean SymmetryInvariance and
+# EuclideanRestriction files, the sphere2 Sensitivity file and suite.json
+# took these values when geodesic levels began integrating the vector A of
+# the rank-one form -A c^T: residuals moved by at most 1.8e-15, notes not.
 STOCK_SUITE_SHA256 = {
-    "check_00_Implementation_euclidean.csv": "a7c2e684cc816486942c68be848aa0487c7a92b90da1356a18d327c7d9a128f1",
-    "check_01_Implementation_sphere2.csv": "0c3b5e982c786d63c19e8c03e969b40ec44a94a7bda7da0a2bfa60cf26f4025e",
-    "check_02_Implementation_half_plane2.csv": "cafdcd473d4d42b29a0f1e89db69aea215dcb3b07f89e13000792ffb6b2c086b",
-    "check_03_Linearity_euclidean.csv": "ba6d15d1179dcffc59b5779caa1da3b293d19c2b55f58d3c8d004fb9f0206c88",
-    "check_04_Linearity_sphere2.csv": "437a212d223e5e13dbe7256d4faf83236b7095fcebab0d6926dd219f926646bb",
-    "check_05_Linearity_half_plane2.csv": "a9f1868b149d4fa56109e6d0a8d7a8316722569a4b70046bd70a53b3319b0b6e",
+    "check_00_Implementation_euclidean.csv": "5bf2fe828ea496b1749f4bcff72da0d61ba6268719864d098a653742e989950c",
+    "check_01_Implementation_sphere2.csv": "7ab0c36a7aecceaaea1766bd4ad41205a6a38ba578bd1348e94ad4b6845c8c26",
+    "check_02_Implementation_half_plane2.csv": "5511a5eee1e62b3ee5d9194a1b91ab5762a958d10e3ed62985b53c298ba41540",
+    "check_03_Linearity_euclidean.csv": "d0ea08ff5bfcb100e8c40fd5397b10d9ca77d4b082322f11077d3688174fef1a",
+    "check_04_Linearity_sphere2.csv": "2de8e2f9acb0901320a20725969b39dfc01f512e59868944ab03eee40320f6fc",
+    "check_05_Linearity_half_plane2.csv": "1d783492da71dbc2fa793183aae3859b4fc76539913fd7b85796395907f64cd5",
     "check_06_Sensitivity_euclidean.csv": "7744c49ba3fcaaac60361dc01f834131827979b2af4b194d762158023a9cffc3",
-    "check_07_Sensitivity_sphere2.csv": "b2b74247e67f7067bda1e55f11abce33d95a47792a15c8738263d131171c68e4",
+    "check_07_Sensitivity_sphere2.csv": "b00f8dbedf1e9cfe867dcf7addfe55c42ce11b06c5420486b1b9f1bd472f89cd",
     "check_08_Sensitivity_half_plane2.csv": "938fd0ef621d819061b70b3de112775c186f872e11f38928c1c20de89f2150c6",
-    "check_09_SymmetryInvariance_euclidean.csv": "ef8a6b9208d78a958292de7aa7d2bd765c6ef853c22935be58dcc89c00715a04",
-    "check_10_Completeness_euclidean.csv": "ea78d9803a05013e7d2fdec97d20f90f9b1fe82315b0c5a87645983b2185da96",
-    "check_11_Completeness_sphere2.csv": "57f0f035b60724feebde9b754549b971c64cb8e99c2411b5a23b8219889e0d17",
-    "check_12_Completeness_half_plane2.csv": "90afc5b2d8abc47b999de601d67ae11e6d0ffb313e454538f122295735999b93",
-    "check_13_IsometryInvariance_euclidean.csv": "c788e7f14a2f9c6e2d142e06df2afefc875e1720bbf0423dac7aee1ff5086210",
-    "check_14_IsometryInvariance_sphere2.csv": "fd8d9b82fcabfff68f6c53516e58123f0be8d20256580dd9193bce91021ea79e",
-    "check_15_IsometryInvariance_half_plane2.csv": "7bebc9ecb1c456c166800672467f606a962d910928b30b452dafa7bd7ea0f899",
-    "check_16_EuclideanRestriction_euclidean.csv": "d26483f2582e80f7e580dd37f623e0937e47390d990fee1fff22d8fc06e8b791",
+    "check_09_SymmetryInvariance_euclidean.csv": "631dd0be632f5d3d14023afb094c1d268215ec368edd03d1bf328ace86899d83",
+    "check_10_Completeness_euclidean.csv": "53e67a915fcc3970023157bfb370e2cf45bb7109e3de038d66dd6f665fc4e287",
+    "check_11_Completeness_sphere2.csv": "6af3f51ce3ea5bf9a942f560bf08e7c63350e238a4bb305c5f77ae952c3bc3c7",
+    "check_12_Completeness_half_plane2.csv": "6c58b75ef05ffd92be9162e2828dc8b3eb232f0525e2fd56961082d03f066ebe",
+    "check_13_IsometryInvariance_euclidean.csv": "6b4c77935fd1166e90b23b9dd9950337664af5fa12bc1e78da1db4f397e046b1",
+    "check_14_IsometryInvariance_sphere2.csv": "4c309ec32e909371ffa2e0868e73711550157bc779fda961a9cb0d2a7398eb58",
+    "check_15_IsometryInvariance_half_plane2.csv": "9e04b55e71b3218d9fd3e0fe0d9f5471a51a731840f9e372a02f020b254c5fb4",
+    "check_16_EuclideanRestriction_euclidean.csv": "3e4c8dad2e9e8e8914e99d262bc27020f4e7cf261ea2511350ed05243614e539",
     "check_17_EigenBound_euclidean.csv": "b6dbd4372ee3200194782c5e5ecacaf3965950e73f681389bee7e9aae89432d1",
     "check_18_EigenBound_sphere2.csv": "05c6b4a057bc755dde89121aaa5f790a52fec2da4f1eb3f4279a321645e49167",
     "check_19_EigenBound_half_plane2.csv": "102beabef6a8c5dc87c3cb3d1aa705fd88c471715542dae4b2f16c23b764731e",
-    "suite.json": "3d64dbe7624fde73fb1c5e35a36867b27bed055359cf729e078649ce8de3e9d9",
+    "suite.json": "0498930985bec3c1f9b36797b0c07a33cbcb8ab1d132138b45089396a8c28244",
 }
 
 
@@ -653,7 +655,7 @@ def test_stock_verify_output_is_pinned(tmp_path):
     assert written == STOCK_SUITE_SHA256
     lines = "".join(line + "\n" for line in output.splitlines() if line.startswith("["))
     assert hashlib.sha256(lines.encode()).hexdigest() == (
-        "ca6b36cd65819110ff95ad03f328bafd037c0ce6e78c1008cfc05c717499d342"
+        "e2ef1350902db8304a3d5e9f671f2cbea7f98a23b6343662635db8cb7267485a"
     )
 
 

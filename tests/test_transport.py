@@ -349,6 +349,28 @@ def test_a_curve_evaluating_columns_is_refused():
             call()
 
 
+def test_a_transposed_evaluator_is_refused_at_as_many_parameters_as_coordinates():
+    """With K == coord_dim parameters a (coord_dim, K) transpose has the
+    expected shape, so the curve evaluates one more parameter there and
+    drops it: the transpose is still refused, and a good evaluator's rows
+    are the ones it gives alone."""
+    man = rg.make_manifold("half_plane2")
+    geodesic = man.geodesic_between(man.point([0.3, 1.2]), man.point([-0.5, 2.0]))
+    transposed = dataclasses.replace(
+        geodesic,
+        position_fn=lambda t: geodesic.position_fn(t).T,
+        velocity_fn=lambda t: geodesic.velocity_fn(t).T,
+    )
+    ts = np.array([0.2, 0.7])
+    for evaluate in (transposed.positions, transposed.velocities):
+        with pytest.raises(
+            rg.InvalidCurve, match=r"returned shape \(2, 3\) for 3 parameters; expected \(3, 2\)"
+        ):
+            evaluate(ts)
+    assert np.array_equal(geodesic.positions(ts), geodesic.position_fn(ts))
+    assert np.array_equal(geodesic.velocities(ts), geodesic.velocity_fn(ts))
+
+
 def test_transport_parameters_outside_the_unit_interval(rng):
     """A parameter beyond [0, 1] by more than 1e-9 is refused; one within it
     is clamped to the end."""
