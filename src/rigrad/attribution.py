@@ -45,7 +45,12 @@ from .errors import (
 from .fields import ScalarField, require_same_space
 from .manifolds import Curve, Manifold, OrthonormalFrame, Point, TangentVector
 from .manifolds.diagnostics import geodesic_residual
-from .manifolds.transport import ODE_START_STEPS, geodesic_frame, transport_rows
+from .manifolds.transport import (
+    ODE_START_STEPS,
+    end_and_node_velocities,
+    geodesic_frame,
+    transport_rows,
+)
 from .quadrature import Quadrature
 
 DEFAULT_QUADRATURE = Quadrature()
@@ -147,14 +152,14 @@ def _path_tables(manifold, curve, rows, ts, steps=ODE_START_STEPS):
     c[j] = g(e_j, velocity(0)) (n,), lowered at curve(0); along any other
     curve U_j(t_k) (K, n, coord_dim) and b[k, j] = g(U_j(t_k), velocity(t_k)).
     """
-    positions = curve.positions(ts)
-    if curve.is_geodesic:  # the velocity at 0 for the pairing, then at the nodes
-        velocities = curve.velocities(np.append(0.0, ts))
-        C, E, mode = geodesic_frame(manifold, curve, rows, positions, velocities[1:])
+    # the velocity at 0 pairs the frame along a geodesic; geodesic_frame checks both ends
+    positions, velocities = curve.positions(ts), end_and_node_velocities(curve, ts)
+    if curve.is_geodesic:
+        C, E, mode = geodesic_frame(manifold, curve, rows, positions, velocities)
         at, velocities, steps = curve.start.coords[None, :], velocities[:1], 0
     else:
-        at, velocities = positions, curve.velocities(ts)
-        moved, mode, steps = transport_rows(manifold, curve, rows, ts, at, velocities, steps)
+        moved, mode, steps = transport_rows(manifold, curve, rows, ts, positions, velocities, steps)
+        at, velocities = positions, velocities[2:]
     # a path with NaN or infinity makes the entries non-finite, which raises
     # NonFiniteValue in _path_integral
     with np.errstate(invalid="ignore", over="ignore"):

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, ParseError, WrongManifold, _integer, _read_json
 from .manifolds import Manifold, Point, TangentVector
-from .manifolds.base import float_squares
 
 ACTIVATIONS = ("identity", "tanh", "softplus")
 
@@ -137,14 +136,16 @@ class GaussianBumpField(ScalarField):
         self.width = float(width)
 
     def value(self, p: Point) -> float:
-        d = self.manifold.dist(p, self.center)
-        return float(np.exp(-0.5 * (d / self.width) ** 2))
+        r = self.manifold.dist(p, self.center) / self.width
+        return float(np.exp(-0.5 * (r * r)))
 
     def coord_gradients(self, X: np.ndarray) -> np.ndarray:
         """The raised gradient (F / width^2) log_p(center) at each row, from one
-        ``unique_log_rows`` call, lowered in one call; F is ``value``'s, bit for bit."""
+        ``unique_log_rows`` call, lowered in one call; F is ``value``'s, bit for
+        bit, as both square by one multiplication."""
         L, d = self.manifold.unique_log_rows(X, self.center.coords)
-        F = np.exp(-0.5 * float_squares(d / self.width))
+        r = d / self.width
+        F = np.exp(-0.5 * (r * r))
         return self.manifold.lower(X, L * (F / self.width**2)[:, None])
 
 

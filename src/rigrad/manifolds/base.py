@@ -142,12 +142,6 @@ class OrthonormalFrame:
         return np.array([v.components for v in self.vectors])
 
 
-def float_squares(a: np.ndarray) -> np.ndarray:
-    """x ** 2 of each entry by the C library's pow, as one float takes it;
-    numpy's array ** 2 multiplies, which rounds differently once in ~1200."""
-    return np.array([x**2 for x in a.tolist()])
-
-
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Each row of A dotted with the row of B, or the vector B, as a (1, n) @ (n, 1)
     product per row: np.dot's bits, which sum, einsum and A @ b do not give."""
@@ -386,8 +380,9 @@ class Manifold(ABC):
     def unique_log_rows(self, P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``log_rows``, raising CutLocusAmbiguity for a row it marks as not unique."""
         V, lengths = self.log_rows(P, q)
-        # a NaN anywhere makes the sum NaN: one reduction when no row is marked
-        if math.isnan(V.sum()) and (np.isnan(V).any(axis=1) & np.isfinite(lengths)).any():
+        # a NaN anywhere makes the minimum NaN, and +inf with -inf does not: one
+        # reduction when no row is marked
+        if math.isnan(V.min(initial=np.inf)) and (np.isnan(V).any(axis=1) & np.isfinite(lengths)).any():
             raise CutLocusAmbiguity(
                 "base point pair is antipodal; the minimising geodesic is not unique"
             )

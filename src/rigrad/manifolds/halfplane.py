@@ -1,9 +1,9 @@
 """The hyperbolic upper half-plane with metric (dx^2 + dy^2) / y^2.
 
-Geodesics are vertical rays and semicircles centred on the x-axis.  Both
-are handled through the unit-speed parameter s with sinh(s) = (c - x) / y,
-which stays well conditioned for nearby points where the classical arccosh
-distance formula loses digits.
+Every geodesic, semicircle or vertical ray, is one formula, ``_walk``: the
+geodesic through i moved by z -> x_p + y_p z, which sends i to p (J. W.
+Anderson, *Hyperbolic Geometry*, 2005; A. F. Beardon, *The Geometry of
+Discrete Groups*, 1983, ch. 7).  No centre or radius appears.
 """
 
 from __future__ import annotations
@@ -23,53 +23,41 @@ from .base import (
     Point,
     TangentVector,
     constant_curve,
-    float_squares,
     pin_endpoints,
 )
 
-# Below this fraction of the coordinate scale a horizontal offset is treated
-# as zero and the geodesic as a vertical ray; the semicircle construction
-# divides by the offset and would otherwise blow up.
-VERTICAL_CUTOFF = 1e-13
-
-# sinh overflows past this argument, so no longer geodesic is traced
-_LONGEST = math.asinh(sys.float_info.max)
+_TINY = sys.float_info.min
+_LONGEST = -math.log(_TINY)  # past this length exp(-s) is no longer a normal float
 
 
-def _sech(s):
-    """Overflow-free 1/cosh, elementwise."""
-    e = np.exp(-np.abs(s))
-    return 2.0 * e / (1.0 + e * e)
+def _directions(xp, yp, xq: float, yq: float):
+    """Length d = 2 asinh(|h| / sqrt(yp yq)), exact for nearby points, and unit initial
+    direction (cos, sin), that of (yp hx, hx^2 + hy (yp + yq) / 2) / |h|, of the geodesic
+    from (xp, yp), arrays or floats, to (xq, yq), where h = (q - p) / 2 cannot overflow.
+    A point equal to q has direction (0, 0); at tiny y, d overflows to infinity."""
+    hx, hy = 0.5 * xq - 0.5 * xp, 0.5 * yq - 0.5 * yp
+    h = np.hypot(hx, hy)
+    d = 2.0 * np.arcsinh(h / (np.sqrt(yp) * math.sqrt(yq)))
+    nx, ny = np.array([hx, hy]) / np.where(h == 0.0, 1.0, h)
+    mean_y = yp + hy
+    norm = np.hypot(hx, mean_y)
+    return d, yp * nx / norm, (hx * nx + mean_y * ny) / norm
 
 
-def _arc_velocity(r, sp, ds, t, square):
-    """Velocity at t of the arc of radius r as s runs from sp by ds; sech^2 by ``square``."""
-    s = sp + t * ds
-    sech = _sech(s)
-    return np.expand_dims(ds, -1) * np.stack([-r * square(sech), -r * sech * np.tanh(s)], axis=-1)
+def _cos2_factors(cos: float, sin: float) -> tuple[float, float]:
+    """m = 1 - sin and P = 1 + sin; the smaller is cos^2 over the larger, which does not cancel."""
+    larger = 1.0 + abs(sin)
+    return (cos * cos / larger, larger) if sin >= 0.0 else (larger, cos * cos / larger)
 
 
-def _ray_velocity(y, k, t):
-    """Velocity at t of the vertical ray y exp(k t)."""
-    vy = y * k * np.exp(k * t)
-    return np.stack([np.zeros_like(vy), vy], axis=-1)
-
-
-def _constants(xp, yp, xq: float, yq: float):
-    """Whether the geodesic from (xp, yp), arrays or one pair of floats, to
-    (xq, yq) is a vertical ray (offset below VERTICAL_CUTOFF of the coordinate
-    scale), its rate k, and the semicircle's radius r, ends sp, sq and span
-    ds, which vertical rows lack.  dx is a numpy value even for floats, so a
-    zero offset divides to inf rather than raising ZeroDivisionError."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dx = np.subtract(xq, xp)
-        scale = np.maximum(np.maximum(abs(xp), yp), max(abs(xq), yq))
-        k = np.log(yq / yp)
-        c = 0.5 * (xp + xq) + (yq - yp) * (yq + yp) / (2.0 * dx)
-        r = np.hypot(xp - c, yp)
-        sp = np.arcsinh((c - xp) / yp)
-        sq = np.arcsinh((c - xq) / yq)
-        return abs(dx) <= VERTICAL_CUTOFF * scale, k, r, sp, sq, sq - sp
+def _walk(cos: float, m: float, P: float, s):
+    """c = cos (1 - u^2) / D and w = u (m + P) / D, D = m + u^2 P, u = exp(-s), at arc
+    lengths s from p in the direction (cos, sin), m and P its ``_cos2_factors``:
+    x = x_p + y_p c, y = y_p w, and the unit direction is (cos w, sin - cos c).
+    Finite while D is a normal float; c = 0 and w = 1 exactly at s = 0."""
+    u = np.exp(-s)
+    denominator = m + u * u * P
+    return cos * -np.expm1(-2.0 * s) / denominator, u * (m + P) / denominator
 
 
 def _christoffel(X: np.ndarray) -> np.ndarray:
@@ -124,73 +112,55 @@ class HalfPlane2(Manifold):
         return self._chart
 
     def exp_map(self, v: TangentVector) -> Point:
+        """The walk from the base along the tangent for its speed; y is clamped to the
+        smallest positive float, and NonFiniteValue raised where the walk leaves the floats."""
         (x0, y0), (a, b) = v.base.coords.tolist(), v.components.tolist()
-        speed = np.hypot(a, b) / y0
-        if speed < 1e-300:
+        norm = math.hypot(a, b)
+        if norm / y0 < 1e-300:
             return Point(np.array(v.base.coords))
-        if abs(a) <= VERTICAL_CUTOFF * np.hypot(a, b):
-            return Point(np.array([x0, y0 * np.exp(b / y0)]))
-        r = (y0 / abs(a)) * np.hypot(a, b)
-        s0 = np.arcsinh(b / a)
-        s1 = s0 - np.sign(a) * speed
-        y1 = max(r * _sech(s1), np.finfo(float).tiny)
-        # x0 + r (tanh s0 - tanh s1), without the cancellation of c - r tanh(s1);
-        # past the speed where sinh overflows, c - r tanh(s1) gives the limit
-        with np.errstate(over="ignore", invalid="ignore"):
-            x1 = x0 + y0 * np.sinh(s0 - s1) * _sech(s1)
-        if not math.isfinite(x1):
-            x1 = x0 + (b / a) * y0 - r * np.tanh(s1)
-        return Point(np.array([x1, y1]))
-
-    def _geodesic(self, p: Point, q: Point):
-        """Position and velocity evaluators (of a float t or an array), the
-        length and the highest y of the geodesic from p to q, from the pair's
-        ``_constants``: the ray y = yp exp(k t), or the semicircle as s runs
-        from sp to sp + ds, with x = xp - yp sinh(t ds) sech(s), the tanh
-        difference without the cancellation of c - r tanh(s) at large c, r."""
-        (xp, yp), (xq, yq) = p.coords.tolist(), q.coords.tolist()
-        vertical, k, r, sp, sq, ds = _constants(xp, yp, xq, yq)
-        if vertical:
-
-            def v_position(t):
-                t = np.asarray(t, dtype=float)
-                return np.stack([np.full_like(t, xp), yp * np.exp(k * t)], axis=-1)
-
-            def v_velocity(t):
-                return _ray_velocity(yp, k, np.asarray(t, dtype=float))
-
-            return v_position, v_velocity, abs(float(k)), max(yp, yq)
-
-        def position(t):
-            a = np.asarray(t, dtype=float) * ds
-            sech = _sech(sp + a)
-            return np.stack([xp - yp * np.sinh(a) * sech, r * sech], axis=-1)
-
-        def velocity(t):
-            return _arc_velocity(r, sp, ds, np.asarray(t, dtype=float), lambda a: a**2)
-
-        top = float(r) if min(sp, sq) <= 0.0 <= max(sp, sq) else max(yp, yq)
-        return position, velocity, abs(float(ds)), top
+        cos, sin, s = a / norm, b / norm, norm / y0
+        m, P = _cos2_factors(cos, sin)
+        with np.errstate(all="ignore"):
+            c, w = _walk(cos, m, P, s)
+            x, y = x0 + y0 * c, y0 * w
+        if not (math.isfinite(x) and math.isfinite(y) and m + P * math.exp(-2.0 * s) >= _TINY):
+            raise NonFiniteValue(f"the half-plane exp_map overflows at speed {s:.3e}")
+        return Point(np.array([x, max(y, _TINY)]))
 
     def log_rows(self, P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's ``velocity(0.0)``, whose square is one float's, and length."""
-        vertical, k, r, sp, _, ds = _constants(P[:, 0], P[:, 1], *q.tolist())
-        with np.errstate(invalid="ignore", over="ignore"):
-            arc = _arc_velocity(r, sp, ds, 0.0, float_squares)
-            ray = _ray_velocity(P[:, 1], k, 0.0)
-        return np.where(vertical[:, None], ray, arc), np.abs(np.where(vertical, k, ds))
+        """Each row's velocity y_p d (cos, sin) at 0, NaN where d overflows, and d."""
+        with np.errstate(over="ignore"):
+            d, cos, sin = _directions(P[:, 0], P[:, 1], *q.tolist())
+            V = np.where(d < np.inf, d, np.nan)[:, None] * np.stack([cos, sin], axis=1)
+            return P[:, 1:] * V, d
 
     geodesic_between = Manifold.geodesic_between  # bench/tracing.py wraps it per class
 
     def make_geodesic(self, p: Point, o: Point) -> Curve:
         if np.array_equal(p.coords, o.coords):
             return constant_curve(self, p)
-        position, velocity, length, top = self._geodesic(p, o)
-        # lowering squares y, and the coordinate speed reaches top * length
-        if not (math.isfinite(top * top) and math.isfinite(top * length) and length < _LONGEST):
+        (xp, yp), (xq, yq) = p.coords.tolist(), o.coords.tolist()
+        with np.errstate(over="ignore"):  # an infinite length is refused below
+            d, cos, sin = map(float, _directions(xp, yp, xq, yq))
+        m, P = _cos2_factors(cos, sin)
+        # y peaks at yp / |cos| where s = atanh(sin) = log(P / m) / 2, if the walk gets there
+        end = P * math.exp(-2.0 * d)  # u^2 P at the end of the walk
+        top = yp / abs(cos) if sin > 0.0 and 0.0 < m and end <= m else max(yp, yq)
+        # lowering squares y, the coordinate speed reaches top * length, and the walk's
+        # denominator m + u^2 P, smallest at the end, must stay a normal float, as in exp_map
+        if not (math.isfinite(top * max(top, d)) and m + end >= _TINY and d < _LONGEST):
             raise NonFiniteValue(
-                f"the half-plane geodesic overflows: highest y {top:.3e}, length {length:.3e}"
+                f"the half-plane geodesic overflows: highest y {top:.3e}, length {d:.3e}"
             )
+
+        def position(t):
+            c, w = _walk(cos, m, P, np.asarray(t, dtype=float) * d)
+            return np.stack([xp + yp * c, yp * w], axis=-1)
+
+        def velocity(t):  # y times the g-speed d times the unit direction
+            c, w = _walk(cos, m, P, np.asarray(t, dtype=float) * d)
+            return (yp * w)[..., None] * (d * np.stack([cos * w, sin - cos * c], axis=-1))
+
         return Curve(
             manifold=self,
             position_fn=pin_endpoints(position, p, o),
@@ -198,7 +168,7 @@ class HalfPlane2(Manifold):
             start=p,
             end=o,
             is_geodesic=True,
-            length=length,
+            length=d,
         )
 
     def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:

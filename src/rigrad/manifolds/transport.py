@@ -49,22 +49,28 @@ def _clamp_params(ts) -> np.ndarray:
     return np.clip(ts, 0.0, 1.0)
 
 
+def end_and_node_velocities(curve: Curve, ts) -> np.ndarray:
+    """The curve's velocities at 0, at 1 and at ``ts``, in one call: the rows
+    ``geodesic_frame`` and ``transport_rows`` take, shape (len(ts) + 2, coord_dim)."""
+    return curve.velocities(np.concatenate([(0.0, 1.0), ts]))
+
+
 def geodesic_frame(manifold: Manifold, curve: Curve, rows: np.ndarray, P, V):
     """Parallel transport along the geodesic ``curve`` as (C, E, mode): vector
     i of ``rows`` (n, coord_dim) at curve(0) moves to C[i] @ E[k] at node k,
-    where the curve has position ``P[k]`` and velocity ``V[k]``.  Where
-    transport is the identity (flat space, or a geodesic shorter than
-    1e-13) C is ``rows`` and E is None.  On the 2-manifolds a vector keeps
-    its coefficients C (n, 2) on the unit tangent and normal, and E
-    (K, 2, coord_dim) is that pair at the nodes.  The unit tangents are
-    V / length: a geodesic's g-speed is its length, which its speeds at both
-    ends must confirm to 1e-9 relative.
+    where the curve has position ``P[k]``; ``V`` is ``end_and_node_velocities``
+    at the K nodes.  Where transport is the identity (flat space, or a
+    geodesic shorter than 1e-13) C is ``rows`` and E is None.  On the
+    2-manifolds a vector keeps its coefficients C (n, 2) on the unit tangent
+    and normal, and E (K, 2, coord_dim) is that pair at the nodes.  The unit
+    tangents are velocity / length: a geodesic's g-speed is its length, which
+    its speeds at both ends must confirm to 1e-9 relative.
     """
     if manifold.flat or curve.length < 1e-13:
         return rows, None, "identity" if manifold.flat else "closed-form"
     length = curve.length
     ends = np.array([curve.start.coords, curve.end.coords])
-    V_ends = curve.velocities(np.array([0.0, 1.0]))
+    V_ends = V[:2]
     speeds = np.sqrt((manifold.lower(ends, V_ends) * V_ends).sum(axis=-1))
     if not (np.abs(speeds - length) <= 1e-9 * length).all():
         error = InvalidCurve if np.isfinite([length, *speeds]).all() else NonFiniteValue
@@ -72,7 +78,7 @@ def geodesic_frame(manifold: Manifold, curve: Curve, rows: np.ndarray, P, V):
     t0 = V_ends[:1] / length
     start_frame = np.concatenate([t0, manifold.geodesic_normal(ends[:1], t0)])
     C = np.array([rows @ g for g in manifold.lower(ends[[0, 0]], start_frame)]).T
-    tangents = V / length
+    tangents = V[2:] / length
     E = np.array([tangents, manifold.geodesic_normal(P, tangents)]).swapaxes(0, 1)
     return C, E, "closed-form"
 
@@ -280,13 +286,14 @@ def transport_rows(
     """Array core of parallel transport.
 
     ``rows`` (n, coord_dim) holds the components of n vectors at curve(0);
-    ``positions`` and ``velocities`` (K, coord_dim) are the curve at the K
-    parameters ``ts`` in [0, 1].  Returns (moved, mode, steps_used) with
-    moved[k, i] vector i transported to curve(ts[k]), shape (K, n, coord_dim).
-    Identity transport returns a read-only broadcast view of ``rows``.  On the
-    RK4 route, step doubling starts from ``steps``, and TransportNotConverged
-    is raised when two sweeps still differ by ODE_TOL or more at ODE_MAX_STEPS
-    steps.
+    ``positions`` (K, coord_dim) are the curve at the K parameters ``ts`` in
+    [0, 1], and ``velocities`` its ``end_and_node_velocities`` at ``ts``,
+    which only the closed-form route reads.  Returns (moved, mode,
+    steps_used) with moved[k, i] vector i transported to curve(ts[k]), shape
+    (K, n, coord_dim).  Identity transport returns a read-only broadcast view
+    of ``rows``.  On the RK4 route, step doubling starts from ``steps``, and
+    TransportNotConverged is raised when two sweeps still differ by ODE_TOL or
+    more at ODE_MAX_STEPS steps.
     """
     if manifold.flat or curve.is_geodesic:
         C, E, mode = geodesic_frame(manifold, curve, rows, positions, velocities)
@@ -314,7 +321,7 @@ def transport_along(
     if not vectors or not ts.size:
         return [[] for _ in ts], "identity", 0
     rows = np.array([u.components for u in vectors])
-    positions, velocities = curve.positions(ts), curve.velocities(ts)
+    positions, velocities = curve.positions(ts), end_and_node_velocities(curve, ts)
     moved, mode, steps_used = transport_rows(manifold, curve, rows, ts, positions, velocities)
     results = [
         [TangentVector(Point(p), w) for w in at_p] for p, at_p in zip(positions, moved)

@@ -4,12 +4,16 @@
 point by damped Gauss-Newton iteration on the coordinate residual.  It
 deliberately avoids the closed-form logarithm so the two routes stay
 independent.  ``constant_speed_defect`` measures how far a curve's speed
-drifts from its value at t=0.
+drifts from its value at t=0.  ``halfplane_geodesic_oracle`` and
+``halfplane_decimal_dist`` evaluate the half-plane geodesic and distance in
+``decimal`` from the semicircle's centre and radius, a construction the
+package no longer uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -97,3 +101,37 @@ def constant_speed_defect(manifold: Manifold, curve: Curve, samples: int = 17) -
     for t in np.linspace(0.0, 1.0, samples):
         worst = max(worst, abs(manifold.norm(curve.velocity(t)) - speed0))
     return worst
+
+
+def halfplane_decimal_dist(p, q, digits: int = 40) -> float:
+    """The half-plane distance 2 asinh(|q - p| / (2 sqrt(yp yq))) in decimals."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        (xp, yp), (xq, yq) = ([Decimal(float(v)) for v in point] for point in (p, q))
+        z = ((xq - xp) ** 2 + (yq - yp) ** 2).sqrt() / (2 * (yp * yq).sqrt())
+        return float(2 * (z + (z * z + 1).sqrt()).ln())
+
+
+def halfplane_geodesic_oracle(p, q, ts):
+    """Positions and velocities (len(ts), 2) along the half-plane geodesic from
+    p to q at the parameters ts, in 60-digit decimals, for a pair with
+    xp != xq: the semicircle's centre c and radius r, s running linearly from
+    asinh((c - xp) / yp) to asinh((c - xq) / yq), x = c - r tanh(s) and
+    y = r sech(s), whose cancellations cost nothing at this precision."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        (xp, yp), (xq, yq) = ([Decimal(float(v)) for v in point] for point in (p, q))
+        c = (xp + xq) / 2 + (yq - yp) * (yq + yp) / (2 * (xq - xp))
+        r = ((xp - c) ** 2 + yp**2).sqrt()
+
+        def asinh(z):
+            return (z.copy_abs() + (z * z + 1).sqrt()).ln().copy_sign(z)
+
+        sp, sq = asinh((c - xp) / yp), asinh((c - xq) / yq)
+        positions, velocities = [], []
+        for t in ts:
+            e = (sp + Decimal(float(t)) * (sq - sp)).exp()
+            tanh, sech = (e * e - 1) / (e * e + 1), 2 * e / (e * e + 1)
+            positions.append([float(c - r * tanh), float(r * sech)])
+            velocities.append([float(-r * sech * sech * (sq - sp)), float(-r * sech * tanh * (sq - sp))])
+    return np.array(positions), np.array(velocities)

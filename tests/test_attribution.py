@@ -891,6 +891,33 @@ def test_fields_along_one_path_match_separate_calls(monkeypatch, manifold, rng, 
         assert nodes == [32, 32, 32] and passes == [32]
 
 
+def test_one_velocity_call_per_geodesic_pass(monkeypatch, manifold, rng):
+    """A transport pass along a geodesic evaluates the curve's velocities in
+    one call: at both ends, for the end speeds and the pairing, and at the
+    pass's nodes.  So does transport_along."""
+    field = rg.MLPField(manifold, rg.random_mlp(manifold.coord_dim, (8,), rng))
+    p, o = manifold.random_point(rng), manifold.random_point(rng)
+    calls, passes = [], []
+    velocities, geodesic_frame = rg.Curve.velocities, attribution.geodesic_frame
+
+    def counting_velocities(curve, ts):
+        calls.append(len(ts))
+        return velocities(curve, ts)
+
+    def counting_frame(manifold, curve, rows, positions, velocities):
+        passes.append(len(positions))
+        return geodesic_frame(manifold, curve, rows, positions, velocities)
+
+    monkeypatch.setattr(rg.Curve, "velocities", counting_velocities)
+    monkeypatch.setattr(attribution, "geodesic_frame", counting_frame)
+    rg.rig(field, manifold, p, o, manifold.orthonormal_frame(p))
+    assert passes and calls == [count + 2 for count in passes]
+    calls.clear()
+    curve = manifold.geodesic_between(p, o)
+    rg.transport_along(manifold, curve, list(manifold.orthonormal_frame(p).vectors), [0.25, 0.5])
+    assert calls == [4]
+
+
 # -- the rank-one form along geodesics -------------------------------------------------
 
 

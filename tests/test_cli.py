@@ -622,28 +622,31 @@ def test_verify_reports_are_deterministic(tmp_path):
 # EuclideanRestriction files, the sphere2 Sensitivity file and suite.json
 # took these values when geodesic levels began integrating the vector A of
 # the rank-one form -A c^T: residuals moved by at most 1.8e-15, notes not.
+# The half_plane2 Implementation, Linearity, Completeness and
+# IsometryInvariance files and suite.json took them when every half-plane
+# geodesic became one walk from p: residuals moved by at most 6.7e-16.
 STOCK_SUITE_SHA256 = {
     "check_00_Implementation_euclidean.csv": "5bf2fe828ea496b1749f4bcff72da0d61ba6268719864d098a653742e989950c",
     "check_01_Implementation_sphere2.csv": "7ab0c36a7aecceaaea1766bd4ad41205a6a38ba578bd1348e94ad4b6845c8c26",
-    "check_02_Implementation_half_plane2.csv": "5511a5eee1e62b3ee5d9194a1b91ab5762a958d10e3ed62985b53c298ba41540",
+    "check_02_Implementation_half_plane2.csv": "bd5889c9ba54a470b9853336b82d55debbd33b146879176d43764536ddbec3f7",
     "check_03_Linearity_euclidean.csv": "d0ea08ff5bfcb100e8c40fd5397b10d9ca77d4b082322f11077d3688174fef1a",
     "check_04_Linearity_sphere2.csv": "2de8e2f9acb0901320a20725969b39dfc01f512e59868944ab03eee40320f6fc",
-    "check_05_Linearity_half_plane2.csv": "1d783492da71dbc2fa793183aae3859b4fc76539913fd7b85796395907f64cd5",
+    "check_05_Linearity_half_plane2.csv": "cfc8abfb4d85f02b28875e8c1c7f2a5da16d5b3c0cd3dd1789271e577599b7d9",
     "check_06_Sensitivity_euclidean.csv": "7744c49ba3fcaaac60361dc01f834131827979b2af4b194d762158023a9cffc3",
     "check_07_Sensitivity_sphere2.csv": "b00f8dbedf1e9cfe867dcf7addfe55c42ce11b06c5420486b1b9f1bd472f89cd",
     "check_08_Sensitivity_half_plane2.csv": "938fd0ef621d819061b70b3de112775c186f872e11f38928c1c20de89f2150c6",
     "check_09_SymmetryInvariance_euclidean.csv": "631dd0be632f5d3d14023afb094c1d268215ec368edd03d1bf328ace86899d83",
     "check_10_Completeness_euclidean.csv": "53e67a915fcc3970023157bfb370e2cf45bb7109e3de038d66dd6f665fc4e287",
     "check_11_Completeness_sphere2.csv": "6af3f51ce3ea5bf9a942f560bf08e7c63350e238a4bb305c5f77ae952c3bc3c7",
-    "check_12_Completeness_half_plane2.csv": "6c58b75ef05ffd92be9162e2828dc8b3eb232f0525e2fd56961082d03f066ebe",
+    "check_12_Completeness_half_plane2.csv": "52501749e9114e111813157097dda81d28c0ad56b6aa6eb88ffcd0c60cab7fd8",
     "check_13_IsometryInvariance_euclidean.csv": "6b4c77935fd1166e90b23b9dd9950337664af5fa12bc1e78da1db4f397e046b1",
     "check_14_IsometryInvariance_sphere2.csv": "4c309ec32e909371ffa2e0868e73711550157bc779fda961a9cb0d2a7398eb58",
-    "check_15_IsometryInvariance_half_plane2.csv": "9e04b55e71b3218d9fd3e0fe0d9f5471a51a731840f9e372a02f020b254c5fb4",
+    "check_15_IsometryInvariance_half_plane2.csv": "8f7f418924d112b03d73f51502bffdc1dfadf91fbf49a46d9eddad4e3ac686e8",
     "check_16_EuclideanRestriction_euclidean.csv": "3e4c8dad2e9e8e8914e99d262bc27020f4e7cf261ea2511350ed05243614e539",
     "check_17_EigenBound_euclidean.csv": "b6dbd4372ee3200194782c5e5ecacaf3965950e73f681389bee7e9aae89432d1",
     "check_18_EigenBound_sphere2.csv": "05c6b4a057bc755dde89121aaa5f790a52fec2da4f1eb3f4279a321645e49167",
     "check_19_EigenBound_half_plane2.csv": "102beabef6a8c5dc87c3cb3d1aa705fd88c471715542dae4b2f16c23b764731e",
-    "suite.json": "0498930985bec3c1f9b36797b0c07a33cbcb8ab1d132138b45089396a8c28244",
+    "suite.json": "272ee0cd9be7dd40bfcd1120e99da4ce93c348c39b0c49f725d08712eb87efef",
 }
 
 
@@ -655,7 +658,7 @@ def test_stock_verify_output_is_pinned(tmp_path):
     assert written == STOCK_SUITE_SHA256
     lines = "".join(line + "\n" for line in output.splitlines() if line.startswith("["))
     assert hashlib.sha256(lines.encode()).hexdigest() == (
-        "e2ef1350902db8304a3d5e9f671f2cbea7f98a23b6343662635db8cb7267485a"
+        "0e6e4dbcb595cff754fc8fede42f084852c1e2fb18d5c31e47afa570450546dd"
     )
 
 

@@ -11,11 +11,16 @@ import pytest
 
 import rigrad as rg
 from rigrad.manifolds import Chart, diagnostics
-from rigrad.manifolds.halfplane import VERTICAL_CUTOFF
 from rigrad.manifolds.sphere import ANTIPODAL_SLACK, SphericalChart, _cross3
 
 from conftest import assert_close_rel, loop_geodesic_residual, random_unit_tangent
-from geodesic_oracles import ShootingResult, constant_speed_defect, shoot_geodesic
+from geodesic_oracles import (
+    ShootingResult,
+    constant_speed_defect,
+    halfplane_decimal_dist,
+    halfplane_geodesic_oracle,
+    shoot_geodesic,
+)
 
 
 def halfplane_dist_oracle(p, q):
@@ -276,8 +281,7 @@ def test_sphere_log_map_is_accurate_at_every_separation(separation, rng):
 
 def test_halfplane_log_map_and_dist_read_the_geodesic(rng):
     """log_map is the geodesic's initial velocity and dist its length, bit
-    for bit, on random, vertical (also within the cutoff) and coincident
-    pairs."""
+    for bit, on random, vertical, nearly vertical and coincident pairs."""
     man = rg.make_manifold("half_plane2")
     pairs = []
     for _ in range(20):
@@ -292,14 +296,14 @@ def test_halfplane_log_map_and_dist_read_the_geodesic(rng):
 
 def log_rows_cases(man, rng):
     """Rows of points and the point q they all lead to: random rows, q itself,
-    and per manifold the rows where the construction branches.  On the
-    half-plane: vertical rows, rows within and just above the cutoff.  On the
-    sphere: rows 1e-12 from q."""
+    and per manifold the rows where the construction is delicate.  On the
+    half-plane: vertical rows and rows 1e-15 to 1e-12 of the coordinate scale
+    off vertical.  On the sphere: rows 1e-12 from q."""
     q = man.random_point(rng).coords
     rows = [man.random_point(rng).coords for _ in range(2000)] + [q, q]
     if man.kind == "half_plane2":
-        cutoff = VERTICAL_CUTOFF * max(abs(q[0]), q[1])
-        offsets = (0.0, 1e-15 * q[0], 0.5 * cutoff, 1.1 * cutoff, 10.0 * cutoff)
+        scale = max(abs(q[0]), q[1])
+        offsets = (0.0, 1e-15 * q[0], 5e-14 * scale, 1.1e-13 * scale, 1e-12 * scale)
         for y in np.exp(rng.standard_normal(40)):
             rows += [np.array([q[0] + sign * dx, y]) for dx in offsets for sign in (1, -1)]
     if man.kind == "sphere2":
@@ -335,9 +339,10 @@ def test_log_rows_are_the_one_row_log_map_and_dist(manifold, rng):
 
 
 def test_halfplane_log_rows_read_each_geodesic(rng):
-    """Each row's velocity is its geodesic's velocity_fn(0.0), a scalar
-    evaluation whose sech ** 2 is the C library's pow, over enough rows to
-    meet those that an array square rounds differently."""
+    """Each row's velocity is its geodesic's velocity_fn(0.0) and each length
+    the geodesic's, bit for bit: the one-row construction and the walk at
+    s = 0 round like the many-row call, over enough rows to meet rare
+    roundings."""
     man = rg.make_manifold("half_plane2")
     P, q = log_rows_cases(man, rng)
     V, lengths = man.log_rows(P, q)
@@ -366,13 +371,17 @@ def test_one_antipodal_row_among_many_is_refused(rng):
 
 
 def test_an_overflowing_half_plane_row_is_not_a_cut_locus_row():
-    """At y = 1e-310 the semicircle's ends overflow to an infinite length and a
-    NaN velocity; only a NaN velocity at a finite length marks a row whose
-    geodesic is not unique, so log_map returns the NaN rather than refusing."""
+    """At y = 1e-310 the length overflows to infinity and the velocity is NaN;
+    only a NaN velocity at a finite length marks a row whose geodesic is not
+    unique, so log_map returns the NaN rather than refusing.  At y = 1.5e308
+    the length is finite and the velocity overflows to +inf and -inf: not
+    refused either."""
     man = rg.make_manifold("half_plane2")
     p, q = man.point(np.array([0.0, 1e-310])), man.point(np.array([1.0, 1e-310]))
     assert np.isnan(man.log_map(p, q).components).all()
     assert man.dist(p, q) == math.inf
+    p, q = man.point(np.array([0.0, 1.5e308])), man.point(np.array([1e308, 1.0]))
+    assert man.log_map(p, q).components.tolist() == [math.inf, -math.inf]
 
 
 def test_sphere_dist_of_an_antipodal_pair_is_pi():
@@ -387,9 +396,9 @@ def test_sphere_dist_of_an_antipodal_pair_is_pi():
 
 
 def test_halfplane_exp_map_keeps_x_near_vertical():
-    """exp_map takes x from the tanh difference, as the geodesic does, so
-    half the log map lands on the geodesic's midpoint even when the pair is
-    nearly vertical and the semicircle's centre is far away."""
+    """exp_map walks the geodesic's formula, so half the log map lands on the
+    geodesic's midpoint even when the pair is nearly vertical and the
+    semicircle's centre is far away."""
     man = rg.make_manifold("half_plane2")
     p = man.point(np.array([0.3, 0.5]))
     for offset in (4e-12, 4e-10, 1e-3, 1.0):
@@ -398,17 +407,55 @@ def test_halfplane_exp_map_keeps_x_near_vertical():
         assert abs(mid[0] - man.geodesic_between(p, o).position(0.5).coords[0]) <= 4e-16
 
 
+def halfplane_x_limit(p, a, b):
+    """The x where the half-plane geodesic from p with tangent (a, b), a != 0,
+    meets the axis, xp + yp (1 + sin) / cos = xp + yp a / (|(a, b)| - b), in
+    60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        (xp, yp), a, b = (Decimal(float(v)) for v in p), Decimal(a), Decimal(b)
+        return float(xp + yp * a / ((a * a + b * b).sqrt() - b))
+
+
 def test_halfplane_exp_map_of_a_tangent_past_sinh_overflow():
-    """A speed past 710 overflows sinh: x takes its limit from c - r tanh(s1)."""
+    """A speed of 800 walks past where sinh and exp overflow: x is the limit
+    where the geodesic meets the axis, to rounding."""
     man = rg.make_manifold("half_plane2")
     p = man.point(np.array([0.0, 1.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for a, b in ((800.0, 0.0), (-800.0, 0.0), (800.0, 30.0)):
+        for a, b in ((800.0, 0.0), (-800.0, 0.0), (800.0, 30.0), (-800.0, -30.0), (1e-300, -800.0)):
             x, y = man.exp_map(man.tangent(p, [a, b])).coords
-            c, r = b / a, np.hypot(a, b) / abs(a)
-            assert x == c - r * np.tanh(np.arcsinh(b / a) - np.sign(a) * np.hypot(a, b))
+            limit = halfplane_x_limit(p.coords, a, b)
+            assert abs(x - limit) <= 4e-16 * abs(limit)
             assert y == np.finfo(float).tiny
+
+
+def test_halfplane_exp_map_stays_on_the_manifold():
+    """Straight down, and down or sideways far enough that y underflows, exp_map
+    clamps y to the smallest positive float; straight up past where y
+    overflows it raises NonFiniteValue.  No warning either way."""
+    man = rg.make_manifold("half_plane2")
+    p = man.point(np.array([0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((0.0, -800.0), (1e-300, -800.0), (800.0, 30.0)):
+            assert man.exp_map(man.tangent(p, [a, b])).coords[1] == np.finfo(float).tiny
+        assert man.exp_map(man.tangent(p, [0.0, -800.0])).coords[0] == 0.0
+        with pytest.raises(rg.NonFiniteValue, match="overflows"):
+            man.exp_map(man.tangent(p, [0.0, 800.0]))
+
+
+def test_halfplane_dist_of_a_nearly_coincident_pair():
+    """Points 1e-14 apart are a distance 1.9984e-14 apart, not 0: dist, the
+    log map's length and the geodesic's length, to 1e-12 of the 40-digit
+    value."""
+    man = rg.make_manifold("half_plane2")
+    p, q = man.point(np.array([0.3, 0.5])), man.point(np.array([0.3 + 1e-14, 0.5]))
+    exact = halfplane_decimal_dist(p.coords, q.coords)
+    assert abs(exact - 1.9984e-14) <= 1e-18
+    for length in (man.dist(p, q), man.norm(man.log_map(p, q)), man.geodesic_between(p, q).length):
+        assert abs(length - exact) <= 1e-12 * exact
 
 
 def test_halfplane_vertical_geodesic():
@@ -442,7 +489,7 @@ def test_geodesic_speed_is_its_length(rng):
     """The contract closed-form transport divides by: a stock geodesic's
     g-speed at the 32 + 64 Gauss-Legendre nodes is its length, also for
     nearly coincident and nearly antipodal sphere pairs, on the half-plane's
-    vertical ray and just either side of its vertical cutoff."""
+    vertical ray and just off it."""
     sphere = rg.make_manifold("sphere2")
     plane = rg.make_manifold("half_plane2")
     pairs = []
@@ -457,11 +504,10 @@ def test_geodesic_speed_is_its_length(rng):
         assert abs(1.0 + float(p.coords @ far.coords) - 1e-8) <= 1e-11
         pairs += [(sphere, p, near), (sphere, p, far)]
     p = plane.point(np.array([0.3, 0.5]))
-    # the cutoff is relative to the largest coordinate, here 4
-    for scale in (0.0, 0.9, 1.1):
-        o = plane.point(np.array([0.3 + scale * VERTICAL_CUTOFF * 4.0, 4.0]))
+    for offset in (0.0, 3.6e-13, 4.4e-13):
+        o = plane.point(np.array([0.3 + offset, 4.0]))
         vertical = plane.geodesic_between(p, o).position(0.5).coords[0] == 0.3
-        assert vertical == (scale < 1.0)
+        assert vertical == (offset == 0.0)
         pairs.append((plane, p, o))
     ts = np.concatenate([rg.DEFAULT_QUADRATURE.nodes_weights(n)[0] for n in (32, 64)])
     for man, p, o in pairs:
@@ -471,45 +517,60 @@ def test_geodesic_speed_is_its_length(rng):
         assert_close_rel(speed, np.full(len(ts), curve.length), 1e-12)
 
 
-def halfplane_x_oracle(p, q, ts):
-    """x along the half-plane geodesic from p to q at the parameters ts, in
-    60-digit decimals: the semicircle's centre c and radius r, s running
-    linearly from asinh((c - xp) / yp) to asinh((c - xq) / yq), and
-    x = c - r tanh(s), whose cancellation costs nothing at this precision."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        (xp, yp), (xq, yq) = ([Decimal(float(v)) for v in point] for point in (p, q))
-        c = (xp + xq) / 2 + (yq - yp) * (yq + yp) / (2 * (xq - xp))
-        r = ((xp - c) ** 2 + yp**2).sqrt()
-
-        def asinh(z):
-            return (z.copy_abs() + (z * z + 1).sqrt()).ln().copy_sign(z)
-
-        sp, sq = asinh((c - xp) / yp), asinh((c - xq) / yq)
-        xs = []
-        for t in ts:
-            e = (2 * (sp + Decimal(float(t)) * (sq - sp))).exp()
-            xs.append(float(c - r * (e - 1) / (e + 1)))
-    return np.array(xs)
-
-
 def test_near_vertical_halfplane_geodesic_stays_on_its_path(rng):
-    """Just above the vertical cutoff the semicircle's centre and radius grow
+    """Nearly vertical pairs have a semicircle whose centre and radius grow
     like 1 / offset; x must still follow the path, not their cancellation.
-    Random pairs, far from the cutoff, follow it to rounding."""
+    Random pairs follow it to rounding."""
     plane = rg.make_manifold("half_plane2")
     p = plane.point(np.array([0.3, 0.5]))
     ts = rg.DEFAULT_QUADRATURE.nodes_weights(32)[0]
     pairs = [(p, plane.random_point(rng), 1e-14) for _ in range(5)]
-    for scale in (1.1, 10.0, 1e3, 1e5):
-        o = plane.point(np.array([0.3 + scale * VERTICAL_CUTOFF * 4.0, 4.0]))
+    for offset in (4.4e-13, 4e-12, 4e-10, 4e-8):
+        o = plane.point(np.array([0.3 + offset, 4.0]))
         pairs.append((p, o, 1e-12))
-        if scale == 1.1:
+        if offset == 4.4e-13:
             x = plane.geodesic_between(p, o).positions(ts)[:, 0]
             assert np.max(np.abs(x - 0.3)) <= 1e-12
     for p, o, tol in pairs:
         x = plane.geodesic_between(p, o).positions(ts)[:, 0]
-        assert np.max(np.abs(x - halfplane_x_oracle(p.coords, o.coords, ts))) <= tol
+        expected = halfplane_geodesic_oracle(p.coords, o.coords, ts)[0][:, 0]
+        assert np.max(np.abs(x - expected)) <= tol
+
+
+def nearly_vertical_pairs(plane, rng):
+    """Pairs whose initial direction has sin within 1e-8 of +1 or -1, up to a
+    distance of 30 apart."""
+    pairs = []
+    for sign in (1.0, -1.0):
+        for _ in range(12):
+            p = plane.random_point(rng)
+            sin = sign * (1.0 - 10.0 ** rng.uniform(-16.0, -8.0))
+            cos = rng.choice([-1.0, 1.0]) * math.sqrt((1.0 - abs(sin)) * (1.0 + abs(sin)))
+            speed = p.coords[1] * rng.uniform(0.1, 30.0)
+            q = plane.exp_map(plane.tangent(p, [speed * cos, speed * sin]))
+            if q.coords[0] != p.coords[0]:
+                pairs.append((p, q))
+    return pairs
+
+
+def test_halfplane_geodesic_matches_the_centre_and_radius_oracle(rng):
+    """Nearly vertical geodesics, up to 30 long, follow the semicircle of the
+    decimal oracle: positions and velocities to 1e-14 of each node's size.
+    The vertical ray keeps x exactly."""
+    plane = rg.make_manifold("half_plane2")
+    ts = np.concatenate([rg.DEFAULT_QUADRATURE.nodes_weights(n)[0] for n in (32, 64)])
+    for p, q in nearly_vertical_pairs(plane, rng):
+        curve = plane.geodesic_between(p, q)
+        for actual, expected in zip(
+            (curve.positions(ts), curve.velocities(ts)), halfplane_geodesic_oracle(p.coords, q.coords, ts)
+        ):
+            gap = np.abs(actual - expected).max(axis=1)
+            assert (gap <= 1e-14 * np.linalg.norm(expected, axis=1)).all()
+    for _ in range(5):
+        p, q = plane.random_point(rng), plane.random_point(rng)
+        for y in (q.coords[1], 1e-3 * p.coords[1], 1e3 * p.coords[1]):
+            curve = plane.geodesic_between(p, plane.point(np.array([p.coords[0], y])))
+            assert (curve.positions(ts)[:, 0] == p.coords[0]).all()
 
 
 def builtin_curves(rng):

@@ -17,6 +17,7 @@ from rigrad.manifolds.transport import (
     _pass_grid,
     _propagate,
     curve_chart,
+    end_and_node_velocities,
     transport_rows,
 )
 
@@ -394,9 +395,8 @@ def test_latitude_loop_at_a_pole_is_refused(colatitude):
 
 def _batched(man, curve, vectors, ts, steps=ODE_START_STEPS):
     rows = np.array([u.components for u in vectors])
-    return transport_rows(
-        man, curve, rows, ts, curve.positions(ts), curve.velocities(ts), steps
-    )
+    velocities = end_and_node_velocities(curve, ts)
+    return transport_rows(man, curve, rows, ts, curve.positions(ts), velocities, steps)
 
 
 def test_batched_transport_matches_the_node_loop(manifold, rng):
@@ -701,6 +701,7 @@ def test_three_dimensional_chart_takes_the_matrix_kernel():
     )
     rows = np.array([[0.3, -1.2, 0.5], [2.0, 0.1, -0.7]])
     ts, _ = rg.Quadrature().nodes_weights(64)
-    moved, mode, _ = transport_rows(man, curve, rows, ts, curve.positions(ts), curve.velocities(ts))
+    velocities = end_and_node_velocities(curve, ts)
+    moved, mode, _ = transport_rows(man, curve, rows, ts, curve.positions(ts), velocities)
     assert mode == "ode"
     assert np.array_equal(moved, np.broadcast_to(rows, (len(ts), *rows.shape)))
