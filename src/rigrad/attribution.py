@@ -13,14 +13,14 @@ orienting the curve from the explained point p at t=0 to the base point o at
 t=1; the flat-space method integrates base to input instead, and the minus
 sign makes the two agree.
 
-Along a geodesic the velocity is parallel, so g(V_j(t), velocity(t)) is the
+Every transport route gives the moved frame as constant coefficients C on
+a moving frame E (``transport_frame``): U_i(t_k) = C[i] @ E[k].  Along a
+geodesic the velocity is parallel, so g(V_j(t), velocity(t)) is the
 constant c[j] = g(e_j, velocity(0)), and the form is the outer product
--A c^T of the n-vector A[i] = integral of dF(U_i(t)) dt.  A quadrature
-level integrates only A, through ``geodesic_frame``: A = rows @ (w @ grads)
-in flat space; on the 2-manifolds U_i keeps its coefficients on the unit
-tangent and normal, so A needs two integrals.  Along any other curve a
-level integrates the full table a[k, i] b[k, j], with a[k, i] =
-dF(U_i(t_k)) and b[k, j] = g(U_j(t_k), velocity(t_k)).
+-A c^T of the n-vector A = C @ integral of dF(E(t)) dt: one integral per
+frame vector of E, two on the 2-manifolds.  Along any other curve a level
+integrates the m x m table of alpha[k] = dF(E[k]) against
+beta[k] = g(E[k], velocity(t_k)), and the form is -C (that table) C^T.
 
 The form is linear in the field, and its path side does not depend on the
 field at all.  Fields attributed along one path (``_attribution_matrices``)
@@ -45,12 +45,7 @@ from .errors import (
 from .fields import ScalarField, require_same_space
 from .manifolds import Curve, Manifold, OrthonormalFrame, Point, TangentVector
 from .manifolds.diagnostics import geodesic_residual
-from .manifolds.transport import (
-    ODE_START_STEPS,
-    end_and_node_velocities,
-    geodesic_frame,
-    transport_rows,
-)
+from .manifolds.transport import ODE_START_STEPS, transport_frame
 from .quadrature import Quadrature
 
 DEFAULT_QUADRATURE = Quadrature()
@@ -147,92 +142,80 @@ def _path_tables(manifold, curve, rows, ts, steps=ODE_START_STEPS):
 
     ``rows`` (n, coord_dim) holds the frame components at curve(0); ``steps``
     is the RK4 step count to start step doubling from.  Returns the positions
-    (K, coord_dim), the frame, the pairing, the transport mode and its step
-    count: along a geodesic ``geodesic_frame``'s (C, E) and the constant
+    (K, coord_dim), ``transport_frame``'s C and E, the pairing, the transport
+    mode and its step count.  The pairing is, along a geodesic, the constant
     c[j] = g(e_j, velocity(0)) (n,), lowered at curve(0); along any other
-    curve U_j(t_k) (K, n, coord_dim) and b[k, j] = g(U_j(t_k), velocity(t_k)).
+    curve it has a row per node, beta[k] = g(E[k], velocity(t_k)) (K, m), or
+    the lowered velocity where E is None.
     """
-    # the velocity at 0 pairs the frame along a geodesic; geodesic_frame checks both ends
-    positions, velocities = curve.positions(ts), end_and_node_velocities(curve, ts)
-    if curve.is_geodesic:
-        C, E, mode = geodesic_frame(manifold, curve, rows, positions, velocities)
-        at, velocities, steps = curve.start.coords[None, :], velocities[:1], 0
-    else:
-        moved, mode, steps = transport_rows(manifold, curve, rows, ts, positions, velocities, steps)
-        at, velocities = positions, velocities[2:]
+    positions, velocities, C, E, mode, steps = transport_frame(manifold, curve, rows, ts, steps)
     # a path with NaN or infinity makes the entries non-finite, which raises
     # NonFiniteValue in _path_integral
     with np.errstate(invalid="ignore", over="ignore"):
-        lowered = manifold.lower(at, velocities)
         if curve.is_geodesic:
-            return positions, (C, E), rows @ lowered[0], mode, steps
-        return positions, moved, np.einsum("kic,kc->ki", moved, lowered), mode, steps
-
-
-def _level_tables(tables, level: slice):
-    """The rows of joined ``_path_tables`` that belong to the nodes ``level``."""
-    positions, frame, pairing, mode, steps = tables
-    if isinstance(frame, tuple):  # a geodesic's: of (C, E) and c, only E is per node
-        C, E = frame
-        return positions[level], (C, E if E is None else E[level]), pairing, mode, steps
-    return positions[level], frame[level], pairing[level], mode, steps
+            c = rows @ manifold.lower(curve.start.coords[None, :], velocities[:1])[0]
+            return positions, C, E, c, mode, steps
+        beta = manifold.lower(positions, velocities[2:])
+        if E is not None:
+            beta = np.einsum("kmc,kc->km", E, beta)
+        return positions, C, E, beta, mode, steps
 
 
 def _levels(quadrature, schedule, manifold, curve, rows):
-    """Yield (count, weights, path tables) for each level of ``schedule`` in order.
+    """Yield (count, weights, path tables, nodes) for each level of
+    ``schedule`` in order, where the slice ``nodes`` picks the level's rows
+    of the tables' per-node arrays.
 
     The first two levels, which every refining call evaluates, share one
-    transport pass over their joined nodes, sliced per level; later levels
-    are built only when refinement reaches them.  A later level's step
-    doubling starts at half the step count the pass before converged at, so
-    it does not repeat the coarse sweeps that pass already outgrew.
+    transport pass over their joined nodes; later levels are built only when
+    refinement reaches them.  A later level's step doubling starts at half
+    the step count the pass before converged at, so it does not repeat the
+    coarse sweeps that pass already outgrew.
     """
     head = [quadrature.nodes_weights(count) for count in schedule[:2]]
     tables = _path_tables(manifold, curve, rows, np.concatenate([ts for ts, _ in head]))
     steps = tables[-1]
     start = 0
     for count, (_, weights) in zip(schedule, head):
-        yield count, weights, _level_tables(tables, slice(start, start + count))
+        yield count, weights, tables, slice(start, start + count)
         start += count
     for count in schedule[2:]:
         ts, weights = quadrature.nodes_weights(count)
         tables = _path_tables(manifold, curve, rows, ts, max(ODE_START_STEPS, steps // 2))
         steps = tables[-1]
-        yield count, weights, tables
+        yield count, weights, tables, slice(None)
 
 
 def _path_integral(field, manifold, curve, rows, quadrature, diagonal=False, levels=None):
     """Quadrature of the form, refined until two successive levels agree.
 
     Along a geodesic a level integrates only the n-vector A and forms -A c^T;
-    along any other curve it integrates the full table.  Levels agree when
-    their largest entrywise gap is below ``quadrature.tol`` plus a
-    rounding-noise floor of ROUNDING_FLOOR * max|entries|.  Returns the
-    entries and the path's diagnostics, without a geodesic defect; with
-    ``diagonal``, along a geodesic, only the entries -A[i] c[i] are formed,
-    as a vector, and the gap is read on them.  ``levels`` iterates over
-    ``_levels``' output for this path, built here when None.  The field is
-    evaluated once per level, in order, and NonFiniteValue is raised at the
-    first level whose entries are not finite.
+    along any other curve it integrates the m x m table of alpha and beta
+    and forms -C (table) C^T.  Levels agree when their largest entrywise gap
+    is below ``quadrature.tol`` plus a rounding-noise floor of
+    ROUNDING_FLOOR * max|entries|.  Returns the entries and the path's
+    diagnostics, without a geodesic defect; with ``diagonal``, along a
+    geodesic, only the entries -A[i] c[i] are formed, as a vector, and the
+    gap is read on them.  ``levels`` iterates over ``_levels``' output for
+    this path, built here when None.  The field is evaluated once per level,
+    in order, and NonFiniteValue is raised at the first level whose entries
+    are not finite.
     """
     schedule = quadrature.schedule()
     previous = None
     gap = None
     if levels is None:
         levels = _levels(quadrature, schedule, manifold, curve, rows)
-    for count, weights, (positions, frame, pairing, mode, steps) in levels:
+    for count, weights, (positions, C, E, pairing, mode, steps), nodes in levels:
         # NaN and infinity raise NonFiniteValue below, so numpy need not warn
         with np.errstate(invalid="ignore", over="ignore"):
-            grads = field.coord_gradients(positions)
+            grads = field.coord_gradients(positions[nodes])
+            alpha = grads if E is None else np.einsum("kc,kmc->km", grads, E[nodes])
             if curve.is_geodesic:
-                C, E = frame
-                if E is not None:
-                    grads = np.einsum("kc,kmc->km", grads, E)
-                A = C @ (weights @ grads)
+                A = C @ (weights @ alpha)
                 entries = -(A * pairing) if diagonal else -np.outer(A, pairing)
             else:
-                a = np.einsum("kc,kic->ki", grads, frame)
-                entries = -((weights[:, None] * a).T @ pairing)
+                entries = -(C @ ((weights[:, None] * alpha).T @ pairing[nodes]) @ C.T)
         if not np.isfinite(entries).all():
             raise NonFiniteValue(
                 f"attribution entries are not finite at {count} nodes; the field's "

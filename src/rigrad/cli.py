@@ -43,17 +43,11 @@ from .attribution import (
 from .axioms import DEFAULT_SEED, default_suite, run_check, suite_from_dict
 from .errors import (
     CutLocusAmbiguity,
-    DimensionMismatch,
-    EigenSolverFailure,
-    InvalidCurve,
-    InvalidIsometry,
     InvalidPoint,
-    InvalidTangent,
-    NonFiniteValue,
     ParseError,
     QuadratureNotConverged,
+    RigradError,
     TransportNotConverged,
-    WrongManifold,
     _read_json,
 )
 from .fields import (
@@ -69,19 +63,6 @@ from .manifolds import KINDS, Manifold, OrthonormalFrame, make_manifold, manifol
 from .quadrature import Quadrature
 
 SPHERE_ENTRY_TOL = 1e-6
-
-CONFIG_ERRORS = (
-    ParseError,
-    InvalidPoint,
-    InvalidTangent,
-    InvalidCurve,
-    InvalidIsometry,
-    WrongManifold,
-    DimensionMismatch,
-    EigenSolverFailure,
-    NonFiniteValue,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors raise ParseError so they exit 1, not argparse's 2."""
@@ -407,7 +388,7 @@ def main(argv=None, out=None) -> int:
     except (QuadratureNotConverged, TransportNotConverged) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except CONFIG_ERRORS as exc:
+    except RigradError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -1,22 +1,26 @@
 """Parallel transport along curves.
 
-Three routes, picked automatically:
+One entry point, ``transport_frame``, picks the route, and every route returns
+the same shape: constant coefficients C (n, m) on a moving frame E (K, m,
+coord_dim), so vector i at node k is C[i] @ E[k] (E is None where transport
+is the identity and C holds the vectors themselves).
 
 * flat space: transport leaves components unchanged along any curve;
-* geodesics on the 2-manifolds: exact velocity/normal frame rotation.  A
-  curve marked ``is_geodesic`` gets it, and the attribution kernel's
-  rank-one integrand, whether or not it is one;
+* geodesics on the 2-manifolds: a vector keeps its coefficients on the unit
+  velocity and normal.  A curve marked ``is_geodesic`` gets it, and the
+  attribution kernel's rank-one integrand, whether or not it is one;
 * everything else: Runge-Kutta integration of the transport equation in a
   chart, with step doubling until successive refinements agree.  On a
   2-dimensional chart, transport in an orthonormal frame is a rotation by
   the integral of the connection 1-form omega, so each RK4 step is one
-  complex number and a sweep multiplies its steps by one cumulative product.
-  Charts of other dimensions integrate w' = w @ B, where each RK4 step is a
-  matrix; ``ode_transport`` keeps that kernel as the independent check of
-  the rotation.  A sweep evaluates the chart at all its step times at once,
-  and each later sweep halves every step of the one before, so it reuses the
-  values at the earlier grid points and midpoints and evaluates the chart
-  only at its new midpoints.
+  complex number and a sweep multiplies its steps by one cumulative product;
+  E is that frame turned at each node.  Charts of other dimensions integrate
+  w' = w @ B, where each RK4 step is a matrix and E is the chart basis moved
+  by their products; ``ode_transport`` keeps that kernel as the independent
+  check of the rotation.  A sweep evaluates the chart at all its step times
+  at once, and each later sweep halves every step of the one before, so it
+  reuses the values at the earlier grid points and midpoints and evaluates
+  the chart only at its new midpoints.
 """
 
 from __future__ import annotations
@@ -47,40 +51,6 @@ def _clamp_params(ts) -> np.ndarray:
     if np.any(outside):
         raise InvalidCurve(f"transport parameter {ts[outside][0]} outside [0, 1]")
     return np.clip(ts, 0.0, 1.0)
-
-
-def end_and_node_velocities(curve: Curve, ts) -> np.ndarray:
-    """The curve's velocities at 0, at 1 and at ``ts``, in one call: the rows
-    ``geodesic_frame`` and ``transport_rows`` take, shape (len(ts) + 2, coord_dim)."""
-    return curve.velocities(np.concatenate([(0.0, 1.0), ts]))
-
-
-def geodesic_frame(manifold: Manifold, curve: Curve, rows: np.ndarray, P, V):
-    """Parallel transport along the geodesic ``curve`` as (C, E, mode): vector
-    i of ``rows`` (n, coord_dim) at curve(0) moves to C[i] @ E[k] at node k,
-    where the curve has position ``P[k]``; ``V`` is ``end_and_node_velocities``
-    at the K nodes.  Where transport is the identity (flat space, or a
-    geodesic shorter than 1e-13) C is ``rows`` and E is None.  On the
-    2-manifolds a vector keeps its coefficients C (n, 2) on the unit tangent
-    and normal, and E (K, 2, coord_dim) is that pair at the nodes.  The unit
-    tangents are velocity / length: a geodesic's g-speed is its length, which
-    its speeds at both ends must confirm to 1e-9 relative.
-    """
-    if manifold.flat or curve.length < 1e-13:
-        return rows, None, "identity" if manifold.flat else "closed-form"
-    length = curve.length
-    ends = np.array([curve.start.coords, curve.end.coords])
-    V_ends = V[:2]
-    speeds = np.sqrt((manifold.lower(ends, V_ends) * V_ends).sum(axis=-1))
-    if not (np.abs(speeds - length) <= 1e-9 * length).all():
-        error = InvalidCurve if np.isfinite([length, *speeds]).all() else NonFiniteValue
-        raise error(f"geodesic end speeds {speeds} do not match its length {length!r}")
-    t0 = V_ends[:1] / length
-    start_frame = np.concatenate([t0, manifold.geodesic_normal(ends[:1], t0)])
-    C = np.array([rows @ g for g in manifold.lower(ends[[0, 0]], start_frame)]).T
-    tangents = V[2:] / length
-    E = np.array([tangents, manifold.geodesic_normal(P, tangents)]).swapaxes(0, 1)
-    return C, E, "closed-form"
 
 
 def curve_chart(manifold: Manifold, curve: Curve):
@@ -200,10 +170,10 @@ def _pass_grid(ts_sorted: np.ndarray, total_steps: int):
     return grid, ends
 
 
-def _rotate(z0: np.ndarray, grid: np.ndarray, ends: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """RK4 transport of the frame coefficients ``z0`` over ``grid`` on a
-    2-dimensional chart; entry k of the result holds them after the first
-    ends[k] steps, shape (len(ends), *z0.shape).
+def _rotate(grid: np.ndarray, ends: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """RK4 transport over ``grid`` on a 2-dimensional chart, as the complex
+    factor (len(ends),) that turns frame coefficients after the first ends[k]
+    steps.
 
     In an orthonormal frame the transport equation is z' = lam(t) z with
     lam = -i omega, so each RK4 step is the number _step_propagators' formula
@@ -217,48 +187,57 @@ def _rotate(z0: np.ndarray, grid: np.ndarray, ends: np.ndarray, lam: np.ndarray)
     k3 = lm + 0.5 * h * (k2 * lm)
     k4 = l1 + h * (k3 * l1)
     m = 1.0 + (h / 6.0) * (l0 + 2.0 * k2 + 2.0 * k3 + k4)
-    return np.concatenate([[1.0], np.cumprod(m)])[ends][:, None] * z0
+    return np.concatenate([[1.0], np.cumprod(m)])[ends]
 
 
 def _rotation_kernel(chart, curve, w0, P):
-    """Evaluator and sweep of the ODE route on a 2-dimensional chart: the rows
-    ``w0`` become complex coefficients in the ``orthonormal_rows`` frame at
-    curve(0), and each sweep maps them back to chart components at ``P``."""
-    F0 = chart.orthonormal_rows(curve.start.coords[None, :])[0]
-    c0 = w0 @ np.linalg.inv(F0)
-    z0 = c0[:, 0] + 1j * c0[:, 1]
-    F = chart.orthonormal_rows(P)
+    """(C, evaluate, sweep, moved, frame) of the ODE route on a 2-dimensional
+    chart.  C holds the chart rows ``w0`` in the ``orthonormal_rows`` frame
+    at curve(0), as coefficients a + ib that a sweep's factor r[k] turns at
+    the k-th point of ``P``.  ``moved(r)`` is the moved rows' chart
+    components, which the stop test reads, and ``frame(r)`` the turned frame's."""
+    F = chart.orthonormal_rows(np.concatenate([curve.start.coords[None, :], P]))
+    C = w0 @ np.linalg.inv(F[0])
+    z0 = C[:, 0] + 1j * C[:, 1]
+    F = F[1:]
 
     def evaluate(times):
         return -1j * chart.connection_forms(curve.positions(times), curve.velocities(times))
 
-    def sweep(grid, ends, lam):
-        z = _rotate(z0, grid, ends, lam)
+    def moved(r):
+        z = r[:, None] * z0
         return z.real[:, :, None] * F[:, None, 0] + z.imag[:, :, None] * F[:, None, 1]
 
-    return evaluate, sweep
+    def frame(r):  # the coefficients 1 and i, turned by r
+        return np.array([[r.real, r.imag], [-r.imag, r.real]]).transpose(2, 0, 1) @ F
+
+    return C, evaluate, _rotate, moved, frame
 
 
 def _ode_route(manifold, curve, rows, ts, P, steps):
+    """(C, E, "ode", steps_used) of ``transport_frame``'s ODE route: the stop
+    test reads the moved rows, and E is built from the last sweep alone."""
     chart = curve_chart(manifold, curve)
     w0 = chart.pull(curve.start, rows)
     order = np.argsort(ts, kind="stable")
-    ts_sorted = np.asarray(ts, dtype=float)[order]
-    P_sorted = P[order]
+    ts_sorted, P_sorted = ts[order], P[order]
     if chart.dim == 2:
-        evaluate, sweep = _rotation_kernel(chart, curve, w0, P_sorted)
-    else:
-        evaluate, sweep = partial(_chart_matrices, chart, curve), partial(_propagate, w0)
+        C, evaluate, sweep, moved, frame = _rotation_kernel(chart, curve, w0, P_sorted)
+    else:  # a sweep's propagators move the chart basis, so they are the frame
+        C, evaluate = w0, partial(_chart_matrices, chart, curve)
+        sweep, frame = partial(_propagate, np.eye(chart.dim)), np.asarray
+        moved = partial(np.matmul, w0)
 
     n = steps
     grid, ends = _pass_grid(ts_sorted, n)
     values = evaluate(np.concatenate([grid, _midpoints(grid)]))
-    coarse = sweep(grid, ends, values)
+    coarse = moved(sweep(grid, ends, values))
     while True:
         n *= 2
         grid, values = _halved(evaluate, grid, values)
         ends = 2 * ends
-        fine = sweep(grid, ends, values)
+        factors = sweep(grid, ends, values)
+        fine = moved(factors)
         gap = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
         if gap < ODE_TOL:
             break
@@ -269,39 +248,58 @@ def _ode_route(manifold, curve, rows, ts, P, steps):
             )
         coarse = fine
 
-    out = np.empty((len(ts), len(rows), manifold.coord_dim))
-    out[order] = fine @ chart.coordinate_basis(P_sorted)
-    return out, n
+    E = np.empty((len(ts), chart.dim, manifold.coord_dim))
+    E[order] = frame(factors) @ chart.coordinate_basis(P_sorted)
+    return C, E, "ode", n
 
 
-def transport_rows(
+def transport_frame(
     manifold: Manifold,
     curve: Curve,
     rows: np.ndarray,
     ts: np.ndarray,
-    positions: np.ndarray,
-    velocities: np.ndarray,
     steps: int = ODE_START_STEPS,
 ):
-    """Array core of parallel transport.
+    """Parallel transport of the n vectors ``rows`` (n, coord_dim) at curve(0)
+    to the K parameters ``ts`` in [0, 1], as constant coefficients on a
+    moving frame: vector i reaches curve(ts[k]) as C[i] @ E[k].
 
-    ``rows`` (n, coord_dim) holds the components of n vectors at curve(0);
-    ``positions`` (K, coord_dim) are the curve at the K parameters ``ts`` in
-    [0, 1], and ``velocities`` its ``end_and_node_velocities`` at ``ts``,
-    which only the closed-form route reads.  Returns (moved, mode,
-    steps_used) with moved[k, i] vector i transported to curve(ts[k]), shape
-    (K, n, coord_dim).  Identity transport returns a read-only broadcast view
-    of ``rows``.  On the RK4 route, step doubling starts from ``steps``, and
-    TransportNotConverged is raised when two sweeps still differ by ODE_TOL or
-    more at ODE_MAX_STEPS steps.
+    Returns (P, V, C, E, mode, steps_used), with P (K, coord_dim) the
+    positions at ``ts`` and V (K + 2, coord_dim) the velocities at 0, 1 and
+    ``ts``, one curve call each.  The route is picked here and only here:
+
+    * "identity" in flat space: C is ``rows`` and E is None;
+    * "closed-form" along a curve marked ``is_geodesic``, whether or not it
+      is one: C (n, 2) holds the coefficients on the unit tangent and normal,
+      and E (K, 2, coord_dim) that pair at the nodes.  The unit tangents are
+      velocity / length: a geodesic's g-speed is its length, which its speeds
+      at both ends must confirm to 1e-9 relative.  A geodesic shorter than
+      1e-13 keeps C = ``rows`` and E None;
+    * "ode" along any other curve: E (K, dim, coord_dim) is a frame at
+      curve(0) moved by RK4, g-orthonormal on a 2-dimensional chart and the
+      chart basis otherwise.  Step doubling starts from ``steps``, and
+      TransportNotConverged is raised when two sweeps still differ by ODE_TOL
+      or more at ODE_MAX_STEPS steps; steps_used is the final step count (0
+      on the other routes).
     """
-    if manifold.flat or curve.is_geodesic:
-        C, E, mode = geodesic_frame(manifold, curve, rows, positions, velocities)
-        if E is None:
-            return np.broadcast_to(rows, (len(ts), *rows.shape)), mode, 0
-        return C[None, :, 0, None] * E[:, None, 0] + C[None, :, 1, None] * E[:, None, 1], mode, 0
-    moved, steps_used = _ode_route(manifold, curve, rows, ts, positions, steps)
-    return moved, "ode", steps_used
+    P = curve.positions(ts)
+    V = curve.velocities(np.concatenate([(0.0, 1.0), ts]))
+    length = curve.length
+    if manifold.flat or (curve.is_geodesic and length < 1e-13):
+        return P, V, rows, None, "identity" if manifold.flat else "closed-form", 0
+    if not curve.is_geodesic:
+        return P, V, *_ode_route(manifold, curve, rows, ts, P, steps)
+    ends = np.array([curve.start.coords, curve.end.coords])
+    speeds = np.sqrt((manifold.lower(ends, V[:2]) * V[:2]).sum(axis=-1))
+    if not (np.abs(speeds - length) <= 1e-9 * length).all():
+        error = InvalidCurve if np.isfinite([length, *speeds]).all() else NonFiniteValue
+        raise error(f"geodesic end speeds {speeds} do not match its length {length!r}")
+    t0 = V[:1] / length
+    start_frame = np.concatenate([t0, manifold.geodesic_normal(ends[:1], t0)])
+    C = np.array([rows @ g for g in manifold.lower(ends[[0, 0]], start_frame)]).T
+    tangents = V[2:] / length
+    E = np.array([tangents, manifold.geodesic_normal(P, tangents)]).swapaxes(0, 1)
+    return P, V, C, E, "closed-form", 0
 
 
 def transport_along(
@@ -321,8 +319,8 @@ def transport_along(
     if not vectors or not ts.size:
         return [[] for _ in ts], "identity", 0
     rows = np.array([u.components for u in vectors])
-    positions, velocities = curve.positions(ts), end_and_node_velocities(curve, ts)
-    moved, mode, steps_used = transport_rows(manifold, curve, rows, ts, positions, velocities)
+    positions, _, C, E, mode, steps_used = transport_frame(manifold, curve, rows, ts)
+    moved = np.broadcast_to(rows, (len(ts), *rows.shape)) if E is None else C @ E
     results = [
         [TangentVector(Point(p), w) for w in at_p] for p, at_p in zip(positions, moved)
     ]

@@ -719,6 +719,35 @@ def test_kernel_entries_match_node_loop_on_the_ode_route(rng):
     assert_close_rel(report.attributions, np.diag(expected))
 
 
+def test_kernel_entries_match_node_loop_on_a_flat_bent_curve(rng):
+    """A curve that is not a geodesic in flat space keeps the frame as it is
+    (identity transport, no per-node frame), and the kernel pairs it with the
+    curve's own velocity at every node."""
+    man = rg.make_manifold("euclidean", dim=4)
+    field = rg.MLPField(man, rg.random_mlp(4, (8, 8), rng))
+    a, b, bend = (rng.standard_normal(4) for _ in range(3))
+
+    def position(t):
+        t = np.asarray(t, dtype=float)[..., None]
+        return a + t * (b - a) + t * (1.0 - t) * bend
+
+    def velocity(t):
+        t = np.asarray(t, dtype=float)[..., None]
+        return (b - a) + (1.0 - 2.0 * t) * bend
+
+    curve = rg.Curve(man, position, velocity, man.point(a), man.point(b), False, 2.0)
+    rotated, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    frame = rg.OrthonormalFrame(
+        curve.start, tuple(rg.TangentVector(curve.start, row) for row in rotated)
+    )
+    ts, weights = FIXED.nodes_weights()
+    report = rg.generic_bam_report(field, curve, frame, FIXED)
+    assert report.diagnostics.transport_mode == "identity"
+    moved = np.broadcast_to(rotated, (ts.size, 4, 4))
+    expected = node_loop_entries(field, man, curve, moved, ts, weights)
+    assert_close_rel(report.attributions, np.diag(expected))
+
+
 def test_ig_matches_straight_line_node_loop(rng):
     man = rg.make_manifold("euclidean", dim=6)
     field = rg.MLPField(man, rg.random_mlp(6, (9, 7), rng, "softplus"))
@@ -757,9 +786,9 @@ def test_loop_refinement_runs_one_step_doubling(monkeypatch, colatitude, sweeps)
     sweeps_seen = []
     rotate = transport._rotate
 
-    def counting_rotate(z0, grid, ends, lam):
+    def counting_rotate(grid, ends, lam):
         sweeps_seen.append(len(grid) - 1)
-        return rotate(z0, grid, ends, lam)
+        return rotate(grid, ends, lam)
 
     monkeypatch.setattr(transport, "_rotate", counting_rotate)
     report = rg.generic_bam_report(field, loop, frame)
@@ -781,9 +810,9 @@ def test_later_level_starts_step_doubling_at_half_the_converged_count(monkeypatc
     targets_per_sweep = []
     rotate = transport._rotate
 
-    def counting_rotate(z0, grid, ends, lam):
+    def counting_rotate(grid, ends, lam):
         targets_per_sweep.append(len(ends))
-        return rotate(z0, grid, ends, lam)
+        return rotate(grid, ends, lam)
 
     monkeypatch.setattr(transport, "_rotate", counting_rotate)
     report = rg.generic_bam_report(field, loop, frame)
@@ -867,13 +896,13 @@ def test_fields_along_one_path_match_separate_calls(monkeypatch, manifold, rng, 
     p, o = manifold.random_point(rng), manifold.random_point(rng)
     frame = manifold.orthonormal_frame(p)
     passes = []
-    geodesic_frame = attribution.geodesic_frame
+    transport_frame = attribution.transport_frame
 
-    def counting_frame(manifold, curve, rows, positions, velocities):
-        passes.append(len(positions))
-        return geodesic_frame(manifold, curve, rows, positions, velocities)
+    def counting_frame(manifold, curve, rows, ts, *steps):
+        passes.append(len(ts))
+        return transport_frame(manifold, curve, rows, ts, *steps)
 
-    monkeypatch.setattr(attribution, "geodesic_frame", counting_frame)
+    monkeypatch.setattr(attribution, "transport_frame", counting_frame)
     shared = _attribution_matrices(fields, manifold, p, o, frame, quadrature)
     monkeypatch.undo()
     for field, matrix in zip(fields, shared):
@@ -898,18 +927,18 @@ def test_one_velocity_call_per_geodesic_pass(monkeypatch, manifold, rng):
     field = rg.MLPField(manifold, rg.random_mlp(manifold.coord_dim, (8,), rng))
     p, o = manifold.random_point(rng), manifold.random_point(rng)
     calls, passes = [], []
-    velocities, geodesic_frame = rg.Curve.velocities, attribution.geodesic_frame
+    velocities, transport_frame = rg.Curve.velocities, attribution.transport_frame
 
     def counting_velocities(curve, ts):
         calls.append(len(ts))
         return velocities(curve, ts)
 
-    def counting_frame(manifold, curve, rows, positions, velocities):
-        passes.append(len(positions))
-        return geodesic_frame(manifold, curve, rows, positions, velocities)
+    def counting_frame(manifold, curve, rows, ts, *steps):
+        passes.append(len(ts))
+        return transport_frame(manifold, curve, rows, ts, *steps)
 
     monkeypatch.setattr(rg.Curve, "velocities", counting_velocities)
-    monkeypatch.setattr(attribution, "geodesic_frame", counting_frame)
+    monkeypatch.setattr(attribution, "transport_frame", counting_frame)
     rg.rig(field, manifold, p, o, manifold.orthonormal_frame(p))
     assert passes and calls == [count + 2 for count in passes]
     calls.clear()

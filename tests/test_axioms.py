@@ -271,7 +271,7 @@ def test_one_trial_builds_its_path_once(monkeypatch, manifold, axiom):
     cls = type(manifold)
     monkeypatch.setattr(cls, "make_geodesic", counting("geodesic", cls.make_geodesic))
     monkeypatch.setattr(
-        attribution, "geodesic_frame", counting("transport", attribution.geodesic_frame)
+        attribution, "transport_frame", counting("transport", attribution.transport_frame)
     )
     monkeypatch.setattr(
         attribution, "geodesic_residual", counting("defect", attribution.geodesic_residual)

@@ -13,7 +13,12 @@ import pytest
 import rigrad as rg
 from rigrad import cli
 from rigrad import report as report_io
-from rigrad.errors import TransportNotConverged
+from rigrad.errors import (
+    CutLocusAmbiguity,
+    QuadratureNotConverged,
+    RigradError,
+    TransportNotConverged,
+)
 
 
 def run_cli(*argv):
@@ -242,6 +247,26 @@ def test_transport_that_runs_out_of_steps_exits_3(monkeypatch, capsys):
     )
     assert code == 3
     assert "TransportNotConverged: RK4 transport still moving" in capsys.readouterr().err
+
+
+EXIT_CODES = {CutLocusAmbiguity: 2, QuadratureNotConverged: 3, TransportNotConverged: 3}
+
+
+@pytest.mark.parametrize("error", RigradError.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_every_rigrad_error_exits_with_its_code(monkeypatch, capsys, error):
+    """A cut-locus ambiguity exits 2, an exhausted budget 3 and every other
+    rigrad error 1, each named on stderr."""
+
+    def failing(*args):
+        raise error("raised by a stand-in")
+
+    monkeypatch.setattr(cli, "rig", failing)
+    code, _ = run_cli(
+        "attribute", "--manifold", "sphere2", "--field", "height",
+        "--p", "0,0,1", "--o", "1,0,0",
+    )
+    assert code == EXIT_CODES.get(error, 1)
+    assert f"{error.__name__}: raised by a stand-in" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spelling", ["separate", "joined"])

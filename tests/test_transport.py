@@ -17,8 +17,7 @@ from rigrad.manifolds.transport import (
     _pass_grid,
     _propagate,
     curve_chart,
-    end_and_node_velocities,
-    transport_rows,
+    transport_frame,
 )
 
 from conftest import (
@@ -394,9 +393,11 @@ def test_latitude_loop_at_a_pole_is_refused(colatitude):
 
 
 def _batched(man, curve, vectors, ts, steps=ODE_START_STEPS):
+    """``transport_frame``'s vectors at every node, (len(ts), n, coord_dim)."""
     rows = np.array([u.components for u in vectors])
-    velocities = end_and_node_velocities(curve, ts)
-    return transport_rows(man, curve, rows, ts, curve.positions(ts), velocities, steps)
+    _, _, C, E, mode, used = transport_frame(man, curve, rows, ts, steps)
+    moved = np.broadcast_to(rows, (len(ts), *rows.shape)) if E is None else C @ E
+    return moved, mode, used
 
 
 def test_batched_transport_matches_the_node_loop(manifold, rng):
@@ -434,15 +435,15 @@ def test_batched_transport_on_the_ode_route_matches_the_wrapper(rng):
         assert np.array_equal(wrapped[k][0].base.coords, p.coords)
 
 
-def test_flat_transport_is_a_view_of_the_frame():
+def test_flat_transport_builds_no_per_node_table():
+    """Flat transport at 1024 nodes hands the frame back as C, with no E."""
     man = rg.make_manifold("euclidean", dim=64)
     p = man.point(np.zeros(64))
     curve = man.geodesic_between(p, man.point(np.ones(64)))
-    frame = man.orthonormal_frame(p)
-    moved, mode, _ = _batched(man, curve, frame.vectors, np.linspace(0.0, 1.0, 1024))
-    assert mode == "identity"
-    assert moved.strides[0] == 0 and not moved.flags.writeable
-    assert np.array_equal(moved[517], np.eye(64))
+    rows = man.orthonormal_frame(p).component_matrix()
+    _, _, C, E, mode, steps = transport_frame(man, curve, rows, np.linspace(0.0, 1.0, 1024))
+    assert (mode, steps) == ("identity", 0)
+    assert C is rows and E is None
 
 
 # -- the RK4 propagators of the ODE route --------------------------------------
@@ -565,9 +566,9 @@ def _recording_sweeps(monkeypatch):
         rows_per_call.append(len(P))
         return forms(chart, P, V)
 
-    def recording_rotate(z0, grid, ends, lam):
+    def recording_rotate(grid, ends, lam):
         grids.append(grid)
-        return rotate(z0, grid, ends, lam)
+        return rotate(grid, ends, lam)
 
     monkeypatch.setattr(SphericalChart, "connection_forms", counting_forms)
     monkeypatch.setattr(transport, "_rotate", recording_rotate)
@@ -701,7 +702,58 @@ def test_three_dimensional_chart_takes_the_matrix_kernel():
     )
     rows = np.array([[0.3, -1.2, 0.5], [2.0, 0.1, -0.7]])
     ts, _ = rg.Quadrature().nodes_weights(64)
-    velocities = end_and_node_velocities(curve, ts)
-    moved, mode, _ = transport_rows(man, curve, rows, ts, curve.positions(ts), velocities)
+    _, _, C, E, mode, _ = transport_frame(man, curve, rows, ts)
+    moved = C @ E
     assert mode == "ode"
     assert np.array_equal(moved, np.broadcast_to(rows, (len(ts), *rows.shape)))
+
+
+# -- every route: coefficients C on a moving frame E ---------------------------
+
+
+def frame_curve(name):
+    """(manifold, curve, route) for the moving-frame checks."""
+    if name in ("sphere2", "half_plane2"):
+        man = rg.make_manifold(name)
+        ends = {"sphere2": ([0.6, 0.0, 0.8], [0.0, -0.28, 0.96]),
+                "half_plane2": ([0.3, 1.2], [-0.5, 2.0])}[name]
+        p, o = (man.point(np.array(x)) for x in ends)
+        return man, man.geodesic_between(p, o), "closed-form"
+    if name == "vertical_ray":
+        man = rg.make_manifold("half_plane2")
+        p, o = man.point(np.array([0.3, 0.5])), man.point(np.array([0.3, 2.0]))
+        return man, man.geodesic_between(p, o), "closed-form"
+    man, curve, _ = ode_curve(name)
+    return man, curve, "ode"
+
+
+FRAME_CURVES = ["sphere2", "half_plane2", "vertical_ray", "loop_1.1", "halfplane_bow"]
+
+
+@pytest.mark.parametrize("name", FRAME_CURVES)
+def test_moving_frame_is_orthonormal_at_every_node(name):
+    """E[k] is g-orthonormal at curve(ts[k]) to 1e-9, on the closed-form
+    route and on the ODE route's rotation kernel."""
+    man, curve, route = frame_curve(name)
+    rows = man.orthonormal_frame(curve.start).component_matrix()
+    nodes, _ = rg.Quadrature().nodes_weights(64)
+    ts = np.concatenate([[0.0, 1.0], nodes])
+    P, _, _, E, mode, _ = transport_frame(man, curve, rows, ts)
+    assert mode == route and E.shape == (len(ts), man.dim, man.coord_dim)
+    lowered = np.stack([man.lower(P, E[:, j]) for j in range(man.dim)], axis=1)
+    gram = np.einsum("kic,kjc->kij", E, lowered)
+    assert float(np.max(np.abs(gram - np.eye(man.dim)))) <= 1e-9
+
+
+@pytest.mark.parametrize("name", FRAME_CURVES)
+def test_transport_along_is_the_frame_expanded(name, rng):
+    """transport_along's vectors are C @ E, bit for bit."""
+    man, curve, _ = frame_curve(name)
+    vectors = [random_unit_tangent(man, curve.start, rng) for _ in range(3)]
+    ts = np.array([0.9, 0.0, 0.25, 1.0, 0.5])
+    rows = np.array([u.components for u in vectors])
+    P, _, C, E, mode, steps = transport_frame(man, curve, rows, ts)
+    wrapped, wrapped_mode, wrapped_steps = transport_along(man, curve, vectors, ts)
+    assert (mode, steps) == (wrapped_mode, wrapped_steps)
+    assert np.array_equal([[w.components for w in row] for row in wrapped], C @ E)
+    assert np.array_equal([row[0].base.coords for row in wrapped], P)
