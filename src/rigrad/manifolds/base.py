@@ -21,6 +21,7 @@ from ..errors import (
     InvalidPoint,
     InvalidTangent,
     NonFiniteValue,
+    WrongManifold,
 )
 
 # The most a g-orthonormal frame's Gram matrix may differ from the identity.
@@ -407,8 +408,8 @@ class Manifold(ABC):
 
     def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
         """Unit normals completing unit tangents ``T`` to oriented g-orthonormal
-        pairs; defined on 2-manifolds, where geodesic transport rotates with them."""
-        raise NotImplementedError
+        pairs, which closed-form transport along curved 2-manifold geodesics reads."""
+        raise WrongManifold(f"{type(self).__name__} does not implement geodesic_normal")
 
     @abstractmethod
     def geodesic_acceleration(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:

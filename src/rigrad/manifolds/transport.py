@@ -10,17 +10,19 @@ is the identity and C holds the vectors themselves).
   velocity and normal.  A curve marked ``is_geodesic`` gets it, and the
   attribution kernel's rank-one integrand, whether or not it is one;
 * everything else: Runge-Kutta integration of the transport equation in a
-  chart, with step doubling until successive refinements agree.  On a
-  2-dimensional chart, transport in an orthonormal frame is a rotation by
-  the integral of the connection 1-form omega, so each RK4 step is one
-  complex number and a sweep multiplies its steps by one cumulative product;
-  E is that frame turned at each node.  Charts of other dimensions integrate
-  w' = w @ B, where each RK4 step is a matrix and E is the chart basis moved
-  by their products; ``ode_transport`` keeps that kernel as the independent
-  check of the rotation.  A sweep evaluates the chart at all its step times
-  at once, and each later sweep halves every step of the one before, so it
-  reuses the values at the earlier grid points and midpoints and evaluates
-  the chart only at its new midpoints.
+  chart, with step doubling until successive refinements agree.  An RK4
+  kernel is a frame ``start`` at curve(0) in chart components and sweeps
+  that move it to the nodes; C is the rows on ``start``, the stop test
+  reads the moved rows C @ frames, and E is the last sweep's frames.  On a
+  2-dimensional chart the frame is orthonormal and transport turns it by
+  the integral of the connection 1-form omega: each RK4 step is one complex
+  number, and a sweep multiplies them by one cumulative product.  Other
+  charts move their coordinate basis by w' = w @ B, each RK4 step a matrix;
+  ``ode_transport`` keeps that kernel as the independent check of the
+  rotation.  A sweep evaluates the chart at all its step times at once, and
+  each later sweep halves every step of the one before, so it reuses the
+  values at the earlier grid points and midpoints and evaluates the chart
+  only at its new midpoints.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _check_bases(curve: Curve, vectors: Sequence[TangentVector]) -> None:
 
 def _clamp_params(ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
-    outside = (ts < -1e-9) | (ts > 1.0 + 1e-9)
+    outside = ~((ts >= -1e-9) & (ts <= 1.0 + 1e-9))  # NaN is outside too
     if np.any(outside):
         raise InvalidCurve(f"transport parameter {ts[outside][0]} outside [0, 1]")
     return np.clip(ts, 0.0, 1.0)
@@ -190,66 +192,62 @@ def _rotate(grid: np.ndarray, ends: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.concatenate([[1.0], np.cumprod(m)])[ends]
 
 
-def _rotation_kernel(chart, curve, w0, P):
-    """(C, evaluate, sweep, moved, frame) of the ODE route on a 2-dimensional
-    chart.  C holds the chart rows ``w0`` in the ``orthonormal_rows`` frame
-    at curve(0), as coefficients a + ib that a sweep's factor r[k] turns at
-    the k-th point of ``P``.  ``moved(r)`` is the moved rows' chart
-    components, which the stop test reads, and ``frame(r)`` the turned frame's."""
+def _rotation_kernel(chart, curve, P):
+    """(start, evaluate, sweep) of the ODE route on a 2-dimensional chart:
+    ``start`` is the ``orthonormal_rows`` frame at curve(0), and a sweep turns
+    it by ``_rotate``'s factor at each point of ``P``, on the frame there."""
     F = chart.orthonormal_rows(np.concatenate([curve.start.coords[None, :], P]))
-    C = w0 @ np.linalg.inv(F[0])
-    z0 = C[:, 0] + 1j * C[:, 1]
-    F = F[1:]
 
     def evaluate(times):
         return -1j * chart.connection_forms(curve.positions(times), curve.velocities(times))
 
-    def moved(r):
-        z = r[:, None] * z0
-        return z.real[:, :, None] * F[:, None, 0] + z.imag[:, :, None] * F[:, None, 1]
+    def sweep(grid, ends, lam):
+        r = _rotate(grid, ends, lam)
+        return np.array([[r.real, r.imag], [-r.imag, r.real]]).transpose(2, 0, 1) @ F[1:]
 
-    def frame(r):  # the coefficients 1 and i, turned by r
-        return np.array([[r.real, r.imag], [-r.imag, r.real]]).transpose(2, 0, 1) @ F
+    return F[0], evaluate, sweep
 
-    return C, evaluate, _rotate, moved, frame
+
+def _matrix_kernel(chart, curve, P):
+    """(start, evaluate, sweep) on any chart: propagators move the chart basis."""
+    start = np.eye(chart.dim)
+    return start, partial(_chart_matrices, chart, curve), partial(_propagate, start)
 
 
 def _ode_route(manifold, curve, rows, ts, P, steps):
-    """(C, E, "ode", steps_used) of ``transport_frame``'s ODE route: the stop
-    test reads the moved rows, and E is built from the last sweep alone."""
+    """(C, E, "ode", steps_used) of ``transport_frame``'s ODE route: C is the
+    pulled rows on the kernel's ``start``, the stop test reads the moved rows
+    C @ frames in chart components, and E is the last sweep's frames (K, dim,
+    dim) pushed to canonical components."""
     chart = curve_chart(manifold, curve)
-    w0 = chart.pull(curve.start, rows)
     order = np.argsort(ts, kind="stable")
     ts_sorted, P_sorted = ts[order], P[order]
-    if chart.dim == 2:
-        C, evaluate, sweep, moved, frame = _rotation_kernel(chart, curve, w0, P_sorted)
-    else:  # a sweep's propagators move the chart basis, so they are the frame
-        C, evaluate = w0, partial(_chart_matrices, chart, curve)
-        sweep, frame = partial(_propagate, np.eye(chart.dim)), np.asarray
-        moved = partial(np.matmul, w0)
+    kernel = _rotation_kernel if chart.dim == 2 else _matrix_kernel
+    start, evaluate, sweep = kernel(chart, curve, P_sorted)
+    C = chart.pull(curve.start, rows) @ np.linalg.inv(start)
 
-    n = steps
+    n, coarse = steps, None
     grid, ends = _pass_grid(ts_sorted, n)
     values = evaluate(np.concatenate([grid, _midpoints(grid)]))
-    coarse = moved(sweep(grid, ends, values))
     while True:
-        n *= 2
+        frames = sweep(grid, ends, values)
+        if not np.isfinite(frames).all():
+            raise NonFiniteValue(f"RK4 transport frames are not finite at {n} steps")
+        fine = C @ frames
+        if coarse is not None:
+            gap = float(np.abs(fine - coarse).max(initial=0.0))
+            if gap < ODE_TOL:
+                break
+            if n >= ODE_MAX_STEPS:
+                raise TransportNotConverged(
+                    f"RK4 transport still moving by {gap:.3e} at {n} steps "
+                    f"(tol {ODE_TOL:.0e}, at most {ODE_MAX_STEPS} steps)"
+                )
+        coarse, n, ends = fine, 2 * n, 2 * ends
         grid, values = _halved(evaluate, grid, values)
-        ends = 2 * ends
-        factors = sweep(grid, ends, values)
-        fine = moved(factors)
-        gap = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
-        if gap < ODE_TOL:
-            break
-        if n >= ODE_MAX_STEPS:
-            raise TransportNotConverged(
-                f"RK4 transport still moving by {gap:.3e} at {n} steps "
-                f"(tol {ODE_TOL:.0e}, at most {ODE_MAX_STEPS} steps)"
-            )
-        coarse = fine
 
     E = np.empty((len(ts), chart.dim, manifold.coord_dim))
-    E[order] = frame(factors) @ chart.coordinate_basis(P_sorted)
+    E[order] = frames @ chart.coordinate_basis(P_sorted)
     return C, E, "ode", n
 
 
@@ -275,12 +273,12 @@ def transport_frame(
       velocity / length: a geodesic's g-speed is its length, which its speeds
       at both ends must confirm to 1e-9 relative.  A geodesic shorter than
       1e-13 keeps C = ``rows`` and E None;
-    * "ode" along any other curve: E (K, dim, coord_dim) is a frame at
-      curve(0) moved by RK4, g-orthonormal on a 2-dimensional chart and the
-      chart basis otherwise.  Step doubling starts from ``steps``, and
-      TransportNotConverged is raised when two sweeps still differ by ODE_TOL
-      or more at ODE_MAX_STEPS steps; steps_used is the final step count (0
-      on the other routes).
+    * "ode" along any other curve: E (K, dim, coord_dim) is the RK4 kernel's
+      frame at curve(0) moved to the nodes, g-orthonormal on a 2-dimensional
+      chart and the chart basis otherwise.  Step doubling starts from
+      ``steps``.  A sweep whose frames are not finite raises NonFiniteValue;
+      two sweeps still ODE_TOL or more apart at ODE_MAX_STEPS steps raise
+      TransportNotConverged.  steps_used is the final count (0 elsewhere).
     """
     P = curve.positions(ts)
     V = curve.velocities(np.concatenate([(0.0, 1.0), ts]))

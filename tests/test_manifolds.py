@@ -61,10 +61,12 @@ def fd_christoffel(chart, x, h=1e-5):
 
 
 def test_manifold_contract_is_what_the_package_calls():
-    """A custom manifold implements exactly these: no per-point chart, and
-    tangent and project_tangent have defaults; every attribution builds a
-    geodesic and checks it against the geodesic equation.  It builds
-    geodesics from validated points; geodesic_between validates them first."""
+    """A custom manifold implements these abstract methods, plus
+    geodesic_normal if it is a curved 2-manifold, whose geodesics take the
+    closed-form transport route: no per-point chart, and tangent and
+    project_tangent have defaults; every attribution builds a geodesic and
+    checks it against the geodesic equation.  It builds geodesics from
+    validated points; geodesic_between validates them first."""
     assert rg.Manifold.__abstractmethods__ == {
         "lower",
         "raise_gradients",

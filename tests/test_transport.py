@@ -271,6 +271,25 @@ def test_transport_that_outruns_the_step_cap_raises():
         rg.generic_bam_report(rg.CoordinateField(man, 2), loop, frame)
 
 
+def test_non_finite_frames_stop_the_route_at_once(monkeypatch):
+    """A latitude loop whose velocity is NaN past t = 0.7 turns the frames
+    NaN on the first sweep: the route raises NonFiniteValue after at most
+    two sweeps instead of doubling its steps to the cap."""
+    man = rg.make_manifold("sphere2")
+    loop = man.latitude_loop(1.1)
+
+    def velocity(t):
+        t = np.asarray(t, dtype=float)
+        return np.where((t > 0.7)[..., None], np.nan, loop.velocity_fn(t))
+
+    broken = dataclasses.replace(loop, velocity_fn=velocity)
+    frame = man.orthonormal_frame(loop.start)
+    grids, _ = _recording_sweeps(monkeypatch)
+    with pytest.raises(rg.NonFiniteValue, match="not finite"):
+        rg.generic_bam_report(rg.CoordinateField(man, 2), broken, frame)
+    assert 1 <= len(grids) <= 2
+
+
 @pytest.mark.parametrize("call", ["generic_bam_report", "bam_along_curve", "transport_along"])
 def test_public_calls_raise_the_exported_transport_error(call):
     """The public calls that take the RK4 route raise ``rg.TransportNotConverged``
@@ -372,14 +391,19 @@ def test_a_transposed_evaluator_is_refused_at_as_many_parameters_as_coordinates(
 
 
 def test_transport_parameters_outside_the_unit_interval(rng):
-    """A parameter beyond [0, 1] by more than 1e-9 is refused; one within it
-    is clamped to the end."""
+    """A parameter beyond [0, 1] by more than 1e-9, NaN or infinite, is
+    refused on a geodesic and on a loop; one within 1e-9 is clamped to the end."""
     man = rg.make_manifold("sphere2")
     p, o = man.random_point(rng), man.random_point(rng)
     curve = man.geodesic_between(p, o)
     u = man.random_tangent(p, rng)
     with pytest.raises(rg.InvalidCurve, match="outside"):
         transport_along(man, curve, [u], [1.5])
+    loop = man.latitude_loop(1.1)
+    for path, vector in ((curve, u), (loop, man.random_tangent(loop.start, rng))):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(rg.InvalidCurve, match=r"outside \[0, 1\]"):
+                transport_along(man, path, [vector], [0.5, bad])
     clamped, _, _ = transport_along(man, curve, [u], [1.0 + 5e-10])
     at_end, _, _ = transport_along(man, curve, [u], [1.0])
     assert np.array_equal(clamped[0][0].base.coords, o.coords)
@@ -675,6 +699,52 @@ def test_route_matches_a_fine_matrix_sweep(name, nodes):
     reference = _propagate(w0, grid, ends, _grid_matrices(chart, curve, grid))
     reference = reference @ chart.coordinate_basis(curve.positions(ts))
     assert float(np.max(np.abs(moved - reference))) <= 1e-9
+
+
+@pytest.mark.parametrize("nodes", [64, 512])
+@pytest.mark.parametrize("name", ["halfplane_bow", "loop_1.1"])
+def test_matrix_kernel_matches_the_rotation_kernel_on_a_curved_chart(monkeypatch, name, nodes):
+    """The route's matrix kernel in place of its rotation kernel, on the same
+    2-dimensional chart with nonzero Christoffel symbols: C is the pulled rows
+    on the chart basis, and C @ E agrees with the rotation kernel's to 1e-9."""
+    from rigrad.manifolds import transport
+
+    man, curve, chart = ode_curve(name)
+    rows = man.orthonormal_frame(curve.start).component_matrix()
+    ts, _ = rg.Quadrature().nodes_weights(nodes)
+    _, _, C, E, mode, _ = transport_frame(man, curve, rows, ts)
+    monkeypatch.setattr(transport, "_rotation_kernel", transport._matrix_kernel)
+    _, _, C_matrix, E_matrix, mode_matrix, _ = transport_frame(man, curve, rows, ts)
+    assert mode == mode_matrix == "ode"
+    assert np.array_equal(C_matrix, chart.pull(curve.start, rows))
+    assert E_matrix.shape == E.shape
+    assert float(np.max(np.abs(C_matrix @ E_matrix - C @ E))) <= 1e-9
+
+
+class NoNormalHalfPlane(rg.HalfPlane2):
+    """A half-plane that keeps the base class's geodesic_normal."""
+
+    geodesic_normal = rg.Manifold.geodesic_normal
+
+
+def test_a_manifold_without_geodesic_normal_is_refused_along_geodesics():
+    """Closed-form transport along a curved geodesic reads geodesic_normal,
+    whose default raises WrongManifold naming it; the RK4 route does not, so
+    generic BAM along a non-geodesic curve still runs, with the same bits."""
+    man = NoNormalHalfPlane()
+    p, o = man.point(np.array([0.3, 1.2])), man.point(np.array([-0.5, 2.0]))
+    field = rg.AffineField(man, [0.3, -0.7])
+    with pytest.raises(rg.WrongManifold, match="geodesic_normal"):
+        rg.rig(field, man, p, o, man.orthonormal_frame(p))
+    bow = halfplane_bow(man)
+    report = rg.generic_bam_report(field, bow, man.orthonormal_frame(bow.start))
+    stock = rg.make_manifold("half_plane2")
+    stock_bow = halfplane_bow(stock)
+    expected = rg.generic_bam_report(
+        rg.AffineField(stock, [0.3, -0.7]), stock_bow, stock.orthonormal_frame(stock_bow.start)
+    )
+    assert report.diagnostics.transport_mode == "ode"
+    assert np.array_equal(report.attributions, expected.attributions)
 
 
 class UnflaggedEuclidean(Euclidean):
