@@ -186,17 +186,17 @@ def _levels(quadrature, schedule, manifold, curve, rows):
         yield count, weights, tables, slice(None)
 
 
-def _path_integral(field, manifold, curve, rows, quadrature, diagonal=False, levels=None):
+def _path_integral(field, manifold, curve, rows, quadrature, levels=None):
     """Quadrature of the form, refined until two successive levels agree.
 
-    Along a geodesic a level integrates only the n-vector A and forms -A c^T;
-    along any other curve it integrates the m x m table of alpha and beta
-    and forms -C (table) C^T.  Levels agree when their largest entrywise gap
-    is below ``quadrature.tol`` plus a rounding-noise floor of
-    ROUNDING_FLOOR * max|entries|.  Returns the entries and the path's
-    diagnostics, without a geodesic defect; with ``diagonal``, along a
-    geodesic, only the entries -A[i] c[i] are formed, as a vector, and the
-    gap is read on them.  ``levels`` iterates over ``_levels``' output for
+    Along a geodesic a level integrates only the n-vector A, and -A c^T is
+    formed once, after the last level; along any other curve a level
+    integrates the m x m table of alpha and beta and forms -C (table) C^T.
+    Levels agree when the form's largest entrywise gap is below
+    ``quadrature.tol`` plus a rounding-noise floor of ROUNDING_FLOOR *
+    max|entries|, both read on A along a geodesic: max|dA| max|c| and
+    max|A| max|c|.  Returns the entries and the path's diagnostics, without
+    a geodesic defect.  ``levels`` iterates over ``_levels``' output for
     this path, built here when None.  The field is evaluated once per level,
     in order, and NonFiniteValue is raised at the first level whose entries
     are not finite.
@@ -211,37 +211,30 @@ def _path_integral(field, manifold, curve, rows, quadrature, diagonal=False, lev
         with np.errstate(invalid="ignore", over="ignore"):
             grads = field.coord_gradients(positions[nodes])
             alpha = grads if E is None else np.einsum("kc,kmc->km", grads, E[nodes])
-            if curve.is_geodesic:
-                A = C @ (weights @ alpha)
-                entries = -(A * pairing) if diagonal else -np.outer(A, pairing)
+            if curve.is_geodesic:  # -A c^T scales A's gaps and size by max|c|
+                level, scale = C @ (weights @ alpha), float(np.abs(pairing).max())
             else:
-                entries = -(C @ ((weights[:, None] * alpha).T @ pairing[nodes]) @ C.T)
-        if not np.isfinite(entries).all():
+                level, scale = -(C @ ((weights[:, None] * alpha).T @ pairing[nodes]) @ C.T), 1.0
+        size = float(np.abs(level).max()) * scale
+        if not math.isfinite(size):
             raise NonFiniteValue(
                 f"attribution entries are not finite at {count} nodes; the field's "
                 "gradient or the path takes a NaN or infinite value"
             )
         if previous is not None:
-            gap = float(np.abs(entries - previous).max())
-            noise = ROUNDING_FLOOR * float(np.abs(entries).max(initial=0.0))
-            if gap < quadrature.tol + noise:
+            gap = float(np.abs(level - previous).max()) * scale
+            if gap < quadrature.tol + ROUNDING_FLOOR * size:
                 break
-        previous = entries
+        previous = level
     else:
         if quadrature.refine and len(schedule) > 1:
             raise QuadratureNotConverged(
                 f"entries still moving by {gap:.3e} at {schedule[-1]} nodes "
                 f"(tol {quadrature.tol:.1e})"
             )
-    diagnostics = PathDiagnostics(
-        curve_length=curve.length,
-        nodes_used=count,
-        refinement_gap=gap,
-        transport_mode=mode,
-        transport_steps=steps,
-        geodesic_defect=None,
-    )
-    return entries, diagnostics
+    diagnostics = PathDiagnostics(curve_length=curve.length, nodes_used=count, refinement_gap=gap,
+                                  transport_mode=mode, transport_steps=steps, geodesic_defect=None)
+    return (-np.outer(level, pairing) if curve.is_geodesic else level), diagnostics
 
 
 def _attribution_matrices(
@@ -433,7 +426,8 @@ def ig(
     basis: OrthonormalFrame,
     quadrature: Quadrature = DEFAULT_QUADRATURE,
 ) -> AttributionReport:
-    """Straight-line attributions in flat space, integrating base to input."""
+    """Straight-line attributions in flat space, integrating base to input,
+    with ``rig``'s stop test: the line is a geodesic."""
     manifold = field.manifold
     if not manifold.flat:
         raise WrongManifold("the straight-line method is defined on flat space only")
@@ -444,10 +438,8 @@ def ig(
     # The form is oriented from its curve's start, so along the line from
     # base to input its diagonal is the negated straight-line attribution.
     line = manifold.make_geodesic(x_prime, x)
-    entries, diagnostics = _path_integral(
-        field, manifold, line, rows, quadrature, diagonal=True
-    )
-    return _report(METHOD_IG, field, manifold, x, x_prime, basis, -entries, diagnostics)
+    entries, diagnostics = _path_integral(field, manifold, line, rows, quadrature)
+    return _report(METHOD_IG, field, manifold, x, x_prime, basis, -np.diag(entries), diagnostics)
 
 
 def symmetrize(matrix: AttributionMatrix) -> AttributionMatrix:

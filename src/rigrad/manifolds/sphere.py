@@ -46,6 +46,16 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_radial(p: np.ndarray, V: np.ndarray) -> None:
+    """Refuse a row of ``V`` whose radial part at ``p`` exceeds 1e-9 (1 + |v|)."""
+    radial = np.abs(V @ p)
+    off = radial > 1e-9 * (1.0 + np.sqrt(row_dots(V, V)))
+    if off.any():
+        raise InvalidTangent(
+            f"components have radial part {float(radial[off][0])!r}; not tangent to the sphere"
+        )
+
+
 def _pole_frame(n: np.ndarray) -> np.ndarray:
     """Right-handed orthonormal rows (u, w, n) completing the pole axis n."""
     j = int(np.argmin(np.abs(n)))
@@ -176,11 +186,7 @@ class Sphere2(Manifold):
 
     def tangent(self, p: Point, components) -> TangentVector:
         arr = self._components(components)
-        radial = abs(float(np.dot(p.coords, arr)))
-        if radial > 1e-9 * (1.0 + np.linalg.norm(arr)):
-            raise InvalidTangent(
-                f"components have radial part {radial!r}; not tangent to the sphere"
-            )
+        _check_radial(p.coords, arr[None, :])
         return self.project_tangent(p, arr)
 
     def project_tangent(self, p: Point, components) -> TangentVector:
@@ -189,6 +195,12 @@ class Sphere2(Manifold):
 
     def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         return V - (P * V).sum(axis=-1, keepdims=True) * P
+
+    def validate_frame(self, frame: OrthonormalFrame) -> np.ndarray:
+        # lower() projects radial parts away, so the Gram check cannot see them
+        comps = super().validate_frame(frame)
+        _check_radial(frame.base.coords, comps)
+        return comps
 
     def raise_gradients(self, P: np.ndarray, G: np.ndarray) -> np.ndarray:
         # the metric is the tangent projector, so raising projects as lowering does

@@ -56,8 +56,10 @@ def _clamp_params(ts) -> np.ndarray:
 
 
 def curve_chart(manifold: Manifold, curve: Curve):
-    """The manifold's chart for a whole curve, from evenly spaced samples on it."""
+    """The manifold's chart for a whole curve, from evenly spaced finite samples on it."""
     samples = curve.positions(np.linspace(0.0, 1.0, CURVE_CHART_SAMPLES))
+    if not np.isfinite(samples).all():
+        raise NonFiniteValue("curve positions are not finite at the chart samples")
     return manifold.chart_for_curve(samples)
 
 
@@ -214,6 +216,7 @@ def _matrix_kernel(chart, curve, P):
     return start, partial(_chart_matrices, chart, curve), partial(_propagate, start)
 
 
+@np.errstate(invalid="ignore", over="ignore")  # non-finite frames raise NonFiniteValue
 def _ode_route(manifold, curve, rows, ts, P, steps):
     """(C, E, "ode", steps_used) of ``transport_frame``'s ODE route: C is the
     pulled rows on the kernel's ``start``, the stop test reads the moved rows

@@ -349,6 +349,82 @@ def test_non_finite_field_stops_after_the_first_level():
     assert field.batches == [rg.DEFAULT_QUADRATURE.nodes]
 
 
+class NanNodeAffineField(CountingAffineField):
+    """An affine field whose gradient is NaN at the fourth node of each batch."""
+
+    def coord_gradients(self, X):
+        grads = super().coord_gradients(X)
+        grads[3] = math.nan
+        return grads
+
+
+def test_ig_stops_at_the_first_level_on_a_nan_node_or_an_overflowing_form():
+    """The stop test reads A, but a level is refused wherever -A c^T would not
+    be finite: a NaN gradient at one node, or finite A and c whose product
+    overflows.  Both stop ``ig`` and ``rig`` after the first level, with no
+    RuntimeWarning."""
+    flat = rg.make_manifold("euclidean", dim=3)
+    x, x_prime = flat.point(np.array([1.0, 2.0, -1.0])), flat.point(np.array([0.0, 0.5, 0.3]))
+    far = flat.point(np.array([1e10, 0.0, 0.0]))
+    cases = (
+        (NanNodeAffineField(flat, [1.0, 0.5, -2.0]), x, x_prime),
+        (CountingAffineField(flat, [1e300, 0.0, 0.0]), far, x_prime),
+    )
+    for field, point, base in cases:
+        frame = flat.orthonormal_frame(point)
+        for run in (
+            lambda: rg.ig(field, point, base, frame),
+            lambda: rg.rig(field, flat, point, base, frame),
+        ):
+            field.batches.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(rg.NonFiniteValue, match="32 nodes"):
+                    run()
+            assert field.batches == [rg.DEFAULT_QUADRATURE.nodes]
+
+
+def test_ig_and_rig_share_one_stop_test_on_flat_networks():
+    """200 seeded (32, 32) tanh networks with weights at scale 2 on
+    euclidean:8 and euclidean:64, whose levels settle near the tolerance
+    often enough that a stop test read on the n diagonal values alone stops
+    a level early on some of them: ``ig`` and ``rig`` read one stop test, so
+    they stop at the same node count and agree to rounding."""
+    draw = np.random.default_rng(2025)
+    stopped = set()
+    for k in range(200):
+        dim = (8, 64)[k % 2]
+        man = rg.make_manifold("euclidean", dim=dim)
+        field = rg.MLPField(man, rg.random_mlp(dim, (32, 32), draw, scale=2.0))
+        x, x_prime = (man.point(draw.standard_normal(dim)) for _ in range(2))
+        frame = man.orthonormal_frame(x)
+        straight = rg.ig(field, x, x_prime, frame)
+        geodesic = rg.rig(field, man, x, x_prime, frame)
+        assert straight.diagnostics.nodes_used == geodesic.diagnostics.nodes_used, k
+        assert_close_rel(straight.attributions, geodesic.attributions)
+        stopped.add(geodesic.diagnostics.nodes_used)
+    assert len(stopped) > 1
+
+
+def test_the_form_is_built_once_per_geodesic_path(monkeypatch):
+    """Along a geodesic the levels compare A; np.outer forms -A c^T once, after
+    the last level, also when refinement runs to a third level."""
+    man = rg.make_manifold("sphere2")
+    p, o = man.point(np.array([1.0, 0.0, 0.0])), man.point(np.array([0.0, 0.6, 0.8]))
+    field = rg.MLPField(man, rg.random_mlp(3, (32, 32), np.random.default_rng(4), scale=3.0))
+    calls = []
+    outer = np.outer
+
+    def counting_outer(a, b):
+        calls.append(len(a))
+        return outer(a, b)
+
+    monkeypatch.setattr(np, "outer", counting_outer)
+    report = rg.rig(field, man, p, o, man.orthonormal_frame(p))
+    assert report.diagnostics.nodes_used > 64
+    assert calls == [2]
+
+
 class CountingMLPField(rg.MLPField):
     """A network field that records the size of every gradient batch."""
 
@@ -370,6 +446,21 @@ def test_a_nan_frame_is_refused_before_any_gradient(manifold, rng):
     for run in (rg.rig, rg.eigen_rig, rg.attribution_matrix):
         with pytest.raises(rg.NonFiniteValue, match="Gram"):
             run(field, manifold, p, o, bad)
+    assert field.batches == []
+
+
+def test_a_frame_off_the_tangent_plane_is_refused_before_any_gradient():
+    """At (0, 0, 1) the rows (1, 0, 5) and (0, 1, -3) have radial parts 5
+    and -3; the metric projects them away, so their Gram matrix is the
+    identity, but they are not tangent vectors."""
+    sphere = rg.make_manifold("sphere2")
+    p, o = sphere.point(np.array([0.0, 0.0, 1.0])), sphere.point(np.array([0.6, 0.0, 0.8]))
+    field = CountingMLPField(sphere, rg.random_mlp(3, (6, 5), np.random.default_rng(7)))
+    rows = ([1.0, 0.0, 5.0], [0.0, 1.0, -3.0])
+    bad = rg.OrthonormalFrame(p, tuple(rg.TangentVector(p, np.array(r)) for r in rows))
+    for run in (rg.rig, rg.eigen_rig, rg.attribution_matrix):
+        with pytest.raises(rg.InvalidTangent, match="not tangent"):
+            run(field, sphere, p, o, bad)
     assert field.batches == []
 
 

@@ -682,34 +682,25 @@ def test_geodesic_acceleration_matches_the_built_in_geodesics(rng):
         assert_close_rel(actual, expected, rel=1e-6)
 
 
-def test_geodesic_residual_without_interior_samples_is_zero(rng):
-    for curve in builtin_curves(rng):
-        assert rg.geodesic_residual(curve.manifold, curve, samples=2) == 0.0
-
-
 def test_geodesic_residual_stencil_keeps_its_bits(rng):
-    """The cached stencil gives the residual of building the sample times on
-    every call (linspace, mask, concatenate, split), bit for bit; the cached
-    times are read-only."""
+    """The module's stencil gives the residual of building the sample times on
+    every call (linspace, mask, concatenate, split) at 17 samples and
+    h = 1e-4, bit for bit; the stencil times are read-only."""
 
     def per_call(manifold, curve, samples, h):
         ts = np.linspace(0.0, 1.0, samples)
         ts = ts[(ts - h >= 0.0) & (ts + h <= 1.0)]
-        if not ts.size:
-            return 0.0
         x0, xm, xp = np.split(curve.positions(np.concatenate([ts, ts - h, ts + h])), 3)
         defect = (xp - 2.0 * x0 + xm) / h**2
         defect = defect - manifold.geodesic_acceleration(x0, (xp - xm) / (2.0 * h))
         squares = defect[:, None, :] @ defect[:, :, None]
         return float(np.sqrt(np.max(squares)))
 
+    assert (diagnostics.RESIDUAL_SAMPLES, diagnostics.RESIDUAL_STEP) == (17, 1e-4)
     for curve in builtin_curves(rng):
-        for samples, h in ((17, 1e-4), (5, 0.3), (2, 1e-4), (33, 0.5)):
-            expected = per_call(curve.manifold, curve, samples, h)
-            assert rg.geodesic_residual(curve.manifold, curve, samples, h) == expected
-    times = diagnostics._stencil_times(17, 1e-4)
-    assert not times.flags.writeable
-    assert times is diagnostics._stencil_times(17, 1e-4)
+        expected = per_call(curve.manifold, curve, 17, 1e-4)
+        assert rg.geodesic_residual(curve.manifold, curve) == expected
+    assert not diagnostics._STENCIL_TIMES.flags.writeable
 
 
 def test_lower_matches_the_metric_matrix(manifold, rng):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,42 @@ def test_non_finite_frames_stop_the_route_at_once(monkeypatch):
     with pytest.raises(rg.NonFiniteValue, match="not finite"):
         rg.generic_bam_report(rg.CoordinateField(man, 2), broken, frame)
     assert 1 <= len(grids) <= 2
+
+
+def test_non_finite_positions_are_refused_before_the_chart():
+    """A latitude loop whose positions are NaN past t = 0.7: the chart's
+    samples are not finite, which raises NonFiniteValue, not the SVD's
+    LinAlgError."""
+    man = rg.make_manifold("sphere2")
+    loop = man.latitude_loop(1.1)
+
+    def position(t):
+        t = np.asarray(t, dtype=float)
+        return np.where((t > 0.7)[..., None], np.nan, loop.position_fn(t))
+
+    broken = dataclasses.replace(loop, position_fn=position)
+    with pytest.raises(rg.NonFiniteValue, match="chart samples"):
+        rg.generic_bam_report(rg.CoordinateField(man, 2), broken, man.orthonormal_frame(loop.start))
+
+
+@pytest.mark.parametrize("name", ["halfplane_bow", "loop_1.1"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_infinite_velocities_raise_the_frame_error_alone(name, bad):
+    """A curve whose velocity is infinite past t = 0.7 makes the connection
+    form infinite and its products NaN; the frame check's NonFiniteValue is
+    the one report, with no RuntimeWarning on the way."""
+    man, curve, _ = ode_curve(name)
+
+    def velocity(t):
+        t = np.asarray(t, dtype=float)
+        return np.where((t > 0.7)[..., None], bad, curve.velocity_fn(t))
+
+    broken = dataclasses.replace(curve, velocity_fn=velocity)
+    field = rg.CoordinateField(man, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rg.NonFiniteValue, match="frames are not finite"):
+            rg.generic_bam_report(field, broken, man.orthonormal_frame(curve.start))
 
 
 @pytest.mark.parametrize("call", ["generic_bam_report", "bam_along_curve", "transport_along"])
