@@ -45,7 +45,7 @@ from .errors import (
 from .fields import ScalarField, require_same_space
 from .manifolds import Curve, Manifold, OrthonormalFrame, Point, TangentVector
 from .manifolds.diagnostics import geodesic_residual
-from .manifolds.transport import ODE_START_STEPS, transport_frame
+from .manifolds.transport import transport_frame
 from .quadrature import Quadrature
 
 DEFAULT_QUADRATURE = Quadrature()
@@ -137,18 +137,18 @@ def _check_frame(manifold: Manifold, p: Point, frame: OrthonormalFrame) -> np.nd
     return manifold.validate_frame(frame)
 
 
-def _path_tables(manifold, curve, rows, ts, steps=ODE_START_STEPS):
+def _path_tables(manifold, curve, rows, ts):
     """Field-free tables of the path at the K nodes ``ts``, from one transport pass.
 
-    ``rows`` (n, coord_dim) holds the frame components at curve(0); ``steps``
-    is the RK4 step count to start step doubling from.  Returns the positions
-    (K, coord_dim), ``transport_frame``'s C and E, the pairing, the transport
-    mode and its step count.  The pairing is, along a geodesic, the constant
-    c[j] = g(e_j, velocity(0)) (n,), lowered at curve(0); along any other
-    curve it has a row per node, beta[k] = g(E[k], velocity(t_k)) (K, m), or
-    the lowered velocity where E is None.
+    ``rows`` (n, coord_dim) holds the frame components at curve(0).  Returns
+    the positions (K, coord_dim), ``transport_frame``'s C and E, the pairing,
+    the transport mode and its panel or step count.  The pairing is, along a
+    geodesic, the constant c[j] = g(e_j, velocity(0)) (n,), lowered at
+    curve(0); along any other curve it has a row per node,
+    beta[k] = g(E[k], velocity(t_k)) (K, m), or the lowered velocity where E
+    is None.
     """
-    positions, velocities, C, E, mode, steps = transport_frame(manifold, curve, rows, ts, steps)
+    positions, velocities, C, E, mode, steps = transport_frame(manifold, curve, rows, ts)
     # a path with NaN or infinity makes the entries non-finite, which raises
     # NonFiniteValue in _path_integral
     with np.errstate(invalid="ignore", over="ignore"):
@@ -168,22 +168,19 @@ def _levels(quadrature, schedule, manifold, curve, rows):
 
     The first two levels, which every refining call evaluates, share one
     transport pass over their joined nodes; later levels are built only when
-    refinement reaches them.  A later level's step doubling starts at half
-    the step count the pass before converged at, so it does not repeat the
-    coarse sweeps that pass already outgrew.
+    refinement reaches them, each with a transport pass of its own.  On a
+    2-dimensional chart a pass's first sweep already has a panel between
+    every two nodes, so a later pass starts from the same sweep schedule.
     """
     head = [quadrature.nodes_weights(count) for count in schedule[:2]]
     tables = _path_tables(manifold, curve, rows, np.concatenate([ts for ts, _ in head]))
-    steps = tables[-1]
     start = 0
     for count, (_, weights) in zip(schedule, head):
         yield count, weights, tables, slice(start, start + count)
         start += count
     for count in schedule[2:]:
         ts, weights = quadrature.nodes_weights(count)
-        tables = _path_tables(manifold, curve, rows, ts, max(ODE_START_STEPS, steps // 2))
-        steps = tables[-1]
-        yield count, weights, tables, slice(None)
+        yield count, weights, _path_tables(manifold, curve, rows, ts), slice(None)
 
 
 def _path_integral(field, manifold, curve, rows, quadrature, levels=None):

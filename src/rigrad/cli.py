@@ -16,7 +16,7 @@ Three subcommands:
 
 Exit codes: 0 success, 1 configuration or validation errors, failed
 verification, or a field or path that yields non-finite values, 2 geodesic
-ambiguity between cut points, 3 quadrature refinement or RK4 transport
+ambiguity between cut points, 3 quadrature refinement or ODE transport
 exhausted its budget.  Argument errors also exit 1 so code 2 stays
 unambiguous.
 """

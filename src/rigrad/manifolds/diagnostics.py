@@ -37,4 +37,9 @@ def geodesic_residual(manifold: Manifold, curve: Curve) -> float:
     x0, xm, xp = x[:n], x[n : 2 * n], x[2 * n :]
     defect = (xp - 2.0 * x0 + xm) / h**2
     defect = defect - manifold.geodesic_acceleration(x0, (xp - xm) / (2.0 * h))
-    return float(np.sqrt(row_dots(defect, defect).max()))  # norm()'s bits per row
+    with np.errstate(over="ignore"):
+        worst = float(np.sqrt(row_dots(defect, defect).max()))  # norm()'s bits per row
+    if worst == np.inf and np.isfinite(defect).all():  # the squares overflowed
+        scale = float(np.abs(defect).max())
+        worst = scale * float(np.sqrt(row_dots(defect / scale, defect / scale).max()))
+    return worst

@@ -58,6 +58,11 @@ class Euclidean(Manifold):
     def make_geodesic(self, p: Point, o: Point) -> Curve:
         delta = o.coords - p.coords
         start = np.array(p.coords)
+        with np.errstate(over="ignore"):
+            length = float(np.linalg.norm(delta))
+        if length == np.inf and np.isfinite(delta).all():  # the squares overflowed
+            scale = float(np.abs(delta).max())
+            length = scale * float(np.linalg.norm(delta / scale))
 
         def position(t):
             return start + np.asarray(t)[..., None] * delta
@@ -69,7 +74,7 @@ class Euclidean(Manifold):
             start=p,
             end=o,
             is_geodesic=True,
-            length=float(np.linalg.norm(delta)),
+            length=length,
         )
 
     def geodesic_acceleration(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:

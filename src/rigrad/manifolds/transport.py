@@ -9,18 +9,18 @@ is the identity and C holds the vectors themselves).
 * geodesics on the 2-manifolds: a vector keeps its coefficients on the unit
   velocity and normal.  A curve marked ``is_geodesic`` gets it, and the
   attribution kernel's rank-one integrand, whether or not it is one;
-* everything else: Runge-Kutta integration of the transport equation in a
-  chart, with step doubling until successive refinements agree.  An RK4
-  kernel is a frame ``start`` at curve(0) in chart components and sweeps
-  that move it to the nodes; C is the rows on ``start``, the stop test
-  reads the moved rows C @ frames, and E is the last sweep's frames.  On a
-  2-dimensional chart the frame is orthonormal and transport turns it by
-  the integral of the connection 1-form omega: each RK4 step is one complex
-  number, and a sweep multiplies them by one cumulative product.  Other
-  charts move their coordinate basis by w' = w @ B, each RK4 step a matrix;
-  ``ode_transport`` keeps that kernel as the independent check of the
-  rotation.  A sweep evaluates the chart at all its step times at once, and
-  each later sweep halves every step of the one before, so it reuses the
+* everything else: the transport equation in a chart, refined by sweeps
+  until successive ones agree.  A kernel is a frame ``start`` at curve(0)
+  in chart components and sweeps that move it to the nodes; C is the rows
+  on ``start``, the stop test reads the moved rows C @ frames, and E is the
+  last sweep's frames.  On a 2-dimensional chart the frame is orthonormal
+  and transport turns it by the angle theta(t), the integral of the
+  connection 1-form omega along the curve: a sweep integrates omega by the
+  4-point Gauss-Legendre rule on every panel between the nodes and reads
+  the angles off one cumulative sum.  Other charts move their coordinate
+  basis by w' = w @ B with RK4 steps, each a matrix; ``ode_transport`` keeps
+  that kernel as the independent check of the rotation.  Each later sweep
+  halves every panel or step of the one before; an RK4 sweep reuses the
   values at the earlier grid points and midpoints and evaluates the chart
   only at its new midpoints.
 """
@@ -33,11 +33,14 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import InvalidCurve, InvalidTangent, NonFiniteValue, TransportNotConverged
+from ..quadrature import nodes_weights
 from .base import Curve, Manifold, Point, TangentVector
 
 ODE_START_STEPS = 256
 ODE_TOL = 1e-9
 ODE_MAX_STEPS = 4096
+PANELS_START = 32
+PANELS_MAX = 512
 CURVE_CHART_SAMPLES = 65
 
 
@@ -76,6 +79,13 @@ def _grid_matrices(chart, curve, grid: np.ndarray) -> np.ndarray:
     return _chart_matrices(chart, curve, np.concatenate([grid, _midpoints(grid)]))
 
 
+def _finer(grid: np.ndarray) -> np.ndarray:
+    """``grid`` with every step halved: its points, its midpoints interleaved."""
+    fine = np.empty(2 * len(grid) - 1)
+    fine[0::2], fine[1::2] = grid, _midpoints(grid)
+    return fine
+
+
 def _halved(evaluate, grid: np.ndarray, values: np.ndarray):
     """The grid with every step halved, and ``evaluate`` at its points and
     midpoints.
@@ -85,8 +95,7 @@ def _halved(evaluate, grid: np.ndarray, values: np.ndarray):
     are evaluated, in one call.
     """
     steps = len(grid) - 1
-    fine = np.empty(2 * steps + 1)
-    fine[0::2], fine[1::2] = grid, _midpoints(grid)
+    fine = _finer(grid)
     at_fine = np.empty((len(fine),) + values.shape[1:], dtype=values.dtype)
     at_fine[0::2], at_fine[1::2] = values[: steps + 1], values[steps + 1 :]
     return fine, np.concatenate([at_fine, evaluate(_midpoints(fine))])
@@ -174,84 +183,90 @@ def _pass_grid(ts_sorted: np.ndarray, total_steps: int):
     return grid, ends
 
 
-def _rotate(grid: np.ndarray, ends: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """RK4 transport over ``grid`` on a 2-dimensional chart, as the complex
-    factor (len(ends),) that turns frame coefficients after the first ends[k]
-    steps.
+def _angle_kernel(chart, curve, ts: np.ndarray, P: np.ndarray):
+    """(start, sweeps, unit) of the ODE route on a 2-dimensional chart:
+    ``start`` is the ``orthonormal_rows`` frame at curve(0), and each sweep
+    yields (count, frames), the frames at ``P`` turned by the transport angle.
 
-    In an orthonormal frame the transport equation is z' = lam(t) z with
-    lam = -i omega, so each RK4 step is the number _step_propagators' formula
-    gives on scalars, and the steps are multiplied by one cumulative product.
-    ``lam`` holds lam at the S + 1 grid points followed by the S midpoints.
+    In that frame transport is z' = -i omega z, so the frame at t is turned by
+    theta(t), the integral of omega from 0 to t.  A sweep integrates omega by
+    the 4-point Gauss-Legendre rule on each panel of ``_pass_grid(ts, count)``'s
+    grid, in one chart call, and reads theta at the sorted ``ts`` off one
+    cumulative sum.  The first sweep has count = PANELS_START panels per unit
+    parameter; each later one halves every panel, up to PANELS_MAX.
     """
-    steps = len(grid) - 1
-    h = np.diff(grid)
-    l0, l1, lm = lam[:steps], lam[1 : steps + 1], lam[steps + 1 :]
-    k2 = lm + 0.5 * h * (l0 * lm)
-    k3 = lm + 0.5 * h * (k2 * lm)
-    k4 = l1 + h * (k3 * l1)
-    m = 1.0 + (h / 6.0) * (l0 + 2.0 * k2 + 2.0 * k3 + k4)
-    return np.concatenate([[1.0], np.cumprod(m)])[ends]
-
-
-def _rotation_kernel(chart, curve, P):
-    """(start, evaluate, sweep) of the ODE route on a 2-dimensional chart:
-    ``start`` is the ``orthonormal_rows`` frame at curve(0), and a sweep turns
-    it by ``_rotate``'s factor at each point of ``P``, on the frame there."""
     F = chart.orthonormal_rows(np.concatenate([curve.start.coords[None, :], P]))
+    x, w = nodes_weights(4)
 
-    def evaluate(times):
-        return -1j * chart.connection_forms(curve.positions(times), curve.velocities(times))
+    def sweeps():
+        count = PANELS_START
+        grid, ends = _pass_grid(ts, count)
+        while True:
+            h = np.diff(grid)
+            at = (grid[:-1, None] + h[:, None] * x).ravel()
+            omega = chart.connection_forms(curve.positions(at), curve.velocities(at))
+            theta = np.concatenate([[0.0], np.cumsum(h * (omega.reshape(-1, len(x)) @ w))])[ends]
+            cos, sin = np.cos(theta), np.sin(theta)
+            yield count, np.array([[cos, -sin], [sin, cos]]).transpose(2, 0, 1) @ F[1:]
+            if count >= PANELS_MAX:
+                return
+            count, grid, ends = 2 * count, _finer(grid), 2 * ends
 
-    def sweep(grid, ends, lam):
-        r = _rotate(grid, ends, lam)
-        return np.array([[r.real, r.imag], [-r.imag, r.real]]).transpose(2, 0, 1) @ F[1:]
-
-    return F[0], evaluate, sweep
+    return F[0], sweeps(), "panels"
 
 
-def _matrix_kernel(chart, curve, P):
-    """(start, evaluate, sweep) on any chart: propagators move the chart basis."""
+def _matrix_kernel(chart, curve, ts: np.ndarray, P: np.ndarray):
+    """(start, sweeps, unit) on any chart: RK4 propagators move the chart
+    basis to the sorted ``ts``, from ODE_START_STEPS steps per unit parameter,
+    each later sweep halving every step, up to ODE_MAX_STEPS."""
+    evaluate = partial(_chart_matrices, chart, curve)
     start = np.eye(chart.dim)
-    return start, partial(_chart_matrices, chart, curve), partial(_propagate, start)
+
+    def sweeps():
+        count = ODE_START_STEPS
+        grid, ends = _pass_grid(ts, count)
+        values = _grid_matrices(chart, curve, grid)
+        while True:
+            yield count, _propagate(start, grid, ends, values)
+            if count >= ODE_MAX_STEPS:
+                return
+            count, ends = 2 * count, 2 * ends
+            grid, values = _halved(evaluate, grid, values)
+
+    return start, sweeps(), "RK4 steps"
 
 
 @np.errstate(invalid="ignore", over="ignore")  # non-finite frames raise NonFiniteValue
-def _ode_route(manifold, curve, rows, ts, P, steps):
-    """(C, E, "ode", steps_used) of ``transport_frame``'s ODE route: C is the
-    pulled rows on the kernel's ``start``, the stop test reads the moved rows
-    C @ frames in chart components, and E is the last sweep's frames (K, dim,
-    dim) pushed to canonical components."""
+def _ode_route(manifold, curve, rows, ts, P):
+    """(C, E, "ode", count) of ``transport_frame``'s ODE route: C is the
+    pulled rows on the kernel's start frame, the stop test reads the moved
+    rows C @ frames in chart components, and E is the last sweep's frames
+    (K, dim, dim) pushed to canonical components."""
     chart = curve_chart(manifold, curve)
     order = np.argsort(ts, kind="stable")
     ts_sorted, P_sorted = ts[order], P[order]
-    kernel = _rotation_kernel if chart.dim == 2 else _matrix_kernel
-    start, evaluate, sweep = kernel(chart, curve, P_sorted)
+    kernel = _angle_kernel if chart.dim == 2 else _matrix_kernel
+    start, sweeps, unit = kernel(chart, curve, ts_sorted, P_sorted)
     C = chart.pull(curve.start, rows) @ np.linalg.inv(start)
 
-    n, coarse = steps, None
-    grid, ends = _pass_grid(ts_sorted, n)
-    values = evaluate(np.concatenate([grid, _midpoints(grid)]))
-    while True:
-        frames = sweep(grid, ends, values)
+    coarse = None
+    for count, frames in sweeps:
         if not np.isfinite(frames).all():
-            raise NonFiniteValue(f"RK4 transport frames are not finite at {n} steps")
+            raise NonFiniteValue(f"transport frames are not finite at {count} {unit}")
         fine = C @ frames
         if coarse is not None:
             gap = float(np.abs(fine - coarse).max(initial=0.0))
             if gap < ODE_TOL:
                 break
-            if n >= ODE_MAX_STEPS:
-                raise TransportNotConverged(
-                    f"RK4 transport still moving by {gap:.3e} at {n} steps "
-                    f"(tol {ODE_TOL:.0e}, at most {ODE_MAX_STEPS} steps)"
-                )
-        coarse, n, ends = fine, 2 * n, 2 * ends
-        grid, values = _halved(evaluate, grid, values)
+        coarse = fine
+    else:
+        raise TransportNotConverged(
+            f"transport still moving by {gap:.3e} at {count} {unit}, its cap (tol {ODE_TOL:.0e})"
+        )
 
     E = np.empty((len(ts), chart.dim, manifold.coord_dim))
     E[order] = frames @ chart.coordinate_basis(P_sorted)
-    return C, E, "ode", n
+    return C, E, "ode", count
 
 
 def transport_frame(
@@ -259,7 +274,6 @@ def transport_frame(
     curve: Curve,
     rows: np.ndarray,
     ts: np.ndarray,
-    steps: int = ODE_START_STEPS,
 ):
     """Parallel transport of the n vectors ``rows`` (n, coord_dim) at curve(0)
     to the K parameters ``ts`` in [0, 1], as constant coefficients on a
@@ -276,12 +290,16 @@ def transport_frame(
       velocity / length: a geodesic's g-speed is its length, which its speeds
       at both ends must confirm to 1e-9 relative.  A geodesic shorter than
       1e-13 keeps C = ``rows`` and E None;
-    * "ode" along any other curve: E (K, dim, coord_dim) is the RK4 kernel's
-      frame at curve(0) moved to the nodes, g-orthonormal on a 2-dimensional
-      chart and the chart basis otherwise.  Step doubling starts from
-      ``steps``.  A sweep whose frames are not finite raises NonFiniteValue;
-      two sweeps still ODE_TOL or more apart at ODE_MAX_STEPS steps raise
-      TransportNotConverged.  steps_used is the final count (0 elsewhere).
+    * "ode" along any other curve: E (K, dim, coord_dim) is a kernel's frame
+      at curve(0) moved to the nodes.  On a 2-dimensional chart it is
+      g-orthonormal, turned by the Gauss-Legendre integral of the connection
+      form on PANELS_START to PANELS_MAX panels per unit parameter; on other
+      charts it is the chart basis, moved by RK4 on ODE_START_STEPS to
+      ODE_MAX_STEPS steps.  Each sweep halves the last one's panels or steps.
+      A sweep whose frames are not finite raises NonFiniteValue; two sweeps
+      still ODE_TOL or more apart at the cap raise TransportNotConverged.
+      steps_used is the last sweep's panel or step count per unit parameter
+      (0 elsewhere).
     """
     P = curve.positions(ts)
     V = curve.velocities(np.concatenate([(0.0, 1.0), ts]))
@@ -289,7 +307,7 @@ def transport_frame(
     if manifold.flat or (curve.is_geodesic and length < 1e-13):
         return P, V, rows, None, "identity" if manifold.flat else "closed-form", 0
     if not curve.is_geodesic:
-        return P, V, *_ode_route(manifold, curve, rows, ts, P, steps)
+        return P, V, *_ode_route(manifold, curve, rows, ts, P)
     ends = np.array([curve.start.coords, curve.end.coords])
     speeds = np.sqrt((manifold.lower(ends, V[:2]) * V[:2]).sum(axis=-1))
     if not (np.abs(speeds - length) <= 1e-9 * length).all():
@@ -313,7 +331,9 @@ def transport_along(
 
     Returns (results, mode, steps_used) where results[i][j] is vector j moved
     to curve(ts[i]), mode is one of "identity", "closed-form" or "ode", and
-    steps_used is the final RK4 step count (0 off the ODE route).
+    steps_used is ``transport_frame``'s: on the ODE route the last sweep's
+    panel count on a 2-dimensional chart and its RK4 step count otherwise, 0
+    off it.
     """
     _check_bases(curve, vectors)
     ts = _clamp_params(list(ts))

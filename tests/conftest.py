@@ -104,6 +104,11 @@ def latitude_loop_transport(theta, u0, ts):
     return a[:, None] * e_theta + b[:, None] * e_phi
 
 
+def latitude_loop_frames(theta, frame, ts):
+    """``latitude_loop_transport`` of every vector of ``frame``, (len(ts), n, 3)."""
+    return np.stack([latitude_loop_transport(theta, u.components, ts) for u in frame.vectors], axis=1)
+
+
 def loop_ode_transport(man, curve, components, t0, t1, steps, chart):
     """Per-step RK4 reference for the transport equation in ``chart``.
 

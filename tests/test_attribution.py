@@ -12,10 +12,12 @@ from rigrad import attribution
 from rigrad.attribution import PathDiagnostics, _attribution_matrices
 from rigrad.axioms import FIXED_QUADRATURE
 from rigrad.manifolds.sphere import ANTIPODAL_SLACK
-from rigrad.manifolds.transport import ODE_START_STEPS
+from rigrad.manifolds.sphere import SphericalChart
+from rigrad.manifolds.transport import ODE_START_STEPS, PANELS_START
 
 from conftest import (
     assert_close_rel,
+    latitude_loop_frames,
     latitude_loop_transport,
     loop_transport,
     random_unit_tangent,
@@ -863,60 +865,69 @@ def test_ig_matches_straight_line_node_loop(rng):
 # -- the first two levels share one pass over the path ------------------------
 
 
+def _loop_report(monkeypatch, colatitude, field, kernel=None):
+    """generic_bam_report around a latitude loop, with the connection form's
+    and the RK4 propagators' calls counted, and the ODE route's 2-dimensional
+    kernel replaced by ``kernel``'s when given.  Returns the report, the
+    counts and the closed-form attributions at the report's node count."""
+    from rigrad.manifolds import transport
+
+    man = rg.make_manifold("sphere2")
+    loop = man.latitude_loop(colatitude)
+    frame = man.orthonormal_frame(loop.start)
+    calls = {"forms": [], "sweeps": []}
+    forms, propagate = SphericalChart.connection_forms, transport._propagate
+
+    def counting_forms(chart, P, V):
+        calls["forms"].append(len(P))
+        return forms(chart, P, V)
+
+    def counting_propagate(w0, grid, ends, B):
+        calls["sweeps"].append(len(grid) - 1)
+        return propagate(w0, grid, ends, B)
+
+    monkeypatch.setattr(SphericalChart, "connection_forms", counting_forms)
+    monkeypatch.setattr(transport, "_propagate", counting_propagate)
+    if kernel is not None:
+        monkeypatch.setattr(transport, "_angle_kernel", getattr(transport, kernel))
+    report = rg.generic_bam_report(field(man), loop, frame)
+    ts, weights = rg.DEFAULT_QUADRATURE.nodes_weights(report.diagnostics.nodes_used)
+    moved = latitude_loop_frames(colatitude, frame, ts)
+    expected = np.diag(node_loop_entries(field(man), man, loop, moved, ts, weights))
+    return report, calls, expected
+
+
 @pytest.mark.parametrize("colatitude, sweeps", [(math.pi / 3.0, 2), (2.4, 3)])
 def test_loop_refinement_runs_one_step_doubling(monkeypatch, colatitude, sweeps):
-    """Levels 32 and 64 share one RK4 step doubling: 2 sweeps (256 and 512
-    steps) where one per level took 4, 3 where one per level took 6.  The
-    reported step count is that of the last sweep."""
-    from rigrad.manifolds import transport
-
-    man = rg.make_manifold("sphere2")
-    loop = man.latitude_loop(colatitude)
-    field = rg.CoordinateField(man, 2)
-    frame = man.orthonormal_frame(loop.start)
-    sweeps_seen = []
-    rotate = transport._rotate
-
-    def counting_rotate(grid, ends, lam):
-        sweeps_seen.append(len(grid) - 1)
-        return rotate(grid, ends, lam)
-
-    monkeypatch.setattr(transport, "_rotate", counting_rotate)
-    report = rg.generic_bam_report(field, loop, frame)
+    """Levels 32 and 64 share one transport pass.  With the RK4 matrix kernel
+    in the route it is one step doubling: ``sweeps`` sweeps (256, 512, ...
+    steps) where one per level took twice as many, and the reported step
+    count is that of the last sweep.  The angle kernel takes 2 sweeps on
+    both loops.  Each agrees with closed-form transport."""
+    field = lambda man: rg.AffineField(man, [0.3, -0.7, 0.5])
+    report, calls, expected = _loop_report(monkeypatch, colatitude, field, "_matrix_kernel")
     assert report.diagnostics.nodes_used == 64
-    assert len(sweeps_seen) == sweeps
+    assert len(calls["sweeps"]) == sweeps
     assert report.diagnostics.transport_steps == ODE_START_STEPS * 2 ** (sweeps - 1)
+    assert_close_rel(report.attributions, expected, 1e-9)
+    monkeypatch.undo()
+    report, calls, expected = _loop_report(monkeypatch, colatitude, field)
+    assert report.diagnostics.nodes_used == 64
+    assert (len(calls["forms"]), len(calls["sweeps"])) == (2, 0)
+    assert report.diagnostics.transport_steps == 2 * PANELS_START
+    assert_close_rel(report.attributions, expected, 1e-12)
 
 
-def test_later_level_starts_step_doubling_at_half_the_converged_count(monkeypatch):
-    """The shared pass on this loop converges at 1024 steps, so the level-128
-    pass starts at 512 and takes 2 sweeps (512, 1024), not 3 from 256."""
-    from rigrad.manifolds import transport
-
-    man = rg.make_manifold("sphere2")
-    colatitude = 2.4
-    loop = man.latitude_loop(colatitude)
-    frame = man.orthonormal_frame(loop.start)
-    field = rg.MLPField(man, rg.random_mlp(3, (8, 8), np.random.default_rng(2)))
-    targets_per_sweep = []
-    rotate = transport._rotate
-
-    def counting_rotate(grid, ends, lam):
-        targets_per_sweep.append(len(ends))
-        return rotate(grid, ends, lam)
-
-    monkeypatch.setattr(transport, "_rotate", counting_rotate)
-    report = rg.generic_bam_report(field, loop, frame)
+def test_later_level_runs_a_transport_pass_of_its_own(monkeypatch):
+    """A field that refines to 128 nodes on this loop: the level-128 pass
+    starts from PANELS_START again, as the shared pass did, and both stop at
+    their second sweep.  The attributions match closed-form transport."""
+    field = lambda man: rg.MLPField(man, rg.random_mlp(3, (8, 8), np.random.default_rng(2)))
+    report, calls, expected = _loop_report(monkeypatch, 2.4, field)
     assert report.diagnostics.nodes_used == 128
-    assert report.diagnostics.transport_steps == 1024
-    assert targets_per_sweep.count(32 + 64) == 3
-    assert targets_per_sweep.count(128) == 2
-    ts, weights = rg.DEFAULT_QUADRATURE.nodes_weights(128)
-    moved = np.stack(
-        [latitude_loop_transport(colatitude, u.components, ts) for u in frame.vectors], axis=1
-    )
-    expected = node_loop_entries(field, man, loop, moved, ts, weights)
-    assert_close_rel(report.attributions, np.diag(expected), 1e-8)
+    assert report.diagnostics.transport_steps == 2 * PANELS_START
+    assert calls["forms"] == [4 * 96, 8 * 96, 4 * 128, 8 * 128]
+    assert_close_rel(report.attributions, expected, 1e-12)
 
 
 def test_gradient_batches_follow_the_levels():

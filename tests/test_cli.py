@@ -235,7 +235,7 @@ def test_unresolvable_integrand_exits_3(tmp_path, capsys):
 
 def test_transport_that_runs_out_of_steps_exits_3(monkeypatch, capsys):
     """The commands attribute along geodesics, whose transport is closed
-    form, so the RK4 route's error is raised here by a stand-in."""
+    form, so the ODE route's error is raised here by a stand-in."""
 
     def out_of_steps(*args):
         raise TransportNotConverged("RK4 transport still moving")

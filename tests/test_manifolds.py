@@ -628,6 +628,22 @@ def test_flat_geodesic_residual_keeps_its_value(rng):
     assert rg.geodesic_residual(man, curve) == worst
 
 
+def test_flat_points_1e200_apart_have_a_finite_length_and_defect():
+    """The squares of a 1e200 coordinate gap overflow, so the segment's
+    length and its geodesic defect take a scaled norm, with no numpy warning:
+    the length is 3e200 exactly, and rig attributes the pair as in flat space."""
+    man = rg.make_manifold("euclidean", dim=3)
+    p, o = man.point(np.zeros(3)), man.point(np.array([1e200, -2e200, 2e200]))
+    weights = np.array([0.3, -0.7, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = man.geodesic_between(p, o)
+        report = rg.rig(rg.AffineField(man, weights), man, p, o, man.orthonormal_frame(p))
+    assert curve.length == report.diagnostics.curve_length == 3e200
+    assert math.isfinite(report.diagnostics.geodesic_defect)
+    assert_close_rel(report.attributions, weights * (p.coords - o.coords))
+
+
 def test_geodesic_residual_matches_the_sample_loop(rng):
     """Batched residual against one sample at a time, on geodesics of every
     geometry, both latitude loops (a nonzero defect) and zero-length

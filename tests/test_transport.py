@@ -14,6 +14,8 @@ from rigrad.manifolds.euclidean import Euclidean
 from rigrad.manifolds.sphere import SphericalChart
 from rigrad.manifolds.transport import (
     ODE_START_STEPS,
+    PANELS_START,
+    _finer,
     _grid_matrices,
     _pass_grid,
     _propagate,
@@ -23,6 +25,7 @@ from rigrad.manifolds.transport import (
 
 from conftest import (
     assert_close_rel,
+    latitude_loop_frames,
     latitude_loop_transport,
     loop_ode_pass,
     loop_ode_transport,
@@ -146,17 +149,23 @@ def test_ode_matches_closed_form_on_halfplane_geodesic():
 
 
 def test_non_geodesic_route_uses_ode_and_preserves_norm(rng):
+    """A latitude loop takes the ODE route, which stops at its second sweep:
+    the connection form is constant along the loop, so the first sweep is
+    already exact.  The moved vectors keep their norm and match the closed form."""
     man = rg.make_manifold("sphere2")
-    loop = man.latitude_loop(math.pi / 3.0)
+    colatitude = math.pi / 3.0
+    loop = man.latitude_loop(colatitude)
     p = loop.position(0.0)
     u = random_unit_tangent(man, p, rng)
     results, mode, steps = transport_along(man, loop, [u], [0.5, 1.0])
     assert mode == "ode"
-    assert steps >= 256
-    for row in results:
+    assert steps == 2 * PANELS_START
+    expected = latitude_loop_transport(colatitude, u.components, [0.5, 1.0])
+    for row, closed in zip(results, expected):
         moved = row[0]
         norm = float(np.linalg.norm(moved.components))
         assert abs(norm - 1.0) <= 1e-8
+        assert ambient_gap(moved.components, closed) <= 1e-12
 
 
 def test_ode_convergence_order_on_latitude_loop():
@@ -258,24 +267,28 @@ def test_holonomy_angle_on_a_wandering_loop(theta0, eps):
         assert abs(np.linalg.norm(w) - 1.0) <= 1e-8
 
 
-def test_transport_that_outruns_the_step_cap_raises():
-    """160 waves at the 64 Gauss nodes need more than ODE_MAX_STEPS steps:
-    the last two sweeps still differ by more than ODE_TOL, so the route
-    refuses instead of returning the unconverged frames."""
+def test_transport_that_outruns_the_step_cap_raises(monkeypatch):
+    """160 waves at the 64 Gauss nodes need more than PANELS_MAX panels per
+    unit parameter: the last two sweeps still differ by more than ODE_TOL, so
+    the route refuses instead of returning the unconverged frames.  It gets
+    there in five sweeps of 64, 128, ..., 1024 panels (one per gap at 32 per
+    unit, then halved), each evaluating the connection form 4 times a panel."""
     man = rg.make_manifold("sphere2")
     loop, _ = wandering_loop(man, 1.5, 0.3, waves=160)
     frame = man.orthonormal_frame(loop.start)
     ts, _ = rg.Quadrature().nodes_weights(64)
-    with pytest.raises(TransportNotConverged, match=r"moving by \d\.\d+e-0\d at 4096 steps"):
+    rows_per_call = _counting_forms(monkeypatch)
+    with pytest.raises(TransportNotConverged, match=r"moving by \d\.\d+e-0\d at 512 panels"):
         _batched(man, loop, frame.vectors, ts)
+    assert rows_per_call == [4 * 64 * 2**k for k in range(5)]
     with pytest.raises(TransportNotConverged):
         rg.generic_bam_report(rg.CoordinateField(man, 2), loop, frame)
 
 
 def test_non_finite_frames_stop_the_route_at_once(monkeypatch):
     """A latitude loop whose velocity is NaN past t = 0.7 turns the frames
-    NaN on the first sweep: the route raises NonFiniteValue after at most
-    two sweeps instead of doubling its steps to the cap."""
+    NaN on the first sweep: the route raises NonFiniteValue after that one
+    sweep, with no numpy warning, instead of halving its panels to the cap."""
     man = rg.make_manifold("sphere2")
     loop = man.latitude_loop(1.1)
 
@@ -285,10 +298,12 @@ def test_non_finite_frames_stop_the_route_at_once(monkeypatch):
 
     broken = dataclasses.replace(loop, velocity_fn=velocity)
     frame = man.orthonormal_frame(loop.start)
-    grids, _ = _recording_sweeps(monkeypatch)
-    with pytest.raises(rg.NonFiniteValue, match="not finite"):
-        rg.generic_bam_report(rg.CoordinateField(man, 2), broken, frame)
-    assert 1 <= len(grids) <= 2
+    rows_per_call = _counting_forms(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rg.NonFiniteValue, match="frames are not finite at 32 panels"):
+            rg.generic_bam_report(rg.CoordinateField(man, 2), broken, frame)
+    assert len(rows_per_call) == 1
 
 
 def test_non_finite_positions_are_refused_before_the_chart():
@@ -329,8 +344,8 @@ def test_infinite_velocities_raise_the_frame_error_alone(name, bad):
 
 @pytest.mark.parametrize("call", ["generic_bam_report", "bam_along_curve", "transport_along"])
 def test_public_calls_raise_the_exported_transport_error(call):
-    """The public calls that take the RK4 route raise ``rg.TransportNotConverged``
-    at its step cap, the class the package exports next to QuadratureNotConverged."""
+    """The public calls that take the ODE route raise ``rg.TransportNotConverged``
+    at its panel cap, the class the package exports next to QuadratureNotConverged."""
     man = rg.make_manifold("sphere2")
     loop, _ = wandering_loop(man, 1.5, 0.3, waves=160)
     frame = man.orthonormal_frame(loop.start)
@@ -343,12 +358,12 @@ def test_public_calls_raise_the_exported_transport_error(call):
         ),
     }
     assert rg.TransportNotConverged is TransportNotConverged
-    with pytest.raises(rg.TransportNotConverged, match="at 4096 steps"):
+    with pytest.raises(rg.TransportNotConverged, match="at 512 panels"):
         calls[call]()
 
 
 def test_pull_of_several_rows_matches_one_row_at_a_time(manifold, rng):
-    """Chart.pull takes (n, coord_dim) rows, as the RK4 route passes them."""
+    """Chart.pull takes (n, coord_dim) rows, as the ODE route passes them."""
     p = manifold.random_point(rng)
     curve = manifold.geodesic_between(p, manifold.random_point(rng))
     charts = [curve_chart(manifold, curve)]
@@ -453,10 +468,10 @@ def test_latitude_loop_at_a_pole_is_refused(colatitude):
         rg.make_manifold("sphere2").latitude_loop(colatitude)
 
 
-def _batched(man, curve, vectors, ts, steps=ODE_START_STEPS):
+def _batched(man, curve, vectors, ts):
     """``transport_frame``'s vectors at every node, (len(ts), n, coord_dim)."""
     rows = np.array([u.components for u in vectors])
-    _, _, C, E, mode, used = transport_frame(man, curve, rows, ts, steps)
+    _, _, C, E, mode, used = transport_frame(man, curve, rows, ts)
     moved = np.broadcast_to(rows, (len(ts), *rows.shape)) if E is None else C @ E
     return moved, mode, used
 
@@ -604,54 +619,81 @@ def test_pass_grid_takes_ceil_gap_steps_per_target():
         assert np.all(np.diff(grid) > 0.0)
 
 
-@pytest.mark.parametrize("colatitude, steps", [(0.8, 1024), (1.2, 512)])
-def test_ode_route_step_count_on_pinned_loops(colatitude, steps):
-    man = rg.make_manifold("sphere2")
-    loop = man.latitude_loop(colatitude)
-    frame = man.orthonormal_frame(loop.start)
-    ts, _ = rg.Quadrature().nodes_weights(64)
-    _, mode, used = _batched(man, loop, frame.vectors, ts)
-    assert (mode, used) == ("ode", steps)
-
-
-def _recording_sweeps(monkeypatch):
-    """Grids of the ``_rotate`` calls and row counts of the sphere chart's
-    ``connection_forms`` calls, in call order."""
-    from rigrad.manifolds import transport
-
-    grids, rows_per_call = [], []
+def _counting_forms(monkeypatch):
+    """Row counts of the sphere chart's ``connection_forms`` calls, in call order."""
+    rows_per_call = []
     forms = SphericalChart.connection_forms
-    rotate = transport._rotate
 
     def counting_forms(chart, P, V):
         rows_per_call.append(len(P))
         return forms(chart, P, V)
 
-    def recording_rotate(grid, ends, lam):
-        grids.append(grid)
-        return rotate(grid, ends, lam)
-
     monkeypatch.setattr(SphericalChart, "connection_forms", counting_forms)
-    monkeypatch.setattr(transport, "_rotate", recording_rotate)
+    return rows_per_call
+
+
+@pytest.mark.parametrize("colatitude, steps", [(0.8, 1024), (1.2, 512)])
+def test_ode_route_step_count_on_pinned_loops(monkeypatch, colatitude, steps):
+    """At the 64 Gauss nodes of a latitude loop the route stops at its second
+    sweep, 2 * PANELS_START panels per unit parameter, and matches the closed
+    form to 1e-12.  The RK4 matrix kernel in the angle kernel's place, on the
+    same chart, keeps its own schedule: ``steps`` steps, to 1e-9."""
+    from rigrad.manifolds import transport
+
+    man = rg.make_manifold("sphere2")
+    loop = man.latitude_loop(colatitude)
+    frame = man.orthonormal_frame(loop.start)
+    ts, _ = rg.Quadrature().nodes_weights(64)
+    expected = latitude_loop_frames(colatitude, frame, ts)
+    moved, mode, used = _batched(man, loop, frame.vectors, ts)
+    assert (mode, used) == ("ode", 2 * PANELS_START)
+    assert float(np.max(np.abs(moved - expected))) <= 1e-12
+    monkeypatch.setattr(transport, "_angle_kernel", transport._matrix_kernel)
+    moved, mode, used = _batched(man, loop, frame.vectors, ts)
+    assert (mode, used) == ("ode", steps)
+    assert float(np.max(np.abs(moved - expected))) <= 1e-9
+
+
+def _recording_rk4_sweeps(monkeypatch):
+    """The RK4 matrix kernel in the angle kernel's place, recording the grids
+    of its ``_propagate`` calls and the row counts of the sphere chart's
+    ``transport_matrices`` calls, in call order."""
+    from rigrad.manifolds import transport
+
+    grids, rows_per_call = [], []
+    matrices = SphericalChart.transport_matrices
+    propagate = transport._propagate
+
+    def counting_matrices(chart, P, V):
+        rows_per_call.append(len(P))
+        return matrices(chart, P, V)
+
+    def recording_propagate(w0, grid, ends, B):
+        grids.append(grid)
+        return propagate(w0, grid, ends, B)
+
+    monkeypatch.setattr(transport, "_angle_kernel", transport._matrix_kernel)
+    monkeypatch.setattr(SphericalChart, "transport_matrices", counting_matrices)
+    monkeypatch.setattr(transport, "_propagate", recording_propagate)
     return grids, rows_per_call
 
 
 @pytest.mark.parametrize(
     "loop_name, nodes, steps",
-    [(2.4, 64, 1024), ("wandering", 64, 2048), (0.8, 512, 512), (2.4, 1024, 512)],
+    [(2.4, 64, 1024), ("wandering", 64, 2048), (0.8, 512, 1024), (2.4, 1024, 512)],
 )
 def test_every_later_sweep_halves_the_grid(monkeypatch, loop_name, nodes, steps):
-    """The first sweep of S steps is _pass_grid's and evaluates the connection
-    form at its S + 1 grid points and S midpoints.  Every later sweep of S'
-    steps is the previous grid with its midpoints interleaved and evaluates
-    the form only at its S' new midpoints, however many nodes there are.  On
-    the latitude loops the frames agree with the closed form."""
+    """The RK4 matrix kernel's first sweep of S steps is _pass_grid's and
+    evaluates the chart at its S + 1 grid points and S midpoints.  Every later
+    sweep of S' steps is the previous grid with its midpoints interleaved and
+    evaluates the chart only at its S' new midpoints, however many nodes there
+    are.  On the latitude loops the frames agree with the closed form."""
     man = rg.make_manifold("sphere2")
     if loop_name == "wandering":
         loop, _ = wandering_loop(man, 0.9, 0.2)
     else:
         loop = man.latitude_loop(loop_name)
-    grids, rows_per_call = _recording_sweeps(monkeypatch)
+    grids, rows_per_call = _recording_rk4_sweeps(monkeypatch)
     frame = man.orthonormal_frame(loop.start)
     ts, _ = rg.Quadrature().nodes_weights(nodes)
     moved, mode, used = _batched(man, loop, frame.vectors, ts)
@@ -664,51 +706,90 @@ def test_every_later_sweep_halves_the_grid(monkeypatch, loop_name, nodes, steps)
         assert np.array_equal(fine[1::2], coarse[:-1] + 0.5 * np.diff(coarse))
         assert rows == len(fine) - 1
     if loop_name != "wandering":
-        expected = np.stack(
-            [latitude_loop_transport(loop_name, u.components, ts) for u in frame.vectors], axis=1
-        )
+        expected = latitude_loop_frames(loop_name, frame, ts)
         assert float(np.max(np.abs(moved - expected))) <= 1e-9
 
 
+def _recording_velocity_calls(curve):
+    """``curve`` with the parameters of each velocity call recorded, in call order."""
+    calls = []
+
+    def velocity(t):
+        calls.append(np.array(t, dtype=float))
+        return curve.velocity_fn(t)
+
+    return dataclasses.replace(curve, velocity_fn=velocity), calls
+
+
+@pytest.mark.parametrize(
+    "loop_name, nodes, panels", [(2.4, 64, 64), ("wandering", 64, 128), (0.8, 512, 64)]
+)
+def test_every_later_sweep_halves_every_panel(loop_name, nodes, panels):
+    """The angle kernel's first sweep takes _pass_grid's panels at
+    PANELS_START per unit parameter, and each later sweep halves every panel
+    of the one before.  A sweep evaluates the curve once, at the 4 Gauss-
+    Legendre nodes of each of its panels, and nowhere else."""
+    man = rg.make_manifold("sphere2")
+    if loop_name == "wandering":
+        loop, _ = wandering_loop(man, 0.9, 0.2)
+    else:
+        loop = man.latitude_loop(loop_name)
+    recorded, calls = _recording_velocity_calls(loop)
+    frame = man.orthonormal_frame(loop.start)
+    ts, _ = rg.Quadrature().nodes_weights(nodes)
+    _, mode, used = _batched(man, recorded, frame.vectors, ts)
+    assert (mode, used) == ("ode", panels)
+    sweeps = calls[1:]  # the first call is transport_frame's, at 0, 1 and ts
+    assert len(sweeps) == int(math.log2(panels // PANELS_START)) + 1
+    x, _ = rg.Quadrature().nodes_weights(4)
+    grid = _pass_grid(np.sort(ts), PANELS_START)[0]
+    for at in sweeps:
+        h = np.diff(grid)
+        assert np.array_equal(at, (grid[:-1, None] + h[:, None] * x).ravel())
+        grid = _finer(grid)
+
+
 def test_few_starting_steps_still_refine_every_sweep(monkeypatch):
-    """With 8 starting steps and 65 targets, every gap gets one step at both
-    N = 8 and N = 16, so a fresh grid at N = 16 would repeat the first sweep
-    and agree with it exactly.  Halved sweeps double the steps each time, and
-    the frame at t = 1 comes back turned by 2 pi (1 - cos 1.2)."""
+    """With 8 starting panels per unit parameter and 65 targets, every gap
+    gets one panel at both 8 and 16, so a fresh grid at 16 would repeat the
+    first sweep and agree with it exactly.  Halved sweeps double the panels
+    each time, and the frame at t = 1 comes back turned by 2 pi (1 - cos 1.2)."""
+    from rigrad.manifolds import transport
+
     man = rg.make_manifold("sphere2")
     colatitude = 1.2
     loop = man.latitude_loop(colatitude)
-    grids, _ = _recording_sweeps(monkeypatch)
+    monkeypatch.setattr(transport, "PANELS_START", 8)
+    rows_per_call = _counting_forms(monkeypatch)
     frame = man.orthonormal_frame(loop.start)
     nodes, _ = rg.Quadrature().nodes_weights(64)
-    moved, mode, _ = _batched(man, loop, frame.vectors, np.append(nodes, 1.0), steps=8)
-    assert mode == "ode"
-    sweeps = [len(grid) - 1 for grid in grids]
-    assert len(sweeps) >= 2
-    assert all(fine == 2 * coarse for coarse, fine in zip(sweeps, sweeps[1:]))
+    moved, mode, used = _batched(man, loop, frame.vectors, np.append(nodes, 1.0))
+    assert (mode, used) == ("ode", 16)
+    assert rows_per_call == [4 * 65, 8 * 65]
     p = loop.start.coords
     expected = 2.0 * math.pi * (1.0 - math.cos(colatitude))
     for u, w in zip(frame.vectors, moved[-1]):
         u = u.components
         angle = math.atan2(float(np.dot(p, np.cross(u, w))), float(np.dot(u, w)))
-        assert abs(math.remainder(angle - expected, 2.0 * math.pi)) <= 1e-9
+        assert abs(math.remainder(angle - expected, 2.0 * math.pi)) <= 1e-12
 
 
 def test_many_nodes_refine_to_a_fine_reference_sweep():
-    """At 1024 nodes every gap has one step at N = 256 and N = 512 alike; the
-    route still refines until its frames agree with one 2^15-step sweep."""
+    """At 1024 nodes every gap has one panel at 32 and 64 panels per unit
+    alike; the route still halves them and its frames agree with one
+    2^15-step RK4 sweep."""
     man = rg.make_manifold("sphere2")
     loop, _ = wandering_loop(man, 0.9, 0.2)
     frame = man.orthonormal_frame(loop.start)
     ts, _ = rg.Quadrature().nodes_weights(1024)
     moved, mode, steps = _batched(man, loop, frame.vectors, ts)
-    assert (mode, steps) == ("ode", 1024)
+    assert (mode, steps) == ("ode", 2 * PANELS_START)
     chart = curve_chart(man, loop)
     w0 = np.array([chart.pull(loop.start, u) for u in frame.component_matrix()])
     grid, ends = _pass_grid(ts, 2**15)
     reference = _propagate(w0, grid, ends, _grid_matrices(chart, loop, grid))
     reference = reference @ chart.coordinate_basis(loop.positions(ts))
-    assert float(np.max(np.abs(moved - reference))) <= 1e-9
+    assert float(np.max(np.abs(moved - reference))) <= 1e-10
 
 
 def _route_curve(name):
@@ -724,7 +805,7 @@ def _route_curve(name):
 @pytest.mark.parametrize("nodes", [64, 512, 1024])
 @pytest.mark.parametrize("name", ODE_CURVES + ["wandering_0.9_0.2", "wandering_2.0_0.4"])
 def test_route_matches_a_fine_matrix_sweep(name, nodes):
-    """The route's rotation kernel against one 2^15-step sweep of the matrix
+    """The route's angle kernel against one 2^15-step sweep of the RK4 matrix
     kernel, to 1e-9 at every node."""
     man, curve, chart = _route_curve(name)
     frame = man.orthonormal_frame(curve.start)
@@ -738,19 +819,75 @@ def test_route_matches_a_fine_matrix_sweep(name, nodes):
     assert float(np.max(np.abs(moved - reference))) <= 1e-9
 
 
+@pytest.mark.parametrize("name", ["halfplane_bow", "loop_1.1", "wandering_0.9_0.2", "wandering_2.0_0.4"])
+def test_route_matches_ode_transport_at_2_14_steps(name):
+    """The route at the joined 32 + 64 Gauss nodes against ``ode_transport``
+    with 2^14 uniform RK4 steps from 0 to each of five of them, to 1e-10."""
+    man, curve, chart = _route_curve(name)
+    rows = man.orthonormal_frame(curve.start).component_matrix()
+    nodes = np.concatenate([rg.Quadrature().nodes_weights(n)[0] for n in (32, 64)])
+    _, _, C, E, mode, _ = transport_frame(man, curve, rows, nodes)
+    assert mode == "ode"
+    w0 = chart.pull(curve.start, rows)
+    picked = [0, 17, 40, 77, 95]
+    for k in picked:
+        w1 = ode_transport(man, curve, w0, 0.0, nodes[k], 2**14, chart)
+        reference = w1 @ chart.coordinate_basis(curve.positions(nodes[k : k + 1]))[0]
+        assert float(np.max(np.abs(C @ E[k] - reference))) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["loop_0.3", "loop_1.1", "loop_2.6", "wandering_0.9_0.2", "wandering_2.0_0.4"])
+def test_holonomy_at_a_single_gap_is_the_enclosed_area(name):
+    """Transport to ts = [1.0] alone, one gap from 0, turns every tangent
+    vector by the area the loop encloses (Gauss-Bonnet on the unit sphere),
+    modulo 2 pi, to 1e-10: the gap is cut into PANELS_START panels per unit
+    parameter, not one panel."""
+    man, loop, _ = _route_curve(name)
+    if name.startswith("wandering"):
+        area = wandering_loop(man, *(float(x) for x in name.split("_")[1:]))[1]
+    else:
+        area = 2.0 * math.pi * (1.0 - math.cos(float(name.split("_")[1])))
+    frame = man.orthonormal_frame(loop.start)
+    moved, mode, _ = _batched(man, loop, frame.vectors, np.array([1.0]))
+    assert mode == "ode"
+    p = loop.start.coords
+    for u, w in zip(frame.vectors, moved[0]):
+        u = u.components
+        angle = math.atan2(float(np.dot(p, np.cross(u, w))), float(np.dot(u, w)))
+        assert abs(math.remainder(angle - area, 2.0 * math.pi)) <= 1e-10
+
+
+def test_joined_levels_of_a_latitude_loop_take_two_sweeps(monkeypatch):
+    """At the joined 32 + 64 Gauss nodes every gap is below 1 / PANELS_START,
+    so the first sweep has 96 panels and the second 192: 4 * (96 + 192) = 1152
+    connection-form evaluations in two calls, and the frames match the closed
+    form to 1e-12."""
+    man = rg.make_manifold("sphere2")
+    colatitude = 1.1
+    loop = man.latitude_loop(colatitude)
+    frame = man.orthonormal_frame(loop.start)
+    ts = np.concatenate([rg.Quadrature().nodes_weights(n)[0] for n in (32, 64)])
+    rows_per_call = _counting_forms(monkeypatch)
+    moved, mode, used = _batched(man, loop, frame.vectors, ts)
+    assert (mode, used) == ("ode", 2 * PANELS_START)
+    assert rows_per_call == [4 * 96, 4 * 192]
+    assert float(np.max(np.abs(moved - latitude_loop_frames(colatitude, frame, ts)))) <= 1e-12
+
+
 @pytest.mark.parametrize("nodes", [64, 512])
 @pytest.mark.parametrize("name", ["halfplane_bow", "loop_1.1"])
 def test_matrix_kernel_matches_the_rotation_kernel_on_a_curved_chart(monkeypatch, name, nodes):
-    """The route's matrix kernel in place of its rotation kernel, on the same
-    2-dimensional chart with nonzero Christoffel symbols: C is the pulled rows
-    on the chart basis, and C @ E agrees with the rotation kernel's to 1e-9."""
+    """The route's RK4 matrix kernel in place of its rotation (angle) kernel,
+    on the same 2-dimensional chart with nonzero Christoffel symbols: C is the
+    pulled rows on the chart basis, and C @ E agrees with the angle kernel's
+    to 1e-9."""
     from rigrad.manifolds import transport
 
     man, curve, chart = ode_curve(name)
     rows = man.orthonormal_frame(curve.start).component_matrix()
     ts, _ = rg.Quadrature().nodes_weights(nodes)
     _, _, C, E, mode, _ = transport_frame(man, curve, rows, ts)
-    monkeypatch.setattr(transport, "_rotation_kernel", transport._matrix_kernel)
+    monkeypatch.setattr(transport, "_angle_kernel", transport._matrix_kernel)
     _, _, C_matrix, E_matrix, mode_matrix, _ = transport_frame(man, curve, rows, ts)
     assert mode == mode_matrix == "ode"
     assert np.array_equal(C_matrix, chart.pull(curve.start, rows))
@@ -766,7 +903,7 @@ class NoNormalHalfPlane(rg.HalfPlane2):
 
 def test_a_manifold_without_geodesic_normal_is_refused_along_geodesics():
     """Closed-form transport along a curved geodesic reads geodesic_normal,
-    whose default raises WrongManifold naming it; the RK4 route does not, so
+    whose default raises WrongManifold naming it; the ODE route does not, so
     generic BAM along a non-geodesic curve still runs, with the same bits."""
     man = NoNormalHalfPlane()
     p, o = man.point(np.array([0.3, 1.2])), man.point(np.array([-0.5, 2.0]))
@@ -791,7 +928,7 @@ class UnflaggedEuclidean(Euclidean):
 
 
 def test_three_dimensional_chart_takes_the_matrix_kernel():
-    """A 3-dimensional chart has no rotation kernel; with zero Christoffel
+    """A 3-dimensional chart has no angle kernel; with zero Christoffel
     symbols the matrix kernel's steps are identities and the rows come back
     unchanged."""
     man = UnflaggedEuclidean(3)
@@ -840,7 +977,7 @@ FRAME_CURVES = ["sphere2", "half_plane2", "vertical_ray", "loop_1.1", "halfplane
 @pytest.mark.parametrize("name", FRAME_CURVES)
 def test_moving_frame_is_orthonormal_at_every_node(name):
     """E[k] is g-orthonormal at curve(ts[k]) to 1e-9, on the closed-form
-    route and on the ODE route's rotation kernel."""
+    route and on the ODE route's angle kernel."""
     man, curve, route = frame_curve(name)
     rows = man.orthonormal_frame(curve.start).component_matrix()
     nodes, _ = rg.Quadrature().nodes_weights(64)
