@@ -223,6 +223,11 @@ class Chart(ABC):
         B = self.transport_matrices(P, V)
         return -np.einsum("ka,kab,kbc,kc->k", F[:, 0], B, self._metrics(P), F[:, 1])
 
+    def frames(self, P: np.ndarray) -> np.ndarray:
+        """The ``orthonormal_rows`` frame at each point in canonical components,
+        shape (K, dim, coord_dim)."""
+        return self.orthonormal_rows(P) @ self.coordinate_basis(P)
+
     def coordinate_basis(self, P: np.ndarray) -> np.ndarray:
         """Canonical components of the chart's coordinate basis vectors at each
         point, shape (K, dim, coord_dim): chart components W push to W @ basis."""

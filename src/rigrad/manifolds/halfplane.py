@@ -79,6 +79,8 @@ class HalfPlaneChart(IdentityChart):
         """y I: the coordinate vectors scaled to unit length."""
         return P[:, 1, None, None] * np.eye(2)
 
+    frames = orthonormal_rows  # the chart is the canonical coordinates
+
     def connection_forms(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         """omega = x' / y."""
         return V[:, 0] / P[:, 1]

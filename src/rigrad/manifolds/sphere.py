@@ -145,20 +145,26 @@ class SphericalChart(Chart):
         q = P @ self.rotation.T
         return q / np.sqrt(np.sum(q * q, axis=1))[:, None]
 
-    def orthonormal_rows(self, P: np.ndarray) -> np.ndarray:
-        """diag(1, 1/rho): d/dtheta and d/dphi / sin(theta), with sin(theta) = rho."""
-        q = self._unit_rotated(P)
-        F = np.zeros((len(q), 2, 2))
-        F[:, 0, 0] = 1.0
-        F[:, 1, 1] = 1.0 / np.hypot(q[:, 0], q[:, 1])
-        return F
-
     def connection_forms(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         """omega = cos(theta) phi' = q_z (q_x u_y - q_y u_x) / rho^2, free of
         trigonometry, with q = P R^T / |P|, u = V R^T and rho^2 = q_x^2 + q_y^2."""
         q, u = self._unit_rotated(P), V @ self.rotation.T
         qx, qy = q[:, 0], q[:, 1]
         return q[:, 2] * (qx * u[:, 1] - qy * u[:, 0]) / (qx * qx + qy * qy)
+
+    def frames(self, P: np.ndarray) -> np.ndarray:
+        """(d/dtheta, d/dphi / sin(theta)) = ((q_z q_x / rho, q_z q_y / rho, -rho),
+        (-q_y / rho, q_x / rho, 0)) R, free of trigonometry, with q = P R^T / |P|
+        and rho = sin(theta)."""
+        q = self._unit_rotated(P)
+        rho = np.hypot(q[:, 0], q[:, 1])
+        F = np.empty((len(q), 2, 3))
+        F[:, 0, :2] = (q[:, 2] / rho)[:, None] * q[:, :2]
+        F[:, 0, 2] = -rho
+        F[:, 1, 0] = -q[:, 1] / rho
+        F[:, 1, 1] = q[:, 0] / rho
+        F[:, 1, 2] = 0.0
+        return F @ self.rotation
 
     def coordinate_basis(self, P: np.ndarray) -> np.ndarray:
         return self._basis(*self._angles(P)) @ self.rotation
@@ -211,7 +217,8 @@ class Sphere2(Manifold):
             matrix = samples
         else:
             matrix = np.array([s.coords for s in samples])
-        _, _, vt = np.linalg.svd(matrix)
+        # the left vectors go unused; under 3 samples the null vector needs the full V
+        _, _, vt = np.linalg.svd(matrix, full_matrices=len(matrix) < 3)
         pole = vt[-1]
         lead = np.flatnonzero(np.abs(pole) > 1e-12)
         if lead.size and pole[lead[0]] < 0:
@@ -309,18 +316,19 @@ class Sphere2(Manifold):
         if not 0.0 < theta < np.pi:
             raise InvalidCurve("colatitude must lie strictly between 0 and pi")
         sin_t, cos_t = np.sin(theta), np.cos(theta)
+        speed = 2.0 * np.pi * sin_t
 
         def position(t):
             phi = 2.0 * np.pi * np.asarray(t, dtype=float)
-            return np.stack(
-                [sin_t * np.cos(phi), sin_t * np.sin(phi), np.full_like(phi, cos_t)], axis=-1
-            )
+            out = np.full(phi.shape + (3,), cos_t)
+            out[..., 0], out[..., 1] = sin_t * np.cos(phi), sin_t * np.sin(phi)
+            return out
 
         def velocity(t):
             phi = 2.0 * np.pi * np.asarray(t, dtype=float)
-            return 2.0 * np.pi * sin_t * np.stack(
-                [-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1
-            )
+            out = np.zeros(phi.shape + (3,))
+            out[..., 0], out[..., 1] = speed * -np.sin(phi), speed * np.cos(phi)
+            return out
 
         start = Point(position(0.0))
         return Curve(
@@ -330,5 +338,5 @@ class Sphere2(Manifold):
             start=start,
             end=start,
             is_geodesic=False,
-            length=2.0 * np.pi * sin_t,
+            length=speed,
         )

@@ -10,15 +10,17 @@ is the identity and C holds the vectors themselves).
   velocity and normal.  A curve marked ``is_geodesic`` gets it, and the
   attribution kernel's rank-one integrand, whether or not it is one;
 * everything else: the transport equation in a chart, refined by sweeps
-  until successive ones agree.  A kernel is a frame ``start`` at curve(0)
-  in chart components and sweeps that move it to the nodes; C is the rows
-  on ``start``, the stop test reads the moved rows C @ frames, and E is the
-  last sweep's frames.  On a 2-dimensional chart the frame is orthonormal
-  and transport turns it by the angle theta(t), the integral of the
-  connection 1-form omega along the curve: a sweep integrates omega by the
-  4-point Gauss-Legendre rule on every panel between the nodes and reads
-  the angles off one cumulative sum.  Other charts move their coordinate
-  basis by w' = w @ B with RK4 steps, each a matrix; ``ode_transport`` keeps
+  until successive ones agree.  A kernel gives C, a frame ``basis`` at the
+  nodes in canonical components and sweeps of (dim, dim) coefficient
+  matrices; the stop test reads the moved coefficients C @ matrices, and E
+  is the last sweep's matrices @ basis.  On a 2-dimensional chart the frame
+  is the chart's g-orthonormal ``frames``, C is the rows on it at curve(0),
+  read off by the metric, and transport turns it by the angle theta(t), the
+  integral of the connection 1-form omega along the curve: a sweep
+  integrates omega by the 4-point Gauss-Legendre rule on every panel between
+  the nodes and reads the rotations off one cumulative sum.  Other charts
+  move chart components by w' = w @ B with RK4 steps, each a matrix, on the
+  chart's coordinate basis, with C the pulled rows; ``ode_transport`` keeps
   that kernel as the independent check of the rotation.  Each later sweep
   halves every panel or step of the one before; an RK4 sweep reuses the
   values at the earlier grid points and midpoints and evaluates the chart
@@ -183,10 +185,12 @@ def _pass_grid(ts_sorted: np.ndarray, total_steps: int):
     return grid, ends
 
 
-def _angle_kernel(chart, curve, ts: np.ndarray, P: np.ndarray):
-    """(start, sweeps, unit) of the ODE route on a 2-dimensional chart:
-    ``start`` is the ``orthonormal_rows`` frame at curve(0), and each sweep
-    yields (count, frames), the frames at ``P`` turned by the transport angle.
+def _angle_kernel(manifold, chart, curve, rows, ts: np.ndarray, P: np.ndarray):
+    """(C, basis, sweeps, unit) of the ODE route on a 2-dimensional chart:
+    ``basis`` is the chart's g-orthonormal ``frames`` at ``P`` in canonical
+    components, C the ``rows`` on the frame at curve(0), read off by the
+    metric, and each sweep yields (count, R), the rotations R(theta) (K, 2, 2)
+    by the transport angle at ``P``.
 
     In that frame transport is z' = -i omega z, so the frame at t is turned by
     theta(t), the integral of omega from 0 to t.  A sweep integrates omega by
@@ -195,7 +199,9 @@ def _angle_kernel(chart, curve, ts: np.ndarray, P: np.ndarray):
     cumulative sum.  The first sweep has count = PANELS_START panels per unit
     parameter; each later one halves every panel, up to PANELS_MAX.
     """
-    F = chart.orthonormal_rows(np.concatenate([curve.start.coords[None, :], P]))
+    Q = np.concatenate([curve.start.coords[None, :], P])
+    F = chart.frames(Q)
+    C = rows @ manifold.lower(Q[[0, 0]], F[0]).T
     x, w = nodes_weights(4)
 
     def sweeps():
@@ -207,18 +213,20 @@ def _angle_kernel(chart, curve, ts: np.ndarray, P: np.ndarray):
             omega = chart.connection_forms(curve.positions(at), curve.velocities(at))
             theta = np.concatenate([[0.0], np.cumsum(h * (omega.reshape(-1, len(x)) @ w))])[ends]
             cos, sin = np.cos(theta), np.sin(theta)
-            yield count, np.array([[cos, -sin], [sin, cos]]).transpose(2, 0, 1) @ F[1:]
+            yield count, np.array([[cos, -sin], [sin, cos]]).transpose(2, 0, 1)
             if count >= PANELS_MAX:
                 return
             count, grid, ends = 2 * count, _finer(grid), 2 * ends
 
-    return F[0], sweeps(), "panels"
+    return C, F[1:], sweeps(), "panels"
 
 
-def _matrix_kernel(chart, curve, ts: np.ndarray, P: np.ndarray):
-    """(start, sweeps, unit) on any chart: RK4 propagators move the chart
-    basis to the sorted ``ts``, from ODE_START_STEPS steps per unit parameter,
-    each later sweep halving every step, up to ODE_MAX_STEPS."""
+def _matrix_kernel(manifold, chart, curve, rows, ts: np.ndarray, P: np.ndarray):
+    """(C, basis, sweeps, unit) on any chart: C is the pulled ``rows``, and
+    each sweep yields the RK4 propagators that move chart components to the
+    sorted ``ts``, from ODE_START_STEPS steps per unit parameter, each later
+    sweep halving every step, up to ODE_MAX_STEPS; ``basis`` is the chart's
+    ``coordinate_basis`` at ``P``."""
     evaluate = partial(_chart_matrices, chart, curve)
     start = np.eye(chart.dim)
 
@@ -233,27 +241,28 @@ def _matrix_kernel(chart, curve, ts: np.ndarray, P: np.ndarray):
             count, ends = 2 * count, 2 * ends
             grid, values = _halved(evaluate, grid, values)
 
-    return start, sweeps(), "RK4 steps"
+    return chart.pull(curve.start, rows), chart.coordinate_basis(P), sweeps(), "RK4 steps"
 
 
 @np.errstate(invalid="ignore", over="ignore")  # non-finite frames raise NonFiniteValue
 def _ode_route(manifold, curve, rows, ts, P):
-    """(C, E, "ode", count) of ``transport_frame``'s ODE route: C is the
-    pulled rows on the kernel's start frame, the stop test reads the moved
-    rows C @ frames in chart components, and E is the last sweep's frames
-    (K, dim, dim) pushed to canonical components."""
+    """(C, E, "ode", count) of ``transport_frame``'s ODE route.  A kernel gives
+    C, the per-node ``basis`` and sweeps of (dim, dim) coefficient matrices;
+    the stop test reads the moved coefficients C @ matrices, and E is the
+    last sweep's matrices @ basis (K, dim, coord_dim)."""
     chart = curve_chart(manifold, curve)
     order = np.argsort(ts, kind="stable")
     ts_sorted, P_sorted = ts[order], P[order]
     kernel = _angle_kernel if chart.dim == 2 else _matrix_kernel
-    start, sweeps, unit = kernel(chart, curve, ts_sorted, P_sorted)
-    C = chart.pull(curve.start, rows) @ np.linalg.inv(start)
+    C, basis, sweeps, unit = kernel(manifold, chart, curve, rows, ts_sorted, P_sorted)
+    if not np.isfinite(basis).all():
+        raise NonFiniteValue("transport frames are not finite at the nodes")
 
     coarse = None
-    for count, frames in sweeps:
-        if not np.isfinite(frames).all():
+    for count, matrices in sweeps:
+        if not np.isfinite(matrices).all():
             raise NonFiniteValue(f"transport frames are not finite at {count} {unit}")
-        fine = C @ frames
+        fine = C @ matrices
         if coarse is not None:
             gap = float(np.abs(fine - coarse).max(initial=0.0))
             if gap < ODE_TOL:
@@ -265,7 +274,7 @@ def _ode_route(manifold, curve, rows, ts, P):
         )
 
     E = np.empty((len(ts), chart.dim, manifold.coord_dim))
-    E[order] = frames @ chart.coordinate_basis(P_sorted)
+    E[order] = matrices @ basis
     return C, E, "ode", count
 
 
@@ -291,13 +300,19 @@ def transport_frame(
       at both ends must confirm to 1e-9 relative.  A geodesic shorter than
       1e-13 keeps C = ``rows`` and E None;
     * "ode" along any other curve: E (K, dim, coord_dim) is a kernel's frame
-      at curve(0) moved to the nodes.  On a 2-dimensional chart it is
-      g-orthonormal, turned by the Gauss-Legendre integral of the connection
-      form on PANELS_START to PANELS_MAX panels per unit parameter; on other
-      charts it is the chart basis, moved by RK4 on ODE_START_STEPS to
-      ODE_MAX_STEPS steps.  Each sweep halves the last one's panels or steps.
-      A sweep whose frames are not finite raises NonFiniteValue; two sweeps
-      still ODE_TOL or more apart at the cap raise TransportNotConverged.
+      at each node, turned by its last sweep.  On a 2-dimensional chart it is
+      the chart's g-orthonormal ``frames``, turned by the Gauss-Legendre
+      integral of the connection form on PANELS_START to PANELS_MAX panels
+      per unit parameter, and C (n, 2) holds the rows' coefficients on it at
+      curve(0); on other charts it is the coordinate basis, moved by RK4 on
+      ODE_START_STEPS to ODE_MAX_STEPS steps, and C the pulled rows.  Each
+      sweep halves the last one's panels or steps; the stop test compares
+      successive sweeps' coefficients C @ matrices, so on a 2-dimensional
+      chart it reads their difference on a g-orthonormal frame, whatever
+      the chart's coordinates.
+      A frame at the nodes or a sweep that is not finite raises
+      NonFiniteValue; two sweeps still ODE_TOL or more apart at the cap raise
+      TransportNotConverged.
       steps_used is the last sweep's panel or step count per unit parameter
       (0 elsewhere).
     """

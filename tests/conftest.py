@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rigrad as rg
+from rigrad.manifolds import Chart
 
 _ACCEPTANCE: list[tuple[str, bool, str]] = []
 
@@ -165,3 +166,26 @@ def loop_geodesic_residual(manifold, curve, samples=17, h=1e-4):
         acc = manifold.geodesic_acceleration(x0[None, :], vel[None, :])[0]
         worst = max(worst, float(np.linalg.norm((xp - 2.0 * x0 + xm) / h**2 - acc)))
     return worst
+
+
+class ScalarMethodsChart(Chart):
+    """``chart``'s scalar methods alone, so every batched method, ``frames``
+    included, is Chart's default: a custom chart that overrides nothing."""
+
+    def __init__(self, chart):
+        self.dim, self.chart = chart.dim, chart
+
+    def to_chart(self, p):
+        return self.chart.to_chart(p)
+
+    def metric(self, x):
+        return self.chart.metric(x)
+
+    def christoffel(self, x):
+        return self.chart.christoffel(x)
+
+    def push(self, x, comps):
+        return self.chart.push(x, comps)
+
+    def pull(self, p, comps):
+        return self.chart.pull(p, comps)

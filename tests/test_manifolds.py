@@ -13,7 +13,12 @@ import rigrad as rg
 from rigrad.manifolds import Chart, diagnostics
 from rigrad.manifolds.sphere import ANTIPODAL_SLACK, SphericalChart, _cross3
 
-from conftest import assert_close_rel, loop_geodesic_residual, random_unit_tangent
+from conftest import (
+    ScalarMethodsChart,
+    assert_close_rel,
+    loop_geodesic_residual,
+    random_unit_tangent,
+)
 from geodesic_oracles import (
     ShootingResult,
     constant_speed_defect,
@@ -819,12 +824,26 @@ def tilted_curve_chart(rng):
     return chart, [chart.from_chart(np.array(x)) for x in zip(colatitudes, phis)]
 
 
+def assert_ambient_frames(man, chart, P, V, F):
+    """F (K, 2, coord_dim) is g-orthonormal at P to 1e-14 and positively
+    oriented in ``chart``, and each row v of V comes back from its
+    coefficients C = v g F^T as C @ F, to 1e-14 relative."""
+    lowered = man.lower(np.repeat(P, 2, axis=0), F.reshape(-1, P.shape[1])).reshape(F.shape)
+    assert np.max(np.abs(F @ lowered.transpose(0, 2, 1) - np.eye(2))) <= 1e-14
+    for p, frame in zip(P, F):
+        assert np.linalg.det(chart.pull(rg.Point(p), frame)) > 0.0
+    C = (V[:, None, :] @ lowered.transpose(0, 2, 1))[:, 0]
+    assert_close_rel((C[:, None, :] @ F)[:, 0], V, 1e-14)
+
+
 def test_batched_chart_formulas_match_the_scalar_loop(rng):
     """The charts' array formulas against Chart's defaults, which loop over
     to_chart, pull, christoffel, metric and push one point at a time.  The
     scaled input moves the tilted points off the unit sphere by a factor
     1 + 1e-7, which the charts read as the points' directions.  The frames of
-    ``orthonormal_rows`` are g-orthonormal."""
+    ``orthonormal_rows`` are g-orthonormal, and so are the ambient ``frames``,
+    which agree with the default ``orthonormal_rows @ coordinate_basis`` to
+    1e-14 relative."""
     for kind in ("sphere2", "half_plane2", "sphere2", "tilted", "scaled"):
         if kind in ("tilted", "scaled"):
             man = rg.make_manifold("sphere2")
@@ -846,6 +865,49 @@ def test_batched_chart_formulas_match_the_scalar_loop(rng):
         assert_close_rel(chart.connection_forms(P, V), Chart.connection_forms(chart, P, V))
         G = np.array([chart.metric(chart.to_chart(p)) for p in points])
         assert np.max(np.abs(F @ G @ F.transpose(0, 2, 1) - np.eye(2))) <= 1e-12
+        frames = chart.frames(P)
+        assert_close_rel(frames, Chart.frames(chart, P), 1e-14)
+        for ambient in (frames, Chart.frames(chart, P)):
+            assert_ambient_frames(man, chart, P, V, ambient)
+
+
+def test_curve_chart_pole_is_the_null_vector_of_the_full_svd(rng):
+    """The sphere's curve chart takes its pole from the last right singular
+    vector of the samples: the full SVD's, bit for bit, at 1 and 2 samples
+    and at 3 or 65 samples on great circles."""
+    man = rg.make_manifold("sphere2")
+    for count in (1, 2, 3, 65):
+        if count < 3:
+            samples = np.array([man.random_point(rng).coords for _ in range(count)])
+        else:
+            circle = man.geodesic_between(man.random_point(rng), man.random_point(rng))
+            samples = circle.positions(np.linspace(0.0, 1.0, count))
+        chart = man.chart_for_curve(samples)
+        null = SphericalChart(np.linalg.svd(samples)[2][-1])
+        assert np.array_equal(np.abs(chart.pole), np.abs(null.pole))
+        assert np.max(np.abs(samples @ chart.pole)) <= 1e-12
+
+
+def test_a_chart_with_scalar_methods_only_gets_the_same_frames(rng):
+    """The default ``frames`` of a chart that implements only the scalar
+    methods, on a tilted spherical chart and on the half-plane's, against the
+    built-in charts' product formulas to 1e-14 relative: g-orthonormal,
+    positively oriented, and reproducing tangent vectors from their
+    coefficients."""
+    sphere_chart, sphere_points = tilted_curve_chart(rng)
+    plane = rg.make_manifold("half_plane2")
+    plane_points = [plane.random_point(rng) for _ in range(16)]
+    sphere = rg.make_manifold("sphere2")
+    for man, chart, points in (
+        (sphere, sphere_chart, sphere_points),
+        (plane, plane.chart_for_curve(plane_points), plane_points),
+    ):
+        P = np.array([p.coords for p in points])
+        V = np.array([man.random_tangent(p, rng).components for p in points])
+        default = ScalarMethodsChart(chart)
+        frames = default.frames(P)
+        assert_close_rel(frames, chart.frames(P), 1e-14)
+        assert_ambient_frames(man, default, P, V, frames)
 
 
 @pytest.mark.parametrize("colatitude", [0.3, 0.8, 1.2, 2.6])

@@ -24,6 +24,7 @@ from rigrad.manifolds.transport import (
 )
 
 from conftest import (
+    ScalarMethodsChart,
     assert_close_rel,
     latitude_loop_frames,
     latitude_loop_transport,
@@ -323,6 +324,31 @@ def test_non_finite_positions_are_refused_before_the_chart():
 
 
 @pytest.mark.parametrize("name", ["halfplane_bow", "loop_1.1"])
+def test_a_non_finite_node_position_stops_the_route_before_a_sweep(monkeypatch, name):
+    """A curve whose position is NaN at one Gauss node alone passes the chart's
+    samples, but its frame there is not finite: the route raises
+    NonFiniteValue before its first sweep, with no numpy warning, rather
+    than return NaN vectors at that node."""
+    man, curve, chart = ode_curve(name)
+    ts, _ = rg.Quadrature().nodes_weights(64)
+
+    def position(t):
+        t = np.asarray(t, dtype=float)
+        return np.where((t == ts[10])[..., None], np.nan, curve.position_fn(t))
+
+    def no_sweep(*args):
+        raise AssertionError("the route swept a curve with a non-finite frame")
+
+    broken = dataclasses.replace(curve, position_fn=position)
+    frame = man.orthonormal_frame(curve.start)
+    monkeypatch.setattr(type(chart), "connection_forms", no_sweep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rg.NonFiniteValue, match="frames are not finite at the nodes"):
+            transport_along(man, broken, frame.vectors, ts)
+
+
+@pytest.mark.parametrize("name", ["halfplane_bow", "loop_1.1"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf])
 def test_infinite_velocities_raise_the_frame_error_alone(name, bad):
     """A curve whose velocity is infinite past t = 0.7 makes the connection
@@ -466,6 +492,34 @@ def test_transport_parameters_outside_the_unit_interval(rng):
 def test_latitude_loop_at_a_pole_is_refused(colatitude):
     with pytest.raises(rg.InvalidCurve):
         rg.make_manifold("sphere2").latitude_loop(colatitude)
+
+
+def test_latitude_loop_keeps_the_bits_of_the_stacked_formula():
+    """The loop's position and velocity, at arrays of parameters and at scalars,
+    hold the bits of the formula that stacks the three coordinates, the sign
+    of every zero included."""
+
+    def stacked(theta, t):
+        sin_t, cos_t = np.sin(theta), np.cos(theta)
+        phi = 2.0 * np.pi * np.asarray(t, dtype=float)
+        position = np.stack(
+            [sin_t * np.cos(phi), sin_t * np.sin(phi), np.full_like(phi, cos_t)], axis=-1
+        )
+        velocity = 2.0 * np.pi * sin_t * np.stack(
+            [-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1
+        )
+        return position, velocity
+
+    man = rg.make_manifold("sphere2")
+    ts = np.concatenate([np.linspace(0.0, 1.0, 301), [-0.0, 0.5]])
+    for colatitude in (0.05, 0.3, 0.8, 1.1, math.pi / 2.0, 2.0, 2.6, 3.1):
+        loop = man.latitude_loop(colatitude)
+        assert loop.length == 2.0 * np.pi * np.sin(colatitude)
+        for t in (ts, 0.0, 0.5, 1.0):
+            position, velocity = stacked(colatitude, t)
+            for got, expected in ((loop.position_fn(t), position), (loop.velocity_fn(t), velocity)):
+                assert got.shape == expected.shape
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def _batched(man, curve, vectors, ts):
@@ -893,6 +947,43 @@ def test_matrix_kernel_matches_the_rotation_kernel_on_a_curved_chart(monkeypatch
     assert np.array_equal(C_matrix, chart.pull(curve.start, rows))
     assert E_matrix.shape == E.shape
     assert float(np.max(np.abs(C_matrix @ E_matrix - C @ E))) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["loop_1.1", "halfplane_bow"])
+def test_the_angle_route_reads_no_chart_components(monkeypatch, name):
+    """The angle kernel works in ambient components: with the chart's
+    ``coordinate_basis``, ``orthonormal_rows`` and ``pull`` raising,
+    generic_bam_report along a latitude loop and the half-plane bow still
+    runs, with the same attributions."""
+    man, curve, chart = ode_curve(name)
+    field = rg.CoordinateField(man, 1)
+    frame = man.orthonormal_frame(curve.start)
+    expected = rg.generic_bam_report(field, curve, frame)
+
+    def refused(*args):
+        raise AssertionError("the angle route read chart components")
+
+    for method in ("coordinate_basis", "orthonormal_rows", "pull"):
+        monkeypatch.setattr(type(chart), method, refused)
+    report = rg.generic_bam_report(field, curve, frame)
+    assert report.diagnostics.transport_mode == "ode"
+    assert np.array_equal(report.attributions, expected.attributions)
+
+
+@pytest.mark.parametrize("name", ["loop_1.1", "halfplane_bow"])
+def test_a_custom_chart_with_scalar_methods_only_transports_alike(monkeypatch, name):
+    """A custom 2-dimensional chart that implements only the scalar methods
+    takes the angle kernel through Chart's default ``frames`` and connection
+    form: the same sweeps as the built-in chart, and the same moved vectors
+    to 1e-12."""
+    man, curve, chart = ode_curve(name)
+    rows = man.orthonormal_frame(curve.start).component_matrix()
+    ts, _ = rg.Quadrature().nodes_weights(64)
+    _, _, C, E, mode, steps = transport_frame(man, curve, rows, ts)
+    monkeypatch.setattr(type(man), "chart_for_curve", lambda self, samples: ScalarMethodsChart(chart))
+    _, _, C_custom, E_custom, mode_custom, steps_custom = transport_frame(man, curve, rows, ts)
+    assert (mode_custom, steps_custom) == (mode, steps) == ("ode", 2 * PANELS_START)
+    assert_close_rel(C_custom @ E_custom, C @ E, 1e-12)
 
 
 class NoNormalHalfPlane(rg.HalfPlane2):
