@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     EigenSolverFailure,
     InvalidTangent,
     NonFiniteValue,
@@ -167,10 +168,12 @@ def _levels(quadrature, schedule, manifold, curve, rows):
     of the tables' per-node arrays.
 
     The first two levels, which every refining call evaluates, share one
-    transport pass over their joined nodes; later levels are built only when
-    refinement reaches them, each with a transport pass of its own.  On a
-    2-dimensional chart a pass's first sweep already has a panel between
-    every two nodes, so a later pass starts from the same sweep schedule.
+    transport pass over their joined nodes, and so one tables object;
+    later levels are built only when refinement reaches them, each with a
+    transport pass of its own.  The field is evaluated once per tables
+    object, so its batches follow the passes.  On a 2-dimensional chart a
+    pass's first sweep already has a panel between every two nodes, so a
+    later pass starts from the same sweep schedule.
     """
     head = [quadrature.nodes_weights(count) for count in schedule[:2]]
     tables = _path_tables(manifold, curve, rows, np.concatenate([ts for ts, _ in head]))
@@ -194,7 +197,9 @@ def _path_integral(field, manifold, curve, rows, quadrature, levels=None):
     max|entries|, both read on A along a geodesic: max|dA| max|c| and
     max|A| max|c|.  Returns the entries and the path's diagnostics, without
     a geodesic defect.  ``levels`` iterates over ``_levels``' output for
-    this path, built here when None.  The field is evaluated once per level,
+    this path, built here when None.  The field is evaluated once per
+    transport pass, on all of its positions, and DimensionMismatch is raised
+    unless the batch is (K, coord_dim); each level then reads its own rows,
     in order, and NonFiniteValue is raised at the first level whose entries
     are not finite.
     """
@@ -203,15 +208,25 @@ def _path_integral(field, manifold, curve, rows, quadrature, levels=None):
     gap = None
     if levels is None:
         levels = _levels(quadrature, schedule, manifold, curve, rows)
-    for count, weights, (positions, C, E, pairing, mode, steps), nodes in levels:
+    batch = None
+    for count, weights, tables, nodes in levels:
+        positions, C, E, pairing, mode, steps = tables
         # NaN and infinity raise NonFiniteValue below, so numpy need not warn
         with np.errstate(invalid="ignore", over="ignore"):
-            grads = field.coord_gradients(positions[nodes])
-            alpha = grads if E is None else np.einsum("kc,kmc->km", grads, E[nodes])
-            if curve.is_geodesic:  # -A c^T scales A's gaps and size by max|c|
-                level, scale = C @ (weights @ alpha), float(np.abs(pairing).max())
+            if tables is not batch:  # one field batch per transport pass
+                batch, grads = tables, field.coord_gradients(positions)
+                if np.shape(grads) != positions.shape:
+                    raise DimensionMismatch(
+                        f"{type(field).__name__}.coord_gradients returned shape "
+                        f"{np.shape(grads)} for positions of shape {positions.shape}"
+                    )
+                alpha = grads if E is None else np.einsum("kc,kmc->km", grads, E)
+                # -A c^T scales A's gaps and size by max|c|
+                scale = float(np.abs(pairing).max()) if curve.is_geodesic else 1.0
+            if curve.is_geodesic:
+                level = C @ (weights @ alpha[nodes])
             else:
-                level, scale = -(C @ ((weights[:, None] * alpha).T @ pairing[nodes]) @ C.T), 1.0
+                level = -(C @ ((weights[:, None] * alpha[nodes]).T @ pairing[nodes]) @ C.T)
         size = float(np.abs(level).max()) * scale
         if not math.isfinite(size):
             raise NonFiniteValue(

@@ -118,13 +118,6 @@ class SphericalChart(Chart):
     def to_chart(self, p: Point) -> np.ndarray:
         return np.array(self._angles(p.coords))
 
-    def from_chart(self, x: np.ndarray) -> Point:
-        theta, phi = float(x[0]), float(x[1])
-        q = np.array(
-            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-        )
-        return Point(self.rotation.T @ q)
-
     def metric(self, x: np.ndarray) -> np.ndarray:
         return np.diag([1.0, np.sin(float(x[0])) ** 2])
 
@@ -143,7 +136,7 @@ class SphericalChart(Chart):
 
     def _unit_rotated(self, P: np.ndarray) -> np.ndarray:
         q = P @ self.rotation.T
-        return q / np.sqrt(np.sum(q * q, axis=1))[:, None]
+        return q / np.sqrt(q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2])[:, None]
 
     def connection_forms(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         """omega = cos(theta) phi' = q_z (q_x u_y - q_y u_x) / rho^2, free of

@@ -168,6 +168,14 @@ def loop_geodesic_residual(manifold, curve, samples=17, h=1e-4):
     return worst
 
 
+def sphere_chart_point(chart, x):
+    """The point of the sphere at coordinates x = (theta, phi) of the
+    SphericalChart ``chart``: colatitude and longitude about its pole."""
+    theta, phi = float(x[0]), float(x[1])
+    q = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    return rg.Point(chart.rotation.T @ q)
+
+
 class ScalarMethodsChart(Chart):
     """``chart``'s scalar methods alone, so every batched method, ``frames``
     included, is Chart's default: a custom chart that overrides nothing."""

@@ -328,6 +328,11 @@ class CountingAffineField(rg.AffineField):
         return super().coord_gradients(X)
 
 
+# the first transport pass joins the 32- and 64-node levels, and the field
+# sees them as one batch
+HEAD_PASS_ROWS = 32 + 64
+
+
 def test_non_finite_field_stops_after_the_first_level():
     man = rg.make_manifold("half_plane2")
     p = man.point(np.array([0.3, 1.2]))
@@ -341,14 +346,14 @@ def test_non_finite_field_stops_after_the_first_level():
         field = CountingAffineField(man, [math.nan, 1.0])
         with pytest.raises(rg.NonFiniteValue, match="32 nodes"):
             run(field)
-        assert field.batches == [rg.DEFAULT_QUADRATURE.nodes]
+        assert field.batches == [HEAD_PASS_ROWS]
     flat = rg.make_manifold("euclidean", dim=2)
     field = CountingAffineField(flat, [1.0, math.inf])
     x, x_prime = flat.point(np.array([1.0, 2.0])), flat.point(np.array([0.0, 0.5]))
     with pytest.raises(rg.NonFiniteValue), warnings.catch_warnings():
         warnings.simplefilter("error")  # inf * 0 is reported by the error alone
         rg.ig(field, x, x_prime, flat.orthonormal_frame(x))
-    assert field.batches == [rg.DEFAULT_QUADRATURE.nodes]
+    assert field.batches == [HEAD_PASS_ROWS]
 
 
 class NanNodeAffineField(CountingAffineField):
@@ -383,7 +388,7 @@ def test_ig_stops_at_the_first_level_on_a_nan_node_or_an_overflowing_form():
                 warnings.simplefilter("error")
                 with pytest.raises(rg.NonFiniteValue, match="32 nodes"):
                     run()
-            assert field.batches == [rg.DEFAULT_QUADRATURE.nodes]
+            assert field.batches == [HEAD_PASS_ROWS]
 
 
 def test_ig_and_rig_share_one_stop_test_on_flat_networks():
@@ -931,14 +936,114 @@ def test_later_level_runs_a_transport_pass_of_its_own(monkeypatch):
 
 
 def test_gradient_batches_follow_the_levels():
-    """One path pass serves both levels, but the field sees each level alone."""
+    """One path pass serves both levels, and the field sees the pass's joined
+    nodes as one batch."""
     man = rg.make_manifold("half_plane2")
     p = man.point(np.array([0.3, 1.2]))
     o = man.point(np.array([-0.5, 2.0]))
     field = CountingAffineField(man, [1.0, 0.5])
     report = rg.rig(field, man, p, o, man.orthonormal_frame(p))
     assert report.diagnostics.nodes_used == 64
-    assert field.batches == [32, 64]
+    assert field.batches == [32 + 64]
+
+
+@pytest.mark.parametrize(
+    "scale, seed, nodes, batches",
+    [(1.0, 0, 64, [96]), (2.0, 2, 128, [96, 128]), (4.0, 1, 256, [96, 128, 256])],
+)
+def test_one_gradient_batch_per_transport_pass(scale, seed, nodes, batches):
+    """A call that stops at 64, 128 or 256 nodes makes 1, 2 or 3 gradient
+    calls, on 96, 224 or 480 rows in all: the head pass's joined nodes, then
+    one batch per deeper level.  The entries equal those of a lone fixed rule
+    at the stopping level."""
+    man = rg.make_manifold("sphere2")
+    draw = np.random.default_rng(seed)
+    field = CountingMLPField(man, rg.random_mlp(3, (16, 16), draw, scale=scale))
+    p, o = man.random_point(draw), man.random_point(draw)
+    frame = man.orthonormal_frame(p)
+    matrix = rg.attribution_matrix(field, man, p, o, frame)
+    assert matrix.diagnostics.nodes_used == nodes
+    assert field.batches == batches
+    alone = rg.attribution_matrix(field, man, p, o, frame, rg.Quadrature(nodes=nodes, refine=False))
+    assert_close_rel(matrix.entries, alone.entries, 1e-14)
+
+
+class LateNanAffineField(CountingAffineField):
+    """An affine field whose gradient is NaN at row 40 of each batch: in the
+    head pass, a row of the 64-node level."""
+
+    def coord_gradients(self, X):
+        grads = super().coord_gradients(X)
+        grads[40] = math.nan
+        return grads
+
+
+def test_a_nan_in_the_second_level_stops_after_one_batch():
+    """The 32-node level is finite and the 64-node level is not: the call
+    names 64 nodes, after the one batch of the head pass."""
+    man = rg.make_manifold("half_plane2")
+    p = man.point(np.array([0.3, 1.2]))
+    o = man.point(np.array([-0.5, 2.0]))
+    field = LateNanAffineField(man, [1.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rg.NonFiniteValue, match="at 64 nodes"):
+            rg.rig(field, man, p, o, man.orthonormal_frame(p))
+    assert field.batches == [HEAD_PASS_ROWS]
+
+
+@pytest.mark.parametrize("nodes", [2, 24, 64])
+def test_a_fixed_rule_sees_one_batch_of_its_nodes(manifold, rng, nodes):
+    """With ``refine=False`` the one level is the one pass and the one batch."""
+    field = CountingAffineField(manifold, rng.standard_normal(manifold.coord_dim))
+    p, o = manifold.random_point(rng), manifold.random_point(rng)
+    quadrature = rg.Quadrature(nodes=nodes, refine=False)
+    matrix = rg.attribution_matrix(field, manifold, p, o, manifold.orthonormal_frame(p), quadrature)
+    assert matrix.diagnostics.nodes_used == nodes
+    assert field.batches == [nodes]
+
+
+class MisshapenField(rg.AffineField):
+    """An affine field whose gradient batch has twice the rows, or one
+    column more, than the positions it is given."""
+
+    def __init__(self, manifold, weights, axis):
+        super().__init__(manifold, weights)
+        self.axis = axis
+
+    def coord_gradients(self, X):
+        grads = super().coord_gradients(X)
+        extra = grads if self.axis == 0 else grads[:, :1]
+        return np.concatenate([grads, extra], axis=self.axis)
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["rows", "columns"])
+def test_a_misshapen_gradient_batch_is_refused(axis):
+    """A gradient batch that is not (K, coord_dim) raises DimensionMismatch
+    naming the field and both shapes, on flat space and on curved routes,
+    where numpy would otherwise slice it silently or fail in a matmul."""
+    flat = rg.make_manifold("euclidean", dim=3)
+    x, x_prime = flat.point(np.array([1.0, 2.0, -1.0])), flat.point(np.array([0.0, 0.5, 0.3]))
+    sphere = rg.make_manifold("sphere2")
+    loop = sphere.latitude_loop(1.1)
+    half = rg.make_manifold("half_plane2")
+    p, o = half.point(np.array([0.3, 1.2])), half.point(np.array([-0.5, 2.0]))
+    runs = (
+        (flat, lambda field: rg.ig(field, x, x_prime, flat.orthonormal_frame(x))),
+        (flat, lambda field: rg.rig(field, flat, x, x_prime, flat.orthonormal_frame(x))),
+        (sphere, lambda field: rg.generic_bam_report(field, loop, sphere.orthonormal_frame(loop.start))),
+        (half, lambda field: rg.rig(field, half, p, o, half.orthonormal_frame(p))),
+    )
+    for man, run in runs:
+        d = man.coord_dim
+        field = MisshapenField(man, np.ones(d), axis)
+        returned = (192, d) if axis == 0 else (96, d + 1)
+        with pytest.raises(rg.DimensionMismatch) as error:
+            run(field)
+        assert str(error.value) == (
+            f"MisshapenField.coord_gradients returned shape {returned} "
+            f"for positions of shape (96, {d})"
+        )
 
 
 def test_shared_tables_match_a_single_level(manifold, rng):
@@ -1020,6 +1125,27 @@ def test_fields_along_one_path_match_separate_calls(monkeypatch, manifold, rng, 
         assert passes == expected
     else:
         assert nodes == [32, 32, 32] and passes == [32]
+
+
+def test_fields_along_one_path_take_one_batch_per_pass(manifold, rng):
+    """Three fields along one shared path: each sees one gradient batch per
+    transport pass it reaches, and its matrix still equals its own call bit
+    for bit."""
+    fields = [
+        CountingMLPField(manifold, rg.random_mlp(manifold.coord_dim, (32, 32), rng, scale=scale))
+        for scale in (1.0, 4.0, 8.0)
+    ]
+    p, o = manifold.random_point(rng), manifold.random_point(rng)
+    frame = manifold.orthonormal_frame(p)
+    shared = _attribution_matrices(fields, manifold, p, o, frame)
+    for field, matrix in zip(fields, shared):
+        nodes = matrix.diagnostics.nodes_used
+        assert field.batches == [96] + [count for count in (128, 256, 512, 1024) if count <= nodes]
+        field.batches.clear()
+        alone = rg.attribution_matrix(field, manifold, p, o, frame)
+        assert matrix.entries.tobytes() == alone.entries.tobytes()
+        assert matrix.diagnostics == alone.diagnostics
+    assert len({matrix.diagnostics.nodes_used for matrix in shared}) > 1
 
 
 def test_one_velocity_call_per_geodesic_pass(monkeypatch, manifold, rng):

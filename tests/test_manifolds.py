@@ -18,6 +18,7 @@ from conftest import (
     assert_close_rel,
     loop_geodesic_residual,
     random_unit_tangent,
+    sphere_chart_point,
 )
 from geodesic_oracles import (
     ShootingResult,
@@ -787,7 +788,7 @@ def test_sphere_chart_roundtrip_and_fd_christoffel():
     p = man.point(np.array([0.6, 0.64, np.sqrt(1 - 0.6**2 - 0.64**2)]))
     chart = man.chart_for_curve([p])
     x = chart.to_chart(p)
-    back = chart.from_chart(x)
+    back = sphere_chart_point(chart, x)
     assert np.max(np.abs(back.coords - p.coords)) <= 1e-12
     assert np.max(np.abs(fd_christoffel(chart, x) - chart.christoffel(x))) <= 1e-6
 
@@ -821,7 +822,18 @@ def tilted_curve_chart(rng):
     assert np.min(np.abs(chart.pole)) > 1e-3
     colatitudes = np.concatenate([[0.1, math.pi - 0.1], rng.uniform(0.1, math.pi - 0.1, 14)])
     phis = rng.uniform(-math.pi, math.pi, len(colatitudes))
-    return chart, [chart.from_chart(np.array(x)) for x in zip(colatitudes, phis)]
+    return chart, [sphere_chart_point(chart, x) for x in zip(colatitudes, phis)]
+
+
+def test_unit_rotated_keeps_the_bits_of_the_summed_norm(rng):
+    """``SphericalChart._unit_rotated`` adds the three squares by hand, with
+    the bits of numpy's sum over the length-3 axis, at every scale."""
+    chart = SphericalChart(rng.standard_normal(3))
+    for scale in (1.0, 1e-3, 1e150, 1e-150):
+        P = scale * rng.standard_normal((100_000, 3))
+        q = P @ chart.rotation.T
+        expected = q / np.sqrt(np.sum(q * q, axis=1))[:, None]
+        assert chart._unit_rotated(P).tobytes() == expected.tobytes()
 
 
 def assert_ambient_frames(man, chart, P, V, F):
