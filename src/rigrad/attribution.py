@@ -474,7 +474,8 @@ def eigen_attributions(matrix: AttributionMatrix) -> EigenAttribution:
 
     Eigenvalues are sorted by absolute value, ascending; each eigenvector's
     sign is fixed so its first nonzero coefficient is positive, and the
-    vectors are returned as tangent vectors through the source frame.
+    eigenframe's rows are the eigenvectors' combinations of the source
+    frame's rows.
     """
     sym = symmetrize(matrix).entries
     try:
@@ -488,14 +489,11 @@ def eigen_attributions(matrix: AttributionMatrix) -> EigenAttribution:
     _fix_signs(vectors)
 
     residual = float(np.abs(sym @ vectors - vectors * values).max()) if values.size else 0.0
-    basis = matrix.frame.component_matrix()
-    tangents = tuple(
-        TangentVector(matrix.base, vectors[:, k] @ basis)
-        for k in range(vectors.shape[1])
-    )
+    # a (1, n) @ (n, coord_dim) product per eigenvector: vectors.T @ rows rounds otherwise
+    rows = (vectors.T[:, None, :] @ matrix.frame.rows)[:, 0]
     return EigenAttribution(
         eigenvalues=values,
-        frame=OrthonormalFrame(matrix.base, tangents),
+        frame=OrthonormalFrame(matrix.base, rows),
         coefficients=vectors,
         residual=residual,
     )

@@ -29,7 +29,7 @@ FRAME_TOL = 1e-10
 
 
 def _freeze(arr) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+    out = np.array(arr, dtype=float, order="C")
     out.setflags(write=False)
     return out
 
@@ -125,22 +125,37 @@ class Curve:
 
 @dataclass(frozen=True)
 class OrthonormalFrame:
-    """An ordered g-orthonormal basis of the tangent space at ``base``."""
+    """An ordered g-orthonormal basis of the tangent space at ``base``.
+
+    ``rows`` holds the basis as one frozen, C-ordered (n, coord_dim) array of
+    components. It is given as an array, which is copied, or as a sequence of
+    ``TangentVector``s based at ``base``. ``vectors`` builds them on each read.
+    """
 
     base: Point
-    vectors: tuple[TangentVector, ...]
+    rows: np.ndarray
 
     def __post_init__(self):
-        for v in self.vectors:
-            if v.base is not self.base and not np.array_equal(v.base.coords, self.base.coords):
-                raise InvalidTangent("frame vector not based at the frame's point")
+        rows = self.rows
+        if not isinstance(rows, np.ndarray):
+            vectors = tuple(rows)
+            for v in vectors:
+                if v.base is not self.base and not np.array_equal(v.base.coords, self.base.coords):
+                    raise InvalidTangent("frame vector not based at the frame's point")
+            rows = [v.components for v in vectors] or np.empty((0, self.base.coords.size))
+        rows = _freeze(rows)
+        if rows.ndim != 2 or rows.shape[1] != self.base.coords.size:
+            raise InvalidTangent(
+                f"frame rows shape {rows.shape} is not (n, {self.base.coords.size})"
+            )
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
-    def component_matrix(self) -> np.ndarray:
-        """Stack the frame vectors' components as rows, shape (n, coord_dim)."""
-        return np.array([v.components for v in self.vectors])
+    @property
+    def vectors(self) -> tuple[TangentVector, ...]:
+        return tuple(TangentVector(self.base, row) for row in self.rows)
 
 
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -429,20 +444,20 @@ class Manifold(ABC):
         """Deterministic g-orthonormal basis of the tangent space at ``p``."""
 
     def validate_frame(self, frame: OrthonormalFrame) -> np.ndarray:
-        """The ``component_matrix`` of a g-orthonormal basis; raises otherwise."""
+        """``frame.rows`` if they are a g-orthonormal basis; raises otherwise."""
         if len(frame) != self.dim:
             raise InvalidTangent(
                 f"frame has {len(frame)} vectors; manifold dimension is {self.dim}"
             )
-        comps = frame.component_matrix()
+        rows = frame.rows
         with np.errstate(all="ignore"):
-            gram = comps @ self.lower(np.broadcast_to(frame.base.coords, comps.shape), comps).T
+            gram = rows @ self.lower(np.broadcast_to(frame.base.coords, rows.shape), rows).T
         gap = np.abs(gram - np.eye(self.dim)).max()
         if not math.isfinite(gap):
             raise NonFiniteValue("the frame's Gram matrix is not finite")
         if gap > FRAME_TOL:
             raise InvalidTangent("frame is not g-orthonormal")
-        return comps
+        return rows
 
     # -- sampling (seeded; used by tests and the axiom harness) ------------
 

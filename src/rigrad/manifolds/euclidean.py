@@ -81,8 +81,7 @@ class Euclidean(Manifold):
         return np.zeros_like(V)
 
     def orthonormal_frame(self, p: Point) -> OrthonormalFrame:
-        vectors = tuple(TangentVector(p, e) for e in np.eye(self.dim))
-        return OrthonormalFrame(p, vectors)
+        return OrthonormalFrame(p, np.eye(self.dim))
 
     def random_point(self, rng: np.random.Generator) -> Point:
         return Point(rng.standard_normal(self.dim))

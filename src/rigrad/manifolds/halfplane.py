@@ -180,14 +180,7 @@ class HalfPlane2(Manifold):
         return -np.einsum("skij,si,sj->sk", _christoffel(P), V, V)
 
     def orthonormal_frame(self, p: Point) -> OrthonormalFrame:
-        y = float(p.coords[1])
-        return OrthonormalFrame(
-            p,
-            (
-                TangentVector(p, np.array([y, 0.0])),
-                TangentVector(p, np.array([0.0, y])),
-            ),
-        )
+        return OrthonormalFrame(p, float(p.coords[1]) * np.eye(2))
 
     def random_point(self, rng: np.random.Generator) -> Point:
         x = rng.standard_normal()

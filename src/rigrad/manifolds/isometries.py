@@ -56,9 +56,8 @@ class Isometry(ABC):
 
     def push_frame(self, frame: OrthonormalFrame) -> OrthonormalFrame:
         base = self.apply(frame.base)
-        comps = frame.component_matrix()
-        moved = self.differential_rows(np.tile(frame.base.coords, (len(comps), 1)), comps)
-        return OrthonormalFrame(base, tuple(TangentVector(base, row) for row in moved))
+        moved = self.differential_rows(np.tile(frame.base.coords, (len(frame), 1)), frame.rows)
+        return OrthonormalFrame(base, moved)
 
 
 def _check_orthogonal(matrix: np.ndarray, dim: int) -> np.ndarray:

@@ -197,9 +197,9 @@ class Sphere2(Manifold):
 
     def validate_frame(self, frame: OrthonormalFrame) -> np.ndarray:
         # lower() projects radial parts away, so the Gram check cannot see them
-        comps = super().validate_frame(frame)
-        _check_radial(frame.base.coords, comps)
-        return comps
+        rows = super().validate_frame(frame)
+        _check_radial(frame.base.coords, rows)
+        return rows
 
     def raise_gradients(self, P: np.ndarray, G: np.ndarray) -> np.ndarray:
         # the metric is the tangent projector, so raising projects as lowering does
@@ -289,7 +289,7 @@ class Sphere2(Manifold):
                 v = v - np.dot(v, u) * u
             v /= np.linalg.norm(v)
             vectors.append(v)
-        return OrthonormalFrame(p, tuple(TangentVector(p, v) for v in vectors))
+        return OrthonormalFrame(p, np.array(vectors))
 
     def random_point(self, rng: np.random.Generator) -> Point:
         while True:

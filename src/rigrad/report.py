@@ -22,8 +22,8 @@ import numpy as np
 
 from .attribution import AttributionReport, PathDiagnostics
 from .axioms import AxiomReport
-from .errors import ParseError, _read_json
-from .manifolds import OrthonormalFrame, Point, TangentVector
+from .errors import InvalidTangent, ParseError, _read_json
+from .manifolds import OrthonormalFrame, Point
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
@@ -96,7 +96,7 @@ def attribution_report_to_dict(report: AttributionReport) -> dict:
         "manifold": report.manifold_kind,
         "point": report.point.coords.tolist(),
         "base_point": report.base_point.coords.tolist(),
-        "frame": [v.components.tolist() for v in report.frame.vectors],
+        "frame": report.frame.rows.tolist(),
         "attributions": report.attributions.tolist(),
         "eigenvalues": None if report.eigenvalues is None else report.eigenvalues.tolist(),
         "value_at_point": report.value_at_point,
@@ -119,13 +119,7 @@ def attribution_report_from_dict(data: dict) -> AttributionReport:
     try:
         point = Point(np.array(data["point"], dtype=float))
         base_point = Point(np.array(data["base_point"], dtype=float))
-        frame = OrthonormalFrame(
-            point,
-            tuple(
-                TangentVector(point, np.array(row, dtype=float))
-                for row in data["frame"]
-            ),
-        )
+        frame = OrthonormalFrame(point, np.array(data["frame"], dtype=float))
         diag = data["diagnostics"]
         eigenvalues = data["eigenvalues"]
         return AttributionReport(
@@ -154,7 +148,7 @@ def attribution_report_from_dict(data: dict) -> AttributionReport:
                 ),
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidTangent) as exc:
         raise ParseError(f"malformed attribution report: {exc!r}") from exc
 
 
@@ -185,10 +179,10 @@ def attribution_report_csv(report: AttributionReport) -> str:
     header = ["index", "attribution", "eigenvalue"]
     header += [f"frame_{k}" for k in range(coord_dim)]
     writer.writerow(header)
-    for i, vector in enumerate(report.frame.vectors):
+    for i, vector in enumerate(report.frame.rows):
         eigen = "" if report.eigenvalues is None else repr(float(report.eigenvalues[i]))
         row = [str(i), repr(float(report.attributions[i])), eigen]
-        row += [repr(float(c)) for c in vector.components]
+        row += [repr(float(c)) for c in vector]
         writer.writerow(row)
     return buffer.getvalue()
 

@@ -34,7 +34,7 @@ class ShootingResult:
 def shoot_geodesic(manifold: Manifold, p: Point, o: Point, tol: float = 1e-10) -> ShootingResult:
     """Solve exp_p(v) = o for v by shooting, to a residual norm of ``tol``."""
     frame = manifold.orthonormal_frame(p)
-    basis = frame.component_matrix()
+    basis = frame.rows
     g = manifold.metric_at(p)
 
     def assemble(coeffs: np.ndarray) -> TangentVector:

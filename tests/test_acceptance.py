@@ -22,7 +22,7 @@ def haar_frame(manifold, p, generator):
     reference = manifold.orthonormal_frame(p)
     q, r = np.linalg.qr(generator.standard_normal((manifold.dim, manifold.dim)))
     q = q * np.sign(np.diag(r))
-    comps = q.T @ reference.component_matrix()
+    comps = q.T @ reference.rows
     vectors = tuple(rg.TangentVector(p, row) for row in comps)
     return rg.OrthonormalFrame(p, vectors)
 

@@ -690,6 +690,33 @@ def test_eigen_rig_report_carries_eigenvalues(rng):
     assert abs(float(np.sum(report.eigenvalues)) - delta) <= 1e-6
 
 
+@pytest.mark.parametrize("kind, dim", [("euclidean", 8), ("euclidean", 64), ("sphere2", None), ("half_plane2", None)])
+def test_eigenframe_rows_are_one_product_per_eigenvector(kind, dim, rng):
+    man = rg.make_manifold(kind, dim)
+    p = man.random_point(rng)
+    o = man.exp_map(rg.TangentVector(p, 0.5 * man.random_tangent(p, rng).components))
+    q, _ = np.linalg.qr(rng.standard_normal((man.dim, man.dim)))
+    frame = rg.OrthonormalFrame(p, q.T @ man.orthonormal_frame(p).rows)
+    field = rg.MLPField(man, rg.random_mlp(man.coord_dim, (6,), rng))
+    eigen = rg.eigen_attributions(rg.attribution_matrix(field, man, p, o, frame))
+    expected = [eigen.coefficients[:, k] @ frame.rows for k in range(man.dim)]
+    assert np.array_equal(eigen.frame.rows, expected)
+
+
+def test_a_fortran_ordered_frame_gives_the_bits_of_its_vectors(rng):
+    man = rg.make_manifold("euclidean", 8)
+    field = rg.MLPField(man, rg.random_mlp(8, (9, 7), rng))
+    for _ in range(5):
+        x, x_prime = man.random_point(rng), man.random_point(rng)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        assert q.T.flags.f_contiguous
+        from_array = rg.OrthonormalFrame(x, q.T)
+        from_vectors = rg.OrthonormalFrame(x, tuple(rg.TangentVector(x, row) for row in q.T))
+        first = rg.rig(field, man, x, x_prime, from_array).attributions
+        second = rg.rig(field, man, x, x_prime, from_vectors).attributions
+        assert first.tobytes() == second.tobytes()
+
+
 def test_reevaluating_in_the_eigenframe_reproduces_eigenvalues(rng):
     man = rg.make_manifold("sphere2")
     field = rg.MLPField(man, rg.random_mlp(3, (6, 5), rng))
@@ -1214,7 +1241,7 @@ def test_loop_form_is_not_rank_one(rng):
     loop = man.latitude_loop(1.1)
     frame = man.orthonormal_frame(loop.start)
     field = rg.MLPField(man, rg.random_mlp(3, (8, 8), rng))
-    rows = frame.component_matrix()
+    rows = frame.rows
     entries, diagnostics = attribution._path_integral(
         field, man, loop, rows, rg.DEFAULT_QUADRATURE
     )

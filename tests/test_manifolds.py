@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 from decimal import Decimal, localcontext
 
@@ -168,7 +169,7 @@ def test_tangent_gram_matrix_is_identity(manifold, rng):
     for _ in range(5):
         p = manifold.random_point(rng)
         frame = manifold.orthonormal_frame(p)
-        comps = frame.component_matrix()
+        comps = frame.rows
         gram = comps @ manifold.metric_at(p) @ comps.T
         assert np.max(np.abs(gram - np.eye(manifold.dim))) <= 1e-10
         manifold.validate_frame(frame)
@@ -180,6 +181,77 @@ def test_validate_frame_rejects_scaled_vector(manifold, rng):
     bad = rg.OrthonormalFrame(p, (frame.vectors[0] * 1.5,) + frame.vectors[1:])
     with pytest.raises(rg.InvalidTangent):
         manifold.validate_frame(bad)
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (3,), (1, 2, 3)])
+def test_frame_rows_of_the_wrong_shape_are_refused(shape):
+    p = rg.make_manifold("sphere2").point(np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(rg.InvalidTangent, match=re.escape(f"shape {shape}")):
+        rg.OrthonormalFrame(p, np.zeros(shape))
+
+
+def test_frame_vector_at_another_point_is_refused():
+    man = rg.make_manifold("sphere2")
+    p, q = man.point(np.array([0.0, 0.0, 1.0])), man.point(np.array([0.0, 1.0, 0.0]))
+    vectors = man.orthonormal_frame(p).vectors[:1] + man.orthonormal_frame(q).vectors[1:]
+    with pytest.raises(rg.InvalidTangent, match="not based at the frame's point"):
+        rg.OrthonormalFrame(p, vectors)
+
+
+def test_an_empty_frame_has_no_rows(manifold, rng):
+    p, o = manifold.random_point(rng), manifold.random_point(rng)
+    frame = rg.OrthonormalFrame(p, ())
+    assert len(frame) == 0 and frame.rows.shape == (0, manifold.coord_dim)
+    field = rg.MLPField(manifold, rg.random_mlp(manifold.coord_dim, (4,), rng))
+    with pytest.raises(rg.InvalidTangent, match="frame has 0 vectors"):
+        rg.rig(field, manifold, p, o, frame)
+
+
+def test_frame_rows_are_a_read_only_c_ordered_copy():
+    man = rg.make_manifold("euclidean", dim=3)
+    p = man.point(np.zeros(3))
+    given = np.asfortranarray(np.eye(3)[[2, 0, 1]])
+    frame = rg.OrthonormalFrame(p, given)
+    given[0, 0] = 7.0
+    assert np.array_equal(frame.rows, np.eye(3)[[2, 0, 1]])
+    assert frame.rows.flags.c_contiguous
+    with pytest.raises(ValueError, match="read-only"):
+        frame.rows[0, 0] = 7.0
+
+
+def stacked_frame_vectors(manifold, p):
+    """Per-vector reference formulas for the three stock frames."""
+    if manifold.kind == "euclidean":
+        return tuple(rg.TangentVector(p, e) for e in np.eye(manifold.dim))
+    if manifold.kind == "half_plane2":
+        y = float(p.coords[1])
+        return (rg.TangentVector(p, np.array([y, 0.0])), rg.TangentVector(p, np.array([0.0, y])))
+    drop = int(np.argmax(np.abs(p.coords)))
+    vectors = []
+    for i in range(3):
+        if i == drop:
+            continue
+        e = np.zeros(3)
+        e[i] = 1.0
+        v = e - np.dot(e, p.coords) * p.coords
+        for u in vectors:
+            v = v - np.dot(v, u) * u
+        v /= np.linalg.norm(v)
+        vectors.append(v)
+    return tuple(rg.TangentVector(p, v) for v in vectors)
+
+
+def test_stock_frame_vectors_keep_their_bits(manifold, rng):
+    points = [manifold.random_point(rng) for _ in range(20)]
+    if manifold.kind == "sphere2":
+        points += [manifold.point(np.roll([0.0, 0.0, s], k)) for k in range(3) for s in (1.0, -1.0)]
+    for p in points:
+        vectors = manifold.orthonormal_frame(p).vectors
+        expected = stacked_frame_vectors(manifold, p)
+        assert len(vectors) == len(expected)
+        for mine, theirs in zip(vectors, expected):
+            assert mine.base is p
+            assert mine.components.tobytes() == theirs.components.tobytes()
 
 
 # -- exp, log, dist ----------------------------------------------------------

@@ -77,6 +77,14 @@ def test_malformed_documents_raise_parse_error(tmp_path):
         report_io.parse_attribution_csv("")
 
 
+@pytest.mark.parametrize("frame", [[[0, 1, 0], [0, 0]], [[0, 1], [0, 0]], [0, 1, 0]])
+def test_a_malformed_report_frame_raises_parse_error(sphere_report, frame):
+    document = report_io.attribution_report_to_dict(sphere_report)
+    document["frame"] = frame
+    with pytest.raises(rg.ParseError, match="malformed attribution report"):
+        report_io.attribution_report_from_dict(document)
+
+
 def test_atomic_write_leaves_no_temp_files(sphere_report, tmp_path):
     path = tmp_path / "report.json"
     report_io.write_attribution_json(sphere_report, path)

@@ -570,7 +570,7 @@ def test_flat_transport_builds_no_per_node_table():
     man = rg.make_manifold("euclidean", dim=64)
     p = man.point(np.zeros(64))
     curve = man.geodesic_between(p, man.point(np.ones(64)))
-    rows = man.orthonormal_frame(p).component_matrix()
+    rows = man.orthonormal_frame(p).rows
     _, _, C, E, mode, steps = transport_frame(man, curve, rows, np.linspace(0.0, 1.0, 1024))
     assert (mode, steps) == ("identity", 0)
     assert C is rows and E is None
@@ -647,7 +647,7 @@ ODE_CURVES = ["loop_0.3", "loop_1.1", "loop_2.6", "squared_sphere", "halfplane_b
 @pytest.mark.parametrize("name", ODE_CURVES)
 def test_propagators_match_the_per_step_rk4(name):
     man, curve, chart = ode_curve(name)
-    rows = man.orthonormal_frame(curve.start).component_matrix()
+    rows = man.orthonormal_frame(curve.start).rows
     w0 = np.array([chart.pull(curve.start, u) for u in rows])
     for t0, t1, steps in ((0.0, 1.0, 64), (0.2, 0.45, 7), (0.9, 0.3, 5)):
         assert_close_rel(
@@ -839,7 +839,7 @@ def test_many_nodes_refine_to_a_fine_reference_sweep():
     moved, mode, steps = _batched(man, loop, frame.vectors, ts)
     assert (mode, steps) == ("ode", 2 * PANELS_START)
     chart = curve_chart(man, loop)
-    w0 = np.array([chart.pull(loop.start, u) for u in frame.component_matrix()])
+    w0 = np.array([chart.pull(loop.start, u) for u in frame.rows])
     grid, ends = _pass_grid(ts, 2**15)
     reference = _propagate(w0, grid, ends, _grid_matrices(chart, loop, grid))
     reference = reference @ chart.coordinate_basis(loop.positions(ts))
@@ -866,7 +866,7 @@ def test_route_matches_a_fine_matrix_sweep(name, nodes):
     ts, _ = rg.Quadrature().nodes_weights(nodes)
     moved, mode, _ = _batched(man, curve, frame.vectors, ts)
     assert mode == "ode"
-    w0 = np.array([chart.pull(curve.start, u) for u in frame.component_matrix()])
+    w0 = np.array([chart.pull(curve.start, u) for u in frame.rows])
     grid, ends = _pass_grid(ts, 2**15)
     reference = _propagate(w0, grid, ends, _grid_matrices(chart, curve, grid))
     reference = reference @ chart.coordinate_basis(curve.positions(ts))
@@ -878,7 +878,7 @@ def test_route_matches_ode_transport_at_2_14_steps(name):
     """The route at the joined 32 + 64 Gauss nodes against ``ode_transport``
     with 2^14 uniform RK4 steps from 0 to each of five of them, to 1e-10."""
     man, curve, chart = _route_curve(name)
-    rows = man.orthonormal_frame(curve.start).component_matrix()
+    rows = man.orthonormal_frame(curve.start).rows
     nodes = np.concatenate([rg.Quadrature().nodes_weights(n)[0] for n in (32, 64)])
     _, _, C, E, mode, _ = transport_frame(man, curve, rows, nodes)
     assert mode == "ode"
@@ -938,7 +938,7 @@ def test_matrix_kernel_matches_the_rotation_kernel_on_a_curved_chart(monkeypatch
     from rigrad.manifolds import transport
 
     man, curve, chart = ode_curve(name)
-    rows = man.orthonormal_frame(curve.start).component_matrix()
+    rows = man.orthonormal_frame(curve.start).rows
     ts, _ = rg.Quadrature().nodes_weights(nodes)
     _, _, C, E, mode, _ = transport_frame(man, curve, rows, ts)
     monkeypatch.setattr(transport, "_angle_kernel", transport._matrix_kernel)
@@ -977,7 +977,7 @@ def test_a_custom_chart_with_scalar_methods_only_transports_alike(monkeypatch, n
     form: the same sweeps as the built-in chart, and the same moved vectors
     to 1e-12."""
     man, curve, chart = ode_curve(name)
-    rows = man.orthonormal_frame(curve.start).component_matrix()
+    rows = man.orthonormal_frame(curve.start).rows
     ts, _ = rg.Quadrature().nodes_weights(64)
     _, _, C, E, mode, steps = transport_frame(man, curve, rows, ts)
     monkeypatch.setattr(type(man), "chart_for_curve", lambda self, samples: ScalarMethodsChart(chart))
@@ -1070,7 +1070,7 @@ def test_moving_frame_is_orthonormal_at_every_node(name):
     """E[k] is g-orthonormal at curve(ts[k]) to 1e-9, on the closed-form
     route and on the ODE route's angle kernel."""
     man, curve, route = frame_curve(name)
-    rows = man.orthonormal_frame(curve.start).component_matrix()
+    rows = man.orthonormal_frame(curve.start).rows
     nodes, _ = rg.Quadrature().nodes_weights(64)
     ts = np.concatenate([[0.0, 1.0], nodes])
     P, _, _, E, mode, _ = transport_frame(man, curve, rows, ts)
