@@ -23,8 +23,10 @@ integrates the m x m table of alpha[k] = dF(E[k]) against
 beta[k] = g(E[k], velocity(t_k)), and the form is -C (that table) C^T.
 
 The form is linear in the field, and its path side does not depend on the
-field at all.  Fields attributed along one path (``_attribution_matrices``)
-share the path tables, the geodesic and its defect check.
+field at all.  A path's transport is built once per call, with C and c;
+each transport pass then gives the positions and E at its nodes.  Fields
+attributed along one path (``_attribution_matrices``) share the transport,
+the path tables, the geodesic and its defect check.
 """
 
 from __future__ import annotations
@@ -138,28 +140,26 @@ def _check_frame(manifold: Manifold, p: Point, frame: OrthonormalFrame) -> np.nd
     return manifold.validate_frame(frame)
 
 
-def _path_tables(manifold, curve, rows, ts):
-    """Field-free tables of the path at the K nodes ``ts``, from one transport pass.
-
-    ``rows`` (n, coord_dim) holds the frame components at curve(0).  Returns
-    the positions (K, coord_dim), ``transport_frame``'s C and E, the pairing,
-    the transport mode and its panel or step count.  The pairing is, along a
-    geodesic, the constant c[j] = g(e_j, velocity(0)) (n,), lowered at
-    curve(0); along any other curve it has a row per node,
+def _path_tables(manifold, curve, transport, nodes):
+    """Field-free tables of the path at K nodes, from one transport pass,
+    ``nodes``, ``transport.at``'s (P, V, E, steps): the positions
+    (K, coord_dim), ``transport``'s C, the pass's E, the pairing, the
+    transport mode and the pass's panel or step count.  Along a geodesic the
+    pairing is the transport's constant c[j] = g(e_j, velocity(0)) (n,);
+    along any other curve it has a row per node,
     beta[k] = g(E[k], velocity(t_k)) (K, m), or the lowered velocity where E
     is None.
     """
-    positions, velocities, C, E, mode, steps = transport_frame(manifold, curve, rows, ts)
-    # a path with NaN or infinity makes the entries non-finite, which raises
-    # NonFiniteValue in _path_integral
-    with np.errstate(invalid="ignore", over="ignore"):
-        if curve.is_geodesic:
-            c = rows @ manifold.lower(curve.start.coords[None, :], velocities[:1])[0]
-            return positions, C, E, c, mode, steps
-        beta = manifold.lower(positions, velocities[2:])
-        if E is not None:
-            beta = np.einsum("kmc,kc->km", E, beta)
-        return positions, C, E, beta, mode, steps
+    positions, velocities, E, steps = nodes
+    pairing = transport.pairing
+    if not curve.is_geodesic:
+        # a path with NaN or infinity makes the entries non-finite, which
+        # raises NonFiniteValue in _path_integral
+        with np.errstate(invalid="ignore", over="ignore"):
+            pairing = manifold.lower(positions, velocities)
+            if E is not None:
+                pairing = np.einsum("kmc,kc->km", E, pairing)
+    return positions, transport.C, E, pairing, transport.mode, steps
 
 
 def _levels(quadrature, schedule, manifold, curve, rows):
@@ -167,23 +167,27 @@ def _levels(quadrature, schedule, manifold, curve, rows):
     ``schedule`` in order, where the slice ``nodes`` picks the level's rows
     of the tables' per-node arrays.
 
-    The first two levels, which every refining call evaluates, share one
-    transport pass over their joined nodes, and so one tables object;
-    later levels are built only when refinement reaches them, each with a
-    transport pass of its own.  The field is evaluated once per tables
-    object, so its batches follow the passes.  On a 2-dimensional chart a
-    pass's first sweep already has a panel between every two nodes, so a
-    later pass starts from the same sweep schedule.
+    The path's transport is built once, with the first pass.  The first two
+    levels, which every refining call evaluates, share that pass over their
+    joined nodes, and so one tables object; later levels are built only when
+    refinement reaches them, each with a transport pass of its own.  The
+    field is evaluated once per tables object, so its batches follow the
+    passes.  On a 2-dimensional chart a pass's first sweep already has a
+    panel between every two nodes, so a later pass starts from the same
+    sweep schedule.
     """
     head = [quadrature.nodes_weights(count) for count in schedule[:2]]
-    tables = _path_tables(manifold, curve, rows, np.concatenate([ts for ts, _ in head]))
+    joined = np.concatenate([ts for ts, _ in head])
+    transport, first = transport_frame(manifold, curve, rows, joined)
+    tables = _path_tables(manifold, curve, transport, first)
     start = 0
     for count, (_, weights) in zip(schedule, head):
         yield count, weights, tables, slice(start, start + count)
         start += count
     for count in schedule[2:]:
         ts, weights = quadrature.nodes_weights(count)
-        yield count, weights, _path_tables(manifold, curve, rows, ts), slice(None)
+        tables = _path_tables(manifold, curve, transport, transport.at(ts))
+        yield count, weights, tables, slice(None)
 
 
 def _path_integral(field, manifold, curve, rows, quadrature, levels=None):
@@ -456,7 +460,12 @@ def ig(
 
 def symmetrize(matrix: AttributionMatrix) -> AttributionMatrix:
     """Half-sum with the transpose; the diagonal is untouched."""
-    return replace(matrix, entries=0.5 * (matrix.entries + matrix.entries.T))
+    return replace(matrix, entries=_symmetric(matrix.entries))
+
+
+def _symmetric(entries: np.ndarray) -> np.ndarray:
+    """``symmetrize``'s entries, without building a matrix around them."""
+    return 0.5 * (entries + entries.T)
 
 
 def _fix_signs(vectors: np.ndarray) -> None:
@@ -477,7 +486,7 @@ def eigen_attributions(matrix: AttributionMatrix) -> EigenAttribution:
     eigenframe's rows are the eigenvectors' combinations of the source
     frame's rows.
     """
-    sym = symmetrize(matrix).entries
+    sym = _symmetric(matrix.entries)
     try:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -507,7 +516,7 @@ def attribution_bound_check(
         raise ValueError("samples must be positive")
     eigen = eigen_attributions(matrix)
     bound = float(np.abs(eigen.eigenvalues[-1])) if eigen.eigenvalues.size else 0.0
-    sym = symmetrize(matrix).entries
+    sym = _symmetric(matrix.entries)
     rng = np.random.default_rng(seed)
     worst_value = 0.0
     violations = 0

@@ -21,7 +21,6 @@ from ..errors import (
     InvalidPoint,
     InvalidTangent,
     NonFiniteValue,
-    WrongManifold,
 )
 
 # The most a g-orthonormal frame's Gram matrix may differ from the identity.
@@ -79,11 +78,17 @@ class Curve:
 
     ``start`` and ``end`` must be reproduced by the position evaluator at
     t = 0 and t = 1.  ``is_geodesic`` marks constant-speed length-minimising
-    geodesics, which unlocks closed-form parallel transport: that divides the
-    velocity by ``length``, so their g-speed must equal it at every t.
+    geodesics, which unlocks closed-form parallel transport; their g-speed
+    must equal ``length`` at every t.
 
     The evaluators map a float array of K parameters to a (K, coord_dim)
     array; ``position`` and ``velocity`` are their one-parameter cases.
+    ``frame_fn``, which ``make_geodesic`` supplies on a curved 2-manifold,
+    maps them to the positions, the same bits as ``position_fn``'s, and a
+    parallel g-orthonormal frame (K, 2, coord_dim) there: the unit tangent,
+    then the normal that completes it to an oriented pair.  Transport reads
+    the positions from it, so a copy that replaces ``position_fn`` replaces
+    or drops ``frame_fn`` too.
     """
 
     manifold: "Manifold"
@@ -93,6 +98,7 @@ class Curve:
     end: Point
     is_geodesic: bool
     length: float
+    frame_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def position(self, t: float) -> Point:
         return Point(self.positions([float(t)])[0])
@@ -112,7 +118,7 @@ class Curve:
         ts = np.asarray(ts, dtype=float)
         count, dim = len(ts), self.manifold.coord_dim
         if count == dim:  # where a (coord_dim, K) transpose has the right shape
-            ts = np.append(ts, ts[-1])
+            ts = np.concatenate([ts, ts[-1:]])
         out = np.asarray(evaluator(ts), dtype=float)
         expected = (len(ts), dim)
         if out.shape != expected:
@@ -128,8 +134,9 @@ class OrthonormalFrame:
     """An ordered g-orthonormal basis of the tangent space at ``base``.
 
     ``rows`` holds the basis as one frozen, C-ordered (n, coord_dim) array of
-    components. It is given as an array, which is copied, or as a sequence of
-    ``TangentVector``s based at ``base``. ``vectors`` builds them on each read.
+    components. It is given as an array or a sequence of rows, which is
+    copied, or as a sequence of ``TangentVector``s based at ``base``; anything
+    else raises InvalidTangent. ``vectors`` builds them on each read.
     """
 
     base: Point
@@ -137,13 +144,19 @@ class OrthonormalFrame:
 
     def __post_init__(self):
         rows = self.rows
-        if not isinstance(rows, np.ndarray):
-            vectors = tuple(rows)
-            for v in vectors:
-                if v.base is not self.base and not np.array_equal(v.base.coords, self.base.coords):
-                    raise InvalidTangent("frame vector not based at the frame's point")
-            rows = [v.components for v in vectors] or np.empty((0, self.base.coords.size))
-        rows = _freeze(rows)
+        if not isinstance(rows, np.ndarray) and np.iterable(rows):
+            rows = tuple(rows)
+            if rows and all(isinstance(v, TangentVector) for v in rows):
+                for v in rows:
+                    if not (v.base is self.base or np.array_equal(v.base.coords, self.base.coords)):
+                        raise InvalidTangent("frame vector not based at the frame's point")
+                rows = [v.components for v in rows]
+            elif not rows:
+                rows = np.empty((0, self.base.coords.size))
+        try:
+            rows = _freeze(rows)
+        except (TypeError, ValueError) as exc:
+            raise InvalidTangent(f"frame rows are not an array of numbers: {exc}") from None
         if rows.ndim != 2 or rows.shape[1] != self.base.coords.size:
             raise InvalidTangent(
                 f"frame rows shape {rows.shape} is not (n, {self.base.coords.size})"
@@ -426,11 +439,6 @@ class Manifold(ABC):
         validates both points, then calls ``make_geodesic``."""
         return self.make_geodesic(self.validate_point(p), self.validate_point(o))
 
-    def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """Unit normals completing unit tangents ``T`` to oriented g-orthonormal
-        pairs, which closed-form transport along curved 2-manifold geodesics reads."""
-        raise WrongManifold(f"{type(self).__name__} does not implement geodesic_normal")
-
     @abstractmethod
     def geodesic_acceleration(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Right-hand side a(x, x') of the geodesic equation x'' = a(x, x') in
@@ -451,13 +459,18 @@ class Manifold(ABC):
             )
         rows = frame.rows
         with np.errstate(all="ignore"):
-            gram = rows @ self.lower(np.broadcast_to(frame.base.coords, rows.shape), rows).T
+            gram = self._frame_gram(frame.base.coords, rows)
         gap = np.abs(gram - np.eye(self.dim)).max()
         if not math.isfinite(gap):
             raise NonFiniteValue("the frame's Gram matrix is not finite")
         if gap > FRAME_TOL:
             raise InvalidTangent("frame is not g-orthonormal")
         return rows
+
+    def _frame_gram(self, p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The Gram matrix of ``rows`` at ``p`` in the metric, which
+        ``validate_frame`` compares with the identity."""
+        return rows @ self.lower(np.broadcast_to(p, rows.shape), rows).T
 
     # -- sampling (seeded; used by tests and the axiom harness) ------------
 
@@ -469,8 +482,9 @@ class Manifold(ABC):
         return self.project_tangent(p, rng.standard_normal(self.coord_dim))
 
 
-def pin_endpoints(position_fn, p: Point, o: Point):
-    """Make a position evaluator reproduce its endpoints exactly.
+def pin_endpoints(evaluator, p: Point, o: Point):
+    """Make a position evaluator, or a frame evaluator that gives the
+    positions first, reproduce its endpoints exactly.
 
     Closed-form geodesic parametrizations recompute the endpoints through
     trigonometric identities and can be off in the last bits, which would
@@ -478,9 +492,10 @@ def pin_endpoints(position_fn, p: Point, o: Point):
     """
 
     def wrapped(t):
-        out = position_fn(t)
-        out[t == 0.0] = p.coords
-        out[t == 1.0] = o.coords
+        out = evaluator(t)
+        positions = out[0] if isinstance(out, tuple) else out
+        positions[t == 0.0] = p.coords
+        positions[t == 1.0] = o.coords
         return out
 
     return wrapped

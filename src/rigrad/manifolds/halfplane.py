@@ -60,6 +60,13 @@ def _walk(cos: float, m: float, P: float, s):
     return cos * -np.expm1(-2.0 * s) / denominator, u * (m + P) / denominator
 
 
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.stack([a, b], axis=-1) of two arrays of one shape, at less cost."""
+    out = np.empty(a.shape + (2,))
+    out[..., 0], out[..., 1] = a, b
+    return out
+
+
 def _christoffel(X: np.ndarray) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] at each point of X, shape (K, 2, 2, 2)."""
     inv_y = 1.0 / X[:, 1]
@@ -110,6 +117,11 @@ class HalfPlane2(Manifold):
     def raise_gradients(self, P: np.ndarray, G: np.ndarray) -> np.ndarray:
         return P[:, 1:] ** 2 * G
 
+    def _frame_gram(self, p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # the rows over y, whose squares stay normal floats where y**2 in lower() does not
+        scaled = rows / p[1]
+        return scaled @ scaled.T
+
     def chart_for_curve(self, samples) -> Chart:
         return self._chart
 
@@ -157,11 +169,20 @@ class HalfPlane2(Manifold):
 
         def position(t):
             c, w = _walk(cos, m, P, np.asarray(t, dtype=float) * d)
-            return np.stack([xp + yp * c, yp * w], axis=-1)
+            return _pairs(xp + yp * c, yp * w)
 
         def velocity(t):  # y times the g-speed d times the unit direction
             c, w = _walk(cos, m, P, np.asarray(t, dtype=float) * d)
-            return (yp * w)[..., None] * (d * np.stack([cos * w, sin - cos * c], axis=-1))
+            return (yp * w)[..., None] * (d * _pairs(cos * w, sin - cos * c))
+
+        def frame(t):  # the unit tangent T = y (cos w, sin - cos c) and N = (-T_y, T_x)
+            c, w = _walk(cos, m, P, t * d)
+            y = yp * w
+            E = np.empty((len(t), 2, 2))
+            E[:, 0, 0] = E[:, 1, 1] = y * (cos * w)
+            E[:, 0, 1] = y * (sin - cos * c)
+            E[:, 1, 0] = -E[:, 0, 1]
+            return _pairs(xp + yp * c, y), E
 
         return Curve(
             manifold=self,
@@ -171,10 +192,8 @@ class HalfPlane2(Manifold):
             end=o,
             is_geodesic=True,
             length=d,
+            frame_fn=pin_endpoints(frame, p, o),
         )
-
-    def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
-        return np.stack([-T[:, 1], T[:, 0]], axis=1)
 
     def geodesic_acceleration(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         return -np.einsum("skij,si,sj->sk", _christoffel(P), V, V)

@@ -7,6 +7,8 @@ stay away from the points of interest.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import InvalidCurve, InvalidPoint, InvalidTangent
@@ -29,6 +31,11 @@ POLE_MARGIN = 0.1
 # Inner products at or below -1 + this slack mean the base point pair is
 # treated as antipodal and the minimising geodesic as ambiguous.
 ANTIPODAL_SLACK = 1e-9
+
+# the coordinate axes as rows, read-only, and the two other than each one, in order
+_AXES = np.eye(3)
+_AXES.setflags(write=False)
+_OTHER_AXES = ((1, 2), (0, 2), (0, 1))
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -251,6 +258,7 @@ class Sphere2(Manifold):
             return constant_curve(self, p)
         axis_p = np.array(p.coords)
         axis_t = v / theta
+        normal = _cross3(axis_p, axis_t)
 
         def position(t):
             angle = theta * np.asarray(t)[..., None]
@@ -260,6 +268,14 @@ class Sphere2(Manifold):
             angle = theta * np.asarray(t)[..., None]
             return theta * (-np.sin(angle) * axis_p + np.cos(angle) * axis_t)
 
+        def frame(t):  # the great circle turns its tangent about its constant normal p x u
+            angle = theta * t[:, None]
+            cos, sin = np.cos(angle), np.sin(angle)
+            E = np.empty((len(t), 2, 3))
+            E[:, 0] = cos * axis_t - sin * axis_p
+            E[:, 1] = normal
+            return cos * axis_p + sin * axis_t, E
+
         return Curve(
             manifold=self,
             position_fn=pin_endpoints(position, p, o),
@@ -268,28 +284,25 @@ class Sphere2(Manifold):
             end=o,
             is_geodesic=True,
             length=float(theta),
+            frame_fn=pin_endpoints(frame, p, o),
         )
-
-    def geodesic_normal(self, P: np.ndarray, T: np.ndarray) -> np.ndarray:
-        return _cross3(P, T)
 
     def geodesic_acceleration(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         return -(V * V).sum(axis=-1, keepdims=True) * P
 
     def orthonormal_frame(self, p: Point) -> OrthonormalFrame:
-        drop = int(np.argmax(np.abs(p.coords)))
-        vectors = []
-        for i in range(3):
-            if i == drop:
-                continue
-            e = np.zeros(3)
-            e[i] = 1.0
-            v = e - np.dot(e, p.coords) * p.coords
-            for u in vectors:
-                v = v - np.dot(v, u) * u
-            v /= np.linalg.norm(v)
-            vectors.append(v)
-        return OrthonormalFrame(p, np.array(vectors))
+        """Gram-Schmidt on the two coordinate axes e other than the one of p's
+        largest component, each first projected onto the tangent plane:
+        e - (e . p) p, where e . p is p's component along e."""
+        x = p.coords
+        size = [abs(c) for c in x.tolist()]
+        a, b = _OTHER_AXES[size.index(max(size))]
+        u = _AXES[a] - x[a] * x
+        v = _AXES[b] - x[b] * x
+        u /= math.sqrt(np.dot(u, u))
+        v -= np.dot(v, u) * u
+        v /= math.sqrt(np.dot(v, v))
+        return OrthonormalFrame(p, (u, v))
 
     def random_point(self, rng: np.random.Generator) -> Point:
         while True:

@@ -1,14 +1,19 @@
 """Parallel transport along curves.
 
-One entry point, ``transport_frame``, picks the route, and every route returns
-the same shape: constant coefficients C (n, m) on a moving frame E (K, m,
-coord_dim), so vector i at node k is C[i] @ E[k] (E is None where transport
-is the identity and C holds the vectors themselves).
+One entry point, ``transport_frame``, picks the route and splits transport
+into what depends on the path and what depends on the nodes.  It builds the
+path's constants once, as a ``PathTransport``, with its first pass of nodes;
+each later pass calls the transport's ``at``.  Every route gives the same
+shape: constant coefficients C (n, m) on a moving frame E (K, m, coord_dim),
+so vector i at node k is C[i] @ E[k] (E is None where transport is the
+identity and C holds the vectors themselves).
 
 * flat space: transport leaves components unchanged along any curve;
-* geodesics on the 2-manifolds: a vector keeps its coefficients on the unit
-  velocity and normal.  A curve marked ``is_geodesic`` gets it, and the
-  attribution kernel's rank-one integrand, whether or not it is one;
+* geodesics on the 2-manifolds: a vector keeps its coefficients on the
+  parallel unit tangent and normal, which the curve's ``frame_fn`` gives
+  with the positions in one evaluation per pass.  A curve marked
+  ``is_geodesic`` gets it, and the attribution kernel's rank-one integrand,
+  whether or not it is one;
 * everything else: the transport equation in a chart, refined by sweeps
   until successive ones agree.  A kernel gives C, a frame ``basis`` at the
   nodes in canonical components and sweeps of (dim, dim) coefficient
@@ -24,17 +29,24 @@ is the identity and C holds the vectors themselves).
   that kernel as the independent check of the rotation.  Each later sweep
   halves every panel or step of the one before; an RK4 sweep reuses the
   values at the earlier grid points and midpoints and evaluates the chart
-  only at its new midpoints.
+  only at its new midpoints.  The chart and C are the path's; each pass
+  sweeps afresh.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import InvalidCurve, InvalidTangent, NonFiniteValue, TransportNotConverged
+from ..errors import (
+    InvalidCurve,
+    InvalidTangent,
+    NonFiniteValue,
+    TransportNotConverged,
+    WrongManifold,
+)
 from ..quadrature import nodes_weights
 from .base import Curve, Manifold, Point, TangentVector
 
@@ -44,6 +56,12 @@ ODE_MAX_STEPS = 4096
 PANELS_START = 32
 PANELS_MAX = 512
 CURVE_CHART_SAMPLES = 65
+
+# the parameters of a geodesic's two ends, and of its start, read-only
+_ENDS = np.array([0.0, 1.0])
+_START = np.zeros(1)
+_ENDS.setflags(write=False)
+_START.setflags(write=False)
 
 
 def _check_bases(curve: Curve, vectors: Sequence[TangentVector]) -> None:
@@ -185,12 +203,14 @@ def _pass_grid(ts_sorted: np.ndarray, total_steps: int):
     return grid, ends
 
 
-def _angle_kernel(manifold, chart, curve, rows, ts: np.ndarray, P: np.ndarray):
-    """(C, basis, sweeps, unit) of the ODE route on a 2-dimensional chart:
-    ``basis`` is the chart's g-orthonormal ``frames`` at ``P`` in canonical
-    components, C the ``rows`` on the frame at curve(0), read off by the
-    metric, and each sweep yields (count, R), the rotations R(theta) (K, 2, 2)
-    by the transport angle at ``P``.
+def _angle_kernel(manifold, chart, curve, rows, P: np.ndarray):
+    """(C, basis, basis_at, sweeps, unit) of the ODE route on a 2-dimensional
+    chart: C is the ``rows`` on the chart's g-orthonormal ``frames`` at
+    curve(0), read off by the metric, and ``basis`` that frame in canonical
+    components at the first pass's sorted positions ``P``, from one chart
+    call with curve(0); ``basis_at`` gives it at a later pass's.  At a pass's
+    sorted nodes ``ts``, ``sweeps(ts)`` yields (count, R), the rotations
+    R(theta) (K, 2, 2) by the transport angle there.
 
     In that frame transport is z' = -i omega z, so the frame at t is turned by
     theta(t), the integral of omega from 0 to t.  A sweep integrates omega by
@@ -204,7 +224,7 @@ def _angle_kernel(manifold, chart, curve, rows, ts: np.ndarray, P: np.ndarray):
     C = rows @ manifold.lower(Q[[0, 0]], F[0]).T
     x, w = nodes_weights(4)
 
-    def sweeps():
+    def sweeps(ts):
         count = PANELS_START
         grid, ends = _pass_grid(ts, count)
         while True:
@@ -218,19 +238,20 @@ def _angle_kernel(manifold, chart, curve, rows, ts: np.ndarray, P: np.ndarray):
                 return
             count, grid, ends = 2 * count, _finer(grid), 2 * ends
 
-    return C, F[1:], sweeps(), "panels"
+    return C, F[1:], chart.frames, sweeps, "panels"
 
 
-def _matrix_kernel(manifold, chart, curve, rows, ts: np.ndarray, P: np.ndarray):
-    """(C, basis, sweeps, unit) on any chart: C is the pulled ``rows``, and
-    each sweep yields the RK4 propagators that move chart components to the
-    sorted ``ts``, from ODE_START_STEPS steps per unit parameter, each later
-    sweep halving every step, up to ODE_MAX_STEPS; ``basis`` is the chart's
-    ``coordinate_basis`` at ``P``."""
+def _matrix_kernel(manifold, chart, curve, rows, P: np.ndarray):
+    """(C, basis, basis_at, sweeps, unit) on any chart: C is the pulled
+    ``rows``, ``basis`` the chart's ``coordinate_basis`` at the first pass's
+    sorted positions ``P`` and ``basis_at`` the same at a later pass's, and
+    ``sweeps(ts)`` yields the RK4 propagators that move chart components to
+    a pass's sorted nodes ``ts``, from ODE_START_STEPS steps per unit
+    parameter, each later sweep halving every step, up to ODE_MAX_STEPS."""
     evaluate = partial(_chart_matrices, chart, curve)
     start = np.eye(chart.dim)
 
-    def sweeps():
+    def sweeps(ts):
         count = ODE_START_STEPS
         grid, ends = _pass_grid(ts, count)
         values = _grid_matrices(chart, curve, grid)
@@ -241,25 +262,64 @@ def _matrix_kernel(manifold, chart, curve, rows, ts: np.ndarray, P: np.ndarray):
             count, ends = 2 * count, 2 * ends
             grid, values = _halved(evaluate, grid, values)
 
-    return chart.pull(curve.start, rows), chart.coordinate_basis(P), sweeps(), "RK4 steps"
+    basis_at = chart.coordinate_basis
+    return chart.pull(curve.start, rows), basis_at(P), basis_at, sweeps, "RK4 steps"
+
+
+class PathTransport(NamedTuple):
+    """Parallel transport along one curve, split into what the path fixes and
+    what each pass of nodes gives: vector i reaches curve(ts[k]) as
+    C[i] @ E[k], with E from ``at(ts)``.
+
+    ``mode`` is the route, "identity", "closed-form" or "ode"; ``C`` (n, m)
+    the constant coefficients, or the rows themselves where E is None;
+    ``pairing`` (n,), along a geodesic, each row's g-product with the
+    velocity at curve(0) (None off one).  ``at(ts)`` gives, for K parameters
+    in [0, 1], (P, V, E, steps): the positions (K, coord_dim), the velocities
+    there off a geodesic (None along one), the frame E (K, m, coord_dim) or
+    None, and the last sweep's panel or step count per unit parameter on the
+    ODE route (0 elsewhere).
+    """
+
+    mode: str
+    C: np.ndarray
+    pairing: np.ndarray | None
+    at: Callable[[np.ndarray], tuple]
+
+
+def _ode_route(manifold, curve, rows, ts):
+    """``transport_frame``'s ODE route: the chart and a kernel's C are built
+    once per path, with the kernel's ``basis`` at the first pass's sorted
+    nodes; each pass then turns its basis by ``_turned``."""
+    P, V = curve.positions(ts), curve.velocities(ts)
+    order = np.argsort(ts, kind="stable")
+    chart = curve_chart(manifold, curve)
+    kernel = _angle_kernel if chart.dim == 2 else _matrix_kernel
+    with np.errstate(invalid="ignore", over="ignore"):
+        C, basis, basis_at, sweeps_at, unit = kernel(manifold, chart, curve, rows, P[order])
+    turn = partial(_turned, C, sweeps_at, unit)
+
+    def at(ts):
+        P, V = curve.positions(ts), curve.velocities(ts)
+        order = np.argsort(ts, kind="stable")
+        with np.errstate(invalid="ignore", over="ignore"):
+            basis = basis_at(P[order])
+        return turn(ts, P, V, order, basis)
+
+    return PathTransport("ode", C, None, at), turn(ts, P, V, order, basis)
 
 
 @np.errstate(invalid="ignore", over="ignore")  # non-finite frames raise NonFiniteValue
-def _ode_route(manifold, curve, rows, ts, P):
-    """(C, E, "ode", count) of ``transport_frame``'s ODE route.  A kernel gives
-    C, the per-node ``basis`` and sweeps of (dim, dim) coefficient matrices;
-    the stop test reads the moved coefficients C @ matrices, and E is the
-    last sweep's matrices @ basis (K, dim, coord_dim)."""
-    chart = curve_chart(manifold, curve)
-    order = np.argsort(ts, kind="stable")
-    ts_sorted, P_sorted = ts[order], P[order]
-    kernel = _angle_kernel if chart.dim == 2 else _matrix_kernel
-    C, basis, sweeps, unit = kernel(manifold, chart, curve, rows, ts_sorted, P_sorted)
+def _turned(C, sweeps_at, unit, ts, P, V, order, basis):
+    """One ODE pass at ``ts``, with the positions ``P``, velocities ``V``, the
+    sorting ``order`` and the kernel's ``basis`` at the sorted nodes: the
+    sweeps of (dim, dim) coefficient matrices run until the moved
+    coefficients C @ matrices agree, and E is the last sweep's
+    matrices @ basis (K, dim, coord_dim).  Returns ``at``'s (P, V, E, steps)."""
     if not np.isfinite(basis).all():
         raise NonFiniteValue("transport frames are not finite at the nodes")
-
     coarse = None
-    for count, matrices in sweeps:
+    for count, matrices in sweeps_at(ts[order]):
         if not np.isfinite(matrices).all():
             raise NonFiniteValue(f"transport frames are not finite at {count} {unit}")
         fine = C @ matrices
@@ -272,68 +332,98 @@ def _ode_route(manifold, curve, rows, ts, P):
         raise TransportNotConverged(
             f"transport still moving by {gap:.3e} at {count} {unit}, its cap (tol {ODE_TOL:.0e})"
         )
-
-    E = np.empty((len(ts), chart.dim, manifold.coord_dim))
+    E = np.empty(basis.shape)
     E[order] = matrices @ basis
-    return C, E, "ode", count
+    return P, V, E, count
 
 
-def transport_frame(
-    manifold: Manifold,
-    curve: Curve,
-    rows: np.ndarray,
-    ts: np.ndarray,
-):
+def transport_frame(manifold: Manifold, curve: Curve, rows: np.ndarray, ts: np.ndarray):
     """Parallel transport of the n vectors ``rows`` (n, coord_dim) at curve(0)
-    to the K parameters ``ts`` in [0, 1], as constant coefficients on a
-    moving frame: vector i reaches curve(ts[k]) as C[i] @ E[k].
-
-    Returns (P, V, C, E, mode, steps_used), with P (K, coord_dim) the
-    positions at ``ts`` and V (K + 2, coord_dim) the velocities at 0, 1 and
-    ``ts``, one curve call each.  The route is picked here and only here:
+    along ``curve``, as constant coefficients on a moving frame.  What depends
+    on the path alone is built here, once; returns it as a PathTransport,
+    with its first pass at the K parameters ``ts`` in [0, 1], ``at(ts)``'s
+    (P, V, E, steps).  Later passes call ``at``.  The route is picked here
+    and only here:
 
     * "identity" in flat space: C is ``rows`` and E is None;
     * "closed-form" along a curve marked ``is_geodesic``, whether or not it
-      is one: C (n, 2) holds the coefficients on the unit tangent and normal,
-      and E (K, 2, coord_dim) that pair at the nodes.  The unit tangents are
-      velocity / length: a geodesic's g-speed is its length, which its speeds
-      at both ends must confirm to 1e-9 relative.  A geodesic shorter than
-      1e-13 keeps C = ``rows`` and E None;
+      is one: C (n, 2) holds the coefficients on the parallel unit tangent
+      and normal that the curve's ``frame_fn`` gives, and E (K, 2, coord_dim)
+      that pair at the nodes, from one ``frame_fn`` call per pass; the first
+      pass's call also gives the pair at curve(0).  A geodesic's g-speed is
+      its length, which its speeds at both ends must confirm to 1e-9
+      relative.  A curve without ``frame_fn`` raises WrongManifold.  A
+      geodesic shorter than 1e-13 keeps C = ``rows`` and E None.  Along every
+      geodesic the velocities at both ends are one curve call per path,
+      which also gives the ``pairing``;
     * "ode" along any other curve: E (K, dim, coord_dim) is a kernel's frame
       at each node, turned by its last sweep.  On a 2-dimensional chart it is
       the chart's g-orthonormal ``frames``, turned by the Gauss-Legendre
       integral of the connection form on PANELS_START to PANELS_MAX panels
       per unit parameter, and C (n, 2) holds the rows' coefficients on it at
       curve(0); on other charts it is the coordinate basis, moved by RK4 on
-      ODE_START_STEPS to ODE_MAX_STEPS steps, and C the pulled rows.  Each
-      sweep halves the last one's panels or steps; the stop test compares
+      ODE_START_STEPS to ODE_MAX_STEPS steps, and C the pulled rows.  The
+      chart and C are built once per path; each pass sweeps afresh, and each
+      sweep halves the last one's panels or steps.  The stop test compares
       successive sweeps' coefficients C @ matrices, so on a 2-dimensional
       chart it reads their difference on a g-orthonormal frame, whatever
       the chart's coordinates.
       A frame at the nodes or a sweep that is not finite raises
       NonFiniteValue; two sweeps still ODE_TOL or more apart at the cap raise
       TransportNotConverged.
-      steps_used is the last sweep's panel or step count per unit parameter
-      (0 elsewhere).
     """
-    P = curve.positions(ts)
-    V = curve.velocities(np.concatenate([(0.0, 1.0), ts]))
-    length = curve.length
-    if manifold.flat or (curve.is_geodesic and length < 1e-13):
-        return P, V, rows, None, "identity" if manifold.flat else "closed-form", 0
     if not curve.is_geodesic:
-        return P, V, *_ode_route(manifold, curve, rows, ts, P)
-    ends = np.array([curve.start.coords, curve.end.coords])
-    speeds = np.sqrt((manifold.lower(ends, V[:2]) * V[:2]).sum(axis=-1))
+        if not manifold.flat:
+            return _ode_route(manifold, curve, rows, ts)
+        transport = PathTransport("identity", rows, None, partial(_nodes, curve, True))
+        return transport, transport.at(ts)
+    V = curve.velocities(_ENDS)
+    if manifold.flat or curve.length < 1e-13:
+        with np.errstate(invalid="ignore", over="ignore"):  # see _closed_form
+            pairing = rows @ manifold.lower(curve.start.coords[None, :], V[:1])[0]
+        mode = "identity" if manifold.flat else "closed-form"
+        transport = PathTransport(mode, rows, pairing, partial(_nodes, curve, False))
+        return transport, transport.at(ts)
+    if curve.frame_fn is None:
+        raise WrongManifold(
+            f"closed-form transport along a {type(manifold).__name__} geodesic needs "
+            "the curve's frame_fn, which make_geodesic supplies"
+        )
+    return _closed_form(manifold, curve, rows, V, ts)
+
+
+def _closed_form(manifold, curve, rows, V, ts):
+    """``transport_frame``'s closed-form route, given the velocities ``V`` at
+    both ends: one ``frame_fn`` call at 0 and ``ts`` gives the first pass and
+    the frame at curve(0), and one ``lower`` at the ends reads the end
+    speeds, C on that frame and the pairing."""
+    length = curve.length
+    P, E = curve.frame_fn(np.concatenate([_START, ts]))
+    p = curve.start.coords
+    bases = np.array([p, p, p, curve.end.coords])
+    # NaN or infinity in the pairing makes the attribution entries non-finite,
+    # which raises NonFiniteValue there, and a speed that is not finite raises here
+    with np.errstate(all="ignore"):
+        lowered = manifold.lower(bases, np.concatenate([E[0], V]))
+        speeds = np.sqrt((lowered[2:] * V).sum(axis=-1))
+        C = rows @ lowered[:2].T
+        pairing = rows @ lowered[2]
     if not (np.abs(speeds - length) <= 1e-9 * length).all():
         error = InvalidCurve if np.isfinite([length, *speeds]).all() else NonFiniteValue
         raise error(f"geodesic end speeds {speeds} do not match its length {length!r}")
-    t0 = V[:1] / length
-    start_frame = np.concatenate([t0, manifold.geodesic_normal(ends[:1], t0)])
-    C = np.array([rows @ g for g in manifold.lower(ends[[0, 0]], start_frame)]).T
-    tangents = V[2:] / length
-    E = np.array([tangents, manifold.geodesic_normal(P, tangents)]).swapaxes(0, 1)
-    return P, V, C, E, "closed-form", 0
+    transport = PathTransport("closed-form", C, pairing, partial(_frames, curve.frame_fn))
+    return transport, (P[1:], None, E[1:], 0)
+
+
+def _nodes(curve, with_velocities, ts):
+    """``at`` where E is None: the positions at ``ts``, and the velocities if asked."""
+    return curve.positions(ts), curve.velocities(ts) if with_velocities else None, None, 0
+
+
+def _frames(frame_fn, ts):
+    """``at`` on the closed-form route: positions and frames from one evaluation."""
+    P, E = frame_fn(ts)
+    return P, None, E, 0
 
 
 def transport_along(
@@ -346,7 +436,7 @@ def transport_along(
 
     Returns (results, mode, steps_used) where results[i][j] is vector j moved
     to curve(ts[i]), mode is one of "identity", "closed-form" or "ode", and
-    steps_used is ``transport_frame``'s: on the ODE route the last sweep's
+    steps_used is the pass's: on the ODE route the last sweep's
     panel count on a 2-dimensional chart and its RK4 step count otherwise, 0
     off it.
     """
@@ -355,9 +445,9 @@ def transport_along(
     if not vectors or not ts.size:
         return [[] for _ in ts], "identity", 0
     rows = np.array([u.components for u in vectors])
-    positions, _, C, E, mode, steps_used = transport_frame(manifold, curve, rows, ts)
-    moved = np.broadcast_to(rows, (len(ts), *rows.shape)) if E is None else C @ E
+    transport, (positions, _, E, steps_used) = transport_frame(manifold, curve, rows, ts)
+    moved = np.broadcast_to(rows, (len(ts), *rows.shape)) if E is None else transport.C @ E
     results = [
         [TangentVector(Point(p), w) for w in at_p] for p, at_p in zip(positions, moved)
     ]
-    return results, mode, steps_used
+    return results, transport.mode, steps_used

@@ -472,13 +472,15 @@ def test_a_frame_off_the_tangent_plane_is_refused_before_any_gradient():
 
 
 def test_a_frame_whose_metric_underflows_is_refused_without_warnings():
-    """At y = 1e-170 the metric's y squared underflows to 0, so lowering the
-    frame divides by zero: refused as non-finite, with no RuntimeWarning."""
+    """At y = 1e-170 the metric's y squared underflows to 0.  The frame passes
+    its check, which reads the rows over y, but lowering the geodesic's
+    velocity at its ends divides by zero: refused as non-finite, with no
+    RuntimeWarning."""
     man = rg.make_manifold("half_plane2")
     p, o = man.point(np.array([0.0, 1e-170])), man.point(np.array([1e-150, 1e-170]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(rg.NonFiniteValue, match="Gram"):
+        with pytest.raises(rg.NonFiniteValue, match="end speeds"):
             rg.rig(rg.LogHeightField(man), man, p, o, man.orthonormal_frame(p))
 
 
@@ -1129,14 +1131,7 @@ def test_fields_along_one_path_match_separate_calls(monkeypatch, manifold, rng, 
     fields = [gentle, steep, rg.CombinedField([0.7, -1.3], [gentle, steep])]
     p, o = manifold.random_point(rng), manifold.random_point(rng)
     frame = manifold.orthonormal_frame(p)
-    passes = []
-    transport_frame = attribution.transport_frame
-
-    def counting_frame(manifold, curve, rows, ts, *steps):
-        passes.append(len(ts))
-        return transport_frame(manifold, curve, rows, ts, *steps)
-
-    monkeypatch.setattr(attribution, "transport_frame", counting_frame)
+    passes = _counting_passes(monkeypatch)
     shared = _attribution_matrices(fields, manifold, p, o, frame, quadrature)
     monkeypatch.undo()
     for field, matrix in zip(fields, shared):
@@ -1175,31 +1170,47 @@ def test_fields_along_one_path_take_one_batch_per_pass(manifold, rng):
     assert len({matrix.diagnostics.nodes_used for matrix in shared}) > 1
 
 
-def test_one_velocity_call_per_geodesic_pass(monkeypatch, manifold, rng):
-    """A transport pass along a geodesic evaluates the curve's velocities in
-    one call: at both ends, for the end speeds and the pairing, and at the
-    pass's nodes.  So does transport_along."""
+def _counting_passes(monkeypatch):
+    """The node count of every transport pass the attribution kernel makes,
+    in call order, with ``transport_frame`` wrapped to record them."""
+    passes = []
+    transport_frame = attribution.transport_frame
+
+    def counting_frame(manifold, curve, rows, ts):
+        passes.append(len(ts))
+        transport, first = transport_frame(manifold, curve, rows, ts)
+
+        def at(ts):
+            passes.append(len(ts))
+            return transport.at(ts)
+
+        return transport._replace(at=at), first
+
+    monkeypatch.setattr(attribution, "transport_frame", counting_frame)
+    return passes
+
+
+def test_one_velocity_call_per_geodesic_path(monkeypatch, manifold, rng):
+    """Transport along a geodesic evaluates the curve's velocities in one call
+    per path, at its two ends, for the end speeds and the pairing, and in no
+    pass.  So does transport_along."""
     field = rg.MLPField(manifold, rg.random_mlp(manifold.coord_dim, (8,), rng))
     p, o = manifold.random_point(rng), manifold.random_point(rng)
-    calls, passes = [], []
-    velocities, transport_frame = rg.Curve.velocities, attribution.transport_frame
+    calls = []
+    velocities = rg.Curve.velocities
 
     def counting_velocities(curve, ts):
         calls.append(len(ts))
         return velocities(curve, ts)
 
-    def counting_frame(manifold, curve, rows, ts, *steps):
-        passes.append(len(ts))
-        return transport_frame(manifold, curve, rows, ts, *steps)
-
     monkeypatch.setattr(rg.Curve, "velocities", counting_velocities)
-    monkeypatch.setattr(attribution, "transport_frame", counting_frame)
-    rg.rig(field, manifold, p, o, manifold.orthonormal_frame(p))
-    assert passes and calls == [count + 2 for count in passes]
+    passes = _counting_passes(monkeypatch)
+    rg.rig(field, manifold, p, o, manifold.orthonormal_frame(p), rg.Quadrature(nodes=8))
+    assert len(passes) > 1 and calls == [2]
     calls.clear()
     curve = manifold.geodesic_between(p, o)
     rg.transport_along(manifold, curve, list(manifold.orthonormal_frame(p).vectors), [0.25, 0.5])
-    assert calls == [4]
+    assert calls == [2]
 
 
 # -- the rank-one form along geodesics -------------------------------------------------

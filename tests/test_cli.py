@@ -650,28 +650,35 @@ def test_verify_reports_are_deterministic(tmp_path):
 # The half_plane2 Implementation, Linearity, Completeness and
 # IsometryInvariance files and suite.json took them when every half-plane
 # geodesic became one walk from p: residuals moved by at most 6.7e-16.
+# The sphere2 and half_plane2 Implementation, Linearity, Completeness and
+# IsometryInvariance files, the sphere2 Sensitivity file and suite.json took
+# them when closed-form transport began reading the geodesic's frame_fn
+# (the sphere's tangent cos u - sin p and constant normal p x u, the
+# half-plane walk's y (cos w, sin - cos c)) in place of velocity / length
+# and a per-node normal: residuals moved by at most 6.7e-16, notes not; the
+# PASS lines' hash moved with six max_residual figures.
 STOCK_SUITE_SHA256 = {
     "check_00_Implementation_euclidean.csv": "5bf2fe828ea496b1749f4bcff72da0d61ba6268719864d098a653742e989950c",
-    "check_01_Implementation_sphere2.csv": "7ab0c36a7aecceaaea1766bd4ad41205a6a38ba578bd1348e94ad4b6845c8c26",
-    "check_02_Implementation_half_plane2.csv": "bd5889c9ba54a470b9853336b82d55debbd33b146879176d43764536ddbec3f7",
+    "check_01_Implementation_sphere2.csv": "05678568e4c657275c58a64176d038ede89148d074e0a232299a487cb61f1b74",
+    "check_02_Implementation_half_plane2.csv": "a61ea5b2a350661413fae615ef52ad37f1cef23b95bf68f0cd1144d5bd8080d2",
     "check_03_Linearity_euclidean.csv": "d0ea08ff5bfcb100e8c40fd5397b10d9ca77d4b082322f11077d3688174fef1a",
-    "check_04_Linearity_sphere2.csv": "2de8e2f9acb0901320a20725969b39dfc01f512e59868944ab03eee40320f6fc",
-    "check_05_Linearity_half_plane2.csv": "cfc8abfb4d85f02b28875e8c1c7f2a5da16d5b3c0cd3dd1789271e577599b7d9",
+    "check_04_Linearity_sphere2.csv": "686d3c331f5fbd31e70e60aa14d5b945be380fc75b7b2d38aaee095398fba5fa",
+    "check_05_Linearity_half_plane2.csv": "1c908d39f32dbcb1b5eaf0492a2d3f8251f86238d790e55dfbee2168e2049450",
     "check_06_Sensitivity_euclidean.csv": "7744c49ba3fcaaac60361dc01f834131827979b2af4b194d762158023a9cffc3",
-    "check_07_Sensitivity_sphere2.csv": "b00f8dbedf1e9cfe867dcf7addfe55c42ce11b06c5420486b1b9f1bd472f89cd",
+    "check_07_Sensitivity_sphere2.csv": "e679e3a45609c4ac8db318dfb2827de950aa5cacbcc72fce05ca25f20df77504",
     "check_08_Sensitivity_half_plane2.csv": "938fd0ef621d819061b70b3de112775c186f872e11f38928c1c20de89f2150c6",
     "check_09_SymmetryInvariance_euclidean.csv": "631dd0be632f5d3d14023afb094c1d268215ec368edd03d1bf328ace86899d83",
     "check_10_Completeness_euclidean.csv": "53e67a915fcc3970023157bfb370e2cf45bb7109e3de038d66dd6f665fc4e287",
-    "check_11_Completeness_sphere2.csv": "6af3f51ce3ea5bf9a942f560bf08e7c63350e238a4bb305c5f77ae952c3bc3c7",
-    "check_12_Completeness_half_plane2.csv": "52501749e9114e111813157097dda81d28c0ad56b6aa6eb88ffcd0c60cab7fd8",
+    "check_11_Completeness_sphere2.csv": "99f451c313ae5e7ceb16b584fc5c9238af1f754eb15859a6a8f114141dedde10",
+    "check_12_Completeness_half_plane2.csv": "bd193437b08abfd7d6e24bbef7df2fdd959480b2c3dd8b96ca955a78a645bb5d",
     "check_13_IsometryInvariance_euclidean.csv": "6b4c77935fd1166e90b23b9dd9950337664af5fa12bc1e78da1db4f397e046b1",
-    "check_14_IsometryInvariance_sphere2.csv": "4c309ec32e909371ffa2e0868e73711550157bc779fda961a9cb0d2a7398eb58",
-    "check_15_IsometryInvariance_half_plane2.csv": "8f7f418924d112b03d73f51502bffdc1dfadf91fbf49a46d9eddad4e3ac686e8",
+    "check_14_IsometryInvariance_sphere2.csv": "4bd121e949d32ac65f5bf249bfe07133abf9d5b58d8d02b8648bc8aeffdca0b6",
+    "check_15_IsometryInvariance_half_plane2.csv": "7ff01c64d858965abfd8fc061c8c45bbdce86434c9d5a429bab07ec57df0a143",
     "check_16_EuclideanRestriction_euclidean.csv": "3e4c8dad2e9e8e8914e99d262bc27020f4e7cf261ea2511350ed05243614e539",
     "check_17_EigenBound_euclidean.csv": "b6dbd4372ee3200194782c5e5ecacaf3965950e73f681389bee7e9aae89432d1",
     "check_18_EigenBound_sphere2.csv": "05c6b4a057bc755dde89121aaa5f790a52fec2da4f1eb3f4279a321645e49167",
     "check_19_EigenBound_half_plane2.csv": "102beabef6a8c5dc87c3cb3d1aa705fd88c471715542dae4b2f16c23b764731e",
-    "suite.json": "272ee0cd9be7dd40bfcd1120e99da4ce93c348c39b0c49f725d08712eb87efef",
+    "suite.json": "a062fb1df465988baab185a78caa4d1792b2d24a328b27bf87a5136b07c090d4",
 }
 
 
@@ -683,7 +690,7 @@ def test_stock_verify_output_is_pinned(tmp_path):
     assert written == STOCK_SUITE_SHA256
     lines = "".join(line + "\n" for line in output.splitlines() if line.startswith("["))
     assert hashlib.sha256(lines.encode()).hexdigest() == (
-        "0e6e4dbcb595cff754fc8fede42f084852c1e2fb18d5c31e47afa570450546dd"
+        "a63e98b419ae19f176ced17c10c4fbf52f19da8dcb62d448bfe63f89e38cec55"
     )
 
 

@@ -68,12 +68,12 @@ def fd_christoffel(chart, x, h=1e-5):
 
 
 def test_manifold_contract_is_what_the_package_calls():
-    """A custom manifold implements these abstract methods, plus
-    geodesic_normal if it is a curved 2-manifold, whose geodesics take the
-    closed-form transport route: no per-point chart, and tangent and
-    project_tangent have defaults; every attribution builds a geodesic and
-    checks it against the geodesic equation.  It builds geodesics from
-    validated points; geodesic_between validates them first."""
+    """A custom manifold implements these abstract methods: no per-point
+    chart, and tangent and project_tangent have defaults; every attribution
+    builds a geodesic and checks it against the geodesic equation.  It builds
+    geodesics from validated points; geodesic_between validates them first.
+    A curved 2-manifold's make_geodesic also supplies the curve's frame_fn,
+    which closed-form transport reads: there is no geodesic_normal."""
     assert rg.Manifold.__abstractmethods__ == {
         "lower",
         "raise_gradients",
@@ -86,6 +86,13 @@ def test_manifold_contract_is_what_the_package_calls():
         "random_point",
     }
     assert not hasattr(rg.Manifold, "chart_at")
+    assert not hasattr(rg.Manifold, "geodesic_normal")
+    for kind in ("sphere2", "half_plane2"):
+        man = rg.make_manifold(kind)
+        p, o = man.random_point(np.random.default_rng(3)), man.random_point(np.random.default_rng(4))
+        assert man.make_geodesic(p, o).frame_fn is not None
+    flat = rg.make_manifold("euclidean", dim=2)
+    assert flat.make_geodesic(flat.point([0.0, 0.0]), flat.point([1.0, 2.0])).frame_fn is None
     for cls in (rg.Euclidean, rg.HalfPlane2):
         assert "tangent" not in cls.__dict__ and "project_tangent" not in cls.__dict__
 
@@ -252,6 +259,62 @@ def test_stock_frame_vectors_keep_their_bits(manifold, rng):
         for mine, theirs in zip(vectors, expected):
             assert mine.base is p
             assert mine.components.tobytes() == theirs.components.tobytes()
+
+
+def test_sphere_frame_keeps_the_loop_bits_near_every_axis():
+    """Sphere2.orthonormal_frame's rows, byte for byte, against the per-vector
+    Gram-Schmidt loop on 1000 random points and on points next to each axis,
+    where the largest component, and so the axis left out, can change."""
+    man = rg.make_manifold("sphere2")
+    rng = np.random.default_rng(31)
+    points = [man.random_point(rng) for _ in range(1000)]
+    for axis in np.eye(3):
+        for sign in (1.0, -1.0):
+            for size in (0.0, 1e-300, 1e-12, 1e-8, 1e-3):
+                v = sign * axis + size * rng.standard_normal(3)
+                points.append(man.point(v / np.linalg.norm(v)))
+    # ties between the two largest components
+    points += [man.point(np.array(v) / np.linalg.norm(v)) for v in ([1, 1, 0], [0, -1, 1], [1, 1, 1])]
+    for p in points:
+        expected = np.array([v.components for v in stacked_frame_vectors(man, p)])
+        assert man.orthonormal_frame(p).rows.tobytes() == expected.tobytes()
+
+
+def test_a_nested_list_of_numbers_is_read_as_frame_rows():
+    """A sequence of rows that are not TangentVectors is read as an array;
+    anything that is not an array of numbers raises InvalidTangent."""
+    man = rg.make_manifold("half_plane2")
+    p = man.point(np.array([0.3, 1.0]))
+    frame = rg.OrthonormalFrame(p, [[1.0, 0.0], [0.0, 1.0]])
+    assert frame.rows.tobytes() == np.eye(2).tobytes()
+    assert np.array_equal(man.validate_frame(frame), np.eye(2))
+    assert rg.OrthonormalFrame(p, ((0.0, 1.0),)).rows.shape == (1, 2)
+    bad = [
+        [[1.0, 0.0], [0.0]],  # ragged
+        [["a", "b"], ["c", "d"]],
+        [man.orthonormal_frame(p).vectors[0], [0.0, 1.0]],  # mixed
+        "ab",
+        [[1.0, 0.0, 0.0]],  # too wide
+    ]
+    for rows in bad:
+        with pytest.raises(rg.InvalidTangent):
+            rg.OrthonormalFrame(p, rows)
+
+
+@pytest.mark.parametrize("height", [1e-155, 1e-160, 1e-200, 1e-300])
+def test_half_plane_frame_check_holds_where_y_squared_is_subnormal(height):
+    """The half-plane's own frame passes validate_frame at every height, with
+    no warning: the Gram matrix reads the rows over y, not lower()'s
+    V / y**2, which is subnormal below y of about 1.5e-154 and 0 at 1e-200.
+    A frame twice as long is still refused."""
+    man = rg.make_manifold("half_plane2")
+    p = man.point(np.array([0.0, height]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frame = man.orthonormal_frame(p)
+        assert man.validate_frame(frame) is frame.rows
+        with pytest.raises(rg.InvalidTangent, match="not g-orthonormal"):
+            man.validate_frame(rg.OrthonormalFrame(p, 2.0 * frame.rows))
 
 
 # -- exp, log, dist ----------------------------------------------------------

@@ -73,8 +73,8 @@ def test_closed_form_transport_preserves_inner_products(rng):
 
 @pytest.mark.parametrize("kind", ["sphere2", "half_plane2"])
 def test_closed_form_transport_refuses_a_length_that_is_not_the_speed(kind, rng):
-    """Closed-form transport divides the velocity by the geodesic's length, so
-    a curve marked geodesic whose speed at its ends is not its length is
+    """Closed-form transport trusts a geodesic's length as its g-speed, so a
+    curve marked geodesic whose speed at its ends is not its length is
     refused; one within the 1e-9 tolerance is moved."""
     man = rg.make_manifold(kind)
     p = man.random_point(rng)
@@ -91,12 +91,13 @@ def test_closed_form_transport_refuses_a_length_that_is_not_the_speed(kind, rng)
 def test_a_geodesic_that_overflows_raises_non_finite_value():
     """A half-plane pair whose semicircle overflows has an infinite length;
     that is a non-finite value, not a speed that disagrees with the length.
-    ``rig`` refuses the frame first, whose metric underflows at y = 1e-200."""
+    ``rig`` accepts the frame at y = 1e-200, whose check reads the rows over
+    y, and the refusal comes from ``make_geodesic``."""
     man = rg.make_manifold("half_plane2")
     p = man.point(np.array([0.0, 1e-200]))
     o = man.point(np.array([1e200, 1e-200]))
     field = rg.AffineField(man, [0.3, -0.7])
-    with np.errstate(all="ignore"), pytest.raises(rg.NonFiniteValue):
+    with np.errstate(all="ignore"), pytest.raises(rg.NonFiniteValue, match="overflows"):
         rg.rig(field, man, p, o, man.orthonormal_frame(p))
     with pytest.raises(rg.NonFiniteValue, match="overflows"):
         man.geodesic_between(p, o)
@@ -522,10 +523,17 @@ def test_latitude_loop_keeps_the_bits_of_the_stacked_formula():
                 assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+def frame_at(man, curve, rows, ts):
+    """(P, C, E, mode, steps): ``transport_frame``'s path constants and its
+    pass at ``ts``."""
+    transport, (P, _, E, steps) = transport_frame(man, curve, rows, np.asarray(ts, dtype=float))
+    return P, transport.C, E, transport.mode, steps
+
+
 def _batched(man, curve, vectors, ts):
     """``transport_frame``'s vectors at every node, (len(ts), n, coord_dim)."""
     rows = np.array([u.components for u in vectors])
-    _, _, C, E, mode, used = transport_frame(man, curve, rows, ts)
+    _, C, E, mode, used = frame_at(man, curve, rows, ts)
     moved = np.broadcast_to(rows, (len(ts), *rows.shape)) if E is None else C @ E
     return moved, mode, used
 
@@ -571,7 +579,7 @@ def test_flat_transport_builds_no_per_node_table():
     p = man.point(np.zeros(64))
     curve = man.geodesic_between(p, man.point(np.ones(64)))
     rows = man.orthonormal_frame(p).rows
-    _, _, C, E, mode, steps = transport_frame(man, curve, rows, np.linspace(0.0, 1.0, 1024))
+    _, C, E, mode, steps = frame_at(man, curve, rows, np.linspace(0.0, 1.0, 1024))
     assert (mode, steps) == ("identity", 0)
     assert C is rows and E is None
 
@@ -793,7 +801,7 @@ def test_every_later_sweep_halves_every_panel(loop_name, nodes, panels):
     ts, _ = rg.Quadrature().nodes_weights(nodes)
     _, mode, used = _batched(man, recorded, frame.vectors, ts)
     assert (mode, used) == ("ode", panels)
-    sweeps = calls[1:]  # the first call is transport_frame's, at 0, 1 and ts
+    sweeps = calls[1:]  # the first call is the pass's, at ts
     assert len(sweeps) == int(math.log2(panels // PANELS_START)) + 1
     x, _ = rg.Quadrature().nodes_weights(4)
     grid = _pass_grid(np.sort(ts), PANELS_START)[0]
@@ -880,7 +888,7 @@ def test_route_matches_ode_transport_at_2_14_steps(name):
     man, curve, chart = _route_curve(name)
     rows = man.orthonormal_frame(curve.start).rows
     nodes = np.concatenate([rg.Quadrature().nodes_weights(n)[0] for n in (32, 64)])
-    _, _, C, E, mode, _ = transport_frame(man, curve, rows, nodes)
+    _, C, E, mode, _ = frame_at(man, curve, rows, nodes)
     assert mode == "ode"
     w0 = chart.pull(curve.start, rows)
     picked = [0, 17, 40, 77, 95]
@@ -940,9 +948,9 @@ def test_matrix_kernel_matches_the_rotation_kernel_on_a_curved_chart(monkeypatch
     man, curve, chart = ode_curve(name)
     rows = man.orthonormal_frame(curve.start).rows
     ts, _ = rg.Quadrature().nodes_weights(nodes)
-    _, _, C, E, mode, _ = transport_frame(man, curve, rows, ts)
+    _, C, E, mode, _ = frame_at(man, curve, rows, ts)
     monkeypatch.setattr(transport, "_angle_kernel", transport._matrix_kernel)
-    _, _, C_matrix, E_matrix, mode_matrix, _ = transport_frame(man, curve, rows, ts)
+    _, C_matrix, E_matrix, mode_matrix, _ = frame_at(man, curve, rows, ts)
     assert mode == mode_matrix == "ode"
     assert np.array_equal(C_matrix, chart.pull(curve.start, rows))
     assert E_matrix.shape == E.shape
@@ -979,28 +987,32 @@ def test_a_custom_chart_with_scalar_methods_only_transports_alike(monkeypatch, n
     man, curve, chart = ode_curve(name)
     rows = man.orthonormal_frame(curve.start).rows
     ts, _ = rg.Quadrature().nodes_weights(64)
-    _, _, C, E, mode, steps = transport_frame(man, curve, rows, ts)
+    _, C, E, mode, steps = frame_at(man, curve, rows, ts)
     monkeypatch.setattr(type(man), "chart_for_curve", lambda self, samples: ScalarMethodsChart(chart))
-    _, _, C_custom, E_custom, mode_custom, steps_custom = transport_frame(man, curve, rows, ts)
+    _, C_custom, E_custom, mode_custom, steps_custom = frame_at(man, curve, rows, ts)
     assert (mode_custom, steps_custom) == (mode, steps) == ("ode", 2 * PANELS_START)
     assert_close_rel(C_custom @ E_custom, C @ E, 1e-12)
 
 
-class NoNormalHalfPlane(rg.HalfPlane2):
-    """A half-plane that keeps the base class's geodesic_normal."""
+class FramelessHalfPlane(rg.HalfPlane2):
+    """A half-plane whose geodesics come without a frame evaluator."""
 
-    geodesic_normal = rg.Manifold.geodesic_normal
+    def make_geodesic(self, p, o):
+        return dataclasses.replace(super().make_geodesic(p, o), frame_fn=None)
 
 
-def test_a_manifold_without_geodesic_normal_is_refused_along_geodesics():
-    """Closed-form transport along a curved geodesic reads geodesic_normal,
-    whose default raises WrongManifold naming it; the ODE route does not, so
-    generic BAM along a non-geodesic curve still runs, with the same bits."""
-    man = NoNormalHalfPlane()
+def test_a_curved_geodesic_without_a_frame_evaluator_is_refused():
+    """Closed-form transport along a curved geodesic reads the curve's
+    frame_fn; a geodesic without one raises WrongManifold naming it.  The ODE
+    route does not read it, so generic BAM along a non-geodesic curve still
+    runs, with the same bits."""
+    man = FramelessHalfPlane()
     p, o = man.point(np.array([0.3, 1.2])), man.point(np.array([-0.5, 2.0]))
     field = rg.AffineField(man, [0.3, -0.7])
-    with pytest.raises(rg.WrongManifold, match="geodesic_normal"):
+    with pytest.raises(rg.WrongManifold, match="frame_fn"):
         rg.rig(field, man, p, o, man.orthonormal_frame(p))
+    with pytest.raises(rg.WrongManifold, match="frame_fn"):
+        transport_along(man, man.geodesic_between(p, o), man.orthonormal_frame(p).vectors, [0.5])
     bow = halfplane_bow(man)
     report = rg.generic_bam_report(field, bow, man.orthonormal_frame(bow.start))
     stock = rg.make_manifold("half_plane2")
@@ -1037,10 +1049,101 @@ def test_three_dimensional_chart_takes_the_matrix_kernel():
     )
     rows = np.array([[0.3, -1.2, 0.5], [2.0, 0.1, -0.7]])
     ts, _ = rg.Quadrature().nodes_weights(64)
-    _, _, C, E, mode, _ = transport_frame(man, curve, rows, ts)
+    _, C, E, mode, _ = frame_at(man, curve, rows, ts)
     moved = C @ E
     assert mode == "ode"
     assert np.array_equal(moved, np.broadcast_to(rows, (len(ts), *rows.shape)))
+
+
+# -- closed-form frames: the geodesic's frame_fn -------------------------------
+
+
+def closed_form_geodesics():
+    """(name, manifold, curve) of sphere geodesics of length 1e-8 to pi - 1e-3
+    and half-plane geodesics of length 1e-8 to about 300: short arcs,
+    semicircles whose ends sink towards the axis, and a vertical ray."""
+    sphere = rg.make_manifold("sphere2")
+    p, u = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])
+    out = [
+        (f"sphere2-{length:g}", sphere,
+         sphere.geodesic_between(sphere.point(p), sphere.point(math.cos(length) * p + math.sin(length) * u)))
+        for length in (1e-8, 1e-4, 0.1, 1.0, 2.0, 3.0, math.pi - 1e-3)
+    ]
+    plane = rg.make_manifold("half_plane2")
+    ends = [((0.3, 1.0), (0.3 + 1e-8, 1.0)), ((0.0, 1.0), (0.5, 1.2)), ((0.0, 1.0), (3.0, 2.0)),
+            ((-1.0, 1e-10), (1.0, 1e-10)), ((-1.0, 1e-65), (1.0, 1e-65)), ((0.2, 1.0), (0.2, 1e130))]
+    for a, b in ends:
+        curve = plane.geodesic_between(plane.point(a), plane.point(b))
+        out.append((f"half_plane2-{curve.length:.3g}", plane, curve))
+    return out
+
+
+CLOSED_FORM_GEODESICS = closed_form_geodesics()
+CLOSED_FORM_IDS = [name for name, _, _ in CLOSED_FORM_GEODESICS]
+
+
+def _lowered_gram(man, P, A, B):
+    """g(A[k, i], B[k, j]) at each P[k], shape (K, m, m)."""
+    lowered = np.stack([man.lower(P, B[:, j]) for j in range(B.shape[1])], axis=1)
+    return np.einsum("kic,kjc->kij", A, lowered)
+
+
+@pytest.mark.parametrize("name, man, curve", CLOSED_FORM_GEODESICS, ids=CLOSED_FORM_IDS)
+def test_closed_form_frame_is_the_unit_tangent_and_its_normal(name, man, curve):
+    """frame_fn's pair is g-orthonormal at every node, to 1e-13 (the half-plane
+    walk's y at t = 1 differs from the pinned end's by rounding), and keeps
+    the orientation N = P x T on the sphere and (-T_y, T_x) on the
+    half-plane; its T is velocity / length to 1e-14 in the g-norm."""
+    nodes, _ = rg.Quadrature().nodes_weights(64)
+    ts = np.concatenate([[0.0, 1.0], nodes])
+    P, E = curve.frame_fn(ts)
+    assert E.shape == (len(ts), 2, man.coord_dim)
+    gram = _lowered_gram(man, P, E, E)
+    assert float(np.max(np.abs(gram - np.eye(2)))) <= 1e-13
+    T, N = E[:, 0], E[:, 1]
+    if man.kind == "sphere2":
+        normal = np.cross(P, T)
+    else:
+        normal = np.stack([-T[:, 1], T[:, 0]], axis=1)
+    assert float(np.max(np.abs(_lowered_gram(man, P, (N - normal)[:, None], (N - normal)[:, None])))) <= 1e-28
+    gap = curve.velocities(ts) / curve.length - T
+    assert float(np.sqrt(np.max(_lowered_gram(man, P, gap[:, None], gap[:, None])))) <= 1e-14
+
+
+@pytest.mark.parametrize("name, man, curve", CLOSED_FORM_GEODESICS, ids=CLOSED_FORM_IDS)
+def test_closed_form_positions_are_the_curves_bits(name, man, curve):
+    """frame_fn's positions are position_fn's, byte for byte, at the Gauss
+    nodes and at t = 0 and 1, where both give the curve's ends."""
+    nodes, _ = rg.Quadrature().nodes_weights(64)
+    ts = np.concatenate([[0.0, 1.0], nodes, [0.5, 0.0]])
+    P, _ = curve.frame_fn(ts)
+    assert P.tobytes() == curve.positions(ts).tobytes()
+    assert P[0].tobytes() == P[-1].tobytes() == curve.start.coords.tobytes()
+    assert P[1].tobytes() == curve.end.coords.tobytes()
+
+
+@pytest.mark.parametrize("name, man, curve", CLOSED_FORM_GEODESICS, ids=CLOSED_FORM_IDS)
+def test_closed_form_transport_matches_the_rk4_oracle(name, man, curve):
+    """The moved frame C @ E at t = 0.3 and 1 against ``ode_transport``'s RK4
+    in a chart, to 1e-9 in the g-norm.  The sphere's chart has its pole
+    0.8 rad off the great circle's normal, so its connection terms do not
+    vanish along the curve."""
+    rows = man.orthonormal_frame(curve.start).rows
+    ts = np.array([0.3, 1.0])
+    transport, (P, _, E, _) = transport_frame(man, curve, rows, ts)
+    assert transport.mode == "closed-form"
+    if man.kind == "sphere2":
+        p, u = curve.start.coords, np.array([0.0, 0.6, 0.8])
+        chart = SphericalChart(math.cos(0.8) * np.cross(p, u) + math.sin(0.8) * u)
+        steps = 2**12
+    else:
+        chart = man.chart_for_curve([curve.start])
+        steps = 2**17
+    w0 = chart.pull(curve.start, rows)
+    for k, t in enumerate(ts):
+        w1 = ode_transport(man, curve, w0, 0.0, t, steps, chart)
+        gap = (transport.C @ E[k] - w1 @ chart.coordinate_basis(P[k : k + 1])[0])[None]
+        assert float(np.sqrt(np.max(_lowered_gram(man, P[k : k + 1], gap, gap)))) <= 1e-9
 
 
 # -- every route: coefficients C on a moving frame E ---------------------------
@@ -1073,7 +1176,7 @@ def test_moving_frame_is_orthonormal_at_every_node(name):
     rows = man.orthonormal_frame(curve.start).rows
     nodes, _ = rg.Quadrature().nodes_weights(64)
     ts = np.concatenate([[0.0, 1.0], nodes])
-    P, _, _, E, mode, _ = transport_frame(man, curve, rows, ts)
+    P, _, E, mode, _ = frame_at(man, curve, rows, ts)
     assert mode == route and E.shape == (len(ts), man.dim, man.coord_dim)
     lowered = np.stack([man.lower(P, E[:, j]) for j in range(man.dim)], axis=1)
     gram = np.einsum("kic,kjc->kij", E, lowered)
@@ -1087,7 +1190,7 @@ def test_transport_along_is_the_frame_expanded(name, rng):
     vectors = [random_unit_tangent(man, curve.start, rng) for _ in range(3)]
     ts = np.array([0.9, 0.0, 0.25, 1.0, 0.5])
     rows = np.array([u.components for u in vectors])
-    P, _, C, E, mode, steps = transport_frame(man, curve, rows, ts)
+    P, C, E, mode, steps = frame_at(man, curve, rows, ts)
     wrapped, wrapped_mode, wrapped_steps = transport_along(man, curve, vectors, ts)
     assert (mode, steps) == (wrapped_mode, wrapped_steps)
     assert np.array_equal([[w.components for w in row] for row in wrapped], C @ E)
