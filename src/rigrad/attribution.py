@@ -172,9 +172,9 @@ def _levels(quadrature, schedule, manifold, curve, rows):
     joined nodes, and so one tables object; later levels are built only when
     refinement reaches them, each with a transport pass of its own.  The
     field is evaluated once per tables object, so its batches follow the
-    passes.  On a 2-dimensional chart a pass's first sweep already has a
-    panel between every two nodes, so a later pass starts from the same
-    sweep schedule.
+    passes.  On a 2-dimensional chart the transport keeps its sweeps of the
+    connection form, so a later pass samples it again only where the two
+    finest sweeps disagree at the pass's nodes.
     """
     head = [quadrature.nodes_weights(count) for count in schedule[:2]]
     joined = np.concatenate([ts for ts, _ in head])
@@ -470,12 +470,19 @@ def _symmetric(entries: np.ndarray) -> np.ndarray:
 
 def _fix_signs(vectors: np.ndarray) -> None:
     """Negate, in place, each column whose leading entry (its first above 1e-12
-    of its largest magnitude) is negative; an all-zero column has none."""
-    size = np.abs(vectors)
-    above = size > 1e-12 * size.max(axis=0)
-    lead = vectors[np.argmax(above, axis=0), np.arange(vectors.shape[1])]
-    flip = above.any(axis=0) & (lead < 0.0)
-    vectors[:, flip] = -vectors[:, flip]
+    of its largest magnitude) is negative; an all-zero column has none, nor
+    has one holding NaN.  The leads are read as Python floats, mostly off the
+    first row: at n <= 8, numpy calls on masks and fancy indices took longer
+    than the eigensolve."""
+    signs = []
+    tops = np.abs(vectors).max(axis=0).tolist()
+    for j, (lead, top) in enumerate(zip(vectors[0].tolist(), tops)):
+        threshold = 1e-12 * top
+        if not abs(lead) > threshold:
+            lead = next((v for v in vectors[:, j].tolist() if abs(v) > threshold), 0.0)
+        signs.append(-1.0 if lead < 0.0 else 1.0)
+    if -1.0 in signs:
+        vectors *= signs
 
 
 def eigen_attributions(matrix: AttributionMatrix) -> EigenAttribution:

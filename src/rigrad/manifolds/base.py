@@ -460,7 +460,8 @@ class Manifold(ABC):
         rows = frame.rows
         with np.errstate(all="ignore"):
             gram = self._frame_gram(frame.base.coords, rows)
-        gap = np.abs(gram - np.eye(self.dim)).max()
+        gram.flat[:: self.dim + 1] -= 1.0  # the gap to the identity, in place
+        gap = np.abs(gram).max()
         if not math.isfinite(gap):
             raise NonFiniteValue("the frame's Gram matrix is not finite")
         if gap > FRAME_TOL:
@@ -468,8 +469,8 @@ class Manifold(ABC):
         return rows
 
     def _frame_gram(self, p: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The Gram matrix of ``rows`` at ``p`` in the metric, which
-        ``validate_frame`` compares with the identity."""
+        """The Gram matrix of ``rows`` at ``p`` in the metric, a new array,
+        which ``validate_frame`` compares with the identity in place."""
         return rows @ self.lower(np.broadcast_to(p, rows.shape), rows).T
 
     # -- sampling (seeded; used by tests and the axiom harness) ------------

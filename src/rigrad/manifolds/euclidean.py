@@ -43,6 +43,9 @@ class Euclidean(Manifold):
     def raise_gradients(self, P: np.ndarray, G: np.ndarray) -> np.ndarray:
         return G
 
+    def _frame_gram(self, p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return rows @ rows.T  # lower() is the identity
+
     def chart_for_curve(self, samples) -> Chart:
         return self._chart
 

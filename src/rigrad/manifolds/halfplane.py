@@ -127,17 +127,24 @@ class HalfPlane2(Manifold):
 
     def exp_map(self, v: TangentVector) -> Point:
         """The walk from the base along the tangent for its speed; y is clamped to the
-        smallest positive float, and NonFiniteValue raised where the walk leaves the floats."""
+        smallest positive float, and NonFiniteValue raised where the walk leaves the floats.
+
+        Past a speed of _LONGEST, u = exp(-s) is no longer a normal float, and u^2 P
+        vanishes beside m, so y = y_p u (m + P) / m is taken through its logarithm:
+        y_p e^-s can be a normal float where e^-s is not."""
         (x0, y0), (a, b) = v.base.coords.tolist(), v.components.tolist()
         norm = math.hypot(a, b)
         if norm / y0 < 1e-300:
             return Point(np.array(v.base.coords))
         cos, sin, s = a / norm, b / norm, norm / y0
         m, P = _cos2_factors(cos, sin)
+        stays = m + P * math.exp(-2.0 * s) >= _TINY
         with np.errstate(all="ignore"):
             c, w = _walk(cos, m, P, s)
             x, y = x0 + y0 * c, y0 * w
-        if not (math.isfinite(x) and math.isfinite(y) and m + P * math.exp(-2.0 * s) >= _TINY):
+            if stays and s > _LONGEST:
+                y = float(np.exp(math.log(y0) + math.log((m + P) / m) - s))
+        if not (math.isfinite(x) and math.isfinite(y) and stays):
             raise NonFiniteValue(f"the half-plane exp_map overflows at speed {s:.3e}")
         return Point(np.array([x, max(y, _TINY)]))
 

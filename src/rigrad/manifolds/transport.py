@@ -21,21 +21,24 @@ identity and C holds the vectors themselves).
   is the last sweep's matrices @ basis.  On a 2-dimensional chart the frame
   is the chart's g-orthonormal ``frames``, C is the rows on it at curve(0),
   read off by the metric, and transport turns it by the angle theta(t), the
-  integral of the connection 1-form omega along the curve: a sweep
-  integrates omega by the 4-point Gauss-Legendre rule on every panel between
-  the nodes and reads the rotations off one cumulative sum.  Other charts
-  move chart components by w' = w @ B with RK4 steps, each a matrix, on the
-  chart's coordinate basis, with C the pulled rows; ``ode_transport`` keeps
-  that kernel as the independent check of the rotation.  Each later sweep
-  halves every panel or step of the one before; an RK4 sweep reuses the
-  values at the earlier grid points and midpoints and evaluates the chart
-  only at its new midpoints.  The chart and C are the path's; each pass
-  sweeps afresh.
+  integral of the connection 1-form omega along the curve.  A sweep cuts
+  [0, 1] into uniform panels, whatever the nodes, and samples omega at the
+  PANEL_POINTS Gauss-Legendre nodes of each; theta at a node is the
+  composite Gauss sum up to its panel plus the integral of the polynomial
+  that interpolates the panel's values.  The sweeps are the path's: a later
+  pass reads its nodes off the two finest so far and samples a finer one
+  only if they disagree there.  Other charts move chart components by
+  w' = w @ B with RK4 steps, each a matrix, on the chart's coordinate
+  basis, with C the pulled rows; ``ode_transport`` keeps that kernel as the
+  independent check of the rotation.  Its sweeps run between the nodes,
+  each later one halving every step of the one before and evaluating the
+  chart only at its new midpoints, and each pass sweeps afresh.  The chart
+  and C are the path's.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -53,8 +56,9 @@ from .base import Curve, Manifold, Point, TangentVector
 ODE_START_STEPS = 256
 ODE_TOL = 1e-9
 ODE_MAX_STEPS = 4096
-PANELS_START = 32
-PANELS_MAX = 512
+PANELS_START = 8
+PANELS_MAX = 256
+PANEL_POINTS = 12
 CURVE_CHART_SAMPLES = 65
 
 # the parameters of a geodesic's two ends, and of its start, read-only
@@ -203,40 +207,129 @@ def _pass_grid(ts_sorted: np.ndarray, total_steps: int):
     return grid, ends
 
 
+@lru_cache(maxsize=None)
+def _panel_rule(n: int) -> np.ndarray:
+    """(n, n + 2): a panel's values at its n Gauss-Legendre nodes to, per unit
+    panel width, their Gauss sum, the panel's integral, then the monomial
+    coefficients, in y in [-1, 1] across the panel, of the integral from its
+    start of the polynomial that interpolates them.  Built on first use and
+    cached, read-only.
+
+    The interpolant's Legendre coefficients are (2j + 1) sum_i w_i P_j(y_i) f_i,
+    since the rule integrates P_j P_i exactly, and P_j's integral from -1 is
+    (P_(j+1) - P_(j-1)) / (2j + 1), y + 1 for j = 0; dt is half of dy per
+    unit width.  Centred on the panel, the monomials stay well conditioned:
+    at 12 nodes they amplify rounding about 10^4 times less than monomials
+    in the offset from the panel's start, and theta around a latitude loop
+    stays within about 1e-15 of the closed form."""
+    legendre = np.polynomial.legendre  # loaded on first use, as by nodes_weights
+    x, w = nodes_weights(n)
+    degrees = (2.0 * np.arange(n) + 1.0)[:, None]
+    to_legendre = degrees * legendre.legvander(2.0 * x - 1.0, n - 1).T * w
+    to_monomials = np.zeros((n + 1, n + 1))
+    for j in range(n + 1):
+        to_monomials[: j + 1, j] = legendre.leg2poly(np.eye(j + 1)[j])
+    integrals = to_monomials @ legendre.legint(to_legendre, lbnd=-1, scl=0.5)
+    rule = np.concatenate([w[None, :], integrals]).T
+    rule.setflags(write=False)
+    return rule
+
+
+@lru_cache(maxsize=None)
+def _panel_points(counts: tuple, n: int) -> np.ndarray:
+    """The n Gauss-Legendre nodes of every panel of each uniform sweep of
+    [0, 1] into ``counts`` panels, one sweep after another; cached, read-only."""
+    x, _ = nodes_weights(n)
+    at = np.concatenate([((np.arange(count)[:, None] + x) / count).ravel() for count in counts])
+    at.setflags(write=False)
+    return at
+
+
+class _Sweep(NamedTuple):
+    """The connection form's integral theta on ``panels`` uniform panels of
+    [0, 1], as ``coefficients`` (panels, PANEL_POINTS + 1): theta in each
+    panel is the polynomial with these monomial coefficients in y in [-1, 1]
+    across it.  Its constant terms carry theta at the panels' starts, the
+    composite Gauss sums before them."""
+
+    panels: int
+    coefficients: np.ndarray
+
+
+def _rotations(sweeps, ts: np.ndarray) -> np.ndarray:
+    """R(theta) (len(sweeps), K, 2, 2) of each of ``sweeps`` at the
+    parameters ``ts`` in [0, 1], read in one batch: theta at a node is its
+    panel's polynomial there.  The powers of y are a loop of products, which
+    at 1024 nodes takes half the time of a cumprod along their short axis."""
+    counts = np.array([[sweep.panels] for sweep in sweeps])
+    u = counts * ts
+    panel = np.minimum(u.astype(np.intp), counts - 1)
+    powers = np.empty((sweeps[0].coefficients.shape[1],) + u.shape)
+    powers[0] = 1.0
+    powers[1] = 2.0 * (u - panel) - 1.0
+    for k in range(2, len(powers)):
+        np.multiply(powers[k - 1], powers[1], out=powers[k])
+    first = np.cumsum(counts, axis=0) - counts  # each sweep's first row in the stacked coefficients
+    coefficients = np.concatenate([sweep.coefficients for sweep in sweeps])
+    theta = np.einsum("dsk,skd->sk", powers, coefficients[first + panel])
+    cos, sin = np.cos(theta), np.sin(theta)
+    return np.array([[cos, -sin], [sin, cos]]).transpose(2, 3, 0, 1)
+
+
+def _sampled_sweeps(chart, curve, counts: tuple) -> list:
+    """A ``_Sweep`` per panel count in ``counts``, from the connection form at
+    the PANEL_POINTS Gauss-Legendre nodes of every panel of all of them, in
+    one curve call and one chart call."""
+    at = _panel_points(counts, PANEL_POINTS)
+    omega = chart.connection_forms(curve.positions(at), curve.velocities(at))
+    table = omega.reshape(-1, PANEL_POINTS) @ _panel_rule(PANEL_POINTS)
+    sweeps, start = [], 0
+    for count in counts:
+        rows = table[start : start + count] / count
+        start += count
+        coefficients = rows[:, 1:]
+        coefficients[1:, 0] += np.cumsum(rows[:-1, 0])
+        sweeps.append(_Sweep(count, coefficients))
+    return sweeps
+
+
 def _angle_kernel(manifold, chart, curve, rows, P: np.ndarray):
     """(C, basis, basis_at, sweeps, unit) of the ODE route on a 2-dimensional
     chart: C is the ``rows`` on the chart's g-orthonormal ``frames`` at
     curve(0), read off by the metric, and ``basis`` that frame in canonical
     components at the first pass's sorted positions ``P``, from one chart
     call with curve(0); ``basis_at`` gives it at a later pass's.  At a pass's
-    sorted nodes ``ts``, ``sweeps(ts)`` yields (count, R), the rotations
+    sorted nodes ``ts``, ``sweeps(ts)`` yields (panels, R), the rotations
     R(theta) (K, 2, 2) by the transport angle there.
 
     In that frame transport is z' = -i omega z, so the frame at t is turned by
-    theta(t), the integral of omega from 0 to t.  A sweep integrates omega by
-    the 4-point Gauss-Legendre rule on each panel of ``_pass_grid(ts, count)``'s
-    grid, in one chart call, and reads theta at the sorted ``ts`` off one
-    cumulative sum.  The first sweep has count = PANELS_START panels per unit
-    parameter; each later one halves every panel, up to PANELS_MAX.
+    theta(t), the integral of omega from 0 to t.  A sweep cuts [0, 1] into
+    uniform panels, whatever the nodes, and samples omega at the
+    PANEL_POINTS Gauss-Legendre nodes of each: theta at a panel's end is the
+    composite Gauss sum, and at a node inside a panel the integral from the
+    panel's start of the polynomial that interpolates the panel's values
+    (``_panel_rule``, ``_rotations``).  The first sweep has PANELS_START
+    panels and each later one twice as many, up to PANELS_MAX; the first two
+    are sampled together, in one curve and one chart call, when the first
+    pass needs them: 3 * PANELS_START * PANEL_POINTS = 288 evaluations of
+    omega, however many nodes the pass has.  The two finest sweeps are kept
+    for the path, so a later pass reads its nodes off them and samples a
+    finer sweep only where they disagree by ODE_TOL at those nodes; along a
+    path the first pass converged, it evaluates omega nowhere.
     """
     Q = np.concatenate([curve.start.coords[None, :], P])
     F = chart.frames(Q)
     C = rows @ manifold.lower(Q[[0, 0]], F[0]).T
-    x, w = nodes_weights(4)
+    finest = []  # the path's two finest sweeps so far
 
     def sweeps(ts):
-        count = PANELS_START
-        grid, ends = _pass_grid(ts, count)
-        while True:
-            h = np.diff(grid)
-            at = (grid[:-1, None] + h[:, None] * x).ravel()
-            omega = chart.connection_forms(curve.positions(at), curve.velocities(at))
-            theta = np.concatenate([[0.0], np.cumsum(h * (omega.reshape(-1, len(x)) @ w))])[ends]
-            cos, sin = np.cos(theta), np.sin(theta)
-            yield count, np.array([[cos, -sin], [sin, cos]]).transpose(2, 0, 1)
-            if count >= PANELS_MAX:
-                return
-            count, grid, ends = 2 * count, _finer(grid), 2 * ends
+        if not finest:
+            finest.extend(_sampled_sweeps(chart, curve, (PANELS_START, 2 * PANELS_START)))
+        for sweep, R in zip(finest, _rotations(finest, ts)):
+            yield sweep.panels, R
+        while finest[-1].panels < PANELS_MAX:
+            finest[:] = [finest[-1], *_sampled_sweeps(chart, curve, (2 * finest[-1].panels,))]
+            yield finest[-1].panels, _rotations(finest[1:], ts)[0]
 
     return C, F[1:], chart.frames, sweeps, "panels"
 
@@ -277,8 +370,8 @@ class PathTransport(NamedTuple):
     velocity at curve(0) (None off one).  ``at(ts)`` gives, for K parameters
     in [0, 1], (P, V, E, steps): the positions (K, coord_dim), the velocities
     there off a geodesic (None along one), the frame E (K, m, coord_dim) or
-    None, and the last sweep's panel or step count per unit parameter on the
-    ODE route (0 elsewhere).
+    None, and on the ODE route the panels of the sweep the pass stopped at,
+    uniform over [0, 1], or its RK4 steps per unit parameter (0 elsewhere).
     """
 
     mode: str
@@ -359,11 +452,13 @@ def transport_frame(manifold: Manifold, curve: Curve, rows: np.ndarray, ts: np.n
     * "ode" along any other curve: E (K, dim, coord_dim) is a kernel's frame
       at each node, turned by its last sweep.  On a 2-dimensional chart it is
       the chart's g-orthonormal ``frames``, turned by the Gauss-Legendre
-      integral of the connection form on PANELS_START to PANELS_MAX panels
-      per unit parameter, and C (n, 2) holds the rows' coefficients on it at
-      curve(0); on other charts it is the coordinate basis, moved by RK4 on
-      ODE_START_STEPS to ODE_MAX_STEPS steps, and C the pulled rows.  The
-      chart and C are built once per path; each pass sweeps afresh, and each
+      integral of the connection form on PANELS_START to PANELS_MAX uniform
+      panels of [0, 1], and C (n, 2) holds the rows' coefficients on it at
+      curve(0); the path keeps its two finest sweeps, and a later pass
+      samples a finer one only if they disagree at its nodes.  On other
+      charts it is the coordinate basis, moved by RK4 on ODE_START_STEPS to
+      ODE_MAX_STEPS steps per unit parameter, swept afresh by each pass, and
+      C the pulled rows.  The chart and C are built once per path, and each
       sweep halves the last one's panels or steps.  The stop test compares
       successive sweeps' coefficients C @ matrices, so on a 2-dimensional
       chart it reads their difference on a g-orthonormal frame, whatever
@@ -436,9 +531,9 @@ def transport_along(
 
     Returns (results, mode, steps_used) where results[i][j] is vector j moved
     to curve(ts[i]), mode is one of "identity", "closed-form" or "ode", and
-    steps_used is the pass's: on the ODE route the last sweep's
-    panel count on a 2-dimensional chart and its RK4 step count otherwise, 0
-    off it.
+    steps_used is the pass's: on the ODE route the panels of the sweep it
+    stopped at on a 2-dimensional chart and its RK4 steps per unit parameter
+    otherwise, 0 off it.
     """
     _check_bases(curve, vectors)
     ts = _clamp_params(list(ts))

@@ -13,7 +13,7 @@ from rigrad.attribution import PathDiagnostics, _attribution_matrices
 from rigrad.axioms import FIXED_QUADRATURE
 from rigrad.manifolds.sphere import ANTIPODAL_SLACK
 from rigrad.manifolds.sphere import SphericalChart
-from rigrad.manifolds.transport import ODE_START_STEPS, PANELS_START
+from rigrad.manifolds.transport import ODE_START_STEPS, PANEL_POINTS, PANELS_START
 
 from conftest import (
     assert_close_rel,
@@ -602,6 +602,45 @@ def test_sign_rule_matches_the_column_loop():
     assert np.array_equal(fixed[:, 1], vectors[:, 1])
 
 
+def array_signs(vectors):
+    """The sign rule as masks over the whole array, one reduction per step:
+    the form ``_fix_signs`` had before it read the leads as Python floats."""
+    out = np.array(vectors)
+    size = np.abs(out)
+    above = size > 1e-12 * size.max(axis=0)
+    lead = out[np.argmax(above, axis=0), np.arange(out.shape[1])]
+    flip = above.any(axis=0) & (lead < 0.0)
+    out[:, flip] = -out[:, flip]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+def test_sign_rule_keeps_the_bits_of_the_array_form(n):
+    """Eigenvectors of random symmetric matrices, then the same with an
+    all-zero column, a lead entry at exactly 1e-12 of its column's largest,
+    one just above it, a NaN and an infinite column: byte for byte the array
+    form's."""
+    draw = np.random.default_rng(n)
+    for trial in range(20):
+        a = draw.standard_normal((n, n))
+        _, vectors = np.linalg.eigh(a + a.T)
+        cases = [vectors]
+        if n >= 3:
+            edited = vectors.copy()
+            edited[:, 0] = 0.0
+            top = float(np.abs(edited[:, 1]).max())
+            edited[0, 1] = -1e-12 * top  # at the threshold: not the lead
+            edited[0, 2] = -np.nextafter(1e-12 * float(np.abs(edited[:, 2]).max()), 1.0)
+            cases.append(edited)
+            odd = vectors.copy()
+            odd[trial % n, 1], odd[0, 2] = np.nan, -np.inf
+            cases.append(odd)
+        for case in cases:
+            fixed = case.copy()
+            attribution._fix_signs(fixed)
+            assert fixed.tobytes() == array_signs(case).tobytes()
+
+
 @pytest.mark.parametrize("entries", [
     np.zeros((2, 2)),
     np.zeros((4, 4)),
@@ -937,7 +976,8 @@ def test_loop_refinement_runs_one_step_doubling(monkeypatch, colatitude, sweeps)
     in the route it is one step doubling: ``sweeps`` sweeps (256, 512, ...
     steps) where one per level took twice as many, and the reported step
     count is that of the last sweep.  The angle kernel takes 2 sweeps on
-    both loops.  Each agrees with closed-form transport."""
+    both loops, sampled in one chart call of 288 rows.  Each agrees with
+    closed-form transport."""
     field = lambda man: rg.AffineField(man, [0.3, -0.7, 0.5])
     report, calls, expected = _loop_report(monkeypatch, colatitude, field, "_matrix_kernel")
     assert report.diagnostics.nodes_used == 64
@@ -947,20 +987,22 @@ def test_loop_refinement_runs_one_step_doubling(monkeypatch, colatitude, sweeps)
     monkeypatch.undo()
     report, calls, expected = _loop_report(monkeypatch, colatitude, field)
     assert report.diagnostics.nodes_used == 64
-    assert (len(calls["forms"]), len(calls["sweeps"])) == (2, 0)
+    assert (calls["forms"], calls["sweeps"]) == ([3 * PANELS_START * PANEL_POINTS], [])
     assert report.diagnostics.transport_steps == 2 * PANELS_START
     assert_close_rel(report.attributions, expected, 1e-12)
 
 
 def test_later_level_runs_a_transport_pass_of_its_own(monkeypatch):
     """A field that refines to 128 nodes on this loop: the level-128 pass
-    starts from PANELS_START again, as the shared pass did, and both stop at
-    their second sweep.  The attributions match closed-form transport."""
+    reads its frames off the two sweeps the shared pass sampled and kept, and
+    evaluates the connection form nowhere (1536 times when each pass swept
+    afresh between its nodes).  The attributions match closed-form
+    transport."""
     field = lambda man: rg.MLPField(man, rg.random_mlp(3, (8, 8), np.random.default_rng(2)))
     report, calls, expected = _loop_report(monkeypatch, 2.4, field)
     assert report.diagnostics.nodes_used == 128
     assert report.diagnostics.transport_steps == 2 * PANELS_START
-    assert calls["forms"] == [4 * 96, 8 * 96, 4 * 128, 8 * 128]
+    assert calls["forms"] == [3 * PANELS_START * PANEL_POINTS]
     assert_close_rel(report.attributions, expected, 1e-12)
 
 

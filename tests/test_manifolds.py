@@ -301,6 +301,51 @@ def test_a_nested_list_of_numbers_is_read_as_frame_rows():
             rg.OrthonormalFrame(p, rows)
 
 
+def _old_frame_gap(man, p, rows):
+    """The frame check's gap as it was computed: the Gram matrix, through
+    lower() everywhere but the half-plane's rows over y, minus np.eye."""
+    with np.errstate(all="ignore"):
+        if man.kind == "half_plane2":
+            gram = man._frame_gram(p, rows)
+        else:
+            gram = rows @ man.lower(np.broadcast_to(p, rows.shape), rows).T
+    return np.abs(gram - np.eye(man.dim)).max()
+
+
+@pytest.mark.parametrize(
+    "kind, dim", [("euclidean", 3), ("euclidean", 64), ("sphere2", None), ("half_plane2", None)]
+)
+def test_frame_gap_keeps_the_bits_of_the_identity_subtraction(monkeypatch, kind, dim):
+    """validate_frame's gap, pinned through FRAME_TOL: a frame passes at a
+    tolerance equal to the old formula's gap and fails one float below it,
+    for random, slightly and grossly perturbed frames; a frame holding NaN
+    or infinity raises NonFiniteValue, as the old gap was not finite."""
+    from rigrad.manifolds import base
+
+    man = rg.make_manifold(kind, dim=dim)
+    draw = np.random.default_rng(7)
+    for trial in range(12):
+        p = man.random_point(draw)
+        rows = man.orthonormal_frame(p).rows
+        if man.kind == "euclidean":
+            rows = rows @ np.linalg.qr(draw.standard_normal((man.dim, man.dim)))[0]
+        noise = np.array([man.random_tangent(p, draw).components for _ in rows])
+        rows = rows + [0.0, 1e-13, 1e-9, 0.3][trial % 4] * noise
+        if trial % 3 == 2:
+            bad = rows.copy()
+            bad[trial % len(rows), 0] = [np.nan, np.inf, -np.inf][(trial // 3) % 3]
+            assert not math.isfinite(_old_frame_gap(man, p.coords, bad))
+            with pytest.raises(rg.NonFiniteValue):
+                man.validate_frame(rg.OrthonormalFrame(p, bad))
+        gap = float(_old_frame_gap(man, p.coords, rows))
+        frame = rg.OrthonormalFrame(p, rows)
+        monkeypatch.setattr(base, "FRAME_TOL", gap)
+        assert man.validate_frame(frame) is frame.rows
+        monkeypatch.setattr(base, "FRAME_TOL", np.nextafter(gap, -1.0))
+        with pytest.raises(rg.InvalidTangent, match="not g-orthonormal"):
+            man.validate_frame(frame)
+
+
 @pytest.mark.parametrize("height", [1e-155, 1e-160, 1e-200, 1e-300])
 def test_half_plane_frame_check_holds_where_y_squared_is_subnormal(height):
     """The half-plane's own frame passes validate_frame at every height, with
@@ -572,6 +617,48 @@ def test_halfplane_exp_map_of_a_tangent_past_sinh_overflow():
             limit = halfplane_x_limit(p.coords, a, b)
             assert abs(x - limit) <= 4e-16 * abs(limit)
             assert y == np.finfo(float).tiny
+
+
+def halfplane_exp_oracle(p, a, b):
+    """(x, y) of the walk from p along the tangent (a, b), in 60-digit
+    decimals: x_p + y_p cos sinh s / D and y_p / D, D = cosh s - sin sinh s."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        (xp, yp), a, b = (Decimal(float(v)) for v in p), Decimal(a), Decimal(b)
+        norm = (a * a + b * b).sqrt()
+        s, cos, sin = norm / yp, a / norm, b / norm
+        grow = s.exp()
+        cosh, sinh = (grow + 1 / grow) / 2, (grow - 1 / grow) / 2
+        denominator = cosh - sin * sinh
+        return float(xp + yp * cos * sinh / denominator), float(yp / denominator)
+
+
+@pytest.mark.parametrize(
+    "p, a, b",
+    [
+        ((0.0, 1e300), 8e302, 3e301),
+        ((0.0, 1e300), 7.1e302, 0.0),
+        ((0.0, 1e300), 1e303, 9e302),
+        ((2.0, 1e200), -9e202, -4e202),
+        ((-1.0, 1e250), 3e252, -1.2e253),
+        ((0.5, 1e10), 7.075e12, 2e11),
+        ((0.5, 1e10), 7.0845e12, 2e11),
+    ],
+)
+def test_halfplane_exp_map_past_the_underflow_of_exp_minus_s(p, a, b):
+    """Past a speed of about 708 exp(-s) is no longer a normal float, yet y_p
+    exp(-s) can be: from (0, 1e300) along (8e302, 3e301) y is 4.3e-48, not the
+    smallest float.  x and y match the 60-digit walk to 1e-12 relative, the
+    last two on both sides of the switch to y's logarithm, with no warning."""
+    man = rg.make_manifold("half_plane2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, y = man.exp_map(man.tangent(man.point(np.array(p)), [a, b])).coords
+    x_true, y_true = halfplane_exp_oracle(p, a, b)
+    assert abs(x - x_true) <= 1e-15 * abs(x_true)
+    assert abs(y - y_true) <= 1e-12 * y_true
+    if p == (0.0, 1e300) and b == 3e301:
+        assert 4.3e-48 < y < 4.4e-48
 
 
 def test_halfplane_exp_map_stays_on_the_manifold():

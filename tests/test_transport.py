@@ -14,8 +14,11 @@ from rigrad.manifolds.euclidean import Euclidean
 from rigrad.manifolds.sphere import SphericalChart
 from rigrad.manifolds.transport import (
     ODE_START_STEPS,
+    PANEL_POINTS,
+    PANELS_MAX,
     PANELS_START,
-    _finer,
+    _panel_points,
+    _panel_rule,
     _grid_matrices,
     _pass_grid,
     _propagate,
@@ -270,27 +273,33 @@ def test_holonomy_angle_on_a_wandering_loop(theta0, eps):
 
 
 def test_transport_that_outruns_the_step_cap_raises(monkeypatch):
-    """160 waves at the 64 Gauss nodes need more than PANELS_MAX panels per
-    unit parameter: the last two sweeps still differ by more than ODE_TOL, so
-    the route refuses instead of returning the unconverged frames.  It gets
-    there in five sweeps of 64, 128, ..., 1024 panels (one per gap at 32 per
-    unit, then halved), each evaluating the connection form 4 times a panel."""
+    """160 waves at the 64 Gauss nodes need more than PANELS_MAX panels: the
+    last two sweeps still differ by more than ODE_TOL, so the route refuses
+    instead of returning the unconverged frames.  It gets there in one call
+    for the first two sweeps, PANELS_START and twice that many panels, then
+    one call per doubling up to PANELS_MAX, each evaluating the connection
+    form PANEL_POINTS times a panel: 6048 evaluations, where sweeps between
+    the nodes took 11904."""
     man = rg.make_manifold("sphere2")
     loop, _ = wandering_loop(man, 1.5, 0.3, waves=160)
     frame = man.orthonormal_frame(loop.start)
     ts, _ = rg.Quadrature().nodes_weights(64)
     rows_per_call = _counting_forms(monkeypatch)
-    with pytest.raises(TransportNotConverged, match=r"moving by \d\.\d+e-0\d at 512 panels"):
+    with pytest.raises(TransportNotConverged, match=rf"moving by \d\.\d+e-0\d at {PANELS_MAX} panels"):
         _batched(man, loop, frame.vectors, ts)
-    assert rows_per_call == [4 * 64 * 2**k for k in range(5)]
+    panels = [3 * PANELS_START] + [4 * PANELS_START * 2**k for k in range(4)]
+    assert panels[-1] == PANELS_MAX
+    assert rows_per_call == [PANEL_POINTS * count for count in panels]
+    assert sum(rows_per_call) == 6048
     with pytest.raises(TransportNotConverged):
         rg.generic_bam_report(rg.CoordinateField(man, 2), loop, frame)
 
 
 def test_non_finite_frames_stop_the_route_at_once(monkeypatch):
     """A latitude loop whose velocity is NaN past t = 0.7 turns the frames
-    NaN on the first sweep: the route raises NonFiniteValue after that one
-    sweep, with no numpy warning, instead of halving its panels to the cap."""
+    NaN on the first sweep: the route raises NonFiniteValue after the one
+    chart call that samples the first two sweeps, with no numpy warning,
+    instead of doubling its panels to the cap."""
     man = rg.make_manifold("sphere2")
     loop = man.latitude_loop(1.1)
 
@@ -303,9 +312,41 @@ def test_non_finite_frames_stop_the_route_at_once(monkeypatch):
     rows_per_call = _counting_forms(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(rg.NonFiniteValue, match="frames are not finite at 32 panels"):
+        with pytest.raises(rg.NonFiniteValue, match=f"frames are not finite at {PANELS_START} panels"):
             rg.generic_bam_report(rg.CoordinateField(man, 2), broken, frame)
-    assert len(rows_per_call) == 1
+    assert rows_per_call == [3 * PANELS_START * PANEL_POINTS]
+
+
+@pytest.mark.parametrize("call", ["generic_bam_report", "transport_along"])
+def test_a_non_finite_velocity_between_the_nodes_stops_the_route(monkeypatch, call):
+    """A latitude loop whose velocity is NaN on (0.395, 0.415) alone: no node
+    of the joined 32 + 64 rule falls there, but two Gauss-Legendre points of
+    the first sweep's fourth panel do.  The connection form is NaN there, so
+    the frames past it are too, and the route raises NonFiniteValue naming
+    the first sweep's panels, with no numpy warning."""
+    man = rg.make_manifold("sphere2")
+    loop = man.latitude_loop(1.1)
+    ts = np.concatenate([rg.Quadrature().nodes_weights(n)[0] for n in (32, 64)])
+    inside = lambda t: (t > 0.395) & (t < 0.415)
+    assert not inside(ts).any()
+    assert inside(_panel_points((PANELS_START,), PANEL_POINTS)).sum() == 2
+
+    def velocity(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(inside(t)[..., None], np.nan, loop.velocity_fn(t))
+
+    broken = dataclasses.replace(loop, velocity_fn=velocity)
+    frame = man.orthonormal_frame(loop.start)
+    calls = {
+        "generic_bam_report": lambda: rg.generic_bam_report(rg.CoordinateField(man, 2), broken, frame),
+        "transport_along": lambda: transport_along(man, broken, frame.vectors, ts),
+    }
+    rows_per_call = _counting_forms(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rg.NonFiniteValue, match=f"frames are not finite at {PANELS_START} panels"):
+            calls[call]()
+    assert rows_per_call == [3 * PANELS_START * PANEL_POINTS]
 
 
 def test_non_finite_positions_are_refused_before_the_chart():
@@ -385,7 +426,7 @@ def test_public_calls_raise_the_exported_transport_error(call):
         ),
     }
     assert rg.TransportNotConverged is TransportNotConverged
-    with pytest.raises(rg.TransportNotConverged, match="at 512 panels"):
+    with pytest.raises(rg.TransportNotConverged, match=f"at {PANELS_MAX} panels"):
         calls[call]()
 
 
@@ -697,9 +738,10 @@ def _counting_forms(monkeypatch):
 @pytest.mark.parametrize("colatitude, steps", [(0.8, 1024), (1.2, 512)])
 def test_ode_route_step_count_on_pinned_loops(monkeypatch, colatitude, steps):
     """At the 64 Gauss nodes of a latitude loop the route stops at its second
-    sweep, 2 * PANELS_START panels per unit parameter, and matches the closed
-    form to 1e-12.  The RK4 matrix kernel in the angle kernel's place, on the
-    same chart, keeps its own schedule: ``steps`` steps, to 1e-9."""
+    sweep, 2 * PANELS_START panels, after 288 evaluations of the connection
+    form (768 when sweeps ran between the nodes), and matches the closed form
+    to 1e-12.  The RK4 matrix kernel in the angle kernel's place, on the same
+    chart, keeps its own schedule: ``steps`` steps, to 1e-9."""
     from rigrad.manifolds import transport
 
     man = rg.make_manifold("sphere2")
@@ -707,8 +749,10 @@ def test_ode_route_step_count_on_pinned_loops(monkeypatch, colatitude, steps):
     frame = man.orthonormal_frame(loop.start)
     ts, _ = rg.Quadrature().nodes_weights(64)
     expected = latitude_loop_frames(colatitude, frame, ts)
+    rows_per_call = _counting_forms(monkeypatch)
     moved, mode, used = _batched(man, loop, frame.vectors, ts)
     assert (mode, used) == ("ode", 2 * PANELS_START)
+    assert rows_per_call == [288]
     assert float(np.max(np.abs(moved - expected))) <= 1e-12
     monkeypatch.setattr(transport, "_angle_kernel", transport._matrix_kernel)
     moved, mode, used = _batched(man, loop, frame.vectors, ts)
@@ -784,13 +828,15 @@ def _recording_velocity_calls(curve):
 
 
 @pytest.mark.parametrize(
-    "loop_name, nodes, panels", [(2.4, 64, 64), ("wandering", 64, 128), (0.8, 512, 64)]
+    "loop_name, nodes, panels", [(2.4, 64, 16), ("wandering", 64, 64), (0.8, 512, 16)]
 )
 def test_every_later_sweep_halves_every_panel(loop_name, nodes, panels):
-    """The angle kernel's first sweep takes _pass_grid's panels at
-    PANELS_START per unit parameter, and each later sweep halves every panel
-    of the one before.  A sweep evaluates the curve once, at the 4 Gauss-
-    Legendre nodes of each of its panels, and nowhere else."""
+    """The angle kernel's sweeps cut [0, 1] into uniform panels, whatever the
+    nodes.  Its first curve call after the pass's own samples the first two
+    sweeps, PANELS_START and twice that many panels, and each later call the
+    sweep with every panel of the last one halved.  A sweep evaluates the
+    curve at the PANEL_POINTS Gauss-Legendre nodes of each of its panels and
+    nowhere else."""
     man = rg.make_manifold("sphere2")
     if loop_name == "wandering":
         loop, _ = wandering_loop(man, 0.9, 0.2)
@@ -801,51 +847,59 @@ def test_every_later_sweep_halves_every_panel(loop_name, nodes, panels):
     ts, _ = rg.Quadrature().nodes_weights(nodes)
     _, mode, used = _batched(man, recorded, frame.vectors, ts)
     assert (mode, used) == ("ode", panels)
-    sweeps = calls[1:]  # the first call is the pass's, at ts
-    assert len(sweeps) == int(math.log2(panels // PANELS_START)) + 1
-    x, _ = rg.Quadrature().nodes_weights(4)
-    grid = _pass_grid(np.sort(ts), PANELS_START)[0]
-    for at in sweeps:
-        h = np.diff(grid)
-        assert np.array_equal(at, (grid[:-1, None] + h[:, None] * x).ravel())
-        grid = _finer(grid)
+    assert np.array_equal(calls[0], ts)  # the pass's own velocities
+    sweeps = calls[1:]
+    assert len(sweeps) == int(math.log2(panels // PANELS_START))
+    x, _ = rg.Quadrature().nodes_weights(PANEL_POINTS)
+
+    def points(count):
+        return ((np.arange(count)[:, None] + x) / count).ravel()
+
+    assert np.array_equal(sweeps[0], np.concatenate([points(PANELS_START), points(2 * PANELS_START)]))
+    for k, at in enumerate(sweeps[1:], start=2):
+        assert np.array_equal(at, points(PANELS_START * 2**k))
 
 
 def test_few_starting_steps_still_refine_every_sweep(monkeypatch):
-    """With 8 starting panels per unit parameter and 65 targets, every gap
-    gets one panel at both 8 and 16, so a fresh grid at 16 would repeat the
-    first sweep and agree with it exactly.  Halved sweeps double the panels
-    each time, and the frame at t = 1 comes back turned by 2 pi (1 - cos 1.2)."""
+    """With one starting panel the route doubles the panels, one chart call
+    per sweep after the first two, until two sweeps agree at the 65 targets,
+    and the frame at t = 1 comes back turned by the enclosed area."""
     from rigrad.manifolds import transport
 
     man = rg.make_manifold("sphere2")
-    colatitude = 1.2
-    loop = man.latitude_loop(colatitude)
-    monkeypatch.setattr(transport, "PANELS_START", 8)
+    loop, area = wandering_loop(man, 0.9, 0.2)
+    monkeypatch.setattr(transport, "PANELS_START", 1)
     rows_per_call = _counting_forms(monkeypatch)
     frame = man.orthonormal_frame(loop.start)
     nodes, _ = rg.Quadrature().nodes_weights(64)
     moved, mode, used = _batched(man, loop, frame.vectors, np.append(nodes, 1.0))
-    assert (mode, used) == ("ode", 16)
-    assert rows_per_call == [4 * 65, 8 * 65]
+    assert mode == "ode"
+    later = [PANEL_POINTS * 2**k for k in range(2, len(rows_per_call) + 1)]
+    assert rows_per_call == [3 * PANEL_POINTS] + later
+    assert used == 2 ** len(rows_per_call) >= 16
     p = loop.start.coords
-    expected = 2.0 * math.pi * (1.0 - math.cos(colatitude))
     for u, w in zip(frame.vectors, moved[-1]):
         u = u.components
         angle = math.atan2(float(np.dot(p, np.cross(u, w))), float(np.dot(u, w)))
-        assert abs(math.remainder(angle - expected, 2.0 * math.pi)) <= 1e-12
+        assert abs(math.remainder(angle - area, 2.0 * math.pi)) <= 1e-10
 
 
 def test_many_nodes_refine_to_a_fine_reference_sweep():
-    """At 1024 nodes every gap has one panel at 32 and 64 panels per unit
-    alike; the route still halves them and its frames agree with one
-    2^15-step RK4 sweep."""
+    """The panels do not depend on the nodes: at 1024 nodes the wandering
+    loop takes the sweeps it takes at 64, 1440 evaluations of the connection
+    form (12288 when sweeps ran between the nodes), and its frames agree
+    with one 2^15-step RK4 sweep to 1e-10."""
     man = rg.make_manifold("sphere2")
     loop, _ = wandering_loop(man, 0.9, 0.2)
     frame = man.orthonormal_frame(loop.start)
-    ts, _ = rg.Quadrature().nodes_weights(1024)
-    moved, mode, steps = _batched(man, loop, frame.vectors, ts)
-    assert (mode, steps) == ("ode", 2 * PANELS_START)
+    counts = {}
+    for nodes in (64, 1024):
+        ts, _ = rg.Quadrature().nodes_weights(nodes)
+        with pytest.MonkeyPatch.context() as patch:
+            rows_per_call = _counting_forms(patch)
+            moved, mode, steps = _batched(man, loop, frame.vectors, ts)
+        counts[nodes] = (mode, steps, rows_per_call)
+    assert counts[64] == counts[1024] == ("ode", 8 * PANELS_START, [288, 384, 768])
     chart = curve_chart(man, loop)
     w0 = np.array([chart.pull(loop.start, u) for u in frame.rows])
     grid, ends = _pass_grid(ts, 2**15)
@@ -898,6 +952,105 @@ def test_route_matches_ode_transport_at_2_14_steps(name):
         assert float(np.max(np.abs(C @ E[k] - reference))) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "name, evaluations",
+    [("loop_0.3", 288), ("loop_1.1", 288), ("loop_2.6", 288), ("squared_sphere", 288),
+     ("halfplane_bow", 288), ("wandering_0.9_0.2", 1440), ("wandering_2.0_0.4", 672)],
+)
+def test_connection_form_evaluations_at_64_nodes(monkeypatch, name, evaluations):
+    """Evaluations of the connection form at 64 Gauss nodes, one path: no
+    curve needs more than sweeps between the nodes did (768, and 1792 on the
+    (0.9, 0.2) wandering loop), and a later 128-node pass on the same path
+    reads the kept sweeps without evaluating it again."""
+    man, curve, chart = _route_curve(name)
+    rows_per_call = []
+    forms = type(chart).connection_forms
+
+    def counting_forms(chart, P, V):
+        rows_per_call.append(len(P))
+        return forms(chart, P, V)
+
+    monkeypatch.setattr(type(chart), "connection_forms", counting_forms)
+    rows = man.orthonormal_frame(curve.start).rows
+    transport, (_, _, _, steps) = transport_frame(man, curve, rows, rg.Quadrature().nodes_weights(64)[0])
+    assert sum(rows_per_call) == evaluations
+    assert evaluations <= (1792 if name == "wandering_0.9_0.2" else 768)
+    _, _, _, later = transport.at(rg.Quadrature().nodes_weights(128)[0])
+    assert (sum(rows_per_call), later) == (evaluations, steps)
+
+
+def test_a_later_pass_reads_the_kept_sweeps(monkeypatch):
+    """A later pass at 128 nodes along a latitude loop the first, joined
+    32 + 64 pass converged on evaluates the connection form nowhere, stops at
+    the same panels and matches the closed form to 1e-12."""
+    man = rg.make_manifold("sphere2")
+    loop = man.latitude_loop(2.4)
+    frame = man.orthonormal_frame(loop.start)
+    rows_per_call = _counting_forms(monkeypatch)
+    joined = np.concatenate([rg.Quadrature().nodes_weights(n)[0] for n in (32, 64)])
+    transport, _ = transport_frame(man, loop, frame.rows, joined)
+    ts, _ = rg.Quadrature().nodes_weights(128)
+    _, _, E, steps = transport.at(ts)
+    assert rows_per_call == [288]
+    assert steps == 2 * PANELS_START
+    expected = latitude_loop_frames(2.4, frame, ts)
+    assert float(np.max(np.abs(transport.C @ E - expected))) <= 1e-12
+
+
+def test_a_later_pass_samples_where_the_kept_sweeps_disagree(monkeypatch):
+    """A first pass at t = 1 alone stops at the second sweep on the (0.9, 0.2)
+    wandering loop: the composite Gauss sum of a periodic integrand over its
+    period is already exact.  A later pass at 64 nodes finds the two kept
+    sweeps apart between the ends and samples finer ones, one chart call
+    each, until two agree; it ends on the same sweeps, and the same bits, as
+    a first pass at those nodes."""
+    man = rg.make_manifold("sphere2")
+    loop, _ = wandering_loop(man, 0.9, 0.2)
+    rows = man.orthonormal_frame(loop.start).rows
+    rows_per_call = _counting_forms(monkeypatch)
+    transport, (_, _, _, first) = transport_frame(man, loop, rows, np.array([1.0]))
+    assert (rows_per_call, first) == ([288], 2 * PANELS_START)
+    ts, _ = rg.Quadrature().nodes_weights(64)
+    _, _, E, later = transport.at(ts)
+    assert (rows_per_call, later) == ([288, 384, 768], 8 * PANELS_START)
+    fresh, (_, _, E_fresh, steps) = transport_frame(man, loop, rows, ts)
+    assert steps == later
+    assert np.array_equal(transport.C @ E, fresh.C @ E_fresh)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 12])
+def test_panel_rule_integrates_the_interpolant(n):
+    """A panel's rule, per unit width: its first column is the Gauss weights,
+    and the rest gives the monomials, in y across the panel, of half the
+    integral from -1 of any polynomial of degree below n from its values at
+    the nodes.  At y = 1 that is the Gauss sum, to rounding."""
+    rule = _panel_rule(n)
+    assert rule.shape == (n, n + 2) and not rule.flags.writeable
+    x, w = rg.Quadrature().nodes_weights(n)
+    assert np.array_equal(rule[:, 0], w)
+    draw = np.random.default_rng(n)
+    for _ in range(5):
+        p = np.polynomial.Polynomial(draw.standard_normal(n))
+        coefficients = p(2.0 * x - 1.0) @ rule[:, 1:]
+        y = np.concatenate([[-1.0, 1.0], draw.uniform(-1.0, 1.0, 20)])
+        exact = 0.5 * p.integ(lbnd=-1.0)(y)
+        assert_close_rel(np.polynomial.polynomial.polyval(y, coefficients), exact, 1e-13)
+    assert _panel_rule(n) is rule
+
+
+def test_the_panel_tables_are_built_on_first_use():
+    """Importing rigrad builds no panel rule and no panel points."""
+    import subprocess
+    import sys
+
+    code = (
+        "import rigrad.manifolds.transport as t; "
+        "print(t._panel_rule.cache_info().currsize, t._panel_points.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0"]
+
+
 @pytest.mark.parametrize("name", ["loop_0.3", "loop_1.1", "loop_2.6", "wandering_0.9_0.2", "wandering_2.0_0.4"])
 def test_holonomy_at_a_single_gap_is_the_enclosed_area(name):
     """Transport to ts = [1.0] alone, one gap from 0, turns every tangent
@@ -920,10 +1073,11 @@ def test_holonomy_at_a_single_gap_is_the_enclosed_area(name):
 
 
 def test_joined_levels_of_a_latitude_loop_take_two_sweeps(monkeypatch):
-    """At the joined 32 + 64 Gauss nodes every gap is below 1 / PANELS_START,
-    so the first sweep has 96 panels and the second 192: 4 * (96 + 192) = 1152
-    connection-form evaluations in two calls, and the frames match the closed
-    form to 1e-12."""
+    """At the joined 32 + 64 Gauss nodes the first two sweeps, of PANELS_START
+    and twice as many panels, come from one chart call:
+    3 * PANELS_START * PANEL_POINTS = 288 connection-form evaluations (1152
+    when sweeps ran between the nodes), and the frames match the closed form
+    to 1e-12."""
     man = rg.make_manifold("sphere2")
     colatitude = 1.1
     loop = man.latitude_loop(colatitude)
@@ -932,7 +1086,7 @@ def test_joined_levels_of_a_latitude_loop_take_two_sweeps(monkeypatch):
     rows_per_call = _counting_forms(monkeypatch)
     moved, mode, used = _batched(man, loop, frame.vectors, ts)
     assert (mode, used) == ("ode", 2 * PANELS_START)
-    assert rows_per_call == [4 * 96, 4 * 192]
+    assert rows_per_call == [3 * PANELS_START * PANEL_POINTS] == [288]
     assert float(np.max(np.abs(moved - latitude_loop_frames(colatitude, frame, ts)))) <= 1e-12
 
 
