@@ -218,16 +218,16 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     if name == "identity":
         return z
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)  # z is always a fresh pre-activation
     return np.logaddexp(0.0, z)  # softplus
 
 
 def _act_prime(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Derivative at ``z``, where ``a`` is ``_act(name, z)``; tanh's reuses ``a``."""
+    """Derivative at ``z``, where ``a`` is ``_act(name, z)``; tanh's overwrites ``a``."""
     if name == "identity":
         return np.ones_like(z)
     if name == "tanh":
-        return 1.0 - a**2
+        return np.subtract(1.0, np.square(a, out=a), out=a)
     # logistic sigmoid, stable on both tails
     out = np.empty_like(z)
     pos = z >= 0
@@ -263,10 +263,13 @@ class MLPField(ScalarField):
             z = a @ layer.weights.T + layer.bias
             a = _act(layer.activation, z)
             seen.append((z, a))
-        # the output layer's act'(z) (K, 1) times its weights (1, h) starts the pass
+        # the output layer's act'(z) (K, 1) times its weights (1, h) starts the
+        # pass; an identity's act' is 1, so below a hidden layer its weights do
         *hidden, last = self.weights.layers
         z, a = seen.pop()
-        grad = _act_prime(last.activation, z, a) * last.weights
+        grad = last.weights
+        if last.activation != "identity" or not hidden:
+            grad = _act_prime(last.activation, z, a) * grad
         for layer, (z, a) in zip(reversed(hidden), reversed(seen)):
             grad = (grad * _act_prime(layer.activation, z, a)) @ layer.weights
         return grad

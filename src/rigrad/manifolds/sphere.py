@@ -1,8 +1,9 @@
 """The unit 2-sphere embedded in R^3.
 
 Points are unit vectors; tangent vectors live in the plane orthogonal to the
-base point.  Charts are rotated spherical coordinates whose pole is chosen to
-stay away from the points of interest.
+base point.  Charts are rotated spherical coordinates; a curve takes the one
+of seven fixed charts, poled on the coordinate axes and the cube diagonals,
+whose pole is farthest from its samples.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ class SphericalChart(Chart):
             raise ValueError("chart pole must be a nonzero vector")
         self.pole = pole / norm
         self.rotation = _pole_frame(self.pole)
+        self.pole.setflags(write=False)
+        self.rotation.setflags(write=False)
 
     def _angles(self, P: np.ndarray):
         q = P @ self.rotation.T
@@ -170,6 +173,13 @@ class SphericalChart(Chart):
         return self._basis(*self._angles(P)) @ self.rotation
 
 
+# the curve charts, constants of the geometry, and their poles as rows
+_CURVE_CHARTS = tuple(SphericalChart(pole) for pole in (
+    (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1)))
+_CURVE_POLES = np.array([chart.pole for chart in _CURVE_CHARTS])
+_CURVE_POLES.setflags(write=False)
+
+
 class Sphere2(Manifold):
     """S^2 with the round metric induced from R^3."""
 
@@ -213,22 +223,14 @@ class Sphere2(Manifold):
         return self.lower(P, G)
 
     def chart_for_curve(self, samples) -> Chart:
-        if isinstance(samples, np.ndarray):
-            matrix = samples
-        else:
-            matrix = np.array([s.coords for s in samples])
-        # the left vectors go unused; under 3 samples the null vector needs the full V
-        _, _, vt = np.linalg.svd(matrix, full_matrices=len(matrix) < 3)
-        pole = vt[-1]
-        lead = np.flatnonzero(np.abs(pole) > 1e-12)
-        if lead.size and pole[lead[0]] < 0:
-            pole = -pole
-        cos_angles = np.abs(matrix @ pole)
-        if np.max(cos_angles) > np.cos(POLE_MARGIN):
-            raise InvalidCurve(
-                "curve passes within 0.1 rad of the best available chart pole"
-            )
-        return SphericalChart(pole)
+        """The fixed chart whose pole has the least largest |s . pole|."""
+        if not isinstance(samples, np.ndarray):
+            samples = np.array([s.coords for s in samples])
+        nearest = np.abs(samples @ _CURVE_POLES.T).max(axis=0)
+        best = int(np.argmin(nearest))
+        if nearest[best] > math.cos(POLE_MARGIN):
+            raise InvalidCurve("curve passes within 0.1 rad of the best available chart pole")
+        return _CURVE_CHARTS[best]
 
     def exp_map(self, v: TangentVector) -> Point:
         theta = np.linalg.norm(v.components)

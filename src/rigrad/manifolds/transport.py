@@ -15,25 +15,18 @@ identity and C holds the vectors themselves).
   ``is_geodesic`` gets it, and the attribution kernel's rank-one integrand,
   whether or not it is one;
 * everything else: the transport equation in a chart, refined by sweeps
-  until successive ones agree.  A kernel gives C, a frame ``basis`` at the
-  nodes in canonical components and sweeps of (dim, dim) coefficient
-  matrices; the stop test reads the moved coefficients C @ matrices, and E
-  is the last sweep's matrices @ basis.  On a 2-dimensional chart the frame
-  is the chart's g-orthonormal ``frames``, C is the rows on it at curve(0),
-  read off by the metric, and transport turns it by the angle theta(t), the
-  integral of the connection 1-form omega along the curve.  A sweep cuts
-  [0, 1] into uniform panels, whatever the nodes, and samples omega at the
-  PANEL_POINTS Gauss-Legendre nodes of each; theta at a node is the
-  composite Gauss sum up to its panel plus the integral of the polynomial
-  that interpolates the panel's values.  The sweeps are the path's: a later
-  pass reads its nodes off the two finest so far and samples a finer one
-  only if they disagree there.  Other charts move chart components by
-  w' = w @ B with RK4 steps, each a matrix, on the chart's coordinate
-  basis, with C the pulled rows; ``ode_transport`` keeps that kernel as the
-  independent check of the rotation.  Its sweeps run between the nodes,
-  each later one halving every step of the one before and evaluating the
-  chart only at its new midpoints, and each pass sweeps afresh.  The chart
-  and C are the path's.
+  until successive ones agree.  On a 2-dimensional chart transport turns
+  the chart's g-orthonormal ``frames`` by the integral theta(t) of the
+  connection 1-form omega, a composite Gauss sum on uniform panels of
+  [0, 1] plus, inside a panel, the integral of its interpolant; the path
+  keeps its two finest sweeps for later passes.  Other charts move chart
+  components by RK4 steps, each a matrix; ``ode_transport`` keeps that
+  kernel as the independent check of the rotation.  The first pass
+  evaluates the curve in one ``positions`` and one ``velocities`` call, at
+  its nodes and, on a 2-manifold, the panel points of the first two
+  sweeps, and the chart is the manifold's ``chart_for_curve`` of those
+  positions and curve(0): no separate samples, and on the sphere one of
+  seven fixed charts.
 """
 
 from __future__ import annotations
@@ -59,7 +52,6 @@ ODE_MAX_STEPS = 4096
 PANELS_START = 8
 PANELS_MAX = 256
 PANEL_POINTS = 12
-CURVE_CHART_SAMPLES = 65
 
 # the parameters of a geodesic's two ends, and of its start, read-only
 _ENDS = np.array([0.0, 1.0])
@@ -80,14 +72,6 @@ def _clamp_params(ts) -> np.ndarray:
     if np.any(outside):
         raise InvalidCurve(f"transport parameter {ts[outside][0]} outside [0, 1]")
     return np.clip(ts, 0.0, 1.0)
-
-
-def curve_chart(manifold: Manifold, curve: Curve):
-    """The manifold's chart for a whole curve, from evenly spaced finite samples on it."""
-    samples = curve.positions(np.linspace(0.0, 1.0, CURVE_CHART_SAMPLES))
-    if not np.isfinite(samples).all():
-        raise NonFiniteValue("curve positions are not finite at the chart samples")
-    return manifold.chart_for_curve(samples)
 
 
 def _midpoints(grid: np.ndarray) -> np.ndarray:
@@ -276,12 +260,11 @@ def _rotations(sweeps, ts: np.ndarray) -> np.ndarray:
     return np.array([[cos, -sin], [sin, cos]]).transpose(2, 3, 0, 1)
 
 
-def _sampled_sweeps(chart, curve, counts: tuple) -> list:
-    """A ``_Sweep`` per panel count in ``counts``, from the connection form at
-    the PANEL_POINTS Gauss-Legendre nodes of every panel of all of them, in
-    one curve call and one chart call."""
-    at = _panel_points(counts, PANEL_POINTS)
-    omega = chart.connection_forms(curve.positions(at), curve.velocities(at))
+def _sampled_sweeps(chart, counts: tuple, P: np.ndarray, V: np.ndarray) -> list:
+    """A ``_Sweep`` per panel count in ``counts``, from the connection form in
+    one chart call, at the curve's positions ``P`` and velocities ``V`` at
+    ``_panel_points(counts, PANEL_POINTS)``."""
+    omega = chart.connection_forms(P, V)
     table = omega.reshape(-1, PANEL_POINTS) @ _panel_rule(PANEL_POINTS)
     sweeps, start = [], 0
     for count in counts:
@@ -293,14 +276,15 @@ def _sampled_sweeps(chart, curve, counts: tuple) -> list:
     return sweeps
 
 
-def _angle_kernel(manifold, chart, curve, rows, P: np.ndarray):
+def _angle_kernel(manifold, chart, curve, rows, P: np.ndarray, first: tuple):
     """(C, basis, basis_at, sweeps, unit) of the ODE route on a 2-dimensional
     chart: C is the ``rows`` on the chart's g-orthonormal ``frames`` at
     curve(0), read off by the metric, and ``basis`` that frame in canonical
     components at the first pass's sorted positions ``P``, from one chart
     call with curve(0); ``basis_at`` gives it at a later pass's.  At a pass's
     sorted nodes ``ts``, ``sweeps(ts)`` yields (panels, R), the rotations
-    R(theta) (K, 2, 2) by the transport angle there.
+    R(theta) (K, 2, 2) by the transport angle there.  ``first`` holds the
+    first two sweeps' panel counts and the curve's (P, V) at their points.
 
     In that frame transport is z' = -i omega z, so the frame at t is turned by
     theta(t), the integral of omega from 0 to t.  A sweep cuts [0, 1] into
@@ -310,8 +294,8 @@ def _angle_kernel(manifold, chart, curve, rows, P: np.ndarray):
     panel's start of the polynomial that interpolates the panel's values
     (``_panel_rule``, ``_rotations``).  The first sweep has PANELS_START
     panels and each later one twice as many, up to PANELS_MAX; the first two
-    are sampled together, in one curve and one chart call, when the first
-    pass needs them: 3 * PANELS_START * PANEL_POINTS = 288 evaluations of
+    are sampled together, in one chart call, when the first pass needs
+    them: 3 * PANELS_START * PANEL_POINTS = 288 evaluations of
     omega, however many nodes the pass has.  The two finest sweeps are kept
     for the path, so a later pass reads its nodes off them and samples a
     finer sweep only where they disagree by ODE_TOL at those nodes; along a
@@ -324,20 +308,23 @@ def _angle_kernel(manifold, chart, curve, rows, P: np.ndarray):
 
     def sweeps(ts):
         if not finest:
-            finest.extend(_sampled_sweeps(chart, curve, (PANELS_START, 2 * PANELS_START)))
+            finest.extend(_sampled_sweeps(chart, *first))
         for sweep, R in zip(finest, _rotations(finest, ts)):
             yield sweep.panels, R
         while finest[-1].panels < PANELS_MAX:
-            finest[:] = [finest[-1], *_sampled_sweeps(chart, curve, (2 * finest[-1].panels,))]
+            counts = (2 * finest[-1].panels,)
+            at = _panel_points(counts, PANEL_POINTS)
+            finer = _sampled_sweeps(chart, counts, curve.positions(at), curve.velocities(at))
+            finest[:] = [finest[-1], *finer]
             yield finest[-1].panels, _rotations(finest[1:], ts)[0]
 
     return C, F[1:], chart.frames, sweeps, "panels"
 
 
-def _matrix_kernel(manifold, chart, curve, rows, P: np.ndarray):
-    """(C, basis, basis_at, sweeps, unit) on any chart: C is the pulled
-    ``rows``, ``basis`` the chart's ``coordinate_basis`` at the first pass's
-    sorted positions ``P`` and ``basis_at`` the same at a later pass's, and
+def _matrix_kernel(manifold, chart, curve, rows, P: np.ndarray, first: tuple):
+    """(C, basis, basis_at, sweeps, unit) on any chart, ``first`` unused: C
+    is the pulled ``rows``, ``basis`` the chart's ``coordinate_basis`` at the
+    first pass's sorted positions ``P``, ``basis_at`` at a later pass's, and
     ``sweeps(ts)`` yields the RK4 propagators that move chart components to
     a pass's sorted nodes ``ts``, from ODE_START_STEPS steps per unit
     parameter, each later sweep halving every step, up to ODE_MAX_STEPS."""
@@ -383,13 +370,20 @@ class PathTransport(NamedTuple):
 def _ode_route(manifold, curve, rows, ts):
     """``transport_frame``'s ODE route: the chart and a kernel's C are built
     once per path, with the kernel's ``basis`` at the first pass's sorted
-    nodes; each pass then turns its basis by ``_turned``."""
-    P, V = curve.positions(ts), curve.velocities(ts)
+    nodes; each pass then turns its basis by ``_turned``.  The chart is
+    picked from the first pass's one curve evaluation (see the module)."""
+    count, counts = len(ts), (PANELS_START, 2 * PANELS_START)
+    times = np.concatenate([ts, _panel_points(counts, PANEL_POINTS)]) if manifold.dim == 2 else ts
+    P, V = curve.positions(times), curve.velocities(times)
+    samples = np.concatenate([curve.start.coords[None, :], P])
+    if not np.isfinite(samples).all():
+        raise NonFiniteValue("curve positions are not finite at the chart samples")
+    chart = manifold.chart_for_curve(samples)
+    P, V, first = P[:count], V[:count], (counts, P[count:], V[count:])
     order = np.argsort(ts, kind="stable")
-    chart = curve_chart(manifold, curve)
-    kernel = _angle_kernel if chart.dim == 2 else _matrix_kernel
+    kernel = _angle_kernel if manifold.dim == 2 else _matrix_kernel
     with np.errstate(invalid="ignore", over="ignore"):
-        C, basis, basis_at, sweeps_at, unit = kernel(manifold, chart, curve, rows, P[order])
+        C, basis, basis_at, sweeps_at, unit = kernel(manifold, chart, curve, rows, P[order], first)
     turn = partial(_turned, C, sweeps_at, unit)
 
     def at(ts):
@@ -458,13 +452,14 @@ def transport_frame(manifold: Manifold, curve: Curve, rows: np.ndarray, ts: np.n
       samples a finer one only if they disagree at its nodes.  On other
       charts it is the coordinate basis, moved by RK4 on ODE_START_STEPS to
       ODE_MAX_STEPS steps per unit parameter, swept afresh by each pass, and
-      C the pulled rows.  The chart and C are built once per path, and each
-      sweep halves the last one's panels or steps.  The stop test compares
+      C the pulled rows.  The chart, from curve(0) and the positions of the
+      first pass's one curve evaluation, and C are built once per path, and
+      each sweep halves the last one's panels or steps.  The stop test compares
       successive sweeps' coefficients C @ matrices, so on a 2-dimensional
       chart it reads their difference on a g-orthonormal frame, whatever
       the chart's coordinates.
-      A frame at the nodes or a sweep that is not finite raises
-      NonFiniteValue; two sweeps still ODE_TOL or more apart at the cap raise
+      A chart sample, a frame at the nodes or a sweep that is not finite
+      raises NonFiniteValue; two sweeps still ODE_TOL or more apart at the cap raise
       TransportNotConverged.
     """
     if not curve.is_geodesic:

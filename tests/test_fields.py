@@ -269,8 +269,11 @@ def _gradient_recomputing_tanh(weights, x):
 
 
 def test_mlp_gradients_reuse_the_forward_activations_bit_for_bit(rng):
-    """tanh' comes from the forward pass's activation; the bits are those of
-    recomputing tanh(z), on tanh, softplus, identity and mixed stacks."""
+    """tanh' comes from the forward pass's activation, overwritten in place,
+    and an identity output starts the backward pass from its weights; the
+    bits are those of recomputing tanh(z) and multiplying by ones, on tanh,
+    softplus, identity, mixed and one-layer stacks, at 1, 3, 64, 96 and 256
+    rows, and the rows keep shape (K, coord_dim)."""
     tanh = rg.random_mlp(3, (32, 32), rng)
     mixed = rg.MLPWeights(3, (
         rg.LayerSpec(rng.standard_normal((6, 3)), rng.standard_normal(6), "softplus"),
@@ -283,12 +286,17 @@ def test_mlp_gradients_reuse_the_forward_activations_bit_for_bit(rng):
         rg.random_mlp(3, (8, 4), rng, activation="identity"),
         rg.insert_identity_layer(tanh, 1),
         mixed,
+        rg.random_mlp(3, (), rng),
+        rg.MLPWeights(3, (rg.LayerSpec(rng.standard_normal((1, 3)), rng.standard_normal(1), "tanh"),)),
     ]
     man = rg.make_manifold("euclidean", dim=3)
-    X = 3.0 * rng.standard_normal((64, 3))
+    X = 3.0 * rng.standard_normal((256, 3))
     for weights in stacks:
         field = rg.MLPField(man, weights)
-        assert np.array_equal(field.coord_gradients(X), _gradient_recomputing_tanh(weights, X))
+        for count in (1, 3, 64, 96, 256):
+            gradients = field.coord_gradients(X[:count])
+            assert gradients.shape == (count, 3)
+            assert np.array_equal(gradients, _gradient_recomputing_tanh(weights, X[:count]))
         for x in X[:8]:
             assert np.array_equal(
                 field.coord_gradient(man.point(x)), _gradient_recomputing_tanh(weights, x)

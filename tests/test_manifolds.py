@@ -1035,12 +1035,11 @@ def test_sphere_chart_push_pull_inverse(rng):
 
 
 def tilted_curve_chart(rng):
-    """The curve chart of a random great circle, whose pole lies off every
-    coordinate axis, and points on the sphere from 0.1 rad to pi - 0.1 rad
-    away from that pole."""
+    """A spherical chart poled on the normal of a random great circle, off
+    every coordinate axis, and points on the sphere from 0.1 rad to
+    pi - 0.1 rad away from that pole."""
     man = rg.make_manifold("sphere2")
-    circle = man.geodesic_between(man.random_point(rng), man.random_point(rng))
-    chart = man.chart_for_curve([circle.position(t) for t in np.linspace(0.0, 1.0, 65)])
+    chart = SphericalChart(np.cross(man.random_point(rng).coords, man.random_point(rng).coords))
     assert np.min(np.abs(chart.pole)) > 1e-3
     colatitudes = np.concatenate([[0.1, math.pi - 0.1], rng.uniform(0.1, math.pi - 0.1, 14)])
     phis = rng.uniform(-math.pi, math.pi, len(colatitudes))
@@ -1105,21 +1104,43 @@ def test_batched_chart_formulas_match_the_scalar_loop(rng):
             assert_ambient_frames(man, chart, P, V, ambient)
 
 
-def test_curve_chart_pole_is_the_null_vector_of_the_full_svd(rng):
-    """The sphere's curve chart takes its pole from the last right singular
-    vector of the samples: the full SVD's, bit for bit, at 1 and 2 samples
-    and at 3 or 65 samples on great circles."""
+FIXED_POLES = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1)]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 65])
+def test_curve_chart_pole_is_the_farthest_fixed_pole(rng, count):
+    """The sphere's curve chart is one of seven, poled on the coordinate axes
+    and the cube diagonals (+-1, +-1, 1) / sqrt(3): the one whose pole is
+    farthest from the samples, the least over the poles of the largest
+    |s . pole|, the first of them on a tie; at 1 and 2 random samples and
+    at 3 or 65 samples on great circles."""
     man = rg.make_manifold("sphere2")
-    for count in (1, 2, 3, 65):
+    poles = [np.array(pole) / np.linalg.norm(pole) for pole in FIXED_POLES]
+    for _ in range(10):
         if count < 3:
             samples = np.array([man.random_point(rng).coords for _ in range(count)])
         else:
             circle = man.geodesic_between(man.random_point(rng), man.random_point(rng))
             samples = circle.positions(np.linspace(0.0, 1.0, count))
+        nearest = [max(abs(float(np.dot(s, pole))) for s in samples) for pole in poles]
         chart = man.chart_for_curve(samples)
-        null = SphericalChart(np.linalg.svd(samples)[2][-1])
-        assert np.array_equal(np.abs(chart.pole), np.abs(null.pole))
-        assert np.max(np.abs(samples @ chart.pole)) <= 1e-12
+        assert_close_rel(chart.pole, poles[nearest.index(min(nearest))], 1e-15)
+        assert max(abs(float(np.dot(s, chart.pole))) for s in samples) <= math.cos(0.1)
+
+
+def test_curve_charts_are_fixed_read_only_objects(rng):
+    """Curves, and lists of Points, that pick the same pole get the same chart
+    object, whose pole and rotation are read-only."""
+    man = rg.make_manifold("sphere2")
+    loops = [man.latitude_loop(colatitude).positions(np.linspace(0.0, 1.0, 33)) for colatitude in (1.1, 2.0)]
+    chart = man.chart_for_curve(loops[0])
+    assert man.chart_for_curve(loops[1]) is chart
+    assert man.chart_for_curve([rg.Point(p) for p in loops[0]]) is chart
+    assert np.array_equal(chart.pole, [0.0, 0.0, 1.0])
+    for array in (chart.pole, chart.rotation):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.5
 
 
 def test_a_chart_with_scalar_methods_only_gets_the_same_frames(rng):

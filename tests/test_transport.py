@@ -22,7 +22,6 @@ from rigrad.manifolds.transport import (
     _grid_matrices,
     _pass_grid,
     _propagate,
-    curve_chart,
     transport_frame,
 )
 
@@ -36,6 +35,12 @@ from conftest import (
     loop_transport,
     random_unit_tangent,
 )
+
+
+def curve_chart(man, curve):
+    """``man``'s chart for 65 evenly spaced positions on ``curve``: on the
+    curves here, the chart the ODE route picks from its own evaluations."""
+    return man.chart_for_curve(curve.positions(np.linspace(0.0, 1.0, 65)))
 
 
 def ambient_gap(u_components, v_components):
@@ -254,6 +259,37 @@ def wandering_loop(man, theta0, eps, waves=3):
     return curve, 2.0 * np.pi * float(np.mean(1.0 - np.cos(angles(ts)[0])))
 
 
+# a turn by 0.7 rad about (1, 2, 2) / 3, as the matrix I + sin K + (1 - cos) K^2
+_AXIS = np.array([[0.0, -2.0, 2.0], [2.0, 0.0, -1.0], [-2.0, 1.0, 0.0]]) / 3.0
+TILT = np.eye(3) + math.sin(0.7) * _AXIS + (1.0 - math.cos(0.7)) * _AXIS @ _AXIS
+
+
+def tilted(man, curve):
+    """``curve`` turned by TILT: a loop about the z-axis comes out about an
+    axis that is no fixed chart's pole."""
+    position = lambda t: curve.position_fn(t) @ TILT.T
+    start = man.point(position(np.zeros(1))[0])
+    return dataclasses.replace(
+        curve, position_fn=position, velocity_fn=lambda t: curve.velocity_fn(t) @ TILT.T,
+        start=start, end=start,
+    )
+
+
+def circle_through_the_axes(man):
+    """The closed circle through e_x, e_y and e_z, at t = 0, 1/3 and 2/3: it
+    passes through the poles of the three axis charts, and keeps
+    acos(1 / sqrt(3)) = 0.955 rad from those of the chart poled on
+    (1, 1, 1) / sqrt(3)."""
+    centre = np.full(3, 1.0 / 3.0)
+    a = np.array([2.0, -1.0, -1.0]) / 3.0  # e_x - centre, of length sqrt(2/3)
+    b = np.array([0.0, 1.0, -1.0]) / math.sqrt(3.0)  # the diagonal cross a
+    angle = lambda t: 2.0 * np.pi * np.asarray(t, dtype=float)[..., None]
+    position = lambda t: centre + np.cos(angle(t)) * a + np.sin(angle(t)) * b
+    velocity = lambda t: 2.0 * np.pi * (np.cos(angle(t)) * b - np.sin(angle(t)) * a)
+    start = man.point(position(np.zeros(1))[0])
+    return rg.Curve(man, position, velocity, start, start, False, 2.0 * np.pi * math.sqrt(2.0 / 3.0))
+
+
 @pytest.mark.parametrize("theta0, eps", [(0.9, 0.2), (2.0, 0.4)])
 def test_holonomy_angle_on_a_wandering_loop(theta0, eps):
     """One loop turns every tangent vector by the enclosed area
@@ -351,8 +387,8 @@ def test_a_non_finite_velocity_between_the_nodes_stops_the_route(monkeypatch, ca
 
 def test_non_finite_positions_are_refused_before_the_chart():
     """A latitude loop whose positions are NaN past t = 0.7: the chart's
-    samples are not finite, which raises NonFiniteValue, not the SVD's
-    LinAlgError."""
+    samples are not finite, which raises NonFiniteValue before the sphere
+    picks a chart from them."""
     man = rg.make_manifold("sphere2")
     loop = man.latitude_loop(1.1)
 
@@ -367,10 +403,10 @@ def test_non_finite_positions_are_refused_before_the_chart():
 
 @pytest.mark.parametrize("name", ["halfplane_bow", "loop_1.1"])
 def test_a_non_finite_node_position_stops_the_route_before_a_sweep(monkeypatch, name):
-    """A curve whose position is NaN at one Gauss node alone passes the chart's
-    samples, but its frame there is not finite: the route raises
-    NonFiniteValue before its first sweep, with no numpy warning, rather
-    than return NaN vectors at that node."""
+    """A curve whose position is NaN at one Gauss node alone: the node's
+    position is one of the chart's samples, so the route raises
+    NonFiniteValue naming them, before its first sweep and with no numpy
+    warning, rather than return NaN vectors at that node."""
     man, curve, chart = ode_curve(name)
     ts, _ = rg.Quadrature().nodes_weights(64)
 
@@ -386,7 +422,7 @@ def test_a_non_finite_node_position_stops_the_route_before_a_sweep(monkeypatch, 
     monkeypatch.setattr(type(chart), "connection_forms", no_sweep)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(rg.NonFiniteValue, match="frames are not finite at the nodes"):
+        with pytest.raises(rg.NonFiniteValue, match="chart samples"):
             transport_along(man, broken, frame.vectors, ts)
 
 
@@ -455,13 +491,97 @@ def test_transport_rejects_vector_from_wrong_base(rng):
         transport_along(man, curve, [stray], [1.0])
 
 
-def test_curve_too_close_to_every_chart_pole_is_refused():
-    """theta = pi/2 + 1.45 sin(2 phi) comes within 0.1 rad of the pole of
-    the plane its samples fit best, so Sphere2 has no chart for it."""
+def through_every_pole(man):
+    """A closed sphere curve along great-circle arcs, at non-uniform speed,
+    through a pole of each of the sphere's seven fixed charts, the one at
+    t = k / 7 for k = 0, ..., 6."""
+    W = np.array([[1, 0, 0], [1, 1, 1], [0, 1, 0], [-1, 1, 1], [0, 0, 1], [1, -1, 1], [-1, -1, 1], [1, 0, 0]])
+    W = W / np.linalg.norm(W, axis=1)[:, None]
+
+    def chord(t):  # the point on the chord from W[k] to W[k + 1], and its velocity
+        u = 7.0 * np.asarray(t, dtype=float)
+        k = np.minimum(u.astype(int), 6)
+        s = (u - k)[..., None]
+        c = (1.0 - s) * W[k] + s * W[k + 1]
+        return c, np.linalg.norm(c, axis=-1, keepdims=True), 7.0 * (W[k + 1] - W[k])
+
+    def position(t):
+        c, norm, _ = chord(t)
+        return c / norm
+
+    def velocity(t):
+        c, norm, dc = chord(t)
+        p = c / norm
+        return (dc - (p * dc).sum(axis=-1, keepdims=True) * p) / norm
+
+    start = man.point(W[0])
+    return rg.Curve(man, position, velocity, start, start, False, 7.0)
+
+
+def test_curve_too_close_to_every_chart_pole_is_refused(monkeypatch):
+    """A curve through a pole of every fixed chart has no chart: the sphere
+    refuses the seven poles as samples, and the route, whose samples include
+    its nodes, refuses a pass at the times the curve meets them, before any
+    evaluation of the connection form."""
     man = rg.make_manifold("sphere2")
-    loop, _ = wandering_loop(man, math.pi / 2.0, 1.45, waves=2)
+    poles = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [-1, 1, 1], [1, -1, 1], [-1, -1, 1]])
     with pytest.raises(rg.InvalidCurve, match="within 0.1 rad"):
-        rg.generic_bam_report(rg.CoordinateField(man, 2), loop, man.orthonormal_frame(loop.start))
+        man.chart_for_curve(poles / np.linalg.norm(poles, axis=1)[:, None])
+    curve = through_every_pole(man)
+    rows_per_call = _counting_forms(monkeypatch)
+    frame = man.orthonormal_frame(curve.start)
+    with pytest.raises(rg.InvalidCurve, match="within 0.1 rad"):
+        transport_along(man, curve, frame.vectors, np.arange(7) / 7.0)
+    with pytest.raises(rg.InvalidCurve, match="within 0.1 rad"):
+        rg.generic_bam_report(rg.CoordinateField(man, 2), curve, frame)
+    assert rows_per_call == []
+
+
+@pytest.mark.parametrize("name", ["loop_1.1", "halfplane_bow"])
+def test_the_first_pass_evaluates_the_curve_once(name):
+    """A first ODE pass that stops at its second sweep makes one ``positions``
+    and one ``velocities`` call, at its nodes and the panel points of the
+    first two sweeps, and takes its chart from those positions: no separate
+    samples."""
+    man, curve, _ = ode_curve(name)
+    calls = []
+
+    def counted(evaluator, kind):
+        return lambda t: calls.append(kind) or evaluator(t)
+
+    counting = dataclasses.replace(
+        curve, position_fn=counted(curve.position_fn, "position"),
+        velocity_fn=counted(curve.velocity_fn, "velocity"),
+    )
+    rows = man.orthonormal_frame(curve.start).rows
+    _, _, _, mode, steps = frame_at(man, counting, rows, rg.Quadrature().nodes_weights(64)[0])
+    assert (mode, steps) == ("ode", 2 * PANELS_START)
+    assert sorted(calls) == ["position", "velocity"]
+
+
+@pytest.mark.parametrize("call", ["generic_bam_report", "bam_along_curve", "transport_along"])
+def test_the_ode_route_fits_no_chart(monkeypatch, call):
+    """The sphere's curve charts are fixed: the public calls that take the ODE
+    route, along a latitude loop and a tilted wandering loop, run to finite
+    results without reaching an SVD."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the ODE route took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    man = rg.make_manifold("sphere2")
+    field = rg.CoordinateField(man, 2)
+    for loop in (man.latitude_loop(1.1), _route_curve("wandering_0.9_0.2")[1]):
+        frame = man.orthonormal_frame(loop.start)
+        calls = {
+            "generic_bam_report": lambda: rg.generic_bam_report(field, loop, frame).attributions,
+            "bam_along_curve": lambda: rg.bam_along_curve(field, loop, frame.vectors[0]),
+            "transport_along": lambda: [
+                [w.components for w in row]
+                for row in transport_along(man, loop, frame.vectors, [0.3, 1.0])[0]
+            ],
+        }
+        assert np.isfinite(calls[call]()).all()
 
 
 def test_a_curve_evaluating_columns_is_refused():
@@ -786,18 +906,20 @@ def _recording_rk4_sweeps(monkeypatch):
 
 @pytest.mark.parametrize(
     "loop_name, nodes, steps",
-    [(2.4, 64, 1024), ("wandering", 64, 2048), (0.8, 512, 1024), (2.4, 1024, 512)],
+    [(2.4, 64, 1024), ("wandering", 64, 2048), ("wandering", 512, 2048), (2.4, 1024, 512)],
 )
 def test_every_later_sweep_halves_the_grid(monkeypatch, loop_name, nodes, steps):
     """The RK4 matrix kernel's first sweep of S steps is _pass_grid's and
     evaluates the chart at its S + 1 grid points and S midpoints.  Every later
     sweep of S' steps is the previous grid with its midpoints interleaved and
     evaluates the chart only at its S' new midpoints, however many nodes there
-    are.  On the latitude loops the frames agree with the closed form."""
-    man = rg.make_manifold("sphere2")
+    are.  The wandering loop is the (0.9, 0.2) one turned by TILT, which
+    takes four sweeps.  On the latitude loops the frames agree with the
+    closed form."""
     if loop_name == "wandering":
-        loop, _ = wandering_loop(man, 0.9, 0.2)
+        man, loop, _ = _route_curve("wandering_0.9_0.2")
     else:
+        man = rg.make_manifold("sphere2")
         loop = man.latitude_loop(loop_name)
     grids, rows_per_call = _recording_rk4_sweeps(monkeypatch)
     frame = man.orthonormal_frame(loop.start)
@@ -832,31 +954,29 @@ def _recording_velocity_calls(curve):
 )
 def test_every_later_sweep_halves_every_panel(loop_name, nodes, panels):
     """The angle kernel's sweeps cut [0, 1] into uniform panels, whatever the
-    nodes.  Its first curve call after the pass's own samples the first two
-    sweeps, PANELS_START and twice that many panels, and each later call the
-    sweep with every panel of the last one halved.  A sweep evaluates the
+    nodes.  The pass's own curve call samples, after its nodes, the first
+    two sweeps, PANELS_START and twice that many panels, and each later call
+    the sweep with every panel of the last one halved.  A sweep evaluates the
     curve at the PANEL_POINTS Gauss-Legendre nodes of each of its panels and
-    nowhere else."""
-    man = rg.make_manifold("sphere2")
+    nowhere else.  The wandering loop is the (0.9, 0.2) one turned by TILT."""
     if loop_name == "wandering":
-        loop, _ = wandering_loop(man, 0.9, 0.2)
+        man, loop, _ = _route_curve("wandering_0.9_0.2")
     else:
+        man = rg.make_manifold("sphere2")
         loop = man.latitude_loop(loop_name)
     recorded, calls = _recording_velocity_calls(loop)
     frame = man.orthonormal_frame(loop.start)
     ts, _ = rg.Quadrature().nodes_weights(nodes)
     _, mode, used = _batched(man, recorded, frame.vectors, ts)
     assert (mode, used) == ("ode", panels)
-    assert np.array_equal(calls[0], ts)  # the pass's own velocities
-    sweeps = calls[1:]
-    assert len(sweeps) == int(math.log2(panels // PANELS_START))
+    assert len(calls) == int(math.log2(panels // PANELS_START))
     x, _ = rg.Quadrature().nodes_weights(PANEL_POINTS)
 
     def points(count):
         return ((np.arange(count)[:, None] + x) / count).ravel()
 
-    assert np.array_equal(sweeps[0], np.concatenate([points(PANELS_START), points(2 * PANELS_START)]))
-    for k, at in enumerate(sweeps[1:], start=2):
+    assert np.array_equal(calls[0], np.concatenate([ts, points(PANELS_START), points(2 * PANELS_START)]))
+    for k, at in enumerate(calls[1:], start=2):
         assert np.array_equal(at, points(PANELS_START * 2**k))
 
 
@@ -885,12 +1005,11 @@ def test_few_starting_steps_still_refine_every_sweep(monkeypatch):
 
 
 def test_many_nodes_refine_to_a_fine_reference_sweep():
-    """The panels do not depend on the nodes: at 1024 nodes the wandering
-    loop takes the sweeps it takes at 64, 1440 evaluations of the connection
-    form (12288 when sweeps ran between the nodes), and its frames agree
-    with one 2^15-step RK4 sweep to 1e-10."""
-    man = rg.make_manifold("sphere2")
-    loop, _ = wandering_loop(man, 0.9, 0.2)
+    """The panels do not depend on the nodes: at 1024 nodes the (0.9, 0.2)
+    wandering loop turned by TILT takes the sweeps it takes at 64, 1440
+    evaluations of the connection form, and its frames agree with one
+    2^15-step RK4 sweep to 1e-10."""
+    man, loop, chart = _route_curve("wandering_0.9_0.2")
     frame = man.orthonormal_frame(loop.start)
     counts = {}
     for nodes in (64, 1024):
@@ -900,7 +1019,6 @@ def test_many_nodes_refine_to_a_fine_reference_sweep():
             moved, mode, steps = _batched(man, loop, frame.vectors, ts)
         counts[nodes] = (mode, steps, rows_per_call)
     assert counts[64] == counts[1024] == ("ode", 8 * PANELS_START, [288, 384, 768])
-    chart = curve_chart(man, loop)
     w0 = np.array([chart.pull(loop.start, u) for u in frame.rows])
     grid, ends = _pass_grid(ts, 2**15)
     reference = _propagate(w0, grid, ends, _grid_matrices(chart, loop, grid))
@@ -908,21 +1026,38 @@ def test_many_nodes_refine_to_a_fine_reference_sweep():
     assert float(np.max(np.abs(moved - reference))) <= 1e-10
 
 
+# wandering loops (theta0, eps, waves) that swing within 0.2 rad of both poles
+# of the z-axis; an SVD-fitted chart refused the first
+STEEP_LOOPS = {"steep_1.57_1.45_2": (math.pi / 2.0, 1.45, 2), "steep_1.5_1.45_2": (1.5, 1.45, 2),
+               "steep_1.2_1.0_3": (1.2, 1.0, 3)}
+
+
 def _route_curve(name):
-    """(manifold, curve, chart) of ``ode_curve`` or of a wandering loop."""
+    """(manifold, curve, chart) of ``ode_curve``, of a wandering loop
+    ("wandering_theta0_eps") turned by TILT, so that no fixed chart is poled
+    on its axis, of one of STEEP_LOOPS, or of the circle through the axes."""
+    man = rg.make_manifold("sphere2")
     if name.startswith("wandering"):
-        man = rg.make_manifold("sphere2")
         theta0, eps = (float(x) for x in name.split("_")[1:])
-        curve, _ = wandering_loop(man, theta0, eps)
-        return man, curve, curve_chart(man, curve)
-    return ode_curve(name)
+        curve = tilted(man, wandering_loop(man, theta0, eps)[0])
+    elif name in STEEP_LOOPS:
+        curve, _ = wandering_loop(man, *STEEP_LOOPS[name])
+    elif name == "circle_xyz":
+        curve = circle_through_the_axes(man)
+    else:
+        return ode_curve(name)
+    return man, curve, curve_chart(man, curve)
 
 
 @pytest.mark.parametrize("nodes", [64, 512, 1024])
-@pytest.mark.parametrize("name", ODE_CURVES + ["wandering_0.9_0.2", "wandering_2.0_0.4"])
+@pytest.mark.parametrize(
+    "name", ODE_CURVES + ["wandering_0.9_0.2", "wandering_2.0_0.4", *STEEP_LOOPS, "circle_xyz"]
+)
 def test_route_matches_a_fine_matrix_sweep(name, nodes):
     """The route's angle kernel against one 2^15-step sweep of the RK4 matrix
-    kernel, to 1e-9 at every node."""
+    kernel, to 1e-9 at every node.  The steep loops and the circle through
+    e_x, e_y and e_z, which three axis charts alone would refuse, take a
+    fixed chart whose poles they stay clear of."""
     man, curve, chart = _route_curve(name)
     frame = man.orthonormal_frame(curve.start)
     ts, _ = rg.Quadrature().nodes_weights(nodes)
@@ -960,8 +1095,9 @@ def test_route_matches_ode_transport_at_2_14_steps(name):
 def test_connection_form_evaluations_at_64_nodes(monkeypatch, name, evaluations):
     """Evaluations of the connection form at 64 Gauss nodes, one path: no
     curve needs more than sweeps between the nodes did (768, and 1792 on the
-    (0.9, 0.2) wandering loop), and a later 128-node pass on the same path
-    reads the kept sweeps without evaluating it again."""
+    (0.9, 0.2) wandering loop before it was turned by TILT), and a later
+    128-node pass on the same path reads the kept sweeps without evaluating
+    it again."""
     man, curve, chart = _route_curve(name)
     rows_per_call = []
     forms = type(chart).connection_forms
@@ -999,13 +1135,12 @@ def test_a_later_pass_reads_the_kept_sweeps(monkeypatch):
 
 def test_a_later_pass_samples_where_the_kept_sweeps_disagree(monkeypatch):
     """A first pass at t = 1 alone stops at the second sweep on the (0.9, 0.2)
-    wandering loop: the composite Gauss sum of a periodic integrand over its
-    period is already exact.  A later pass at 64 nodes finds the two kept
-    sweeps apart between the ends and samples finer ones, one chart call
-    each, until two agree; it ends on the same sweeps, and the same bits, as
-    a first pass at those nodes."""
-    man = rg.make_manifold("sphere2")
-    loop, _ = wandering_loop(man, 0.9, 0.2)
+    wandering loop turned by TILT: the composite Gauss sum of a periodic
+    integrand over its period is already exact.  A later pass at 64 nodes
+    finds the two kept sweeps apart between the ends and samples finer ones,
+    one chart call each, until two agree; it ends on the same sweeps, and
+    the same bits, as a first pass at those nodes."""
+    man, loop, _ = _route_curve("wandering_0.9_0.2")
     rows = man.orthonormal_frame(loop.start).rows
     rows_per_call = _counting_forms(monkeypatch)
     transport, (_, _, _, first) = transport_frame(man, loop, rows, np.array([1.0]))
@@ -1051,14 +1186,19 @@ def test_the_panel_tables_are_built_on_first_use():
     assert out.stdout.split() == ["0", "0"]
 
 
-@pytest.mark.parametrize("name", ["loop_0.3", "loop_1.1", "loop_2.6", "wandering_0.9_0.2", "wandering_2.0_0.4"])
+@pytest.mark.parametrize(
+    "name", ["loop_0.3", "loop_1.1", "loop_2.6", "wandering_0.9_0.2", "wandering_2.0_0.4", *STEEP_LOOPS]
+)
 def test_holonomy_at_a_single_gap_is_the_enclosed_area(name):
     """Transport to ts = [1.0] alone, one gap from 0, turns every tangent
     vector by the area the loop encloses (Gauss-Bonnet on the unit sphere),
     modulo 2 pi, to 1e-10: the gap is cut into PANELS_START panels per unit
-    parameter, not one panel."""
+    parameter, not one panel.  The steep loops wind about the z-axis in a
+    chart poled off it."""
     man, loop, _ = _route_curve(name)
-    if name.startswith("wandering"):
+    if name in STEEP_LOOPS:
+        area = wandering_loop(man, *STEEP_LOOPS[name])[1]
+    elif name.startswith("wandering"):
         area = wandering_loop(man, *(float(x) for x in name.split("_")[1:]))[1]
     else:
         area = 2.0 * math.pi * (1.0 - math.cos(float(name.split("_")[1])))
