@@ -13,20 +13,15 @@ orienting the curve from the explained point p at t=0 to the base point o at
 t=1; the flat-space method integrates base to input instead, and the minus
 sign makes the two agree.
 
-Every transport route gives the moved frame as constant coefficients C on
-a moving frame E (``transport_frame``): U_i(t_k) = C[i] @ E[k].  Along a
-geodesic the velocity is parallel, so g(V_j(t), velocity(t)) is the
-constant c[j] = g(e_j, velocity(0)), and the form is the outer product
--A c^T of the n-vector A = C @ integral of dF(E(t)) dt: one integral per
-frame vector of E, two on the 2-manifolds.  Along any other curve a level
-integrates the m x m table of alpha[k] = dF(E[k]) against
+Transport gives the moved frame as U_i(t_k) = C[i] @ E[k]
+(``transport_frame``).  Along a geodesic the velocity is parallel, so
+g(V_j(t), velocity(t)) is the constant c[j] = g(e_j, velocity(0)), and the
+form is -A c^T, A = C @ integral of dF(E(t)) dt.  Along any other curve a
+level integrates the m x m table of alpha[k] = dF(E[k]) against
 beta[k] = g(E[k], velocity(t_k)), and the form is -C (that table) C^T.
-
-The form is linear in the field, and its path side does not depend on the
-field at all.  A path's transport is built once per call, with C and c;
-each transport pass then gives the positions and E at its nodes.  Fields
-attributed along one path (``_attribution_matrices``) share the transport,
-the path tables, the geodesic and its defect check.
+The path side does not depend on the field, so fields attributed along one
+path (``_attribution_matrices``) share the transport, the path tables, the
+geodesic and its defect check.
 """
 
 from __future__ import annotations
@@ -135,7 +130,7 @@ class AttributionReport:
 
 def _check_frame(manifold: Manifold, p: Point, frame: OrthonormalFrame) -> np.ndarray:
     """``validate_frame`` for a frame that must sit at ``p``; returns its rows."""
-    if not np.array_equal(frame.base.coords, p.coords):
+    if frame.base is not p and not np.array_equal(frame.base.coords, p.coords):
         raise InvalidTangent("frame must be based at the point being explained")
     return manifold.validate_frame(frame)
 
@@ -172,9 +167,7 @@ def _levels(quadrature, schedule, manifold, curve, rows):
     joined nodes, and so one tables object; later levels are built only when
     refinement reaches them, each with a transport pass of its own.  The
     field is evaluated once per tables object, so its batches follow the
-    passes.  On a 2-dimensional chart the transport keeps its sweeps of the
-    connection form, so a later pass samples it again only where the two
-    finest sweeps disagree at the pass's nodes.
+    passes.
     """
     head = [quadrature.nodes_weights(count) for count in schedule[:2]]
     joined = np.concatenate([ts for ts, _ in head])
@@ -190,7 +183,7 @@ def _levels(quadrature, schedule, manifold, curve, rows):
         yield count, weights, tables, slice(None)
 
 
-def _path_integral(field, manifold, curve, rows, quadrature, levels=None):
+def _path_integral(field, manifold, curve, rows, quadrature, levels=None, defect=None):
     """Quadrature of the form, refined until two successive levels agree.
 
     Along a geodesic a level integrates only the n-vector A, and -A c^T is
@@ -199,9 +192,9 @@ def _path_integral(field, manifold, curve, rows, quadrature, levels=None):
     Levels agree when the form's largest entrywise gap is below
     ``quadrature.tol`` plus a rounding-noise floor of ROUNDING_FLOOR *
     max|entries|, both read on A along a geodesic: max|dA| max|c| and
-    max|A| max|c|.  Returns the entries and the path's diagnostics, without
-    a geodesic defect.  ``levels`` iterates over ``_levels``' output for
-    this path, built here when None.  The field is evaluated once per
+    max|A| max|c|.  Returns the entries and the path's diagnostics, with
+    geodesic defect ``defect``.  ``levels`` iterates over ``_levels``' output
+    for this path, built here when None.  The field is evaluated once per
     transport pass, on all of its positions, and DimensionMismatch is raised
     unless the batch is (K, coord_dim); each level then reads its own rows,
     in order, and NonFiniteValue is raised at the first level whose entries
@@ -249,7 +242,8 @@ def _path_integral(field, manifold, curve, rows, quadrature, levels=None):
                 f"(tol {quadrature.tol:.1e})"
             )
     diagnostics = PathDiagnostics(curve_length=curve.length, nodes_used=count, refinement_gap=gap,
-                                  transport_mode=mode, transport_steps=steps, geodesic_defect=None)
+                                  transport_mode=mode, transport_steps=steps,
+                                  geodesic_defect=defect)
     return (-np.outer(level, pairing) if curve.is_geodesic else level), diagnostics
 
 
@@ -273,7 +267,7 @@ def _attribution_matrices(
     o = manifold.validate_point(o)
     rows = _check_frame(manifold, p, frame)
 
-    if np.array_equal(p.coords, o.coords):
+    if p.coords.tolist() == o.coords.tolist():  # validated, so finite
         n = len(frame)
         zero = PathDiagnostics(curve_length=0.0, nodes_used=0, refinement_gap=None,
                                transport_mode="identity", transport_steps=0, geodesic_defect=0.0)
@@ -285,14 +279,11 @@ def _attribution_matrices(
     runs = itertools.tee(
         _levels(quadrature, quadrature.schedule(), manifold, curve, rows), len(fields)
     )
-    integrals = [
-        _path_integral(field, manifold, curve, rows, quadrature, levels=run)
-        for field, run in zip(fields, runs)
-    ]
     defect = geodesic_residual(manifold, curve)
     return [
-        AttributionMatrix(p, o, frame, entries, replace(diagnostics, geodesic_defect=defect))
-        for entries, diagnostics in integrals
+        AttributionMatrix(p, o, frame, *_path_integral(field, manifold, curve, rows, quadrature,
+                                                       levels=run, defect=defect))
+        for field, run in zip(fields, runs)
     ]
 
 
@@ -386,8 +377,8 @@ def generic_bam_report(
 ) -> AttributionReport:
     """Per-direction attributions along a caller-supplied curve.
 
-    Off-geodesic paths do not promise completeness; the residual against
-    F(start) - F(end) is still reported so callers can judge it.
+    With a full orthonormal frame they sum to F(start) - F(end) on any curve,
+    to quadrature accuracy: the form's trace integrates dF(velocity).
     """
     manifold = curve.manifold
     require_same_space(field, manifold)

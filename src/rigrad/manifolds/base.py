@@ -177,6 +177,15 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A[:, None, :] @ B[..., :, None])[:, 0, 0]
 
 
+def float_dot(u, v) -> float:
+    """The dot product of two short sequences of Python floats, summed in order
+    as numpy sums a row of two or three products."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
 def christoffel_contraction(gamma: np.ndarray, xdot: np.ndarray) -> np.ndarray:
     """B[..., j, k] = -Gamma[..., k, i, j] xdot[..., i].
 
@@ -321,10 +330,7 @@ class Manifold(ABC):
 
     def point(self, coords) -> Point:
         """Validated point from raw coordinates; raises InvalidPoint."""
-        arr = np.asarray(coords, dtype=float)
-        if arr.shape != (self.coord_dim,):
-            raise InvalidPoint(f"expected {self.coord_dim} coordinates, got shape {arr.shape}")
-        return Point(self.point_rows(arr[None, :])[0])
+        return Point(self._point_coords(np.asarray(coords, dtype=float)))
 
     def point_rows(self, P) -> np.ndarray:
         """Validated points from the rows of ``P`` (K, coord_dim), the one
@@ -340,7 +346,26 @@ class Manifold(ABC):
         return P
 
     def validate_point(self, p: Point) -> Point:
-        return self.point(p.coords)
+        """``p`` itself where ``point``'s check keeps its coordinates."""
+        coords = self._point_coords(p.coords)
+        return p if coords is p.coords else Point(coords)
+
+    def _point_coords(self, x: np.ndarray) -> np.ndarray:
+        """The one-point check behind ``point`` and ``validate_point``, as
+        ``point_rows`` checks a row; ``x`` itself when nothing changes.  The
+        2-manifolds override it on ``_coord_floats``."""
+        if x.shape != (self.coord_dim,):
+            raise InvalidPoint(f"expected {self.coord_dim} coordinates, got shape {x.shape}")
+        return self.point_rows(x[None, :])[0]
+
+    def _coord_floats(self, x: np.ndarray) -> list[float]:
+        """One point's coordinates as Python floats, with ``_point_coords``' refusals."""
+        if x.shape != (self.coord_dim,):
+            raise InvalidPoint(f"expected {self.coord_dim} coordinates, got shape {x.shape}")
+        values = x.tolist()
+        if not all(map(math.isfinite, values)):
+            raise InvalidPoint("coordinates must be finite")
+        return values
 
     def _components(self, components) -> np.ndarray:
         """One vector's canonical components as floats; raises
@@ -385,6 +410,12 @@ class Manifold(ABC):
         """Tangent vector v with g(v, u) equal to coord_grad . u for all tangent u."""
         grad = self._components(coord_grad)
         return TangentVector(p, self.raise_gradients(p.coords[None, :], grad[None, :])[0])
+
+    def lower_floats(self, p: list[float], v: list[float]) -> list[float]:
+        """``lower``'s row for one vector ``v`` at one point ``p``, in Python
+        floats, where numpy's per-call cost exceeds the arithmetic."""
+        with np.errstate(all="ignore"):
+            return self.lower(np.array([p]), np.array([v]))[0].tolist()
 
     @abstractmethod
     def raise_gradients(self, P: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -458,20 +489,21 @@ class Manifold(ABC):
                 f"frame has {len(frame)} vectors; manifold dimension is {self.dim}"
             )
         rows = frame.rows
-        with np.errstate(all="ignore"):
-            gram = self._frame_gram(frame.base.coords, rows)
-        gram.flat[:: self.dim + 1] -= 1.0  # the gap to the identity, in place
-        gap = np.abs(gram).max()
+        gap = self._frame_gap(frame.base.coords, rows)
         if not math.isfinite(gap):
             raise NonFiniteValue("the frame's Gram matrix is not finite")
         if gap > FRAME_TOL:
             raise InvalidTangent("frame is not g-orthonormal")
         return rows
 
-    def _frame_gram(self, p: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The Gram matrix of ``rows`` at ``p`` in the metric, a new array,
-        which ``validate_frame`` compares with the identity in place."""
-        return rows @ self.lower(np.broadcast_to(p, rows.shape), rows).T
+    def _frame_gap(self, p: np.ndarray, rows: np.ndarray) -> float:
+        """max |G - I|, G the Gram matrix of ``rows`` at ``p`` in the metric, in
+        Python floats through ``lower_floats``; NaN where an entry is."""
+        p, vectors = p.tolist(), rows.tolist()
+        lowered = [self.lower_floats(p, v) for v in vectors]
+        gaps = [abs(float_dot(u, w) - (i == j))
+                for i, u in enumerate(vectors) for j, w in enumerate(lowered)]
+        return math.nan if math.isnan(sum(gaps)) else max(gaps)
 
     # -- sampling (seeded; used by tests and the axiom harness) ------------
 

@@ -43,8 +43,11 @@ class Euclidean(Manifold):
     def raise_gradients(self, P: np.ndarray, G: np.ndarray) -> np.ndarray:
         return G
 
-    def _frame_gram(self, p: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return rows @ rows.T  # lower() is the identity
+    def _frame_gap(self, p: np.ndarray, rows: np.ndarray) -> float:
+        with np.errstate(all="ignore"):
+            gram = rows @ rows.T  # lower() is the identity
+        gram.flat[:: self.dim + 1] -= 1.0  # the gap to the identity, in place
+        return float(np.abs(gram).max())
 
     def chart_for_curve(self, samples) -> Chart:
         return self._chart

@@ -30,10 +30,10 @@ _TINY = sys.float_info.min
 _LONGEST = -math.log(_TINY)  # past this length exp(-s) is no longer a normal float
 
 
-def _directions(xp, yp, xq: float, yq: float):
+def _directions(xp: np.ndarray, yp: np.ndarray, xq: float, yq: float):
     """Length d = 2 asinh(|h| / sqrt(yp yq)), exact for nearby points, and unit initial
     direction (cos, sin), that of (yp hx, hx^2 + hy (yp + yq) / 2) / |h|, of the geodesic
-    from (xp, yp), arrays or floats, to (xq, yq), where h = (q - p) / 2 cannot overflow.
+    from each (xp, yp) to (xq, yq), where h = (q - p) / 2 cannot overflow.
     A point equal to q has direction (0, 0); at tiny y, d overflows to infinity."""
     hx, hy = 0.5 * xq - 0.5 * xp, 0.5 * yq - 0.5 * yp
     h = np.hypot(hx, hy)
@@ -41,6 +41,25 @@ def _directions(xp, yp, xq: float, yq: float):
     nx, ny = np.array([hx, hy]) / np.where(h == 0.0, 1.0, h)
     mean_y = yp + hy
     norm = np.hypot(hx, mean_y)
+    return d, yp * nx / norm, (hx * nx + mean_y * ny) / norm
+
+
+def _hypot(a: float, b: float) -> float:
+    """np.hypot of two Python floats, which math.hypot rounds otherwise on about
+    0.3% of draws; math.hypot where numpy would warn of an overflow."""
+    return float(np.hypot(a, b)) if abs(a) + abs(b) < 1e308 else math.hypot(a, b)
+
+
+def _pair_directions(xp: float, yp: float, xq: float, yq: float):
+    """``_directions`` of one pair in Python floats, with its bits (numpy's hypot
+    and asinh, which ``math`` rounds otherwise); d is infinite where sqrt(yp yq) is 0."""
+    hx, hy = 0.5 * xq - 0.5 * xp, 0.5 * yq - 0.5 * yp
+    h = _hypot(hx, hy)
+    root = math.sqrt(yp) * math.sqrt(yq)
+    d = 2.0 * float(np.arcsinh(h / root)) if root else math.inf
+    nx, ny = (hx / h, hy / h) if h else (0.0, 0.0)
+    mean_y = yp + hy
+    norm = _hypot(hx, mean_y)
     return d, yp * nx / norm, (hx * nx + mean_y * ny) / norm
 
 
@@ -111,16 +130,22 @@ class HalfPlane2(Manifold):
             raise InvalidPoint(f"second coordinate must be positive, got {float(lowest)!r}")
         return P
 
+    def _point_coords(self, x: np.ndarray) -> np.ndarray:
+        y = self._coord_floats(x)[1]
+        if y <= 0.0:
+            raise InvalidPoint(f"second coordinate must be positive, got {y!r}")
+        return x
+
+    # V / y / y, not V / y**2, whose square is subnormal or 0 below y ~ 1.5e-154
     def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return V / P[:, 1:] ** 2
+        return V / P[:, 1:] / P[:, 1:]
+
+    def lower_floats(self, p: list[float], v: list[float]) -> list[float]:
+        y = p[1] or math.nan  # not finite at y = 0, as numpy's V / 0, where Python raises
+        return [c / y / y for c in v]
 
     def raise_gradients(self, P: np.ndarray, G: np.ndarray) -> np.ndarray:
-        return P[:, 1:] ** 2 * G
-
-    def _frame_gram(self, p: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # the rows over y, whose squares stay normal floats where y**2 in lower() does not
-        scaled = rows / p[1]
-        return scaled @ scaled.T
+        return P[:, 1:] * (P[:, 1:] * G)
 
     def chart_for_curve(self, samples) -> Chart:
         return self._chart
@@ -158,16 +183,15 @@ class HalfPlane2(Manifold):
     geodesic_between = Manifold.geodesic_between  # bench/tracing.py wraps it per class
 
     def make_geodesic(self, p: Point, o: Point) -> Curve:
-        if np.array_equal(p.coords, o.coords):
-            return constant_curve(self, p)
         (xp, yp), (xq, yq) = p.coords.tolist(), o.coords.tolist()
-        with np.errstate(over="ignore"):  # an infinite length is refused below
-            d, cos, sin = map(float, _directions(xp, yp, xq, yq))
+        if xp == xq and yp == yq:
+            return constant_curve(self, p)
+        d, cos, sin = _pair_directions(xp, yp, xq, yq)  # an infinite length is refused below
         m, P = _cos2_factors(cos, sin)
         # y peaks at yp / |cos| where s = atanh(sin) = log(P / m) / 2, if the walk gets there
         end = P * math.exp(-2.0 * d)  # u^2 P at the end of the walk
         top = yp / abs(cos) if sin > 0.0 and 0.0 < m and end <= m else max(yp, yq)
-        # lowering squares y, the coordinate speed reaches top * length, and the walk's
+        # raising multiplies by y twice, the coordinate speed reaches top * length, and the walk's
         # denominator m + u^2 P, smallest at the end, must stay a normal float, as in exp_map
         if not (math.isfinite(top * max(top, d)) and m + end >= _TINY and d < _LONGEST):
             raise NonFiniteValue(

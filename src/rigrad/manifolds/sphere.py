@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..errors import InvalidCurve, InvalidPoint, InvalidTangent
+from ..errors import CutLocusAmbiguity, InvalidCurve, InvalidPoint, InvalidTangent
 from .base import (
     Chart,
     Curve,
@@ -22,6 +22,7 @@ from .base import (
     TangentVector,
     christoffel_contraction,
     constant_curve,
+    float_dot,
     pin_endpoints,
     row_dots,
 )
@@ -55,13 +56,12 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_radial(p: np.ndarray, V: np.ndarray) -> None:
-    """Refuse a row of ``V`` whose radial part at ``p`` exceeds 1e-9 (1 + |v|)."""
-    radial = np.abs(V @ p)
-    off = radial > 1e-9 * (1.0 + np.sqrt(row_dots(V, V)))
-    if off.any():
-        raise InvalidTangent(
-            f"components have radial part {float(radial[off][0])!r}; not tangent to the sphere"
-        )
+    """Refuse a row of ``V``, one of a few, whose radial part at ``p`` exceeds 1e-9 (1 + |v|)."""
+    p = p.tolist()
+    for v in V.tolist():
+        radial = abs(float_dot(v, p))
+        if radial > 1e-9 * (1.0 + math.sqrt(float_dot(v, v))):
+            raise InvalidTangent(f"components have radial part {radial!r}; not tangent to the sphere")
 
 
 def _pole_frame(n: np.ndarray) -> np.ndarray:
@@ -200,6 +200,14 @@ class Sphere2(Manifold):
             P = np.where((off > 1e-12)[:, None], P / norms[:, None], P)
         return P
 
+    def _point_coords(self, x: np.ndarray) -> np.ndarray:
+        a, b, c = self._coord_floats(x)
+        norm = math.sqrt(a * a + b * b + c * c)  # point_rows' bits
+        off = abs(norm - 1.0)
+        if off > 1e-9:
+            raise InvalidPoint(f"point norm {norm!r} is not 1 within 1e-9")
+        return x if off <= 1e-12 else np.array([a / norm, b / norm, c / norm])
+
     def tangent(self, p: Point, components) -> TangentVector:
         arr = self._components(components)
         _check_radial(p.coords, arr[None, :])
@@ -211,6 +219,11 @@ class Sphere2(Manifold):
 
     def lower(self, P: np.ndarray, V: np.ndarray) -> np.ndarray:
         return V - (P * V).sum(axis=-1, keepdims=True) * P
+
+    def lower_floats(self, p: list[float], v: list[float]) -> list[float]:
+        (x, y, z), (a, b, c) = p, v
+        s = x * a + y * b + z * c
+        return [a - s * x, b - s * y, c - s * z]
 
     def validate_frame(self, frame: OrthonormalFrame) -> np.ndarray:
         # lower() projects radial parts away, so the Gram check cannot see them
@@ -254,13 +267,25 @@ class Sphere2(Manifold):
     geodesic_between = Manifold.geodesic_between  # bench/tracing.py wraps it per class
 
     def make_geodesic(self, p: Point, o: Point) -> Curve:
-        v = self.unique_log_rows(p.coords[None, :], o.coords)[0][0]
-        theta = np.sqrt(v.dot(v))
+        """``log_rows``' constants of one pair in Python floats: the angle theta, the
+        unit tangent u at p, (p x q) x p over its norm, and the normal p x u."""
+        (p0, p1, p2), (q0, q1, q2) = p.coords.tolist(), o.coords.tolist()
+        cos = p0 * q0 + p1 * q1 + p2 * q2
+        if cos <= -1.0 + ANTIPODAL_SLACK:
+            raise CutLocusAmbiguity(
+                "base point pair is antipodal; the minimising geodesic is not unique"
+            )
+        d0, d1, d2 = q0 - p0, q1 - p1, q2 - p2
+        c0, c1, c2 = p1 * d2 - p2 * d1, p2 * d0 - p0 * d2, p0 * d1 - p1 * d0  # p x q, as in log_rows
+        theta = math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), cos)
         if theta < 1e-14:
             return constant_curve(self, p)
+        w0, w1, w2 = c1 * p2 - c2 * p1, c2 * p0 - c0 * p2, c0 * p1 - c1 * p0
+        w_norm = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+        u0, u1, u2 = w0 / w_norm, w1 / w_norm, w2 / w_norm
         axis_p = np.array(p.coords)
-        axis_t = v / theta
-        normal = _cross3(axis_p, axis_t)
+        axis_t = np.array([u0, u1, u2])
+        normal = np.array([p1 * u2 - p2 * u1, p2 * u0 - p0 * u2, p0 * u1 - p1 * u0])
 
         def position(t):
             angle = theta * np.asarray(t)[..., None]
@@ -285,7 +310,7 @@ class Sphere2(Manifold):
             start=p,
             end=o,
             is_geodesic=True,
-            length=float(theta),
+            length=theta,
             frame_fn=pin_endpoints(frame, p, o),
         )
 

@@ -1,36 +1,25 @@
 """Parallel transport along curves.
 
-One entry point, ``transport_frame``, picks the route and splits transport
-into what depends on the path and what depends on the nodes.  It builds the
-path's constants once, as a ``PathTransport``, with its first pass of nodes;
-each later pass calls the transport's ``at``.  Every route gives the same
-shape: constant coefficients C (n, m) on a moving frame E (K, m, coord_dim),
-so vector i at node k is C[i] @ E[k] (E is None where transport is the
-identity and C holds the vectors themselves).
+``transport_frame`` is the one entry point.  It picks the route and builds
+the path's constants once, as a ``PathTransport``; each pass of nodes then
+costs one evaluation.  Every route gives constant coefficients C (n, m) on
+a moving frame E (K, m, coord_dim): vector i at node k is C[i] @ E[k].
 
-* flat space: transport leaves components unchanged along any curve;
-* geodesics on the 2-manifolds: a vector keeps its coefficients on the
-  parallel unit tangent and normal, which the curve's ``frame_fn`` gives
-  with the positions in one evaluation per pass.  A curve marked
-  ``is_geodesic`` gets it, and the attribution kernel's rank-one integrand,
-  whether or not it is one;
-* everything else: the transport equation in a chart, refined by sweeps
-  until successive ones agree.  On a 2-dimensional chart transport turns
-  the chart's g-orthonormal ``frames`` by the integral theta(t) of the
-  connection 1-form omega, a composite Gauss sum on uniform panels of
-  [0, 1] plus, inside a panel, the integral of its interpolant; the path
-  keeps its two finest sweeps for later passes.  Other charts move chart
-  components by RK4 steps, each a matrix; ``ode_transport`` keeps that
-  kernel as the independent check of the rotation.  The first pass
-  evaluates the curve in one ``positions`` and one ``velocities`` call, at
-  its nodes and, on a 2-manifold, the panel points of the first two
-  sweeps, and the chart is the manifold's ``chart_for_curve`` of those
-  positions and curve(0): no separate samples, and on the sphere one of
-  seven fixed charts.
+* "identity", flat space: components do not change; E is None.
+* "closed-form", a curve marked ``is_geodesic``: a vector keeps its
+  coefficients on the parallel unit tangent and normal, which the curve's
+  ``frame_fn`` gives with the positions.
+* "ode", any other curve: the transport equation in the manifold's
+  ``chart_for_curve``.  On a 2-dimensional chart the chart's g-orthonormal
+  ``frames`` turn by the integral of the connection form, a Gauss sum on
+  uniform panels (``_angle_kernel``); other charts take RK4 steps
+  (``_matrix_kernel``), which ``ode_transport`` keeps as the independent
+  check.  Sweeps refine until successive ones agree.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -44,7 +33,7 @@ from ..errors import (
     WrongManifold,
 )
 from ..quadrature import nodes_weights
-from .base import Curve, Manifold, Point, TangentVector
+from .base import Curve, Manifold, Point, TangentVector, float_dot
 
 ODE_START_STEPS = 256
 ODE_TOL = 1e-9
@@ -96,12 +85,8 @@ def _finer(grid: np.ndarray) -> np.ndarray:
 
 def _halved(evaluate, grid: np.ndarray, values: np.ndarray):
     """The grid with every step halved, and ``evaluate`` at its points and
-    midpoints.
-
-    The halved grid's points are the old grid points with the old midpoints
-    interleaved, so their ``values`` rows are reused; only the new midpoints
-    are evaluated, in one call.
-    """
+    midpoints: the old points and midpoints reuse their ``values`` rows, and
+    only the new midpoints are evaluated, in one call."""
     steps = len(grid) - 1
     fine = _finer(grid)
     at_fine = np.empty((len(fine),) + values.shape[1:], dtype=values.dtype)
@@ -162,11 +147,8 @@ def ode_transport(
     steps: int,
     chart,
 ) -> np.ndarray:
-    """Integrate the transport equation in ``chart`` with ``steps`` uniform RK4 steps.
-
-    ``components`` has one row of chart components per vector; the returned
-    array holds the transported chart components at t1.
-    """
+    """The rows of chart ``components`` moved from t0 to t1 by ``steps``
+    uniform RK4 steps of the transport equation in ``chart``."""
     grid = np.linspace(t0, t1, steps + 1)
     w0 = np.array(components, dtype=float)
     B = _grid_matrices(chart, curve, grid)
@@ -174,12 +156,9 @@ def ode_transport(
 
 
 def _pass_grid(ts_sorted: np.ndarray, total_steps: int):
-    """Step grid of one sweep from 0 through the sorted targets ``ts_sorted``.
-
-    Each gap t_k - t_(k-1) > 0 gets max(1, ceil(gap * total_steps)) uniform
-    steps.  Returns the grid parameters and, per target, the number of steps
-    taken on reaching it.
-    """
+    """Step grid of one sweep from 0 through the sorted targets ``ts_sorted``,
+    max(1, ceil(gap * total_steps)) uniform steps per gap > 0, and per target
+    the steps taken on reaching it."""
     prev = np.concatenate([[0.0], ts_sorted[:-1]])
     gaps = ts_sorted - prev
     counts = np.where(gaps > 0.0, np.maximum(1, np.ceil(gaps * total_steps)), 0).astype(int)
@@ -277,29 +256,19 @@ def _sampled_sweeps(chart, counts: tuple, P: np.ndarray, V: np.ndarray) -> list:
 
 
 def _angle_kernel(manifold, chart, curve, rows, P: np.ndarray, first: tuple):
-    """(C, basis, basis_at, sweeps, unit) of the ODE route on a 2-dimensional
-    chart: C is the ``rows`` on the chart's g-orthonormal ``frames`` at
-    curve(0), read off by the metric, and ``basis`` that frame in canonical
-    components at the first pass's sorted positions ``P``, from one chart
-    call with curve(0); ``basis_at`` gives it at a later pass's.  At a pass's
-    sorted nodes ``ts``, ``sweeps(ts)`` yields (panels, R), the rotations
-    R(theta) (K, 2, 2) by the transport angle there.  ``first`` holds the
-    first two sweeps' panel counts and the curve's (P, V) at their points.
+    """(C, basis, basis_at, sweeps, unit) on a 2-dimensional chart: C is the
+    ``rows`` on the chart's ``frames`` at curve(0), ``basis`` that frame at
+    the first pass's sorted positions ``P``, ``basis_at`` at a later pass's,
+    and ``sweeps(ts)`` yields (panels, R(theta)) at the sorted nodes ``ts``.
+    ``first`` holds the first two sweeps' panel counts and the curve's (P, V)
+    at their panel points, 288 evaluations of omega.
 
-    In that frame transport is z' = -i omega z, so the frame at t is turned by
-    theta(t), the integral of omega from 0 to t.  A sweep cuts [0, 1] into
-    uniform panels, whatever the nodes, and samples omega at the
-    PANEL_POINTS Gauss-Legendre nodes of each: theta at a panel's end is the
-    composite Gauss sum, and at a node inside a panel the integral from the
-    panel's start of the polynomial that interpolates the panel's values
-    (``_panel_rule``, ``_rotations``).  The first sweep has PANELS_START
-    panels and each later one twice as many, up to PANELS_MAX; the first two
-    are sampled together, in one chart call, when the first pass needs
-    them: 3 * PANELS_START * PANEL_POINTS = 288 evaluations of
-    omega, however many nodes the pass has.  The two finest sweeps are kept
-    for the path, so a later pass reads its nodes off them and samples a
-    finer sweep only where they disagree by ODE_TOL at those nodes; along a
-    path the first pass converged, it evaluates omega nowhere.
+    Transport is z' = -i omega z in that frame, so it turns by theta, the
+    integral of omega: the composite Gauss sum on uniform panels, read
+    inside a panel off the interpolant (``_panel_rule``, ``_rotations``).
+    Sweeps double from PANELS_START to PANELS_MAX panels.  The path keeps
+    its two finest, so a later pass samples a finer one only where they
+    disagree by ODE_TOL at its nodes.
     """
     Q = np.concatenate([curve.start.coords[None, :], P])
     F = chart.frames(Q)
@@ -347,18 +316,14 @@ def _matrix_kernel(manifold, chart, curve, rows, P: np.ndarray, first: tuple):
 
 
 class PathTransport(NamedTuple):
-    """Parallel transport along one curve, split into what the path fixes and
-    what each pass of nodes gives: vector i reaches curve(ts[k]) as
-    C[i] @ E[k], with E from ``at(ts)``.
+    """Transport along one curve: vector i reaches curve(ts[k]) as C[i] @ E[k].
 
-    ``mode`` is the route, "identity", "closed-form" or "ode"; ``C`` (n, m)
-    the constant coefficients, or the rows themselves where E is None;
-    ``pairing`` (n,), along a geodesic, each row's g-product with the
-    velocity at curve(0) (None off one).  ``at(ts)`` gives, for K parameters
-    in [0, 1], (P, V, E, steps): the positions (K, coord_dim), the velocities
-    there off a geodesic (None along one), the frame E (K, m, coord_dim) or
-    None, and on the ODE route the panels of the sweep the pass stopped at,
-    uniform over [0, 1], or its RK4 steps per unit parameter (0 elsewhere).
+    ``mode`` is the route; ``C`` (n, m) the constant coefficients, or the rows
+    themselves where E is None; ``pairing`` (n,), along a geodesic, each
+    row's g-product with the velocity at curve(0), else None.  ``at(ts)``
+    gives a pass's (P, V, E, steps): the positions, the velocities off a
+    geodesic (else None), the frame E (K, m, coord_dim) or None, and on the
+    ODE route the panels or RK4 steps of the sweep it stopped at (else 0).
     """
 
     mode: str
@@ -368,10 +333,9 @@ class PathTransport(NamedTuple):
 
 
 def _ode_route(manifold, curve, rows, ts):
-    """``transport_frame``'s ODE route: the chart and a kernel's C are built
-    once per path, with the kernel's ``basis`` at the first pass's sorted
-    nodes; each pass then turns its basis by ``_turned``.  The chart is
-    picked from the first pass's one curve evaluation (see the module)."""
+    """``transport_frame``'s ODE route: the chart, from curve(0) and the first
+    pass's one curve evaluation, and a kernel's C are built once per path;
+    each pass then turns the kernel's basis at its sorted nodes by ``_turned``."""
     count, counts = len(ts), (PANELS_START, 2 * PANELS_START)
     times = np.concatenate([ts, _panel_points(counts, PANEL_POINTS)]) if manifold.dim == 2 else ts
     P, V = curve.positions(times), curve.velocities(times)
@@ -426,41 +390,17 @@ def _turned(C, sweeps_at, unit, ts, P, V, order, basis):
 
 def transport_frame(manifold: Manifold, curve: Curve, rows: np.ndarray, ts: np.ndarray):
     """Parallel transport of the n vectors ``rows`` (n, coord_dim) at curve(0)
-    along ``curve``, as constant coefficients on a moving frame.  What depends
-    on the path alone is built here, once; returns it as a PathTransport,
-    with its first pass at the K parameters ``ts`` in [0, 1], ``at(ts)``'s
-    (P, V, E, steps).  Later passes call ``at``.  The route is picked here
-    and only here:
+    along ``curve``, by the route the module describes, picked here and only
+    here.  Returns the PathTransport and its first pass at the K parameters
+    ``ts`` in [0, 1], ``at(ts)``'s (P, V, E, steps); later passes call ``at``.
 
-    * "identity" in flat space: C is ``rows`` and E is None;
-    * "closed-form" along a curve marked ``is_geodesic``, whether or not it
-      is one: C (n, 2) holds the coefficients on the parallel unit tangent
-      and normal that the curve's ``frame_fn`` gives, and E (K, 2, coord_dim)
-      that pair at the nodes, from one ``frame_fn`` call per pass; the first
-      pass's call also gives the pair at curve(0).  A geodesic's g-speed is
-      its length, which its speeds at both ends must confirm to 1e-9
-      relative.  A curve without ``frame_fn`` raises WrongManifold.  A
-      geodesic shorter than 1e-13 keeps C = ``rows`` and E None.  Along every
-      geodesic the velocities at both ends are one curve call per path,
-      which also gives the ``pairing``;
-    * "ode" along any other curve: E (K, dim, coord_dim) is a kernel's frame
-      at each node, turned by its last sweep.  On a 2-dimensional chart it is
-      the chart's g-orthonormal ``frames``, turned by the Gauss-Legendre
-      integral of the connection form on PANELS_START to PANELS_MAX uniform
-      panels of [0, 1], and C (n, 2) holds the rows' coefficients on it at
-      curve(0); the path keeps its two finest sweeps, and a later pass
-      samples a finer one only if they disagree at its nodes.  On other
-      charts it is the coordinate basis, moved by RK4 on ODE_START_STEPS to
-      ODE_MAX_STEPS steps per unit parameter, swept afresh by each pass, and
-      C the pulled rows.  The chart, from curve(0) and the positions of the
-      first pass's one curve evaluation, and C are built once per path, and
-      each sweep halves the last one's panels or steps.  The stop test compares
-      successive sweeps' coefficients C @ matrices, so on a 2-dimensional
-      chart it reads their difference on a g-orthonormal frame, whatever
-      the chart's coordinates.
-      A chart sample, a frame at the nodes or a sweep that is not finite
-      raises NonFiniteValue; two sweeps still ODE_TOL or more apart at the cap raise
-      TransportNotConverged.
+    Along a geodesic the velocities at both ends, one curve call, give the
+    ``pairing`` and must confirm the g-speed, its length, to 1e-9 relative;
+    one shorter than 1e-13 keeps C = ``rows`` and E None, and one without
+    ``frame_fn`` raises WrongManifold.  On the ODE route the stop test
+    compares successive sweeps' C @ matrices; a value that is not finite
+    raises NonFiniteValue, and sweeps still ODE_TOL apart at the cap raise
+    TransportNotConverged.
     """
     if not curve.is_geodesic:
         if not manifold.flat:
@@ -483,24 +423,24 @@ def transport_frame(manifold: Manifold, curve: Curve, rows: np.ndarray, ts: np.n
 
 
 def _closed_form(manifold, curve, rows, V, ts):
-    """``transport_frame``'s closed-form route, given the velocities ``V`` at
-    both ends: one ``frame_fn`` call at 0 and ``ts`` gives the first pass and
-    the frame at curve(0), and one ``lower`` at the ends reads the end
-    speeds, C on that frame and the pairing."""
+    """``transport_frame``'s closed-form route, given the velocities ``V`` at both
+    ends: one ``frame_fn`` call at 0 and ``ts`` gives the first pass and the frame
+    at curve(0), lowered with V in Python floats for the end speeds, C and pairing."""
     length = curve.length
     P, E = curve.frame_fn(np.concatenate([_START, ts]))
-    p = curve.start.coords
-    bases = np.array([p, p, p, curve.end.coords])
-    # NaN or infinity in the pairing makes the attribution entries non-finite,
-    # which raises NonFiniteValue there, and a speed that is not finite raises here
-    with np.errstate(all="ignore"):
-        lowered = manifold.lower(bases, np.concatenate([E[0], V]))
-        speeds = np.sqrt((lowered[2:] * V).sum(axis=-1))
-        C = rows @ lowered[:2].T
-        pairing = rows @ lowered[2]
-    if not (np.abs(speeds - length) <= 1e-9 * length).all():
-        error = InvalidCurve if np.isfinite([length, *speeds]).all() else NonFiniteValue
+    p, lower = curve.start.coords.tolist(), manifold.lower_floats
+    v0, v1 = V.tolist()
+    lowered = [lower(p, e) for e in E[0].tolist()] + [lower(p, v0)]
+    squares = float_dot(v0, lowered[-1]), float_dot(v1, lower(curve.end.coords.tolist(), v1))
+    speeds = [math.sqrt(s) if s >= 0.0 else math.nan for s in squares]
+    if not all(abs(speed - length) <= 1e-9 * length for speed in speeds):
+        error = InvalidCurve if all(map(math.isfinite, (length, *speeds))) else NonFiniteValue
         raise error(f"geodesic end speeds {speeds} do not match its length {length!r}")
+    # NaN or infinity in C or the pairing makes the attribution entries
+    # non-finite, which raises NonFiniteValue there
+    lowered = np.array(lowered)
+    with np.errstate(all="ignore"):
+        C, pairing = rows @ lowered[:-1].T, rows @ lowered[-1]
     transport = PathTransport("closed-form", C, pairing, partial(_frames, curve.frame_fn))
     return transport, (P[1:], None, E[1:], 0)
 
@@ -524,11 +464,8 @@ def transport_along(
 ):
     """Parallel transport of ``vectors`` from curve(0) to each parameter in ``ts``.
 
-    Returns (results, mode, steps_used) where results[i][j] is vector j moved
-    to curve(ts[i]), mode is one of "identity", "closed-form" or "ode", and
-    steps_used is the pass's: on the ODE route the panels of the sweep it
-    stopped at on a 2-dimensional chart and its RK4 steps per unit parameter
-    otherwise, 0 off it.
+    Returns (results, mode, steps_used): results[i][j] is vector j moved to
+    curve(ts[i]), mode the route and steps_used the pass's ``at`` steps.
     """
     _check_bases(curve, vectors)
     ts = _clamp_params(list(ts))

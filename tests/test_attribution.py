@@ -471,17 +471,21 @@ def test_a_frame_off_the_tangent_plane_is_refused_before_any_gradient():
     assert field.batches == []
 
 
-def test_a_frame_whose_metric_underflows_is_refused_without_warnings():
-    """At y = 1e-170 the metric's y squared underflows to 0.  The frame passes
-    its check, which reads the rows over y, but lowering the geodesic's
-    velocity at its ends divides by zero: refused as non-finite, with no
-    RuntimeWarning."""
+@pytest.mark.parametrize("height", [1e-160, 1e-170, 1e-200, 1e-300])
+@pytest.mark.parametrize("offset", [(1e20, 1.0), (1.0, 2.0)], ids=["semicircle", "arc"])
+def test_heights_where_y_squared_underflows_are_attributed_without_warnings(height, offset):
+    """Below y ~ 1.5e-154, y squared is subnormal or 0, but the metric lowers
+    by V / y / y, so the geodesic's end speeds read its length: the
+    semicircle from (0, y) to (1e20 y, y), which stops at the 1024-node cap,
+    and the arc to (y, 2 y) are attributed, complete to the rounding of
+    F = log y, with no RuntimeWarning."""
     man = rg.make_manifold("half_plane2")
-    p, o = man.point(np.array([0.0, 1e-170])), man.point(np.array([1e-150, 1e-170]))
+    p, o = man.point(np.array([0.0, height])), man.point(np.array(offset) * height)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(rg.NonFiniteValue, match="end speeds"):
-            rg.rig(rg.LogHeightField(man), man, p, o, man.orthonormal_frame(p))
+        report = rg.rig(rg.LogHeightField(man), man, p, o, man.orthonormal_frame(p))
+    assert report.completeness_residual <= 1e-15 * (1.0 + abs(report.value_at_point))
+    assert math.isclose(report.diagnostics.curve_length, man.dist(p, o), rel_tol=1e-15)
 
 
 def test_an_overflowing_half_plane_path_is_refused_before_any_gradient():
@@ -524,9 +528,40 @@ def test_generic_curve_report_flags_non_geodesic(rng):
     report = rg.generic_bam_report(field, loop, frame)
     assert report.method == "GenericBAM"
     assert not report.path_is_geodesic
-    # no completeness promise off the geodesic, but the residual is reported
     assert np.isfinite(report.completeness_residual)
     assert report.diagnostics.transport_mode == "ode"
+
+
+def test_full_frame_attributions_are_complete_off_a_geodesic():
+    """With a full orthonormal frame the form's trace is the quadrature of
+    dF(velocity) along the curve, so generic-curve attributions sum to
+    F(start) - F(end) on any curve: here the open sphere curve theta = 1 + t/2,
+    phi = 3t + 0.4 sin 5t, with three (32, 32) networks."""
+    man = rg.make_manifold("sphere2")
+
+    def angles(t):
+        t = np.asarray(t, dtype=float)
+        return 1.0 + 0.5 * t, 3.0 * t + 0.4 * np.sin(5.0 * t), 3.0 + 2.0 * np.cos(5.0 * t)
+
+    def position(t):
+        theta, phi, _ = angles(t)
+        return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], -1)
+
+    def velocity(t):
+        theta, phi, dphi = angles(t)
+        d_theta = np.stack([np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)], -1)
+        d_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], -1) * np.sin(theta)[..., None]
+        return 0.5 * d_theta + dphi[..., None] * d_phi
+
+    start, end = man.point(position(0.0)), man.point(position(1.0))
+    curve = rg.Curve(man, position, velocity, start, end, False, 2.6)
+    frame = man.orthonormal_frame(start)
+    for seed in range(3):
+        field = rg.MLPField(man, rg.random_mlp(3, (32, 32), np.random.default_rng(seed)))
+        report = rg.generic_bam_report(field, curve, frame)
+        assert report.diagnostics.transport_mode == "ode"
+        assert abs(report.value_at_point - report.value_at_base) > 1e-3
+        assert report.completeness_residual <= 1e-12
 
 
 def test_report_diagnostics_are_populated(rng):
@@ -677,21 +712,21 @@ def test_sign_rule_matches_the_loop_on_the_stock_suite(monkeypatch):
 
 
 def test_one_call_validates_each_point_once(monkeypatch, manifold, rng):
-    """p and o are validated once each, by the kernel; the geodesic is built
-    from the validated points."""
+    """p and o are validated once each, by the kernel's one-point check; the
+    geodesic is built from the validated points."""
     field = rg.MLPField(manifold, rg.random_mlp(manifold.coord_dim, (8,), rng))
     p = manifold.random_point(rng)
     o = manifold.random_point(rng)
     frame = manifold.orthonormal_frame(p)
     calls = []
     cls = type(manifold)
-    point_rows = cls.point_rows
+    point_coords = cls._point_coords
 
-    def counted(self, P):
-        calls.append(len(P))
-        return point_rows(self, P)
+    def counted(self, x):
+        calls.append(len(x))
+        return point_coords(self, x)
 
-    monkeypatch.setattr(cls, "point_rows", counted)
+    monkeypatch.setattr(cls, "_point_coords", counted)
     runs = {
         "rig": lambda: rg.rig(field, manifold, p, o, frame),
         "eigen_rig": lambda: rg.eigen_rig(field, manifold, p, o, frame),
@@ -701,7 +736,31 @@ def test_one_call_validates_each_point_once(monkeypatch, manifold, rng):
     for method, run in runs.items():
         calls.clear()
         run()
-        assert calls == [1, 1], method
+        assert calls == [manifold.coord_dim] * 2, method
+
+
+@pytest.mark.parametrize("kind", ["sphere2", "half_plane2"])
+def test_per_pair_geometry_takes_no_row_kernels(monkeypatch, kind, rng):
+    """A call's per-pair work, validating p and o, the geodesic's constants
+    and the frame check, runs in Python floats: with the row kernels
+    ``log_rows``, ``point_rows``, the sphere's ``_cross3`` and the
+    half-plane's ``_directions`` made to raise, rig and eigen_rig still run."""
+    from rigrad.manifolds import halfplane, sphere
+
+    man = rg.make_manifold(kind)
+    field = rg.MLPField(man, rg.random_mlp(man.coord_dim, (6, 5), rng))
+    p, o = man.random_point(rng), man.random_point(rng)
+    frame = man.orthonormal_frame(p)
+    expected = [run(field, man, p, o, frame).attributions for run in (rg.rig, rg.eigen_rig)]
+
+    def refuse(*args):
+        raise AssertionError("a row kernel ran on the per-pair path")
+
+    for owner, name in ((type(man), "log_rows"), (type(man), "point_rows"),
+                        (rg.Manifold, "point_rows"), (sphere, "_cross3"), (halfplane, "_directions")):
+        monkeypatch.setattr(owner, name, refuse)
+    for run, attributions in zip((rg.rig, rg.eigen_rig), expected):
+        assert np.array_equal(run(field, man, p, o, frame).attributions, attributions)
 
 
 def test_eigen_sum_matches_trace(manifold, rng):

@@ -42,22 +42,23 @@ def test_attribute_eigen_on_sphere_height_field():
 
 
 def test_attribute_validates_each_point_twice(monkeypatch):
-    """Once when the command parses it, once in the attribution kernel; the
-    geodesic is built from the kernel's validated points."""
+    """The one-point check runs once when the command parses a point, once in
+    the attribution kernel; the geodesic is built from the kernel's validated
+    points."""
     calls = []
-    point_rows = rg.Sphere2.point_rows
+    point_coords = rg.Sphere2._point_coords
 
-    def counted(self, P):
-        calls.append(len(P))
-        return point_rows(self, P)
+    def counted(self, x):
+        calls.append(len(x))
+        return point_coords(self, x)
 
-    monkeypatch.setattr(rg.Sphere2, "point_rows", counted)
+    monkeypatch.setattr(rg.Sphere2, "_point_coords", counted)
     code, _ = run_cli(
         "attribute", "--manifold", "sphere2", "--field", "height",
         "--p", "0,0,1", "--o", "1,0,0",
     )
     assert code == 0
-    assert calls == [1, 1, 1, 1]
+    assert calls == [3, 3, 3, 3]
 
 
 def test_attribute_equal_points_gives_zeros():
@@ -657,28 +658,36 @@ def test_verify_reports_are_deterministic(tmp_path):
 # half-plane walk's y (cos w, sin - cos c)) in place of velocity / length
 # and a per-node normal: residuals moved by at most 6.7e-16, notes not; the
 # PASS lines' hash moved with six max_residual figures.
+# The sphere2 Implementation, Linearity, Sensitivity, Completeness and
+# IsometryInvariance files, the half_plane2 Linearity, Completeness and
+# IsometryInvariance files and suite.json took them when per-pair geometry
+# moved to Python floats (the sphere geodesic's angle from math.atan2 and
+# its tangent and normal from sums in order) and the half-plane metric
+# became V / y / y with its raise y (y G): residuals moved by at most
+# 6.7e-16 (Completeness sphere2), notes not; the PASS lines' hash moved
+# with five max_residual figures.
 STOCK_SUITE_SHA256 = {
     "check_00_Implementation_euclidean.csv": "5bf2fe828ea496b1749f4bcff72da0d61ba6268719864d098a653742e989950c",
-    "check_01_Implementation_sphere2.csv": "05678568e4c657275c58a64176d038ede89148d074e0a232299a487cb61f1b74",
+    "check_01_Implementation_sphere2.csv": "474708475efee67b622960ef99cfc28d6256a8a2784beb22831b9d9fc0963618",
     "check_02_Implementation_half_plane2.csv": "a61ea5b2a350661413fae615ef52ad37f1cef23b95bf68f0cd1144d5bd8080d2",
     "check_03_Linearity_euclidean.csv": "d0ea08ff5bfcb100e8c40fd5397b10d9ca77d4b082322f11077d3688174fef1a",
-    "check_04_Linearity_sphere2.csv": "686d3c331f5fbd31e70e60aa14d5b945be380fc75b7b2d38aaee095398fba5fa",
-    "check_05_Linearity_half_plane2.csv": "1c908d39f32dbcb1b5eaf0492a2d3f8251f86238d790e55dfbee2168e2049450",
+    "check_04_Linearity_sphere2.csv": "1119df633cc45508331a0f6117cc642381eb45a3d3be9dea1ce3fdbb1d421abb",
+    "check_05_Linearity_half_plane2.csv": "bc729788495814a2e1ae1478845ac87b16ff9710c4e6850b7794addec8469935",
     "check_06_Sensitivity_euclidean.csv": "7744c49ba3fcaaac60361dc01f834131827979b2af4b194d762158023a9cffc3",
-    "check_07_Sensitivity_sphere2.csv": "e679e3a45609c4ac8db318dfb2827de950aa5cacbcc72fce05ca25f20df77504",
+    "check_07_Sensitivity_sphere2.csv": "9cbfbfb003e85c15ffe0d1e9720dc910839a4f81c02cff734f6a86e3e8f3bd0a",
     "check_08_Sensitivity_half_plane2.csv": "938fd0ef621d819061b70b3de112775c186f872e11f38928c1c20de89f2150c6",
     "check_09_SymmetryInvariance_euclidean.csv": "631dd0be632f5d3d14023afb094c1d268215ec368edd03d1bf328ace86899d83",
     "check_10_Completeness_euclidean.csv": "53e67a915fcc3970023157bfb370e2cf45bb7109e3de038d66dd6f665fc4e287",
-    "check_11_Completeness_sphere2.csv": "99f451c313ae5e7ceb16b584fc5c9238af1f754eb15859a6a8f114141dedde10",
-    "check_12_Completeness_half_plane2.csv": "bd193437b08abfd7d6e24bbef7df2fdd959480b2c3dd8b96ca955a78a645bb5d",
+    "check_11_Completeness_sphere2.csv": "40956944871842b4809e16c653082ae3d164841d7bbfb23daa3447c63607aeeb",
+    "check_12_Completeness_half_plane2.csv": "21989bf8edeb77ff2b5de3932b822c67e0b189426cf3f54e84c1fc6ecebe1e35",
     "check_13_IsometryInvariance_euclidean.csv": "6b4c77935fd1166e90b23b9dd9950337664af5fa12bc1e78da1db4f397e046b1",
-    "check_14_IsometryInvariance_sphere2.csv": "4bd121e949d32ac65f5bf249bfe07133abf9d5b58d8d02b8648bc8aeffdca0b6",
-    "check_15_IsometryInvariance_half_plane2.csv": "7ff01c64d858965abfd8fc061c8c45bbdce86434c9d5a429bab07ec57df0a143",
+    "check_14_IsometryInvariance_sphere2.csv": "4abcc179fdc602891e3b09ff7ac25d2305a351e2911d31962793e5cd7fe79690",
+    "check_15_IsometryInvariance_half_plane2.csv": "f23b54307d1b37f522a61cbbd5dea0bcb2dcf39a338e4c8e765e478525563c9a",
     "check_16_EuclideanRestriction_euclidean.csv": "3e4c8dad2e9e8e8914e99d262bc27020f4e7cf261ea2511350ed05243614e539",
     "check_17_EigenBound_euclidean.csv": "b6dbd4372ee3200194782c5e5ecacaf3965950e73f681389bee7e9aae89432d1",
     "check_18_EigenBound_sphere2.csv": "05c6b4a057bc755dde89121aaa5f790a52fec2da4f1eb3f4279a321645e49167",
     "check_19_EigenBound_half_plane2.csv": "102beabef6a8c5dc87c3cb3d1aa705fd88c471715542dae4b2f16c23b764731e",
-    "suite.json": "a062fb1df465988baab185a78caa4d1792b2d24a328b27bf87a5136b07c090d4",
+    "suite.json": "c9af4f2ee160b2805391ece222b5696bc7917cf2d60689949e189c7bf5ba88ef",
 }
 
 
@@ -690,7 +699,7 @@ def test_stock_verify_output_is_pinned(tmp_path):
     assert written == STOCK_SUITE_SHA256
     lines = "".join(line + "\n" for line in output.splitlines() if line.startswith("["))
     assert hashlib.sha256(lines.encode()).hexdigest() == (
-        "a63e98b419ae19f176ced17c10c4fbf52f19da8dcb62d448bfe63f89e38cec55"
+        "b999628de041e00367887832fd581f640fc5319adaa82a7a66926a4d4845606a"
     )
 
 

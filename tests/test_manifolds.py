@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rigrad as rg
-from rigrad.manifolds import Chart, diagnostics
+from rigrad.manifolds import Chart, diagnostics, halfplane
 from rigrad.manifolds.sphere import ANTIPODAL_SLACK, SphericalChart, _cross3
 
 from conftest import (
@@ -301,29 +301,39 @@ def test_a_nested_list_of_numbers_is_read_as_frame_rows():
             rg.OrthonormalFrame(p, rows)
 
 
-def _old_frame_gap(man, p, rows):
-    """The frame check's gap as it was computed: the Gram matrix, through
-    lower() everywhere but the half-plane's rows over y, minus np.eye."""
+def _old_frame_gram(man, p, rows):
+    """The frame check's Gram matrix as numpy computed it: through lower()
+    everywhere but the half-plane, whose rows were read over y."""
     with np.errstate(all="ignore"):
         if man.kind == "half_plane2":
-            gram = man._frame_gram(p, rows)
-        else:
-            gram = rows @ man.lower(np.broadcast_to(p, rows.shape), rows).T
-    return np.abs(gram - np.eye(man.dim)).max()
+            scaled = rows / p[1]
+            return scaled @ scaled.T
+        return rows @ man.lower(np.broadcast_to(p, rows.shape), rows).T
+
+
+def _old_frame_gap(man, p, rows):
+    """The frame check's gap as numpy computed it: the Gram matrix minus np.eye."""
+    return np.abs(_old_frame_gram(man, p, rows) - np.eye(man.dim)).max()
 
 
 @pytest.mark.parametrize(
     "kind, dim", [("euclidean", 3), ("euclidean", 64), ("sphere2", None), ("half_plane2", None)]
 )
 def test_frame_gap_keeps_the_bits_of_the_identity_subtraction(monkeypatch, kind, dim):
-    """validate_frame's gap, pinned through FRAME_TOL: a frame passes at a
-    tolerance equal to the old formula's gap and fails one float below it,
-    for random, slightly and grossly perturbed frames; a frame holding NaN
-    or infinity raises NonFiniteValue, as the old gap was not finite."""
+    """validate_frame's gap, pinned through FRAME_TOL, for random, slightly
+    and grossly perturbed frames.  On flat space, whose check stays in numpy,
+    a frame passes at a tolerance equal to the old formula's gap and fails
+    one float below it.  The 2-manifolds read their two rows in Python
+    floats: the gap agrees with the old formula within 4 ulps of the Gram
+    entries, so a frame passes 4 ulps above it and fails 4 ulps below, and
+    at FRAME_TOL itself every frame passes or fails as the old gap decides.
+    A frame holding NaN or infinity raises NonFiniteValue, as the old gap
+    was not finite."""
     from rigrad.manifolds import base
 
     man = rg.make_manifold(kind, dim=dim)
     draw = np.random.default_rng(7)
+    tol = base.FRAME_TOL
     for trial in range(12):
         p = man.random_point(draw)
         rows = man.orthonormal_frame(p).rows
@@ -339,9 +349,21 @@ def test_frame_gap_keeps_the_bits_of_the_identity_subtraction(monkeypatch, kind,
                 man.validate_frame(rg.OrthonormalFrame(p, bad))
         gap = float(_old_frame_gap(man, p.coords, rows))
         frame = rg.OrthonormalFrame(p, rows)
-        monkeypatch.setattr(base, "FRAME_TOL", gap)
+        if man.kind == "euclidean":
+            above, below = gap, np.nextafter(gap, -1.0)
+        else:
+            slack = 4.0 * np.spacing(max(1.0, np.abs(_old_frame_gram(man, p.coords, rows)).max()))
+            above, below = gap + slack, gap - slack
+            assert abs(gap - tol) > slack
+            monkeypatch.setattr(base, "FRAME_TOL", tol)
+            if gap > tol:
+                with pytest.raises(rg.InvalidTangent, match="not g-orthonormal"):
+                    man.validate_frame(frame)
+            else:
+                assert man.validate_frame(frame) is frame.rows
+        monkeypatch.setattr(base, "FRAME_TOL", above)
         assert man.validate_frame(frame) is frame.rows
-        monkeypatch.setattr(base, "FRAME_TOL", np.nextafter(gap, -1.0))
+        monkeypatch.setattr(base, "FRAME_TOL", below)
         with pytest.raises(rg.InvalidTangent, match="not g-orthonormal"):
             man.validate_frame(frame)
 
@@ -349,8 +371,8 @@ def test_frame_gap_keeps_the_bits_of_the_identity_subtraction(monkeypatch, kind,
 @pytest.mark.parametrize("height", [1e-155, 1e-160, 1e-200, 1e-300])
 def test_half_plane_frame_check_holds_where_y_squared_is_subnormal(height):
     """The half-plane's own frame passes validate_frame at every height, with
-    no warning: the Gram matrix reads the rows over y, not lower()'s
-    V / y**2, which is subnormal below y of about 1.5e-154 and 0 at 1e-200.
+    no warning: lower() reads V / y / y, not V / y**2, which is subnormal
+    below y of about 1.5e-154 and 0 at 1e-200.
     A frame twice as long is still refused."""
     man = rg.make_manifold("half_plane2")
     p = man.point(np.array([0.0, height]))
@@ -715,6 +737,112 @@ def test_geodesic_endpoints_and_residual(manifold, rng):
         assert rg.geodesic_residual(manifold, curve) <= 1e-6
 
 
+def _reference_geodesic(man, p, q, ts):
+    """Positions, velocities and frames at ``ts`` of the geodesic from p to q,
+    pinned at 0 and 1, from its constants as numpy computed them per pair:
+    the sphere's from the one-row ``unique_log_rows``, which raises
+    CutLocusAmbiguity, the half-plane's from ``_directions``.  None for a
+    constant curve."""
+    if man.kind == "sphere2":
+        v = man.unique_log_rows(p[None, :], q)[0][0]
+        theta = np.sqrt(v.dot(v))
+        if theta < 1e-14:
+            return None
+        u = v / theta
+        angle = theta * ts[:, None]
+        cos, sin = np.cos(angle), np.sin(angle)
+        X, V = cos * p + sin * u, theta * (-sin * p + cos * u)
+        E = np.stack([cos * u - sin * p, np.broadcast_to(np.cross(p, u), X.shape)], axis=1)
+    else:
+        if np.array_equal(p, q):
+            return None
+        (xp, yp), (xq, yq) = p.tolist(), q.tolist()
+        with np.errstate(over="ignore"):
+            d, cos, sin = map(float, halfplane._directions(xp, yp, xq, yq))
+        c, w = halfplane._walk(cos, *halfplane._cos2_factors(cos, sin), ts * d)
+        y = yp * w
+        X = np.stack([xp + yp * c, y], axis=1)
+        V = y[:, None] * (d * np.stack([cos * w, sin - cos * c], axis=1))
+        T = np.stack([y * (cos * w), y * (sin - cos * c)], axis=1)
+        E = np.stack([T, np.stack([-T[:, 1], T[:, 0]], axis=1)], axis=1)
+    X[ts == 0.0], X[ts == 1.0] = p, q
+    return X, V, E
+
+
+def _assert_within_ulps(actual, expected, length, ulps=4):
+    """Each row within ``ulps`` units in the last place of max(1, length),
+    times the row's norm: the geodesic's angle or length sets the scale of
+    its rounding, which its unit positions and frames and its velocities of
+    norm ``length`` carry."""
+    norms = np.linalg.norm(expected, axis=-1, keepdims=True)
+    assert (np.abs(actual - expected) <= ulps * np.spacing(max(1.0, length)) * norms).all()
+
+
+def _geodesic_pairs(man, rng):
+    """2000 seeded pairs, pairs 1e-12 apart, and per manifold the delicate
+    ones: on the sphere pairs 1e-8 short of antipodal and at half and twice
+    the antipodal slack in 1 + cos; on the half-plane vertical pairs, and
+    heights and coordinates from 1e-300 to 1e300."""
+    pairs = [(man.random_point(rng).coords, man.random_point(rng).coords) for _ in range(2000)]
+    for _ in range(40):
+        p = man.random_point(rng)
+        u = random_unit_tangent(man, p, rng)
+        pairs.append((p.coords, man.exp_map(u * 1e-12).coords))
+        if man.kind == "sphere2":
+            for short in (1e-8, math.sqrt(1e-9), math.sqrt(4e-9)):
+                far = math.cos(math.pi - short) * p.coords + math.sin(math.pi - short) * u.components
+                pairs.append((p.coords, far / np.linalg.norm(far)))
+        else:
+            y = 10.0 ** rng.uniform(-300, 300)
+            x = rng.standard_normal() * y
+            pairs += [(p.coords, np.array([p.coords[0], 3.0 * p.coords[1]])),
+                      (np.array([x, y]), np.array([x + y * rng.standard_normal(), y * rng.uniform(0.1, 10.0)]))]
+    return pairs
+
+
+@pytest.mark.parametrize("kind", ["sphere2", "half_plane2"])
+def test_geodesic_constants_in_floats_agree_with_numpy(kind, rng):
+    """make_geodesic reads a pair's constants in Python floats.  Its positions,
+    velocities and frames at 0, the 32 Gauss-Legendre nodes and 1 agree with
+    those of the constants numpy computed within 4 ulps (of max(1, length),
+    per unit of each vector's norm), and it refuses the same pairs: antipodal
+    sphere pairs with CutLocusAmbiguity, half-plane pairs whose walk
+    overflows with NonFiniteValue.  The half-plane's constants are numpy's
+    bits; the sphere's differ where math.atan2 rounds otherwise than
+    np.arctan2 and np.dot's sums otherwise than the sums in order."""
+    man = rg.make_manifold(kind)
+    ts = np.concatenate([[0.0], rg.Quadrature().nodes_weights(32)[0], [1.0]])
+    refused = 0
+    for p, q in _geodesic_pairs(man, rng):
+        if kind == "half_plane2":
+            with np.errstate(over="ignore"):
+                expected = tuple(map(float, halfplane._directions(*p.tolist(), *q.tolist())))
+            if not np.array_equal(p, q):
+                assert halfplane._pair_directions(*p.tolist(), *q.tolist()) == expected
+        try:
+            reference = _reference_geodesic(man, p, q, ts)
+        except rg.CutLocusAmbiguity:
+            with pytest.raises(rg.CutLocusAmbiguity):
+                man.make_geodesic(rg.Point(p), rg.Point(q))
+            refused += 1
+            continue
+        try:
+            curve = man.make_geodesic(rg.Point(p), rg.Point(q))
+        except rg.NonFiniteValue:
+            assert kind == "half_plane2"
+            refused += 1
+            continue
+        if reference is None:
+            assert curve.length == 0.0
+            continue
+        X, E = curve.frame_fn(ts)
+        _assert_within_ulps(X, reference[0], curve.length)
+        _assert_within_ulps(curve.positions(ts), reference[0], curve.length)
+        _assert_within_ulps(curve.velocities(ts), reference[1], curve.length)
+        _assert_within_ulps(E, reference[2], curve.length)
+    assert refused >= (80 if kind == "sphere2" else 1)
+
+
 def test_geodesic_speed_is_its_length(rng):
     """The contract closed-form transport divides by: a stock geodesic's
     g-speed at the 32 + 64 Gauss-Legendre nodes is its length, also for
@@ -960,7 +1088,8 @@ def _closed_form_metric(manifold, p):
         return np.eye(manifold.dim)
     if manifold.kind == "sphere2":
         return np.eye(3) - np.outer(p.coords, p.coords)
-    return np.eye(2) / float(p.coords[1]) ** 2
+    y = float(p.coords[1])
+    return np.eye(2) / y / y
 
 
 def test_metric_at_is_lower_of_the_coordinate_vectors_bit_for_bit(manifold, rng):
@@ -976,6 +1105,19 @@ def test_metric_at_is_lower_of_the_coordinate_vectors_bit_for_bit(manifold, rng)
             assert np.array_equal(manifold.chart_for_curve([p]).metric(p.coords), g)
     for cls in (rg.Euclidean, rg.Sphere2, rg.HalfPlane2):
         assert "metric_at" not in cls.__dict__, cls.__name__
+
+
+def test_lower_floats_gives_the_bits_of_lower(manifold, rng):
+    """The per-pair lowering in Python floats is ``lower``'s row, bit for bit,
+    at random points and vectors and at half-plane heights where y squared
+    underflows."""
+    points = [manifold.random_point(rng) for _ in range(200)]
+    if manifold.kind == "half_plane2":
+        points += [manifold.point(np.array([0.3, y])) for y in (1e-160, 1e-300)]
+    for p in points:
+        v = rng.standard_normal(manifold.coord_dim) * p.coords[-1]
+        expected = manifold.lower(p.coords[None, :], v[None, :])[0]
+        assert manifold.lower_floats(p.coords.tolist(), v.tolist()) == expected.tolist()
 
 
 def test_geodesic_speed_is_constant(manifold, rng):
