@@ -244,7 +244,8 @@ def _path_integral(field, manifold, curve, rows, quadrature, levels=None, defect
     diagnostics = PathDiagnostics(curve_length=curve.length, nodes_used=count, refinement_gap=gap,
                                   transport_mode=mode, transport_steps=steps,
                                   geodesic_defect=defect)
-    return (-np.outer(level, pairing) if curve.is_geodesic else level), diagnostics
+    # negating the n entries of A, not the n^2 of the product, keeps its bits
+    return (np.outer(-level, pairing) if curve.is_geodesic else level), diagnostics
 
 
 def _attribution_matrices(

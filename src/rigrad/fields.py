@@ -252,26 +252,33 @@ class MLPField(ScalarField):
     def value(self, p: Point) -> float:
         a = p.coords
         for layer in self.weights.layers:
-            a = _act(layer.activation, layer.weights @ a + layer.bias)
+            z = layer.weights @ a
+            z += layer.bias
+            a = _act(layer.activation, z)
         return float(a[0])
 
     def coord_gradients(self, X: np.ndarray) -> np.ndarray:
         """One forward and backward pass over all rows of ``X`` at once."""
+        # the output layer's act'(z) (K, 1) times its weights (1, h) starts the
+        # pass; an identity's act' is 1, so below a hidden layer its weights
+        # do, and its forward pass is skipped
+        *hidden, last = self.weights.layers
+        skip = bool(hidden) and last.activation == "identity"
         seen = []
         a = np.asarray(X, dtype=float)
-        for layer in self.weights.layers:
-            z = a @ layer.weights.T + layer.bias
+        for layer in hidden if skip else self.weights.layers:
+            z = a @ layer.weights.T
+            z += layer.bias
             a = _act(layer.activation, z)
             seen.append((z, a))
-        # the output layer's act'(z) (K, 1) times its weights (1, h) starts the
-        # pass; an identity's act' is 1, so below a hidden layer its weights do
-        *hidden, last = self.weights.layers
-        z, a = seen.pop()
         grad = last.weights
-        if last.activation != "identity" or not hidden:
+        if not skip:
+            z, a = seen.pop()
             grad = _act_prime(last.activation, z, a) * grad
         for layer, (z, a) in zip(reversed(hidden), reversed(seen)):
-            grad = (grad * _act_prime(layer.activation, z, a)) @ layer.weights
+            s = _act_prime(layer.activation, z, a)
+            s *= grad
+            grad = s @ layer.weights
         return grad
 
 

@@ -335,7 +335,8 @@ class Manifold(ABC):
     def point_rows(self, P) -> np.ndarray:
         """Validated points from the rows of ``P`` (K, coord_dim), the one
         check behind ``point``; raises InvalidPoint for the first bad row.
-        Manifolds with constraints beyond finiteness extend it."""
+        Manifolds with constraints beyond finiteness extend it and
+        ``_point_coords``."""
         P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[1] != self.coord_dim:
             raise InvalidPoint(
@@ -352,11 +353,14 @@ class Manifold(ABC):
 
     def _point_coords(self, x: np.ndarray) -> np.ndarray:
         """The one-point check behind ``point`` and ``validate_point``, as
-        ``point_rows`` checks a row; ``x`` itself when nothing changes.  The
-        2-manifolds override it on ``_coord_floats``."""
+        ``point_rows`` checks a row; ``x`` itself, which ``validate_point``
+        hands back as the caller's Point.  Manifolds that extend
+        ``point_rows`` override it too."""
         if x.shape != (self.coord_dim,):
             raise InvalidPoint(f"expected {self.coord_dim} coordinates, got shape {x.shape}")
-        return self.point_rows(x[None, :])[0]
+        if not np.isfinite(x).all():
+            raise InvalidPoint("coordinates must be finite")
+        return x
 
     def _coord_floats(self, x: np.ndarray) -> list[float]:
         """One point's coordinates as Python floats, with ``_point_coords``' refusals."""

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..errors import _integer
+from ..errors import NonFiniteValue, _integer
 from .base import (
     Chart,
     Curve,
@@ -45,9 +47,9 @@ class Euclidean(Manifold):
 
     def _frame_gap(self, p: np.ndarray, rows: np.ndarray) -> float:
         with np.errstate(all="ignore"):
-            gram = rows @ rows.T  # lower() is the identity
-        gram.flat[:: self.dim + 1] -= 1.0  # the gap to the identity, in place
-        return float(np.abs(gram).max())
+            gram = (rows @ rows.T).ravel()  # lower() is the identity
+        gram[:: self.dim + 1] -= 1.0  # the gap to the identity, in place
+        return float(np.abs(gram, out=gram).max())
 
     def chart_for_curve(self, samples) -> Chart:
         return self._chart
@@ -62,21 +64,29 @@ class Euclidean(Manifold):
     geodesic_between = Manifold.geodesic_between  # bench/tracing.py wraps it per class
 
     def make_geodesic(self, p: Point, o: Point) -> Curve:
-        delta = o.coords - p.coords
-        start = np.array(p.coords)
         with np.errstate(over="ignore"):
-            length = float(np.linalg.norm(delta))
-        if length == np.inf and np.isfinite(delta).all():  # the squares overflowed
+            delta = o.coords - p.coords
+            if not np.isfinite(delta).all():
+                raise NonFiniteValue("the straight segment overflows: o - p is not finite")
+            length = math.sqrt(float(delta.dot(delta)))  # np.linalg.norm's formula
+        if length == math.inf:  # the squares overflowed
             scale = float(np.abs(delta).max())
             length = scale * float(np.linalg.norm(delta / scale))
 
         def position(t):
-            return start + np.asarray(t)[..., None] * delta
+            out = np.asarray(t)[..., None] * delta
+            out += p.coords
+            return out
+
+        def velocity(t):
+            out = np.empty(np.shape(t) + delta.shape)
+            out[...] = delta
+            return out
 
         return Curve(
             manifold=self,
             position_fn=pin_endpoints(position, p, o),
-            velocity_fn=lambda t: np.tile(delta, np.shape(t) + (1,)),
+            velocity_fn=velocity,
             start=p,
             end=o,
             is_geodesic=True,

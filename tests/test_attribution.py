@@ -415,7 +415,9 @@ def test_ig_and_rig_share_one_stop_test_on_flat_networks():
 
 def test_the_form_is_built_once_per_geodesic_path(monkeypatch):
     """Along a geodesic the levels compare A; np.outer forms -A c^T once, after
-    the last level, also when refinement runs to a third level."""
+    the last level, also when refinement runs to a third level.  It negates
+    the n entries of A, not the n^2 of the product: IEEE negation is exact, so
+    the form keeps the bytes of -np.outer(A, c), signed zeros included."""
     man = rg.make_manifold("sphere2")
     p, o = man.point(np.array([1.0, 0.0, 0.0])), man.point(np.array([0.0, 0.6, 0.8]))
     field = rg.MLPField(man, rg.random_mlp(3, (32, 32), np.random.default_rng(4), scale=3.0))
@@ -423,13 +425,32 @@ def test_the_form_is_built_once_per_geodesic_path(monkeypatch):
     outer = np.outer
 
     def counting_outer(a, b):
-        calls.append(len(a))
+        calls.append((a, b))
         return outer(a, b)
 
     monkeypatch.setattr(np, "outer", counting_outer)
     report = rg.rig(field, man, p, o, man.orthonormal_frame(p))
     assert report.diagnostics.nodes_used > 64
-    assert calls == [2]
+    assert [len(a) for a, _ in calls] == [2]
+
+    # a flat pair that moves half of its coordinates: c has zeros, the form
+    # zeros of both signs
+    flat = rg.make_manifold("euclidean", dim=64)
+    draw = np.random.default_rng(37)
+    x = draw.standard_normal(64)
+    p, o = flat.point(x), flat.point(np.where(np.arange(64) % 2 == 0, x, draw.standard_normal(64)))
+    network = rg.MLPField(flat, rg.random_mlp(64, (32, 32), draw))
+    frame = flat.orthonormal_frame(p)
+    entries = rg.attribution_matrix(network, flat, p, o, frame).entries
+    minus_level, pairing = calls[-1]
+    form = -outer(-minus_level, pairing)
+    assert entries.tobytes() == form.tobytes()
+    assert set(np.signbit(entries[entries == 0.0])) == {False, True}
+    assert rg.rig(network, flat, p, o, frame).attributions.tobytes() == np.diag(form).tobytes()
+    values = rg.ig(network, p, o, frame).attributions  # the line runs from o to p
+    minus_level, pairing = calls[-1]
+    assert values.tobytes() == (-np.diag(-outer(-minus_level, pairing))).tobytes()
+    assert len(calls) == 4
 
 
 class CountingMLPField(rg.MLPField):
@@ -739,28 +760,49 @@ def test_one_call_validates_each_point_once(monkeypatch, manifold, rng):
         assert calls == [manifold.coord_dim] * 2, method
 
 
-@pytest.mark.parametrize("kind", ["sphere2", "half_plane2"])
+@pytest.mark.parametrize("kind", ["euclidean", "sphere2", "half_plane2"])
 def test_per_pair_geometry_takes_no_row_kernels(monkeypatch, kind, rng):
     """A call's per-pair work, validating p and o, the geodesic's constants
-    and the frame check, runs in Python floats: with the row kernels
-    ``log_rows``, ``point_rows``, the sphere's ``_cross3`` and the
-    half-plane's ``_directions`` made to raise, rig and eigen_rig still run."""
+    and the frame check, runs in Python floats or in one array pass: with
+    the row kernels ``log_rows``, ``point_rows``, the sphere's ``_cross3``,
+    the half-plane's ``_directions`` and ``np.tile`` made to raise, rig,
+    eigen_rig and (in flat space) ig still run.  The one-point check hands
+    back the caller's Point, ``point`` still copies the caller's array, and
+    the wrong shape, NaN and infinity keep their InvalidPoint messages."""
     from rigrad.manifolds import halfplane, sphere
 
-    man = rg.make_manifold(kind)
+    man = rg.make_manifold(kind, dim=64 if kind == "euclidean" else None)
     field = rg.MLPField(man, rg.random_mlp(man.coord_dim, (6, 5), rng))
     p, o = man.random_point(rng), man.random_point(rng)
     frame = man.orthonormal_frame(p)
-    expected = [run(field, man, p, o, frame).attributions for run in (rg.rig, rg.eigen_rig)]
+    runs = [lambda: rg.rig(field, man, p, o, frame), lambda: rg.eigen_rig(field, man, p, o, frame)]
+    if man.flat:
+        runs.append(lambda: rg.ig(field, p, o, frame))
+    expected = [run().attributions for run in runs]
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("a row kernel ran on the per-pair path")
 
-    for owner, name in ((type(man), "log_rows"), (type(man), "point_rows"),
-                        (rg.Manifold, "point_rows"), (sphere, "_cross3"), (halfplane, "_directions")):
+    for owner, name in ((type(man), "log_rows"), (type(man), "point_rows"), (rg.Manifold, "point_rows"),
+                        (sphere, "_cross3"), (halfplane, "_directions"), (np, "tile")):
         monkeypatch.setattr(owner, name, refuse)
-    for run, attributions in zip((rg.rig, rg.eigen_rig), expected):
-        assert np.array_equal(run(field, man, p, o, frame).attributions, attributions)
+    for run, attributions in zip(runs, expected):
+        assert np.array_equal(run().attributions, attributions)
+
+    assert man.validate_point(p) is p and man.validate_point(o) is o
+    coords = np.array(p.coords)
+    made = man.point(coords)
+    assert made.coords is not coords and np.array_equal(made.coords, coords)
+    coords[0] += 1.0
+    assert np.array_equal(made.coords, p.coords)
+    n = man.coord_dim
+    with pytest.raises(rg.InvalidPoint, match=rf"^expected {n} coordinates, got shape \({n + 1},\)$"):
+        man.point(np.append(p.coords, 0.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(rg.InvalidPoint, match="^coordinates must be finite$"):
+            man.point(np.where(np.arange(n) == 0, bad, p.coords))
+        with pytest.raises(rg.InvalidPoint, match="^coordinates must be finite$"):
+            man.validate_point(rg.Point(np.where(np.arange(n) == n - 1, bad, p.coords)))
 
 
 def test_eigen_sum_matches_trace(manifold, rng):

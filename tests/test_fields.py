@@ -273,7 +273,8 @@ def test_mlp_gradients_reuse_the_forward_activations_bit_for_bit(rng):
     and an identity output starts the backward pass from its weights; the
     bits are those of recomputing tanh(z) and multiplying by ones, on tanh,
     softplus, identity, mixed and one-layer stacks, at 1, 3, 64, 96 and 256
-    rows, and the rows keep shape (K, coord_dim)."""
+    rows, and on a 64-input (32, 32) network at 96 and 256 rows, and the rows
+    keep shape (K, coord_dim)."""
     tanh = rg.random_mlp(3, (32, 32), rng)
     mixed = rg.MLPWeights(3, (
         rg.LayerSpec(rng.standard_normal((6, 3)), rng.standard_normal(6), "softplus"),
@@ -301,6 +302,47 @@ def test_mlp_gradients_reuse_the_forward_activations_bit_for_bit(rng):
             assert np.array_equal(
                 field.coord_gradient(man.point(x)), _gradient_recomputing_tanh(weights, x)
             )
+    # flat_wide's network: 64 inputs, (32, 32) tanh, identity output
+    wide = rg.random_mlp(64, (32, 32), rng)
+    field = rg.MLPField(rg.make_manifold("euclidean", dim=64), wide)
+    X = rng.standard_normal((256, 64))
+    for count in (96, 256):
+        gradients = field.coord_gradients(X[:count])
+        assert gradients.shape == (count, 64)
+        assert np.array_equal(gradients, _gradient_recomputing_tanh(wide, X[:count]))
+
+
+@pytest.mark.parametrize("hidden, output, expected", [
+    ((8, 4), "identity", ["tanh", "tanh"]),
+    ((8, 4), "tanh", ["tanh", "tanh", "tanh"]),
+    ((8, 4), "softplus", ["tanh", "tanh", "softplus"]),
+    ((), "identity", ["identity"]),
+    ((), "tanh", ["tanh"]),
+])
+def test_mlp_gradients_activate_each_layer_the_pass_reads_once(monkeypatch, rng, hidden, output, expected):
+    """Below hidden layers an identity output's forward pass is skipped, since
+    its act' is 1 and its weights start the backward pass: one batch calls
+    ``_act`` once per hidden layer, and a tanh or softplus output once more.
+    The gradients keep their bits at 1 and 96 rows."""
+    from rigrad import fields
+
+    *layers, last = rg.random_mlp(3, hidden, rng).layers
+    weights = rg.MLPWeights(3, (*layers, rg.LayerSpec(last.weights, last.bias, output)))
+    field = rg.MLPField(rg.make_manifold("euclidean", dim=3), weights)
+    X = 3.0 * rng.standard_normal((96, 3))
+    calls = []
+    act = fields._act
+
+    def counted(name, z):
+        calls.append(name)
+        return act(name, z)
+
+    monkeypatch.setattr(fields, "_act", counted)
+    for count in (1, 96):
+        calls.clear()
+        gradients = field.coord_gradients(X[:count])
+        assert calls == expected
+        assert np.array_equal(gradients, _gradient_recomputing_tanh(weights, X[:count]))
 
 
 def test_swapped_input_columns_compose_with_the_swap(rng):

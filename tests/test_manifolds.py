@@ -1000,6 +1000,65 @@ def test_flat_points_1e200_apart_have_a_finite_length_and_defect():
     assert_close_rel(report.attributions, weights * (p.coords - o.coords))
 
 
+def test_an_overflowing_flat_pair_is_refused_without_warnings():
+    """From (1e308, 0) to (-1e308, 0), o - p overflows: the segment is refused
+    with NonFiniteValue before any numpy warning, by geodesic_between, rig,
+    ig (whose line runs the other way) and attribution_matrix alike."""
+    man = rg.make_manifold("euclidean", dim=2)
+    p, o = man.point(np.array([1e308, 0.0])), man.point(np.array([-1e308, 0.0]))
+    field = rg.AffineField(man, np.array([0.3, -0.7]))
+    frame = man.orthonormal_frame(p)
+    calls = [
+        lambda: man.geodesic_between(p, o),
+        lambda: rg.rig(field, man, p, o, frame),
+        lambda: rg.ig(field, p, o, frame),
+        lambda: rg.attribution_matrix(field, man, p, o, frame),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(rg.NonFiniteValue, match="straight segment overflows"):
+                call()
+
+
+def test_the_straight_line_keeps_the_bits_of_the_numpy_formulas():
+    """Seeded euclidean:3 and euclidean:64 pairs from 1e-300 to 1e300 apart,
+    the widest through the rescaled length: the length is
+    np.linalg.norm(o - p), or its rescaled form where the squares overflow;
+    the velocity rows are np.tile(o - p, (K, 1)) byte for byte, as a
+    writable float array, at K = 0, 1, n and 96; and the positions are
+    p + t (o - p), with both ends pinned to p and o."""
+    rng = np.random.default_rng(37)
+    ts = np.concatenate([[0.0], np.sort(rng.random(94)), [1.0]])
+    rescaled = 0
+    for n in (3, 64):
+        man = rg.make_manifold("euclidean", dim=n)
+        for gap in (1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e200, 1e300):
+            p, o = man.point(gap * rng.standard_normal(n)), man.point(gap * rng.standard_normal(n))
+            delta = o.coords - p.coords
+            with np.errstate(over="ignore"):
+                length = np.linalg.norm(delta)
+            if length == np.inf:
+                rescaled += 1
+                scale = np.abs(delta).max()
+                length = scale * np.linalg.norm(delta / scale)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                curve = man.geodesic_between(p, o)
+                positions = curve.positions(ts)
+                rows = {count: curve.velocities(ts[:count]) for count in (0, 1, n, 96)}
+            assert curve.length == length and math.isfinite(curve.length)
+            for count, velocities in rows.items():
+                assert velocities.dtype == np.float64 and velocities.flags.writeable
+                tiled = np.tile(delta, (count, 1))
+                assert velocities.shape == tiled.shape
+                assert velocities.tobytes() == tiled.tobytes()
+            expected = p.coords + ts[:, None] * delta
+            expected[0], expected[-1] = p.coords, o.coords
+            assert positions.tobytes() == expected.tobytes()
+    assert rescaled >= 3
+
+
 def test_geodesic_residual_matches_the_sample_loop(rng):
     """Batched residual against one sample at a time, on geodesics of every
     geometry, both latitude loops (a nonzero defect) and zero-length
